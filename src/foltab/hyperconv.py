@@ -3,6 +3,16 @@ leaf-closed tableau with the hyper property (negative literals only at
 leaves).  Each round splices out one inner node with a negative literal and
 repairs the affected branches with fresh copies of the old subtree; a
 lexicographic measure over the rounds is checked to decrease strictly.
+
+Each round does work in proportion to what it changes.  Between rounds the
+tree is regular and leaf-closing, and no node before the last selected node
+`nprime` in pre-order has an inner child with a negative literal.  A round
+lifts the children of `n` to `nprime`, which only removes an ancestor from
+the branches below `n` and so keeps regularity and leaf-closing there; it
+then grafts copies of the repaired clause below the leaves that closed
+against `n` and simplifies only below those graft points.  The nodes before
+`nprime` in pre-order are untouched, so the next selection resumes at
+`nprime`.
 """
 
 from __future__ import annotations
@@ -10,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .syntax import Literal
 from .tableaux import (
     Node,
     ResourceLimitError,
@@ -95,24 +106,64 @@ def measure_string(m: tuple) -> str:
     return " ".join("w" if x == OMEGA else str(int(x)) for x in m)
 
 
-def _select(root: Node) -> Optional[tuple[Node, Node]]:
+def _select(pending: list[Node]) -> Optional[tuple[Node, Node]]:
     """First node in pre-order with a child that is an inner node labeled
-    with a negative literal, plus the leftmost such child."""
-    for n in root.pre_order():
+    with a negative literal, plus the leftmost such child.  `pending` is the
+    stack of the pre-order walk; the selected node is popped from it before
+    its children are pushed, so pushing it back resumes the walk there."""
+    while pending:
+        n = pending.pop()
         for c in n.children:
             if c.children and not c.literal.positive:
                 return n, c
+        pending.extend(reversed(n.children))
     return None
 
 
-def _count_nodes(root: Node) -> int:
-    return sum(1 for _ in root.pre_order())
+def _path_counts(node: Node) -> dict[Literal, int]:
+    """Occurrences of each literal on the path below the root down to
+    `node`, as `simplify_in_place` counts them."""
+    counts: dict[Literal, int] = {}
+    n = node
+    while n.parent is not None:
+        counts[n.literal] = counts.get(n.literal, 0) + 1
+        n = n.parent
+    return counts
+
+
+def _graft(nprime: Node, u: list[Node], comp: Literal) -> tuple[int, int, int]:
+    """Give every leaf below `nprime` labeled `comp` fresh copies of the
+    clause `u` as children and simplify below it; returns (splices,
+    truncations, nodes added)."""
+    splices = truncations = added = 0
+    counts = _path_counts(nprime)
+    # pre-order walk keeping the literal counts of the current path; None
+    # marks the exit from the node below it on the stack
+    stack: list[Optional[Node]] = list(reversed(nprime.children))
+    while stack:
+        m = stack.pop()
+        if m is None:
+            counts[stack.pop().literal] -= 1
+            continue
+        if not m.children and m.literal != comp:
+            continue
+        counts[m.literal] = counts.get(m.literal, 0) + 1
+        if m.children:
+            stack += (m, None)
+            stack.extend(reversed(m.children))
+            continue
+        m.set_children([c.copy_subtree()[0] for c in u])
+        spl, tru = simplify_in_place(m, counts)
+        splices += spl
+        truncations += tru
+        added += sum(1 for _ in m.pre_order()) - 1
+        counts[m.literal] -= 1
+    return splices, truncations, added
 
 
 def hyper_convert(
     tab: Tableau,
     max_nodes: int = DEFAULT_NODE_LIMIT,
-    record_trace: bool = True,
 ) -> tuple[Tableau, ConversionTrace]:
     """Convert a closed tableau to a leaf-closed, regular, hyper tableau
     whose clauses are clauses of the input tableau."""
@@ -124,9 +175,11 @@ def hyper_convert(
     spl, tru = simplify_in_place(root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
+    size = work.size()
+    pending = [root]
     prev: Optional[tuple] = None
     while True:
-        sel = _select(root)
+        sel = _select(pending)
         if sel is None:
             break
         nprime, n = sel
@@ -138,33 +191,23 @@ def hyper_convert(
         prev = measure
         path = node_path(root, nprime)
 
-        # fresh copy of the subtree at nprime, minus the edges leaving n
-        u_root, mapping = nprime.copy_subtree()
-        mapping[id(n)].children = []
-        # replace the edges leaving nprime with those leaving n
+        # u is the clause at nprime with n as a bare leaf; the edges leaving
+        # nprime are replaced by those leaving n, so the subtrees of n's
+        # siblings leave the tree and serve as u's template as they are
+        u = [Node(c.literal, c.side) if c is n else c for c in nprime.children]
+        size -= sum(1 for c in u for _ in c.pre_order())
         nprime.set_children(n.children)
         # graft a copy of u under every leaf descendant that complements n
-        comp = n.literal.complement()
-        grafts = [
-            m
-            for m in nprime.pre_order()
-            if m is not nprime and not m.children and m.literal == comp
-        ]
-        for m in grafts:
-            u_copy, _ = u_root.copy_subtree()
-            m.set_children(u_copy.children)
-        spl, tru = simplify_in_place(root)
+        spl, tru, added = _graft(nprime, u, n.literal.complement())
         trace.regular_splices += spl
         trace.leaf_truncations += tru
-        size = _count_nodes(root)
+        size += added
         if size > max_nodes:
             raise ResourceLimitError(
                 f"hyper conversion exceeded {max_nodes} nodes"
             )
-        if record_trace:
-            trace.rounds.append(ConversionRound(path, measure, size))
-        else:
-            trace.rounds.append(ConversionRound((), measure, 0))
+        trace.rounds.append(ConversionRound(path, measure, size))
+        pending.append(nprime)
     compute_targets(work)
     if not is_hyper(work):
         raise StructureError("conversion finished on a non-hyper tableau")

@@ -238,11 +238,7 @@ def matrix_cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> tuple[Cla
     Only duplicate clauses are removed; tautologies are kept."""
 
     def dedup(clauses: list[Clause]) -> list[Clause]:
-        out: list[Clause] = []
-        for c in clauses:
-            if c not in out:
-                out.append(c)
-        return out
+        return list(dict.fromkeys(clauses))
 
     def go(g: Formula) -> list[Clause]:
         if isinstance(g, Literal):

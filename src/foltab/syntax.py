@@ -6,7 +6,7 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -18,20 +18,51 @@ class InputError(ValueError):
 # Terms
 
 
-@dataclass(frozen=True)
+# Var, App and Literal compute their hash on first use and keep it in the
+# `_hash` slot, so that hashing a deep term or literal is O(1) after the
+# first time.  The slot is left unset by __init__ to keep construction (the
+# prover builds far more terms than it hashes) as cheap as before; the value
+# is the hash of the field tuple, as the generated __hash__ would give.
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     """Function application; constants are 0-ary applications."""
 
     functor: str
     args: tuple["Term", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.functor, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return App, (self.functor, self.args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -198,11 +229,23 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal(Formula):
     positive: bool
     predicate: str
     args: tuple[Term, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.positive, self.predicate, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return Literal, (self.positive, self.predicate, self.args)
 
     def complement(self) -> "Literal":
         return Literal(not self.positive, self.predicate, self.args)
@@ -313,11 +356,7 @@ class Clause:
 
 def clause(literals: Iterable[Literal], conjunctive: bool = False) -> Clause:
     """Build a clause, dropping duplicate literals (first occurrence wins)."""
-    seen: list[Literal] = []
-    for l in literals:
-        if l not in seen:
-            seen.append(l)
-    return Clause(tuple(seen), conjunctive)
+    return Clause(tuple(dict.fromkeys(literals)), conjunctive)
 
 
 def literal_key(l: Literal):

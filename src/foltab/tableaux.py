@@ -79,9 +79,11 @@ class Node:
             n = n.parent
 
     def pre_order(self) -> Iterator["Node"]:
-        yield self
-        for c in self.children:
-            yield from c.pre_order()
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack.extend(reversed(n.children))
 
     def copy_subtree(self) -> tuple["Node", dict[int, "Node"]]:
         """Fresh copy; returns the copy and a map id(original) -> copy.
@@ -229,7 +231,9 @@ def is_regular(tab: Tableau) -> bool:
 # Simplification to regular, leaf-closing form
 
 
-def simplify_in_place(root: Node) -> tuple[int, int]:
+def simplify_in_place(
+    root: Node, counts: Optional[dict[Literal, int]] = None
+) -> tuple[int, int]:
     """Make the tree regular and leaf-closing; returns (splices, truncations).
 
     Regularity: a node repeating an ancestor literal causes the edges of its
@@ -237,10 +241,18 @@ def simplify_in_place(root: Node) -> tuple[int, int]:
     node loses its outgoing edges.  Violations are fixed at first encounter
     in pre-order; neither operation can introduce a violation earlier in the
     walk, since both only shorten ancestor chains.
+
+    Without `counts`, `root` is the root of the tree.  With `counts`, only
+    the part below `root` is simplified, exactly as the whole-tree walk
+    would do it on reaching `root`: `counts` must then map each literal to
+    its number of occurrences on the path from the tree's root down to
+    `root`, both included (the tree's root carries no literal).  The counts
+    are back to their given values on return.
     """
     splices = 0
     truncations = 0
-    counts: dict[Literal, int] = {}
+    if counts is None:
+        counts = {}
 
     def visit(n: Node) -> None:
         nonlocal splices, truncations

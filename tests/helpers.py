@@ -1,13 +1,25 @@
 """Shared test machinery: seeded random generators for formulas, clause
 sets and theorem-suite instances, a finite-model evaluator used as an
-independent semantic oracle, and a truth-table satisfiability oracle."""
+independent semantic oracle, a truth-table satisfiability oracle, and the
+whole-tree hyper conversion as an oracle for the incremental one."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
+from foltab.hyperconv import (
+    ConversionRound,
+    ConversionTrace,
+    MeasureViolation,
+    measure_string,
+    node_measure,
+    node_path,
+)
 from foltab.syntax import (
     And,
     App,
@@ -29,6 +41,14 @@ from foltab.syntax import (
     Var,
     mk_and,
     mk_or,
+)
+from foltab.tableaux import (
+    ResourceLimitError,
+    StructureError,
+    compute_targets,
+    is_closed,
+    is_hyper,
+    simplify_in_place,
 )
 
 # ---------------------------------------------------------------------------
@@ -360,3 +380,79 @@ def gen_vx_instance(rng: random.Random):
     query = _atom(names[0], *[Var(v) for v in xs])
     target = rng.choice(names[1:])
     return kb, query, frozenset([target])
+
+
+# ---------------------------------------------------------------------------
+# Reference hyper conversion with whole-tree rounds, an oracle for the
+# incremental rounds of hyper_convert: each round copies the whole subtree
+# at nprime, rescans and simplifies the whole tree, and recounts its nodes.
+
+
+def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
+    def select(root):
+        for n in root.pre_order():
+            for c in n.children:
+                if c.children and not c.literal.positive:
+                    return n, c
+        return None
+
+    if not is_closed(tab):
+        raise StructureError("hyper conversion requires a closed tableau")
+    trace = ConversionTrace(input_size=tab.inner_size())
+    work = tab.copy()
+    root = work.root
+    spl, tru = simplify_in_place(root)
+    trace.regular_splices += spl
+    trace.leaf_truncations += tru
+    prev = None
+    while True:
+        sel = select(root)
+        if sel is None:
+            break
+        nprime, n = sel
+        measure = node_measure(root, nprime)
+        if prev is not None and not measure < prev:
+            raise MeasureViolation(
+                f"measure did not decrease: {measure_string(prev)} -> {measure_string(measure)}"
+            )
+        prev = measure
+        path = node_path(root, nprime)
+        u_root, mapping = nprime.copy_subtree()
+        mapping[id(n)].children = []
+        nprime.set_children(n.children)
+        comp = n.literal.complement()
+        grafts = [
+            m
+            for m in nprime.pre_order()
+            if m is not nprime and not m.children and m.literal == comp
+        ]
+        for m in grafts:
+            u_copy, _ = u_root.copy_subtree()
+            m.set_children(u_copy.children)
+        spl, tru = simplify_in_place(root)
+        trace.regular_splices += spl
+        trace.leaf_truncations += tru
+        size = sum(1 for _ in root.pre_order())
+        if size > max_nodes:
+            raise ResourceLimitError(f"hyper conversion exceeded {max_nodes} nodes")
+        trace.rounds.append(ConversionRound(path, measure, size))
+    compute_targets(work)
+    if not is_hyper(work):
+        raise StructureError("conversion finished on a non-hyper tableau")
+    trace.output_size = work.inner_size()
+    return work, trace
+
+
+@functools.cache
+def _gen_samples():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "gen_samples.py"
+    spec = importlib.util.spec_from_file_location("gen_samples", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def proof_family(family: str, k: int) -> str:
+    """Resolution proof text of the `chain`, `wide` or `fol_chain` family
+    of size k, from the sample generator script."""
+    return getattr(_gen_samples(), family)(k)

@@ -20,7 +20,13 @@ from foltab.tableaux import (
     prove,
     tableau_clauses,
 )
-from helpers import random_ground_clauses, tt_satisfiable
+from foltab.proofs import ground_deduction, parse_proof, to_cut_normal_form, to_tree
+from helpers import (
+    proof_family,
+    random_ground_clauses,
+    reference_hyper_convert,
+    tt_satisfiable,
+)
 
 LEFT = """tableau
   ~q
@@ -115,3 +121,50 @@ def test_random_refutation_corpus():
         ms = [r.measure for r in trace.rounds]
         assert all(m2 < m1 for m1, m2 in zip(ms, ms[1:]))
     assert converted >= 30
+
+
+FAMILIES = ("chain", "wide", "fol_chain")
+
+
+def _family_tableau(family, k):
+    doc = parse_proof(proof_family(family, k))
+    return to_cut_normal_form(ground_deduction(to_tree(doc)))
+
+
+def _assert_same_conversion(tab):
+    out, trace = hyper_convert(tab)
+    ref_out, ref_trace = reference_hyper_convert(tab)
+    assert format_tableau(out) == format_tableau(ref_out)
+    assert [r.measure for r in trace.rounds] == [r.measure for r in ref_trace.rounds]
+    assert [r.size_after for r in trace.rounds] == [r.size_after for r in ref_trace.rounds]
+    assert [r.selected_path for r in trace.rounds] == [r.selected_path for r in ref_trace.rounds]
+    assert trace.regular_splices == ref_trace.regular_splices
+    assert trace.leaf_truncations == ref_trace.leaf_truncations
+    assert (trace.input_size, trace.output_size) == (ref_trace.input_size, ref_trace.output_size)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_incremental_rounds_match_whole_tree_rounds_on_families(family):
+    for k in range(1, 13):
+        _assert_same_conversion(_family_tableau(family, k))
+
+
+def test_incremental_rounds_match_whole_tree_rounds_on_prover_tableaux():
+    rng = random.Random(4242)
+    compared = 0
+    while compared < 200:
+        clauses = random_ground_clauses(rng, max_atoms=6, max_clauses=9)
+        if tt_satisfiable(clauses):
+            continue
+        res = prove(clauses, max_depth=12)
+        assert res.proved
+        _assert_same_conversion(res.tableau)
+        compared += 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_sizes_at_k160(family):
+    k = 160
+    _, trace = hyper_convert(_family_tableau(family, k))
+    want = (2 * k + 1, k + 1, k) if family == "wide" else (2 * k + 3, k + 2, k + 1)
+    assert (trace.input_size, trace.output_size, trace.total_rounds) == want

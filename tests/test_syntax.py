@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -190,3 +192,26 @@ def test_signature_arity_clash():
     sig.add_predicate("p", 1)
     with pytest.raises(InputError):
         sig.add_function("p", 0)
+
+
+def test_kernel_hashes_are_cached_values_of_the_field_tuple():
+    def build():
+        t = App("f", (App("g", (Var("X"), App("a"))), Var("Y")))
+        return t, Literal(False, "p", (t, App("b")))
+
+    (t1, l1), (t2, l2) = build(), build()
+    assert t1 is not t2 and l1 is not l2
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert l1 == l2 and hash(l1) == hash(l2)
+    assert l1 != l1.complement() and hash(l1) != hash(l1.complement())
+    # the value is that of the generated dataclass hash, computed once
+    assert hash(x) == hash(("X",))
+    assert hash(t1) == hash((t1.functor, t1.args))
+    assert hash(l1) == hash((l1.positive, l1.predicate, l1.args))
+    assert hash(l1) == hash(l1)
+    assert repr(x) == "Var(name='X')"
+    assert repr(App("f", (x,))) == "App(functor='f', args=(Var(name='X'),))"
+    assert repr(lit("p", a)) == "Literal(positive=True, predicate='p', args=(App(functor='a', args=()),))"
+    # a literal copied before its hash was computed is still a value
+    fresh = Literal(True, "q", (App("h", (y,)),))
+    assert copy.copy(fresh) == fresh and pickle.loads(pickle.dumps(fresh)) == fresh

@@ -56,6 +56,14 @@ def _attach(parent, spec):
         _attach(n, c)
 
 
+def test_pre_order_on_wide_and_deep_trees():
+    tab = build([(lit("p"), [(lit("q"), []), (lit("r"), [(lit("s"), [])])]), (lit("t"), [])])
+    assert [str(n.literal) for n in tab.non_root_nodes()] == ["p", "q", "r", "s", "t"]
+    # deeper than the interpreter's default recursion limit
+    deep = chain(*(lit(f"p{i}") for i in range(3000)))
+    assert [n.depth for n in deep.nodes()] == list(range(3001))
+
+
 def test_is_closed_unit_chain():
     assert is_closed(chain(lit("p"), lit("p", positive=False)))
     assert not is_closed(chain(lit("p")))
