@@ -32,6 +32,7 @@ from .syntax import (
     TOP,
     BOTTOM,
     Var,
+    apply_literal,
     clause,
     formula_subst,
     formula_symbols,
@@ -368,24 +369,10 @@ def skolemize_clausify(
             skolems.append(name)
             sub[v] = App(name, tuple(Var(u) for u in universals))
     if sub:
-        clauses = tuple(
-            clause(
-                Literal(l.positive, l.predicate, tuple(_subst_term(a, sub) for a in l.args))
-                for l in c.literals
-            )
-            for c in p.matrix
-        )
+        clauses = tuple(clause(apply_literal(l, sub) for l in c.literals) for c in p.matrix)
     else:
         clauses = p.matrix
     return ClausificationResult(clauses, frozenset(skolems), frozenset(universals))
-
-
-def _subst_term(t, sub: Subst):
-    if isinstance(t, Var):
-        return sub.get(t.name, t)
-    if not t.args:
-        return t
-    return App(t.functor, tuple(_subst_term(a, sub) for a in t.args))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,14 @@ from .syntax import (
     Literal,
     Subst,
     Term,
-    Var,
-    apply_term,
+    apply_literal,
     clause as mk_clause,
+    is_ground,
     literal_key,
+    occurs,
+    ordered_vars,
+    resolve,
     term_functions,
-    term_vars,
 )
 from .tableaux import Node, ResourceLimitError, Tableau, compute_targets, is_closed
 from .tptp import ParseError, _Parser, _parse_literal, format_clause, format_term
@@ -213,11 +215,11 @@ def format_proof(doc: ProofDocument) -> str:
 # Replay validation
 
 
-def _resolvent(left: Clause, right: Clause, atom: Literal, sub: Subst) -> tuple:
-    atom_s = _apply_literal(atom, sub)
+def _resolvent(left: Clause, right: Clause, atom: Literal, store: Subst) -> tuple:
+    atom_s = apply_literal(atom, store)
     comp_s = atom_s.complement()
-    left_s = [_apply_literal(l, sub) for l in left.literals]
-    right_s = [_apply_literal(l, sub) for l in right.literals]
+    left_s = [apply_literal(l, store) for l in left.literals]
+    right_s = [apply_literal(l, store) for l in right.literals]
     if atom_s not in left_s:
         raise ValueError(f"resolved atom {atom_s} not in first parent")
     if comp_s not in right_s:
@@ -226,59 +228,41 @@ def _resolvent(left: Clause, right: Clause, atom: Literal, sub: Subst) -> tuple:
     return normalize_clause(mk_clause(merged))
 
 
-def _apply_literal(l: Literal, sub: Subst) -> Literal:
-    if not sub:
-        return l
-    return Literal(l.positive, l.predicate, tuple(apply_term(a, sub) for a in l.args))
-
-
-def _resolve_chain_map(merged: Subst) -> Subst:
-    """Resolve variable chains (X -> Y, Y -> a) with a cycle check."""
-
-    def expand(t: Term, seen: frozenset[str]) -> Term:
-        if isinstance(t, Var):
-            if t.name in seen:
-                raise ProofError(f"cyclic bindings through {t.name}")
-            nxt = merged.get(t.name)
-            if nxt is None:
-                return t
-            return expand(nxt, seen | {t.name})
-        if not t.args:
-            return t
-        return App(t.functor, tuple(expand(a, seen) for a in t.args))
-
-    return {v: expand(t, frozenset({v})) for v, t in merged.items()}
+def _add_bindings(store: Subst, bindings: Subst, line: Optional[int] = None) -> None:
+    """Add recorded bindings to the document's binding store.  The store
+    stays triangular: a variable keeps its first binding as written, and a
+    binding that would make a cycle is rejected."""
+    for v, t in bindings.items():
+        old = store.get(v)
+        if old is None:
+            if occurs(v, t, store):
+                raise ProofError(f"cyclic bindings through {v}", line)
+            store[v] = t
+        elif old != t:
+            raise ProofError(f"variable {v} bound to both {old} and {t}", line)
 
 
 def _replay_validate(doc: ProofDocument) -> None:
     # variables are rigid across the document, so bindings accumulate in
     # record order and each step is checked under everything seen so far
     table = doc.by_id()
-    merged: Subst = {}
+    store: Subst = {}
     for r in doc.records:
-        for v, t in r.bindings.items():
-            if v in merged and merged[v] != t:
-                raise ProofError(f"variable {v} bound to both {merged[v]} and {t}", r.line)
-            merged[v] = t
+        _add_bindings(store, r.bindings, r.line)
         if r.rule != "resolve":
             continue
-        sub = _resolve_chain_map(merged)
         left = table[r.refs[0]].clause
         right = table[r.refs[1]].clause
         try:
-            got = _resolvent(left, right, r.atom, sub)
+            got = _resolvent(left, right, r.atom, store)
         except ValueError as e:
             raise ProofError(str(e), r.line) from None
-        if got != _normalized_instance(r.clause, sub):
+        if got != normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):
             raise ProofError(
                 f"declared resolvent {format_clause(r.clause)} does not match "
                 f"recomputed {format_clause(Clause(got))}",
                 r.line,
             )
-
-
-def _normalized_instance(c: Clause, sub: Subst) -> tuple:
-    return normalize_clause(mk_clause(_apply_literal(l, sub) for l in c.literals))
 
 
 # ---------------------------------------------------------------------------
@@ -313,44 +297,34 @@ def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
 # Grounding
 
 
-def _collect_bindings(tree: DeductionStep) -> Subst:
-    merged: Subst = {}
-    for step in tree.steps():
-        for v, t in step.bindings.items():
-            if v in merged and merged[v] != t:
-                raise ProofError(f"variable {v} bound to both {merged[v]} and {t}")
-            merged[v] = t
-    return _resolve_chain_map(merged)
-
-
 def ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) -> DeductionStep:
     """Apply all recorded bindings and map residual variables to fresh
     constants; every resolve step is revalidated as a ground step."""
-    sub = _collect_bindings(tree)
-    residual: list[str] = []
+    store: Subst = {}
+    for step in tree.steps():
+        _add_bindings(store, step.bindings)
     symbols: set[str] = set()
+    terms: list[Term] = []
     for step in tree.steps():
         lits = list(step.clause.literals) + ([step.atom] if step.atom else [])
         for l in lits:
             symbols.add(l.predicate)
             for a in l.args:
                 symbols |= term_functions(a)
-                for v in term_vars(apply_term(a, sub)):
-                    if v not in residual:
-                        residual.append(v)
+                terms.append(resolve(a, store))
     if namer is None:
         namer = FreshNamer(symbols)
-    for v in residual:
-        sub[v] = App(namer.fresh("g"))
+    for v in ordered_vars(terms):
+        store[v] = App(namer.fresh("g"))
 
     def rebuild(step: DeductionStep) -> DeductionStep:
-        cl = mk_clause(_apply_literal(l, sub) for l in step.clause.literals)
+        cl = mk_clause(apply_literal(l, store) for l in step.clause.literals)
         if step.kind == "input":
             return DeductionStep("input", cl, step_id=step.step_id)
         out = DeductionStep(
             "resolve",
             cl,
-            atom=_apply_literal(step.atom, sub),
+            atom=apply_literal(step.atom, store),
             left=rebuild(step.left),
             right=rebuild(step.right),
             step_id=step.step_id,
@@ -369,12 +343,9 @@ def ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) ->
 
 
 def is_ground_deduction(tree: DeductionStep) -> bool:
-    for step in tree.steps():
-        for l in step.clause.literals:
-            for a in l.args:
-                if term_vars(a):
-                    return False
-    return True
+    return all(
+        is_ground(a) for step in tree.steps() for l in step.clause.literals for a in l.args
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .normalize import cnf, dnf, DEFAULT_CLAUSE_LIMIT
+from .normalize import DEFAULT_CLAUSE_LIMIT, PrenexNormalForm, cnf, dnf
 from .syntax import (
     And,
     Bottom,
@@ -44,18 +44,24 @@ class RestrictionReport:
         return self.verdict
 
 
-def is_u_range_restricted(
-    f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT
-) -> RestrictionReport:
-    """Every universally quantified variable of the prenex CNF occurs in a
-    negative literal of each clause containing it."""
-    p = cnf(f, max_clauses)
+def _universal_witnesses(p: PrenexNormalForm) -> list[Witness]:
+    """A witness for each universal variable of the prenex CNF p missing
+    from the negative literals of a clause that contains it."""
     universals = p.universals
     witnesses: list[Witness] = []
     for c in p.matrix:
         bad = (clause_vars(c) & universals) - clause_sign_vars(c, positive=False)
         for v in sorted(bad):
             witnesses.append(Witness(c, v, "universal-not-in-negative"))
+    return witnesses
+
+
+def is_u_range_restricted(
+    f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT
+) -> RestrictionReport:
+    """Every universally quantified variable of the prenex CNF occurs in a
+    negative literal of each clause containing it."""
+    witnesses = _universal_witnesses(cnf(f, max_clauses))
     return RestrictionReport(not witnesses, tuple(witnesses))
 
 
@@ -69,14 +75,9 @@ def is_vgt_range_restricted(
     pd = dnf(f, max_clauses)
     if pc.prefix != pd.prefix:
         raise AssertionError("cnf and dnf produced different prefixes")
-    universals = pc.universals
     existentials = pc.existentials
     frees = free_vars(f)
-    witnesses: list[Witness] = []
-    for c in pc.matrix:
-        bad = (clause_vars(c) & universals) - clause_sign_vars(c, positive=False)
-        for v in sorted(bad):
-            witnesses.append(Witness(c, v, "universal-not-in-negative"))
+    witnesses = _universal_witnesses(pc)
     for d in pd.matrix:
         pos = clause_sign_vars(d, positive=True)
         for v in sorted((clause_vars(d) & existentials) - pos):
@@ -164,11 +165,7 @@ def check_vx_preconditions(
     witnesses: list[Witness] = []
     witnesses.extend(is_u_range_restricted(f, max_clauses).witnesses)
     neg_g = cnf(Not(g), max_clauses)
-    universals = neg_g.universals
-    for c in neg_g.matrix:
-        bad = (clause_vars(c) & universals) - clause_sign_vars(c, positive=False)
-        for v in sorted(bad):
-            witnesses.append(Witness(c, v, "universal-not-in-negative"))
+    witnesses.extend(_universal_witnesses(neg_g))
     pf = cnf(f, max_clauses)
     for c in pf.matrix:
         if c.literals and all(not l.positive for l in c.literals):

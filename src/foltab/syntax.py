@@ -1,12 +1,27 @@
 """First-order syntax: terms, literals, clauses, formulas, and the
 vocabulary / occurrence / unification machinery everything else builds on.
 
-All values are immutable; all operations are pure functions.
+Terms, literals and formulas are immutable values.  The term kernel is the
+one place that substitutes and unifies; the prover, proof import,
+clausification, grounding and interpolation all use it:
+
+- `apply_term` applies a substitution once, simultaneously;
+- `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
+- `bind`, `unify_args` and `undo` extend a binding store and take it back;
+- `unify` returns an idempotent most general unifier;
+- `is_ground` and `ordered_vars` inspect terms.
+
+A binding store maps variable names to terms.  It is triangular: a bound
+term may contain bound variables, and reading it follows them.  It is
+acyclic: a variable is bound only after the occurs check, through the
+store, has failed to find it in its term.  Bindings made by `bind` are
+recorded on a trail, and `undo` removes them back to a mark, latest first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -112,13 +127,32 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            return False
+        stack.extend(t.args)
+    return True
+
+
+def ordered_vars(terms: Iterable[Term]) -> list[str]:
+    """Distinct variable names of `terms` in order of first occurrence,
+    left to right and outside in."""
+    out: dict[str, None] = {}
+    stack = list(terms)
+    stack.reverse()
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out[t.name] = None
+        else:
+            stack.extend(reversed(t.args))
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
-# Substitutions and unification
+# The term kernel: substitutions, binding stores, unification
 
 Subst = dict[str, Term]
 
@@ -132,30 +166,95 @@ def apply_term(t: Term, subst: Subst) -> Term:
     return App(t.functor, tuple(apply_term(a, subst) for a in t.args))
 
 
-def compose(first: Subst, second: Subst) -> Subst:
-    """Substitution equal to applying `first` and then `second`."""
-    out: Subst = {}
-    for v, t in first.items():
-        t2 = apply_term(t, second)
-        if not (isinstance(t2, Var) and t2.name == v):
-            out[v] = t2
-    for v, t in second.items():
-        if v not in first:
-            out[v] = t
-    return out
-
-
-def _walk(t: Term, subst: Subst) -> Term:
-    while isinstance(t, Var) and t.name in subst:
-        t = subst[t.name]
+def walk(t: Term, store: Subst) -> Term:
+    """Follow variable bindings in `store` until an unbound variable or an
+    application."""
+    while isinstance(t, Var) and t.name in store:
+        t = store[t.name]
     return t
 
 
-def _occurs(name: str, t: Term, subst: Subst) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a, subst) for a in t.args)
+def occurs(name: str, t: Term, store: Subst) -> bool:
+    """Whether variable `name` occurs in t under `store`, bindings followed."""
+    stack = [t]
+    while stack:
+        t = walk(stack.pop(), store)
+        if isinstance(t, Var):
+            if t.name == name:
+                return True
+        else:
+            stack.extend(t.args)
+    return False
+
+
+def resolve(t: Term, store: Subst) -> Term:
+    """t with `store` applied in full: every bound variable is replaced by
+    its binding, resolved in turn.  Unchanged subterms are shared."""
+    while isinstance(t, Var):  # walk, inlined: this is the prover's hot path
+        bound = store.get(t.name)
+        if bound is None:
+            return t
+        t = bound
+    if not t.args:
+        return t
+    args = tuple([resolve(a, store) for a in t.args])
+    if all(map(is_, args, t.args)):
+        return t
+    return App(t.functor, args)
+
+
+def apply_literal(l: Literal, store: Subst) -> Literal:
+    """l with `store` applied in full to its arguments; for an idempotent
+    substitution this is the same as applying it once."""
+    if not store:
+        return l
+    return Literal(l.positive, l.predicate, tuple(resolve(a, store) for a in l.args))
+
+
+def bind(store: Subst, trail: list[str], name: str, t: Term) -> bool:
+    """Bind the unbound variable `name` to t and record it on `trail`,
+    unless the occurs check fails."""
+    if occurs(name, t, store):
+        return False
+    store[name] = t
+    trail.append(name)
+    return True
+
+
+def undo(store: Subst, trail: list[str], mark: int) -> None:
+    """Remove the bindings recorded on `trail` after position `mark`."""
+    while len(trail) > mark:
+        del store[trail.pop()]
+
+
+def unify_args(
+    xs: Iterable[Term], ys: Iterable[Term], store: Subst, trail: list[str]
+) -> bool:
+    """Extend `store` to a unifier of each pair xs[i], ys[i], or fail.
+
+    Pairs are solved left to right, outside in.  The left side is bound
+    when it is a variable, else the right side when it is one; so of two
+    variables the right one survives.  After a failure the store may hold
+    some of the new bindings: undo to a mark taken before the call."""
+    stack = list(zip(xs, ys))
+    stack.reverse()
+    while stack:
+        a, b = stack.pop()
+        a = walk(a, store)
+        b = walk(b, store)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if not bind(store, trail, a.name, b):
+                return False
+        elif isinstance(b, Var):
+            if not bind(store, trail, b.name, a):
+                return False
+        elif a.functor != b.functor or len(a.args) != len(b.args):
+            return False
+        else:
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+    return True
 
 
 def unify(t1: Term, t2: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
@@ -163,43 +262,10 @@ def unify(t1: Term, t2: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
 
     The returned substitution is idempotent.
     """
-    out = unify_seq([t1], [t2], subst)
-    return out
-
-
-def unify_seq(
-    ts1: Iterable[Term], ts2: Iterable[Term], subst: Optional[Subst] = None
-) -> Optional[Subst]:
-    sigma: Subst = dict(subst) if subst else {}
-    stack = list(zip(ts1, ts2, strict=True))
-    while stack:
-        a, b = stack.pop()
-        a = _walk(a, sigma)
-        b = _walk(b, sigma)
-        if a == b:
-            continue
-        if isinstance(a, Var):
-            if _occurs(a.name, b, sigma):
-                return None
-            sigma[a.name] = b
-        elif isinstance(b, Var):
-            if _occurs(b.name, a, sigma):
-                return None
-            sigma[b.name] = a
-        else:
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return None
-            stack.extend(zip(a.args, b.args))
-    # Flatten the triangular form so the result is idempotent; the occurs
-    # check guarantees acyclicity.
-    return {v: _resolve_full(t, sigma) for v, t in sigma.items()}
-
-
-def _resolve_full(t: Term, sigma: Subst) -> Term:
-    t = _walk(t, sigma)
-    if isinstance(t, Var) or not t.args:
-        return t
-    return App(t.functor, tuple(_resolve_full(a, sigma) for a in t.args))
+    store: Subst = dict(subst) if subst else {}
+    if not unify_args((t1,), (t2,), store, []):
+        return None
+    return {v: resolve(t, store) for v, t in store.items()}
 
 
 def match_term(pattern: Term, target: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
@@ -622,14 +688,9 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     return _canon(f, {}, [0]) == _canon(g, {}, [0])
 
 
-def _canon(f: Formula, env: dict[str, str], counter: list[int]):
+def _canon(f: Formula, env: Subst, counter: list[int]):
     if isinstance(f, Literal):
-        def ren(t: Term) -> Term:
-            if isinstance(t, Var):
-                return Var(env.get(t.name, t.name))
-            return App(t.functor, tuple(ren(a) for a in t.args))
-
-        return ("lit", f.positive, f.predicate, tuple(ren(a) for a in f.args))
+        return ("lit", f.positive, f.predicate, tuple(apply_term(a, env) for a in f.args))
     if isinstance(f, Top):
         return ("top",)
     if isinstance(f, Bottom):
@@ -645,7 +706,7 @@ def _canon(f: Formula, env: dict[str, str], counter: list[int]):
         return ("iff", _canon(f.lhs, env, counter), _canon(f.rhs, env, counter))
     if isinstance(f, (ForAll, Exists)):
         counter[0] += 1
-        fresh = f"#{counter[0]}"
+        fresh = Var(f"#{counter[0]}")
         tag = "all" if isinstance(f, ForAll) else "ex"
         return (tag, _canon(f.body, {**env, f.var: fresh}, counter))
     raise TypeError(f"not a formula: {f!r}")

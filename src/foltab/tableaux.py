@@ -20,10 +20,13 @@ from .syntax import (
     Subst,
     Term,
     Var,
-    apply_term,
+    apply_literal,
+    is_ground,
     match_term,
+    ordered_vars,
     term_functions,
-    term_vars,
+    undo,
+    unify_args,
 )
 
 
@@ -107,9 +110,8 @@ class Node:
 
 
 class Tableau:
-    def __init__(self, root: Node, source: Optional[tuple[Clause, ...]] = None):
+    def __init__(self, root: Node):
         self.root = root
-        self.source = source
         _renumber_depths(root)
 
     def nodes(self) -> Iterator[Node]:
@@ -128,13 +130,11 @@ class Tableau:
         return sum(1 for n in self.nodes() if n.children)
 
     def is_ground(self) -> bool:
-        return all(
-            not term_vars_of_literal(n.literal) for n in self.non_root_nodes()
-        )
+        return all(is_ground(a) for n in self.non_root_nodes() for a in n.literal.args)
 
     def copy(self) -> "Tableau":
         root, _ = self.root.copy_subtree()
-        return Tableau(root, self.source)
+        return Tableau(root)
 
 
 def _renumber_depths(root: Node) -> None:
@@ -146,15 +146,6 @@ def _renumber_depths(root: Node) -> None:
             c.parent = n
             c.depth = n.depth + 1
             stack.append(c)
-
-
-def term_vars_of_literal(l: Optional[Literal]) -> set[str]:
-    if l is None:
-        return set()
-    out: set[str] = set()
-    for a in l.args:
-        out |= term_vars(a)
-    return out
 
 
 def clause_at(node: Node) -> tuple[Literal, ...]:
@@ -372,14 +363,9 @@ def ground_tableau(
                     reserved |= term_functions(a)
         namer = FreshNamer(reserved)
     # first-occurrence order over the pre-order walk keeps this deterministic
-    ordered: list[str] = []
-    for n in tab.non_root_nodes():
-        if n.literal is None:
-            continue
-        for a in n.literal.args:
-            for v in _vars_in_order(a):
-                if v not in ordered:
-                    ordered.append(v)
+    ordered = ordered_vars(
+        a for n in tab.non_root_nodes() if n.literal is not None for a in n.literal.args
+    )
     sub: Subst = {}
     s1: list[str] = []
     s2: list[str] = []
@@ -391,26 +377,10 @@ def ground_tableau(
         else:
             s2.append(name)
     out = tab.copy()
-    if sub:
-        for n in out.non_root_nodes():
-            n.literal = Literal(
-                n.literal.positive,
-                n.literal.predicate,
-                tuple(apply_term(a, sub) for a in n.literal.args),
-            )
+    for n in out.non_root_nodes():
+        n.literal = apply_literal(n.literal, sub)
     compute_targets(out)
     return out, frozenset(s1), frozenset(s2)
-
-
-def _vars_in_order(t: Term) -> list[str]:
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[str] = []
-    for a in t.args:
-        for v in _vars_in_order(a):
-            if v not in out:
-                out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,52 +453,12 @@ def prove(
     cutoff = [False]
     copies = [0]
 
-    def walk(t: Term) -> Term:
-        while isinstance(t, Var) and t.name in binding:
-            t = binding[t.name]
-        return t
-
-    def resolve(t: Term) -> Term:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t
-        if not t.args:
-            return t
-        return App(t.functor, tuple(resolve(a) for a in t.args))
-
-    def occurs(name: str, t: Term) -> bool:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t.name == name
-        return any(occurs(name, a) for a in t.args)
-
-    def unify_terms(a: Term, b: Term) -> bool:
-        a = walk(a)
-        b = walk(b)
-        if a == b:
-            return True
-        if isinstance(a, Var):
-            if occurs(a.name, b):
-                return False
-            binding[a.name] = b
-            trail.append(a.name)
-            return True
-        if isinstance(b, Var):
-            return unify_terms(b, a)
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return False
-        return all(unify_terms(x, y) for x, y in zip(a.args, b.args))
-
     def unify_complement(l1: Literal, l2: Literal) -> bool:
         if l1.positive == l2.positive or l1.predicate != l2.predicate:
             return False
         if len(l1.args) != len(l2.args):
             return False
-        return all(unify_terms(x, y) for x, y in zip(l1.args, l2.args))
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            del binding[trail.pop()]
+        return unify_args(l1.args, l2.args, binding, trail)
 
     def tick() -> None:
         counters["inf"] += 1
@@ -556,14 +486,11 @@ def prove(
 
         return tuple(Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args)) for l in c.literals)
 
-    def resolved_literal(l: Literal) -> Literal:
-        return Literal(l.positive, l.predicate, tuple(resolve(a) for a in l.args))
-
     def regular(children: list[Node]) -> bool:
         for ch in children:
-            lit = resolved_literal(ch.literal)
+            lit = apply_literal(ch.literal, binding)
             for anc in ch.ancestors():
-                if anc.literal is not None and resolved_literal(anc.literal) == lit:
+                if anc.literal is not None and apply_literal(anc.literal, binding) == lit:
                     return False
         return True
 
@@ -582,7 +509,7 @@ def prove(
                 if solve(rest, limit):
                     return True
                 goal.target = None
-            undo(mark)
+            undo(binding, trail, mark)
         # extension: attach a clause instance containing a closing literal
         if goal.depth + 1 > limit:
             cutoff[0] = True
@@ -603,7 +530,7 @@ def prove(
                         if solve(new_goals + rest, limit):
                             return True
                     goal.children = []
-                undo(mark)
+                undo(binding, trail, mark)
         return False
 
     try:
@@ -616,8 +543,8 @@ def prove(
                 if regular(children) and solve(children, limit):
                     for n in root.pre_order():
                         if n.literal is not None:
-                            n.literal = resolved_literal(n.literal)
-                    tab = simplify(Tableau(root, cls))
+                            n.literal = apply_literal(n.literal, binding)
+                    tab = simplify(Tableau(root))
                     return ProveResult("proved", tab, counters["inf"], limit)
             if not cutoff[0]:
                 return ProveResult("saturated", None, counters["inf"], limit)

@@ -140,6 +140,18 @@ def test_hyper_on_proof_document(tmp_path, capsys):
     assert capsys.readouterr().out == CONVERSION_GOLDEN
 
 
+def test_hyper_rejects_cyclic_proof_bindings(tmp_path, capsys):
+    doc = write(
+        tmp_path,
+        "cycle.proof",
+        "s1 input p(f(X))\ns2 input ~p(f(X))\ns3 resolve(s1, s2, p(f(X))) {X -> f(X)} false\n",
+    )
+    assert main(["hyper", "--proof", doc]) == 3
+    captured = capsys.readouterr()
+    assert "cyclic bindings through X at line 3" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_hyper_resource_limit(tmp_path, capsys):
     doc = write(tmp_path, "input.tab", CONVERSION_INPUT)
     assert main(["hyper", "--proof", doc, "--max-nodes", "3"]) == 4

@@ -87,6 +87,50 @@ def test_parse_paramodulation_diagnostic():
     assert "equality axioms" in str(e.value)
 
 
+CYCLE_DOC = """s1 input p(f(X))
+s2 input ~p(f(X))
+s3 resolve(s1, s2, p(f(X))) {%s} false
+"""
+
+
+@pytest.mark.parametrize(
+    "bindings", ["X -> f(X)", "X -> Y, Y -> X", "X -> X", "X -> g(Y), Y -> h(Z, X)"]
+)
+def test_parse_cyclic_bindings_report_their_line(bindings):
+    with pytest.raises(ProofError) as e:
+        parse_proof(CYCLE_DOC % bindings)
+    assert "cyclic bindings" in str(e.value)
+    assert e.value.line == 3
+
+
+def test_parse_cycle_through_an_earlier_record():
+    text = (
+        "s1 input p(X) | q(Y)\n"
+        "s2 input ~p(Y)\n"
+        "s3 resolve(s1, s2, p(Y)) {X -> Y} q(Y)\n"
+        "s4 input ~q(f(X))\n"
+        "s5 resolve(s3, s4, q(Y)) {Y -> f(X)} false\n"
+    )
+    with pytest.raises(ProofError) as e:
+        parse_proof(text)
+    assert "cyclic bindings" in str(e.value)
+    assert e.value.line == 5
+
+
+def test_parse_conflicting_bindings_report_their_line():
+    text = (
+        "s1 input p(X)\n"
+        "s2 input ~p(a) | q(X)\n"
+        "s3 resolve(s1, s2, p(X)) {X -> a} q(a)\n"
+        "s4 input ~q(a)\n"
+        "s5 resolve(s3, s4, q(a)) {X -> b} false\n"
+    )
+    with pytest.raises(ProofError) as e:
+        parse_proof(text)
+    assert "bound to both a and b" in str(e.value)
+    assert e.value.line == 5
+
+
 def test_ground_deduction_identity_on_ground_proof():
     tree = to_tree(parse_proof(TWO_STEP))
     grounded = ground_deduction(tree)
@@ -117,6 +161,18 @@ def test_ground_deduction_freshens_residual_variables():
     )
     tree = ground_deduction(to_tree(parse_proof(text)))
     assert is_ground_deduction(tree)
+
+
+def test_ground_deduction_names_residual_variables_in_order_of_occurrence():
+    text = (
+        "s1 input p(f(Y, X)) | r\n"
+        "s2 input ~p(f(Y, X))\n"
+        "s3 input ~r\n"
+        "s4 resolve(s1, s2, p(f(Y, X))) r\n"
+        "s5 resolve(s4, s3, r) false\n"
+    )
+    tree = ground_deduction(to_tree(parse_proof(text)))
+    assert tree.left.atom == lit("p", App("f", (App("g1"), App("g2"))))
 
 
 def test_cut_normal_form_matches_golden():

@@ -19,11 +19,17 @@ from foltab.syntax import (
     Signature,
     Var,
     apply_term,
+    bind,
     free_vars,
     match_term,
+    occurs,
+    ordered_vars,
     polarity_vars,
+    resolve,
     smax,
+    undo,
     unify,
+    unify_args,
     vocabulary,
 )
 from helpers import random_formula, random_nnf
@@ -105,6 +111,47 @@ def test_unify_occurs_check():
 def test_unify_two_equations():
     s = unify(App("p", (x, App("g", (y,)))), App("p", (App("f", (z,)), App("g", (z,)))))
     assert s == {"X": App("f", (z,)), "Y": z}
+
+
+def test_bind_then_undo_to_a_mark_restores_the_store():
+    store, trail = {"X": a}, ["X"]
+    before = dict(store)
+    mark = len(trail)
+    assert bind(store, trail, "Y", App("f", (x,)))
+    assert unify_args((z,), (App("g", (y,)),), store, trail)
+    assert store == {"X": a, "Y": App("f", (x,)), "Z": App("g", (y,))}
+    assert trail == ["X", "Y", "Z"]
+    undo(store, trail, mark)
+    assert store == before and trail == ["X"]
+
+
+def test_resolve_follows_chains():
+    fa = App("f", (a,))
+    store = {"X": y, "Y": fa}
+    assert resolve(x, store) == fa
+    assert resolve(App("g", (x, z)), store) == App("g", (fa, z))
+    assert resolve(fa, store) is fa
+
+
+def test_occurs_check_fails_through_a_chain():
+    store = {"Y": App("f", (z,)), "Z": x}
+    assert occurs("X", y, store)
+    trail = []
+    assert not bind(store, trail, "X", App("g", (y,)))
+    assert not unify_args((x,), (y,), store, trail)
+    assert "X" not in store and trail == []
+
+
+def test_unify_binds_left_variable_so_the_right_one_survives():
+    store, trail = {}, []
+    assert unify_args((App("f", (x, x)),), (App("f", (y, z)),), store, trail)
+    assert [resolve(v, store) for v in (x, y, z)] == [z, z, z]
+    assert trail == ["X", "Y"]
+
+
+def test_ordered_vars_first_occurrence_outside_in():
+    terms = (App("f", (y, App("g", (x, y)))), z, x)
+    assert ordered_vars(terms) == ["Y", "X", "Z"]
 
 
 def test_complement_involution():
