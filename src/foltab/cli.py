@@ -612,7 +612,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     # exceed the interpreter default
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit exceeded)", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -429,6 +429,11 @@ class _InferenceCap(Exception):
     pass
 
 
+# a clause as the prover copies it: its literals, and for each whether it is
+# ground, or None when all are
+_Template = tuple[tuple[Literal, ...], Optional[tuple[bool, ...]]]
+
+
 def prove(
     clauses: Iterable[Clause],
     max_depth: int = 30,
@@ -438,7 +443,19 @@ def prove(
     """Search for a leaf-closed closed clausal tableau for the clause set.
 
     On 'saturated' the search space was exhausted without hitting the depth
-    limit, so no closed tableau exists at any depth."""
+    limit, so no closed tableau exists at any depth.
+
+    Counting: one inference per reduction attempt (each ancestor of a goal)
+    and one per extension candidate (each literal of the opposite sign in
+    the clause set, in clause order), including the candidates whose
+    predicate or arity rules them out and which are therefore never
+    renamed.  Clause copies are numbered the same way: the k-th candidate
+    counted is the copy whose variables are renamed `X_k`, so the variable
+    names of a proof do not depend on which candidates were skipped.  A
+    search stopped by `max_inferences` reports `max_inferences + 1`
+    inferences; the deadline is checked whenever the count reaches a
+    multiple of 256.  When `timeout` or `max_inferences` stops the search,
+    `depth` is the deepening limit it had reached."""
     cls = tuple(clauses)
     if not cls:
         raise InputError("prove expects a nonempty clause list")
@@ -449,28 +466,51 @@ def prove(
     deadline = time.monotonic() + timeout if timeout is not None else None
     binding: Subst = {}
     trail: list[str] = []
-    counters = {"inf": 0}
-    cutoff = [False]
-    copies = [0]
+    inferences = 0
+    copies = 0
+    cutoff = False
 
-    def unify_complement(l1: Literal, l2: Literal) -> bool:
-        if l1.positive == l2.positive or l1.predicate != l2.predicate:
-            return False
-        if len(l1.args) != len(l2.args):
-            return False
-        return unify_args(l1.args, l2.args, binding, trail)
+    # ground literals are the same in every copy
+    templates: list[_Template] = []
+    for c in cls:
+        ground = tuple(all(map(is_ground, l.args)) for l in c.literals)
+        templates.append((c.literals, None if all(ground) else ground))
+    # candidates[s][(predicate, arity)]: the extension candidates of a goal
+    # of sign s, as (ordinal, template, literal index), where the ordinal
+    # numbers the literals of sign not s in clause order; total[s] counts them
+    candidates: dict[bool, dict[tuple[str, int], list]] = {True: {}, False: {}}
+    total = {True: 0, False: 0}
+    for t in templates:
+        for idx, l in enumerate(t[0]):
+            s = not l.positive
+            candidates[s].setdefault((l.predicate, len(l.args)), []).append((total[s], t, idx))
+            total[s] += 1
 
-    def tick() -> None:
-        counters["inf"] += 1
-        if max_inferences is not None and counters["inf"] > max_inferences:
-            raise _InferenceCap
-        if deadline is not None and counters["inf"] % 256 == 0:
+    def tick(n: int) -> None:
+        """Count n inferences, stopping at the cap or the deadline exactly
+        where counting them one by one would have stopped."""
+        nonlocal inferences
+        start = inferences
+        end = start + n
+        capped = max_inferences is not None and end > max_inferences
+        checked = max_inferences if capped else end
+        if deadline is not None and checked // 256 > start // 256:
             if time.monotonic() > deadline:
+                inferences = (start // 256 + 1) * 256
                 raise _Deadline
+        if capped:
+            inferences = max_inferences + 1
+            raise _InferenceCap
+        inferences = end
 
-    def instantiate(c: Clause) -> tuple[Literal, ...]:
-        copies[0] += 1
-        k = copies[0]
+    def instantiate(template: _Template) -> tuple[Literal, ...]:
+        """The next copy of a clause: its variables X renamed X_k."""
+        nonlocal copies
+        copies += 1
+        lits, ground = template
+        if ground is None:
+            return lits
+        k = copies
         ren: dict[str, Term] = {}
 
         def rt(t: Term) -> Term:
@@ -484,72 +524,110 @@ def prove(
                 return t
             return App(t.functor, tuple(rt(a) for a in t.args))
 
-        return tuple(Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args)) for l in c.literals)
+        return tuple(
+            l if g else Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args))
+            for l, g in zip(lits, ground)
+        )
 
-    def regular(children: list[Node]) -> bool:
+    def regular(children: list[Node], path: dict[tuple[bool, str], list[Literal]]) -> bool:
+        """No child equals a literal of `path`, the literals from the goal
+        up, grouped by (sign, predicate); each is resolved at most once."""
+        resolved: dict[tuple[bool, str], list[Literal]] = {}
         for ch in children:
-            lit = apply_literal(ch.literal, binding)
-            for anc in ch.ancestors():
-                if anc.literal is not None and apply_literal(anc.literal, binding) == lit:
-                    return False
+            lit = ch.literal
+            key = (lit.positive, lit.predicate)
+            same = path.get(key)
+            if same is None:
+                continue
+            got = resolved.get(key)
+            if got is None:
+                got = resolved[key] = [apply_literal(l, binding) for l in same]
+            if apply_literal(lit, binding) in got:
+                return False
         return True
 
     def solve(goals: list[Node], limit: int) -> bool:
+        nonlocal copies, cutoff
         if not goals:
             return True
         goal, rest = goals[0], goals[1:]
-        # reduction: close against an ancestor
-        for anc in goal.ancestors():
-            if anc.literal is None:
+        g = goal.literal
+        # reduction: close against an ancestor; an ancestor of the wrong sign,
+        # predicate or arity is counted but not tried
+        ancestors = []
+        anc = goal.parent
+        while anc.literal is not None:
+            ancestors.append(anc)
+            anc = anc.parent
+        untried = 0
+        for anc in ancestors:
+            l = anc.literal
+            if l.positive == g.positive or l.predicate != g.predicate or len(l.args) != len(g.args):
+                untried += 1
                 continue
-            tick()
+            tick(untried + 1)
+            untried = 0
             mark = len(trail)
-            if unify_complement(goal.literal, anc.literal):
+            if unify_args(g.args, l.args, binding, trail):
                 goal.target = anc
                 if solve(rest, limit):
                     return True
                 goal.target = None
             undo(binding, trail, mark)
+        if untried:
+            tick(untried)
         # extension: attach a clause instance containing a closing literal
-        if goal.depth + 1 > limit:
-            cutoff[0] = True
+        depth = goal.depth + 1
+        if depth > limit:
+            cutoff = True
             return False
-        for c in cls:
-            for idx in range(len(c.literals)):
-                if c.literals[idx].positive == goal.literal.positive:
-                    continue
-                tick()
-                mark = len(trail)
-                lits = instantiate(c)
-                if unify_complement(goal.literal, lits[idx]):
-                    children = [Node(l) for l in lits]
-                    goal.set_children(children)
-                    children[idx].target = goal
-                    if regular(children):
-                        new_goals = [ch for i, ch in enumerate(children) if i != idx]
-                        if solve(new_goals + rest, limit):
-                            return True
-                    goal.children = []
-                undo(binding, trail, mark)
+        path: dict[tuple[bool, str], list[Literal]] = {}
+        for n in (goal, *ancestors):
+            path.setdefault((n.literal.positive, n.literal.predicate), []).append(n.literal)
+        counted = 0  # candidates counted so far, by ordinal
+        for ordinal, template, idx in candidates[g.positive].get((g.predicate, len(g.args)), ()):
+            # the candidates skipped before this one are counted and numbered
+            tick(ordinal - counted + 1)
+            copies += ordinal - counted
+            counted = ordinal + 1
+            mark = len(trail)
+            lits = instantiate(template)
+            if unify_args(g.args, lits[idx].args, binding, trail):
+                children = [Node(l) for l in lits]
+                for ch in children:
+                    ch.parent = goal
+                    ch.depth = depth
+                goal.children = children
+                children[idx].target = goal
+                if regular(children, path):
+                    if solve(children[:idx] + children[idx + 1:] + rest, limit):
+                        return True
+                goal.children = []
+            undo(binding, trail, mark)
+        skipped = total[g.positive] - counted
+        if skipped:
+            tick(skipped)
+            copies += skipped
         return False
 
+    limit = 0
     try:
         for limit in range(1, max_depth + 1):
-            cutoff[0] = False
-            for c in cls:
+            cutoff = False
+            for template in templates:
                 root = Node()
-                children = [Node(l) for l in instantiate(c)]
-                root.set_children(children)
-                if regular(children) and solve(children, limit):
+                # a start clause is always regular: its only ancestor is the root
+                root.set_children([Node(l) for l in instantiate(template)])
+                if solve(root.children, limit):
                     for n in root.pre_order():
                         if n.literal is not None:
                             n.literal = apply_literal(n.literal, binding)
                     tab = simplify(Tableau(root))
-                    return ProveResult("proved", tab, counters["inf"], limit)
-            if not cutoff[0]:
-                return ProveResult("saturated", None, counters["inf"], limit)
+                    return ProveResult("proved", tab, inferences, limit)
+            if not cutoff:
+                return ProveResult("saturated", None, inferences, limit)
     except _Deadline:
-        return ProveResult("timeout", None, counters["inf"], 0)
+        return ProveResult("timeout", None, inferences, limit)
     except _InferenceCap:
-        return ProveResult("inference_limit", None, counters["inf"], 0)
-    return ProveResult("depth_limit", None, counters["inf"], max_depth)
+        return ProveResult("inference_limit", None, inferences, limit)
+    return ProveResult("depth_limit", None, inferences, max_depth)

@@ -1,7 +1,8 @@
 """Shared test machinery: seeded random generators for formulas, clause
 sets and theorem-suite instances, a finite-model evaluator used as an
-independent semantic oracle, a truth-table satisfiability oracle, and the
-whole-tree hyper conversion as an oracle for the incremental one."""
+independent semantic oracle, a truth-table satisfiability oracle, the
+whole-tree hyper conversion as an oracle for the incremental one, and the
+prover without its candidate index as an oracle for `prove`."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ import functools
 import importlib.util
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Optional
 
 from foltab.hyperconv import (
     ConversionRound,
@@ -31,23 +34,32 @@ from foltab.syntax import (
     Formula,
     Iff,
     Implies,
+    InputError,
     Literal,
     Not,
     Or,
     Signature,
+    Subst,
     TOP,
     Term,
     Top,
     Var,
+    apply_literal,
     mk_and,
     mk_or,
+    undo,
+    unify_args,
 )
 from foltab.tableaux import (
+    Node,
+    ProveResult,
     ResourceLimitError,
     StructureError,
+    Tableau,
     compute_targets,
     is_closed,
     is_hyper,
+    simplify,
     simplify_in_place,
 )
 
@@ -441,6 +453,149 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
         raise StructureError("conversion finished on a non-hyper tableau")
     trace.output_size = work.inner_size()
     return work, trace
+
+
+# ---------------------------------------------------------------------------
+# Reference prover: the connection prover before the candidate index, an
+# oracle for tableaux.prove.  It renames a copy of the clause for every
+# literal of the opposite sign and checks regularity of each child against
+# every ancestor afresh.  Statuses, inference counts and proofs must agree
+# exactly, and depths too, except that this one reports depth 0 when a
+# limit stops the search.
+
+
+class _Deadline(Exception):
+    pass
+
+
+class _InferenceCap(Exception):
+    pass
+
+
+def reference_prove(
+    clauses: Iterable[Clause],
+    max_depth: int = 30,
+    timeout: Optional[float] = None,
+    max_inferences: Optional[int] = None,
+) -> ProveResult:
+    """Search for a leaf-closed closed clausal tableau for the clause set.
+
+    On 'saturated' the search space was exhausted without hitting the depth
+    limit, so no closed tableau exists at any depth."""
+    cls = tuple(clauses)
+    if not cls:
+        raise InputError("prove expects a nonempty clause list")
+    for c in cls:
+        if not c.literals:
+            raise InputError("prove cannot represent the empty clause; refutation is trivial")
+
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    binding: Subst = {}
+    trail: list[str] = []
+    counters = {"inf": 0}
+    cutoff = [False]
+    copies = [0]
+
+    def unify_complement(l1: Literal, l2: Literal) -> bool:
+        if l1.positive == l2.positive or l1.predicate != l2.predicate:
+            return False
+        if len(l1.args) != len(l2.args):
+            return False
+        return unify_args(l1.args, l2.args, binding, trail)
+
+    def tick() -> None:
+        counters["inf"] += 1
+        if max_inferences is not None and counters["inf"] > max_inferences:
+            raise _InferenceCap
+        if deadline is not None and counters["inf"] % 256 == 0:
+            if time.monotonic() > deadline:
+                raise _Deadline
+
+    def instantiate(c: Clause) -> tuple[Literal, ...]:
+        copies[0] += 1
+        k = copies[0]
+        ren: dict[str, Term] = {}
+
+        def rt(t: Term) -> Term:
+            if isinstance(t, Var):
+                got = ren.get(t.name)
+                if got is None:
+                    got = Var(f"{t.name}_{k}")
+                    ren[t.name] = got
+                return got
+            if not t.args:
+                return t
+            return App(t.functor, tuple(rt(a) for a in t.args))
+
+        return tuple(Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args)) for l in c.literals)
+
+    def regular(children: list[Node]) -> bool:
+        for ch in children:
+            lit = apply_literal(ch.literal, binding)
+            for anc in ch.ancestors():
+                if anc.literal is not None and apply_literal(anc.literal, binding) == lit:
+                    return False
+        return True
+
+    def solve(goals: list[Node], limit: int) -> bool:
+        if not goals:
+            return True
+        goal, rest = goals[0], goals[1:]
+        # reduction: close against an ancestor
+        for anc in goal.ancestors():
+            if anc.literal is None:
+                continue
+            tick()
+            mark = len(trail)
+            if unify_complement(goal.literal, anc.literal):
+                goal.target = anc
+                if solve(rest, limit):
+                    return True
+                goal.target = None
+            undo(binding, trail, mark)
+        # extension: attach a clause instance containing a closing literal
+        if goal.depth + 1 > limit:
+            cutoff[0] = True
+            return False
+        for c in cls:
+            for idx in range(len(c.literals)):
+                if c.literals[idx].positive == goal.literal.positive:
+                    continue
+                tick()
+                mark = len(trail)
+                lits = instantiate(c)
+                if unify_complement(goal.literal, lits[idx]):
+                    children = [Node(l) for l in lits]
+                    goal.set_children(children)
+                    children[idx].target = goal
+                    if regular(children):
+                        new_goals = [ch for i, ch in enumerate(children) if i != idx]
+                        if solve(new_goals + rest, limit):
+                            return True
+                    goal.children = []
+                undo(binding, trail, mark)
+        return False
+
+    try:
+        for limit in range(1, max_depth + 1):
+            cutoff[0] = False
+            for c in cls:
+                root = Node()
+                children = [Node(l) for l in instantiate(c)]
+                root.set_children(children)
+                if regular(children) and solve(children, limit):
+                    for n in root.pre_order():
+                        if n.literal is not None:
+                            n.literal = apply_literal(n.literal, binding)
+                    tab = simplify(Tableau(root))
+                    return ProveResult("proved", tab, counters["inf"], limit)
+            if not cutoff[0]:
+                return ProveResult("saturated", None, counters["inf"], limit)
+    except _Deadline:
+        return ProveResult("timeout", None, counters["inf"], 0)
+    except _InferenceCap:
+        return ProveResult("inference_limit", None, counters["inf"], 0)
+    return ProveResult("depth_limit", None, counters["inf"], max_depth)
 
 
 @functools.cache

@@ -152,6 +152,19 @@ def test_hyper_rejects_cyclic_proof_bindings(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_deeply_nested_input_is_a_resource_error(tmp_path, capsys):
+    formula = "p"
+    for _ in range(4_000):
+        formula = f"({formula} | q)"
+    f = write(tmp_path, "f.p", f"fof(f, axiom, {formula}).\n")
+    g = write(tmp_path, "g.p", "fof(g, axiom, q).\n")
+    assert main(["interpolate", "--f", f, "--g", g]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_hyper_resource_limit(tmp_path, capsys):
     doc = write(tmp_path, "input.tab", CONVERSION_INPUT)
     assert main(["hyper", "--proof", doc, "--max-nodes", "3"]) == 4

@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from foltab.documents import format_tableau
 from foltab.syntax import App, Clause, InputError, Literal, Var
 from foltab.tableaux import (
     Node,
@@ -19,7 +21,8 @@ from foltab.tableaux import (
     simplify,
     tableau_clauses,
 )
-from helpers import random_ground_clauses, tt_satisfiable
+from foltab.tptp import parse_clause_file
+from helpers import random_ground_clauses, reference_prove, tt_satisfiable
 
 x = Var("X")
 a = App("a")
@@ -189,6 +192,24 @@ def test_prove_inference_limit_status():
     ]
     res = prove(clauses, max_depth=200, max_inferences=50)
     assert res.status == "inference_limit"
+
+
+def test_prove_limits_report_the_depth_reached():
+    clauses = [
+        Clause((lit("p", App("a")),)),
+        Clause((lit("p", x, positive=False), lit("p", App("f", (x,))))),
+    ]
+    res = prove(clauses, max_depth=200, max_inferences=50)
+    assert res.status == "inference_limit"
+    assert res.inferences == 51
+    assert res.depth > 1
+    # the search got through every shallower limit within the cap
+    assert prove(clauses, max_depth=res.depth - 1, max_inferences=50).status == "depth_limit"
+    assert prove(clauses, max_depth=res.depth, max_inferences=50).status == "inference_limit"
+    res = prove(clauses + [Clause((lit("q"),))], max_depth=200, timeout=0.05)
+    assert res.status == "timeout"
+    assert res.depth >= 1
+    assert res.inferences % 256 == 0
 
 
 def test_prove_with_equality_axioms():
@@ -391,3 +412,102 @@ def test_is_hyper():
     assert not is_hyper(bad_inner_negative)
     positive_leaf = chain(lit("p"))
     assert not is_hyper(positive_leaf)
+
+
+# ---------------------------------------------------------------------------
+# Exactness against the reference prover (tests/helpers.py), which renames a
+# copy of every candidate clause and checks regularity against each ancestor
+# afresh: the candidate index must change no verdict, count or proof.
+
+
+def implication_chain(k, goal):
+    lines = ["p0"] + [f"~p{i} | p{i + 1}" for i in range(k)] + ([f"~p{k}"] if goal else [])
+    return parse_clause_file("\n".join(lines) + "\n")
+
+
+def term_chain(k, goal):
+    lines = ["p0(a)"] + [f"~p{i}(X) | p{i + 1}(f(X))" for i in range(k)]
+    if goal:
+        lines.append(f"~p{k}(" + "f(" * k + "a" + ")" * k + ")")
+    return parse_clause_file("\n".join(lines) + "\n")
+
+
+def random_fo_clauses(rng):
+    """Clauses over p/1, q/1, r/2 with variables, so that proofs keep
+    renamed variables X_k."""
+    terms = [Var("X"), Var("Y"), App("a"), App("b"), App("f", (Var("X"),))]
+    out = []
+    for _ in range(rng.randint(2, 6)):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            pred, arity = rng.choice((("p", 1), ("q", 1), ("r", 2)))
+            args = tuple(rng.choice(terms) for _ in range(arity))
+            lits.append(Literal(rng.random() < 0.5, pred, args))
+        out.append(Clause(tuple(dict.fromkeys(lits))))
+    return out
+
+
+def outcome(res):
+    return res.status, res.inferences, res.depth, format_tableau(res.tableau) if res.proved else None
+
+
+def reference_outcome(clauses, max_depth, max_inferences=None):
+    status, inferences, depth, doc = outcome(
+        reference_prove(clauses, max_depth=max_depth, max_inferences=max_inferences)
+    )
+    if status == "inference_limit":
+        # the reference reports depth 0 here; the depth reached is the least
+        # deepening limit at which the cap is hit
+        depth = next(
+            d
+            for d in range(1, max_depth + 1)
+            if reference_prove(clauses, max_depth=d, max_inferences=max_inferences).status
+            == "inference_limit"
+        )
+    return status, inferences, depth, doc
+
+
+def assert_as_reference(clauses, max_depth, max_inferences=None):
+    got = outcome(prove(clauses, max_depth=max_depth, max_inferences=max_inferences))
+    assert got == reference_outcome(clauses, max_depth, max_inferences), clauses
+    return got
+
+
+def test_prove_matches_reference_on_random_ground_sets():
+    rng = random.Random(404)
+    statuses = set()
+    for _ in range(120):
+        clauses = random_ground_clauses(rng, max_atoms=7, max_clauses=12)
+        statuses.add(assert_as_reference(clauses, 12, 3000)[0])
+    assert {"proved", "saturated", "inference_limit"} <= statuses
+
+
+def test_prove_matches_reference_on_first_order_sets():
+    rng = random.Random(505)
+    residual = 0
+    for _ in range(150):
+        _, _, _, doc = assert_as_reference(random_fo_clauses(rng), 6, 3000)
+        if doc is not None and re.search(r"\b[XY]_\d+\b", doc):
+            residual += 1
+    assert residual >= 5
+
+
+def test_prove_matches_reference_on_chains():
+    for k in range(1, 9):
+        for goal in (True, False):
+            assert_as_reference(implication_chain(k, goal), 30, 60_000)
+            assert_as_reference(term_chain(k, goal), 30, 60_000)
+
+
+def test_prove_matches_reference_under_small_inference_caps():
+    rng = random.Random(606)
+    sets = [implication_chain(4, True), term_chain(3, True), random_fo_clauses(rng)]
+    sets += [random_ground_clauses(rng, max_atoms=5, max_clauses=8) for _ in range(3)]
+    for clauses in sets:
+        for cap in range(1, 81):
+            assert_as_reference(clauses, 30, cap)
+
+
+def test_prove_implication_chain_inference_count():
+    res = prove(implication_chain(20, True))
+    assert (res.status, res.inferences, res.depth) == ("proved", 39_731, 12)
