@@ -36,8 +36,8 @@ from .restriction import (
     is_vgt_range_restricted,
     prop4_check,
 )
-from .syntax import And, FreshNamer, InputError, Not, Signature, formula_symbols, mk_and
-from .tableaux import ResourceLimitError, Tableau, prove
+from .syntax import And, FreshNamer, InputError, Not, Signature, formula_symbols, free_vars, mk_and
+from .tableaux import ResourceLimitError, StructureError, Tableau, prove
 from .tptp import ParseError, format_formula, parse_clause_file, parse_fof_file, split_problem
 
 EXIT_OK = 0
@@ -47,18 +47,21 @@ EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_number(name: str, kind: type, default):
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InputError(f"{name}: not a valid {kind.__name__}: {raw!r}") from None
 
 
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
-
-
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _load_formula(path: str):
@@ -90,41 +93,33 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 
 def cmd_prove(args) -> int:
-    try:
-        if args.format == "clauses":
-            clauses = parse_clause_file(_read(args.input))
-        else:
-            ax, cj = _load_problem(args.input)
-            if ax is None and cj is None:
-                print("error: no formulas in input", file=sys.stderr)
-                return EXIT_PARSE
-            formula = ax if cj is None else (And((ax, Not(cj))) if ax is not None else Not(cj))
-            namer = FreshNamer(formula_symbols(formula))
-            frozen, _, _, _ = freeze_free_vars(formula, formula, namer)
-            clauses = list(skolemize_clausify(frozen, namer).clauses)
-        if args.equality_axioms:
-            sig = Signature.empty()
-            for c in clauses:
-                for l in c.literals:
-                    sig.extend_with_formula(l)
-            clauses = clauses + equality_axioms(sig)
-    except (ParseError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.format == "clauses":
+        clauses = parse_clause_file(_read(args.input))
+    else:
+        ax, cj = _load_problem(args.input)
+        if ax is None and cj is None:
+            print("error: no formulas in input", file=sys.stderr)
+            return EXIT_PARSE
+        formula = ax if cj is None else (And((ax, Not(cj))) if ax is not None else Not(cj))
+        namer = FreshNamer(formula_symbols(formula))
+        frozen, _, _, _ = freeze_free_vars(formula, formula, namer)
+        clauses = list(skolemize_clausify(frozen, namer).clauses)
+    if args.equality_axioms:
+        sig = Signature.empty()
+        for c in clauses:
+            for l in c.literals:
+                sig.extend_with_literal(l)
+        clauses = clauses + equality_axioms(sig)
 
     if any(not c.literals for c in clauses):
         print("% input contains the empty clause; trivially unsatisfiable")
         return EXIT_OK
-    try:
-        result = prove(
-            clauses,
-            max_depth=args.max_depth,
-            timeout=args.timeout,
-            max_inferences=args.max_inferences,
-        )
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    result = prove(
+        clauses,
+        max_depth=args.max_depth,
+        timeout=args.timeout,
+        max_inferences=args.max_inferences,
+    )
     if not result.proved:
         print(f"% not proved: {result.status}")
         return EXIT_NOT_PROVED
@@ -169,17 +164,11 @@ def _report_lines(report, timings: bool) -> list[str]:
 
 
 def cmd_interpolate(args) -> int:
-    try:
-        f = _load_formula(args.f)
-        g = _load_formula(args.g)
-    except (ParseError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _load_formula(args.f)
+    g = _load_formula(args.g)
     if args.free_vars is not None:
-        from foltab.syntax import free_vars as _fv
-
         declared = {x for x in args.free_vars.split(",") if x}
-        if declared != _fv(f) or declared != _fv(g):
+        if declared != free_vars(f) or declared != free_vars(g):
             print(
                 "error: --free-vars must name exactly the free variables of both inputs",
                 file=sys.stderr,
@@ -210,12 +199,6 @@ def cmd_interpolate(args) -> int:
             print(line)
         print(f"% requirement failure: {e}")
         return EXIT_FAIL
-    except (ClauseLimitError, ResourceLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     text = format_formula(h)
     print(text)
     for line in _report_lines(report, args.timings):
@@ -247,26 +230,10 @@ def _load_tableau_or_proof(path: str) -> Tableau:
 
 
 def cmd_hyper(args) -> int:
-    from .tableaux import StructureError
-
-    try:
-        tab = _load_tableau_or_proof(args.proof)
-    except (ParseError, ProofError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    tab = _load_tableau_or_proof(args.proof)
     size_before = tab.inner_size()
     t0 = time.perf_counter()
-    try:
-        out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except StructureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
     elapsed_ms = (time.perf_counter() - t0) * 1000
     doc = format_tableau(out)
     if args.json and not args.out:
@@ -305,43 +272,36 @@ def cmd_hyper(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        if args.property == "vx-preconditions":
-            if not args.f or not args.g:
-                print("error: vx-preconditions needs --f and --g", file=sys.stderr)
-                return EXIT_PARSE
-            f = _load_formula(args.f)
-            g = _load_formula(args.g)
-            xs = frozenset(x for x in (args.free_vars or "").split(",") if x) or None
-            report = check_vx_preconditions(f, g, xs)
+    if args.property == "vx-preconditions":
+        if not args.f or not args.g:
+            print("error: vx-preconditions needs --f and --g", file=sys.stderr)
+            return EXIT_PARSE
+        f = _load_formula(args.f)
+        g = _load_formula(args.g)
+        xs = frozenset(x for x in (args.free_vars or "").split(",") if x) or None
+        report = check_vx_preconditions(f, g, xs)
+    else:
+        formula = _load_formula(args.input)
+        if args.property == "u-rr":
+            report = is_u_range_restricted(formula)
+        elif args.property == "vgt-rr":
+            report = is_vgt_range_restricted(formula)
+        elif args.property == "horn":
+            verdict = is_horn(formula)
+            print(f"horn: {'yes' if verdict else 'no'}")
+            return EXIT_OK if verdict else EXIT_FAIL
+        elif args.property == "horn-like":
+            verdict = is_horn_like(formula)
+            print(f"horn-like: {'yes' if verdict else 'no'}")
+            return EXIT_OK if verdict else EXIT_FAIL
+        elif args.property == "prop4":
+            rep = prop4_check(formula)
+            print(f"vgt: {rep.vgt}  u(F): {rep.u_self}  u(~F): {rep.u_negation}")
+            print(f"consistent: {'yes' if rep.consistent else 'no'}")
+            return EXIT_OK if rep.consistent else EXIT_FAIL
         else:
-            formula = _load_formula(args.input)
-            if args.property == "u-rr":
-                report = is_u_range_restricted(formula)
-            elif args.property == "vgt-rr":
-                report = is_vgt_range_restricted(formula)
-            elif args.property == "horn":
-                verdict = is_horn(formula)
-                print(f"horn: {'yes' if verdict else 'no'}")
-                return EXIT_OK if verdict else EXIT_FAIL
-            elif args.property == "horn-like":
-                verdict = is_horn_like(formula)
-                print(f"horn-like: {'yes' if verdict else 'no'}")
-                return EXIT_OK if verdict else EXIT_FAIL
-            elif args.property == "prop4":
-                rep = prop4_check(formula)
-                print(f"vgt: {rep.vgt}  u(F): {rep.u_self}  u(~F): {rep.u_negation}")
-                print(f"consistent: {'yes' if rep.consistent else 'no'}")
-                return EXIT_OK if rep.consistent else EXIT_FAIL
-            else:
-                print(f"error: unknown property {args.property}", file=sys.stderr)
-                return EXIT_PARSE
-    except (ParseError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ClauseLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+            print(f"error: unknown property {args.property}", file=sys.stderr)
+            return EXIT_PARSE
     print(f"{args.property}: {'yes' if report.verdict else 'no'}")
     for w in report.witnesses:
         print(f"witness: clause ({w.clause}) offends {w.offender} [{w.condition}]")
@@ -353,23 +313,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        f = _load_formula(args.f)
-        g = _load_formula(args.g)
-        h = _load_formula(args.h)
-    except (ParseError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    f = _load_formula(args.f)
+    g = _load_formula(args.g)
+    h = _load_formula(args.h)
     require = []
     for chunk in args.require or []:
         require.extend(x for x in chunk.split(",") if x)
-    try:
-        report = verify_interpolant(
-            f, g, h, require, max_depth=args.max_depth, timeout=args.timeout
-        )
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    report = verify_interpolant(f, g, h, require, max_depth=args.max_depth, timeout=args.timeout)
     print(f"vocabulary: {'pass' if report.vocabulary_ok else 'fail'}")
     print(f"variables: {'pass' if report.variables_ok else 'fail'}")
     print(f"f-entails-h: {report.f_entails_h}")
@@ -412,9 +362,6 @@ def cmd_define(args) -> int:
         print(format_formula(e.interpolant))
         print(f"% requirement failure: {e}")
         return EXIT_FAIL
-    except (ParseError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
     text = format_formula(r)
     print(text)
     if args.out:
@@ -429,16 +376,9 @@ def cmd_define(args) -> int:
 
 
 def cmd_import(args) -> int:
-    try:
-        doc = parse_proof(_read(args.proof))
-        tree = ground_deduction(to_tree(doc, max_nodes=args.max_nodes))
-        tab = to_cut_normal_form(tree)
-    except (ParseError, ProofError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    doc = parse_proof(_read(args.proof))
+    tree = ground_deduction(to_tree(doc, max_nodes=args.max_nodes))
+    tab = to_cut_normal_form(tree)
     _write_or_print(format_tableau(tab), args.out)
     return EXIT_OK
 
@@ -462,7 +402,7 @@ def cmd_stats(args) -> int:
     for path in proofs:
         name = path.name
         try:
-            doc = parse_proof(path.read_text())
+            doc = parse_proof(_read(path))
             tree = ground_deduction(to_tree(doc, max_nodes=args.max_nodes))
             tab = to_cut_normal_form(tree)
             s3 = tab.inner_size()
@@ -522,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_depth = _env_int("FOLTAB_MAX_DEPTH", 30)
-    default_timeout = _env_float("FOLTAB_TIMEOUT", None)
-    default_nodes = _env_int("FOLTAB_MAX_NODES", 10_000_000)
+    default_depth = _env_number("FOLTAB_MAX_DEPTH", int, 30)
+    default_timeout = _env_number("FOLTAB_TIMEOUT", float, None)
+    default_nodes = _env_number("FOLTAB_MAX_NODES", int, 10_000_000)
 
     p = sub.add_parser("prove", help="search for a closed clausal tableau")
     p.add_argument("--input", required=True)
@@ -611,12 +551,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     # tree walkers recurse along branches; long imported chain proofs can
     # exceed the interpreter default
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-    args = build_parser().parse_args(argv)
+    # every error that ends a command gets its exit code here; commands
+    # catch only the errors after which they still print partial output
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except RecursionError:
         print("error: input nested too deeply (recursion limit exceeded)", file=sys.stderr)
         return EXIT_RESOURCE
+    except (ClauseLimitError, ResourceLimitError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ParseError, ProofError, StructureError, InputError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -307,12 +307,7 @@ def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
                 return App(t.functor, tuple(back(a) for a in t.args))
         return t
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (ForAll, Exists)):
-            return type(g)(g.var, walk(g.body))
-        return map_formula_terms(g, back)
-
-    return walk(h)
+    return map_formula_terms(h, back)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .syntax import (
     free_vars,
     mk_and,
     mk_or,
+    rename_bound,
 )
 
 DEFAULT_CLAUSE_LIMIT = 100_000
@@ -136,30 +137,7 @@ def standardize(f: Formula, reserved: Iterable[str] = ()) -> Formula:
         used.add(fresh)
         return fresh
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Literal):
-            if not env:
-                return g
-            sub: Subst = {v: Var(w) for v, w in env.items()}
-            return formula_subst(g, sub)
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, And):
-            return And(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Not):
-            return Not(walk(g.body, env))
-        if isinstance(g, Implies):
-            return Implies(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, Iff):
-            return Iff(walk(g.lhs, env), walk(g.rhs, env))
-        if isinstance(g, (ForAll, Exists)):
-            new = pick(g.var)
-            return type(g)(new, walk(g.body, {**env, g.var: new}))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {})
+    return rename_bound(f, pick)
 
 
 # ---------------------------------------------------------------------------

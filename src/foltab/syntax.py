@@ -9,17 +9,32 @@ clausification, grounding and interpolation all use it:
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
 - `bind`, `unify_args` and `undo` extend a binding store and take it back;
 - `unify` returns an idempotent most general unifier;
-- `is_ground` and `ordered_vars` inspect terms.
+- `subterms` walks terms; `is_ground` and `ordered_vars` inspect them.
 
 A binding store maps variable names to terms.  It is triangular: a bound
 term may contain bound variables, and reading it follows them.  It is
 acyclic: a variable is bound only after the occurs check, through the
 store, has failed to find it in its term.  Bindings made by `bind` are
 recorded on a trail, and `undo` removes them back to a mark, latest first.
+
+Beside the term kernel, two formula walks carry the shape of formulas;
+free variables, polarities, vocabulary, signatures, substitution and
+renaming are all written on them:
+
+- `occurrences` reads: each literal and quantifier occurrence in
+  pre-order, with its polarity and the names bound above it;
+- `map_formula` rebuilds, bottom up, and calls its `binder` at each
+  quantifier in pre-order (so fresh names are picked outside in).
+
+Renaming bound variables (`rename_bound`, and `formula_subst` at free
+occurrences) applies its substitution once, with `apply_term`.  A new name
+may be the old name of a variable bound further out; following bindings
+in chains, as `apply_literal` does, would rename it a second time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -88,26 +103,24 @@ class App:
 Term = Union[Var, App]
 
 
-def const(name: str) -> App:
-    return App(name)
+def subterms(*terms: Term) -> Iterator[Term]:
+    """The subterm occurrences of `terms` in pre-order, left to right,
+    each term itself included."""
+    stack = list(terms)
+    stack.reverse()
+    while stack:
+        t = stack.pop()
+        yield t
+        if t.__class__ is App and t.args:
+            stack.extend(reversed(t.args))
 
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    return {s.name for s in subterms(t) if s.__class__ is Var}
 
 
 def term_functions(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return set()
-    out = {t.functor}
-    for a in t.args:
-        out |= term_functions(a)
-    return out
+    return {s.functor for s in subterms(t) if s.__class__ is App}
 
 
 def term_depth(t: Term) -> int:
@@ -116,14 +129,6 @@ def term_depth(t: Term) -> int:
     if not t.args:
         return 1
     return 1 + max(term_depth(a) for a in t.args)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterm occurrences in pre-order, including t itself."""
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
 
 
 def is_ground(t: Term) -> bool:
@@ -139,16 +144,7 @@ def is_ground(t: Term) -> bool:
 def ordered_vars(terms: Iterable[Term]) -> list[str]:
     """Distinct variable names of `terms` in order of first occurrence,
     left to right and outside in."""
-    out: dict[str, None] = {}
-    stack = list(terms)
-    stack.reverse()
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out[t.name] = None
-        else:
-            stack.extend(reversed(t.args))
-    return list(out)
+    return list(dict.fromkeys(s.name for s in subterms(*terms) if s.__class__ is Var))
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +432,120 @@ def clause_formula(c: Clause) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# The formula walks.  `occurrences` reads a formula and `map_formula`
+# rebuilds one; every generic formula traversal below goes through them.
+# Both keep an explicit stack, so nesting depth is not bounded by the
+# interpreter's recursion limit.
+
+# Polarities are bit sets: an occurrence under <=> has both.
+POS, NEG, BOTH = 1, 2, 3
+_FLIP = (0, NEG, POS, BOTH)
+
+
+def occurrences(f: Formula) -> Iterator[tuple[Formula, int, frozenset[str]]]:
+    """Each literal and quantifier occurrence of f once, in pre-order from
+    left to right, as (occurrence, polarity, bound).
+
+    For a literal the polarity is that of its atom: a negative literal in
+    positive position has NEG.  `bound` holds the names bound above the
+    occurrence; a quantifier's own variable is not among them."""
+    stack: list[tuple[Formula, int, frozenset[str]]] = [(f, POS, frozenset())]
+    while stack:
+        g, pol, bound = stack.pop()
+        cls = g.__class__
+        if cls is Literal:
+            yield g, (pol if g.positive else _FLIP[pol]), bound
+        elif cls is And or cls is Or:
+            for p in reversed(g.parts):
+                stack.append((p, pol, bound))
+        elif cls is Not:
+            stack.append((g.body, _FLIP[pol], bound))
+        elif cls is Implies:
+            stack.append((g.rhs, pol, bound))
+            stack.append((g.lhs, _FLIP[pol], bound))
+        elif cls is Iff:
+            stack.append((g.rhs, BOTH, bound))
+            stack.append((g.lhs, BOTH, bound))
+        elif cls is ForAll or cls is Exists:
+            yield g, pol, bound
+            stack.append((g.body, pol, bound | {g.var}))
+        elif cls is not Top and cls is not Bottom:
+            raise TypeError(f"not a formula: {g!r}")
+
+
+_REBUILD = object()
+
+
+def map_formula(
+    f: Formula,
+    literal: Callable[[Literal, object], Formula],
+    binder: Optional[Callable[[str, object], tuple[str, object]]] = None,
+    env: object = None,
+) -> Formula:
+    """f rebuilt bottom up, each literal l replaced by literal(l, env).
+
+    `env` is passed down unchanged, except at a quantifier over v:
+    binder(v, env) returns (w, env'), and the quantifier is rebuilt over w
+    with env' for its body.  binder is called in pre-order, left to right;
+    without it, quantifiers keep their variable and env.  Subformulas that
+    come out unchanged are shared with f."""
+    out: list[Formula] = []
+    # (g, env, None) visits g; (g, _REBUILD, w) rebuilds g from `out`
+    todo: list[tuple[Formula, object, Optional[str]]] = [(f, env, None)]
+    while todo:
+        g, e, w = todo.pop()
+        cls = g.__class__
+        if e is _REBUILD:
+            if cls is And or cls is Or:
+                k = len(out) - len(g.parts)
+                parts = tuple(out[k:])
+                del out[k:]
+                out.append(g if all(map(is_, parts, g.parts)) else cls(parts))
+            elif cls is Not:
+                body = out.pop()
+                out.append(g if body is g.body else Not(body))
+            elif cls is Implies or cls is Iff:
+                rhs = out.pop()
+                lhs = out.pop()
+                out.append(g if lhs is g.lhs and rhs is g.rhs else cls(lhs, rhs))
+            else:
+                body = out.pop()
+                out.append(g if body is g.body and w == g.var else cls(w, body))
+        elif cls is Literal:
+            out.append(literal(g, e))
+        elif cls is And or cls is Or:
+            todo.append((g, _REBUILD, None))
+            for p in reversed(g.parts):
+                todo.append((p, e, None))
+        elif cls is Not:
+            todo.append((g, _REBUILD, None))
+            todo.append((g.body, e, None))
+        elif cls is Implies or cls is Iff:
+            todo.append((g, _REBUILD, None))
+            todo.append((g.rhs, e, None))
+            todo.append((g.lhs, e, None))
+        elif cls is ForAll or cls is Exists:
+            w, inner = binder(g.var, e) if binder else (g.var, e)
+            todo.append((g, _REBUILD, w))
+            todo.append((g.body, inner, None))
+        elif cls is Top or cls is Bottom:
+            out.append(g)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return out[0]
+
+
+# ---------------------------------------------------------------------------
 # Free variables, polarity, vocabulary
 
 
 def free_vars(f: Formula) -> set[str]:
     out: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Literal):
-            for a in g.args:
-                out.update(term_vars(a) - bound)
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p, bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, (ForAll, Exists)):
-            walk(g.body, bound | {g.var})
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset())
+    for g, _, bound in occurrences(f):
+        if g.__class__ is Literal:
+            for s in subterms(*g.args):
+                if s.__class__ is Var and s.name not in bound:
+                    out.add(s.name)
     return out
 
 
@@ -470,34 +554,13 @@ def polarity_vars(f: Formula) -> tuple[set[str], set[str]]:
     negative polarity.  Occurrences under <=> count for both."""
     pos: set[str] = set()
     neg: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str], pol: bool) -> None:
-        if isinstance(g, Literal):
-            atom_pol = pol if g.positive else not pol
-            vs: set[str] = set()
-            for a in g.args:
-                vs |= term_vars(a)
-            (pos if atom_pol else neg).update(vs - bound)
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p, bound, pol)
-        elif isinstance(g, Not):
-            walk(g.body, bound, not pol)
-        elif isinstance(g, Implies):
-            walk(g.lhs, bound, not pol)
-            walk(g.rhs, bound, pol)
-        elif isinstance(g, Iff):
-            for side in (g.lhs, g.rhs):
-                walk(side, bound, pol)
-                walk(side, bound, not pol)
-        elif isinstance(g, (ForAll, Exists)):
-            walk(g.body, bound | {g.var}, pol)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset(), True)
+    for g, pol, bound in occurrences(f):
+        if g.__class__ is Literal:
+            vs = {s.name for s in subterms(*g.args) if s.__class__ is Var} - bound
+            if pol & POS:
+                pos |= vs
+            if pol & NEG:
+                neg |= vs
     return pos, neg
 
 
@@ -505,42 +568,29 @@ def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     """Function symbols (constants included) and (predicate, polarity) pairs."""
     funcs: set[str] = set()
     preds: set[tuple[str, str]] = set()
-
-    def walk(g: Formula, pol: bool) -> None:
-        if isinstance(g, Literal):
-            atom_pol = pol if g.positive else not pol
-            preds.add((g.predicate, "+" if atom_pol else "-"))
-            for a in g.args:
-                funcs.update(term_functions(a))
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p, pol)
-        elif isinstance(g, Not):
-            walk(g.body, not pol)
-        elif isinstance(g, Implies):
-            walk(g.lhs, not pol)
-            walk(g.rhs, pol)
-        elif isinstance(g, Iff):
-            for side in (g.lhs, g.rhs):
-                walk(side, pol)
-                walk(side, not pol)
-        elif isinstance(g, (ForAll, Exists)):
-            walk(g.body, pol)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, True)
+    for g, pol, _ in occurrences(f):
+        if g.__class__ is Literal:
+            if pol & POS:
+                preds.add((g.predicate, "+"))
+            if pol & NEG:
+                preds.add((g.predicate, "-"))
+            for s in subterms(*g.args):
+                if s.__class__ is App:
+                    funcs.add(s.functor)
     return frozenset(funcs), frozenset(preds)
 
 
-def formula_functions(f: Formula) -> frozenset[str]:
-    return vocabulary(f)[0]
-
-
-def formula_predicates(f: Formula) -> frozenset[str]:
-    return frozenset(p for p, _ in vocabulary(f)[1])
+def formula_symbols(f: Formula) -> set[str]:
+    """All symbol names occurring in f: functions, predicates and variables."""
+    out: set[str] = set()
+    for g, _, _ in occurrences(f):
+        if g.__class__ is Literal:
+            out.add(g.predicate)
+            for s in subterms(*g.args):
+                out.add(s.name if s.__class__ is Var else s.functor)
+        else:
+            out.add(g.var)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -619,97 +669,57 @@ def map_literal_terms(l: Literal, fn: Callable[[Term], Term]) -> Literal:
 
 
 def map_formula_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
-    if isinstance(f, Literal):
-        return map_literal_terms(f, fn)
-    if isinstance(f, (Top, Bottom)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(map_formula_terms(p, fn) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(map_formula_terms(p, fn) for p in f.parts))
-    if isinstance(f, Not):
-        return Not(map_formula_terms(f.body, fn))
-    if isinstance(f, Implies):
-        return Implies(map_formula_terms(f.lhs, fn), map_formula_terms(f.rhs, fn))
-    if isinstance(f, Iff):
-        return Iff(map_formula_terms(f.lhs, fn), map_formula_terms(f.rhs, fn))
-    if isinstance(f, ForAll):
-        return ForAll(f.var, map_formula_terms(f.body, fn))
-    if isinstance(f, Exists):
-        return Exists(f.var, map_formula_terms(f.body, fn))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_formula(f, lambda l, _: map_literal_terms(l, fn))
+
+
+def _subst_literal(l: Literal, subst: Subst) -> Literal:
+    if not subst:
+        return l
+    return Literal(l.positive, l.predicate, tuple(apply_term(a, subst) for a in l.args))
 
 
 def formula_subst(f: Formula, subst: Subst) -> Formula:
     """Apply a substitution to free variable occurrences (capture-aware)."""
-    if isinstance(f, Literal):
-        return map_literal_terms(f, lambda t: apply_term(t, subst))
-    if isinstance(f, (Top, Bottom)):
+    if not subst:
         return f
-    if isinstance(f, And):
-        return And(tuple(formula_subst(p, subst) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(formula_subst(p, subst) for p in f.parts))
-    if isinstance(f, Not):
-        return Not(formula_subst(f.body, subst))
-    if isinstance(f, Implies):
-        return Implies(formula_subst(f.lhs, subst), formula_subst(f.rhs, subst))
-    if isinstance(f, Iff):
-        return Iff(formula_subst(f.lhs, subst), formula_subst(f.rhs, subst))
-    if isinstance(f, (ForAll, Exists)):
-        inner = {v: t for v, t in subst.items() if v != f.var}
-        body = formula_subst(f.body, inner) if inner else f.body
-        return type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
+
+    def binder(v: str, s: Subst) -> tuple[str, Subst]:
+        return v, ({u: t for u, t in s.items() if u != v} if v in s else s)
+
+    return map_formula(f, _subst_literal, binder, subst)
+
+
+def rename_bound(f: Formula, pick: Callable[[str], str]) -> Formula:
+    """f with the variable v of each quantifier renamed to pick(v), and the
+    occurrences it binds renamed with it.  pick is called in pre-order.
+
+    A literal is renamed by one simultaneous substitution: a new name is
+    never renamed again, even when it is the old name of a variable bound
+    further out.  In ! [X] : ! [X] : ! [X_2] : p(X, X_2), renaming the
+    binders to X, X_2, X_2_2 gives p(X_2, X_2_2), not p(X_2_2, X_2_2)."""
+
+    def binder(v: str, env: Subst) -> tuple[str, Subst]:
+        w = pick(v)
+        return w, {**env, v: Var(w)}
+
+    return map_formula(f, _subst_literal, binder, {})
 
 
 def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
-    if isinstance(f, Literal):
-        return Literal(f.positive, mapping.get(f.predicate, f.predicate), f.args)
-    if isinstance(f, (Top, Bottom)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(rename_predicates(p, mapping) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(rename_predicates(p, mapping) for p in f.parts))
-    if isinstance(f, Not):
-        return Not(rename_predicates(f.body, mapping))
-    if isinstance(f, Implies):
-        return Implies(rename_predicates(f.lhs, mapping), rename_predicates(f.rhs, mapping))
-    if isinstance(f, Iff):
-        return Iff(rename_predicates(f.lhs, mapping), rename_predicates(f.rhs, mapping))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, rename_predicates(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_formula(
+        f, lambda l, _: Literal(l.positive, mapping.get(l.predicate, l.predicate), l.args)
+    )
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Equality up to renaming of bound variables."""
-    return _canon(f, {}, [0]) == _canon(g, {}, [0])
+    """Equality up to renaming of bound variables: on both sides the bound
+    variables are renamed #1, #2, ... in pre-order before comparing."""
 
+    def numbered(h: Formula) -> Formula:
+        count = itertools.count(1)
+        return rename_bound(h, lambda _: f"#{next(count)}")
 
-def _canon(f: Formula, env: Subst, counter: list[int]):
-    if isinstance(f, Literal):
-        return ("lit", f.positive, f.predicate, tuple(apply_term(a, env) for a in f.args))
-    if isinstance(f, Top):
-        return ("top",)
-    if isinstance(f, Bottom):
-        return ("bot",)
-    if isinstance(f, (And, Or)):
-        tag = "and" if isinstance(f, And) else "or"
-        return (tag, tuple(_canon(p, env, counter) for p in f.parts))
-    if isinstance(f, Not):
-        return ("not", _canon(f.body, env, counter))
-    if isinstance(f, Implies):
-        return ("imp", _canon(f.lhs, env, counter), _canon(f.rhs, env, counter))
-    if isinstance(f, Iff):
-        return ("iff", _canon(f.lhs, env, counter), _canon(f.rhs, env, counter))
-    if isinstance(f, (ForAll, Exists)):
-        counter[0] += 1
-        fresh = Var(f"#{counter[0]}")
-        tag = "all" if isinstance(f, ForAll) else "ex"
-        return (tag, _canon(f.body, {**env, f.var: fresh}, counter))
-    raise TypeError(f"not a formula: {f!r}")
+    return numbered(f) == numbered(g)
 
 
 # ---------------------------------------------------------------------------
@@ -741,31 +751,16 @@ class Signature:
             raise InputError(f"arity clash for predicate {name}: {old} vs {arity}")
         self.predicates[name] = arity
 
-    def extend_with_term(self, t: Term) -> None:
-        if isinstance(t, App):
-            self.add_function(t.functor, len(t.args))
-            for a in t.args:
-                self.extend_with_term(a)
+    def extend_with_literal(self, l: Literal) -> None:
+        self.add_predicate(l.predicate, len(l.args))
+        for t in subterms(*l.args):
+            if t.__class__ is App:
+                self.add_function(t.functor, len(t.args))
 
     def extend_with_formula(self, f: Formula) -> None:
-        if isinstance(f, Literal):
-            self.add_predicate(f.predicate, len(f.args))
-            for a in f.args:
-                self.extend_with_term(a)
-        elif isinstance(f, (Top, Bottom)):
-            pass
-        elif isinstance(f, (And, Or)):
-            for p in f.parts:
-                self.extend_with_formula(p)
-        elif isinstance(f, Not):
-            self.extend_with_formula(f.body)
-        elif isinstance(f, (Implies, Iff)):
-            self.extend_with_formula(f.lhs)
-            self.extend_with_formula(f.rhs)
-        elif isinstance(f, (ForAll, Exists)):
-            self.extend_with_formula(f.body)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+        for g, _, _ in occurrences(f):
+            if g.__class__ is Literal:
+                self.extend_with_literal(g)
 
     @classmethod
     def of(cls, formulas: Iterable[Formula]) -> "Signature":
@@ -775,40 +770,12 @@ class Signature:
         return sig
 
 
-def formula_symbols(f: Formula) -> set[str]:
-    """All symbol names occurring in f: functions, predicates and variables."""
-    funcs, preds = vocabulary(f)
-    out = set(funcs) | {p for p, _ in preds} | free_vars(f)
-    out |= _bound_names(f)
-    return out
-
-
-def _bound_names(f: Formula) -> set[str]:
-    if isinstance(f, (Literal, Top, Bottom)):
-        return set()
-    if isinstance(f, (And, Or)):
-        out: set[str] = set()
-        for p in f.parts:
-            out |= _bound_names(p)
-        return out
-    if isinstance(f, Not):
-        return _bound_names(f.body)
-    if isinstance(f, (Implies, Iff)):
-        return _bound_names(f.lhs) | _bound_names(f.rhs)
-    if isinstance(f, (ForAll, Exists)):
-        return {f.var} | _bound_names(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class FreshNamer:
     """Deterministic generator of names not colliding with a reserved set."""
 
     def __init__(self, reserved: Iterable[str] = ()):
         self._used = set(reserved)
         self._counters: dict[str, int] = {}
-
-    def reserve(self, names: Iterable[str]) -> None:
-        self._used.update(names)
 
     def fresh(self, base: str) -> str:
         n = self._counters.get(base, 0)

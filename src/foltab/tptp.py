@@ -307,8 +307,7 @@ def parse_clause_file(text: str) -> list[Clause]:
         except ParseError as e:
             raise ParseError(e.message, i, e.col) from None
         for l in c.literals:
-            lit_formula: Formula = l
-            sig.extend_with_formula(lit_formula)
+            sig.extend_with_literal(l)
         out.append(c)
     return out
 
@@ -384,7 +383,3 @@ def format_clause(c: Clause) -> str:
         return "$true" if c.conjunctive else "$false"
     sep = " & " if c.conjunctive else " | "
     return sep.join(format_literal(l) for l in c.literals)
-
-
-def format_fof(name: str, role: str, f: Formula) -> str:
-    return f"fof({name}, {role}, {format_formula(f)})."

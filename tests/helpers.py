@@ -1,8 +1,10 @@
 """Shared test machinery: seeded random generators for formulas, clause
 sets and theorem-suite instances, a finite-model evaluator used as an
 independent semantic oracle, a truth-table satisfiability oracle, the
-whole-tree hyper conversion as an oracle for the incremental one, and the
-prover without its candidate index as an oracle for `prove`."""
+whole-tree hyper conversion as an oracle for the incremental one, the
+prover without its candidate index as an oracle for `prove`, and the
+recursive formula walkers as oracles for the walks on `occurrences` and
+`map_formula`."""
 
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from foltab.syntax import (
     Top,
     Var,
     apply_literal,
+    apply_term,
     mk_and,
     mk_or,
     undo,
@@ -596,6 +599,296 @@ def reference_prove(
     except _InferenceCap:
         return ProveResult("inference_limit", None, counters["inf"], 0)
     return ProveResult("depth_limit", None, counters["inf"], max_depth)
+
+
+# ---------------------------------------------------------------------------
+# Reference formula walks: the recursive walkers each of which dispatched
+# on the connectives itself, before `occurrences` and `map_formula`, an
+# oracle for the walks in syntax.py and for normalize.standardize.  Results
+# must agree exactly, errors included.
+
+
+def reference_term_vars(t: Term) -> set[str]:
+    if isinstance(t, Var):
+        return {t.name}
+    out: set[str] = set()
+    for a in t.args:
+        out |= reference_term_vars(a)
+    return out
+
+
+def reference_term_functions(t: Term) -> set[str]:
+    if isinstance(t, Var):
+        return set()
+    out = {t.functor}
+    for a in t.args:
+        out |= reference_term_functions(a)
+    return out
+
+
+def reference_free_vars(f: Formula) -> set[str]:
+    out: set[str] = set()
+
+    def walk(g: Formula, bound: frozenset[str]) -> None:
+        if isinstance(g, Literal):
+            for a in g.args:
+                out.update(reference_term_vars(a) - bound)
+        elif isinstance(g, (Top, Bottom)):
+            pass
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p, bound)
+        elif isinstance(g, Not):
+            walk(g.body, bound)
+        elif isinstance(g, (Implies, Iff)):
+            walk(g.lhs, bound)
+            walk(g.rhs, bound)
+        elif isinstance(g, (ForAll, Exists)):
+            walk(g.body, bound | {g.var})
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+    walk(f, frozenset())
+    return out
+
+
+def reference_polarity_vars(f: Formula) -> tuple[set[str], set[str]]:
+    pos: set[str] = set()
+    neg: set[str] = set()
+
+    def walk(g: Formula, bound: frozenset[str], pol: bool) -> None:
+        if isinstance(g, Literal):
+            atom_pol = pol if g.positive else not pol
+            vs: set[str] = set()
+            for a in g.args:
+                vs |= reference_term_vars(a)
+            (pos if atom_pol else neg).update(vs - bound)
+        elif isinstance(g, (Top, Bottom)):
+            pass
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p, bound, pol)
+        elif isinstance(g, Not):
+            walk(g.body, bound, not pol)
+        elif isinstance(g, Implies):
+            walk(g.lhs, bound, not pol)
+            walk(g.rhs, bound, pol)
+        elif isinstance(g, Iff):
+            for side in (g.lhs, g.rhs):
+                walk(side, bound, pol)
+                walk(side, bound, not pol)
+        elif isinstance(g, (ForAll, Exists)):
+            walk(g.body, bound | {g.var}, pol)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+    walk(f, frozenset(), True)
+    return pos, neg
+
+
+def reference_vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+    funcs: set[str] = set()
+    preds: set[tuple[str, str]] = set()
+
+    def walk(g: Formula, pol: bool) -> None:
+        if isinstance(g, Literal):
+            atom_pol = pol if g.positive else not pol
+            preds.add((g.predicate, "+" if atom_pol else "-"))
+            for a in g.args:
+                funcs.update(reference_term_functions(a))
+        elif isinstance(g, (Top, Bottom)):
+            pass
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p, pol)
+        elif isinstance(g, Not):
+            walk(g.body, not pol)
+        elif isinstance(g, Implies):
+            walk(g.lhs, not pol)
+            walk(g.rhs, pol)
+        elif isinstance(g, Iff):
+            for side in (g.lhs, g.rhs):
+                walk(side, pol)
+                walk(side, not pol)
+        elif isinstance(g, (ForAll, Exists)):
+            walk(g.body, pol)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+
+    walk(f, True)
+    return frozenset(funcs), frozenset(preds)
+
+
+def reference_formula_symbols(f: Formula) -> set[str]:
+    funcs, preds = reference_vocabulary(f)
+    out = set(funcs) | {p for p, _ in preds} | reference_free_vars(f)
+    out |= _reference_bound_names(f)
+    return out
+
+
+def _reference_bound_names(f: Formula) -> set[str]:
+    if isinstance(f, (Literal, Top, Bottom)):
+        return set()
+    if isinstance(f, (And, Or)):
+        out: set[str] = set()
+        for p in f.parts:
+            out |= _reference_bound_names(p)
+        return out
+    if isinstance(f, Not):
+        return _reference_bound_names(f.body)
+    if isinstance(f, (Implies, Iff)):
+        return _reference_bound_names(f.lhs) | _reference_bound_names(f.rhs)
+    if isinstance(f, (ForAll, Exists)):
+        return {f.var} | _reference_bound_names(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_map_literal_terms(l: Literal, fn) -> Literal:
+    return Literal(l.positive, l.predicate, tuple(fn(a) for a in l.args))
+
+
+def reference_formula_subst(f: Formula, subst: Subst) -> Formula:
+    if isinstance(f, Literal):
+        return _reference_map_literal_terms(f, lambda t: apply_term(t, subst))
+    if isinstance(f, (Top, Bottom)):
+        return f
+    if isinstance(f, And):
+        return And(tuple(reference_formula_subst(p, subst) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(reference_formula_subst(p, subst) for p in f.parts))
+    if isinstance(f, Not):
+        return Not(reference_formula_subst(f.body, subst))
+    if isinstance(f, Implies):
+        return Implies(reference_formula_subst(f.lhs, subst), reference_formula_subst(f.rhs, subst))
+    if isinstance(f, Iff):
+        return Iff(reference_formula_subst(f.lhs, subst), reference_formula_subst(f.rhs, subst))
+    if isinstance(f, (ForAll, Exists)):
+        inner = {v: t for v, t in subst.items() if v != f.var}
+        body = reference_formula_subst(f.body, inner) if inner else f.body
+        return type(f)(f.var, body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
+    if isinstance(f, Literal):
+        return Literal(f.positive, mapping.get(f.predicate, f.predicate), f.args)
+    if isinstance(f, (Top, Bottom)):
+        return f
+    if isinstance(f, And):
+        return And(tuple(reference_rename_predicates(p, mapping) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(reference_rename_predicates(p, mapping) for p in f.parts))
+    if isinstance(f, Not):
+        return Not(reference_rename_predicates(f.body, mapping))
+    if isinstance(f, Implies):
+        return Implies(reference_rename_predicates(f.lhs, mapping), reference_rename_predicates(f.rhs, mapping))
+    if isinstance(f, Iff):
+        return Iff(reference_rename_predicates(f.lhs, mapping), reference_rename_predicates(f.rhs, mapping))
+    if isinstance(f, (ForAll, Exists)):
+        return type(f)(f.var, reference_rename_predicates(f.body, mapping))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_alpha_equal(f: Formula, g: Formula) -> bool:
+    return _reference_canon(f, {}, [0]) == _reference_canon(g, {}, [0])
+
+
+def _reference_canon(f: Formula, env: Subst, counter: list[int]):
+    if isinstance(f, Literal):
+        return ("lit", f.positive, f.predicate, tuple(apply_term(a, env) for a in f.args))
+    if isinstance(f, Top):
+        return ("top",)
+    if isinstance(f, Bottom):
+        return ("bot",)
+    if isinstance(f, (And, Or)):
+        tag = "and" if isinstance(f, And) else "or"
+        return (tag, tuple(_reference_canon(p, env, counter) for p in f.parts))
+    if isinstance(f, Not):
+        return ("not", _reference_canon(f.body, env, counter))
+    if isinstance(f, Implies):
+        return ("imp", _reference_canon(f.lhs, env, counter), _reference_canon(f.rhs, env, counter))
+    if isinstance(f, Iff):
+        return ("iff", _reference_canon(f.lhs, env, counter), _reference_canon(f.rhs, env, counter))
+    if isinstance(f, (ForAll, Exists)):
+        counter[0] += 1
+        fresh = Var(f"#{counter[0]}")
+        tag = "all" if isinstance(f, ForAll) else "ex"
+        return (tag, _reference_canon(f.body, {**env, f.var: fresh}, counter))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_standardize(f: Formula, reserved: Iterable[str] = ()) -> Formula:
+    used = set(reserved) | reference_free_vars(f)
+
+    def pick(name: str) -> str:
+        if name not in used:
+            used.add(name)
+            return name
+        n = 2
+        while f"{name}_{n}" in used:
+            n += 1
+        fresh = f"{name}_{n}"
+        used.add(fresh)
+        return fresh
+
+    def walk(g: Formula, env: dict[str, str]) -> Formula:
+        if isinstance(g, Literal):
+            if not env:
+                return g
+            sub: Subst = {v: Var(w) for v, w in env.items()}
+            return reference_formula_subst(g, sub)
+        if isinstance(g, (Top, Bottom)):
+            return g
+        if isinstance(g, And):
+            return And(tuple(walk(p, env) for p in g.parts))
+        if isinstance(g, Or):
+            return Or(tuple(walk(p, env) for p in g.parts))
+        if isinstance(g, Not):
+            return Not(walk(g.body, env))
+        if isinstance(g, Implies):
+            return Implies(walk(g.lhs, env), walk(g.rhs, env))
+        if isinstance(g, Iff):
+            return Iff(walk(g.lhs, env), walk(g.rhs, env))
+        if isinstance(g, (ForAll, Exists)):
+            new = pick(g.var)
+            return type(g)(new, walk(g.body, {**env, g.var: new}))
+        raise TypeError(f"not a formula: {g!r}")
+
+    return walk(f, {})
+
+
+def reference_signature_of(formulas: Iterable[Formula]) -> Signature:
+    sig = Signature.empty()
+
+    def extend_with_term(t: Term) -> None:
+        if isinstance(t, App):
+            sig.add_function(t.functor, len(t.args))
+            for a in t.args:
+                extend_with_term(a)
+
+    def extend_with_formula(f: Formula) -> None:
+        if isinstance(f, Literal):
+            sig.add_predicate(f.predicate, len(f.args))
+            for a in f.args:
+                extend_with_term(a)
+        elif isinstance(f, (Top, Bottom)):
+            pass
+        elif isinstance(f, (And, Or)):
+            for p in f.parts:
+                extend_with_formula(p)
+        elif isinstance(f, Not):
+            extend_with_formula(f.body)
+        elif isinstance(f, (Implies, Iff)):
+            extend_with_formula(f.lhs)
+            extend_with_formula(f.rhs)
+        elif isinstance(f, (ForAll, Exists)):
+            extend_with_formula(f.body)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+
+    for f in formulas:
+        extend_with_formula(f)
+    return sig
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from foltab.cli import bundled_samples_dir, main
 
@@ -323,3 +324,59 @@ def test_stats_table_output(capsys):
     for col in ("S3", "S4", "ratio", "T2"):
         assert col in head
     assert "median" in out
+
+
+def error_exit(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ")
+    return code
+
+
+# (a1 & ... & a400) | (b1 & ... & b400) distributes into 160,000 clauses,
+# over the 100,000 default limit
+WIDE_DNF = " | ".join(
+    "(" + " & ".join(f"{c}{i}" for i in range(400)) + ")" for c in "ab"
+)
+
+
+@pytest.mark.parametrize("command", ["prove", "verify", "define"])
+def test_clause_limit_is_a_resource_error(tmp_path, capsys, command):
+    problem = write(tmp_path, "big.p", f"fof(kb, axiom, {WIDE_DNF}).\nfof(q, conjecture, a1).\n")
+    big = write(tmp_path, "bigf.p", f"fof(f, axiom, {WIDE_DNF}).\n")
+    small = write(tmp_path, "a1.p", "fof(g, axiom, a1).\n")
+    argv = {
+        "prove": ["prove", "--input", problem],
+        "verify": ["verify", "--f", big, "--g", small, "--h", small],
+        "define": ["define", "--input", problem, "--targets", "a1"],
+    }[command]
+    assert error_exit(capsys, argv) == 4
+
+
+@pytest.mark.parametrize(
+    "command", ["prove", "interpolate", "hyper", "check", "verify", "define", "import", "stats"]
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.proof"
+    bad.write_bytes(b"fof(a, axiom, p\xff).\n")
+    good = write(tmp_path, "good.p", "fof(a, axiom, p).\n")
+    bad = str(bad)
+    argv = {
+        "prove": ["prove", "--input", bad],
+        "interpolate": ["interpolate", "--f", bad, "--g", good],
+        "hyper": ["hyper", "--proof", bad],
+        "check": ["check", "--input", bad, "--property", "horn"],
+        "verify": ["verify", "--f", good, "--g", good, "--h", bad],
+        "define": ["define", "--input", bad, "--targets", "p"],
+        "import": ["import", "--proof", bad],
+        "stats": ["stats", "--dir", str(tmp_path)],
+    }[command]
+    assert error_exit(capsys, argv) == 3
+
+
+@pytest.mark.parametrize("name", ["FOLTAB_MAX_DEPTH", "FOLTAB_MAX_NODES", "FOLTAB_TIMEOUT"])
+def test_non_numeric_limit_variable_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "ten")
+    good = write(tmp_path, "good.p", "fof(a, axiom, p).\nfof(c, conjecture, p).\n")
+    assert error_exit(capsys, ["prove", "--input", good]) == 3

@@ -1,0 +1,243 @@
+"""The formula walks in syntax.py (`occurrences`, `map_formula` and the
+walks written on them) against the recursive walkers they replace, on
+random formulas, plus the cases only the new walks handle: nesting deeper
+than the recursion limit and long <=> chains."""
+
+import random
+import re
+import sys
+
+import pytest
+
+from foltab.interpolation import unfreeze
+from foltab.normalize import standardize
+from foltab.syntax import (
+    BOTH,
+    NEG,
+    POS,
+    And,
+    App,
+    Exists,
+    ForAll,
+    Iff,
+    InputError,
+    Literal,
+    Not,
+    Or,
+    Signature,
+    Var,
+    alpha_equal,
+    formula_subst,
+    formula_symbols,
+    free_vars,
+    map_formula_terms,
+    occurrences,
+    polarity_vars,
+    rename_bound,
+    rename_predicates,
+    vocabulary,
+)
+from foltab.tptp import format_formula, parse_formula
+from helpers import (
+    random_formula,
+    random_term,
+    reference_alpha_equal,
+    reference_formula_subst,
+    reference_formula_symbols,
+    reference_free_vars,
+    reference_polarity_vars,
+    reference_rename_predicates,
+    reference_signature_of,
+    reference_standardize,
+    reference_vocabulary,
+)
+
+SAMPLES = 2000
+NAMES = ("X", "Y", "Z", "X_2", "p", "q", "r", "s", "a", "b", "f")
+SYMBOLS = ("p", "q", "r", "s", "a", "b", "f")
+
+
+def lit(name, *args, positive=True):
+    return Literal(positive, name, tuple(args))
+
+
+def renamed(f, names):
+    """f with every occurrence of a symbol or variable name replaced as
+    `names` says, binders included, through the formula's TPTP text."""
+    text = re.sub(r"\w+", lambda m: names.get(m.group(), m.group()), format_formula(f))
+    return parse_formula(text)
+
+
+def samples(seed):
+    rng = random.Random(seed)
+    for _ in range(SAMPLES):
+        yield rng, random_formula(rng, depth=rng.randint(1, 5))
+
+
+def test_readers_agree_with_the_recursive_walkers():
+    for _, f in samples(11):
+        assert free_vars(f) == reference_free_vars(f)
+        assert polarity_vars(f) == reference_polarity_vars(f)
+        assert vocabulary(f) == reference_vocabulary(f)
+        assert formula_symbols(f) == reference_formula_symbols(f)
+
+
+def test_maps_agree_with_the_recursive_walkers():
+    for rng, f in samples(12):
+        subst = {
+            v: random_term(rng, ("X", "Y", "Z"), 2)
+            for v in ("X", "Y", "Z")
+            if rng.random() < 0.6
+        }
+        assert formula_subst(f, subst) == reference_formula_subst(f, subst)
+        reserved = {n for n in NAMES if rng.random() < 0.3}
+        assert standardize(f, reserved) == reference_standardize(f, reserved)
+        # a bound Y named X_2, the name standardize gives a second bound X
+        g = renamed(f, {"Y": "X_2"})
+        assert standardize(g, reserved) == reference_standardize(g, reserved)
+        mapping = {p: rng.choice(("p", "q", "t", "p_p")) for p in "pqrs" if rng.random() < 0.5}
+        assert rename_predicates(f, mapping) == reference_rename_predicates(f, mapping)
+
+
+def test_alpha_equal_agrees_with_the_recursive_walker():
+    equal = 0
+    for rng, f in samples(13):
+        # a correct renaming, a merge of two variables that may capture,
+        # an unrelated formula
+        variants = (
+            standardize(f, {n for n in NAMES if rng.random() < 0.5}),
+            renamed(f, {"Y": "X"}),
+            random_formula(rng, depth=rng.randint(1, 5)),
+        )
+        for g in variants:
+            got = alpha_equal(f, g)
+            assert got == reference_alpha_equal(f, g)
+            equal += got
+    assert SAMPLES < equal < 3 * SAMPLES
+
+
+def signature_or_error(of, formulas):
+    try:
+        sig = of(formulas)
+    except InputError as e:
+        return "error", str(e)
+    return sig.functions, sig.predicates
+
+
+def test_signature_and_its_first_error_agree_with_the_recursive_walker():
+    errors = 0
+    for rng, f in samples(14):
+        # renaming symbols onto one another makes arity and kind clashes
+        names = {n: rng.choice(SYMBOLS) for n in SYMBOLS if rng.random() < 0.3}
+        formulas = [f, renamed(f, names)]
+        got = signature_or_error(Signature.of, formulas)
+        assert got == signature_or_error(reference_signature_of, formulas)
+        errors += got[0] == "error"
+    assert 0 < errors < SAMPLES
+
+
+def test_renaming_is_one_shot():
+    # ! [X] : ! [X] : ! [X_2] : p(X, X_2); the binders become X, X_2, X_2_2
+    x, x2 = Var("X"), Var("X_2")
+    f = ForAll("X", ForAll("X", ForAll("X_2", lit("p", x, x2))))
+    expected = ForAll("X", ForAll("X_2", ForAll("X_2_2", lit("p", x2, Var("X_2_2")))))
+    assert standardize(f) == expected
+    assert reference_standardize(f) == expected
+
+
+def test_binders_are_picked_outside_in_and_left_to_right():
+    x = Var("X")
+    f = And((ForAll("X", Exists("X", lit("p", x))), ForAll("X", lit("q", x))))
+    assert standardize(f) == And(
+        (ForAll("X", Exists("X_2", lit("p", Var("X_2")))), ForAll("X_3", lit("q", Var("X_3"))))
+    )
+
+
+def test_occurrences_in_pre_order_with_polarity_and_bound_names():
+    x = Var("X")
+    p, q, r = lit("p", x), lit("q", x, positive=False), lit("r")
+    inner = Exists("Y", Or((q, Iff(r, p))))
+    f = And((Not(ForAll("X", inner)), p))
+    assert list(occurrences(f)) == [
+        (ForAll("X", inner), NEG, frozenset()),
+        (inner, NEG, frozenset({"X"})),
+        (q, POS, frozenset({"X", "Y"})),
+        (r, BOTH, frozenset({"X", "Y"})),
+        (p, BOTH, frozenset({"X", "Y"})),
+        (p, POS, frozenset()),
+    ]
+
+
+def test_walks_reject_what_is_not_a_formula():
+    for walk in (free_vars, vocabulary, lambda g: formula_subst(g, {"X": App("a")})):
+        with pytest.raises(TypeError, match="not a formula"):
+            walk(And((lit("p"), "p")))
+
+
+def test_iff_chain_is_read_once():
+    # ((...(p0 <=> p1) <=> p2) ...) <=> p40: the recursive walker visits the
+    # innermost side 2^40 times
+    f = lit("p0")
+    for i in range(1, 41):
+        f = Iff(f, lit(f"p{i}"))
+    assert len(list(occurrences(f))) == 41
+    preds = {(f"p{i}", sign) for i in range(41) for sign in "+-"}
+    assert vocabulary(f) == (frozenset(), frozenset(preds))
+    assert polarity_vars(Iff(f, lit("q", Var("X")))) == ({"X"}, {"X"})
+
+
+@pytest.fixture
+def default_recursion_limit():
+    # the CLI raises the limit for the whole process; test at the default
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+DEPTH = 5000
+
+
+def peel(g, cls, depth=DEPTH):
+    for _ in range(depth):
+        assert g.__class__ is cls
+        g = g.body
+    return g
+
+
+def test_deep_negation_chain(default_recursion_limit):
+    x = Var("X")
+    f = lit("p", x, App("c"))
+    for _ in range(DEPTH):
+        f = Not(f)
+    with pytest.raises(RecursionError):
+        reference_free_vars(f)
+    assert free_vars(f) == {"X"}
+    assert polarity_vars(f) == ({"X"}, set())
+    assert vocabulary(f) == (frozenset({"c"}), frozenset({("p", "+")}))
+    assert formula_symbols(f) == {"X", "p", "c"}
+    assert Signature.of([f]).predicates == {"p": 2}
+    assert peel(formula_subst(f, {"X": App("a")}), Not) == lit("p", App("a"), App("c"))
+    assert peel(rename_predicates(f, {"p": "q"}), Not) == lit("q", x, App("c"))
+    assert peel(map_formula_terms(f, lambda t: App("b")), Not) == lit("p", App("b"), App("b"))
+    assert peel(unfreeze(f, {"c": "Y"}), Not) == lit("p", x, Var("Y"))
+    assert peel(standardize(ForAll("X", f)).body, Not) == lit("p", x, App("c"))
+
+
+def test_deep_quantifier_chain(default_recursion_limit):
+    x = Var("X")
+    body = lit("p", x, Var("Y"))
+    f = body
+    for _ in range(DEPTH):
+        f = ForAll("X", f)
+    with pytest.raises(RecursionError):
+        reference_free_vars(f)
+    assert free_vars(f) == {"Y"}
+    assert polarity_vars(f) == ({"Y"}, set())
+    assert formula_symbols(f) == {"X", "Y", "p"}
+    assert Signature.of([f]).predicates == {"p": 2}
+    assert peel(formula_subst(f, {"Y": App("a")}), ForAll) == lit("p", x, App("a"))
+    count = iter(range(DEPTH))
+    renamed = rename_bound(f, lambda v: f"V{next(count)}")
+    assert [g.var for g, _, _ in occurrences(renamed) if g.__class__ is ForAll][-1] == f"V{DEPTH - 1}"
+    assert peel(renamed, ForAll) == lit("p", Var(f"V{DEPTH - 1}"), Var("Y"))
