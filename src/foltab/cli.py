@@ -398,7 +398,7 @@ def cmd_stats(args) -> int:
         print(f"error: no .proof files in {directory}", file=sys.stderr)
         return EXIT_PARSE
     rows = []
-    failures = 0
+    exit_code = EXIT_OK  # that of the first row that fails
     for path in proofs:
         name = path.name
         try:
@@ -421,7 +421,8 @@ def cmd_stats(args) -> int:
                 }
             )
         except (ProofError, ParseError, ResourceLimitError) as e:
-            failures += 1
+            if exit_code == EXIT_OK:
+                exit_code = exit_code_of(e)
             rows.append({"proof": name, "S3": None, "S4": None, "ratio": None, "T2": None, "error": str(e)})
     summary = {}
     for key in ("S3", "S4", "ratio", "T2"):
@@ -448,7 +449,7 @@ def cmd_stats(args) -> int:
             if key in summary:
                 s = summary[key]
                 print(f"{key} median {s['median']}  min {s['min']}  max {s['max']}")
-    return EXIT_OK if failures == 0 else EXIT_RESOURCE
+    return exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RESOURCE_ERRORS = (ClauseLimitError, ResourceLimitError)
+_INPUT_ERRORS = (ParseError, ProofError, StructureError, InputError, OSError)
+
+
+def exit_code_of(e: Exception) -> int:
+    """The exit code of an error that ends a command: a resource limit or
+    bad input."""
+    return EXIT_RESOURCE if isinstance(e, _RESOURCE_ERRORS) else EXIT_PARSE
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # tree walkers recurse along branches; long imported chain proofs can
     # exceed the interpreter default
@@ -554,17 +565,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            # argparse has printed its message; it exits 2 on a usage error,
+            # the code of a failed requirement here, and 0 after --help
+            return EXIT_PARSE if e.code == 2 else e.code
         return args.func(args)
     except RecursionError:
         print("error: input nested too deeply (recursion limit exceeded)", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ClauseLimitError, ResourceLimitError) as e:
+    except _RESOURCE_ERRORS + _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ParseError, ProofError, StructureError, InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        return exit_code_of(e)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .syntax import Literal
 from .tableaux import Node, Tableau, compute_targets
-from .tptp import ParseError, _Parser, _parse_literal, format_literal
+from .tptp import ParseError, _Parser, format_literal
 
 _HEADER = "tableau"
 
@@ -49,6 +48,7 @@ def parse_tableau(text: str) -> Tableau:
     root = Node()
     stack: list[Node] = [root]  # stack[d] = most recent node at depth d
     targets: list[tuple[Node, int, int]] = []
+    p = _Parser()
     for line_no, raw in body[1:]:
         m = _LINE_RE.match(raw)
         if m is None or not m.group("lit").strip():
@@ -59,7 +59,12 @@ def parse_tableau(text: str) -> Tableau:
         depth = indent // 2
         if depth < 1 or depth > len(stack):
             raise ParseError(f"bad nesting depth {depth}", line_no, 1)
-        lit = _parse_single_literal(m.group("lit"), line_no)
+        try:
+            p.load(m.group("lit"))
+            lit = p.literal()
+            p.at_end("trailing input after literal")
+        except ParseError as e:
+            raise ParseError(e.message, line_no, e.col) from None
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         del stack[depth:]
@@ -78,17 +83,6 @@ def parse_tableau(text: str) -> Tableau:
             )
         node.target = anc
     return Tableau(root)
-
-
-def _parse_single_literal(text: str, line_no: int) -> Literal:
-    try:
-        p = _Parser(text)
-        lit = _parse_literal(p)
-        if p.peek().kind != "eof":
-            p.error("trailing input after literal")
-        return lit
-    except ParseError as e:
-        raise ParseError(e.message, line_no, e.col) from None
 
 
 def tableau_equal(a: Tableau, b: Tableau) -> bool:

@@ -31,11 +31,10 @@ from .syntax import (
     literal_key,
     occurs,
     ordered_vars,
-    resolve,
-    term_functions,
+    subterms,
 )
-from .tableaux import Node, ResourceLimitError, Tableau, compute_targets, is_closed
-from .tptp import ParseError, _Parser, _parse_literal, format_clause, format_term
+from .tableaux import Node, ResourceLimitError, Tableau, is_closed
+from .tptp import ParseError, _Parser, format_clause, format_term
 
 
 class ProofError(Exception):
@@ -88,15 +87,16 @@ class DeductionStep:
     step_id: str = ""
 
     def steps(self):
-        yield self
-        if self.left is not None:
-            yield from self.left.steps()
-        if self.right is not None:
-            yield from self.right.steps()
-
-
-def normalize_clause(c: Clause) -> tuple[Literal, ...]:
-    return tuple(sorted(set(c.literals), key=literal_key))
+        """The steps of the tree in pre-order: a step, then its left and its
+        right subtree."""
+        stack = [self]
+        while stack:
+            step = stack.pop()
+            yield step
+            if step.right is not None:
+                stack.append(step.right)
+            if step.left is not None:
+                stack.append(step.left)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +109,18 @@ _PARAMOD_NAMES = {"paramod", "paramodulation", "para", "pm"}
 def parse_proof(text: str) -> ProofDocument:
     records: list[ProofRecord] = []
     ids: set[str] = set()
+    p = _Parser()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
             continue
-        records.append(_parse_record(stripped, line_no, ids))
-        ids.add(records[-1].step_id)
+        try:
+            p.load(stripped)
+            record = _parse_record(p, line_no, ids)
+        except ParseError as e:
+            raise ProofError(e.message, line_no) from None
+        records.append(record)
+        ids.add(record.step_id)
     if not records:
         raise ProofError("empty proof document")
     doc = ProofDocument(records)
@@ -122,77 +128,62 @@ def parse_proof(text: str) -> ProofDocument:
     return doc
 
 
-def _parse_record(text: str, line_no: int, known_ids: set[str]) -> ProofRecord:
-    try:
-        p = _Parser(text)
-        tid = p.next()
-        if tid.kind not in ("lower", "upper"):
-            raise ParseError("expected a step id", tid.line, tid.col)
-        step_id = tid.text
-        if step_id in known_ids:
-            raise ParseError(f"duplicate step id {step_id!r}", tid.line, tid.col)
-        rule_tok = p.next()
-        rule = rule_tok.text
-        if rule == "input":
-            clause = _parse_clause_tokens(p)
-            return ProofRecord(step_id, "input", (), None, {}, clause, line_no)
-        if rule == "resolve":
-            p.expect("(")
-            ref1 = p.next().text
-            p.expect(",")
-            ref2 = p.next().text
-            p.expect(",")
-            atom = _parse_literal(p)
-            if not atom.positive:
-                raise ParseError("resolved atom must be positive", rule_tok.line, rule_tok.col)
-            p.expect(")")
-            bindings: dict[str, Term] = {}
-            if p.peek().text == "{":
-                p.next()
-                while True:
-                    vt = p.next()
-                    if vt.kind != "upper":
-                        raise ParseError("expected a variable in bindings", vt.line, vt.col)
-                    p.expect("->")
-                    t = p.term()
-                    if vt.text in bindings:
-                        raise ParseError(f"variable bound twice: {vt.text}", vt.line, vt.col)
-                    bindings[vt.text] = t
-                    if p.peek().text == ",":
-                        p.next()
-                        continue
+def _parse_record(p: _Parser, line_no: int, known_ids: set[str]) -> ProofRecord:
+    """The record whose text `p` has just loaded."""
+    kind, step_id, id_offset = p.take()
+    if kind not in ("lower", "upper"):
+        raise p.error("expected a step id", id_offset)
+    if step_id in known_ids:
+        raise p.error(f"duplicate step id {step_id!r}", id_offset)
+    _, rule, rule_offset = p.take()
+    if rule == "input":
+        return ProofRecord(step_id, "input", (), None, {}, _parse_clause_tokens(p), line_no)
+    if rule == "resolve":
+        p.expect("(")
+        ref1 = p.take()[1]
+        p.expect(",")
+        ref2 = p.take()[1]
+        p.expect(",")
+        atom = p.literal()
+        if not atom.positive:
+            raise p.error("resolved atom must be positive", rule_offset)
+        p.expect(")")
+        bindings: dict[str, Term] = {}
+        if p.toks[p.i][1] == "{":
+            p.i += 1
+            while True:
+                kind, var, var_offset = p.take()
+                if kind != "upper":
+                    raise p.error("expected a variable in bindings", var_offset)
+                p.expect("->")
+                t = p.term()
+                if var in bindings:
+                    raise p.error(f"variable bound twice: {var}", var_offset)
+                bindings[var] = t
+                if p.toks[p.i][1] != ",":
                     break
-                p.expect("}")
-            for ref in (ref1, ref2):
-                if ref not in known_ids:
-                    raise ParseError(f"dangling step reference {ref!r}", tid.line, tid.col)
-            clause = _parse_clause_tokens(p)
-            return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
-        if rule in _PARAMOD_NAMES:
-            raise ParseError(
-                "paramodulation steps are not supported; add equality axioms "
-                "(substitutivity) and re-prove with binary resolution",
-                rule_tok.line,
-                rule_tok.col,
-            )
-        raise ParseError(f"unknown rule {rule!r} (only input and resolve)", rule_tok.line, rule_tok.col)
-    except ParseError as e:
-        raise ProofError(e.message, line_no) from None
+                p.i += 1
+            p.expect("}")
+        for ref in (ref1, ref2):
+            if ref not in known_ids:
+                raise p.error(f"dangling step reference {ref!r}", id_offset)
+        clause = _parse_clause_tokens(p)
+        return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
+    if rule in _PARAMOD_NAMES:
+        raise p.error(
+            "paramodulation steps are not supported; add equality axioms "
+            "(substitutivity) and re-prove with binary resolution",
+            rule_offset,
+        )
+    raise p.error(f"unknown rule {rule!r} (only input and resolve)", rule_offset)
 
 
 def _parse_clause_tokens(p: _Parser) -> Clause:
-    if p.peek().text in ("$false", "false"):
-        p.next()
-        if p.peek().kind != "eof":
-            p.error("trailing input after clause")
+    if p.toks[p.i][1] in ("$false", "false"):
+        p.i += 1
+        p.at_end("trailing input after clause")
         return Clause(())
-    lits = [_parse_literal(p)]
-    while p.peek().text == "|":
-        p.next()
-        lits.append(_parse_literal(p))
-    if p.peek().kind != "eof":
-        p.error("trailing input after clause")
-    return mk_clause(lits)
+    return p.clause()
 
 
 def format_proof(doc: ProofDocument) -> str:
@@ -215,17 +206,20 @@ def format_proof(doc: ProofDocument) -> str:
 # Replay validation
 
 
-def _resolvent(left: Clause, right: Clause, atom: Literal, store: Subst) -> tuple:
-    atom_s = apply_literal(atom, store)
-    comp_s = atom_s.complement()
-    left_s = [apply_literal(l, store) for l in left.literals]
-    right_s = [apply_literal(l, store) for l in right.literals]
-    if atom_s not in left_s:
-        raise ValueError(f"resolved atom {atom_s} not in first parent")
-    if comp_s not in right_s:
-        raise ValueError(f"complement {comp_s} not in second parent")
-    merged = [l for l in left_s if l != atom_s] + [l for l in right_s if l != comp_s]
-    return normalize_clause(mk_clause(merged))
+def _resolvent(left: set[Literal], right: set[Literal], atom: Literal) -> set[Literal]:
+    """The binary resolvent on `atom` of two clauses given as literal sets,
+    which it consumes: `atom` must occur in `left` and its complement in
+    `right`.  Each is compared once, by removing it."""
+    comp = atom.complement()
+    size = len(left)
+    left.discard(atom)
+    if len(left) == size:
+        raise ValueError(f"resolved atom {atom} not in first parent")
+    size = len(right)
+    right.discard(comp)
+    if len(right) == size:
+        raise ValueError(f"complement {comp} not in second parent")
+    return left | right
 
 
 def _add_bindings(store: Subst, bindings: Subst, line: Optional[int] = None) -> None:
@@ -251,16 +245,18 @@ def _replay_validate(doc: ProofDocument) -> None:
         _add_bindings(store, r.bindings, r.line)
         if r.rule != "resolve":
             continue
-        left = table[r.refs[0]].clause
-        right = table[r.refs[1]].clause
+        left = {apply_literal(l, store) for l in table[r.refs[0]].clause.literals}
+        right = {apply_literal(l, store) for l in table[r.refs[1]].clause.literals}
         try:
-            got = _resolvent(left, right, r.atom, store)
+            got = _resolvent(left, right, apply_literal(r.atom, store))
         except ValueError as e:
             raise ProofError(str(e), r.line) from None
-        if got != normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):
+        if got != {apply_literal(l, store) for l in r.clause.literals}:
+            # printed in literal_key order, whatever the hash seed
+            recomputed = Clause(tuple(sorted(got, key=literal_key)))
             raise ProofError(
                 f"declared resolvent {format_clause(r.clause)} does not match "
-                f"recomputed {format_clause(Clause(got))}",
+                f"recomputed {format_clause(recomputed)}",
                 r.line,
             )
 
@@ -271,26 +267,26 @@ def _replay_validate(doc: ProofDocument) -> None:
 
 def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
     table = doc.by_id()
-    count = [0]
-
-    def build(step_id: str) -> DeductionStep:
-        count[0] += 1
-        if count[0] > max_nodes:
+    count = 0
+    tree: Optional[DeductionStep] = None
+    stack = [(doc.root.step_id, None, "")]  # (step id, parent, side), pre-order
+    while stack:
+        step_id, parent, side = stack.pop()
+        count += 1
+        if count > max_nodes:
             raise ResourceLimitError(f"proof tree expansion exceeded {max_nodes} nodes")
         r = table[step_id]
         if r.rule == "input":
-            return DeductionStep("input", r.clause, step_id=step_id)
-        return DeductionStep(
-            "resolve",
-            r.clause,
-            atom=r.atom,
-            left=build(r.refs[0]),
-            right=build(r.refs[1]),
-            bindings=r.bindings,
-            step_id=step_id,
-        )
-
-    return build(doc.root.step_id)
+            step = DeductionStep("input", r.clause, step_id=step_id)
+        else:
+            step = DeductionStep("resolve", r.clause, atom=r.atom, bindings=r.bindings, step_id=step_id)
+            stack.append((r.refs[1], step, "right"))
+            stack.append((r.refs[0], step, "left"))
+        if parent is None:
+            tree = step
+        else:
+            setattr(parent, side, step)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -300,46 +296,69 @@ def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
 def ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) -> DeductionStep:
     """Apply all recorded bindings and map residual variables to fresh
     constants; every resolve step is revalidated as a ground step."""
+    steps = list(tree.steps())
     store: Subst = {}
-    for step in tree.steps():
+    for step in steps:
         _add_bindings(store, step.bindings)
+    # each literal object is resolved once: the steps of a subproof that the
+    # tree repeats share the literals of their records
+    ground: dict[int, Literal] = {}
     symbols: set[str] = set()
+    args: list[Term] = []
     terms: list[Term] = []
-    for step in tree.steps():
-        lits = list(step.clause.literals) + ([step.atom] if step.atom else [])
-        for l in lits:
+    for step in steps:
+        for l in step.clause.literals + ((step.atom,) if step.atom else ()):
+            if id(l) in ground:
+                continue
             symbols.add(l.predicate)
-            for a in l.args:
-                symbols |= term_functions(a)
-                terms.append(resolve(a, store))
+            args.extend(l.args)
+            l_s = apply_literal(l, store)
+            terms.extend(l_s.args)
+            ground[id(l)] = l_s
     if namer is None:
+        symbols.update(t.functor for t in subterms(*args) if t.__class__ is App)
         namer = FreshNamer(symbols)
-    for v in ordered_vars(terms):
-        store[v] = App(namer.fresh("g"))
+    fresh = {v: App(namer.fresh("g")) for v in ordered_vars(terms)}
+    if fresh:
+        for key, l in ground.items():
+            ground[key] = apply_literal(l, fresh)
 
-    def rebuild(step: DeductionStep) -> DeductionStep:
-        cl = mk_clause(apply_literal(l, store) for l in step.clause.literals)
+    # rebuild in post-order (left subtree, right subtree, step), which fixes
+    # the step an error names; it is the reverse of a pre-order that visits
+    # the right subtree first
+    order = []
+    stack = [tree]
+    while stack:
+        step = stack.pop()
+        order.append(step)
+        if step.left is not None:
+            stack.append(step.left)
+        if step.right is not None:
+            stack.append(step.right)
+    done: dict[int, DeductionStep] = {}
+    for step in reversed(order):
+        cl = mk_clause(ground[id(l)] for l in step.clause.literals)
         if step.kind == "input":
-            return DeductionStep("input", cl, step_id=step.step_id)
-        out = DeductionStep(
-            "resolve",
-            cl,
-            atom=apply_literal(step.atom, store),
-            left=rebuild(step.left),
-            right=rebuild(step.right),
-            step_id=step.step_id,
-        )
-        try:
-            got = _resolvent(out.left.clause, out.right.clause, out.atom, {})
-        except ValueError as e:
-            raise ProofError(f"step {step.step_id}: {e} after grounding") from None
-        if got != normalize_clause(out.clause):
-            raise ProofError(
-                f"step {step.step_id} is not a valid ground resolution step after grounding"
+            out = DeductionStep("input", cl, step_id=step.step_id)
+        else:
+            out = DeductionStep(
+                "resolve",
+                cl,
+                atom=ground[id(step.atom)],
+                left=done[id(step.left)],
+                right=done[id(step.right)],
+                step_id=step.step_id,
             )
-        return out
-
-    return rebuild(tree)
+            try:
+                got = _resolvent(set(out.left.clause.literals), set(out.right.clause.literals), out.atom)
+            except ValueError as e:
+                raise ProofError(f"step {step.step_id}: {e} after grounding") from None
+            if got != set(cl.literals):
+                raise ProofError(
+                    f"step {step.step_id} is not a valid ground resolution step after grounding"
+                )
+        done[id(step)] = out
+    return done[id(tree)]
 
 
 def is_ground_deduction(tree: DeductionStep) -> bool:
@@ -362,24 +381,24 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
     if tree.kind == "input":
         raise ProofError("trivial refutation by an input empty clause cannot be represented")
 
-    def attach(node: Node, step: DeductionStep) -> None:
+    root = Node()
+    stack = [(root, tree)]  # (node, the step to attach below it), pre-order
+    while stack:
+        node, step = stack.pop()
         if step.kind == "input":
             if not step.clause.literals:
                 raise ProofError("input step with empty clause inside a refutation")
             for l in step.clause.literals:
                 node.add(Node(l))
-            return
+            continue
         neg = Node(step.atom.complement())
         pos = Node(step.atom)
         node.add(neg)
         node.add(pos)
-        attach(neg, step.left)
-        attach(pos, step.right)
-
-    root = Node()
-    attach(root, tree)
+        stack.append((pos, step.right))
+        stack.append((neg, step.left))
     tab = Tableau(root)
+    # is_closed also sets every target
     if not is_closed(tab):
         raise ProofError("translated tableau is not closed; invalid proof")
-    compute_targets(tab)
     return tab

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     And,
@@ -30,7 +31,7 @@ from .syntax import (
     TOP,
     Top,
     Var,
-    clause,
+    clause as mk_clause,
 )
 
 
@@ -42,183 +43,242 @@ class ParseError(Exception):
         super().__init__(f"{message} at line {line}, column {col}")
 
 
+# One match per token: the blanks and comments before it are skipped inside
+# the pattern.  The text ends with an empty `eof` match; an unexpected
+# character is a `bad` match that swallows the rest of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*|\#[^\n]*)
-  | (?P<op><=>|=>|!=|->|=|~|&|\||\(|\)|\[|\]|\{|\}|,|:|\.)
-  | (?P<defined>\$true|\$false)
-  | (?P<upper>[A-Z][A-Za-z0-9_]*)
-  | (?P<lower>[a-z0-9][A-Za-z0-9_]*)
-  | (?P<quant>[!?])
+    (?:\s+|[%\#][^\n]*)*
+    (?:
+        (?P<op><=>|=>|!=|->|=|~|&|\||\(|\)|\[|\]|\{|\}|,|:|\.)
+      | (?P<defined>\$true|\$false)
+      | (?P<upper>[A-Z][A-Za-z0-9_]*)
+      | (?P<lower>[a-z0-9][A-Za-z0-9_]*)
+      | (?P<quant>[!?])
+      | (?P<eof>\Z)
+      | (?P<bad>.)[\s\S]*
+    )
 """,
     re.VERBOSE,
 )
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = tuple[str, str, int]  # (kind, text, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    line = 1
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind not in ("ws", "comment"):
-            out.append(_Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    out.append(_Token("eof", "", line, col))
-    return out
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of `offset`; lines end at newlines."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with the `eof` token twice: a parser
+    that takes one token past the end still reads the end."""
+    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+    # after a nonempty match that reaches the end, finditer adds an empty
+    # `eof` match there: a `bad` token is always second to last
+    if len(toks) > 1 and toks[-2][0] == "bad":
+        _, tok, offset = toks[-2]
+        raise ParseError(f"unexpected character {tok!r}", *_position(text, offset))
+    if len(toks) == 1 or toks[-2][0] != "eof":
+        toks.append(toks[-1])
+    return toks
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the token tuples of one text at a time;
+    `load` moves it to the next text, so that a file of many records needs
+    one parser.  Every literal it parses is kept in `literals`, in text
+    order."""
+
+    __slots__ = ("text", "toks", "i", "literals")
+
+    def __init__(self, text: str = ""):
+        self.load(text)
+
+    def load(self, text: str) -> None:
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.literals: list[Literal] = []
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def error(self, msg: str, offset: Optional[int] = None) -> ParseError:
+        """A ParseError at `offset`, by default at the current token."""
+        if offset is None:
+            offset = self.toks[self.i][2]
+        return ParseError(msg, *_position(self.text, offset))
 
-    def next(self) -> _Token:
+    def take(self) -> Token:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return t
+    def expect(self, text: str) -> None:
+        _, found, offset = self.toks[self.i]
+        self.i += 1
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}", offset)
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def at_end(self, msg: str) -> None:
+        if self.toks[self.i][0] != "eof":
+            raise self.error(msg)
 
     # formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
         lhs = self.implication()
-        if self.peek().text == "<=>":
-            self.next()
-            rhs = self.implication()
-            return Iff(lhs, rhs)
+        if self.toks[self.i][1] == "<=>":
+            self.i += 1
+            return Iff(lhs, self.implication())
         return lhs
 
     def implication(self) -> Formula:
         lhs = self.disjunction()
-        if self.peek().text == "=>":
-            self.next()
-            rhs = self.implication()
-            return Implies(lhs, rhs)
+        if self.toks[self.i][1] == "=>":
+            self.i += 1
+            return Implies(lhs, self.implication())
         return lhs
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek().text == "|":
-            self.next()
+        while self.toks[self.i][1] == "|":
+            self.i += 1
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unit()]
-        while self.peek().text == "&":
-            self.next()
+        while self.toks[self.i][1] == "&":
+            self.i += 1
             parts.append(self.unit())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unit(self) -> Formula:
-        t = self.peek()
-        if t.text == "~":
-            self.next()
+        kind, text, _ = self.toks[self.i]
+        if text == "~":
+            self.i += 1
             body = self.unit()
             # negated atoms are literals, not Not nodes
-            if isinstance(body, Literal):
+            if body.__class__ is Literal:
                 return body.complement()
             return Not(body)
-        if t.kind == "quant":
-            self.next()
+        if kind == "quant":
+            self.i += 1
             self.expect("[")
             names = [self.variable_name()]
-            while self.peek().text == ",":
-                self.next()
+            while self.toks[self.i][1] == ",":
+                self.i += 1
                 names.append(self.variable_name())
             self.expect("]")
             self.expect(":")
             body = self.unit()
-            ctor = ForAll if t.text == "!" else Exists
+            ctor = ForAll if text == "!" else Exists
             for name in reversed(names):
                 body = ctor(name, body)
             return body
-        if t.text == "(":
-            self.next()
+        if text == "(":
+            self.i += 1
             f = self.formula()
             self.expect(")")
             return f
-        if t.kind == "defined":
-            self.next()
-            return TOP if t.text == "$true" else BOTTOM
+        if kind == "defined":
+            self.i += 1
+            return TOP if text == "$true" else BOTTOM
         return self.atom()
 
     def variable_name(self) -> str:
-        t = self.next()
-        if t.kind != "upper":
-            raise ParseError(f"expected a variable, found {t.text!r}", t.line, t.col)
-        return t.text
+        kind, text, offset = self.take()
+        if kind != "upper":
+            raise self.error(f"expected a variable, found {text!r}", offset)
+        return text
 
-    def atom(self) -> Formula:
-        first = self.term()
-        nxt = self.peek().text
-        if nxt == "=" or nxt == "!=":
-            self.next()
-            second = self.term()
-            return Literal(nxt == "=", "=", (first, second))
-        if isinstance(first, Var):
-            self.error("a variable is not a formula")
-        return Literal(True, first.functor, first.args)
+    def atom(self) -> Literal:
+        kind, text, _ = self.toks[self.i]
+        if kind == "lower" and self.toks[self.i + 1][1] not in ("(", "=", "!="):
+            # a propositional atom: no term to build first
+            self.i += 1
+            lit = Literal(True, text)
+        else:
+            first = self.term()
+            nxt = self.toks[self.i][1]
+            if nxt == "=" or nxt == "!=":
+                self.i += 1
+                lit = Literal(nxt == "=", "=", (first, self.term()))
+            elif first.__class__ is Var:
+                raise self.error("a variable is not a formula")
+            else:
+                lit = Literal(True, first.functor, first.args)
+        self.literals.append(lit)
+        return lit
 
     def term(self) -> Term:
-        t = self.next()
-        if t.kind == "upper":
-            return Var(t.text)
-        if t.kind != "lower":
-            raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
-        if self.peek().text == "(":
-            self.next()
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.term())
+        """One term, on an explicit stack of the applications still open."""
+        toks = self.toks
+        i = self.i
+        open_apps: list[tuple[str, list[Term]]] = []
+        while True:
+            kind, text, offset = toks[i]
+            i += 1
+            if kind == "upper":
+                t = Var(text)
+            elif kind != "lower":
+                raise self.error(f"expected a term, found {text!r}", offset)
+            elif toks[i][1] == "(":
+                i += 1
+                open_apps.append((text, []))
+                continue
+            else:
+                t = App(text)
+            # t is complete: add it to the innermost open application and
+            # close every application that ends after it
+            while open_apps:
+                open_apps[-1][1].append(t)
+                _, found, offset = toks[i]
+                i += 1
+                if found == ",":
+                    break
+                if found != ")":
+                    raise self.error(f"expected ')', found {found!r}", offset)
+                functor, args = open_apps.pop()
+                t = App(functor, tuple(args))
+            else:
+                self.i = i
+                return t
+
+    # clause syntax ---------------------------------------------------------
+
+    def literal(self) -> Literal:
+        """A literal: an atom under any number of `~` and parentheses."""
+        negated = False
+        while self.toks[self.i][1] == "~":
+            self.i += 1
+            negated = not negated
+        if self.toks[self.i][1] == "(":
+            self.i += 1
+            inner = self.literal()
             self.expect(")")
-            return App(t.text, tuple(args))
-        return App(t.text)
+        else:
+            inner = self.atom()
+        return inner.complement() if negated else inner
+
+    def clause(self) -> Clause:
+        """`l1 | ... | ln` up to the end of the text."""
+        lits = [self.literal()]
+        while self.toks[self.i][1] == "|":
+            self.i += 1
+            lits.append(self.literal())
+        self.at_end("trailing input after clause")
+        return mk_clause(lits)
 
     # fof records ----------------------------------------------------------
 
     def fof_records(self) -> list["FofRecord"]:
         out = []
-        while self.peek().kind != "eof":
+        while self.toks[self.i][0] != "eof":
             self.expect("fof")
             self.expect("(")
-            name = self.next().text
+            name = self.take()[1]
             self.expect(",")
-            role = self.next().text
+            role = self.take()[1]
             self.expect(",")
             f = self.formula()
             self.expect(")")
@@ -237,17 +297,18 @@ class FofRecord:
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
-    if p.peek().kind != "eof":
-        p.error("trailing input after formula")
+    p.at_end("trailing input after formula")
     return f
 
 
 def parse_fof_file(text: str) -> list[FofRecord]:
-    records = _Parser(text).fof_records()
-    # global arity consistency is a hard input error
+    p = _Parser(text)
+    records = p.fof_records()
+    # global arity consistency is a hard input error; the parser's literals
+    # come in the order `occurrences` would walk the records in
     sig = Signature.empty()
-    for r in records:
-        sig.extend_with_formula(r.formula)
+    for l in p.literals:
+        sig.extend_with_literal(l)
     return records
 
 
@@ -262,48 +323,20 @@ def split_problem(records: list[FofRecord]) -> tuple[list[Formula], list[Formula
 # Clause syntax: one clause per nonblank, non-comment line
 
 
-def parse_clause(text: str, line: int = 1) -> Clause:
-    stripped = text.strip()
-    if stripped in ("$false", "false"):
-        return Clause(())
-    p = _Parser(text)
-    lits: list[Literal] = []
-    while True:
-        lits.append(_parse_literal(p))
-        if p.peek().text == "|":
-            p.next()
-            continue
-        break
-    if p.peek().kind != "eof":
-        p.error("trailing input after clause")
-    return clause(lits)
-
-
-def _parse_literal(p: _Parser) -> Literal:
-    negated = False
-    while p.peek().text == "~":
-        p.next()
-        negated = not negated
-    if p.peek().text == "(":
-        p.next()
-        inner = _parse_literal(p)
-        p.expect(")")
-        return inner.complement() if negated else inner
-    f = p.atom()
-    if not isinstance(f, Literal):
-        p.error("expected a literal")
-    return f.complement() if negated else f
-
-
 def parse_clause_file(text: str) -> list[Clause]:
     out = []
     sig = Signature.empty()
+    p = _Parser()
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
             continue
+        if stripped in ("$false", "false"):
+            out.append(Clause(()))
+            continue
         try:
-            c = parse_clause(stripped, i)
+            p.load(stripped)
+            c = p.clause()
         except ParseError as e:
             raise ParseError(e.message, i, e.col) from None
         for l in c.literals:

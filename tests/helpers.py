@@ -4,7 +4,8 @@ independent semantic oracle, a truth-table satisfiability oracle, the
 whole-tree hyper conversion as an oracle for the incremental one, the
 prover without its candidate index as an oracle for `prove`, and the
 recursive formula walkers as oracles for the walks on `occurrences` and
-`map_formula`."""
+`map_formula`, and the front end with a token object per token as an
+oracle for the parsers and proof import."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import functools
 import importlib.util
 import itertools
 import random
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +36,7 @@ from foltab.syntax import (
     Exists,
     ForAll,
     Formula,
+    FreshNamer,
     Iff,
     Implies,
     InputError,
@@ -48,11 +51,17 @@ from foltab.syntax import (
     Var,
     apply_literal,
     apply_term,
+    clause as mk_clause,
+    literal_key,
     mk_and,
     mk_or,
+    ordered_vars,
+    resolve,
+    term_functions,
     undo,
     unify_args,
 )
+from foltab.proofs import DeductionStep, ProofDocument, ProofError, ProofRecord, _add_bindings
 from foltab.tableaux import (
     Node,
     ProveResult,
@@ -65,6 +74,7 @@ from foltab.tableaux import (
     simplify,
     simplify_in_place,
 )
+from foltab.tptp import FofRecord, ParseError, format_clause
 
 # ---------------------------------------------------------------------------
 # Finite models
@@ -904,3 +914,497 @@ def proof_family(family: str, k: int) -> str:
     """Resolution proof text of the `chain`, `wide` or `fol_chain` family
     of size k, from the sample generator script."""
     return getattr(_gen_samples(), family)(k)
+
+
+# ---------------------------------------------------------------------------
+# Reference front end: the tokenizer and recursive-descent parser that made
+# one `_ReferenceToken` dataclass per token and one parser per line, the
+# proof parser with replay by sorted clauses, the grounding that resolved
+# every literal twice, and the tableau-document parser.  An oracle for
+# tptp.py, proofs.py and documents.py: results must be equal and errors
+# must agree in type, message, line and column.  One known difference: a
+# proof record cut off after a step reference or a fof record cut off after
+# its name or role makes this parser read past the end of its tokens and
+# raise IndexError, where the current one reports a ParseError.
+
+
+@dataclass
+class _ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>%[^\n]*|\#[^\n]*)
+  | (?P<op><=>|=>|!=|->|=|~|&|\||\(|\)|\[|\]|\{|\}|,|:|\.)
+  | (?P<defined>\$true|\$false)
+  | (?P<upper>[A-Z][A-Za-z0-9_]*)
+  | (?P<lower>[a-z0-9][A-Za-z0-9_]*)
+  | (?P<quant>[!?])
+""",
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[_ReferenceToken]:
+    out: list[_ReferenceToken] = []
+    line = 1
+    col = 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        tok = m.group()
+        if kind not in ("ws", "comment"):
+            out.append(_ReferenceToken(kind, tok, line, col))
+        newlines = tok.count("\n")
+        if newlines:
+            line += newlines
+            col = len(tok) - tok.rfind("\n")
+        else:
+            col += len(tok)
+        pos = m.end()
+    out.append(_ReferenceToken("eof", "", line, col))
+    return out
+
+
+class ReferenceParser:
+    def __init__(self, text: str):
+        self.toks = reference_tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _ReferenceToken:
+        return self.toks[self.i]
+
+    def next(self) -> _ReferenceToken:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> _ReferenceToken:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        return t
+
+    def error(self, msg: str):
+        t = self.peek()
+        raise ParseError(msg, t.line, t.col)
+
+    def formula(self) -> Formula:
+        lhs = self.implication()
+        if self.peek().text == "<=>":
+            self.next()
+            rhs = self.implication()
+            return Iff(lhs, rhs)
+        return lhs
+
+    def implication(self) -> Formula:
+        lhs = self.disjunction()
+        if self.peek().text == "=>":
+            self.next()
+            rhs = self.implication()
+            return Implies(lhs, rhs)
+        return lhs
+
+    def disjunction(self) -> Formula:
+        parts = [self.conjunction()]
+        while self.peek().text == "|":
+            self.next()
+            parts.append(self.conjunction())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+    def conjunction(self) -> Formula:
+        parts = [self.unit()]
+        while self.peek().text == "&":
+            self.next()
+            parts.append(self.unit())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+    def unit(self) -> Formula:
+        t = self.peek()
+        if t.text == "~":
+            self.next()
+            body = self.unit()
+            if isinstance(body, Literal):
+                return body.complement()
+            return Not(body)
+        if t.kind == "quant":
+            self.next()
+            self.expect("[")
+            names = [self.variable_name()]
+            while self.peek().text == ",":
+                self.next()
+                names.append(self.variable_name())
+            self.expect("]")
+            self.expect(":")
+            body = self.unit()
+            ctor = ForAll if t.text == "!" else Exists
+            for name in reversed(names):
+                body = ctor(name, body)
+            return body
+        if t.text == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if t.kind == "defined":
+            self.next()
+            return TOP if t.text == "$true" else BOTTOM
+        return self.atom()
+
+    def variable_name(self) -> str:
+        t = self.next()
+        if t.kind != "upper":
+            raise ParseError(f"expected a variable, found {t.text!r}", t.line, t.col)
+        return t.text
+
+    def atom(self) -> Formula:
+        first = self.term()
+        nxt = self.peek().text
+        if nxt == "=" or nxt == "!=":
+            self.next()
+            second = self.term()
+            return Literal(nxt == "=", "=", (first, second))
+        if isinstance(first, Var):
+            self.error("a variable is not a formula")
+        return Literal(True, first.functor, first.args)
+
+    def term(self) -> Term:
+        t = self.next()
+        if t.kind == "upper":
+            return Var(t.text)
+        if t.kind != "lower":
+            raise ParseError(f"expected a term, found {t.text!r}", t.line, t.col)
+        if self.peek().text == "(":
+            self.next()
+            args = [self.term()]
+            while self.peek().text == ",":
+                self.next()
+                args.append(self.term())
+            self.expect(")")
+            return App(t.text, tuple(args))
+        return App(t.text)
+
+    def fof_records(self) -> list[FofRecord]:
+        out = []
+        while self.peek().kind != "eof":
+            self.expect("fof")
+            self.expect("(")
+            name = self.next().text
+            self.expect(",")
+            role = self.next().text
+            self.expect(",")
+            f = self.formula()
+            self.expect(")")
+            self.expect(".")
+            out.append(FofRecord(name, role, f))
+        return out
+
+
+def reference_parse_formula(text: str) -> Formula:
+    p = ReferenceParser(text)
+    f = p.formula()
+    if p.peek().kind != "eof":
+        p.error("trailing input after formula")
+    return f
+
+
+def reference_parse_fof_file(text: str) -> list[FofRecord]:
+    records = ReferenceParser(text).fof_records()
+    sig = Signature.empty()
+    for r in records:
+        sig.extend_with_formula(r.formula)
+    return records
+
+
+def reference_parse_clause(text: str, line: int = 1) -> Clause:
+    stripped = text.strip()
+    if stripped in ("$false", "false"):
+        return Clause(())
+    p = ReferenceParser(text)
+    lits: list[Literal] = []
+    while True:
+        lits.append(reference_parse_literal(p))
+        if p.peek().text == "|":
+            p.next()
+            continue
+        break
+    if p.peek().kind != "eof":
+        p.error("trailing input after clause")
+    return mk_clause(lits)
+
+
+def reference_parse_literal(p: ReferenceParser) -> Literal:
+    negated = False
+    while p.peek().text == "~":
+        p.next()
+        negated = not negated
+    if p.peek().text == "(":
+        p.next()
+        inner = reference_parse_literal(p)
+        p.expect(")")
+        return inner.complement() if negated else inner
+    f = p.atom()
+    if not isinstance(f, Literal):
+        p.error("expected a literal")
+    return f.complement() if negated else f
+
+
+def reference_parse_clause_file(text: str) -> list[Clause]:
+    out = []
+    sig = Signature.empty()
+    for i, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#") or stripped.startswith("%"):
+            continue
+        try:
+            c = reference_parse_clause(stripped, i)
+        except ParseError as e:
+            raise ParseError(e.message, i, e.col) from None
+        for l in c.literals:
+            sig.extend_with_literal(l)
+        out.append(c)
+    return out
+
+
+def reference_normalize_clause(c: Clause) -> tuple[Literal, ...]:
+    return tuple(sorted(set(c.literals), key=literal_key))
+
+
+def reference_parse_proof(text: str) -> ProofDocument:
+    records: list[ProofRecord] = []
+    ids: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#") or stripped.startswith("%"):
+            continue
+        records.append(_reference_parse_record(stripped, line_no, ids))
+        ids.add(records[-1].step_id)
+    if not records:
+        raise ProofError("empty proof document")
+    doc = ProofDocument(records)
+    _reference_replay_validate(doc)
+    return doc
+
+
+def _reference_parse_record(text: str, line_no: int, known_ids: set[str]) -> ProofRecord:
+    try:
+        p = ReferenceParser(text)
+        tid = p.next()
+        if tid.kind not in ("lower", "upper"):
+            raise ParseError("expected a step id", tid.line, tid.col)
+        step_id = tid.text
+        if step_id in known_ids:
+            raise ParseError(f"duplicate step id {step_id!r}", tid.line, tid.col)
+        rule_tok = p.next()
+        rule = rule_tok.text
+        if rule == "input":
+            clause = _reference_parse_clause_tokens(p)
+            return ProofRecord(step_id, "input", (), None, {}, clause, line_no)
+        if rule == "resolve":
+            p.expect("(")
+            ref1 = p.next().text
+            p.expect(",")
+            ref2 = p.next().text
+            p.expect(",")
+            atom = reference_parse_literal(p)
+            if not atom.positive:
+                raise ParseError("resolved atom must be positive", rule_tok.line, rule_tok.col)
+            p.expect(")")
+            bindings: dict[str, Term] = {}
+            if p.peek().text == "{":
+                p.next()
+                while True:
+                    vt = p.next()
+                    if vt.kind != "upper":
+                        raise ParseError("expected a variable in bindings", vt.line, vt.col)
+                    p.expect("->")
+                    t = p.term()
+                    if vt.text in bindings:
+                        raise ParseError(f"variable bound twice: {vt.text}", vt.line, vt.col)
+                    bindings[vt.text] = t
+                    if p.peek().text == ",":
+                        p.next()
+                        continue
+                    break
+                p.expect("}")
+            for ref in (ref1, ref2):
+                if ref not in known_ids:
+                    raise ParseError(f"dangling step reference {ref!r}", tid.line, tid.col)
+            clause = _reference_parse_clause_tokens(p)
+            return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
+        if rule in {"paramod", "paramodulation", "para", "pm"}:
+            raise ParseError(
+                "paramodulation steps are not supported; add equality axioms "
+                "(substitutivity) and re-prove with binary resolution",
+                rule_tok.line,
+                rule_tok.col,
+            )
+        raise ParseError(f"unknown rule {rule!r} (only input and resolve)", rule_tok.line, rule_tok.col)
+    except ParseError as e:
+        raise ProofError(e.message, line_no) from None
+
+
+def _reference_parse_clause_tokens(p: ReferenceParser) -> Clause:
+    if p.peek().text in ("$false", "false"):
+        p.next()
+        if p.peek().kind != "eof":
+            p.error("trailing input after clause")
+        return Clause(())
+    lits = [reference_parse_literal(p)]
+    while p.peek().text == "|":
+        p.next()
+        lits.append(reference_parse_literal(p))
+    if p.peek().kind != "eof":
+        p.error("trailing input after clause")
+    return mk_clause(lits)
+
+
+def _reference_resolvent(left: Clause, right: Clause, atom: Literal, store: Subst) -> tuple:
+    atom_s = apply_literal(atom, store)
+    comp_s = atom_s.complement()
+    left_s = [apply_literal(l, store) for l in left.literals]
+    right_s = [apply_literal(l, store) for l in right.literals]
+    if atom_s not in left_s:
+        raise ValueError(f"resolved atom {atom_s} not in first parent")
+    if comp_s not in right_s:
+        raise ValueError(f"complement {comp_s} not in second parent")
+    merged = [l for l in left_s if l != atom_s] + [l for l in right_s if l != comp_s]
+    return reference_normalize_clause(mk_clause(merged))
+
+
+def _reference_replay_validate(doc: ProofDocument) -> None:
+    table = doc.by_id()
+    store: Subst = {}
+    for r in doc.records:
+        _add_bindings(store, r.bindings, r.line)
+        if r.rule != "resolve":
+            continue
+        left = table[r.refs[0]].clause
+        right = table[r.refs[1]].clause
+        try:
+            got = _reference_resolvent(left, right, r.atom, store)
+        except ValueError as e:
+            raise ProofError(str(e), r.line) from None
+        if got != reference_normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):
+            raise ProofError(
+                f"declared resolvent {format_clause(r.clause)} does not match "
+                f"recomputed {format_clause(Clause(got))}",
+                r.line,
+            )
+
+
+def _reference_steps(step: DeductionStep):
+    yield step
+    if step.left is not None:
+        yield from _reference_steps(step.left)
+    if step.right is not None:
+        yield from _reference_steps(step.right)
+
+
+def reference_ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) -> DeductionStep:
+    store: Subst = {}
+    for step in _reference_steps(tree):
+        _add_bindings(store, step.bindings)
+    symbols: set[str] = set()
+    terms: list[Term] = []
+    for step in _reference_steps(tree):
+        lits = list(step.clause.literals) + ([step.atom] if step.atom else [])
+        for l in lits:
+            symbols.add(l.predicate)
+            for a in l.args:
+                symbols |= term_functions(a)
+                terms.append(resolve(a, store))
+    if namer is None:
+        namer = FreshNamer(symbols)
+    for v in ordered_vars(terms):
+        store[v] = App(namer.fresh("g"))
+
+    def rebuild(step: DeductionStep) -> DeductionStep:
+        cl = mk_clause(apply_literal(l, store) for l in step.clause.literals)
+        if step.kind == "input":
+            return DeductionStep("input", cl, step_id=step.step_id)
+        out = DeductionStep(
+            "resolve",
+            cl,
+            atom=apply_literal(step.atom, store),
+            left=rebuild(step.left),
+            right=rebuild(step.right),
+            step_id=step.step_id,
+        )
+        try:
+            got = _reference_resolvent(out.left.clause, out.right.clause, out.atom, {})
+        except ValueError as e:
+            raise ProofError(f"step {step.step_id}: {e} after grounding") from None
+        if got != reference_normalize_clause(out.clause):
+            raise ProofError(
+                f"step {step.step_id} is not a valid ground resolution step after grounding"
+            )
+        return out
+
+    return rebuild(tree)
+
+
+_REFERENCE_LINE_RE = re.compile(
+    r"^(?P<indent> *)(?P<lit>.*?)(?:\s+\[(?P<side>[FG])\])?(?:\s+->\s+(?P<target>\d+))?\s*$"
+)
+
+
+def reference_parse_tableau(text: str) -> Tableau:
+    lines = text.splitlines()
+    body: list[tuple[int, str]] = []
+    for i, raw in enumerate(lines, start=1):
+        if not raw.strip() or raw.lstrip().startswith("#") or raw.lstrip().startswith("%"):
+            continue
+        body.append((i, raw))
+    if not body or body[0][1].strip() != "tableau":
+        line = body[0][0] if body else 1
+        raise ParseError("expected 'tableau' header", line, 1)
+    root = Node()
+    stack: list[Node] = [root]
+    targets: list[tuple[Node, int, int]] = []
+    for line_no, raw in body[1:]:
+        m = _REFERENCE_LINE_RE.match(raw)
+        if m is None or not m.group("lit").strip():
+            raise ParseError("malformed tableau line", line_no, 1)
+        indent = len(m.group("indent"))
+        if indent % 2 != 0:
+            raise ParseError("indentation must be a multiple of two spaces", line_no, 1)
+        depth = indent // 2
+        if depth < 1 or depth > len(stack):
+            raise ParseError(f"bad nesting depth {depth}", line_no, 1)
+        lit = _reference_parse_single_literal(m.group("lit"), line_no)
+        node = Node(lit, m.group("side"))
+        stack[depth - 1].add(node)
+        del stack[depth:]
+        stack.append(node)
+        if m.group("target") is not None:
+            targets.append((node, int(m.group("target")), line_no))
+    for node, tdepth, line_no in targets:
+        anc: Optional[Node] = node
+        while anc is not None and anc.depth != tdepth:
+            anc = anc.parent
+        if anc is None or anc.literal is None:
+            raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)
+        if anc.literal != node.literal.complement():
+            raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
+        node.target = anc
+    return Tableau(root)
+
+
+def _reference_parse_single_literal(text: str, line_no: int) -> Literal:
+    try:
+        p = ReferenceParser(text)
+        lit = reference_parse_literal(p)
+        if p.peek().kind != "eof":
+            p.error("trailing input after literal")
+        return lit
+    except ParseError as e:
+        raise ParseError(e.message, line_no, e.col) from None

@@ -380,3 +380,56 @@ def test_non_numeric_limit_variable_is_a_usage_error(tmp_path, monkeypatch, caps
     monkeypatch.setenv(name, "ten")
     good = write(tmp_path, "good.p", "fof(a, axiom, p).\nfof(c, conjecture, p).\n")
     assert error_exit(capsys, ["prove", "--input", good]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prove"], "the following arguments are required: --input"),
+        (["stats", "/some/dir"], "unrecognized arguments: /some/dir"),
+        (["hyper", "--proof", "p", "--max-nodes", "many"], "invalid int value: 'many'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_errors_exit_3(capsys, argv, message):
+    # exit code 2 is for failed requirements, so argparse's does not apply
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert message in captured.err
+    assert captured.err.startswith("usage: foltab")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["stats", "--help"]) == 0
+    assert "--max-nodes" in capsys.readouterr().out
+
+
+def _stats_dir(tmp_path, files: dict[str, str]) -> str:
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "files, extra, code",
+    [
+        ({"a.proof": "s1 inut p\n"}, [], 3),
+        ({"a.proof": TWO_STEP_PROOF}, ["--max-nodes", "1"], 4),
+        # the first failing row in file order decides
+        ({"a.proof": "s1 inut p\n", "b.proof": TWO_STEP_PROOF}, ["--max-nodes", "1"], 3),
+        ({"a.proof": TWO_STEP_PROOF, "b.proof": "s1 inut p\n"}, ["--max-nodes", "1"], 4),
+        ({"a.proof": TWO_STEP_PROOF, "b.proof": "s1 input p\ns2 input ~p\ns3 resolve(s1, s2, q) false\n"}, [], 3),
+    ],
+)
+def test_stats_exit_code_is_that_of_the_first_failing_row(tmp_path, capsys, files, extra, code):
+    assert main(["stats", "--dir", _stats_dir(tmp_path, files), *extra]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out.count("--  ") >= 1
+
+
+def test_truncated_proof_record_is_a_parse_error(tmp_path, capsys):
+    doc = write(tmp_path, "cut.proof", "s1 input p\ns2 resolve(s1,\n")
+    assert error_exit(capsys, ["import", "--proof", doc]) == 3

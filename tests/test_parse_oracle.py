@@ -1,0 +1,214 @@
+"""The front end against the reference tokenizer and parsers in helpers.
+
+For formulas, fof files, clause files, proof documents and tableau
+documents, intact and damaged, both must return equal results or raise
+errors of the same type, message, line and column.  Proof import past
+parsing (grounding and the cut normal form) is compared the same way.
+"""
+
+import random
+import re
+
+import pytest
+
+from foltab.cli import bundled_samples_dir
+from foltab.documents import format_tableau, parse_tableau
+from foltab.proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
+from foltab.syntax import Clause, InputError
+from foltab.tptp import (
+    ParseError,
+    format_clause,
+    format_formula,
+    parse_clause_file,
+    parse_fof_file,
+    parse_formula,
+)
+
+from helpers import (
+    proof_family,
+    random_formula,
+    random_literal,
+    reference_ground_deduction,
+    reference_parse_clause_file,
+    reference_parse_fof_file,
+    reference_parse_formula,
+    reference_parse_proof,
+    reference_parse_tableau,
+)
+
+# characters the damaged variants are made of: every token's first
+# character, blanks of several kinds, comment starts, and some that no
+# token starts with
+_NOISE = "()[]{},:.~&|=!?<>-$%#XYafpq01 \t\n\r\x0c\x85é@\\"
+
+
+def damaged(text: str, rng: random.Random, n: int = 6) -> list[str]:
+    """Truncated, byte-flipped and garbage variants of `text`."""
+    out = []
+    for _ in range(n):
+        cut = rng.randrange(len(text) + 1)
+        out.append(text[:cut])
+        pos = rng.randrange(max(1, len(text)))
+        out.append(text[:pos] + rng.choice(_NOISE) + text[pos + 1:])
+        pos = rng.randrange(len(text) + 1)
+        out.append(text[:pos] + rng.choice(_NOISE) + text[pos:])
+        out.append("".join(rng.choice(_NOISE) for _ in range(rng.randint(0, 12))))
+    return out
+
+
+def renamed(text: str, rng: random.Random, n: int = 6) -> list[str]:
+    """Variants of `text` with one name occurrence replaced by another name
+    of the text: wrong resolvents, missing atoms, bindings that clash."""
+    names = [m for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", text) if m[0] not in ("input", "resolve")]
+    out = []
+    for _ in range(n):
+        m = rng.choice(names)
+        out.append(text[: m.start()] + rng.choice(names)[0] + text[m.end():])
+    return out
+
+
+def outcome(parse, text):
+    """("ok", result) or the error's type, message, line and column; the
+    reference's IndexError on a record cut off after a name stays
+    distinguishable."""
+    try:
+        return ("ok", parse(text))
+    except (ParseError, ProofError, InputError) as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None))
+    except IndexError:
+        return ("IndexError",)
+
+
+def assert_agree(new, reference, text, key=lambda r: r):
+    got = outcome(new, text)
+    want = outcome(reference, text)
+    if want == ("IndexError",):
+        # the reference read past the end of its tokens; the current parser
+        # reports the record as cut off
+        assert got[0] in ("ParseError", "ProofError") and "found ''" in got[1], (text, got)
+        return
+    if got[0] == "ok" and want[0] == "ok":
+        assert key(got[1]) == key(want[1]), text
+    else:
+        assert got == want, text
+
+
+def tableau_rows(tab):
+    """Depth, literal, side and target depth of every node in pre-order,
+    targets as parsed."""
+    return [
+        (n.depth, n.literal, n.side, n.target.depth if n.target is not None else None)
+        for n in tab.nodes()
+    ]
+
+
+def sample_proofs() -> list[str]:
+    return [p.read_text() for p in sorted(bundled_samples_dir().glob("*.proof"))]
+
+
+def test_formulas_agree_with_the_reference():
+    rng = random.Random(61)
+    for _ in range(150):
+        text = format_formula(random_formula(rng, depth=rng.randint(0, 4)))
+        for t in [text] + damaged(text, rng, 2):
+            assert_agree(parse_formula, reference_parse_formula, t)
+
+
+def test_fof_files_agree_with_the_reference():
+    rng = random.Random(62)
+    for _ in range(40):
+        records = [
+            f"fof(f{i}, {rng.choice(['axiom', 'conjecture'])}, {format_formula(random_formula(rng, depth=3))})."
+            for i in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:  # an arity clash with p/1
+            records.append("fof(clash, axiom, p(a, b)).")
+        text = "% a fof file\n" + "\n".join(records) + "\n"
+        for t in [text] + damaged(text, rng):
+            assert_agree(parse_fof_file, reference_parse_fof_file, t)
+    # cut off after the name and after the role
+    for t in ["fof(a", "fof(a, axiom"]:
+        assert_agree(parse_fof_file, reference_parse_fof_file, t)
+
+
+def test_clause_files_agree_with_the_reference():
+    rng = random.Random(63)
+    for _ in range(40):
+        lines = []
+        for _ in range(rng.randint(1, 6)):
+            lits = [random_literal(rng, ("X", "Y")) for _ in range(rng.randint(1, 3))]
+            lines.append(format_clause(Clause(tuple(lits))))
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# note", "% note", "", "false", "$false"]))
+        text = "\n".join(lines) + "\n"
+        for t in [text] + damaged(text, rng):
+            assert_agree(parse_clause_file, reference_parse_clause_file, t)
+
+
+def test_proofs_agree_with_the_reference():
+    rng = random.Random(64)
+    texts = sample_proofs() + [proof_family(f, 5) for f in ("chain", "wide", "fol_chain")]
+    assert len(texts) == 27
+    for text in texts:
+        for t in [text] + damaged(text, rng, 10) + renamed(text, rng, 10):
+            assert_agree(parse_proof, reference_parse_proof, t)
+    for t in ["s1 input p\ns2 resolve(", "s1 input p\ns2 resolve(s1, s1", "s1 input p\ns2 resolve(s1,"]:
+        assert_agree(parse_proof, reference_parse_proof, t)
+
+
+def test_proof_import_agrees_with_the_reference():
+    rng = random.Random(65)
+    texts = sample_proofs() + [proof_family(f, 6) for f in ("chain", "wide", "fol_chain")]
+    for text in texts:
+        for t in [text] + damaged(text, rng, 10) + renamed(text, rng, 10):
+            try:
+                doc = parse_proof(t)
+            except ProofError:
+                continue
+            got = outcome(lambda _: format_tableau(to_cut_normal_form(ground_deduction(to_tree(doc)))), t)
+            want = outcome(
+                lambda _: format_tableau(to_cut_normal_form(reference_ground_deduction(to_tree(doc)))), t
+            )
+            assert got == want, t
+
+
+def test_tableau_documents_agree_with_the_reference():
+    rng = random.Random(66)
+    for text in sample_proofs():
+        doc = format_tableau(to_cut_normal_form(ground_deduction(to_tree(parse_proof(text)))))
+        for t in [doc] + damaged(doc, rng, 4):
+            assert_agree(parse_tableau, reference_parse_tableau, t, key=tableau_rows)
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("p(a) &\n  q(b) $", 2, 8),
+        ("p(a)\n& (q(b)\n| r(c) d)", 3, 8),
+        ("p(f(a, ))", 1, 8),
+        ("! [X, a] : p(X)", 1, 7),
+        ("X", 1, 2),
+    ],
+)
+def test_formula_errors_carry_line_and_column(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert outcome(parse_formula, text) == outcome(reference_parse_formula, text)
+
+
+def test_clause_file_errors_carry_the_file_line_and_the_column():
+    # columns count from the first non-blank character of the line
+    text = "p | q\n\n% note\n  ~r(a) | s(b c)\n"
+    with pytest.raises(ParseError) as e:
+        parse_clause_file(text)
+    assert (e.value.message, e.value.line, e.value.col) == ("expected ')', found 'c'", 4, 13)
+    assert outcome(parse_clause_file, text) == outcome(reference_parse_clause_file, text)
+
+
+def test_tableau_literal_errors_carry_the_document_line_and_the_column():
+    # columns count from the start of the literal
+    text = "tableau\n  p\n    ~p(a -> 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_tableau(text)
+    assert (e.value.message, e.value.line, e.value.col) == ("expected ')', found ''", 3, 5)
+    assert outcome(parse_tableau, text) == outcome(reference_parse_tableau, text)

@@ -3,6 +3,7 @@ import pytest
 from foltab.documents import format_tableau
 from foltab.hyperconv import hyper_convert
 from foltab.proofs import (
+    DeductionStep,
     ProofError,
     format_proof,
     ground_deduction,
@@ -73,6 +74,29 @@ def test_parse_bad_resolvent():
     with pytest.raises(ProofError) as e:
         parse_proof(bad)
     assert "does not match" in str(e.value)
+
+
+def test_parse_atom_missing_from_first_parent():
+    with pytest.raises(ProofError) as e:
+        parse_proof("s1 input q\ns2 input ~p\ns3 resolve(s1, s2, p) q\n")
+    assert str(e.value) == "resolved atom p not in first parent at line 3"
+
+
+def test_parse_complement_missing_from_second_parent():
+    with pytest.raises(ProofError) as e:
+        parse_proof("s1 input p\ns2 input q\ns3 resolve(s1, s2, p) q\n")
+    assert str(e.value) == "complement ~p not in second parent at line 3"
+
+
+def test_parse_bad_resolvent_lists_the_recomputed_clause_in_literal_order():
+    # the recomputed resolvent is a set; its message must not depend on
+    # the hash seed
+    bad = "s1 input s(b) | p | r | q(a)\ns2 input ~p | s(a)\ns3 resolve(s1, s2, p) r\n"
+    with pytest.raises(ProofError) as e:
+        parse_proof(bad)
+    assert str(e.value) == (
+        "declared resolvent r does not match recomputed q(a) | r | s(a) | s(b) at line 3"
+    )
 
 
 def test_parse_unknown_rule():
@@ -173,6 +197,36 @@ def test_ground_deduction_names_residual_variables_in_order_of_occurrence():
     )
     tree = ground_deduction(to_tree(parse_proof(text)))
     assert tree.left.atom == lit("p", App("f", (App("g1"), App("g2"))))
+
+
+def test_ground_deduction_rejects_a_step_broken_by_a_later_binding():
+    # s3 is valid as replayed, before X is bound; under X -> a its first
+    # parent collapses to p(a) and the resolvent to the empty clause
+    text = (
+        "s1 input p(X) | p(a)\n"
+        "s2 input ~p(a)\n"
+        "s3 resolve(s1, s2, p(a)) p(X)\n"
+        "s4 input ~p(a)\n"
+        "s5 resolve(s3, s4, p(X)) {X -> a} false\n"
+    )
+    tree = to_tree(parse_proof(text))
+    with pytest.raises(ProofError) as e:
+        ground_deduction(tree)
+    assert str(e.value) == "step s3 is not a valid ground resolution step after grounding"
+
+
+def test_ground_deduction_rejects_a_step_without_its_atom():
+    tree = DeductionStep(
+        "resolve",
+        Clause(()),
+        atom=lit("p"),
+        left=DeductionStep("input", Clause((lit("q"),)), step_id="s1"),
+        right=DeductionStep("input", Clause((lit("p", positive=False),)), step_id="s2"),
+        step_id="s3",
+    )
+    with pytest.raises(ProofError) as e:
+        ground_deduction(tree)
+    assert str(e.value) == "step s3: resolved atom p not in first parent after grounding"
 
 
 def test_cut_normal_form_matches_golden():
