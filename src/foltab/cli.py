@@ -214,7 +214,14 @@ def cmd_interpolate(args) -> int:
 # hyper
 
 
-def _load_tableau_or_proof(path: str) -> Tableau:
+def _import_proof(text: str, max_nodes: int) -> Tableau:
+    """The cut-normal-form tableau of a resolution proof document; the
+    expansion of shared steps into a tree stops at `max_nodes`."""
+    tree = to_tree(parse_proof(text), max_nodes=max_nodes)
+    return to_cut_normal_form(ground_deduction(tree))
+
+
+def _load_tableau_or_proof(path: str, max_nodes: int) -> Tableau:
     text = _read(path)
     first = ""
     for raw in text.splitlines():
@@ -224,13 +231,11 @@ def _load_tableau_or_proof(path: str) -> Tableau:
             break
     if first == "tableau":
         return parse_tableau(text)
-    doc = parse_proof(text)
-    tree = ground_deduction(to_tree(doc))
-    return to_cut_normal_form(tree)
+    return _import_proof(text, max_nodes)
 
 
 def cmd_hyper(args) -> int:
-    tab = _load_tableau_or_proof(args.proof)
+    tab = _load_tableau_or_proof(args.proof, args.max_nodes)
     size_before = tab.inner_size()
     t0 = time.perf_counter()
     out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
@@ -376,9 +381,7 @@ def cmd_define(args) -> int:
 
 
 def cmd_import(args) -> int:
-    doc = parse_proof(_read(args.proof))
-    tree = ground_deduction(to_tree(doc, max_nodes=args.max_nodes))
-    tab = to_cut_normal_form(tree)
+    tab = _import_proof(_read(args.proof), args.max_nodes)
     _write_or_print(format_tableau(tab), args.out)
     return EXIT_OK
 
@@ -402,9 +405,7 @@ def cmd_stats(args) -> int:
     for path in proofs:
         name = path.name
         try:
-            doc = parse_proof(_read(path))
-            tree = ground_deduction(to_tree(doc, max_nodes=args.max_nodes))
-            tab = to_cut_normal_form(tree)
+            tab = _import_proof(_read(path), args.max_nodes)
             s3 = tab.inner_size()
             t0 = time.perf_counter()
             out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
@@ -559,8 +560,7 @@ def exit_code_of(e: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # tree walkers recurse along branches; long imported chain proofs can
-    # exceed the interpreter default
+    # the formula parser and normal forms recurse on formula nesting
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output

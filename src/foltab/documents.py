@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .tableaux import Node, Tableau, compute_targets
+from .tableaux import Node, Tableau, branch_walk
 from .tptp import ParseError, _Parser, format_literal
 
 _HEADER = "tableau"
@@ -18,20 +18,14 @@ _LINE_RE = re.compile(
 
 
 def format_tableau(tab: Tableau) -> str:
-    compute_targets(tab)
     lines = [_HEADER]
-
-    def emit(n: Node) -> None:
-        for c in n.children:
-            parts = ["  " * c.depth + format_literal(c.literal)]
-            if c.side is not None:
-                parts.append(f"[{c.side}]")
-            if c.target is not None:
-                parts.append(f"-> {c.target.depth}")
-            lines.append(" ".join(parts))
-            emit(c)
-
-    emit(tab.root)
+    for n, depth, target in branch_walk(tab.root):
+        parts = ["  " * depth + format_literal(n.literal)]
+        if n.side is not None:
+            parts.append(f"[{n.side}]")
+        if target is not None:
+            parts.append(f"-> {target.depth}")
+        lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
@@ -87,18 +81,14 @@ def parse_tableau(text: str) -> Tableau:
 
 def tableau_equal(a: Tableau, b: Tableau) -> bool:
     """Structural equality: shape, literals, sides, and target depths."""
-    compute_targets(a)
-    compute_targets(b)
 
-    def eq(x: Node, y: Node) -> bool:
-        if x.literal != y.literal or x.side != y.side:
-            return False
-        xt = x.target.depth if x.target is not None else None
-        yt = y.target.depth if y.target is not None else None
-        if xt != yt:
-            return False
-        if len(x.children) != len(y.children):
-            return False
-        return all(eq(c, d) for c, d in zip(x.children, y.children))
+    def row(n: Node, target: Optional[Node]) -> tuple:
+        return n.literal, n.side, target.depth if target is not None else None, len(n.children)
 
-    return eq(a.root, b.root)
+    if row(a.root, a.root.target) != row(b.root, b.root.target):
+        return False
+    # equal child counts at every node so far keep the two walks in step
+    return all(
+        row(x, xt) == row(y, yt)
+        for (x, _, xt), (y, _, yt) in zip(branch_walk(a.root), branch_walk(b.root))
+    )

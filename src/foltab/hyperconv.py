@@ -26,10 +26,11 @@ from .tableaux import (
     ResourceLimitError,
     StructureError,
     Tableau,
+    branch_of,
     compute_targets,
     is_closed,
     is_hyper,
-    simplify_in_place,
+    simplify_below,
 )
 
 OMEGA = float("inf")
@@ -92,14 +93,9 @@ def node_measure(root: Node, node: Node) -> tuple:
 
 
 def badlits(node: Node) -> set:
-    out = set()
-    stack = list(node.children)
-    while stack:
-        n = stack.pop()
-        if n.children and n.literal is not None and not n.literal.positive:
-            out.add(n.literal)
-        stack.extend(n.children)
-    return out
+    return {
+        n.literal for n in node.pre_order() if n is not node and n.children and not n.literal.positive
+    }
 
 
 def measure_string(m: tuple) -> str:
@@ -120,44 +116,21 @@ def _select(pending: list[Node]) -> Optional[tuple[Node, Node]]:
     return None
 
 
-def _path_counts(node: Node) -> dict[Literal, int]:
-    """Occurrences of each literal on the path below the root down to
-    `node`, as `simplify_in_place` counts them."""
-    counts: dict[Literal, int] = {}
-    n = node
-    while n.parent is not None:
-        counts[n.literal] = counts.get(n.literal, 0) + 1
-        n = n.parent
-    return counts
-
-
 def _graft(nprime: Node, u: list[Node], comp: Literal) -> tuple[int, int, int]:
-    """Give every leaf below `nprime` labeled `comp` fresh copies of the
-    clause `u` as children and simplify below it; returns (splices,
-    truncations, nodes added)."""
+    """Give every leaf below `nprime` labeled `comp` simplified copies of
+    the clause `u` as children; returns (splices, truncations, nodes
+    added)."""
     splices = truncations = added = 0
-    counts = _path_counts(nprime)
-    # pre-order walk keeping the literal counts of the current path; None
-    # marks the exit from the node below it on the stack
-    stack: list[Optional[Node]] = list(reversed(nprime.children))
+    stack = list(reversed(nprime.children))
     while stack:
         m = stack.pop()
-        if m is None:
-            counts[stack.pop().literal] -= 1
-            continue
-        if not m.children and m.literal != comp:
-            continue
-        counts[m.literal] = counts.get(m.literal, 0) + 1
         if m.children:
-            stack += (m, None)
             stack.extend(reversed(m.children))
-            continue
-        m.set_children([c.copy_subtree()[0] for c in u])
-        spl, tru = simplify_in_place(m, counts)
-        splices += spl
-        truncations += tru
-        added += sum(1 for _ in m.pre_order()) - 1
-        counts[m.literal] -= 1
+        elif m.literal == comp:
+            spl, tru, add = simplify_below(m, u, branch_of(m))
+            splices += spl
+            truncations += tru
+            added += add
     return splices, truncations, added
 
 
@@ -170,12 +143,12 @@ def hyper_convert(
     if not is_closed(tab):
         raise StructureError("hyper conversion requires a closed tableau")
     trace = ConversionTrace(input_size=tab.inner_size())
-    work = tab.copy()
-    root = work.root
-    spl, tru = simplify_in_place(root)
+    root = Node()
+    spl, tru, below = simplify_below(root, tab.root.children, {})
+    work = Tableau(root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
-    size = work.size()
+    size = below + 1  # and the root
     pending = [root]
     prev: Optional[tuple] = None
     while True:

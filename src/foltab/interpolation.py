@@ -58,7 +58,7 @@ from .tableaux import (
     StructureError,
     Tableau,
     assign_sides,
-    compute_targets,
+    branch_walk,
     ground_tableau,
     prove,
 )
@@ -103,14 +103,6 @@ class InterpolationContext:
     def u_member(self, t: Term) -> bool:
         """G-side terms: outermost function symbol belongs to the G side."""
         return isinstance(t, App) and t.functor in self.g_functions
-
-    def c_member(self, t: Term) -> bool:
-        return isinstance(t, App) and not t.args and t.functor in self.shared_constants
-
-    def v_member(self, t: Term) -> bool:
-        # Stored for completeness: the union classifier is exercised only by
-        # the invariant test suites, not by the pipeline itself.
-        return self.e_member(t) or self.u_member(t) or self.c_member(t)
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +171,21 @@ def ipol_map(tab: Tableau) -> dict[Node, Formula]:
             raise StructureError("interpolant extraction needs side labels on every node")
         if not all(is_ground(a) for a in n.literal.args):
             raise StructureError("interpolant extraction needs a ground tableau")
-    compute_targets(tab)
-    values: dict[Node, Formula] = {}
-
-    def go(n: Node) -> Formula:
-        if not n.children:
-            t = n.target
-            if t is None:
-                raise StructureError("tableau is not leaf-closed: open leaf")
-            if n.side == "F" and t.side == "F":
-                v: Formula = BOTTOM
-            elif n.side == "F":
-                v = n.literal
-            elif t.side == "F":
-                v = n.literal.complement()
-            else:
-                v = TOP
-        else:
-            side = n.children[0].side
-            parts = [go(c) for c in n.children]
-            v = simp_or(parts) if side == "F" else simp_and(parts)
-        values[n] = v
-        return v
-
     if not tab.root.children:
         raise StructureError("empty tableau")
-    go(tab.root)
+    values: dict[Node, Formula] = {}
+    # in reverse pre-order every node comes after its children
+    for n, _, t in reversed([(tab.root, 0, None), *branch_walk(tab.root)]):
+        if n.children:
+            parts = [values[c] for c in n.children]
+            v = simp_or(parts) if n.children[0].side == "F" else simp_and(parts)
+        elif t is None:
+            raise StructureError("tableau is not leaf-closed: open leaf")
+        elif n.side == "F":
+            v = BOTTOM if t.side == "F" else n.literal
+        else:
+            v = n.literal.complement() if t.side == "F" else TOP
+        values[n] = v
     return values
 
 
@@ -484,7 +465,9 @@ def interpolate(
 
 
 def _check_requirements(h: Formula, report: InterpolationReport) -> None:
-    for r in sorted(report.require):
+    if report.verification is not None:  # it has checked the same properties
+        report.require_results.update(report.verification.properties)
+    for r in sorted(report.require - report.require_results.keys()):
         report.require_results[r] = _PROPERTY_CHECKS[r](h)
     failed = [r for r, ok in report.require_results.items() if not ok]
     if failed:

@@ -107,16 +107,6 @@ def nnf(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_nnf(f: Formula, allow_quantifiers: bool = True) -> bool:
-    if isinstance(f, (Literal, Top, Bottom)):
-        return True
-    if isinstance(f, (And, Or)):
-        return all(is_nnf(p, allow_quantifiers) for p in f.parts)
-    if isinstance(f, (ForAll, Exists)):
-        return allow_quantifiers and is_nnf(f.body, allow_quantifiers)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Standardization: bound variable names made unique, deterministically.
 # Runs on NNF output; a pre-NNF pass would not survive <=> expansion,

@@ -381,6 +381,14 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
     if tree.kind == "input":
         raise ProofError("trivial refutation by an input empty clause cannot be represented")
 
+    # one object per atom and sign, so that walks find equal literals by identity
+    atoms: dict[Literal, Literal] = {}
+
+    def literal(l: Literal) -> Literal:
+        atom = l.atom()
+        atom = atoms.setdefault(atom, atom)
+        return atom if l.positive else atom.complement()
+
     root = Node()
     stack = [(root, tree)]  # (node, the step to attach below it), pre-order
     while stack:
@@ -389,10 +397,11 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
             if not step.clause.literals:
                 raise ProofError("input step with empty clause inside a refutation")
             for l in step.clause.literals:
-                node.add(Node(l))
+                node.add(Node(literal(l)))
             continue
-        neg = Node(step.atom.complement())
-        pos = Node(step.atom)
+        atom = literal(step.atom)
+        neg = Node(atom.complement())
+        pos = Node(atom)
         node.add(neg)
         node.add(pos)
         stack.append((pos, step.right))

@@ -297,6 +297,7 @@ class Literal(Formula):
     predicate: str
     args: tuple[Term, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _complement: "Literal" = field(init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         try:
@@ -310,7 +311,15 @@ class Literal(Formula):
         return Literal, (self.positive, self.predicate, self.args)
 
     def complement(self) -> "Literal":
-        return Literal(not self.positive, self.predicate, self.args)
+        """The literal of opposite sign, made once per literal object; the
+        complement of the complement is this object."""
+        try:
+            return self._complement
+        except AttributeError:
+            c = Literal(not self.positive, self.predicate, self.args)
+            object.__setattr__(self, "_complement", c)
+            object.__setattr__(c, "_complement", self)
+            return c
 
     def atom(self) -> "Literal":
         return self if self.positive else self.complement()

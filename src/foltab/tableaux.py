@@ -2,6 +2,12 @@
 regularity / leaf-closing simplification, grounding, side assignment,
 the hyper predicate, and a small connection-driven prover.
 
+Every walker over a tableau's branches runs on `branch_walk`: one
+iterative pre-order walk that keeps, per literal, the stack of the nodes
+on the current branch labeled with it.  A node's target is its nearest
+ancestor labeled with the complementary literal, the top of that
+literal's stack, so the walk is linear in the size of the tree.
+
 Tableaux are built single-threaded and treated as immutable afterwards.
 """
 
@@ -9,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .syntax import (
@@ -91,19 +98,15 @@ class Node:
     def copy_subtree(self) -> tuple["Node", dict[int, "Node"]]:
         """Fresh copy; returns the copy and a map id(original) -> copy.
         Targets are not copied (they are recomputed by simplification)."""
-        mapping: dict[int, Node] = {}
-
-        def go(n: Node, depth: int) -> Node:
-            c = Node(n.literal, n.side)
+        top = Node(self.literal, self.side)
+        top.depth = self.depth
+        mapping = {id(self): top}
+        for n, depth, _ in branch_walk(self):
+            c = mapping[id(n)] = Node(n.literal, n.side)
             c.depth = depth
-            mapping[id(n)] = c
-            for ch in n.children:
-                cc = go(ch, depth + 1)
-                cc.parent = c
-                c.children.append(cc)
-            return c
-
-        return go(self, self.depth), mapping
+            c.parent = mapping[id(n.parent)]
+            c.parent.children.append(c)
+        return top, mapping
 
     def __repr__(self) -> str:
         return f"<Node {self.literal}>"
@@ -158,68 +161,135 @@ def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Closedness, closing nodes, targets
+# The branch walk: closedness, targets, regularity, simplification
+
+# the literals on a branch, each with its nodes on the branch, nearest last
+Branch = dict[Literal, list[Node]]
 
 
-def _closing_target(node: Node) -> Optional[Node]:
-    """Nearest ancestor with complementary literal, if any."""
-    if node.literal is None:
-        return None
-    comp = node.literal.complement()
-    for anc in node.ancestors():
-        if anc.literal == comp:
-            return anc
-    return None
+def branch_of(node: Node) -> Branch:
+    """The branch from the root down to `node`, `node` included."""
+    on: Branch = {}
+    n = node
+    while n.literal is not None:
+        on.setdefault(n.literal, []).insert(0, n)
+        n = n.parent
+    return on
 
 
-def is_closing(node: Node) -> bool:
-    return _closing_target(node) is not None
+def branch_walk(
+    start: Node, on: Optional[Branch] = None
+) -> Iterator[tuple[Node, int, Optional[Node]]]:
+    """Each node below `start` in pre-order, with its depth and its target,
+    the nearest ancestor labeled with the complementary literal.
+
+    `on` holds the branch down to `start` (empty when `start` is the root,
+    see `branch_of` otherwise); while the caller holds a node, it holds the
+    branch down to that node, the node included, and it is back as given
+    when the walk ends.  A node's children are read only after the caller
+    has seen the node, so the caller may replace or drop them first."""
+    if on is None:
+        on = {}
+    # start and the nodes below it on the branch, each with an iterator
+    # over the children still to visit
+    stack = [(start, iter(start.children))]
+    while stack:
+        n = next(stack[-1][1], None)
+        if n is None:
+            left = stack.pop()[0].literal
+            if stack:  # left a node below start
+                nodes = on[left]
+                nodes.pop()
+                if not nodes:
+                    del on[left]
+            continue
+        closing = on.get(n.literal.complement())
+        on.setdefault(n.literal, []).append(n)
+        yield n, start.depth + len(stack), closing[-1] if closing else None
+        stack.append((n, iter(n.children)))
 
 
 def compute_targets(tab: Tableau) -> None:
-    for n in tab.non_root_nodes():
-        n.target = _closing_target(n)
+    for n, _, target in branch_walk(tab.root):
+        n.target = target
 
 
 def is_closed(tab: Tableau) -> bool:
     """True iff every branch contains complementary literals.
 
     Also populates target pointers (nearest complementary ancestor)."""
-    compute_targets(tab)
-
-    def closed(n: Node, inherited: bool) -> bool:
-        here = inherited or n.target is not None
-        if not n.children:
-            return here
-        return all(closed(c, here) for c in n.children)
-
-    return closed(tab.root, False)
+    closed = bool(tab.root.children)
+    closing = 0  # depth of the highest node on the branch with a target, or 0
+    for n, depth, target in branch_walk(tab.root):
+        n.target = target
+        if not 0 < closing < depth:
+            closing = 0 if target is None else depth
+        if not closing and not n.children:
+            closed = False
+    return closed
 
 
 def is_leaf_closing(tab: Tableau) -> bool:
-    return all(not is_closing(n) for n in tab.nodes() if n.children)
+    return all(target is None for n, _, target in branch_walk(tab.root) if n.children)
 
 
 def is_leaf_closed(tab: Tableau) -> bool:
-    return (
-        is_closed(tab)
-        and is_leaf_closing(tab)
-        and all(is_closing(n) for n in tab.nodes() if not n.children)
+    """Closed, with exactly the leaves closing."""
+    return bool(tab.root.children) and all(
+        (target is None) == bool(n.children) for n, _, target in branch_walk(tab.root)
     )
 
 
 def is_regular(tab: Tableau) -> bool:
-    def walk(n: Node, seen: frozenset[Literal]) -> bool:
-        if n.literal is not None and n.literal in seen:
-            return False
-        seen2 = seen | ({n.literal} if n.literal is not None else frozenset())
-        return all(walk(c, seen2) for c in n.children)
-
-    return walk(tab.root, frozenset())
+    on: Branch = {}
+    return all(len(on[n.literal]) == 1 for n, _, _ in branch_walk(tab.root, on))
 
 
 # ---------------------------------------------------------------------------
 # Simplification to regular, leaf-closing form
+
+
+def _clean_children(children: list[Node], on: Branch) -> tuple[list[Node], int]:
+    """The children a node keeps under regularity on the branch `on`: while
+    one of them repeats a literal of the branch, they are replaced by that
+    one's children.  Returns them with the number of replacements."""
+    splices = 0
+    while True:
+        for c in children:
+            if on.get(c.literal):
+                children = c.children
+                splices += 1
+                break
+        else:
+            return children, splices
+
+
+def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int, int]:
+    """Give `top` copies of `children` as its children, simplified as the
+    whole-tree walk simplifies below `top`, whose branch is `on`; the nodes
+    of `children` stay as they are, and every copy gets its target.
+    Returns (splices, truncations, nodes added).
+
+    The walk meets copies whose children are still the original nodes, and
+    copies only the children that each one keeps."""
+    top.children = children
+    splices = truncations = added = 0
+    for n, depth, target in chain([(top, top.depth, None)], branch_walk(top, on)):
+        if n is not top:
+            added += 1
+            n.target = target
+        if target is not None and n.children:
+            n.children = []  # closing inner node becomes a leaf
+            truncations += 1
+            continue
+        kept, spl = _clean_children(n.children, on)
+        splices += spl
+        n.children = [Node(c.literal, c.side) for c in kept]
+        for copy, c in zip(n.children, kept):
+            copy.children = c.children
+            copy.parent = n
+            copy.depth = depth + 1
+    return splices, truncations, added
 
 
 def simplify_in_place(
@@ -231,51 +301,27 @@ def simplify_in_place(
     parent to be replaced by its own edges.  Leaf-closing: an inner closing
     node loses its outgoing edges.  Violations are fixed at first encounter
     in pre-order; neither operation can introduce a violation earlier in the
-    walk, since both only shorten ancestor chains.
+    walk, since both only shorten ancestor chains.  The nodes below `root`
+    are replaced by simplified copies.
 
     Without `counts`, `root` is the root of the tree.  With `counts`, only
     the part below `root` is simplified, exactly as the whole-tree walk
-    would do it on reaching `root`: `counts` must then map each literal to
-    its number of occurrences on the path from the tree's root down to
-    `root`, both included (the tree's root carries no literal).  The counts
-    are back to their given values on return.
+    would do it on reaching `root`: `counts` then gives the number of
+    occurrences of each literal on the path from the tree's root down to
+    `root`, both included.  The walk reads that path from the ancestors of
+    `root` (`branch_of`), so `counts` itself is neither read nor changed.
     """
-    splices = 0
-    truncations = 0
-    if counts is None:
-        counts = {}
-
-    def visit(n: Node) -> None:
-        nonlocal splices, truncations
-        # splice irregular children until the clause below n is clean
-        restart = True
-        while restart:
-            restart = False
-            for c in n.children:
-                if counts.get(c.literal, 0) > 0:
-                    n.set_children(c.children)
-                    splices += 1
-                    restart = True
-                    break
-        for c in n.children:
-            if c.children and counts.get(c.literal.complement(), 0) > 0:
-                c.children = []  # closing inner node becomes a leaf
-                truncations += 1
-            counts[c.literal] = counts.get(c.literal, 0) + 1
-            visit(c)
-            counts[c.literal] -= 1
-
-    visit(root)
+    on = {} if counts is None else branch_of(root)
+    splices, truncations, _ = simplify_below(root, root.children, on)
     return splices, truncations
 
 
 def simplify(tab: Tableau) -> Tableau:
     """Regular, leaf-closing copy of tab, for the same clausal formula;
     closed if tab is closed."""
-    out = tab.copy()
-    simplify_in_place(out.root)
-    compute_targets(out)
-    return out
+    root = Node()
+    simplify_below(root, tab.root.children, {})
+    return Tableau(root)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +346,6 @@ def match_clause(
     return sigma
 
 
-def is_instance_of_any(instance: tuple[Literal, ...], clauses: Iterable[Clause]) -> bool:
-    return any(match_clause(instance, c) is not None for c in clauses)
-
-
 def assign_sides(
     tab: Tableau,
     f_clauses: Iterable[Clause],
@@ -321,8 +363,8 @@ def assign_sides(
         if not n.children:
             continue
         inst = clause_at(n)
-        in_f = is_instance_of_any(inst, fcs)
-        in_g = is_instance_of_any(inst, gcs)
+        in_f = any(match_clause(inst, c) is not None for c in fcs)
+        in_g = any(match_clause(inst, c) is not None for c in gcs)
         if in_f and in_g:
             side = tie
         elif in_f:
@@ -568,11 +610,8 @@ def prove(
             tick(untried + 1)
             untried = 0
             mark = len(trail)
-            if unify_args(g.args, l.args, binding, trail):
-                goal.target = anc
-                if solve(rest, limit):
-                    return True
-                goal.target = None
+            if unify_args(g.args, l.args, binding, trail) and solve(rest, limit):
+                return True
             undo(binding, trail, mark)
         if untried:
             tick(untried)
@@ -598,7 +637,6 @@ def prove(
                     ch.parent = goal
                     ch.depth = depth
                 goal.children = children
-                children[idx].target = goal
                 if regular(children, path):
                     if solve(children[:idx] + children[idx + 1:] + rest, limit):
                         return True

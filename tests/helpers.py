@@ -4,8 +4,10 @@ independent semantic oracle, a truth-table satisfiability oracle, the
 whole-tree hyper conversion as an oracle for the incremental one, the
 prover without its candidate index as an oracle for `prove`, and the
 recursive formula walkers as oracles for the walks on `occurrences` and
-`map_formula`, and the front end with a token object per token as an
-oracle for the parsers and proof import."""
+`map_formula`, the front end with a token object per token as an
+oracle for the parsers and proof import, and the recursive tableau walkers
+with an ancestor scan per target as an oracle for `branch_walk` and the
+walkers on it."""
 
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ from foltab.syntax import (
     apply_literal,
     apply_term,
     clause as mk_clause,
+    is_ground,
     literal_key,
     mk_and,
     mk_or,
@@ -62,19 +65,17 @@ from foltab.syntax import (
     unify_args,
 )
 from foltab.proofs import DeductionStep, ProofDocument, ProofError, ProofRecord, _add_bindings
+from foltab.interpolation import simp_and, simp_or
 from foltab.tableaux import (
     Node,
     ProveResult,
     ResourceLimitError,
     StructureError,
     Tableau,
-    compute_targets,
-    is_closed,
     is_hyper,
     simplify,
-    simplify_in_place,
 )
-from foltab.tptp import FofRecord, ParseError, format_clause
+from foltab.tptp import FofRecord, ParseError, format_clause, format_literal
 
 # ---------------------------------------------------------------------------
 # Finite models
@@ -408,6 +409,199 @@ def gen_vx_instance(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# Reference tableau walkers: each recursed on its own, and each target came
+# from a scan of the node's ancestors.  An oracle for `branch_walk` and the
+# walkers on it in tableaux.py, hyperconv.py, documents.py and
+# interpolation.py: targets, results, splice and truncation counts,
+# documents and interpolant values must agree exactly.
+
+
+def reference_closing_target(node: Node) -> Optional[Node]:
+    """Nearest ancestor with complementary literal, if any."""
+    if node.literal is None:
+        return None
+    comp = node.literal.complement()
+    for anc in node.ancestors():
+        if anc.literal == comp:
+            return anc
+    return None
+
+
+def reference_is_closing(node: Node) -> bool:
+    return reference_closing_target(node) is not None
+
+
+def reference_compute_targets(tab: Tableau) -> None:
+    for n in tab.non_root_nodes():
+        n.target = reference_closing_target(n)
+
+
+def reference_is_closed(tab: Tableau) -> bool:
+    """True iff every branch contains complementary literals.
+
+    Also populates target pointers (nearest complementary ancestor)."""
+    reference_compute_targets(tab)
+
+    def closed(n: Node, inherited: bool) -> bool:
+        here = inherited or n.target is not None
+        if not n.children:
+            return here
+        return all(closed(c, here) for c in n.children)
+
+    return closed(tab.root, False)
+
+
+def reference_is_leaf_closing(tab: Tableau) -> bool:
+    return all(not reference_is_closing(n) for n in tab.nodes() if n.children)
+
+
+def reference_is_leaf_closed(tab: Tableau) -> bool:
+    return (
+        reference_is_closed(tab)
+        and reference_is_leaf_closing(tab)
+        and all(reference_is_closing(n) for n in tab.nodes() if not n.children)
+    )
+
+
+def reference_is_regular(tab: Tableau) -> bool:
+    def walk(n: Node, seen: frozenset[Literal]) -> bool:
+        if n.literal is not None and n.literal in seen:
+            return False
+        seen2 = seen | ({n.literal} if n.literal is not None else frozenset())
+        return all(walk(c, seen2) for c in n.children)
+
+    return walk(tab.root, frozenset())
+
+
+def reference_simplify_in_place(
+    root: Node, counts: Optional[dict[Literal, int]] = None
+) -> tuple[int, int]:
+    splices = 0
+    truncations = 0
+    if counts is None:
+        counts = {}
+
+    def visit(n: Node) -> None:
+        nonlocal splices, truncations
+        # splice irregular children until the clause below n is clean
+        restart = True
+        while restart:
+            restart = False
+            for c in n.children:
+                if counts.get(c.literal, 0) > 0:
+                    n.set_children(c.children)
+                    splices += 1
+                    restart = True
+                    break
+        for c in n.children:
+            if c.children and counts.get(c.literal.complement(), 0) > 0:
+                c.children = []  # closing inner node becomes a leaf
+                truncations += 1
+            counts[c.literal] = counts.get(c.literal, 0) + 1
+            visit(c)
+            counts[c.literal] -= 1
+
+    visit(root)
+    return splices, truncations
+
+
+def reference_copy_subtree(node: Node) -> tuple[Node, dict[int, Node]]:
+    """Fresh copy; returns the copy and a map id(original) -> copy.
+    Targets are not copied (they are recomputed by simplification)."""
+    mapping: dict[int, Node] = {}
+
+    def go(n: Node, depth: int) -> Node:
+        c = Node(n.literal, n.side)
+        c.depth = depth
+        mapping[id(n)] = c
+        for ch in n.children:
+            cc = go(ch, depth + 1)
+            cc.parent = c
+            c.children.append(cc)
+        return c
+
+    return go(node, node.depth), mapping
+
+
+def reference_copy(tab: Tableau) -> Tableau:
+    return Tableau(reference_copy_subtree(tab.root)[0])
+
+
+def reference_format_tableau(tab: Tableau) -> str:
+    reference_compute_targets(tab)
+    lines = ["tableau"]
+
+    def emit(n: Node) -> None:
+        for c in n.children:
+            parts = ["  " * c.depth + format_literal(c.literal)]
+            if c.side is not None:
+                parts.append(f"[{c.side}]")
+            if c.target is not None:
+                parts.append(f"-> {c.target.depth}")
+            lines.append(" ".join(parts))
+            emit(c)
+
+    emit(tab.root)
+    return "\n".join(lines) + "\n"
+
+
+def reference_tableau_equal(a: Tableau, b: Tableau) -> bool:
+    """Structural equality: shape, literals, sides, and target depths."""
+    reference_compute_targets(a)
+    reference_compute_targets(b)
+
+    def eq(x: Node, y: Node) -> bool:
+        if x.literal != y.literal or x.side != y.side:
+            return False
+        xt = x.target.depth if x.target is not None else None
+        yt = y.target.depth if y.target is not None else None
+        if xt != yt:
+            return False
+        if len(x.children) != len(y.children):
+            return False
+        return all(eq(c, d) for c, d in zip(x.children, y.children))
+
+    return eq(a.root, b.root)
+
+
+def reference_ipol_map(tab: Tableau) -> dict[Node, Formula]:
+    """Truth-value-simplified interpolant value for every node of a
+    leaf-closed, ground, two-sided tableau."""
+    for n in tab.non_root_nodes():
+        if n.side not in ("F", "G"):
+            raise StructureError("interpolant extraction needs side labels on every node")
+        if not all(is_ground(a) for a in n.literal.args):
+            raise StructureError("interpolant extraction needs a ground tableau")
+    reference_compute_targets(tab)
+    values: dict[Node, Formula] = {}
+
+    def go(n: Node) -> Formula:
+        if not n.children:
+            t = n.target
+            if t is None:
+                raise StructureError("tableau is not leaf-closed: open leaf")
+            if n.side == "F" and t.side == "F":
+                v: Formula = BOTTOM
+            elif n.side == "F":
+                v = n.literal
+            elif t.side == "F":
+                v = n.literal.complement()
+            else:
+                v = TOP
+        else:
+            side = n.children[0].side
+            parts = [go(c) for c in n.children]
+            v = simp_or(parts) if side == "F" else simp_and(parts)
+        values[n] = v
+        return v
+
+    if not tab.root.children:
+        raise StructureError("empty tableau")
+    go(tab.root)
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Reference hyper conversion with whole-tree rounds, an oracle for the
 # incremental rounds of hyper_convert: each round copies the whole subtree
 # at nprime, rescans and simplifies the whole tree, and recounts its nodes.
@@ -421,12 +615,12 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
                     return n, c
         return None
 
-    if not is_closed(tab):
+    if not reference_is_closed(tab):
         raise StructureError("hyper conversion requires a closed tableau")
     trace = ConversionTrace(input_size=tab.inner_size())
-    work = tab.copy()
+    work = reference_copy(tab)
     root = work.root
-    spl, tru = simplify_in_place(root)
+    spl, tru = reference_simplify_in_place(root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
     prev = None
@@ -442,7 +636,7 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
             )
         prev = measure
         path = node_path(root, nprime)
-        u_root, mapping = nprime.copy_subtree()
+        u_root, mapping = reference_copy_subtree(nprime)
         mapping[id(n)].children = []
         nprime.set_children(n.children)
         comp = n.literal.complement()
@@ -452,16 +646,16 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
             if m is not nprime and not m.children and m.literal == comp
         ]
         for m in grafts:
-            u_copy, _ = u_root.copy_subtree()
+            u_copy, _ = reference_copy_subtree(u_root)
             m.set_children(u_copy.children)
-        spl, tru = simplify_in_place(root)
+        spl, tru = reference_simplify_in_place(root)
         trace.regular_splices += spl
         trace.leaf_truncations += tru
         size = sum(1 for _ in root.pre_order())
         if size > max_nodes:
             raise ResourceLimitError(f"hyper conversion exceeded {max_nodes} nodes")
         trace.rounds.append(ConversionRound(path, measure, size))
-    compute_targets(work)
+    reference_compute_targets(work)
     if not is_hyper(work):
         raise StructureError("conversion finished on a non-hyper tableau")
     trace.output_size = work.inner_size()

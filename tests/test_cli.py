@@ -267,6 +267,43 @@ def test_import_command(tmp_path, capsys):
     assert main(["import", "--proof", write(tmp_path, "bad.proof", "s1 inut p\n")]) == 3
 
 
+def doubling_dag_proof(levels: int) -> str:
+    """A proof whose step s_k uses s_(k-1) twice, so that its tree
+    expansion doubles with every level."""
+    lines = ["s0 input p0"]
+    for k in range(1, levels + 1):
+        j = k - 1
+        lines += [
+            f"c{k} input ~p{j} | q{k}",
+            f"d{k} input ~p{j} | ~q{k} | p{k}",
+            f"t{k} resolve(s{j}, c{k}, p{j}) q{k}",
+            f"u{k} resolve(s{j}, d{k}, p{j}) ~q{k} | p{k}",
+            f"s{k} resolve(t{k}, u{k}, q{k}) p{k}",
+        ]
+    lines += [f"n input ~p{levels}", f"r resolve(s{levels}, n, p{levels}) false"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["import", "hyper", "stats"])
+def test_max_nodes_bounds_proof_expansion(tmp_path, capsys, command):
+    doc = write(tmp_path, "dag.proof", doubling_dag_proof(12))
+    source = ["--dir", str(tmp_path)] if command == "stats" else ["--proof", doc]
+    assert main([command, *source, "--max-nodes", "100"]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    message = "proof tree expansion exceeded 100 nodes"
+    if command == "stats":
+        assert message in captured.out  # in the row of the failed file
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+def test_doubling_dag_proof_converts(tmp_path, capsys):
+    doc = write(tmp_path, "dag.proof", doubling_dag_proof(3))
+    assert main(["hyper", "--proof", doc, "--stats"]) == 0
+    assert "% rounds: " in capsys.readouterr().out
+
+
 def test_hyper_json_report(tmp_path, capsys):
     doc = write(tmp_path, "input.tab", CONVERSION_INPUT)
     assert main(["hyper", "--proof", doc, "--json"]) == 0

@@ -134,6 +134,22 @@ def test_interpolate_universal_chain():
     assert verify_interpolant(f, g, h).passed
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_interpolate_checks_each_required_property_once(monkeypatch, verify):
+    import foltab.interpolation
+
+    calls = []
+    is_horn = foltab.interpolation.is_horn
+    monkeypatch.setattr(foltab.interpolation, "is_horn", lambda h: calls.append(h) or is_horn(h))
+    f = parse_formula("(! [X] : p(X)) & (! [X] : (p(X) => q(X)))")
+    g = parse_formula("(! [X] : (q(X) => r(X))) => r(a)")
+    h, report = interpolate(f, g, require=["horn"], verify=verify)
+    assert calls == [h]
+    assert report.require_results == {"horn": True}
+    if verify:
+        assert report.verification.properties == {"horn": True}
+
+
 def test_interpolate_function_lifting():
     f = parse_formula("! [X] : ! [Y] : p(X, f(X), Y)")
     g = parse_formula("? [X] : p(a, X, g(X))")

@@ -32,7 +32,15 @@ from helpers import gen_urr_instance, gen_vx_instance, random_nnf
 
 
 def _vmax(ctx: InterpolationContext, f: Formula, sign: str = "all") -> set[Term]:
-    return smax_by(ctx.v_member, f, sign)
+    def v_member(t: Term) -> bool:
+        # side-owned terms and the shared placeholder constants
+        return (
+            ctx.e_member(t)
+            or ctx.u_member(t)
+            or (isinstance(t, App) and not t.args and t.functor in ctx.shared_constants)
+        )
+
+    return smax_by(v_member, f, sign)
 
 
 def _check_inv_c(tab: Tableau, ctx: InterpolationContext) -> None:
