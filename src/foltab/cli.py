@@ -20,6 +20,7 @@ from typing import Optional
 from .documents import format_tableau, parse_tableau
 from .hyperconv import hyper_convert, measure_string
 from .interpolation import (
+    PROPERTY_CHECKS,
     NotProvedError,
     RequirementError,
     interpolate,
@@ -28,14 +29,7 @@ from .interpolation import (
 )
 from .normalize import ClauseLimitError, equality_axioms, freeze_free_vars, skolemize_clausify
 from .proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
-from .restriction import (
-    check_vx_preconditions,
-    is_horn,
-    is_horn_like,
-    is_u_range_restricted,
-    is_vgt_range_restricted,
-    prop4_check,
-)
+from .restriction import RestrictionReport, check_vx_preconditions, is_horn_like, prop4_check
 from .syntax import And, FreshNamer, InputError, Not, Signature, formula_symbols, free_vars, mk_and
 from .tableaux import ResourceLimitError, StructureError, Tableau, prove
 from .tptp import ParseError, format_formula, parse_clause_file, parse_fof_file, split_problem
@@ -79,6 +73,11 @@ def _load_problem(path: str):
     ax = mk_and(axioms) if axioms else None
     cj = mk_and(conjectures) if conjectures else None
     return ax, cj
+
+
+def _requirements(args) -> list[str]:
+    """The names given with --require, each a comma-separated list."""
+    return [x for chunk in args.require or [] for x in chunk.split(",") if x]
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -174,14 +173,11 @@ def cmd_interpolate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_PARSE
-    require = []
-    for chunk in args.require or []:
-        require.extend(x for x in chunk.split(",") if x)
     try:
         h, report = interpolate(
             f,
             g,
-            require=require,
+            require=_requirements(args),
             use_hyper=True if args.hyper else None,
             side_tie=args.side_tie.upper(),
             ground_policy=args.ground_side.upper() if args.ground_side != "alternate" else "alternate",
@@ -286,27 +282,19 @@ def cmd_check(args) -> int:
         xs = frozenset(x for x in (args.free_vars or "").split(",") if x) or None
         report = check_vx_preconditions(f, g, xs)
     else:
+        if not args.input:
+            print(f"error: {args.property} needs --input", file=sys.stderr)
+            return EXIT_PARSE
         formula = _load_formula(args.input)
-        if args.property == "u-rr":
-            report = is_u_range_restricted(formula)
-        elif args.property == "vgt-rr":
-            report = is_vgt_range_restricted(formula)
-        elif args.property == "horn":
-            verdict = is_horn(formula)
-            print(f"horn: {'yes' if verdict else 'no'}")
-            return EXIT_OK if verdict else EXIT_FAIL
-        elif args.property == "horn-like":
-            verdict = is_horn_like(formula)
-            print(f"horn-like: {'yes' if verdict else 'no'}")
-            return EXIT_OK if verdict else EXIT_FAIL
-        elif args.property == "prop4":
+        if args.property == "prop4":
             rep = prop4_check(formula)
             print(f"vgt: {rep.vgt}  u(F): {rep.u_self}  u(~F): {rep.u_negation}")
             print(f"consistent: {'yes' if rep.consistent else 'no'}")
             return EXIT_OK if rep.consistent else EXIT_FAIL
-        else:
-            print(f"error: unknown property {args.property}", file=sys.stderr)
-            return EXIT_PARSE
+        if args.property == "horn-like":
+            report = RestrictionReport(is_horn_like(formula))
+        else:  # argparse admits only the requirable properties besides these
+            report = PROPERTY_CHECKS[args.property](formula)
     print(f"{args.property}: {'yes' if report.verdict else 'no'}")
     for w in report.witnesses:
         print(f"witness: clause ({w.clause}) offends {w.offender} [{w.condition}]")
@@ -321,9 +309,7 @@ def cmd_verify(args) -> int:
     f = _load_formula(args.f)
     g = _load_formula(args.g)
     h = _load_formula(args.h)
-    require = []
-    for chunk in args.require or []:
-        require.extend(x for x in chunk.split(",") if x)
+    require = _requirements(args)
     report = verify_interpolant(f, g, h, require, max_depth=args.max_depth, timeout=args.timeout)
     print(f"vocabulary: {'pass' if report.vocabulary_ok else 'fail'}")
     print(f"variables: {'pass' if report.variables_ok else 'fail'}")
@@ -348,14 +334,11 @@ def cmd_define(args) -> int:
             print("error: input needs axioms (the knowledge base)", file=sys.stderr)
             return EXIT_PARSE
         targets = [t for t in args.targets.split(",") if t]
-        require = []
-        for chunk in args.require or []:
-            require.extend(x for x in chunk.split(",") if x)
         r, report = synthesize_definition(
             kb,
             query,
             targets,
-            require=require,
+            require=_requirements(args),
             max_depth=args.max_depth,
             timeout=args.timeout,
             verify=args.verify,
@@ -421,7 +404,7 @@ def cmd_stats(args) -> int:
                     "rounds": trace.total_rounds,
                 }
             )
-        except (ProofError, ParseError, ResourceLimitError) as e:
+        except _INPUT_ERRORS + _RESOURCE_ERRORS as e:
             if exit_code == EXIT_OK:
                 exit_code = exit_code_of(e)
             rows.append({"proof": name, "S3": None, "S4": None, "ratio": None, "T2": None, "error": str(e)})
@@ -450,6 +433,9 @@ def cmd_stats(args) -> int:
             if key in summary:
                 s = summary[key]
                 print(f"{key} median {s['median']}  min {s['min']}  max {s['max']}")
+    failed = sum(1 for r in rows if "error" in r)
+    if failed:
+        print(f"error: {failed} of {len(rows)} proof files failed", file=sys.stderr)
     return exit_code
 
 

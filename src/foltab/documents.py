@@ -19,17 +19,23 @@ _LINE_RE = re.compile(
 
 def format_tableau(tab: Tableau) -> str:
     lines = [_HEADER]
+    depth_of = {tab.root: 0}
     for n, depth, target in branch_walk(tab.root):
+        depth_of[n] = depth
         parts = ["  " * depth + format_literal(n.literal)]
         if n.side is not None:
             parts.append(f"[{n.side}]")
         if target is not None:
-            parts.append(f"-> {target.depth}")
+            parts.append(f"-> {depth_of[target]}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def parse_tableau(text: str) -> Tableau:
+    """The tableau of a document.  A declared target must be a complementary
+    ancestor at the declared depth; it is checked after the last line and
+    then dropped, since a target is always the nearest complementary
+    ancestor."""
     lines = text.splitlines()
     body: list[tuple[int, str]] = []
     for i, raw in enumerate(lines, start=1):
@@ -41,7 +47,8 @@ def parse_tableau(text: str) -> Tableau:
         raise ParseError(f"expected {_HEADER!r} header", line, 1)
     root = Node()
     stack: list[Node] = [root]  # stack[d] = most recent node at depth d
-    targets: list[tuple[Node, int, int]] = []
+    # (node, the node on its branch at its declared target depth, depth, line)
+    targets: list[tuple[Node, Optional[Node], int, int]] = []
     p = _Parser()
     for line_no, raw in body[1:]:
         m = _LINE_RE.match(raw)
@@ -64,31 +71,22 @@ def parse_tableau(text: str) -> Tableau:
         del stack[depth:]
         stack.append(node)
         if m.group("target") is not None:
-            targets.append((node, int(m.group("target")), line_no))
-    for node, tdepth, line_no in targets:
-        anc: Optional[Node] = node
-        while anc is not None and anc.depth != tdepth:
-            anc = anc.parent
+            tdepth = int(m.group("target"))
+            targets.append((node, stack[tdepth] if tdepth <= depth else None, tdepth, line_no))
+    for node, anc, tdepth, line_no in targets:
         if anc is None or anc.literal is None:
             raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)
         if anc.literal != node.literal.complement():
-            raise ParseError(
-                f"target at depth {tdepth} is not complementary", line_no, 1
-            )
-        node.target = anc
+            raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
     return Tableau(root)
 
 
 def tableau_equal(a: Tableau, b: Tableau) -> bool:
-    """Structural equality: shape, literals, sides, and target depths."""
+    """Structural equality: shape, literals and sides.  Targets follow from
+    these, so their depths agree as well."""
 
-    def row(n: Node, target: Optional[Node]) -> tuple:
-        return n.literal, n.side, target.depth if target is not None else None, len(n.children)
+    def row(n: Node) -> tuple:
+        return n.literal, n.side, len(n.children)
 
-    if row(a.root, a.root.target) != row(b.root, b.root.target):
-        return False
     # equal child counts at every node so far keep the two walks in step
-    return all(
-        row(x, xt) == row(y, yt)
-        for (x, _, xt), (y, _, yt) in zip(branch_walk(a.root), branch_walk(b.root))
-    )
+    return all(row(x) == row(y) for x, y in zip(a.nodes(), b.nodes()))

@@ -27,7 +27,6 @@ from .tableaux import (
     StructureError,
     Tableau,
     branch_of,
-    compute_targets,
     is_closed,
     is_hyper,
     simplify_below,
@@ -181,7 +180,6 @@ def hyper_convert(
             )
         trace.rounds.append(ConversionRound(path, measure, size))
         pending.append(nprime)
-    compute_targets(work)
     if not is_hyper(work):
         raise StructureError("conversion finished on a non-hyper tableau")
     trace.output_size = work.inner_size()

@@ -22,7 +22,13 @@ from .normalize import (
     matrix_cnf,
     skolemize_clausify,
 )
-from .restriction import is_horn, is_horn_like, is_u_range_restricted, is_vgt_range_restricted
+from .restriction import (
+    RestrictionReport,
+    is_horn,
+    is_horn_like,
+    is_u_range_restricted,
+    is_vgt_range_restricted,
+)
 from .syntax import (
     And,
     App,
@@ -343,14 +349,24 @@ class InterpolationReport:
         return None
 
 
-# the checkers are looked up as module globals at call time, so that a
-# wrapper installed on this module (as the benchmark's tracer does) sees them
-_PROPERTY_CHECKS = {
-    "u-rr": lambda h: is_u_range_restricted(h).verdict,
-    "vgt-rr": lambda h: is_vgt_range_restricted(h).verdict,
-    "horn": lambda h: is_horn(h),
+# the requirable properties, each checker giving a verdict with the witnesses
+# against it; the checkers are looked up as module globals at call time, so
+# that a wrapper installed on this module (as the benchmark's tracer does)
+# sees them
+PROPERTY_CHECKS = {
+    "u-rr": lambda h: is_u_range_restricted(h),
+    "vgt-rr": lambda h: is_vgt_range_restricted(h),
+    "horn": lambda h: RestrictionReport(is_horn(h)),
 }
-REQUIRABLE = tuple(_PROPERTY_CHECKS)
+
+
+def requirements(names: Iterable[str]) -> frozenset[str]:
+    """The requirable properties named; an unknown name is an InputError."""
+    out = frozenset(names)
+    unknown = sorted(out - PROPERTY_CHECKS.keys())
+    if unknown:
+        raise InputError(f"unknown requirement: {', '.join(unknown)}")
+    return out
 
 
 def interpolate(
@@ -373,10 +389,7 @@ def interpolate(
     structural guarantees hold.  Failing a requested property raises
     RequirementError.
     """
-    require = frozenset(require)
-    for r in require:
-        if r not in REQUIRABLE:
-            raise InputError(f"unknown requirement: {r}")
+    require = requirements(require)
     report = InterpolationReport(require=require)
     timings = report.timings_ms
     namer = FreshNamer(formula_symbols(f) | formula_symbols(g))
@@ -468,7 +481,7 @@ def _check_requirements(h: Formula, report: InterpolationReport) -> None:
     if report.verification is not None:  # it has checked the same properties
         report.require_results.update(report.verification.properties)
     for r in sorted(report.require - report.require_results.keys()):
-        report.require_results[r] = _PROPERTY_CHECKS[r](h)
+        report.require_results[r] = PROPERTY_CHECKS[r](h).verdict
     failed = [r for r, ok in report.require_results.items() if not ok]
     if failed:
         raise RequirementError(
@@ -585,6 +598,7 @@ def verify_interpolant(
     timeout: Optional[float] = None,
     max_inferences: Optional[int] = None,
 ) -> VerificationReport:
+    required = requirements(required)
     voc_ok, var_ok = craig_conditions(f, g, h)
     rep = VerificationReport(
         vocabulary_ok=voc_ok,
@@ -592,10 +606,8 @@ def verify_interpolant(
         f_entails_h=entails(f, h, max_depth, timeout, max_inferences),
         h_entails_g=entails(h, g, max_depth, timeout, max_inferences),
     )
-    for r in sorted(set(required)):
-        if r not in _PROPERTY_CHECKS:
-            raise InputError(f"unknown property: {r}")
-        rep.properties[r] = _PROPERTY_CHECKS[r](h)
+    for r in sorted(required):
+        rep.properties[r] = PROPERTY_CHECKS[r](h).verdict
     return rep
 
 

@@ -407,7 +407,6 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
         stack.append((pos, step.right))
         stack.append((neg, step.left))
     tab = Tableau(root)
-    # is_closed also sets every target
     if not is_closed(tab):
         raise ProofError("translated tableau is not closed; invalid proof")
     return tab

@@ -2,6 +2,10 @@
 regularity / leaf-closing simplification, grounding, side assignment,
 the hyper predicate, and a small connection-driven prover.
 
+A node stores its literal (None at the root), its side (F, G or None),
+its children and its parent, and nothing else.  Its depth and its target
+are facts of its position in the tree, and `branch_walk` yields both.
+
 Every walker over a tableau's branches runs on `branch_walk`: one
 iterative pre-order walk that keeps, per literal, the stack of the nodes
 on the current branch labeled with it.  A node's target is its nearest
@@ -50,28 +54,17 @@ class ResourceLimitError(Exception):
 
 
 class Node:
-    __slots__ = ("literal", "side", "children", "parent", "target", "depth")
+    __slots__ = ("literal", "side", "children", "parent")
 
     def __init__(self, literal: Optional[Literal] = None, side: Optional[str] = None):
         self.literal = literal
         self.side = side
         self.children: list[Node] = []
         self.parent: Optional[Node] = None
-        self.target: Optional[Node] = None
-        self.depth = 0
 
     def add(self, child: "Node") -> None:
         child.parent = self
         self.children.append(child)
-        # renumber the whole moved subtree; children may arrive with depths
-        # from a previous position
-        stack = [(child, self.depth + 1)]
-        while stack:
-            n, d = stack.pop()
-            n.depth = d
-            for c in n.children:
-                c.parent = n
-                stack.append((c, d + 1))
 
     def set_children(self, children: list["Node"]) -> None:
         self.children = []
@@ -96,14 +89,11 @@ class Node:
             stack.extend(reversed(n.children))
 
     def copy_subtree(self) -> tuple["Node", dict[int, "Node"]]:
-        """Fresh copy; returns the copy and a map id(original) -> copy.
-        Targets are not copied (they are recomputed by simplification)."""
+        """Fresh copy; returns the copy and a map id(original) -> copy."""
         top = Node(self.literal, self.side)
-        top.depth = self.depth
         mapping = {id(self): top}
-        for n, depth, _ in branch_walk(self):
+        for n, _, _ in branch_walk(self):
             c = mapping[id(n)] = Node(n.literal, n.side)
-            c.depth = depth
             c.parent = mapping[id(n.parent)]
             c.parent.children.append(c)
         return top, mapping
@@ -115,7 +105,6 @@ class Node:
 class Tableau:
     def __init__(self, root: Node):
         self.root = root
-        _renumber_depths(root)
 
     def nodes(self) -> Iterator[Node]:
         return self.root.pre_order()
@@ -138,17 +127,6 @@ class Tableau:
     def copy(self) -> "Tableau":
         root, _ = self.root.copy_subtree()
         return Tableau(root)
-
-
-def _renumber_depths(root: Node) -> None:
-    root.depth = 0
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for c in n.children:
-            c.parent = n
-            c.depth = n.depth + 1
-            stack.append(c)
 
 
 def clause_at(node: Node) -> tuple[Literal, ...]:
@@ -180,8 +158,9 @@ def branch_of(node: Node) -> Branch:
 def branch_walk(
     start: Node, on: Optional[Branch] = None
 ) -> Iterator[tuple[Node, int, Optional[Node]]]:
-    """Each node below `start` in pre-order, with its depth and its target,
-    the nearest ancestor labeled with the complementary literal.
+    """Each node below `start` in pre-order, with its depth below `start`
+    and its target, the nearest ancestor labeled with the complementary
+    literal.
 
     `on` holds the branch down to `start` (empty when `start` is the root,
     see `branch_of` otherwise); while the caller holds a node, it holds the
@@ -205,23 +184,15 @@ def branch_walk(
             continue
         closing = on.get(n.literal.complement())
         on.setdefault(n.literal, []).append(n)
-        yield n, start.depth + len(stack), closing[-1] if closing else None
+        yield n, len(stack), closing[-1] if closing else None
         stack.append((n, iter(n.children)))
 
 
-def compute_targets(tab: Tableau) -> None:
-    for n, _, target in branch_walk(tab.root):
-        n.target = target
-
-
 def is_closed(tab: Tableau) -> bool:
-    """True iff every branch contains complementary literals.
-
-    Also populates target pointers (nearest complementary ancestor)."""
+    """True iff every branch contains complementary literals."""
     closed = bool(tab.root.children)
     closing = 0  # depth of the highest node on the branch with a target, or 0
     for n, depth, target in branch_walk(tab.root):
-        n.target = target
         if not 0 < closing < depth:
             closing = 0 if target is None else depth
         if not closing and not n.children:
@@ -265,19 +236,24 @@ def _clean_children(children: list[Node], on: Branch) -> tuple[list[Node], int]:
 
 
 def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int, int]:
-    """Give `top` copies of `children` as its children, simplified as the
-    whole-tree walk simplifies below `top`, whose branch is `on`; the nodes
-    of `children` stay as they are, and every copy gets its target.
-    Returns (splices, truncations, nodes added).
+    """Give `top` copies of `children` as its children, made regular and
+    leaf-closing as the whole-tree walk makes them on reaching `top`, whose
+    branch is `on`; the nodes of `children` stay as they are.  Returns
+    (splices, truncations, nodes added).
+
+    Regularity: a node repeating a literal of its branch causes the edges of
+    its parent to be replaced by its own edges.  Leaf-closing: an inner
+    closing node loses its outgoing edges.  Violations are fixed at first
+    encounter in pre-order; neither operation can introduce a violation
+    earlier in the walk, since both only shorten ancestor chains.
 
     The walk meets copies whose children are still the original nodes, and
     copies only the children that each one keeps."""
     top.children = children
     splices = truncations = added = 0
-    for n, depth, target in chain([(top, top.depth, None)], branch_walk(top, on)):
+    for n, _, target in chain([(top, 0, None)], branch_walk(top, on)):
         if n is not top:
             added += 1
-            n.target = target
         if target is not None and n.children:
             n.children = []  # closing inner node becomes a leaf
             truncations += 1
@@ -288,32 +264,7 @@ def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, in
         for copy, c in zip(n.children, kept):
             copy.children = c.children
             copy.parent = n
-            copy.depth = depth + 1
     return splices, truncations, added
-
-
-def simplify_in_place(
-    root: Node, counts: Optional[dict[Literal, int]] = None
-) -> tuple[int, int]:
-    """Make the tree regular and leaf-closing; returns (splices, truncations).
-
-    Regularity: a node repeating an ancestor literal causes the edges of its
-    parent to be replaced by its own edges.  Leaf-closing: an inner closing
-    node loses its outgoing edges.  Violations are fixed at first encounter
-    in pre-order; neither operation can introduce a violation earlier in the
-    walk, since both only shorten ancestor chains.  The nodes below `root`
-    are replaced by simplified copies.
-
-    Without `counts`, `root` is the root of the tree.  With `counts`, only
-    the part below `root` is simplified, exactly as the whole-tree walk
-    would do it on reaching `root`: `counts` then gives the number of
-    occurrences of each literal on the path from the tree's root down to
-    `root`, both included.  The walk reads that path from the ancestors of
-    `root` (`branch_of`), so `counts` itself is neither read nor changed.
-    """
-    on = {} if counts is None else branch_of(root)
-    splices, truncations, _ = simplify_below(root, root.children, on)
-    return splices, truncations
 
 
 def simplify(tab: Tableau) -> Tableau:
@@ -377,7 +328,6 @@ def assign_sides(
             )
         for c in n.children:
             c.side = side
-    compute_targets(out)
     return out
 
 
@@ -421,7 +371,6 @@ def ground_tableau(
     out = tab.copy()
     for n in out.non_root_nodes():
         n.literal = apply_literal(n.literal, sub)
-    compute_targets(out)
     return out, frozenset(s1), frozenset(s2)
 
 
@@ -616,8 +565,8 @@ def prove(
         if untried:
             tick(untried)
         # extension: attach a clause instance containing a closing literal
-        depth = goal.depth + 1
-        if depth > limit:
+        # at the depth of the goal's children, the root being at depth 0
+        if len(ancestors) + 2 > limit:
             cutoff = True
             return False
         path: dict[tuple[bool, str], list[Literal]] = {}
@@ -635,7 +584,6 @@ def prove(
                 children = [Node(l) for l in lits]
                 for ch in children:
                     ch.parent = goal
-                    ch.depth = depth
                 goal.children = children
                 if regular(children, path):
                     if solve(children[:idx] + children[idx + 1:] + rest, limit):

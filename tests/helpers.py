@@ -431,19 +431,30 @@ def reference_is_closing(node: Node) -> bool:
     return reference_closing_target(node) is not None
 
 
-def reference_compute_targets(tab: Tableau) -> None:
-    for n in tab.non_root_nodes():
-        n.target = reference_closing_target(n)
+def reference_compute_targets(tab: Tableau) -> dict[Node, Optional[Node]]:
+    """The target of every node below the root."""
+    return {n: reference_closing_target(n) for n in tab.non_root_nodes()}
+
+
+def reference_depths(tab: Tableau) -> dict[Node, int]:
+    """The depth of every node, the root at depth 0."""
+    depths: dict[Node, int] = {}
+
+    def go(n: Node, depth: int) -> None:
+        depths[n] = depth
+        for c in n.children:
+            go(c, depth + 1)
+
+    go(tab.root, 0)
+    return depths
 
 
 def reference_is_closed(tab: Tableau) -> bool:
-    """True iff every branch contains complementary literals.
-
-    Also populates target pointers (nearest complementary ancestor)."""
-    reference_compute_targets(tab)
+    """True iff every branch contains complementary literals."""
+    targets = reference_compute_targets(tab)
 
     def closed(n: Node, inherited: bool) -> bool:
-        here = inherited or n.target is not None
+        here = inherited or targets.get(n) is not None
         if not n.children:
             return here
         return all(closed(c, here) for c in n.children)
@@ -506,21 +517,19 @@ def reference_simplify_in_place(
 
 
 def reference_copy_subtree(node: Node) -> tuple[Node, dict[int, Node]]:
-    """Fresh copy; returns the copy and a map id(original) -> copy.
-    Targets are not copied (they are recomputed by simplification)."""
+    """Fresh copy; returns the copy and a map id(original) -> copy."""
     mapping: dict[int, Node] = {}
 
-    def go(n: Node, depth: int) -> Node:
+    def go(n: Node) -> Node:
         c = Node(n.literal, n.side)
-        c.depth = depth
         mapping[id(n)] = c
         for ch in n.children:
-            cc = go(ch, depth + 1)
+            cc = go(ch)
             cc.parent = c
             c.children.append(cc)
         return c
 
-    return go(node, node.depth), mapping
+    return go(node), mapping
 
 
 def reference_copy(tab: Tableau) -> Tableau:
@@ -528,16 +537,17 @@ def reference_copy(tab: Tableau) -> Tableau:
 
 
 def reference_format_tableau(tab: Tableau) -> str:
-    reference_compute_targets(tab)
+    targets = reference_compute_targets(tab)
+    depths = reference_depths(tab)
     lines = ["tableau"]
 
     def emit(n: Node) -> None:
         for c in n.children:
-            parts = ["  " * c.depth + format_literal(c.literal)]
+            parts = ["  " * depths[c] + format_literal(c.literal)]
             if c.side is not None:
                 parts.append(f"[{c.side}]")
-            if c.target is not None:
-                parts.append(f"-> {c.target.depth}")
+            if targets[c] is not None:
+                parts.append(f"-> {depths[targets[c]]}")
             lines.append(" ".join(parts))
             emit(c)
 
@@ -547,14 +557,14 @@ def reference_format_tableau(tab: Tableau) -> str:
 
 def reference_tableau_equal(a: Tableau, b: Tableau) -> bool:
     """Structural equality: shape, literals, sides, and target depths."""
-    reference_compute_targets(a)
-    reference_compute_targets(b)
+    a_targets, a_depths = reference_compute_targets(a), reference_depths(a)
+    b_targets, b_depths = reference_compute_targets(b), reference_depths(b)
 
     def eq(x: Node, y: Node) -> bool:
         if x.literal != y.literal or x.side != y.side:
             return False
-        xt = x.target.depth if x.target is not None else None
-        yt = y.target.depth if y.target is not None else None
+        xt = a_depths[a_targets[x]] if a_targets.get(x) is not None else None
+        yt = b_depths[b_targets[y]] if b_targets.get(y) is not None else None
         if xt != yt:
             return False
         if len(x.children) != len(y.children):
@@ -572,12 +582,12 @@ def reference_ipol_map(tab: Tableau) -> dict[Node, Formula]:
             raise StructureError("interpolant extraction needs side labels on every node")
         if not all(is_ground(a) for a in n.literal.args):
             raise StructureError("interpolant extraction needs a ground tableau")
-    reference_compute_targets(tab)
+    targets = reference_compute_targets(tab)
     values: dict[Node, Formula] = {}
 
     def go(n: Node) -> Formula:
         if not n.children:
-            t = n.target
+            t = targets.get(n)
             if t is None:
                 raise StructureError("tableau is not leaf-closed: open leaf")
             if n.side == "F" and t.side == "F":
@@ -655,7 +665,6 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
         if size > max_nodes:
             raise ResourceLimitError(f"hyper conversion exceeded {max_nodes} nodes")
         trace.rounds.append(ConversionRound(path, measure, size))
-    reference_compute_targets(work)
     if not is_hyper(work):
         raise StructureError("conversion finished on a non-hyper tableau")
     trace.output_size = work.inner_size()
@@ -754,14 +763,12 @@ def reference_prove(
                 continue
             tick()
             mark = len(trail)
-            if unify_complement(goal.literal, anc.literal):
-                goal.target = anc
-                if solve(rest, limit):
-                    return True
-                goal.target = None
+            if unify_complement(goal.literal, anc.literal) and solve(rest, limit):
+                return True
             undo(binding, trail, mark)
         # extension: attach a clause instance containing a closing literal
-        if goal.depth + 1 > limit:
+        # the depth of the goal's children: the goal's ancestors count the root
+        if sum(1 for _ in goal.ancestors()) + 1 > limit:
             cutoff[0] = True
             return False
         for c in cls:
@@ -774,7 +781,6 @@ def reference_prove(
                 if unify_complement(goal.literal, lits[idx]):
                     children = [Node(l) for l in lits]
                     goal.set_children(children)
-                    children[idx].target = goal
                     if regular(children):
                         new_goals = [ch for i, ch in enumerate(children) if i != idx]
                         if solve(new_goals + rest, limit):
@@ -1563,6 +1569,7 @@ def reference_parse_tableau(text: str) -> Tableau:
         raise ParseError("expected 'tableau' header", line, 1)
     root = Node()
     stack: list[Node] = [root]
+    depths = {root: 0}
     targets: list[tuple[Node, int, int]] = []
     for line_no, raw in body[1:]:
         m = _REFERENCE_LINE_RE.match(raw)
@@ -1577,19 +1584,19 @@ def reference_parse_tableau(text: str) -> Tableau:
         lit = _reference_parse_single_literal(m.group("lit"), line_no)
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
+        depths[node] = depth
         del stack[depth:]
         stack.append(node)
         if m.group("target") is not None:
             targets.append((node, int(m.group("target")), line_no))
     for node, tdepth, line_no in targets:
         anc: Optional[Node] = node
-        while anc is not None and anc.depth != tdepth:
+        while anc is not None and depths[anc] != tdepth:
             anc = anc.parent
         if anc is None or anc.literal is None:
             raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)
         if anc.literal != node.literal.complement():
             raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
-        node.target = anc
     return Tableau(root)
 
 

@@ -218,6 +218,38 @@ def test_check_command(tmp_path, capsys):
     assert main(["check", "--input", broken, "--property", "horn"]) == 3
 
 
+NOT_RANGE_RESTRICTED = "fof(a, axiom, ! [X] : (q(X) | s(X))).\nfof(b, axiom, ? [Y] : (p(Y) | ~t(Y))).\n"
+
+
+@pytest.mark.parametrize(
+    "prop, out",
+    [
+        ("u-rr", "u-rr: no\nwitness: clause (q(X) | s(X)) offends X [universal-not-in-negative]\n"),
+        (
+            "vgt-rr",
+            "vgt-rr: no\n"
+            "witness: clause (q(X) | s(X)) offends X [universal-not-in-negative]\n"
+            "witness: clause (q(X) & ~t(Y)) offends Y [existential-not-in-positive]\n"
+            "witness: clause (s(X) & ~t(Y)) offends Y [existential-not-in-positive]\n",
+        ),
+        ("horn", "horn: no\n"),
+        ("horn-like", "horn-like: no\n"),
+    ],
+)
+def test_check_outputs(tmp_path, capsys, prop, out):
+    f = write(tmp_path, "f.p", NOT_RANGE_RESTRICTED)
+    assert main(["check", "--input", f, "--property", prop]) == 2
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("prop", ["u-rr", "vgt-rr", "horn", "horn-like", "prop4"])
+def test_check_without_input_is_a_usage_error(capsys, prop):
+    assert main(["check", "--property", prop]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {prop} needs --input\n"
+
+
 def test_verify_command(tmp_path, capsys):
     f = write(tmp_path, "f.p", EX2_F)
     g = write(tmp_path, "g.p", EX2_G)
@@ -465,6 +497,20 @@ def test_stats_exit_code_is_that_of_the_first_failing_row(tmp_path, capsys, file
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.out.count("--  ") >= 1
+
+
+def test_stats_gives_an_unreadable_file_its_row(tmp_path, capsys):
+    (tmp_path / "a.proof").write_bytes(b"s1 input p\xff\n")
+    (tmp_path / "b.proof").mkdir()
+    (tmp_path / "c.proof").write_text(TWO_STEP_PROOF)
+    assert main(["stats", "--dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:4]]
+    assert [r[0] for r in rows] == ["a.proof", "b.proof", "c.proof"]
+    assert rows[0][1:5] == rows[1][1:5] == ["--"] * 4
+    assert "not UTF-8 text" in captured.out.splitlines()[1]
+    assert rows[2][1:3] == ["5", "3"]  # S3 and S4 of the readable proof
+    assert captured.err == "error: 2 of 3 proof files failed\n"
 
 
 def test_truncated_proof_record_is_a_parse_error(tmp_path, capsys):

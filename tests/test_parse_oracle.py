@@ -15,6 +15,7 @@ from foltab.cli import bundled_samples_dir
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from foltab.syntax import Clause, InputError
+from foltab.tableaux import branch_walk
 from foltab.tptp import (
     ParseError,
     format_clause,
@@ -94,12 +95,14 @@ def assert_agree(new, reference, text, key=lambda r: r):
 
 
 def tableau_rows(tab):
-    """Depth, literal, side and target depth of every node in pre-order,
-    targets as parsed."""
-    return [
-        (n.depth, n.literal, n.side, n.target.depth if n.target is not None else None)
-        for n in tab.nodes()
-    ]
+    """Depth, literal, side and target depth of every node below the root in
+    pre-order, as the branch walk reads them."""
+    depth_of = {tab.root: 0}
+    out = []
+    for n, depth, target in branch_walk(tab.root):
+        depth_of[n] = depth
+        out.append((depth, n.literal, n.side, depth_of[target] if target is not None else None))
+    return out
 
 
 def sample_proofs() -> list[str]:

@@ -20,15 +20,16 @@ from foltab.tableaux import (
     StructureError,
     Tableau,
     assign_sides,
+    branch_of,
     branch_walk,
-    compute_targets,
     is_closed,
     is_hyper,
     is_leaf_closed,
     is_leaf_closing,
     is_regular,
     prove,
-    simplify_in_place,
+    simplify,
+    simplify_below,
 )
 from helpers import (
     proof_family,
@@ -36,6 +37,7 @@ from helpers import (
     reference_compute_targets,
     reference_copy,
     reference_copy_subtree,
+    reference_depths,
     reference_format_tableau,
     reference_hyper_convert,
     reference_ipol_map,
@@ -106,19 +108,25 @@ def corpus() -> list[Tableau]:
 
 def rows(node: Node) -> list[tuple]:
     """Literal, side, depth, child count and target position of every node
-    in pre-order, `node` included; targets as they are set."""
-    nodes = list(node.pre_order())
-    where = {id(n): i for i, n in enumerate(nodes)}
+    in pre-order, `node` included, as the branch walk below `node` reads
+    them: depths count from `node`, whose own target is None."""
+    out = [(node.literal, node.side, 0, len(node.children), None)]
+    where = {node: 0}
+    for n, depth, target in branch_walk(node):
+        where[n] = len(out)
+        out.append((n.literal, n.side, depth, len(n.children), where.get(target)))
+    return out
+
+
+def reference_rows(tab: Tableau) -> list[tuple]:
+    """The rows of the whole tableau, from the reference walkers."""
+    targets, depths = reference_compute_targets(tab), reference_depths(tab)
+    nodes = list(tab.nodes())
+    where = {n: i for i, n in enumerate(nodes)}
     return [
-        (n.literal, n.side, n.depth, len(n.children), where.get(id(n.target)) if n.target else None)
+        (n.literal, n.side, depths[n], len(n.children), where.get(targets.get(n)))
         for n in nodes
     ]
-
-
-def clear_targets(tab: Tableau) -> Tableau:
-    for n in tab.nodes():
-        n.target = None
-    return tab
 
 
 @pytest.fixture(scope="module")
@@ -129,16 +137,10 @@ def tableaux():
 def test_targets_and_closedness_agree_with_the_reference(tableaux):
     closed = 0
     for tab in tableaux:
-        mine, ref = clear_targets(tab.copy()), clear_targets(reference_copy(tab))
-        compute_targets(mine)
-        reference_compute_targets(ref)
-        assert rows(mine.root) == rows(ref.root)
-        for n, depth, target in branch_walk(mine.root):
-            assert (depth, target) == (n.depth, n.target)
-        mine, ref = clear_targets(tab.copy()), clear_targets(reference_copy(tab))
+        mine, ref = tab.copy(), reference_copy(tab)
+        assert rows(mine.root) == reference_rows(ref)
         got = is_closed(mine)
         assert got == reference_is_closed(ref)
-        assert rows(mine.root) == rows(ref.root)  # both set every target
         closed += got
         assert is_regular(tab) == reference_is_regular(tab)
         assert is_leaf_closing(tab) == reference_is_leaf_closing(tab)
@@ -151,25 +153,24 @@ def test_simplification_agrees_with_the_reference(tableaux):
     changed = 0
     for tab in tableaux:
         mine, ref = tab.copy(), reference_copy(tab)
-        got = simplify_in_place(mine.root)
+        splices, truncations, added = simplify_below(mine.root, mine.root.children, {})
+        got = splices, truncations
         assert got == reference_simplify_in_place(ref.root)
-        reference_compute_targets(ref)
-        assert rows(mine.root) == rows(ref.root)  # it sets every target
+        assert rows(mine.root) == reference_rows(ref)
+        assert added == mine.size() - 1
+        assert rows(simplify(tab).root) == rows(mine.root)
         changed += got != (0, 0)
-        # below an inner node, with the counts of the path down to it
+        # below an inner node, with the path down to it (the reference
+        # counts the literals on that path)
         mine, ref = tab.copy(), reference_copy(tab)
         inner = [i for i, n in enumerate(mine.nodes()) if n.children]
         at = rng.choice(inner) if inner else 0
         m, r = list(mine.nodes())[at], list(ref.nodes())[at]
         counts = Counter(a.literal for a in [r, *r.ancestors()] if a.literal is not None)
-        given = dict(counts)
-        assert simplify_in_place(m, counts if m.literal else None) == reference_simplify_in_place(
+        assert simplify_below(m, m.children, branch_of(m))[:2] == reference_simplify_in_place(
             r, dict(counts) if r.literal else None
         )
-        assert counts == given
-        reference_compute_targets(mine)
-        reference_compute_targets(ref)
-        assert rows(mine.root) == rows(ref.root)
+        assert rows(mine.root) == reference_rows(ref)
     assert changed > 200
 
 
@@ -179,7 +180,7 @@ def test_copies_agree_with_the_reference(tableaux):
         node = rng.choice(list(tab.nodes()))
         copy, mapping = node.copy_subtree()
         ref, ref_mapping = reference_copy_subtree(node)
-        assert rows(copy) == rows(ref)
+        assert rows(copy) == rows(ref) == rows(node)
         assert mapping.keys() == ref_mapping.keys()
         assert [rows(mapping[k]) for k in mapping] == [rows(ref_mapping[k]) for k in mapping]
         for n in copy.pre_order():
@@ -207,6 +208,22 @@ def test_structural_equality_agrees_with_the_reference(tableaux):
             n.children = n.children[:-1]
         for a, b in ((tab, tab.copy()), (tab, other), (tab, changed), (changed, tab)):
             assert tableau_equal(a, b) == reference_tableau_equal(reference_copy(a), reference_copy(b))
+
+
+def test_a_moved_subtree_reads_the_depths_and_targets_of_its_new_position():
+    # hyper_convert lifts the children of n to nprime with set_children:
+    # ~p and r move up a level, ~q loses its target q, ~r follows r
+    tab = parse_tableau(
+        "tableau\n  p\n    q\n      ~p -> 1\n      r\n        ~q -> 2\n        ~r -> 3\n"
+    )
+    nprime = tab.root.children[0]
+    nprime.set_children(nprime.children[0].children)
+    assert all(c.parent is nprime for c in nprime.children)
+    assert format_tableau(tab) == "tableau\n  p\n    ~p -> 1\n    r\n      ~q\n      ~r -> 2\n"
+    assert [(str(n.literal), d) for n, d, _ in branch_walk(tab.root)] == [
+        ("p", 1), ("~p", 2), ("r", 2), ("~q", 3), ("~r", 3)
+    ]
+    assert rows(tab.root) == reference_rows(tab)
 
 
 # the clause at the root has a sibling of ~a that also lies on the branch
@@ -316,12 +333,11 @@ def low_recursion_limit():
 def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     tab = deep_chain()
     leaf = list(tab.nodes())[-1]
-    compute_targets(tab)
-    assert (leaf.depth, leaf.target.depth) == (DEPTH, 1)
-    assert [(d, t) for _, d, t in branch_walk(tab.root)][-1] == (DEPTH, tab.root.children[0])
+    assert list(branch_walk(tab.root))[-1] == (leaf, DEPTH, tab.root.children[0])
     assert is_closed(tab) and is_regular(tab) and is_leaf_closing(tab) and is_leaf_closed(tab)
     copy, mapping = tab.root.copy_subtree()
-    assert len(mapping) == DEPTH + 1 and [n.depth for n in copy.pre_order()] == list(range(DEPTH + 1))
+    assert len(mapping) == DEPTH + 1
+    assert [d for _, d, _ in branch_walk(copy)] == list(range(1, DEPTH + 1))
     doc = format_tableau(tab)
     assert doc.count("\n") == DEPTH + 1
     assert doc.endswith("  " * DEPTH + "~p1 [F] -> 1\n")
@@ -333,7 +349,7 @@ def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     nodes[1000].literal = p(3)
     nodes[DEPTH // 2].literal = p(1, False)
     assert not is_regular(irregular) and not is_leaf_closing(irregular)
-    assert simplify_in_place(irregular.root) == (1, 1)
+    assert simplify_below(irregular.root, irregular.root.children, {}) == (1, 1, DEPTH // 2 - 1)
     assert irregular.size() == DEPTH // 2 and is_leaf_closed(irregular)
 
 
@@ -347,6 +363,6 @@ def test_hyper_conversion_of_a_5000_deep_branch(low_recursion_limit):
     nodes = list(out.nodes())
     assert nodes[1].literal == p(1)
     assert [n.literal for n in nodes[-2:]] == [p(0), p(0, False)]
-    assert nodes[-1].depth == DEPTH
+    assert list(branch_walk(out.root))[-1][:2] == (nodes[-1], DEPTH)
     assert trace.output_size == out.inner_size() == DEPTH
     assert ipol_map(out)[out.root] == ipol_map(tab)[tab.root]

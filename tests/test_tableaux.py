@@ -10,6 +10,7 @@ from foltab.tableaux import (
     StructureError,
     Tableau,
     assign_sides,
+    branch_walk,
     ground_tableau,
     is_closed,
     is_hyper,
@@ -64,7 +65,9 @@ def test_pre_order_on_wide_and_deep_trees():
     assert [str(n.literal) for n in tab.non_root_nodes()] == ["p", "q", "r", "s", "t"]
     # deeper than the interpreter's default recursion limit
     deep = chain(*(lit(f"p{i}") for i in range(3000)))
-    assert [n.depth for n in deep.nodes()] == list(range(3001))
+    walk = list(branch_walk(deep.root))
+    assert [n for n, _, _ in walk] == list(deep.non_root_nodes())
+    assert [d for _, d, _ in walk] == list(range(1, 3001))
 
 
 def test_is_closed_unit_chain():
@@ -74,10 +77,10 @@ def test_is_closed_unit_chain():
 
 def test_targets_nearest_ancestor():
     t = chain(lit("p"), lit("q"), lit("p"), lit("p", positive=False))
-    is_closed(t)
-    leaf = t.root.children[0].children[0].children[0].children[0]
-    assert leaf.target is not None
-    assert leaf.target.depth == 3  # the nearer p
+    assert is_closed(t)
+    nearer_p = t.root.children[0].children[0].children[0]
+    leaf = nearer_p.children[0]
+    assert list(branch_walk(t.root))[-1] == (leaf, 4, nearer_p)  # the p at depth 3
 
 
 def test_simplify_splices_repeated_literal():
