@@ -21,10 +21,8 @@ from .normalize import (
     PrenexNormalForm,
     cnf,
     dnf,
-    dual,
     equality_axioms,
     freeze_free_vars,
-    nnf,
     skolemize_clausify,
 )
 from .proofs import DeductionStep, ground_deduction, parse_proof, to_cut_normal_form, to_tree

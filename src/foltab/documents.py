@@ -65,14 +65,16 @@ def parse_tableau(text: str) -> Tableau:
             lit = p.literal()
             p.at_end("trailing input after literal")
         except ParseError as e:
-            raise ParseError(e.message, line_no, e.col) from None
+            raise ParseError(e.message, line_no, m.start("lit") + e.col) from None
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         del stack[depth:]
         stack.append(node)
         if m.group("target") is not None:
-            tdepth = int(m.group("target"))
-            targets.append((node, stack[tdepth] if tdepth <= depth else None, tdepth, line_no))
+            digits = m.group("target").lstrip("0") or "0"
+            # more digits than the line's own depth: no ancestor's (nor int()'s)
+            tdepth = int(digits) if len(digits) <= len(str(depth)) else depth + 1
+            targets.append((node, stack[tdepth] if tdepth <= depth else None, digits, line_no))
     for node, anc, tdepth, line_no in targets:
         if anc is None or anc.literal is None:
             raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)

@@ -18,9 +18,10 @@ from typing import Iterable, Optional
 from .hyperconv import ConversionTrace, hyper_convert
 from .normalize import (
     DEFAULT_CLAUSE_LIMIT,
+    cnf,
     freeze_free_vars,
-    matrix_cnf,
     skolemize_clausify,
+    wrap_prefix,
 )
 from .restriction import (
     RestrictionReport,
@@ -35,7 +36,6 @@ from .syntax import (
     BOTTOM,
     Bottom,
     Clause,
-    Exists,
     ForAll,
     Formula,
     FreshNamer,
@@ -52,9 +52,11 @@ from .syntax import (
     free_vars,
     is_ground,
     map_formula_terms,
+    map_term,
     mk_and,
     mk_or,
     rename_predicates,
+    smax_by,
     term_depth,
     vocabulary,
 )
@@ -145,11 +147,22 @@ def simp_and(parts: Iterable[Formula]) -> Formula:
 
 def truth_simplify(f: Formula) -> Formula:
     """Remove truth constants from an NNF, bottom up."""
-    if isinstance(f, And):
-        return simp_and(truth_simplify(p) for p in f.parts)
-    if isinstance(f, Or):
-        return simp_or(truth_simplify(p) for p in f.parts)
-    return f
+    out: list[Formula] = []
+    # (g, False) visits g; (g, True) simplifies g from its parts in `out`
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, rebuild = todo.pop()
+        if rebuild:
+            k = len(out) - len(g.parts)
+            parts = out[k:]
+            del out[k:]
+            out.append(simp_and(parts) if g.__class__ is And else simp_or(parts))
+        elif g.__class__ is And or g.__class__ is Or:
+            todo.append((g, True))
+            todo.extend((p, False) for p in reversed(g.parts))
+        else:
+            out.append(g)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,49 +236,16 @@ def lift_parts(
     if namer is None:
         namer = FreshNamer(formula_symbols(h_grd))
 
-    def member(t: Term) -> bool:
-        return ctx.e_member(t) or ctx.u_member(t)
-
-    occurrence: list[Term] = []
-
-    def scan(t: Term) -> None:
-        if member(t):
-            if t not in occurrence:
-                occurrence.append(t)
-            return
-        if isinstance(t, App):
-            for a in t.args:
-                scan(a)
-
-    def walk_scan(g: Formula) -> None:
-        if isinstance(g, Literal):
-            for a in g.args:
-                scan(a)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk_scan(p)
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        else:
-            raise StructureError("lifting expects a quantifier-free NNF")
-
-    walk_scan(h_grd)
+    # a stable sort keeps the order of first occurrence within each depth
     ordered = sorted(
-        occurrence, key=lambda t: (term_depth(t), occurrence.index(t))
+        smax_by(lambda t: ctx.e_member(t) or ctx.u_member(t), h_grd), key=term_depth
     )
-    names = {t: namer.fresh("V") for t in ordered}
+    # every maximal member occurrence is a key, and a key is a member term
+    variables = {t: Var(namer.fresh("V")) for t in ordered}
     prefix = tuple(
-        ("exists" if ctx.e_member(t) else "forall", names[t]) for t in ordered
+        ("exists" if ctx.e_member(t) else "forall", variables[t].name) for t in ordered
     )
-
-    def replace(t: Term) -> Term:
-        if member(t):
-            return Var(names[t])
-        if isinstance(t, App) and t.args:
-            return App(t.functor, tuple(replace(a) for a in t.args))
-        return t
-
-    matrix = map_formula_terms(h_grd, replace)
+    matrix = map_formula_terms(h_grd, lambda t: map_term(t, variables.get))
     return LiftResult(prefix, matrix, tuple(ordered))
 
 
@@ -276,25 +256,10 @@ def lift(
     return wrap_prefix(lifted.prefix, lifted.matrix)
 
 
-def wrap_prefix(prefix: Iterable[tuple[str, str]], matrix: Formula) -> Formula:
-    out = matrix
-    for q, v in reversed(tuple(prefix)):
-        out = ForAll(v, out) if q == "forall" else Exists(v, out)
-    return out
-
-
 def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
     """Replace placeholder constants with their original variables."""
-
-    def back(t: Term) -> Term:
-        if isinstance(t, App):
-            if not t.args and t.functor in mapping:
-                return Var(mapping[t.functor])
-            if t.args:
-                return App(t.functor, tuple(back(a) for a in t.args))
-        return t
-
-    return map_formula_terms(h, back)
+    variables = {App(c): Var(v) for c, v in mapping.items()}
+    return map_formula_terms(h, lambda t: map_term(t, variables.get))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +275,7 @@ def hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
     g = truth_simplify(f)
     if isinstance(g, (Top, Bottom, Literal)):
         return g
-    clauses = matrix_cnf(g, max_clauses)
+    clauses = cnf(g, max_clauses).matrix
     for c in clauses:
         if sum(1 for l in c.literals if l.positive) > 1:
             raise AssertionError("distribution of a Horn-like NNF produced a non-Horn clause")
@@ -517,19 +482,19 @@ class VerificationReport:
 def _universal_conjuncts(b: Formula) -> list[Formula]:
     """Split a universally quantified conjunction into its conjuncts;
     entailment distributes over them, which keeps the negated side small."""
-    prefix: list[str] = []
-    body = b
-    while isinstance(body, ForAll):
-        prefix.append(body.var)
-        body = body.body
-    if not isinstance(body, And):
-        return [b]
     out: list[Formula] = []
-    for p in body.parts:
-        wrapped = p
-        for v in reversed(prefix):
-            wrapped = ForAll(v, wrapped)
-        out.extend(_universal_conjuncts(wrapped))
+    todo = [b]
+    while todo:
+        g = todo.pop()
+        prefix: list[tuple[str, str]] = []
+        body = g
+        while isinstance(body, ForAll):
+            prefix.append(("forall", body.var))
+            body = body.body
+        if isinstance(body, And):
+            todo.extend(wrap_prefix(prefix, p) for p in reversed(body.parts))
+        else:
+            out.append(g)
     return out
 
 

@@ -1,5 +1,10 @@
-"""Normal forms: NNF, prenexing, the cnf/dnf functionals, dualization,
-Skolemization and clausification, placeholder constants, equality axioms.
+"""Normal forms: the cnf/dnf functionals, Skolemization and clausification,
+placeholder constants, equality axioms.
+
+cnf() computes the prenex CNF in one iterative walk over the formula: it
+pushes negation to the atoms, renames bound variables apart and pulls them
+into the prefix in pre-order, and distributes the matrix into clauses as
+each conjunction or disjunction is finished, with no intermediate formula.
 
 cnf() and dnf() are deterministic and dual-symmetric by construction:
 dnf(F) is defined as the dual of cnf(~F), so the clause-level containment
@@ -29,17 +34,16 @@ from .syntax import (
     Signature,
     Subst,
     Top,
-    TOP,
-    BOTTOM,
     Var,
     apply_literal,
+    apply_term,
     clause,
+    clause_formula,
     formula_subst,
     formula_symbols,
     free_vars,
     mk_and,
     mk_or,
-    rename_bound,
 )
 
 DEFAULT_CLAUSE_LIMIT = 100_000
@@ -47,116 +51,6 @@ DEFAULT_CLAUSE_LIMIT = 100_000
 
 class ClauseLimitError(Exception):
     """Distribution exceeded the configured clause-count limit."""
-
-
-# ---------------------------------------------------------------------------
-# Negation normal form
-
-
-def nnf(f: Formula) -> Formula:
-    """Push negation to atoms and eliminate -> and <=>.
-
-    Equivalent to f; the polarity of every atom occurrence is preserved.
-    """
-    if isinstance(f, (Literal, Top, Bottom)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(nnf(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Or((nnf(Not(f.lhs)), nnf(f.rhs)))
-    if isinstance(f, Iff):
-        return And(
-            (
-                Or((nnf(Not(f.lhs)), nnf(f.rhs))),
-                Or((nnf(Not(f.rhs)), nnf(f.lhs))),
-            )
-        )
-    if isinstance(f, ForAll):
-        return ForAll(f.var, nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, nnf(f.body))
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Literal):
-            return g.complement()
-        if isinstance(g, Top):
-            return BOTTOM
-        if isinstance(g, Bottom):
-            return TOP
-        if isinstance(g, Not):
-            return nnf(g.body)
-        if isinstance(g, And):
-            return Or(tuple(nnf(Not(p)) for p in g.parts))
-        if isinstance(g, Or):
-            return And(tuple(nnf(Not(p)) for p in g.parts))
-        if isinstance(g, Implies):
-            return And((nnf(g.lhs), nnf(Not(g.rhs))))
-        if isinstance(g, Iff):
-            return Or(
-                (
-                    And((nnf(g.lhs), nnf(Not(g.rhs)))),
-                    And((nnf(g.rhs), nnf(Not(g.lhs)))),
-                )
-            )
-        if isinstance(g, ForAll):
-            return Exists(g.var, nnf(Not(g.body)))
-        if isinstance(g, Exists):
-            return ForAll(g.var, nnf(Not(g.body)))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Standardization: bound variable names made unique, deterministically.
-# Runs on NNF output; a pre-NNF pass would not survive <=> expansion,
-# which duplicates binders.
-
-
-def standardize(f: Formula, reserved: Iterable[str] = ()) -> Formula:
-    used = set(reserved) | free_vars(f)
-
-    def pick(name: str) -> str:
-        if name not in used:
-            used.add(name)
-            return name
-        n = 2
-        while f"{name}_{n}" in used:
-            n += 1
-        fresh = f"{name}_{n}"
-        used.add(fresh)
-        return fresh
-
-    return rename_bound(f, pick)
-
-
-# ---------------------------------------------------------------------------
-# Prenexing
-
-
-def prenex(f: Formula) -> tuple[tuple[tuple[str, str], ...], Formula]:
-    """Pull quantifiers of a standardized NNF outward, in formula order.
-
-    Returns (prefix, quantifier-free matrix)."""
-    prefix: list[tuple[str, str]] = []
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Literal, Top, Bottom)):
-            return g
-        if isinstance(g, And):
-            return And(tuple(walk(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p) for p in g.parts))
-        if isinstance(g, ForAll):
-            prefix.append(("forall", g.var))
-            return walk(g.body)
-        if isinstance(g, Exists):
-            prefix.append(("exists", g.var))
-            return walk(g.body)
-        raise InputError("prenex expects an NNF formula")
-
-    matrix = walk(f)
-    return tuple(prefix), matrix
 
 
 # ---------------------------------------------------------------------------
@@ -188,87 +82,100 @@ class PrenexNormalForm:
         )
 
     def matrix_formula(self) -> Formula:
-        from .syntax import clause_formula
-
         if self.kind == "cnf":
             return mk_and(clause_formula(c) for c in self.matrix)
         return mk_or(clause_formula(c) for c in self.matrix)
 
     def formula(self) -> Formula:
-        out = self.matrix_formula()
-        for q, v in reversed(self.prefix):
-            out = ForAll(v, out) if q == "forall" else Exists(v, out)
-        return out
+        return wrap_prefix(self.prefix, self.matrix_formula())
 
 
-def matrix_cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> tuple[Clause, ...]:
-    """Naive distribution of a quantifier-free NNF into a clause list.
+def wrap_prefix(prefix: Iterable[tuple[str, str]], matrix: Formula) -> Formula:
+    out = matrix
+    for q, v in reversed(tuple(prefix)):
+        out = ForAll(v, out) if q == "forall" else Exists(v, out)
+    return out
 
-    Only duplicate clauses are removed; tautologies are kept."""
 
-    def dedup(clauses: list[Clause]) -> list[Clause]:
-        return list(dict.fromkeys(clauses))
-
-    def go(g: Formula) -> list[Clause]:
-        if isinstance(g, Literal):
-            return [Clause((g,))]
-        if isinstance(g, Top):
-            return []
-        if isinstance(g, Bottom):
-            return [Clause(())]
-        if isinstance(g, And):
-            merged: list[Clause] = []
-            for p in g.parts:
-                merged.extend(go(p))
-            return dedup(merged)
-        if isinstance(g, Or):
-            acc: list[Clause] = [Clause(())]
-            for p in g.parts:
-                cs = go(p)
-                if len(acc) * len(cs) > max_clauses:
-                    raise ClauseLimitError(
-                        f"distribution exceeds {max_clauses} clauses"
-                    )
-                acc = [clause(a.literals + c.literals) for a in acc for c in cs]
-            return dedup(acc)
-        raise InputError("matrix distribution expects a quantifier-free NNF")
-
-    return tuple(go(f))
+# (n, conjunctive, _JOIN) on cnf's stack joins the clause lists of the last
+# n subformulas read
+_JOIN = object()
 
 
 def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
-    """Prenex CNF of f.  var(cnf(f)) and voc(cnf(f)) never grow."""
-    g = standardize(nnf(f))
-    prefix, matrix = prenex(g)
-    return PrenexNormalForm(prefix, matrix_cnf(matrix, max_clauses), "cnf")
+    """Prenex CNF of f.  var(cnf(f)) and voc(cnf(f)) never grow.
+
+    One walk reads each subformula of f at a polarity.  Negation goes to the
+    atoms: A => B is read as ~A | B and A <=> B as (~A | B) & (~B | A).  Each
+    quantifier, in pre-order, gets its variable or, if that name is free in
+    f or taken, the first free of X_2, X_3, ...; it joins the prefix, and the
+    literals it binds are renamed by one simultaneous substitution.  The
+    clause lists of the parts of a conjunction are concatenated, those of a
+    disjunction distributed left to right.  Only duplicate clauses are
+    removed; tautologies are kept."""
+    used = free_vars(f)  # which also rejects what is not a formula
+    suffix: dict[str, int] = {}  # the last suffix taken for each name
+
+    def pick(name: str) -> str:
+        if name in used:
+            n = suffix.get(name, 2)
+            while f"{name}_{n}" in used:
+                n += 1
+            suffix[name] = n
+            name = f"{name}_{n}"
+        used.add(name)
+        return name
+
+    prefix: list[tuple[str, str]] = []
+    done: list[list[Clause]] = []  # the clause lists of subformulas read
+    # (g, positive, renaming) reads g at that polarity
+    todo: list[tuple] = [(f, True, {})]
+    while todo:
+        g, pos, env = todo.pop()
+        cls = g.__class__
+        if env is _JOIN:
+            k = len(done) - g
+            parts = done[k:]
+            del done[k:]
+            if pos:
+                joined = [c for cs in parts for c in cs]
+            else:
+                joined = [Clause(())]
+                for cs in parts:
+                    if len(joined) * len(cs) > max_clauses:
+                        raise ClauseLimitError(f"distribution exceeds {max_clauses} clauses")
+                    joined = [clause(a.literals + c.literals) for a in joined for c in cs]
+            done.append(list(dict.fromkeys(joined)))
+        elif cls is Literal:
+            l = g if pos else g.complement()
+            if env:
+                l = Literal(l.positive, l.predicate, tuple(apply_term(a, env) for a in l.args))
+            done.append([Clause((l,))])
+        elif cls is Top or cls is Bottom:
+            done.append([] if (cls is Top) == pos else [Clause(())])
+        elif cls is Not:
+            todo.append((g.body, not pos, env))
+        elif cls is And or cls is Or:
+            todo.append((len(g.parts), (cls is And) == pos, _JOIN))
+            todo.extend((p, pos, env) for p in reversed(g.parts))
+        elif cls is Implies:
+            todo.append((2, not pos, _JOIN))
+            todo.append((g.rhs, pos, env))
+            todo.append((g.lhs, not pos, env))
+        elif cls is Iff:
+            todo.append((2, pos, _JOIN))
+            todo.append((Implies(g.rhs, g.lhs), pos, env))
+            todo.append((Implies(g.lhs, g.rhs), pos, env))
+        else:
+            w = pick(g.var)
+            prefix.append(("forall" if (cls is ForAll) == pos else "exists", w))
+            todo.append((g.body, pos, {**env, g.var: Var(w)}))
+    return PrenexNormalForm(tuple(prefix), tuple(done[0]), "cnf")
 
 
 def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
     """Prenex DNF of f, defined as the dual of cnf(~f)."""
     return cnf(Not(f), max_clauses).dual()
-
-
-def dual(f: Formula) -> Formula:
-    """Dual of a prenex formula with NNF matrix; equivalent to ~f."""
-
-    def dual_matrix(g: Formula) -> Formula:
-        if isinstance(g, Literal):
-            return g.complement()
-        if isinstance(g, Top):
-            return BOTTOM
-        if isinstance(g, Bottom):
-            return TOP
-        if isinstance(g, And):
-            return Or(tuple(dual_matrix(p) for p in g.parts))
-        if isinstance(g, Or):
-            return And(tuple(dual_matrix(p) for p in g.parts))
-        raise InputError("dual requires a prenex formula with NNF matrix")
-
-    if isinstance(f, ForAll):
-        return Exists(f.var, dual(f.body))
-    if isinstance(f, Exists):
-        return ForAll(f.var, dual(f.body))
-    return dual_matrix(f)
 
 
 # ---------------------------------------------------------------------------

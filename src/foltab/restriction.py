@@ -20,6 +20,7 @@ from .syntax import (
     Formula,
     InputError,
     Literal,
+    Not,
     Or,
     Top,
     clause_sign_vars,
@@ -90,30 +91,27 @@ def is_vgt_range_restricted(
 def is_horn(f: Formula) -> bool:
     """Built from Horn clauses (at most one positive literal) with the
     connectives conjunction, exists and forall."""
-    if isinstance(f, (Top, Bottom, Literal)):
-        return _is_horn_clause(f)
-    if isinstance(f, And):
-        return all(is_horn(p) for p in f.parts)
-    if isinstance(f, (ForAll, Exists)):
-        return is_horn(f.body)
-    if isinstance(f, Or):
-        return _is_horn_clause(f)
-    return False
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, And):
+            todo.extend(g.parts)
+        elif isinstance(g, (ForAll, Exists)):
+            todo.append(g.body)
+        elif not _is_horn_clause(g):
+            return False
+    return True
 
 
 def _is_horn_clause(f: Formula) -> bool:
-    if isinstance(f, (Top, Bottom)):
-        return True
-    if isinstance(f, Literal):
+    if isinstance(f, (Top, Bottom, Literal)):
         return True
     if isinstance(f, Or):
         positives = 0
         for p in f.parts:
             if isinstance(p, Literal):
-                positives += 1 if p.positive else 0
-            elif isinstance(p, Bottom):
-                continue
-            else:
+                positives += p.positive
+            elif not isinstance(p, Bottom):
                 return False
         return positives <= 1
     return False
@@ -123,22 +121,22 @@ def is_horn_like(f: Formula) -> bool:
     """NNF grammar: literal, true, false, conjunction of Horn-like formulas,
     or a disjunction of negative literals, false, and at most one Horn-like
     formula."""
-    if isinstance(f, (Literal, Top, Bottom)):
-        return True
-    if isinstance(f, And):
-        return all(is_horn_like(p) for p in f.parts)
-    if isinstance(f, Or):
-        others = 0
-        for p in f.parts:
-            if isinstance(p, Literal) and not p.positive:
-                continue
-            if isinstance(p, Bottom):
-                continue
-            others += 1
-            if others > 1 or not is_horn_like(p):
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, And):
+            todo.extend(g.parts)
+        elif isinstance(g, Or):
+            others = [
+                p for p in g.parts
+                if not (isinstance(p, Bottom) or isinstance(p, Literal) and not p.positive)
+            ]
+            if len(others) > 1:
                 return False
-        return True
-    return False
+            todo.extend(others)
+        elif not isinstance(g, (Literal, Top, Bottom)):
+            return False
+    return True
 
 
 def check_vx_preconditions(
@@ -152,8 +150,6 @@ def check_vx_preconditions(
     cnf(f) has no all-negative clause, all-negative clauses of cnf(~g)
     contain all of X negatively, and X behaves like a universal variable
     in every clause of cnf(~g)."""
-    from .syntax import Not
-
     xs_f = frozenset(free_vars(f))
     xs_g = frozenset(free_vars(g))
     if xs_f != xs_g:
@@ -216,8 +212,6 @@ class Prop4Report:
 def prop4_check(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Prop4Report:
     """Cross-check the relations between the two range-restriction notions
     on a sentence; used as a self-test and exposed on the CLI."""
-    from .syntax import Not
-
     if free_vars(f):
         raise InputError("prop4_check expects a sentence")
     p = cnf(f, max_clauses)

@@ -9,7 +9,8 @@ clausification, grounding and interpolation all use it:
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
 - `bind`, `unify_args` and `undo` extend a binding store and take it back;
 - `unify` returns an idempotent most general unifier;
-- `subterms` walks terms; `is_ground` and `ordered_vars` inspect them.
+- `subterms` walks terms and `map_term` rebuilds them, outside in;
+  `is_ground` and `ordered_vars` inspect them.
 
 A binding store maps variable names to terms.  It is triangular: a bound
 term may contain bound variables, and reading it follows them.  It is
@@ -124,11 +125,11 @@ def term_functions(t: Term) -> set[str]:
 
 
 def term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
+    depth, level = 0, [t]
+    while level:
+        depth += 1
+        level = [a for s in level if s.__class__ is App for a in s.args]
+    return depth
 
 
 def is_ground(t: Term) -> bool:
@@ -151,6 +152,30 @@ def ordered_vars(terms: Iterable[Term]) -> list[str]:
 # The term kernel: substitutions, binding stores, unification
 
 Subst = dict[str, Term]
+
+
+def map_term(t: Term, fn: Callable[[Term], Optional[Term]]) -> Term:
+    """t with each outermost subterm s for which fn(s) is not None replaced
+    by fn(s); fn is called outside in, left to right.  Unchanged subterms
+    are shared with t."""
+    out: list[Term] = []
+    # (s, False) visits s; (s, True) rebuilds s from `out`
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        s, rebuild = todo.pop()
+        if rebuild:
+            k = len(out) - len(s.args)
+            args = tuple(out[k:])
+            del out[k:]
+            out.append(s if all(map(is_, args, s.args)) else App(s.functor, args))
+        elif (r := fn(s)) is not None:
+            out.append(r)
+        elif s.__class__ is App and s.args:
+            todo.append((s, True))
+            todo.extend((a, False) for a in reversed(s.args))
+        else:
+            out.append(s)
+    return out[0]
 
 
 def apply_term(t: Term, subst: Subst) -> Term:
@@ -608,40 +633,31 @@ def formula_symbols(f: Formula) -> set[str]:
 
 def smax_by(
     member: Callable[[Term], bool], f: Formula, sign: str = "all"
-) -> set[Term]:
+) -> list[Term]:
     """Terms t with member(t) that occur in f at a position not inside
-    another member term; with sign 'positive'/'negative' only occurrences
-    in literals of that sign count.  f must be quantifier-free NNF."""
+    another member term, in order of first occurrence; with sign
+    'positive'/'negative' only occurrences in literals of that sign count.
+    f must be quantifier-free NNF."""
     if sign not in ("all", "positive", "negative"):
         raise InputError(f"bad sign filter: {sign}")
-    out: set[Term] = set()
-
-    def scan_term(t: Term) -> None:
-        if member(t):
-            out.add(t)
-            return
-        if isinstance(t, App):
-            for a in t.args:
-                scan_term(a)
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Literal):
-            if sign == "positive" and not g.positive:
-                return
-            if sign == "negative" and g.positive:
-                return
-            for a in g.args:
-                scan_term(a)
-        elif isinstance(g, (Top, Bottom)):
-            pass
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        else:
+    out: dict[Term, None] = {}
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        cls = g.__class__
+        if cls is And or cls is Or:
+            todo.extend(reversed(g.parts))
+        elif cls is Literal:
+            if sign == "all" or g.positive == (sign == "positive"):
+                todo.extend(reversed(g.args))
+        elif cls is App or cls is Var:
+            if member(g):
+                out[g] = None
+            elif cls is App:
+                todo.extend(reversed(g.args))
+        elif cls is not Top and cls is not Bottom:
             raise InputError("smax expects a quantifier-free NNF")
-
-    walk(f)
-    return out
+    return list(out)
 
 
 def smax(terms: Iterable[Term], f: Formula, sign: str = "all") -> set[Term]:
@@ -649,7 +665,7 @@ def smax(terms: Iterable[Term], f: Formula, sign: str = "all") -> set[Term]:
     for t in tset:
         if not (isinstance(t, Var) or is_ground(t)):
             raise InputError(f"smax members must be ground or variables: {t}")
-    return smax_by(lambda t: t in tset, f, sign)
+    return set(smax_by(lambda t: t in tset, f, sign))
 
 
 def clause_vars(c: Clause) -> set[str]:

@@ -338,7 +338,7 @@ def parse_clause_file(text: str) -> list[Clause]:
             p.load(stripped)
             c = p.clause()
         except ParseError as e:
-            raise ParseError(e.message, i, e.col) from None
+            raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
         for l in c.literals:
             sig.extend_with_literal(l)
         out.append(c)

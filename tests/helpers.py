@@ -4,7 +4,9 @@ independent semantic oracle, a truth-table satisfiability oracle, the
 whole-tree hyper conversion as an oracle for the incremental one, the
 prover without its candidate index as an oracle for `prove`, and the
 recursive formula walkers as oracles for the walks on `occurrences` and
-`map_formula`, the front end with a token object per token as an
+`map_formula`, the recursive passes of the clausal normal form, the
+fragment deciders and lifting as oracles for their iterative versions,
+the front end with a token object per token as an
 oracle for the parsers and proof import, and the recursive tableau walkers
 with an ancestor scan per target as an oracle for `branch_walk` and the
 walkers on it."""
@@ -66,6 +68,12 @@ from foltab.syntax import (
 )
 from foltab.proofs import DeductionStep, ProofDocument, ProofError, ProofRecord, _add_bindings
 from foltab.interpolation import simp_and, simp_or
+from foltab.normalize import (
+    DEFAULT_CLAUSE_LIMIT,
+    ClausificationResult,
+    ClauseLimitError,
+    PrenexNormalForm,
+)
 from foltab.tableaux import (
     Node,
     ProveResult,
@@ -268,6 +276,30 @@ def random_prenex_nnf(rng: random.Random, depth: int = 3) -> Formula:
         ctor = ForAll if rng.random() < 0.5 else Exists
         body = ctor(v, body)
     return body
+
+
+def random_horn_like(rng: random.Random, depth: int = 3) -> Formula:
+    """A Horn-like NNF: conjunctions, and disjunctions of negative literals
+    with one Horn-like part."""
+
+    def lit(negative_only: bool = False) -> Literal:
+        name = rng.choice(("p", "q", "r"))
+        positive = False if negative_only else rng.random() < 0.5
+        return Literal(positive, name, (Var(rng.choice(("X", "Y"))),))
+
+    if depth <= 0:
+        roll = rng.random()
+        if roll < 0.05:
+            return TOP
+        if roll < 0.1:
+            return BOTTOM
+        return lit()
+    if rng.random() < 0.5:
+        return mk_and([random_horn_like(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+    parts = [lit(negative_only=True) for _ in range(rng.randint(1, 2))]
+    parts.append(random_horn_like(rng, depth - 1))
+    rng.shuffle(parts)
+    return mk_or(parts)
 
 
 def random_sentence(rng: random.Random, depth: int = 3) -> Formula:
@@ -1101,6 +1133,307 @@ def reference_signature_of(formulas: Iterable[Formula]) -> Signature:
     return sig
 
 
+# ---------------------------------------------------------------------------
+# The clausal normal form before the one walk of `cnf`: recursive NNF,
+# standardization, prenexing and distribution, one intermediate formula per
+# pass; and the recursive fragment deciders, truth-value simplification,
+# maximal-term scan and lifting
+
+
+def reference_nnf(f: Formula) -> Formula:
+    if isinstance(f, (Literal, Top, Bottom)):
+        return f
+    if isinstance(f, And):
+        return And(tuple(reference_nnf(p) for p in f.parts))
+    if isinstance(f, Or):
+        return Or(tuple(reference_nnf(p) for p in f.parts))
+    if isinstance(f, Implies):
+        return Or((reference_nnf(Not(f.lhs)), reference_nnf(f.rhs)))
+    if isinstance(f, Iff):
+        return And(
+            (
+                Or((reference_nnf(Not(f.lhs)), reference_nnf(f.rhs))),
+                Or((reference_nnf(Not(f.rhs)), reference_nnf(f.lhs))),
+            )
+        )
+    if isinstance(f, ForAll):
+        return ForAll(f.var, reference_nnf(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.var, reference_nnf(f.body))
+    if isinstance(f, Not):
+        g = f.body
+        if isinstance(g, Literal):
+            return g.complement()
+        if isinstance(g, Top):
+            return BOTTOM
+        if isinstance(g, Bottom):
+            return TOP
+        if isinstance(g, Not):
+            return reference_nnf(g.body)
+        if isinstance(g, And):
+            return Or(tuple(reference_nnf(Not(p)) for p in g.parts))
+        if isinstance(g, Or):
+            return And(tuple(reference_nnf(Not(p)) for p in g.parts))
+        if isinstance(g, Implies):
+            return And((reference_nnf(g.lhs), reference_nnf(Not(g.rhs))))
+        if isinstance(g, Iff):
+            return Or(
+                (
+                    And((reference_nnf(g.lhs), reference_nnf(Not(g.rhs)))),
+                    And((reference_nnf(g.rhs), reference_nnf(Not(g.lhs)))),
+                )
+            )
+        if isinstance(g, ForAll):
+            return Exists(g.var, reference_nnf(Not(g.body)))
+        if isinstance(g, Exists):
+            return ForAll(g.var, reference_nnf(Not(g.body)))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_prenex(f: Formula) -> tuple[tuple[tuple[str, str], ...], Formula]:
+    prefix: list[tuple[str, str]] = []
+
+    def walk(g: Formula) -> Formula:
+        if isinstance(g, (Literal, Top, Bottom)):
+            return g
+        if isinstance(g, And):
+            return And(tuple(walk(p) for p in g.parts))
+        if isinstance(g, Or):
+            return Or(tuple(walk(p) for p in g.parts))
+        if isinstance(g, ForAll):
+            prefix.append(("forall", g.var))
+            return walk(g.body)
+        if isinstance(g, Exists):
+            prefix.append(("exists", g.var))
+            return walk(g.body)
+        raise InputError("prenex expects an NNF formula")
+
+    matrix = walk(f)
+    return tuple(prefix), matrix
+
+
+def reference_matrix_cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> tuple[Clause, ...]:
+    def dedup(clauses: list[Clause]) -> list[Clause]:
+        return list(dict.fromkeys(clauses))
+
+    def go(g: Formula) -> list[Clause]:
+        if isinstance(g, Literal):
+            return [Clause((g,))]
+        if isinstance(g, Top):
+            return []
+        if isinstance(g, Bottom):
+            return [Clause(())]
+        if isinstance(g, And):
+            merged: list[Clause] = []
+            for p in g.parts:
+                merged.extend(go(p))
+            return dedup(merged)
+        if isinstance(g, Or):
+            acc: list[Clause] = [Clause(())]
+            for p in g.parts:
+                cs = go(p)
+                if len(acc) * len(cs) > max_clauses:
+                    raise ClauseLimitError(f"distribution exceeds {max_clauses} clauses")
+                acc = [mk_clause(a.literals + c.literals) for a in acc for c in cs]
+            return dedup(acc)
+        raise InputError("matrix distribution expects a quantifier-free NNF")
+
+    return tuple(go(f))
+
+
+def reference_cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
+    prefix, matrix = reference_prenex(reference_standardize(reference_nnf(f)))
+    return PrenexNormalForm(prefix, reference_matrix_cnf(matrix, max_clauses), "cnf")
+
+
+def reference_dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
+    return reference_cnf(Not(f), max_clauses).dual()
+
+
+def reference_skolemize_clausify(
+    f: Formula, namer: Optional[FreshNamer] = None, max_clauses: int = DEFAULT_CLAUSE_LIMIT
+) -> ClausificationResult:
+    if reference_free_vars(f):
+        raise InputError("skolemize_clausify expects a sentence")
+    if namer is None:
+        namer = FreshNamer(reference_formula_symbols(f))
+    p = reference_cnf(f, max_clauses)
+    sub: Subst = {}
+    skolems: list[str] = []
+    universals: list[str] = []
+    for q, v in p.prefix:
+        if q == "forall":
+            universals.append(v)
+        else:
+            name = namer.fresh("sk")
+            skolems.append(name)
+            sub[v] = App(name, tuple(Var(u) for u in universals))
+    if sub:
+        clauses = tuple(mk_clause(apply_literal(l, sub) for l in c.literals) for c in p.matrix)
+    else:
+        clauses = p.matrix
+    return ClausificationResult(clauses, frozenset(skolems), frozenset(universals))
+
+
+def reference_is_horn(f: Formula) -> bool:
+    if isinstance(f, (Top, Bottom, Literal)):
+        return _reference_is_horn_clause(f)
+    if isinstance(f, And):
+        return all(reference_is_horn(p) for p in f.parts)
+    if isinstance(f, (ForAll, Exists)):
+        return reference_is_horn(f.body)
+    if isinstance(f, Or):
+        return _reference_is_horn_clause(f)
+    return False
+
+
+def _reference_is_horn_clause(f: Formula) -> bool:
+    if isinstance(f, (Top, Bottom, Literal)):
+        return True
+    if isinstance(f, Or):
+        positives = 0
+        for p in f.parts:
+            if isinstance(p, Literal):
+                positives += 1 if p.positive else 0
+            elif isinstance(p, Bottom):
+                continue
+            else:
+                return False
+        return positives <= 1
+    return False
+
+
+def reference_is_horn_like(f: Formula) -> bool:
+    if isinstance(f, (Literal, Top, Bottom)):
+        return True
+    if isinstance(f, And):
+        return all(reference_is_horn_like(p) for p in f.parts)
+    if isinstance(f, Or):
+        others = 0
+        for p in f.parts:
+            if isinstance(p, Literal) and not p.positive:
+                continue
+            if isinstance(p, Bottom):
+                continue
+            others += 1
+            if others > 1 or not reference_is_horn_like(p):
+                return False
+        return True
+    return False
+
+
+def reference_truth_simplify(f: Formula) -> Formula:
+    if isinstance(f, And):
+        return simp_and(reference_truth_simplify(p) for p in f.parts)
+    if isinstance(f, Or):
+        return simp_or(reference_truth_simplify(p) for p in f.parts)
+    return f
+
+
+def reference_hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
+    if not reference_is_horn_like(f):
+        raise InputError("hornify expects a Horn-like NNF")
+    g = reference_truth_simplify(f)
+    if isinstance(g, (Top, Bottom, Literal)):
+        return g
+    clauses = reference_matrix_cnf(g, max_clauses)
+    for c in clauses:
+        if sum(1 for l in c.literals if l.positive) > 1:
+            raise AssertionError("distribution of a Horn-like NNF produced a non-Horn clause")
+    return mk_and(mk_or(c.literals) for c in clauses)
+
+
+def reference_smax_by(member, f: Formula, sign: str = "all") -> set[Term]:
+    if sign not in ("all", "positive", "negative"):
+        raise InputError(f"bad sign filter: {sign}")
+    out: set[Term] = set()
+
+    def scan_term(t: Term) -> None:
+        if member(t):
+            out.add(t)
+            return
+        if isinstance(t, App):
+            for a in t.args:
+                scan_term(a)
+
+    def walk(g: Formula) -> None:
+        if isinstance(g, Literal):
+            if sign == "positive" and not g.positive:
+                return
+            if sign == "negative" and g.positive:
+                return
+            for a in g.args:
+                scan_term(a)
+        elif isinstance(g, (Top, Bottom)):
+            pass
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p)
+        else:
+            raise InputError("smax expects a quantifier-free NNF")
+
+    walk(f)
+    return out
+
+
+def _reference_term_depth(t: Term) -> int:
+    if isinstance(t, Var) or not t.args:
+        return 1
+    return 1 + max(_reference_term_depth(a) for a in t.args)
+
+
+def reference_lift_parts(h_grd: Formula, ctx, namer: Optional[FreshNamer] = None):
+    if namer is None:
+        namer = FreshNamer(reference_formula_symbols(h_grd))
+
+    def member(t: Term) -> bool:
+        return ctx.e_member(t) or ctx.u_member(t)
+
+    occurrence: list[Term] = []
+
+    def scan(t: Term) -> None:
+        if member(t):
+            if t not in occurrence:
+                occurrence.append(t)
+            return
+        if isinstance(t, App):
+            for a in t.args:
+                scan(a)
+
+    def walk_scan(g: Formula) -> None:
+        if isinstance(g, Literal):
+            for a in g.args:
+                scan(a)
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk_scan(p)
+        elif isinstance(g, (Top, Bottom)):
+            pass
+        else:
+            raise StructureError("lifting expects a quantifier-free NNF")
+
+    walk_scan(h_grd)
+    ordered = sorted(occurrence, key=lambda t: (_reference_term_depth(t), occurrence.index(t)))
+    names = {t: namer.fresh("V") for t in ordered}
+    prefix = tuple(("exists" if ctx.e_member(t) else "forall", names[t]) for t in ordered)
+
+    def replace(t: Term) -> Term:
+        if member(t):
+            return Var(names[t])
+        if isinstance(t, App) and t.args:
+            return App(t.functor, tuple(replace(a) for a in t.args))
+        return t
+
+    def rebuild(g: Formula) -> Formula:
+        if isinstance(g, Literal):
+            return _reference_map_literal_terms(g, replace)
+        if isinstance(g, (And, Or)):
+            return type(g)(tuple(rebuild(p) for p in g.parts))
+        return g
+
+    return prefix, rebuild(h_grd), tuple(ordered)
+
+
 @functools.cache
 def _gen_samples():
     path = Path(__file__).resolve().parent.parent / "scripts" / "gen_samples.py"
@@ -1367,7 +1700,7 @@ def reference_parse_clause_file(text: str) -> list[Clause]:
         try:
             c = reference_parse_clause(stripped, i)
         except ParseError as e:
-            raise ParseError(e.message, i, e.col) from None
+            raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
         for l in c.literals:
             sig.extend_with_literal(l)
         out.append(c)
@@ -1581,7 +1914,7 @@ def reference_parse_tableau(text: str) -> Tableau:
         depth = indent // 2
         if depth < 1 or depth > len(stack):
             raise ParseError(f"bad nesting depth {depth}", line_no, 1)
-        lit = _reference_parse_single_literal(m.group("lit"), line_no)
+        lit = _reference_parse_single_literal(m.group("lit"), line_no, m.start("lit"))
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         depths[node] = depth
@@ -1600,7 +1933,7 @@ def reference_parse_tableau(text: str) -> Tableau:
     return Tableau(root)
 
 
-def _reference_parse_single_literal(text: str, line_no: int) -> Literal:
+def _reference_parse_single_literal(text: str, line_no: int, offset: int) -> Literal:
     try:
         p = ReferenceParser(text)
         lit = reference_parse_literal(p)
@@ -1608,4 +1941,4 @@ def _reference_parse_single_literal(text: str, line_no: int) -> Literal:
             p.error("trailing input after literal")
         return lit
     except ParseError as e:
-        raise ParseError(e.message, line_no, e.col) from None
+        raise ParseError(e.message, line_no, offset + e.col) from None

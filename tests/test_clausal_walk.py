@@ -1,0 +1,260 @@
+"""The one clausal walk of `cnf`, and the fragment deciders, truth-value
+simplification, maximal-term scan and lifting on explicit stacks, against
+the recursive passes they replace (`reference_*` in helpers) on random
+formulas, with a clause limit low enough that distribution errors are
+compared too; formulas nested deeper than the default recursion limit; and a
+look at the source that none of these functions calls itself."""
+
+import ast
+import inspect
+import random
+
+import pytest
+
+import foltab.interpolation
+import foltab.normalize
+import foltab.restriction
+import foltab.syntax
+from foltab.interpolation import InterpolationContext, hornify, lift_parts, truth_simplify
+from foltab.normalize import ClauseLimitError, cnf, dnf, skolemize_clausify
+from foltab.restriction import is_horn, is_horn_like, is_u_range_restricted
+from foltab.syntax import (
+    TOP,
+    And,
+    App,
+    Clause,
+    ForAll,
+    Implies,
+    InputError,
+    Literal,
+    Not,
+    Or,
+    Var,
+    free_vars,
+    smax_by,
+)
+from helpers import (
+    random_formula,
+    random_horn_like,
+    random_nnf,
+    random_sentence,
+    reference_cnf,
+    reference_dnf,
+    reference_hornify,
+    reference_is_horn,
+    reference_is_horn_like,
+    reference_lift_parts,
+    reference_skolemize_clausify,
+    reference_smax_by,
+    reference_truth_simplify,
+)
+
+LIMIT = 40
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ClauseLimitError, InputError) as e:
+        return type(e).__name__, str(e)
+
+
+def self_calls(source):
+    """Names of the functions in `source`, nested ones included, that call
+    themselves by name."""
+    return [
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == fn.name
+            for c in ast.walk(fn)
+        )
+    ]
+
+
+def test_no_function_recurses():
+    for module in (foltab.normalize, foltab.restriction, foltab.interpolation):
+        assert self_calls(inspect.getsource(module)) == [], module.__name__
+    assert self_calls(inspect.getsource(foltab.syntax.smax_by)) == []
+    # the check sees a recursive helper
+    assert self_calls("def f():\n    def g(n):\n        return g(n - 1)\n") == ["g"]
+
+
+def formulas(seed, n=3000):
+    """Formulas of every connective, sentences biased toward prenex shapes,
+    and quantifier-free NNFs, in turn."""
+    rng = random.Random(seed)
+    for i in range(n):
+        if i % 3 == 0:
+            yield rng, random_formula(rng, depth=rng.randint(1, 5))
+        elif i % 3 == 1:
+            yield rng, random_sentence(rng, depth=rng.randint(1, 4))
+        else:
+            yield rng, random_nnf(rng, rng.randint(1, 4), ground=rng.random() < 0.3)
+
+
+def closed(f):
+    for v in sorted(free_vars(f)):
+        f = ForAll(v, f)
+    return f
+
+
+def clausified(clausify, f):
+    res = clausify(f, None, LIMIT)
+    return res.clauses, res.skolem_functions, res.universal_vars
+
+
+def test_normal_forms_agree_with_the_reference():
+    errors = 0
+    for _, f in formulas(71):
+        got = outcome(cnf, f, LIMIT)
+        assert got == outcome(reference_cnf, f, LIMIT), f
+        assert outcome(dnf, f, LIMIT) == outcome(reference_dnf, f, LIMIT), f
+        g = closed(f)
+        assert outcome(clausified, skolemize_clausify, g) == outcome(
+            clausified, reference_skolemize_clausify, g
+        ), g
+        errors += got[0] != "ok"
+    assert 100 < errors < 1000
+
+
+def test_clause_limit_bounds_each_product():
+    # (a1 & ... & a5) | (b1 & ... & b8) distributes into exactly 40 clauses
+    f = Or(tuple(And(tuple(Literal(True, f"{p}{i}") for i in range(n))) for p, n in (("a", 5), ("b", 8))))
+    assert len(cnf(f, 40).matrix) == 40
+    with pytest.raises(ClauseLimitError, match="distribution exceeds 39 clauses"):
+        cnf(f, 39)
+    # a disjunction checks its first part too
+    assert outcome(cnf, Or((f,)), 39) == outcome(reference_cnf, Or((f,)), 39)
+
+
+def test_empty_connectives():
+    # an empty disjunction is false, an empty conjunction true
+    for f in (Or(()), And(()), Not(Or(())), Not(And(()))):
+        assert cnf(f) == reference_cnf(f)
+    assert cnf(Or(())).matrix == (Clause(()),) and cnf(And(())).matrix == ()
+
+
+def test_horn_deciders_and_hornify_agree_with_the_reference():
+    rng = random.Random(72)
+    horn_like = [random_horn_like(rng, rng.randint(1, 4)) for _ in range(1000)]
+    cases = [f for _, f in formulas(73)] + horn_like
+    hornified = 0
+    for f in cases:
+        assert is_horn(f) == reference_is_horn(f), f
+        assert is_horn_like(f) == reference_is_horn_like(f), f
+        assert truth_simplify(f) == reference_truth_simplify(f), f
+        got = outcome(hornify, f, LIMIT)
+        assert got == outcome(reference_hornify, f, LIMIT), f
+        hornified += got[0] == "ok"
+    assert hornified > 1000
+    assert sum(map(is_horn, cases)) > 300
+
+
+def member(t):
+    return t.__class__ is App and t.functor in ("f", "a") or t == Var("X")
+
+
+def test_maximal_terms_agree_with_the_reference():
+    for _, f in formulas(74):
+        for sign in ("all", "positive", "negative"):
+            got = outcome(smax_by, member, f, sign)
+            want = outcome(reference_smax_by, member, f, sign)
+            if got[0] == "ok" and want[0] == "ok":
+                # in order of first occurrence, each term once
+                assert len(got[1]) == len(want[1]) and set(got[1]) == want[1], f
+            else:
+                assert got == want, f
+
+
+def test_lifting_agrees_with_the_reference():
+    rng = random.Random(75)
+    lifted = 0
+    for _ in range(3000):
+        h = random_nnf(rng, rng.randint(1, 4), ground=True)
+        symbols = ["a", "b", "f"]
+        rng.shuffle(symbols)
+        k = rng.randint(0, 3)
+        j = rng.randint(k, 3)
+        ctx = InterpolationContext(
+            TOP, TOP, (), (), frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j])
+        )
+        got = lift_parts(h, ctx)
+        assert (got.prefix, got.matrix, got.terms) == reference_lift_parts(h, ctx), h
+        lifted += len(got.terms) > 1
+    assert lifted > 500
+
+
+DEPTH = 5000
+
+
+def lit(i, positive=True):
+    # five predicates and three constants in turn, so that the clauses stay
+    # short however long the chain
+    return Literal(positive, f"p{i % 5}", (App(f"c{i % 3}"),))
+
+
+def chain(connective, positive=lambda i: True):
+    f = lit(DEPTH, positive(DEPTH))
+    for i in reversed(range(DEPTH)):
+        g = lit(i, positive(i))
+        f = connective(g, f) if connective is Implies else connective((g, f))
+    return f
+
+
+def clause_strings(pnf):
+    return pnf.prefix, [str(c) for c in pnf.matrix]
+
+
+def test_deep_formulas_under_the_default_recursion_limit(default_recursion_limit):
+    x = Var("X")
+    negations = Literal(True, "p", (x,))
+    for _ in range(DEPTH):
+        negations = Not(negations)
+    negations = ForAll("X", negations)
+    quantifiers = Literal(True, "p", (x, Var("Y")))
+    for _ in range(DEPTH):
+        quantifiers = ForAll("X", quantifiers)
+    quantifiers = ForAll("Y", quantifiers)
+    conjunction = chain(And)
+    disjunction = chain(Or, lambda i: i == DEPTH)
+    implication = chain(Implies)
+    for f in (negations, quantifiers, conjunction, disjunction, implication):
+        with pytest.raises(RecursionError):
+            reference_cnf(f)
+
+    units = [str(lit(i)) for i in range(15)]
+    negatives = " | ".join(f"~{l}" for l in units)
+    # the last literal, p{DEPTH % 5}(c{DEPTH % 3}), is the only positive one
+    rule = f"{negatives} | p0(c2)"
+    assert clause_strings(cnf(negations)) == ((("forall", "X"),), ["p(X)"])
+    names = ["Y", "X"] + [f"X_{n}" for n in range(2, DEPTH + 1)]
+    assert clause_strings(cnf(quantifiers)) == (
+        tuple(("forall", v) for v in names),
+        [f"p(X_{DEPTH},Y)"],
+    )
+    assert clause_strings(cnf(conjunction)) == ((), units)
+    assert clause_strings(cnf(disjunction)) == ((), [rule])
+    assert clause_strings(cnf(implication)) == ((), [rule])
+    assert clause_strings(dnf(negations)) == ((("forall", "X"),), ["p(X)"])
+    assert clause_strings(dnf(conjunction)) == ((), [" & ".join(units)])
+    assert clause_strings(dnf(implication)) == ((), [f"~{l}" for l in units] + ["p0(c2)"])
+
+    for f in (negations, quantifiers):
+        res = skolemize_clausify(f)
+        assert res.skolem_functions == frozenset() and len(res.clauses) == 1
+    assert [str(c) for c in skolemize_clausify(implication).clauses] == [rule]
+    assert not is_u_range_restricted(negations)
+    assert is_u_range_restricted(conjunction)
+
+    assert is_horn(negations) is False and is_horn(quantifiers) is True
+    assert is_horn(conjunction) is True and is_horn(implication) is False
+    assert is_horn_like(conjunction) and is_horn_like(disjunction)
+    assert not is_horn_like(chain(Or))
+    assert truth_simplify(conjunction) == And(tuple(lit(i) for i in range(15)))
+    assert [str(c) for c in cnf(hornify(disjunction)).matrix] == [rule]
+    assert [str(c) for c in cnf(hornify(conjunction)).matrix] == units
+    constants = [App(f"c{i}") for i in range(3)]
+    assert smax_by(lambda t: t.__class__ is App, conjunction) == constants
+    assert smax_by(lambda t: t.__class__ is App, disjunction, "positive") == [App("c2")]

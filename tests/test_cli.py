@@ -153,6 +153,19 @@ def test_hyper_rejects_cyclic_proof_bindings(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_hyper_rejects_a_target_depth_too_long_to_read(tmp_path, capsys):
+    # more digits than int() converts; no ancestor is that deep
+    doc = write(tmp_path, "deep.tab", "tableau\n  p\n    ~p -> " + "9" * 5000 + "\n")
+    assert main(["hyper", "--proof", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no ancestor at depth 9999")
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.count("\n") == 1
+    # leading zeros do not count
+    doc = write(tmp_path, "zeros.tab", "tableau\n  p\n    ~p -> " + "0" * 5000 + "1\n")
+    assert main(["hyper", "--proof", doc]) == 0
+
+
 def test_deeply_nested_input_is_a_resource_error(tmp_path, capsys):
     formula = "p"
     for _ in range(4_000):

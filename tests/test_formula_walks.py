@@ -5,14 +5,14 @@ than the recursion limit and long <=> chains."""
 
 import random
 import re
-import sys
 
 import pytest
 
 from foltab.interpolation import unfreeze
-from foltab.normalize import standardize
+from foltab.normalize import ClauseLimitError, cnf
 from foltab.syntax import (
     BOTH,
+    Clause,
     NEG,
     POS,
     And,
@@ -42,6 +42,7 @@ from helpers import (
     random_formula,
     random_term,
     reference_alpha_equal,
+    reference_cnf,
     reference_formula_subst,
     reference_formula_symbols,
     reference_free_vars,
@@ -68,6 +69,13 @@ def renamed(f, names):
     return parse_formula(text)
 
 
+def cnf_outcome(normal_form, f):
+    try:
+        return normal_form(f, 50)
+    except ClauseLimitError as e:
+        return str(e)
+
+
 def samples(seed):
     rng = random.Random(seed)
     for _ in range(SAMPLES):
@@ -90,11 +98,11 @@ def test_maps_agree_with_the_recursive_walkers():
             if rng.random() < 0.6
         }
         assert formula_subst(f, subst) == reference_formula_subst(f, subst)
-        reserved = {n for n in NAMES if rng.random() < 0.3}
-        assert standardize(f, reserved) == reference_standardize(f, reserved)
-        # a bound Y named X_2, the name standardize gives a second bound X
+        # bound names are renamed apart in cnf's prefix as standardize did,
+        # also where a bound Y is named X_2, the name a second bound X gets
+        assert cnf_outcome(cnf, f) == cnf_outcome(reference_cnf, f)
         g = renamed(f, {"Y": "X_2"})
-        assert standardize(g, reserved) == reference_standardize(g, reserved)
+        assert cnf_outcome(cnf, g) == cnf_outcome(reference_cnf, g)
         mapping = {p: rng.choice(("p", "q", "t", "p_p")) for p in "pqrs" if rng.random() < 0.5}
         assert rename_predicates(f, mapping) == reference_rename_predicates(f, mapping)
 
@@ -105,7 +113,7 @@ def test_alpha_equal_agrees_with_the_recursive_walker():
         # a correct renaming, a merge of two variables that may capture,
         # an unrelated formula
         variants = (
-            standardize(f, {n for n in NAMES if rng.random() < 0.5}),
+            reference_standardize(f, {n for n in NAMES if rng.random() < 0.5}),
             renamed(f, {"Y": "X"}),
             random_formula(rng, depth=rng.randint(1, 5)),
         )
@@ -141,16 +149,18 @@ def test_renaming_is_one_shot():
     x, x2 = Var("X"), Var("X_2")
     f = ForAll("X", ForAll("X", ForAll("X_2", lit("p", x, x2))))
     expected = ForAll("X", ForAll("X_2", ForAll("X_2_2", lit("p", x2, Var("X_2_2")))))
-    assert standardize(f) == expected
+    got = cnf(f)
+    assert got.prefix == (("forall", "X"), ("forall", "X_2"), ("forall", "X_2_2"))
+    assert got.matrix == (Clause((lit("p", x2, Var("X_2_2")),)),)
     assert reference_standardize(f) == expected
 
 
 def test_binders_are_picked_outside_in_and_left_to_right():
     x = Var("X")
     f = And((ForAll("X", Exists("X", lit("p", x))), ForAll("X", lit("q", x))))
-    assert standardize(f) == And(
-        (ForAll("X", Exists("X_2", lit("p", Var("X_2")))), ForAll("X_3", lit("q", Var("X_3"))))
-    )
+    got = cnf(f)
+    assert got.prefix == (("forall", "X"), ("exists", "X_2"), ("forall", "X_3"))
+    assert got.matrix == (Clause((lit("p", Var("X_2")),)), Clause((lit("q", Var("X_3")),)))
 
 
 def test_occurrences_in_pre_order_with_polarity_and_bound_names():
@@ -186,15 +196,6 @@ def test_iff_chain_is_read_once():
     assert polarity_vars(Iff(f, lit("q", Var("X")))) == ({"X"}, {"X"})
 
 
-@pytest.fixture
-def default_recursion_limit():
-    # the CLI raises the limit for the whole process; test at the default
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
-
-
 DEPTH = 5000
 
 
@@ -221,7 +222,8 @@ def test_deep_negation_chain(default_recursion_limit):
     assert peel(rename_predicates(f, {"p": "q"}), Not) == lit("q", x, App("c"))
     assert peel(map_formula_terms(f, lambda t: App("b")), Not) == lit("p", App("b"), App("b"))
     assert peel(unfreeze(f, {"c": "Y"}), Not) == lit("p", x, Var("Y"))
-    assert peel(standardize(ForAll("X", f)).body, Not) == lit("p", x, App("c"))
+    got = cnf(ForAll("X", f))
+    assert (got.prefix, got.matrix) == ((("forall", "X"),), (Clause((lit("p", x, App("c")),)),))
 
 
 def test_deep_quantifier_chain(default_recursion_limit):

@@ -7,10 +7,8 @@ from foltab.normalize import (
     ClauseLimitError,
     cnf,
     dnf,
-    dual,
     equality_axioms,
     freeze_free_vars,
-    nnf,
     skolemize_clausify,
 )
 from foltab.syntax import (
@@ -58,20 +56,21 @@ def q(*args, positive=True):
     return lit("q", *args, positive=positive)
 
 
-# --- NNF ---------------------------------------------------------------
+# --- negation pushed to the atoms ---------------------------------------
 
 
 def test_nnf_de_morgan():
-    assert nnf(Not(And((p(), q())))) == Or((p(positive=False), q(positive=False)))
+    assert cnf(Not(And((p(), q())))).matrix == (Clause((p(positive=False), q(positive=False))),)
 
 
 def test_nnf_quantifier_negation():
-    assert nnf(Not(ForAll("X", p(x)))) == Exists("X", p(x, positive=False))
+    got = cnf(Not(ForAll("X", p(x))))
+    assert (got.prefix, got.matrix) == ((("exists", "X"),), (Clause((p(x, positive=False),)),))
 
 
 def test_nnf_negated_implication_matches_truth_table():
     f = Not(Implies(p(), q()))
-    g = nnf(f)
+    g = cnf(f).formula()
     assert g == And((p(), q(positive=False)))
     sig = Signature.of([f])
     for model in all_models(sig, 1):
@@ -79,10 +78,12 @@ def test_nnf_negated_implication_matches_truth_table():
 
 
 def test_nnf_preserves_polarities():
+    # without truth constants, which may absorb literals, every atom
+    # occurrence reaches a clause with its polarity
     rng = random.Random(5)
     for _ in range(200):
-        f = random_formula(rng, depth=3)
-        assert vocabulary(nnf(f)) == vocabulary(f)
+        f = random_formula(rng, depth=3, allow_consts=False)
+        assert vocabulary(cnf(f).formula()) == vocabulary(f)
 
 
 # --- dual --------------------------------------------------------------
@@ -90,23 +91,22 @@ def test_nnf_preserves_polarities():
 
 def test_dual_example():
     f = ForAll("X", Or((p(x), q(positive=False))))
-    assert dual(f) == Exists("X", And((p(x, positive=False), q())))
+    expected = Exists("X", And((p(x, positive=False), q())))
+    assert cnf(f).dual().formula() == expected
+    assert dnf(Not(f)).formula() == expected
 
 
 def test_dual_truth_constants():
-    assert dual(TOP) == BOTTOM
+    assert cnf(TOP).dual().formula() == BOTTOM
+    assert dnf(Not(TOP)).formula() == BOTTOM
 
 
 def test_dual_involution_on_random_prenex_nnf():
     rng = random.Random(11)
     for _ in range(200):
         f = random_prenex_nnf(rng)
-        assert dual(dual(f)) == f
-
-
-def test_dual_rejects_non_prenex():
-    with pytest.raises(InputError):
-        dual(And((ForAll("X", p(x)), q())))
+        for pnf in (cnf(f), dnf(f)):
+            assert pnf.dual().dual() == pnf
 
 
 # --- cnf / dnf ---------------------------------------------------------

