@@ -546,7 +546,9 @@ def exit_code_of(e: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # the formula parser and normal forms recurse on formula nesting
+    # the parser's formula levels, the formula printer (tptp._fmt) and the
+    # __eq__, __hash__, __repr__ and __str__ of terms and formulas recurse
+    # on nesting
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output

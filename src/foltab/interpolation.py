@@ -117,32 +117,34 @@ class InterpolationContext:
 # Truth-value simplification
 
 
+def _simp(parts: Iterable[Formula], cls: type, unit: type, zero: Formula) -> list[Formula]:
+    """The parts of a `cls` flattened, without `unit`s and duplicates (the
+    first occurrence wins); [zero] if one is `zero`.  Only literals are
+    hashed: the hash of any other formula walks all of it."""
+    out: dict[object, Formula] = {}
+    others: list[Formula] = []
+    for p in parts:
+        if p.__class__ is zero.__class__:
+            return [zero]
+        if p.__class__ is unit:
+            continue
+        for q in p.parts if p.__class__ is cls else (p,):
+            if q.__class__ is Literal:
+                out.setdefault(q, q)
+            elif q not in others:
+                others.append(q)
+                out[id(q)] = q
+    return list(out.values())
+
+
 def simp_or(parts: Iterable[Formula]) -> Formula:
     """Truth-value simplification plus flattening and duplicate removal;
     keeps interpolants small without changing their clause sets."""
-    out: list[Formula] = []
-    for p in parts:
-        if isinstance(p, Top):
-            return TOP
-        if isinstance(p, Bottom):
-            continue
-        for q in p.parts if isinstance(p, Or) else (p,):
-            if q not in out:
-                out.append(q)
-    return mk_or(out)
+    return mk_or(_simp(parts, Or, Bottom, TOP))
 
 
 def simp_and(parts: Iterable[Formula]) -> Formula:
-    out: list[Formula] = []
-    for p in parts:
-        if isinstance(p, Bottom):
-            return BOTTOM
-        if isinstance(p, Top):
-            continue
-        for q in p.parts if isinstance(p, And) else (p,):
-            if q not in out:
-                out.append(q)
-    return mk_and(out)
+    return mk_and(_simp(parts, And, Top, BOTTOM))
 
 
 def truth_simplify(f: Formula) -> Formula:

@@ -42,6 +42,7 @@ from .syntax import (
     formula_subst,
     formula_symbols,
     free_vars,
+    map_literal_terms,
     mk_and,
     mk_or,
 )
@@ -149,7 +150,7 @@ def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
         elif cls is Literal:
             l = g if pos else g.complement()
             if env:
-                l = Literal(l.positive, l.predicate, tuple(apply_term(a, env) for a in l.args))
+                l = map_literal_terms(l, lambda t: apply_term(t, env))
             done.append([Clause((l,))])
         elif cls is Top or cls is Bottom:
             done.append([] if (cls is Top) == pos else [Clause(())])

@@ -293,7 +293,7 @@ def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
 # Grounding
 
 
-def ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) -> DeductionStep:
+def ground_deduction(tree: DeductionStep) -> DeductionStep:
     """Apply all recorded bindings and map residual variables to fresh
     constants; every resolve step is revalidated as a ground step."""
     steps = list(tree.steps())
@@ -315,9 +315,8 @@ def ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) ->
             l_s = apply_literal(l, store)
             terms.extend(l_s.args)
             ground[id(l)] = l_s
-    if namer is None:
-        symbols.update(t.functor for t in subterms(*args) if t.__class__ is App)
-        namer = FreshNamer(symbols)
+    symbols.update(t.functor for t in subterms(*args) if t.__class__ is App)
+    namer = FreshNamer(symbols)
     fresh = {v: App(namer.fresh("g")) for v in ordered_vars(terms)}
     if fresh:
         for key, l in ground.items():

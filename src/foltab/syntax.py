@@ -9,8 +9,10 @@ clausification, grounding and interpolation all use it:
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
 - `bind`, `unify_args` and `undo` extend a binding store and take it back;
 - `unify` returns an idempotent most general unifier;
-- `subterms` walks terms and `map_term` rebuilds them, outside in;
-  `is_ground` and `ordered_vars` inspect them.
+- `subterms` walks terms and `map_term` rebuilds them, outside in, in the
+  one rebuild loop under `apply_term` and `resolve` too; literals are
+  rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
+  inspect terms.
 
 A binding store maps variable names to terms.  It is triangular: a bound
 term may contain bound variables, and reading it follows them.  It is
@@ -153,38 +155,51 @@ def ordered_vars(terms: Iterable[Term]) -> list[str]:
 
 Subst = dict[str, Term]
 
+_REBUILD = object()
 
-def map_term(t: Term, fn: Callable[[Term], Optional[Term]]) -> Term:
-    """t with each outermost subterm s for which fn(s) is not None replaced
-    by fn(s); fn is called outside in, left to right.  Unchanged subterms
-    are shared with t."""
+
+def _rebuild(t: Term, get: Callable, by_name: bool, again: bool) -> Term:
+    """t with each outermost subterm s that has a replacement r replaced by
+    r, or with `again` by r rebuilt in turn.  The replacement is get(s), or
+    with `by_name` get(s.name) for a variable and none for an application.
+    Subterms are read outside in, left to right; unchanged ones are shared."""
     out: list[Term] = []
-    # (s, False) visits s; (s, True) rebuilds s from `out`
-    todo: list[tuple[Term, bool]] = [(t, False)]
+    # a term to visit, or _REBUILD above an application to rebuild from `out`
+    todo: list = [t]
     while todo:
-        s, rebuild = todo.pop()
-        if rebuild:
+        s = todo.pop()
+        if s is _REBUILD:
+            s = todo.pop()
             k = len(out) - len(s.args)
             args = tuple(out[k:])
             del out[k:]
             out.append(s if all(map(is_, args, s.args)) else App(s.functor, args))
-        elif (r := fn(s)) is not None:
-            out.append(r)
+            continue
+        if by_name:
+            r = get(s.name) if s.__class__ is Var else None
+        else:
+            r = get(s)
+        if r is not None:
+            (todo if again else out).append(r)
         elif s.__class__ is App and s.args:
-            todo.append((s, True))
-            todo.extend((a, False) for a in reversed(s.args))
+            todo.append(s)
+            todo.append(_REBUILD)
+            todo.extend(reversed(s.args))
         else:
             out.append(s)
     return out[0]
 
 
+def map_term(t: Term, fn: Callable[[Term], Optional[Term]]) -> Term:
+    """t with each outermost subterm s for which fn(s) is not None replaced
+    by fn(s); fn is called outside in, left to right.  Unchanged subterms
+    are shared with t."""
+    return _rebuild(t, fn, False, False)
+
+
 def apply_term(t: Term, subst: Subst) -> Term:
     """Apply a substitution once (no chain walking)."""
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if not t.args:
-        return t
-    return App(t.functor, tuple(apply_term(a, subst) for a in t.args))
+    return _rebuild(t, subst.get, True, False)
 
 
 def walk(t: Term, store: Subst) -> Term:
@@ -211,25 +226,22 @@ def occurs(name: str, t: Term, store: Subst) -> bool:
 def resolve(t: Term, store: Subst) -> Term:
     """t with `store` applied in full: every bound variable is replaced by
     its binding, resolved in turn.  Unchanged subterms are shared."""
-    while isinstance(t, Var):  # walk, inlined: this is the prover's hot path
-        bound = store.get(t.name)
-        if bound is None:
-            return t
-        t = bound
-    if not t.args:
-        return t
-    args = tuple([resolve(a, store) for a in t.args])
-    if all(map(is_, args, t.args)):
-        return t
-    return App(t.functor, args)
+    return _rebuild(t, store.get, True, True)
+
+
+def map_literal_terms(l: Literal, fn: Callable[[Term], Term]) -> Literal:
+    """l with fn applied to each argument: the one literal rebuild.  l
+    itself when every argument comes back unchanged."""
+    args = tuple([fn(a) for a in l.args])
+    if all(map(is_, args, l.args)):
+        return l
+    return Literal(l.positive, l.predicate, args)
 
 
 def apply_literal(l: Literal, store: Subst) -> Literal:
     """l with `store` applied in full to its arguments; for an idempotent
     substitution this is the same as applying it once."""
-    if not store:
-        return l
-    return Literal(l.positive, l.predicate, tuple(resolve(a, store) for a in l.args))
+    return map_literal_terms(l, lambda t: resolve(t, store)) if store else l
 
 
 def bind(store: Subst, trail: list[str], name: str, t: Term) -> bool:
@@ -507,9 +519,6 @@ def occurrences(f: Formula) -> Iterator[tuple[Formula, int, frozenset[str]]]:
             raise TypeError(f"not a formula: {g!r}")
 
 
-_REBUILD = object()
-
-
 def map_formula(
     f: Formula,
     literal: Callable[[Literal, object], Formula],
@@ -669,38 +678,19 @@ def smax(terms: Iterable[Term], f: Formula, sign: str = "all") -> set[Term]:
 
 
 def clause_vars(c: Clause) -> set[str]:
-    out: set[str] = set()
-    for l in c.literals:
-        for a in l.args:
-            out |= term_vars(a)
-    return out
+    return {s.name for l in c.literals for s in subterms(*l.args) if s.__class__ is Var}
 
 
 def clause_sign_vars(c: Clause, positive: bool) -> set[str]:
-    out: set[str] = set()
-    for l in c.literals:
-        if l.positive == positive:
-            for a in l.args:
-                out |= term_vars(a)
-    return out
+    return clause_vars(Clause(tuple(l for l in c.literals if l.positive == positive)))
 
 
 # ---------------------------------------------------------------------------
 # Structure-preserving walks
 
 
-def map_literal_terms(l: Literal, fn: Callable[[Term], Term]) -> Literal:
-    return Literal(l.positive, l.predicate, tuple(fn(a) for a in l.args))
-
-
 def map_formula_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
     return map_formula(f, lambda l, _: map_literal_terms(l, fn))
-
-
-def _subst_literal(l: Literal, subst: Subst) -> Literal:
-    if not subst:
-        return l
-    return Literal(l.positive, l.predicate, tuple(apply_term(a, subst) for a in l.args))
 
 
 def formula_subst(f: Formula, subst: Subst) -> Formula:
@@ -711,7 +701,9 @@ def formula_subst(f: Formula, subst: Subst) -> Formula:
     def binder(v: str, s: Subst) -> tuple[str, Subst]:
         return v, ({u: t for u, t in s.items() if u != v} if v in s else s)
 
-    return map_formula(f, _subst_literal, binder, subst)
+    return map_formula(
+        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, subst
+    )
 
 
 def rename_bound(f: Formula, pick: Callable[[str], str]) -> Formula:
@@ -727,7 +719,9 @@ def rename_bound(f: Formula, pick: Callable[[str], str]) -> Formula:
         w = pick(v)
         return w, {**env, v: Var(w)}
 
-    return map_formula(f, _subst_literal, binder, {})
+    return map_formula(
+        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, {}
+    )
 
 
 def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:

@@ -29,10 +29,11 @@ from .syntax import (
     InputError,
     Literal,
     Subst,
-    Term,
     Var,
     apply_literal,
+    apply_term,
     is_ground,
+    map_literal_terms,
     match_term,
     ordered_vars,
     term_functions,
@@ -420,9 +421,9 @@ class _InferenceCap(Exception):
     pass
 
 
-# a clause as the prover copies it: its literals, and for each whether it is
-# ground, or None when all are
-_Template = tuple[tuple[Literal, ...], Optional[tuple[bool, ...]]]
+# a clause as the prover copies it: its literals, for each whether it is
+# ground, and its variable names, none when it is ground
+_Template = tuple[tuple[Literal, ...], tuple[bool, ...], list[str]]
 
 
 def prove(
@@ -465,7 +466,7 @@ def prove(
     templates: list[_Template] = []
     for c in cls:
         ground = tuple(all(map(is_ground, l.args)) for l in c.literals)
-        templates.append((c.literals, None if all(ground) else ground))
+        templates.append((c.literals, ground, ordered_vars(a for l in c.literals for a in l.args)))
     # candidates[s][(predicate, arity)]: the extension candidates of a goal
     # of sign s, as (ordinal, template, literal index), where the ordinal
     # numbers the literals of sign not s in clause order; total[s] counts them
@@ -498,80 +499,57 @@ def prove(
         """The next copy of a clause: its variables X renamed X_k."""
         nonlocal copies
         copies += 1
-        lits, ground = template
-        if ground is None:
+        lits, ground, names = template
+        if not names:
             return lits
-        k = copies
-        ren: dict[str, Term] = {}
-
-        def rt(t: Term) -> Term:
-            if isinstance(t, Var):
-                got = ren.get(t.name)
-                if got is None:
-                    got = Var(f"{t.name}_{k}")
-                    ren[t.name] = got
-                return got
-            if not t.args:
-                return t
-            return App(t.functor, tuple(rt(a) for a in t.args))
-
+        ren: Subst = {v: Var(f"{v}_{copies}") for v in names}
         return tuple(
-            l if g else Literal(l.positive, l.predicate, tuple(rt(a) for a in l.args))
+            l if g else map_literal_terms(l, lambda t: apply_term(t, ren))
             for l, g in zip(lits, ground)
         )
 
-    def regular(children: list[Node], path: dict[tuple[bool, str], list[Literal]]) -> bool:
+    def regular(children: list[Node], path: list[Literal]) -> bool:
         """No child equals a literal of `path`, the literals from the goal
-        up, grouped by (sign, predicate); each is resolved at most once."""
-        resolved: dict[tuple[bool, str], list[Literal]] = {}
+        up; only literals of a child's sign and predicate are resolved."""
         for ch in children:
             lit = ch.literal
-            key = (lit.positive, lit.predicate)
-            same = path.get(key)
-            if same is None:
-                continue
-            got = resolved.get(key)
-            if got is None:
-                got = resolved[key] = [apply_literal(l, binding) for l in same]
-            if apply_literal(lit, binding) in got:
+            same = [l for l in path if l.predicate == lit.predicate and l.positive == lit.positive]
+            if same and apply_literal(lit, binding) in [apply_literal(l, binding) for l in same]:
                 return False
         return True
 
-    def solve(goals: list[Node], limit: int) -> bool:
+    def closings(goals: list[Node], limit: int) -> Iterator[list[Node]]:
+        """A choice point: the goals left after each way of closing the
+        first of `goals`, in search order.  The bindings and children of a
+        way hold while the caller works on the goals it yields."""
         nonlocal copies, cutoff
-        if not goals:
-            return True
         goal, rest = goals[0], goals[1:]
         g = goal.literal
-        # reduction: close against an ancestor; an ancestor of the wrong sign,
-        # predicate or arity is counted but not tried
-        ancestors = []
+        # reduction: close against an ancestor, nearest first; an ancestor of
+        # the wrong sign, predicate or arity is counted but not tried
+        path = [g]  # the literals from the goal up
+        untried = 0
         anc = goal.parent
         while anc.literal is not None:
-            ancestors.append(anc)
-            anc = anc.parent
-        untried = 0
-        for anc in ancestors:
             l = anc.literal
-            if l.positive == g.positive or l.predicate != g.predicate or len(l.args) != len(g.args):
+            path.append(l)
+            anc = anc.parent
+            if l.predicate != g.predicate or l.positive == g.positive or len(l.args) != len(g.args):
                 untried += 1
                 continue
             tick(untried + 1)
             untried = 0
             mark = len(trail)
-            if unify_args(g.args, l.args, binding, trail) and solve(rest, limit):
-                return True
+            if unify_args(g.args, l.args, binding, trail):
+                yield rest
             undo(binding, trail, mark)
         if untried:
             tick(untried)
         # extension: attach a clause instance containing a closing literal
         # at the depth of the goal's children, the root being at depth 0
-        if len(ancestors) + 2 > limit:
+        if len(path) + 1 > limit:
             cutoff = True
-            return False
-        path: dict[tuple[bool, str], list[Literal]] = {}
-        for n in (goal, *ancestors):
-            path.setdefault((n.literal.positive, n.literal.predicate), []).append(n.literal)
+            return
         counted = 0  # candidates counted so far, by ordinal
         for ordinal, template, idx in candidates[g.positive].get((g.predicate, len(g.args)), ()):
             # the candidates skipped before this one are counted and numbered
@@ -586,14 +564,26 @@ def prove(
                     ch.parent = goal
                 goal.children = children
                 if regular(children, path):
-                    if solve(children[:idx] + children[idx + 1:] + rest, limit):
-                        return True
+                    yield children[:idx] + children[idx + 1:] + rest
                 goal.children = []
             undo(binding, trail, mark)
         skipped = total[g.positive] - counted
         if skipped:
             tick(skipped)
             copies += skipped
+
+    def solve(goals: list[Node], limit: int) -> bool:
+        """Whether every goal closes, searching depth first on a stack of
+        choice points; a proof found keeps its bindings and children."""
+        stack = [closings(goals, limit)]
+        while stack:
+            for rest in stack[-1]:
+                if not rest:
+                    return True
+                stack.append(closings(rest, limit))
+                break
+            else:
+                stack.pop()
         return False
 
     limit = 0

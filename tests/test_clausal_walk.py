@@ -2,25 +2,43 @@
 simplification, maximal-term scan and lifting on explicit stacks, against
 the recursive passes they replace (`reference_*` in helpers) on random
 formulas, with a clause limit low enough that distribution errors are
-compared too; formulas nested deeper than the default recursion limit; and a
-look at the source that none of these functions calls itself."""
+compared too; formulas nested deeper than the default recursion limit;
+duplicate removal in truth-value simplification; and a look at the source
+that no function of these modules, the term kernel, the prover, proof
+import, hyper conversion or tableau documents calls itself."""
 
 import ast
+import copy
 import inspect
 import random
+import time
+from operator import is_
 
 import pytest
 
+import foltab.documents
+import foltab.hyperconv
 import foltab.interpolation
 import foltab.normalize
+import foltab.proofs
 import foltab.restriction
 import foltab.syntax
-from foltab.interpolation import InterpolationContext, hornify, lift_parts, truth_simplify
+import foltab.tableaux
+from foltab.interpolation import (
+    InterpolationContext,
+    hornify,
+    lift_parts,
+    simp_and,
+    simp_or,
+    truth_simplify,
+)
 from foltab.normalize import ClauseLimitError, cnf, dnf, skolemize_clausify
 from foltab.restriction import is_horn, is_horn_like, is_u_range_restricted
 from foltab.syntax import (
+    BOTTOM,
     TOP,
     And,
+    Bottom,
     App,
     Clause,
     ForAll,
@@ -29,8 +47,11 @@ from foltab.syntax import (
     Literal,
     Not,
     Or,
+    Top,
     Var,
     free_vars,
+    mk_and,
+    mk_or,
     smax_by,
 )
 from helpers import (
@@ -61,11 +82,17 @@ def outcome(fn, *args):
 
 def self_calls(source):
     """Names of the functions in `source`, nested ones included, that call
-    themselves by name."""
+    themselves by name.  A method is called through its object, so a bare
+    call of its name in its body calls the module function of that name."""
+    tree = ast.parse(source)
+    methods = {
+        id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body
+    }
     return [
         fn.name
-        for fn in ast.walk(ast.parse(source))
+        for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
+        and id(fn) not in methods
         and any(
             isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == fn.name
             for c in ast.walk(fn)
@@ -74,11 +101,22 @@ def self_calls(source):
 
 
 def test_no_function_recurses():
-    for module in (foltab.normalize, foltab.restriction, foltab.interpolation):
+    modules = (
+        foltab.syntax,
+        foltab.normalize,
+        foltab.restriction,
+        foltab.interpolation,
+        foltab.tableaux,
+        foltab.hyperconv,
+        foltab.proofs,
+        foltab.documents,
+    )
+    for module in modules:
         assert self_calls(inspect.getsource(module)) == [], module.__name__
-    assert self_calls(inspect.getsource(foltab.syntax.smax_by)) == []
-    # the check sees a recursive helper
+    # the check sees a recursive helper, and not a method calling the
+    # function it is named after
     assert self_calls("def f():\n    def g(n):\n        return g(n - 1)\n") == ["g"]
+    assert self_calls("class T:\n    def f(self):\n        return f(self)\n") == []
 
 
 def formulas(seed, n=3000):
@@ -184,6 +222,48 @@ def test_lifting_agrees_with_the_reference():
         assert (got.prefix, got.matrix, got.terms) == reference_lift_parts(h, ctx), h
         lifted += len(got.terms) > 1
     assert lifted > 500
+
+
+def scanned(parts, cls, unit, zero):
+    """simp_or/simp_and's parts as a scan of the list kept so far finds
+    them."""
+    out = []
+    for p in parts:
+        if isinstance(p, type(zero)):
+            return [zero]
+        if not isinstance(p, unit):
+            for q in p.parts if isinstance(p, cls) else (p,):
+                if q not in out:
+                    out.append(q)
+    return out
+
+
+def test_simp_keeps_the_first_of_equal_parts():
+    rng = random.Random(17)
+    for _ in range(2000):
+        pool = [random_nnf(rng, rng.randint(0, 2)) for _ in range(4)]
+        # equal parts that are distinct objects
+        parts = [copy.deepcopy(rng.choice(pool)) for _ in range(rng.randint(0, 6))]
+        for simp, mk, cls, unit, zero in (
+            (simp_or, mk_or, Or, Bottom, TOP),
+            (simp_and, mk_and, And, Top, BOTTOM),
+        ):
+            want = scanned(parts, cls, unit, zero)
+            got = simp(parts)
+            assert got == mk(want)
+            assert all(map(is_, got.parts if got.__class__ is cls else (got,), want))
+
+
+def test_truth_simplify_of_a_long_conjunction_chain():
+    # deduplication used to scan the parts kept so far: about 39 s at 1,000
+    lits = [Literal(True, f"p{i}") for i in range(1000)]
+    f = lits[-1]
+    for l in reversed(lits[:-1]):
+        f = And((l, f))
+    start = time.perf_counter()
+    got = truth_simplify(f)
+    assert time.perf_counter() - start < 10
+    assert got == And(tuple(lits))
 
 
 DEPTH = 5000

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from foltab.syntax import (
     And,
     App,
+    Clause,
     Exists,
     ForAll,
     Implies,
@@ -18,6 +19,7 @@ from foltab.syntax import (
     Or,
     Signature,
     Var,
+    apply_literal,
     apply_term,
     bind,
     free_vars,
@@ -27,11 +29,14 @@ from foltab.syntax import (
     polarity_vars,
     resolve,
     smax,
+    subterms,
+    term_depth,
     undo,
     unify,
     unify_args,
     vocabulary,
 )
+from foltab.tableaux import prove
 from helpers import random_formula, random_nnf
 
 x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -131,6 +136,45 @@ def test_resolve_follows_chains():
     assert resolve(x, store) == fa
     assert resolve(App("g", (x, z)), store) == App("g", (fa, z))
     assert resolve(fa, store) is fa
+
+
+def nest(functor, depth, inner):
+    for _ in range(depth):
+        inner = App(functor, (inner,))
+    return inner
+
+
+def test_term_rebuilds_of_a_5000_deep_term(default_recursion_limit):
+    # equality, hashing and str of such terms still recurse: the results
+    # are read with subterms and term_depth
+    deep = nest("f", 5000, x)
+
+    def leaf(t):
+        return list(subterms(t))[-1]
+
+    got = apply_term(deep, {"X": y, "Y": z})
+    assert term_depth(got) == 5001 and leaf(got) is y
+    got = resolve(deep, {"X": y, "Y": App("g", (a,))})
+    assert term_depth(got) == 5002 and leaf(got) is a
+    # a binding chain as deep as the term: X_i is bound to f(X_{i+1})
+    chain = {f"X{i}": App("f", (Var(f"X{i + 1}"),)) for i in range(5000)}
+    got = resolve(Var("X0"), chain)
+    assert term_depth(got) == 5001 and leaf(got) == Var("X5000")
+    l = apply_literal(Literal(False, "p", (deep, a)), {"X": b})
+    assert l.args[1] is a and term_depth(l.args[0]) == 5001 and leaf(l.args[0]) is b
+    # unchanged subterms are shared, and an unchanged literal is returned
+    assert apply_term(deep, {"Y": a}) is deep and resolve(deep, {"Y": a}) is deep
+    lit = Literal(True, "p", (deep,))
+    assert apply_literal(lit, {"Y": a}) is lit
+
+    def outcome(t):
+        # the prover copies p(t) at each extension step of ~p(Y) | p(g(Y)),
+        # binds Y to the copy and resolves it in the regularity check
+        step = Clause((Literal(False, "p", (y,)), Literal(True, "p", (App("g", (y,)),))))
+        r = prove([Clause((Literal(True, "p", (t,)),)), step], max_depth=4)
+        return r.status, r.inferences, r.depth
+
+    assert outcome(deep) == outcome(App("f", (x,)))
 
 
 def test_occurs_check_fails_through_a_chain():

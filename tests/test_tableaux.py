@@ -493,6 +493,13 @@ def test_prove_matches_reference_on_first_order_sets():
         if doc is not None and re.search(r"\b[XY]_\d+\b", doc):
             residual += 1
     assert residual >= 5
+    # variables named as cnf names them, X and X_k: a copy renames each
+    # once, so in copy k the variable X_k becomes X_k_k, not X
+    fact = Clause((lit("p", a, App("b")),))
+    for k in range(1, 4):
+        query = Clause((lit("p", x, Var(f"X_{k}"), positive=False),))
+        assert_as_reference([query, fact], 6)
+        assert_as_reference([fact, query], 6)
 
 
 def test_prove_matches_reference_on_chains():
