@@ -546,9 +546,10 @@ def exit_code_of(e: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # the parser's formula levels, the formula printer (tptp._fmt) and the
-    # __eq__, __hash__, __repr__ and __str__ of terms and formulas recurse
-    # on nesting
+    # the parser's formula levels, the formula printer (tptp._fmt), the
+    # __eq__, __repr__ and __str__ of terms and formulas and the __hash__ of
+    # formulas recurse on nesting; a term's hash recurses only down to the
+    # subterms hashed before it, and the parser hashes its terms bottom up
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output

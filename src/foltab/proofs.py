@@ -33,7 +33,7 @@ from .syntax import (
     ordered_vars,
     subterms,
 )
-from .tableaux import Node, ResourceLimitError, Tableau, is_closed
+from .tableaux import Node, ResourceLimitError, Tableau, is_closed, shared
 from .tptp import ParseError, _Parser, format_clause, format_term
 
 
@@ -303,22 +303,25 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
     # each literal object is resolved once: the steps of a subproof that the
     # tree repeats share the literals of their records
     ground: dict[int, Literal] = {}
-    symbols: set[str] = set()
-    args: list[Term] = []
+    originals: list[Literal] = []
     terms: list[Term] = []
     for step in steps:
         for l in step.clause.literals + ((step.atom,) if step.atom else ()):
             if id(l) in ground:
                 continue
-            symbols.add(l.predicate)
-            args.extend(l.args)
+            originals.append(l)
             l_s = apply_literal(l, store)
             terms.extend(l_s.args)
             ground[id(l)] = l_s
-    symbols.update(t.functor for t in subterms(*args) if t.__class__ is App)
-    namer = FreshNamer(symbols)
-    fresh = {v: App(namer.fresh("g")) for v in ordered_vars(terms)}
-    if fresh:
+    residual = ordered_vars(terms)
+    if residual:
+        # fresh constants avoid every symbol of the document as written
+        symbols = {l.predicate for l in originals}
+        symbols.update(
+            t.functor for t in subterms(*(a for l in originals for a in l.args)) if t.__class__ is App
+        )
+        namer = FreshNamer(symbols)
+        fresh = {v: App(namer.fresh("g")) for v in residual}
         for key, l in ground.items():
             ground[key] = apply_literal(l, fresh)
 
@@ -380,14 +383,7 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
     if tree.kind == "input":
         raise ProofError("trivial refutation by an input empty clause cannot be represented")
 
-    # one object per atom and sign, so that walks find equal literals by identity
     atoms: dict[Literal, Literal] = {}
-
-    def literal(l: Literal) -> Literal:
-        atom = l.atom()
-        atom = atoms.setdefault(atom, atom)
-        return atom if l.positive else atom.complement()
-
     root = Node()
     stack = [(root, tree)]  # (node, the step to attach below it), pre-order
     while stack:
@@ -396,9 +392,9 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
             if not step.clause.literals:
                 raise ProofError("input step with empty clause inside a refutation")
             for l in step.clause.literals:
-                node.add(Node(literal(l)))
+                node.add(Node(shared(l, atoms)))
             continue
-        atom = literal(step.atom)
+        atom = shared(step.atom, atoms)
         neg = Node(atom.complement())
         pos = Node(atom)
         node.add(neg)

@@ -14,6 +14,12 @@ clausification, grounding and interpolation all use it:
   rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
   inspect terms.
 
+Every application carries a ground flag, set when it is made from the
+flags of its arguments.  `is_ground` reads it, and `apply_term`,
+`resolve`, `apply_literal`, `occurs` and `ordered_vars` pass over a ground
+subterm without visiting it, so a ground term or literal comes back as
+the same object at no cost in its size.
+
 A binding store maps variable names to terms.  It is triangular: a bound
 term may contain bound variables, and reading it follows them.  It is
 acyclic: a variable is bound only after the occurs check, through the
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 
@@ -50,18 +56,28 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # Terms
 
+_set = object.__setattr__
+_ground_of = attrgetter("_ground")
+
 
 # Var, App and Literal compute their hash on first use and keep it in the
 # `_hash` slot, so that hashing a deep term or literal is O(1) after the
 # first time.  The slot is left unset by __init__ to keep construction (the
-# prover builds far more terms than it hashes) as cheap as before; the value
-# is the hash of the field tuple, as the generated __hash__ would give.
+# prover builds far more terms than it hashes) cheap; the value is the hash
+# of the field tuple, as the generated __hash__ would give.  The parser
+# hashes each application with arguments when it enters it in its term
+# table, after its arguments, so hashing a parsed term never recurses.
+#
+# An App knows whether it is ground: __init__ sets `_ground` from the
+# arguments' flags, in O(arity), since every subterm is made before the
+# terms above it.  A variable's flag is the class attribute False.
 
 
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
     _hash: int = field(init=False, repr=False, compare=False)
+    _ground = False
 
     def __hash__(self) -> int:
         try:
@@ -85,6 +101,12 @@ class App:
     functor: str
     args: tuple["Term", ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _ground: bool = field(init=False, repr=False, compare=False)
+
+    def __init__(self, functor: str, args: tuple["Term", ...] = ()):
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "_ground", all(map(_ground_of, args)))
 
     def __hash__(self) -> int:
         try:
@@ -135,19 +157,22 @@ def term_depth(t: Term) -> int:
 
 
 def is_ground(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            return False
-        stack.extend(t.args)
-    return True
+    return t._ground
 
 
 def ordered_vars(terms: Iterable[Term]) -> list[str]:
     """Distinct variable names of `terms` in order of first occurrence,
     left to right and outside in."""
-    return list(dict.fromkeys(s.name for s in subterms(*terms) if s.__class__ is Var))
+    out: dict[str, None] = {}
+    stack = list(terms)
+    stack.reverse()
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Var:
+            out[t.name] = None
+        elif not t._ground:
+            stack.extend(reversed(t.args))
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +186,9 @@ _REBUILD = object()
 def _rebuild(t: Term, get: Callable, by_name: bool, again: bool) -> Term:
     """t with each outermost subterm s that has a replacement r replaced by
     r, or with `again` by r rebuilt in turn.  The replacement is get(s), or
-    with `by_name` get(s.name) for a variable and none for an application.
-    Subterms are read outside in, left to right; unchanged ones are shared."""
+    with `by_name` get(s.name) for a variable and none for an application;
+    then a ground subterm cannot change and is not visited.  Subterms are
+    read outside in, left to right; unchanged ones are shared."""
     out: list[Term] = []
     # a term to visit, or _REBUILD above an application to rebuild from `out`
     todo: list = [t]
@@ -175,10 +201,15 @@ def _rebuild(t: Term, get: Callable, by_name: bool, again: bool) -> Term:
             del out[k:]
             out.append(s if all(map(is_, args, s.args)) else App(s.functor, args))
             continue
-        if by_name:
-            r = get(s.name) if s.__class__ is Var else None
-        else:
+        if not by_name:
             r = get(s)
+        elif s.__class__ is Var:
+            r = get(s.name)
+        elif s._ground:
+            out.append(s)
+            continue
+        else:
+            r = None
         if r is not None:
             (todo if again else out).append(r)
         elif s.__class__ is App and s.args:
@@ -218,7 +249,7 @@ def occurs(name: str, t: Term, store: Subst) -> bool:
         if isinstance(t, Var):
             if t.name == name:
                 return True
-        else:
+        elif not t._ground:
             stack.extend(t.args)
     return False
 

@@ -130,6 +130,15 @@ class Tableau:
         return Tableau(root)
 
 
+def shared(l: Literal, atoms: dict[Literal, Literal]) -> Literal:
+    """The object for l's atom and sign, from `atoms`, which maps each atom
+    of one tableau to itself: a negative literal is its atom's complement,
+    so the walks find equal literals of the tableau by identity."""
+    atom = l.atom()
+    atom = atoms.setdefault(atom, atom)
+    return atom if l.positive else atom.complement()
+
+
 def clause_at(node: Node) -> tuple[Literal, ...]:
     """The clause attached below `node`: its children's literals in order."""
     return tuple(c.literal for c in node.children)
@@ -370,8 +379,9 @@ def ground_tableau(
         else:
             s2.append(name)
     out = tab.copy()
+    atoms: dict[Literal, Literal] = {}
     for n in out.non_root_nodes():
-        n.literal = apply_literal(n.literal, sub)
+        n.literal = shared(apply_literal(n.literal, sub), atoms)
     return out, frozenset(s1), frozenset(s2)
 
 
@@ -595,11 +605,11 @@ def prove(
                 # a start clause is always regular: its only ancestor is the root
                 root.set_children([Node(l) for l in instantiate(template)])
                 if solve(root.children, limit):
-                    for n in root.pre_order():
-                        if n.literal is not None:
-                            n.literal = apply_literal(n.literal, binding)
-                    tab = simplify(Tableau(root))
-                    return ProveResult("proved", tab, inferences, limit)
+                    tab = Tableau(root)
+                    atoms: dict[Literal, Literal] = {}
+                    for n in tab.non_root_nodes():
+                        n.literal = shared(apply_literal(n.literal, binding), atoms)
+                    return ProveResult("proved", simplify(tab), inferences, limit)
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)
     except _Deadline:

@@ -88,11 +88,18 @@ class _Parser:
     """Recursive descent over the token tuples of one text at a time;
     `load` moves it to the next text, so that a file of many records needs
     one parser.  Every literal it parses is kept in `literals`, in text
-    order."""
+    order.
 
-    __slots__ = ("text", "toks", "i", "literals")
+    `terms` is the parser's term table, kept across `load` calls: a
+    variable or a constant by its name, any other application by its
+    functor and arguments.  Each distinct term of the texts is made once,
+    so equal terms of one document are one object, found by identity in
+    sets and dicts."""
+
+    __slots__ = ("text", "toks", "i", "literals", "terms")
 
     def __init__(self, text: str = ""):
+        self.terms: dict = {}
         self.load(text)
 
     def load(self, text: str) -> None:
@@ -198,10 +205,12 @@ class _Parser:
             self.i += 1
             lit = Literal(True, text)
         else:
-            first = self.term()
+            first = self.term(atom=True)
             nxt = self.toks[self.i][1]
             if nxt == "=" or nxt == "!=":
                 self.i += 1
+                if first.__class__ is App and first.args:
+                    first = self.app(first.functor, first.args)
                 lit = Literal(nxt == "=", "=", (first, self.term()))
             elif first.__class__ is Var:
                 raise self.error("a variable is not a formula")
@@ -210,24 +219,31 @@ class _Parser:
         self.literals.append(lit)
         return lit
 
-    def term(self) -> Term:
-        """One term, on an explicit stack of the applications still open."""
+    def term(self, atom: bool = False) -> Term:
+        """One term, on an explicit stack of the applications still open.
+        A term is taken from the table, or made and entered there once its
+        arguments are; an application is hashed when it is entered, so
+        hashing it never recurses.  With `atom` the outermost application
+        is made outside the table: it is an atom's, unless the caller finds
+        that it is a term after all."""
         toks = self.toks
+        table = self.terms
         i = self.i
         open_apps: list[tuple[str, list[Term]]] = []
         while True:
             kind, text, offset = toks[i]
             i += 1
-            if kind == "upper":
-                t = Var(text)
-            elif kind != "lower":
-                raise self.error(f"expected a term, found {text!r}", offset)
-            elif toks[i][1] == "(":
+            if kind == "lower" and toks[i][1] == "(":
                 i += 1
                 open_apps.append((text, []))
                 continue
-            else:
-                t = App(text)
+            if kind != "upper" and kind != "lower":
+                raise self.error(f"expected a term, found {text!r}", offset)
+            # a variable's name starts with an uppercase letter and a
+            # constant's never does, so the table keys both by name
+            t = table.get(text)
+            if t is None:
+                t = table[text] = Var(text) if kind == "upper" else App(text)
             # t is complete: add it to the innermost open application and
             # close every application that ends after it
             while open_apps:
@@ -239,10 +255,23 @@ class _Parser:
                 if found != ")":
                     raise self.error(f"expected ')', found {found!r}", offset)
                 functor, args = open_apps.pop()
-                t = App(functor, tuple(args))
+                if atom and not open_apps:
+                    t = App(functor, tuple(args))
+                else:
+                    t = self.app(functor, tuple(args))
             else:
                 self.i = i
                 return t
+
+    def app(self, functor: str, args: tuple[Term, ...]) -> App:
+        """The table's application of `functor` to `args`, which are in the
+        table already; `args` is not empty."""
+        key = (functor, args)
+        t = self.terms.get(key)
+        if t is None:
+            t = self.terms[key] = App(functor, args)
+            hash(t)
+        return t
 
     # clause syntax ---------------------------------------------------------
 

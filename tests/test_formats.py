@@ -3,7 +3,8 @@ import random
 import pytest
 
 from foltab.documents import format_tableau, parse_tableau, tableau_equal
-from foltab.syntax import App, Clause, Literal, Var, alpha_equal
+from foltab.proofs import parse_proof
+from foltab.syntax import App, Clause, Literal, Var, alpha_equal, occurrences
 from foltab.tableaux import Node, Tableau, prove
 from foltab.tptp import (
     ParseError,
@@ -86,6 +87,41 @@ false
     assert clauses[2] == Clause(())
     for c in clauses[:2]:
         assert parse_clause_file(format_clause(c))[0] == c
+
+
+def test_equal_terms_of_one_document_are_one_object():
+    c1, c2 = parse_clause_file("p(f(a), X) | q(X)\n~p(f(a), g(X, f(a)))\n")
+    fa, x = c1.literals[0].args
+    assert c2.literals[0].args[0] is fa and c2.literals[0].args[1].args == (x, fa)
+    assert c2.literals[0].args[1].args[1] is fa and c1.literals[1].args[0] is x
+    # every file is parsed on its own table
+    (other,) = parse_clause_file("r(f(a))\n")
+    assert other.literals[0].args[0] == fa and other.literals[0].args[0] is not fa
+
+    records = parse_fof_file(
+        "fof(a1, axiom, ! [X] : (p(f(a)) => q(X, f(a)))).\n"
+        "fof(c, conjecture, ? [X] : (q(X, f(a)) & f(a) = a & a != X)).\n"
+    )
+    terms = [t for r in records for g, _, _ in occurrences(r.formula) if g.__class__ is Literal for t in g.args]
+    assert len(terms) == 9 and all(terms[k] is terms[0] for k in (2, 4, 5))
+    assert terms[1] is terms[3] is terms[8] and terms[6] is terms[7] is terms[0].args[0]
+
+    doc = parse_proof(
+        "s1 input p(f(a))\n"
+        "s2 input ~p(X) | q(g(X))\n"
+        "r1 resolve(s1, s2, p(f(a))) {X -> f(a)} q(g(f(a)))\n"
+    )
+    s1, s2, r1 = doc.records
+    fa = s1.clause.literals[0].args[0]
+    assert r1.atom.args[0] is fa and r1.bindings["X"] is fa
+    assert r1.clause.literals[0].args[0].args[0] is fa
+    assert s2.clause.literals[0].args[0] is s2.clause.literals[1].args[0].args[0]
+
+    # a tableau document shares its literals as well, one per atom and sign
+    tab = parse_tableau("tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~q(f(a))\n    q(f(a)) -> 1\n")
+    n1, n2, n3, n4 = tab.non_root_nodes()
+    assert n2.literal is n1.literal.complement() and n4.literal is n3.literal.complement()
+    assert n1.literal.args[0] is n3.literal.args[0]
 
 
 def test_tableau_document_round_trip():

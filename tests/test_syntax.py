@@ -23,6 +23,7 @@ from foltab.syntax import (
     apply_term,
     bind,
     free_vars,
+    is_ground,
     match_term,
     occurs,
     ordered_vars,
@@ -37,7 +38,7 @@ from foltab.syntax import (
     vocabulary,
 )
 from foltab.tableaux import prove
-from helpers import random_formula, random_nnf
+from helpers import random_formula, random_nnf, random_term
 
 x, y, z = Var("X"), Var("Y"), Var("Z")
 a, b = App("a"), App("b")
@@ -175,6 +176,66 @@ def test_term_rebuilds_of_a_5000_deep_term(default_recursion_limit):
         return r.status, r.inferences, r.depth
 
     assert outcome(deep) == outcome(App("f", (x,)))
+
+
+class CountedArgs(tuple):
+    """Arguments that count how often they are read."""
+
+    reads = 0
+
+    def __iter__(self):
+        CountedArgs.reads += 1
+        return tuple.__iter__(self)
+
+    def __reversed__(self):
+        CountedArgs.reads += 1
+        return reversed(tuple(tuple.__iter__(self)))
+
+
+def test_the_kernel_does_not_read_inside_a_ground_term():
+    inner = App("g", CountedArgs((a, b)))
+    t = App("f", (inner, App("h", CountedArgs((inner,)))))
+    CountedArgs.reads = 0
+    assert resolve(t, {"X": a}) is t and apply_term(t, {"X": a}) is t
+    assert apply_literal(Literal(True, "p", (t, x)), {"X": b}).args == (t, b)
+    assert not occurs("X", t, {}) and ordered_vars([t, y]) == ["Y"]
+    assert CountedArgs.reads == 0
+    # arguments that hold a variable are read
+    assert resolve(App("k", CountedArgs((x,))), {"X": a}) == App("k", (a,))
+    assert CountedArgs.reads > 0
+
+
+def test_ground_terms_and_literals_come_back_by_identity():
+    ground = App("f", (App("g", (a, b)), nest("h", 50, a)))
+    store = {"X": a, "Y": App("f", (x,)), "Z": y}
+    assert apply_term(ground, store) is ground
+    assert resolve(ground, store) is ground
+    l = Literal(False, "p", (ground, b))
+    assert apply_literal(l, store) is l
+    # a rebuilt term keeps its ground arguments as they are
+    got = resolve(App("k", (ground, z)), store)
+    assert got == App("k", (ground, App("f", (a,)))) and got.args[0] is ground
+    got = apply_literal(Literal(True, "q", (x, ground)), store)
+    assert got.args == (a, ground) and got.args[1] is ground
+
+
+def test_ground_flag_is_set_from_the_arguments():
+    def reference(t):
+        return not any(s.__class__ is Var for s in subterms(t))
+
+    rng = random.Random(7)
+    for _ in range(300):
+        t = random_term(rng, ("X", "Y"), depth=rng.randint(0, 4))
+        assert is_ground(t) == reference(t)
+        # rebuilt terms get their flag from their new arguments
+        g = resolve(t, {"X": a, "Y": App("f", (b,))})
+        assert is_ground(g) and g._ground
+        assert is_ground(apply_term(t, {"X": y})) == reference(t)
+    assert not is_ground(x) and is_ground(a) and not is_ground(nest("f", 5000, x))
+    # copies are made through __init__, which sets the flag again
+    t = App("f", (App("g", (a,)), b))
+    assert copy.copy(t)._ground and pickle.loads(pickle.dumps(t))._ground
+    assert not pickle.loads(pickle.dumps(App("f", (x,))))._ground
 
 
 def test_occurs_check_fails_through_a_chain():

@@ -170,6 +170,37 @@ def test_prove_reports_saturation_on_satisfiable_input():
     assert res2.status == "saturated"
 
 
+def test_prove_on_a_5000_deep_parsed_term(default_recursion_limit):
+    # the parser hashes each term bottom up, so the prover's dicts and the
+    # simplification of the proof never hash the deep term recursively
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    clauses = parse_clause_file(f"p({deep})\n~p(X)\n")
+    r = prove(clauses)
+    assert r.status == "proved" and r.inferences == 1
+    assert is_closed(r.tableau) and is_leaf_closed(r.tableau)
+    term = clauses[0].literals[0].args[0]
+    literals = [n.literal for n in r.tableau.non_root_nodes()]
+    assert len(literals) == 2 and all(l.args[0] is term for l in literals)
+    # the two literals are one object per atom and sign
+    assert literals[1] is literals[0].complement()
+
+
+def test_prove_shares_one_literal_per_atom_and_sign():
+    clauses = parse_clause_file("p(a) | p(b)\n~p(X) | q(X)\n~q(a)\n~q(b)\n")
+    r = prove(clauses)
+    assert r.proved
+    atoms = {}
+    for n in r.tableau.non_root_nodes():
+        atom = atoms.setdefault(n.literal.atom(), n.literal.atom())
+        assert n.literal is (atom if n.literal.positive else atom.complement())
+    # grounding shares the literals it makes in the same way
+    tab = build([(lit("q", x), [(lit("p", x), []), (lit("p", x, positive=False), [])]),
+                 (lit("q", x, positive=False), [])])
+    grounded, _, _ = ground_tableau(tab)
+    q, p, not_p, not_q = grounded.non_root_nodes()
+    assert not_p.literal is p.literal.complement() and not_q.literal is q.literal.complement()
+
+
 def test_prove_rejects_empty_clause_and_empty_set():
     with pytest.raises(InputError):
         prove([])
