@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .tableaux import Node, Tableau, branch_walk, shared
+from .tableaux import Node, Tableau, branch_walk
 from .tptp import ParseError, _Parser, format_literal
 
 _HEADER = "tableau"
@@ -50,7 +50,6 @@ def parse_tableau(text: str) -> Tableau:
     # (node, the node on its branch at its declared target depth, depth, line)
     targets: list[tuple[Node, Optional[Node], int, int]] = []
     p = _Parser()
-    atoms: dict = {}
     for line_no, raw in body[1:]:
         m = _LINE_RE.match(raw)
         if m is None or not m.group("lit").strip():
@@ -67,7 +66,7 @@ def parse_tableau(text: str) -> Tableau:
             p.at_end("trailing input after literal")
         except ParseError as e:
             raise ParseError(e.message, line_no, m.start("lit") + e.col) from None
-        node = Node(shared(lit, atoms), m.group("side"))
+        node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         del stack[depth:]
         stack.append(node)

@@ -205,12 +205,10 @@ class _Parser:
             self.i += 1
             lit = Literal(True, text)
         else:
-            first = self.term(atom=True)
+            first = self.term()
             nxt = self.toks[self.i][1]
             if nxt == "=" or nxt == "!=":
                 self.i += 1
-                if first.__class__ is App and first.args:
-                    first = self.app(first.functor, first.args)
                 lit = Literal(nxt == "=", "=", (first, self.term()))
             elif first.__class__ is Var:
                 raise self.error("a variable is not a formula")
@@ -219,13 +217,11 @@ class _Parser:
         self.literals.append(lit)
         return lit
 
-    def term(self, atom: bool = False) -> Term:
+    def term(self) -> Term:
         """One term, on an explicit stack of the applications still open.
         A term is taken from the table, or made and entered there once its
         arguments are; an application is hashed when it is entered, so
-        hashing it never recurses.  With `atom` the outermost application
-        is made outside the table: it is an atom's, unless the caller finds
-        that it is a term after all."""
+        hashing it never recurses."""
         toks = self.toks
         table = self.terms
         i = self.i
@@ -255,23 +251,14 @@ class _Parser:
                 if found != ")":
                     raise self.error(f"expected ')', found {found!r}", offset)
                 functor, args = open_apps.pop()
-                if atom and not open_apps:
-                    t = App(functor, tuple(args))
-                else:
-                    t = self.app(functor, tuple(args))
+                key = (functor, tuple(args))
+                t = table.get(key)
+                if t is None:
+                    t = table[key] = App(functor, key[1])
+                    hash(t)
             else:
                 self.i = i
                 return t
-
-    def app(self, functor: str, args: tuple[Term, ...]) -> App:
-        """The table's application of `functor` to `args`, which are in the
-        table already; `args` is not empty."""
-        key = (functor, args)
-        t = self.terms.get(key)
-        if t is None:
-            t = self.terms[key] = App(functor, args)
-            hash(t)
-        return t
 
     # clause syntax ---------------------------------------------------------
 

@@ -117,11 +117,10 @@ def test_equal_terms_of_one_document_are_one_object():
     assert r1.clause.literals[0].args[0].args[0] is fa
     assert s2.clause.literals[0].args[0] is s2.clause.literals[1].args[0].args[0]
 
-    # a tableau document shares its literals as well, one per atom and sign
+    # a tableau document shares its terms as well
     tab = parse_tableau("tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~q(f(a))\n    q(f(a)) -> 1\n")
     n1, n2, n3, n4 = tab.non_root_nodes()
-    assert n2.literal is n1.literal.complement() and n4.literal is n3.literal.complement()
-    assert n1.literal.args[0] is n3.literal.args[0]
+    assert n1.literal.args[0] is n2.literal.args[0] is n3.literal.args[0] is n4.literal.args[0]
 
 
 def test_tableau_document_round_trip():
