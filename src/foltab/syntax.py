@@ -64,9 +64,11 @@ _ground_of = attrgetter("_ground")
 # `_hash` slot, so that hashing a deep term or literal is O(1) after the
 # first time.  The slot is left unset by __init__ to keep construction (the
 # prover builds far more terms than it hashes) cheap; the value is the hash
-# of the field tuple, as the generated __hash__ would give.  The parser
-# hashes each application with arguments when it enters it in its term
-# table, after its arguments, so hashing a parsed term never recurses.
+# of the field tuple, as the generated __hash__ would give.  An App hashed
+# for the first time hashes its unhashed subterms first, bottom up on an
+# explicit stack, so the tuple hash only reads cached values and hashing
+# never recurses on term depth.  The parser hashes each application when it
+# enters it in its term table, after its arguments.
 #
 # An App knows whether it is ground: __init__ sets `_ground` from the
 # arguments' flags, in O(arity), since every subterm is made before the
@@ -112,9 +114,18 @@ class App:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.functor, self.args))
-            object.__setattr__(self, "_hash", h)
-            return h
+            pass
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            depth = len(stack)
+            for a in t.args:
+                if a.__class__ is App and not hasattr(a, "_hash"):
+                    stack.append(a)
+            if len(stack) == depth:  # every argument is hashed
+                stack.pop()
+                _set(t, "_hash", hash((t.functor, t.args)))
+        return self._hash
 
     def __reduce__(self):
         return App, (self.functor, self.args)

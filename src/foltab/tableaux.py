@@ -12,7 +12,9 @@ on the current branch labeled with it.  A node's target is its nearest
 ancestor labeled with the complementary literal, the top of that
 literal's stack, so the walk is linear in the size of the tree.
 
-Tableaux are built single-threaded and treated as immutable afterwards.
+Tableaux are built single-threaded.  `simplify_below` works in place on
+the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
+leave their input as it is, and `prove` runs it on its own search tree.
 """
 
 from __future__ import annotations
@@ -230,26 +232,35 @@ def is_regular(tab: Tableau) -> bool:
 # Simplification to regular, leaf-closing form
 
 
-def _clean_children(children: list[Node], on: Branch) -> tuple[list[Node], int]:
-    """The children a node keeps under regularity on the branch `on`: while
-    one of them repeats a literal of the branch, they are replaced by that
-    one's children.  Returns them with the number of replacements."""
+def _clean_children(n: Node, on: Branch, dropped: Optional[list[Node]]) -> int:
+    """Give n the children it keeps under regularity on the branch `on`:
+    while one of them repeats a literal of the branch, they are replaced by
+    that one's children, which it hands over.  Returns the number of
+    replacements."""
+    children = n.children
     splices = 0
     while True:
         for c in children:
+            c.parent = n
+        for c in children:
             if on.get(c.literal):
-                children = c.children
-                splices += 1
                 break
         else:
-            return children, splices
+            n.children = children
+            return splices
+        if dropped is not None:
+            dropped.extend(children)
+        children, c.children = c.children, []
+        splices += 1
 
 
-def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int, int]:
-    """Give `top` copies of `children` as its children, made regular and
-    leaf-closing as the whole-tree walk makes them on reaching `top`, whose
-    branch is `on`; the nodes of `children` stay as they are.  Returns
-    (splices, truncations, nodes added).
+def simplify_below(
+    top: Node, children: list[Node], on: Branch, dropped: Optional[list[Node]] = None
+) -> tuple[int, int, int]:
+    """Make `children` the children of `top` and the tree below `top`
+    regular and leaf-closing, in place, as the whole-tree walk makes it on
+    reaching `top`, whose branch is `on`.  Returns (splices, truncations,
+    nodes kept below `top`).
 
     Regularity: a node repeating a literal of its branch causes the edges of
     its parent to be replaced by its own edges.  Leaf-closing: an inner
@@ -257,32 +268,31 @@ def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, in
     encounter in pre-order; neither operation can introduce a violation
     earlier in the walk, since both only shorten ancestor chains.
 
-    The walk meets copies whose children are still the original nodes, and
-    copies only the children that each one keeps."""
+    The walk visits only the nodes it keeps.  When `dropped` is a list, it
+    receives the top node of each subtree that leaves the tree, whose parent
+    is the kept node it left; a spliced node has handed its children over,
+    so each subtree is exactly what left."""
     top.children = children
-    splices = truncations = added = 0
+    splices = truncations = kept = 0
     for n, _, target in chain([(top, 0, None)], branch_walk(top, on)):
         if n is not top:
-            added += 1
+            kept += 1
         if target is not None and n.children:
+            if dropped is not None:
+                dropped.extend(n.children)
             n.children = []  # closing inner node becomes a leaf
             truncations += 1
             continue
-        kept, spl = _clean_children(n.children, on)
-        splices += spl
-        n.children = [Node(c.literal, c.side) for c in kept]
-        for copy, c in zip(n.children, kept):
-            copy.children = c.children
-            copy.parent = n
-    return splices, truncations, added
+        splices += _clean_children(n, on, dropped)
+    return splices, truncations, kept
 
 
 def simplify(tab: Tableau) -> Tableau:
     """Regular, leaf-closing copy of tab, for the same clausal formula;
     closed if tab is closed."""
-    root = Node()
-    simplify_below(root, tab.root.children, {})
-    return Tableau(root)
+    out = tab.copy()
+    simplify_below(out.root, out.root.children, {})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +619,8 @@ def prove(
                     atoms: dict[Literal, Literal] = {}
                     for n in tab.non_root_nodes():
                         n.literal = shared(apply_literal(n.literal, binding), atoms)
-                    return ProveResult("proved", simplify(tab), inferences, limit)
+                    simplify_below(root, root.children, {})
+                    return ProveResult("proved", tab, inferences, limit)
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)
     except _Deadline:

@@ -24,12 +24,11 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from foltab.hyperconv import (
+    OMEGA,
     ConversionRound,
     ConversionTrace,
     MeasureViolation,
     measure_string,
-    node_measure,
-    node_path,
 )
 from foltab.syntax import (
     And,
@@ -647,9 +646,51 @@ def reference_ipol_map(tab: Tableau) -> dict[Node, Formula]:
 # Reference hyper conversion with whole-tree rounds, an oracle for the
 # incremental rounds of hyper_convert: each round copies the whole subtree
 # at nprime, rescans and simplifies the whole tree, and recounts its nodes.
+# Its measure walks the subtree of nprime and, per ancestor, finds the
+# node's place among its siblings.
 
 
-def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
+def node_path(root: Node, node: Node) -> tuple[int, ...]:
+    path: list[int] = []
+    n = node
+    while n is not root:
+        path.append(n.parent.children.index(n))
+        n = n.parent
+    return tuple(reversed(path))
+
+
+def node_measure(root: Node, node: Node) -> tuple:
+    """Right-sibling counts along the root-to-node path, then a symbol
+    larger than every number, then the count of distinct negative literals
+    on inner strict descendants of the node."""
+    chain: list[Node] = []
+    n = node
+    while n is not None:
+        chain.append(n)
+        n = n.parent
+    chain.reverse()
+    code: list[float] = []
+    for n in chain:
+        if n.parent is None:
+            code.append(0)
+        else:
+            sibs = n.parent.children
+            code.append(len(sibs) - 1 - sibs.index(n))
+    bad = badlits(node)
+    return tuple(code) + (OMEGA, len(bad))
+
+
+def badlits(node: Node) -> set:
+    return {
+        n.literal for n in node.pre_order() if n is not node and n.children and not n.literal.positive
+    }
+
+
+def reference_hyper_convert(
+    tab, max_nodes: int = 10_000_000, grafts: Optional[list[int]] = None
+):
+    """The converted copy of `tab` and its trace; `grafts`, if given,
+    receives the number of graft points of each round."""
     def select(root):
         for n in root.pre_order():
             for c in n.children:
@@ -682,12 +723,14 @@ def reference_hyper_convert(tab, max_nodes: int = 10_000_000):
         mapping[id(n)].children = []
         nprime.set_children(n.children)
         comp = n.literal.complement()
-        grafts = [
+        points = [
             m
             for m in nprime.pre_order()
             if m is not nprime and not m.children and m.literal == comp
         ]
-        for m in grafts:
+        if grafts is not None:
+            grafts.append(len(points))
+        for m in points:
             u_copy, _ = reference_copy_subtree(u_root)
             m.set_children(u_copy.children)
         spl, tru = reference_simplify_in_place(root)

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
+from foltab import hyperconv
 from foltab.documents import format_tableau, parse_tableau, tableau_equal
 from foltab.hyperconv import (
     OMEGA,
+    MeasureViolation,
     hyper_convert,
     measure_string,
-    node_measure,
 )
 from foltab.syntax import Clause, Literal
 from foltab.tableaux import (
+    Node,
     ResourceLimitError,
     atomic_cut_clauses,
     is_hyper,
@@ -18,10 +20,12 @@ from foltab.tableaux import (
     is_regular,
     match_clause,
     prove,
+    simplify,
     tableau_clauses,
 )
 from foltab.proofs import ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from helpers import (
+    node_measure,
     proof_family,
     random_ground_clauses,
     reference_hyper_convert,
@@ -75,6 +79,20 @@ def test_node_measure_on_figures():
     assert node_measure(middle.root, middle.root) == (0, OMEGA, 1)
     leaf = left.root.children[0].children[1]  # the q leaf
     assert node_measure(left.root, leaf)[-2:] == (OMEGA, 0)
+
+
+def test_a_measure_that_does_not_decrease_stops_the_conversion(monkeypatch):
+    # give each round a larger head of the measure than the round before
+    position = hyperconv._position
+    heads = iter(range(10))
+
+    def rising(node):
+        path, _ = position(node)
+        return path, (next(heads),)
+
+    monkeypatch.setattr(hyperconv, "_position", rising)
+    with pytest.raises(MeasureViolation, match="0 w 2 -> 1 w 1"):
+        hyper_convert(parse_tableau(LEFT))
 
 
 def test_already_hyper_unchanged():
@@ -168,3 +186,151 @@ def test_closed_form_sizes_at_k160(family):
     _, trace = hyper_convert(_family_tableau(family, k))
     want = (2 * k + 1, k + 1, k) if family == "wide" else (2 * k + 3, k + 2, k + 1)
     assert (trace.input_size, trace.output_size, trace.total_rounds) == want
+
+
+# Hand-made tableaux whose rounds graft the repaired clause at several
+# leaves or at none (the random corpus has few of the first and none of
+# the second).  In each, the first non-hyper node is ~a, and the leaves a
+# that close against it are the graft points:
+# - TWO_LEAVES: two graft points, each copy of the clause spliced there;
+# - THREE_LEAVES: three, with the clause's inner node ~d kept in each;
+# - NO_LEAF: ~a is a unit clause that nothing below it closes against, so
+#   its clause leaves the tree;
+# - BELOW_ROOT: nprime is p, with q's subtree still to walk; the clause's
+#   inner ~b is truncated below b and kept below c, and the next round at
+#   that a grafts nowhere.  BELOW_ROOT_SWAPPED has b and c in the other
+#   order, so the other graft point is the one that receives the clause's
+#   own nodes.
+TWO_LEAVES = """tableau
+  ~a
+    b
+      a -> 1
+      ~b -> 2
+    c
+      a -> 1
+      ~c -> 2
+  a
+    ~a -> 1
+"""
+
+THREE_LEAVES = """tableau
+  ~a
+    b
+      a -> 1
+      ~b -> 2
+    c
+      a -> 1
+      ~c -> 2
+    e
+      a -> 1
+      ~e -> 2
+  ~d
+    d -> 1
+"""
+
+NO_LEAF = """tableau
+  ~a
+    c
+      ~c -> 2
+"""
+
+BELOW_ROOT = """tableau
+  p
+    ~a
+      b
+        a -> 2
+        ~b -> 3
+      c
+        a -> 2
+        ~c -> 3
+    ~b
+      e
+        ~e -> 3
+  q
+    ~f
+      f -> 2
+    ~q -> 1
+"""
+
+BELOW_ROOT_SWAPPED = """tableau
+  p
+    ~a
+      c
+        a -> 2
+        ~c -> 3
+      b
+        a -> 2
+        ~b -> 3
+    ~b
+      e
+        ~e -> 3
+  q
+    ~f
+      f -> 2
+    ~q -> 1
+"""
+
+GRAFT_DOCUMENTS = (TWO_LEAVES, THREE_LEAVES, NO_LEAF, BELOW_ROOT, BELOW_ROOT_SWAPPED)
+
+
+def test_rounds_with_several_or_no_graft_points_match_whole_tree_rounds():
+    grafts: list[int] = []
+    truncations = 0
+    for text in GRAFT_DOCUMENTS:
+        _assert_same_conversion(parse_tableau(text))
+        _, trace = reference_hyper_convert(parse_tableau(text), grafts=grafts)
+        truncations += trace.leaf_truncations
+    assert sum(1 for g in grafts if g >= 2) == 4
+    assert grafts.count(3) == 1
+    assert grafts.count(0) == 3
+    assert truncations == 2
+
+
+def _snapshot(tab):
+    return [
+        (n, n.literal, n.side, n.parent, list(n.children)) for n in tab.nodes()
+    ]
+
+
+def test_conversion_and_simplification_leave_their_input_as_it_is():
+    texts = (LEFT, MIDDLE, *GRAFT_DOCUMENTS)
+    # irregular, and with an inner closing node
+    texts += ("tableau\n  p\n    q\n      p\n        ~p -> 3\n      ~q -> 2\n",
+              "tableau\n  p\n    ~p -> 1\n      q\n")
+    tableaux = [parse_tableau(t) for t in texts]
+    tableaux += [_family_tableau(f, 6) for f in FAMILIES]
+    rng = random.Random(99)
+    while len(tableaux) < 60:
+        clauses = random_ground_clauses(rng, max_atoms=6, max_clauses=9)
+        if not tt_satisfiable(clauses):
+            tableaux.append(prove(clauses, max_depth=12).tableau)
+    for tab in tableaux:
+        before = _snapshot(tab)
+        text = format_tableau(tab)
+        simplified = simplify(tab)
+        out, _ = hyper_convert(tab)
+        assert _snapshot(tab) == before and format_tableau(tab) == text
+        nodes = set(tab.nodes())
+        assert nodes.isdisjoint(simplified.nodes()) and nodes.isdisjoint(out.nodes())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_node_constructions_grow_linearly(family, monkeypatch):
+    """Each round moves the repaired clause into its one graft point rather
+    than copying it, so doubling k about doubles the nodes made."""
+    made = []
+    for k in (80, 160):
+        tab = _family_tableau(family, k)
+        count = 0
+        init = Node.__init__
+
+        def counting(self, *args):
+            nonlocal count
+            count += 1
+            init(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(Node, "__init__", counting)
+            hyper_convert(tab)
+        made.append(count)
+    assert made[1] <= 2.2 * made[0]

@@ -185,6 +185,26 @@ def test_prove_on_a_5000_deep_parsed_term(default_recursion_limit):
     assert literals[1] is literals[0].complement()
 
 
+def test_prove_on_a_5000_deep_term_built_with_app(default_recursion_limit):
+    # a term made outside the parser is hashed for the first time in the
+    # prover; that hash works bottom up and never recurses on depth
+    deep = a
+    for _ in range(5000):
+        deep = App("f", (deep,))
+    r = prove([Clause((lit("p", deep),)), Clause((lit("p", x, positive=False),))])
+    assert r.status == "proved" and r.inferences == 1
+    assert is_closed(r.tableau) and is_leaf_closed(r.tableau)
+    assert all(n.literal.args[0] is deep for n in r.tableau.non_root_nodes())
+
+
+def test_first_hash_of_an_application_is_the_hash_of_its_fields():
+    shared = App("g", (a, x))
+    t = App("f", (shared, App("h", (shared,)), shared))
+    parts = App("f", (App("g", (a, x)), App("h", (App("g", (a, x)),)), App("g", (a, x))))
+    assert hash(t) == hash(("f", t.args)) == hash(parts)
+    assert hash(t) == hash(t)
+
+
 def test_prove_shares_one_literal_per_atom_and_sign():
     clauses = parse_clause_file("p(a) | p(b)\n~p(X) | q(X)\n~q(a)\n~q(b)\n")
     r = prove(clauses)
