@@ -34,7 +34,7 @@ from .syntax import (
     subterms,
 )
 from .tableaux import Node, ResourceLimitError, Tableau, is_closed, shared
-from .tptp import ParseError, _Parser, format_clause, format_term
+from .tptp import _LOWER, _UPPER, ParseError, _Parser, format_clause, format_term
 
 
 class ProofError(Exception):
@@ -130,56 +130,59 @@ def parse_proof(text: str) -> ProofDocument:
 
 def _parse_record(p: _Parser, line_no: int, known_ids: set[str]) -> ProofRecord:
     """The record whose text `p` has just loaded."""
-    kind, step_id, id_offset = p.take()
-    if kind not in ("lower", "upper"):
-        raise p.error("expected a step id", id_offset)
+    id_at = p.i
+    step_id = p.take()
+    if step_id[:1] not in _LOWER and step_id[:1] not in _UPPER:
+        raise p.error("expected a step id", id_at)
     if step_id in known_ids:
-        raise p.error(f"duplicate step id {step_id!r}", id_offset)
-    _, rule, rule_offset = p.take()
+        raise p.error(f"duplicate step id {step_id!r}", id_at)
+    rule_at = p.i
+    rule = p.take()
     if rule == "input":
         return ProofRecord(step_id, "input", (), None, {}, _parse_clause_tokens(p), line_no)
     if rule == "resolve":
         p.expect("(")
-        ref1 = p.take()[1]
+        ref1 = p.take()
         p.expect(",")
-        ref2 = p.take()[1]
+        ref2 = p.take()
         p.expect(",")
         atom = p.literal()
         if not atom.positive:
-            raise p.error("resolved atom must be positive", rule_offset)
+            raise p.error("resolved atom must be positive", rule_at)
         p.expect(")")
         bindings: dict[str, Term] = {}
-        if p.toks[p.i][1] == "{":
+        if p.toks[p.i] == "{":
             p.i += 1
             while True:
-                kind, var, var_offset = p.take()
-                if kind != "upper":
-                    raise p.error("expected a variable in bindings", var_offset)
+                at = p.i
+                var = p.take()
+                if var[:1] not in _UPPER:
+                    raise p.error("expected a variable in bindings", at)
                 p.expect("->")
                 t = p.term()
                 if var in bindings:
-                    raise p.error(f"variable bound twice: {var}", var_offset)
+                    raise p.error(f"variable bound twice: {var}", at)
                 bindings[var] = t
-                if p.toks[p.i][1] != ",":
+                if p.toks[p.i] != ",":
                     break
                 p.i += 1
             p.expect("}")
         for ref in (ref1, ref2):
             if ref not in known_ids:
-                raise p.error(f"dangling step reference {ref!r}", id_offset)
+                raise p.error(f"dangling step reference {ref!r}", id_at)
         clause = _parse_clause_tokens(p)
         return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
     if rule in _PARAMOD_NAMES:
         raise p.error(
             "paramodulation steps are not supported; add equality axioms "
             "(substitutivity) and re-prove with binary resolution",
-            rule_offset,
+            rule_at,
         )
-    raise p.error(f"unknown rule {rule!r} (only input and resolve)", rule_offset)
+    raise p.error(f"unknown rule {rule!r} (only input and resolve)", rule_at)
 
 
 def _parse_clause_tokens(p: _Parser) -> Clause:
-    if p.toks[p.i][1] in ("$false", "false"):
+    if p.toks[p.i] in ("$false", "false"):
         p.i += 1
         p.at_end("trailing input after clause")
         return Clause(())

@@ -157,16 +157,6 @@ def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
 Branch = dict[Literal, list[Node]]
 
 
-def branch_of(node: Node) -> Branch:
-    """The branch from the root down to `node`, `node` included."""
-    on: Branch = {}
-    n = node
-    while n.literal is not None:
-        on.setdefault(n.literal, []).insert(0, n)
-        n = n.parent
-    return on
-
-
 def branch_walk(
     start: Node, on: Optional[Branch] = None
 ) -> Iterator[tuple[Node, int, Optional[Node]]]:
@@ -174,8 +164,8 @@ def branch_walk(
     and its target, the nearest ancestor labeled with the complementary
     literal.
 
-    `on` holds the branch down to `start` (empty when `start` is the root,
-    see `branch_of` otherwise); while the caller holds a node, it holds the
+    `on` holds the branch down to `start` (empty when `start` is the
+    root); while the caller holds a node, it holds the
     branch down to that node, the node included, and it is back as given
     when the walk ends.  A node's children are read only after the caller
     has seen the node, so the caller may replace or drop them first."""
@@ -232,11 +222,12 @@ def is_regular(tab: Tableau) -> bool:
 # Simplification to regular, leaf-closing form
 
 
-def _clean_children(n: Node, on: Branch, dropped: Optional[list[Node]]) -> int:
+def clean_children(n: Node, on: Branch, dropped: Optional[list[Node]]) -> int:
     """Give n the children it keeps under regularity on the branch `on`:
     while one of them repeats a literal of the branch, they are replaced by
     that one's children, which it hands over.  Returns the number of
-    replacements."""
+    replacements.  When `dropped` is a list, it receives the top of each
+    subtree that leaves the tree, whose parent is still `n`."""
     children = n.children
     splices = 0
     while True:
@@ -254,9 +245,15 @@ def _clean_children(n: Node, on: Branch, dropped: Optional[list[Node]]) -> int:
         splices += 1
 
 
-def simplify_below(
-    top: Node, children: list[Node], on: Branch, dropped: Optional[list[Node]] = None
-) -> tuple[int, int, int]:
+def close_leaf(n: Node, dropped: Optional[list[Node]]) -> None:
+    """The closing inner node `n` becomes a leaf; its children go to
+    `dropped` when it is a list."""
+    if dropped is not None:
+        dropped.extend(n.children)
+    n.children = []
+
+
+def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int, int]:
     """Make `children` the children of `top` and the tree below `top`
     regular and leaf-closing, in place, as the whole-tree walk makes it on
     reaching `top`, whose branch is `on`.  Returns (splices, truncations,
@@ -266,24 +263,18 @@ def simplify_below(
     its parent to be replaced by its own edges.  Leaf-closing: an inner
     closing node loses its outgoing edges.  Violations are fixed at first
     encounter in pre-order; neither operation can introduce a violation
-    earlier in the walk, since both only shorten ancestor chains.
-
-    The walk visits only the nodes it keeps.  When `dropped` is a list, it
-    receives the top node of each subtree that leaves the tree, whose parent
-    is the kept node it left; a spliced node has handed its children over,
-    so each subtree is exactly what left."""
+    earlier in the walk, since both only shorten ancestor chains.  The walk
+    visits only the nodes it keeps."""
     top.children = children
     splices = truncations = kept = 0
     for n, _, target in chain([(top, 0, None)], branch_walk(top, on)):
         if n is not top:
             kept += 1
         if target is not None and n.children:
-            if dropped is not None:
-                dropped.extend(n.children)
-            n.children = []  # closing inner node becomes a leaf
+            close_leaf(n, None)
             truncations += 1
             continue
-        splices += _clean_children(n, on, dropped)
+        splices += clean_children(n, on, None)
     return splices, truncations, kept
 
 

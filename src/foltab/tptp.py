@@ -43,49 +43,61 @@ class ParseError(Exception):
         super().__init__(f"{message} at line {line}, column {col}")
 
 
-# One match per token: the blanks and comments before it are skipped inside
-# the pattern.  The text ends with an empty `eof` match; an unexpected
-# character is a `bad` match that swallows the rest of the text.
+# A token, as the alternatives of one regular expression, tried in order.
+_TOKEN = r"""
+    <=>|=>|!=|->|=|~|&|\||\(|\)|\[|\]|\{|\}|,|:|\.
+  | \$true|\$false
+  | [A-Z][A-Za-z0-9_]*
+  | [a-z0-9][A-Za-z0-9_]*
+  | [!?]
+"""
+
+# One match per token, its text the one group: the blanks and comments
+# before it are skipped inside the pattern.  The text ends with an empty
+# match; an unexpected character starts a match that swallows the rest of
+# the text, so it is always the second to last.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?:\s+|[%\#][^\n]*)*
-    (?:
-        (?P<op><=>|=>|!=|->|=|~|&|\||\(|\)|\[|\]|\{|\}|,|:|\.)
-      | (?P<defined>\$true|\$false)
-      | (?P<upper>[A-Z][A-Za-z0-9_]*)
-      | (?P<lower>[a-z0-9][A-Za-z0-9_]*)
-      | (?P<quant>[!?])
-      | (?P<eof>\Z)
-      | (?P<bad>.)[\s\S]*
-    )
+    ({_TOKEN} | \Z | .[\s\S]*)
 """,
     re.VERBOSE,
 )
+_TOKEN_ONLY_RE = re.compile(_TOKEN, re.VERBOSE)
 
-Token = tuple[str, str, int]  # (kind, text, offset)
+# the first characters of variables and of the other names
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 
 
-def _position(text: str, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of `offset`; lines end at newlines."""
+def _token_position(text: str, i: int) -> tuple[int, int]:
+    """1-based (line, column) of the `i`th token of `text`, by a scan that
+    matches the tokens again; a token past the end is at the end, and
+    lines end at newlines."""
+    offsets = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    offset = offsets[min(i, len(offsets) - 1)]
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, ending with the `eof` token twice: a parser
-    that takes one token past the end still reads the end."""
-    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
-    # after a nonempty match that reaches the end, finditer adds an empty
-    # `eof` match there: a `bad` token is always second to last
-    if len(toks) > 1 and toks[-2][0] == "bad":
-        _, tok, offset = toks[-2]
-        raise ParseError(f"unexpected character {tok!r}", *_position(text, offset))
-    if len(toks) == 1 or toks[-2][0] != "eof":
-        toks.append(toks[-1])
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, ending with the empty end token twice: a
+    parser that takes one token past the end still reads the end.  A
+    variable starts with a character of `_UPPER`, any other name with one
+    of `_LOWER`."""
+    toks = _TOKEN_RE.findall(text)
+    # after a nonempty match that reaches the end, findall adds an empty
+    # match there: an unexpected character is always second to last
+    if len(toks) > 1 and toks[-2] and not _TOKEN_ONLY_RE.fullmatch(toks[-2]):
+        raise ParseError(
+            f"unexpected character {toks[-2][0]!r}", *_token_position(text, len(toks) - 2)
+        )
+    if len(toks) == 1 or toks[-2]:
+        toks.append("")
     return toks
 
 
 class _Parser:
-    """Recursive descent over the token tuples of one text at a time;
+    """Recursive descent over the tokens of one text at a time;
     `load` moves it to the next text, so that a file of many records needs
     one parser.  Every literal it parses is kept in `literals`, in text
     order.
@@ -108,59 +120,58 @@ class _Parser:
         self.i = 0
         self.literals: list[Literal] = []
 
-    def error(self, msg: str, offset: Optional[int] = None) -> ParseError:
-        """A ParseError at `offset`, by default at the current token."""
-        if offset is None:
-            offset = self.toks[self.i][2]
-        return ParseError(msg, *_position(self.text, offset))
+    def error(self, msg: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at the token with index `at`, by default at the
+        current token."""
+        return ParseError(msg, *_token_position(self.text, self.i if at is None else at))
 
-    def take(self) -> Token:
+    def take(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
     def expect(self, text: str) -> None:
-        _, found, offset = self.toks[self.i]
+        found = self.toks[self.i]
         self.i += 1
         if found != text:
-            raise self.error(f"expected {text!r}, found {found!r}", offset)
+            raise self.error(f"expected {text!r}, found {found!r}", self.i - 1)
 
     def at_end(self, msg: str) -> None:
-        if self.toks[self.i][0] != "eof":
+        if self.toks[self.i]:
             raise self.error(msg)
 
     # formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
         lhs = self.implication()
-        if self.toks[self.i][1] == "<=>":
+        if self.toks[self.i] == "<=>":
             self.i += 1
             return Iff(lhs, self.implication())
         return lhs
 
     def implication(self) -> Formula:
         lhs = self.disjunction()
-        if self.toks[self.i][1] == "=>":
+        if self.toks[self.i] == "=>":
             self.i += 1
             return Implies(lhs, self.implication())
         return lhs
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.toks[self.i][1] == "|":
+        while self.toks[self.i] == "|":
             self.i += 1
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conjunction(self) -> Formula:
         parts = [self.unit()]
-        while self.toks[self.i][1] == "&":
+        while self.toks[self.i] == "&":
             self.i += 1
             parts.append(self.unit())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unit(self) -> Formula:
-        kind, text, _ = self.toks[self.i]
+        text = self.toks[self.i]
         if text == "~":
             self.i += 1
             body = self.unit()
@@ -168,11 +179,11 @@ class _Parser:
             if body.__class__ is Literal:
                 return body.complement()
             return Not(body)
-        if kind == "quant":
+        if text == "!" or text == "?":
             self.i += 1
             self.expect("[")
             names = [self.variable_name()]
-            while self.toks[self.i][1] == ",":
+            while self.toks[self.i] == ",":
                 self.i += 1
                 names.append(self.variable_name())
             self.expect("]")
@@ -187,26 +198,26 @@ class _Parser:
             f = self.formula()
             self.expect(")")
             return f
-        if kind == "defined":
+        if text == "$true" or text == "$false":
             self.i += 1
             return TOP if text == "$true" else BOTTOM
         return self.atom()
 
     def variable_name(self) -> str:
-        kind, text, offset = self.take()
-        if kind != "upper":
-            raise self.error(f"expected a variable, found {text!r}", offset)
+        text = self.take()
+        if text[:1] not in _UPPER:
+            raise self.error(f"expected a variable, found {text!r}", self.i - 1)
         return text
 
     def atom(self) -> Literal:
-        kind, text, _ = self.toks[self.i]
-        if kind == "lower" and self.toks[self.i + 1][1] not in ("(", "=", "!="):
+        text = self.toks[self.i]
+        if text[:1] in _LOWER and self.toks[self.i + 1] not in ("(", "=", "!="):
             # a propositional atom: no term to build first
             self.i += 1
             lit = Literal(True, text)
         else:
             first = self.term()
-            nxt = self.toks[self.i][1]
+            nxt = self.toks[self.i]
             if nxt == "=" or nxt == "!=":
                 self.i += 1
                 lit = Literal(nxt == "=", "=", (first, self.term()))
@@ -227,29 +238,30 @@ class _Parser:
         i = self.i
         open_apps: list[tuple[str, list[Term]]] = []
         while True:
-            kind, text, offset = toks[i]
+            text = toks[i]
             i += 1
-            if kind == "lower" and toks[i][1] == "(":
+            first = text[:1]
+            if first in _LOWER and toks[i] == "(":
                 i += 1
                 open_apps.append((text, []))
                 continue
-            if kind != "upper" and kind != "lower":
-                raise self.error(f"expected a term, found {text!r}", offset)
+            if first not in _UPPER and first not in _LOWER:
+                raise self.error(f"expected a term, found {text!r}", i - 1)
             # a variable's name starts with an uppercase letter and a
             # constant's never does, so the table keys both by name
             t = table.get(text)
             if t is None:
-                t = table[text] = Var(text) if kind == "upper" else App(text)
+                t = table[text] = Var(text) if first in _UPPER else App(text)
             # t is complete: add it to the innermost open application and
             # close every application that ends after it
             while open_apps:
                 open_apps[-1][1].append(t)
-                _, found, offset = toks[i]
+                found = toks[i]
                 i += 1
                 if found == ",":
                     break
                 if found != ")":
-                    raise self.error(f"expected ')', found {found!r}", offset)
+                    raise self.error(f"expected ')', found {found!r}", i - 1)
                 functor, args = open_apps.pop()
                 key = (functor, tuple(args))
                 t = table.get(key)
@@ -265,10 +277,10 @@ class _Parser:
     def literal(self) -> Literal:
         """A literal: an atom under any number of `~` and parentheses."""
         negated = False
-        while self.toks[self.i][1] == "~":
+        while self.toks[self.i] == "~":
             self.i += 1
             negated = not negated
-        if self.toks[self.i][1] == "(":
+        if self.toks[self.i] == "(":
             self.i += 1
             inner = self.literal()
             self.expect(")")
@@ -279,7 +291,7 @@ class _Parser:
     def clause(self) -> Clause:
         """`l1 | ... | ln` up to the end of the text."""
         lits = [self.literal()]
-        while self.toks[self.i][1] == "|":
+        while self.toks[self.i] == "|":
             self.i += 1
             lits.append(self.literal())
         self.at_end("trailing input after clause")
@@ -289,12 +301,12 @@ class _Parser:
 
     def fof_records(self) -> list["FofRecord"]:
         out = []
-        while self.toks[self.i][0] != "eof":
+        while self.toks[self.i]:
             self.expect("fof")
             self.expect("(")
-            name = self.take()[1]
+            name = self.take()
             self.expect(",")
-            role = self.take()[1]
+            role = self.take()
             self.expect(",")
             f = self.formula()
             self.expect(")")

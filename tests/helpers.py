@@ -515,6 +515,17 @@ def reference_is_regular(tab: Tableau) -> bool:
     return walk(tab.root, frozenset())
 
 
+def branch_of(node: Node) -> dict:
+    """The branch from the root down to `node`, `node` included, as
+    `branch_walk` takes it: each literal with its nodes, nearest last."""
+    on: dict = {}
+    n = node
+    while n.literal is not None:
+        on.setdefault(n.literal, []).insert(0, n)
+        n = n.parent
+    return on
+
+
 def reference_simplify_in_place(
     root: Node, counts: Optional[dict[Literal, int]] = None
 ) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import random
+from typing import Optional
 
 import pytest
 
@@ -14,6 +15,7 @@ from foltab.syntax import Clause, Literal
 from foltab.tableaux import (
     Node,
     ResourceLimitError,
+    Tableau,
     atomic_cut_clauses,
     is_hyper,
     is_leaf_closed,
@@ -180,6 +182,37 @@ def test_incremental_rounds_match_whole_tree_rounds_on_prover_tableaux():
         compared += 1
 
 
+def _random_closed_tableau(rng, atoms, depth):
+    """A closed tableau of random clauses over `atoms` ground atoms, up to
+    `depth` deep, whose every leaf complements one of its ancestors: most
+    are irregular and have inner closing nodes, negative inner nodes and
+    several leaves closing against the same node."""
+    literals = {}
+
+    def literal(positive, predicate):
+        return literals.setdefault((positive, predicate), Literal(positive, predicate))
+
+    root = Node()
+    stack = [(root, ())]
+    while stack:
+        node, branch = stack.pop()
+        for _ in range(rng.randint(1, 3)):
+            if branch and (len(branch) >= depth or rng.random() < 0.35):
+                target = rng.choice(branch)
+                node.add(Node(literal(not target.positive, target.predicate)))
+            else:
+                child = Node(literal(rng.random() < 0.5, f"a{rng.randrange(atoms)}"))
+                node.add(child)
+                stack.append((child, branch + (child.literal,)))
+    return Tableau(root)
+
+
+def test_incremental_rounds_match_whole_tree_rounds_on_random_closed_tableaux():
+    rng = random.Random(2024)
+    for _ in range(250):
+        _assert_same_conversion(_random_closed_tableau(rng, rng.randint(3, 6), rng.randint(2, 5)))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_closed_form_sizes_at_k160(family):
     k = 160
@@ -284,6 +317,45 @@ def test_rounds_with_several_or_no_graft_points_match_whole_tree_rounds():
     assert grafts.count(3) == 1
     assert grafts.count(0) == 3
     assert truncations == 2
+
+
+@pytest.mark.parametrize("family", ("chain", "fol_chain"))
+def test_grafts_touch_a_linear_number_of_nodes(family, monkeypatch):
+    """A graft reads the new branch segment and the clause nodes that
+    carry one of its literals, not the whole moved clause, so doubling k
+    about doubles the nodes the grafts touch.  A node is touched when a
+    graft reads its children or its parent; each graft counts it once."""
+    touched: list[int] = []
+    seen: Optional[set] = None
+
+    def counted(slot):
+        def get(node):
+            if seen is not None:
+                seen.add(node)
+            return slot.__get__(node)
+
+        return property(get, slot.__set__)
+
+    graft = hyperconv._Index.graft
+
+    def counting(self, *args):
+        nonlocal seen
+        seen = set()
+        try:
+            return graft(self, *args)
+        finally:
+            touched[-1] += len(seen)
+            seen = None
+
+    for k in (80, 160):
+        tab = _family_tableau(family, k)
+        touched.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(Node, "children", counted(Node.children))
+            m.setattr(Node, "parent", counted(Node.parent))
+            m.setattr(hyperconv._Index, "graft", counting)
+            hyper_convert(tab)
+    assert 0 < touched[1] <= 2.2 * touched[0]
 
 
 def _snapshot(tab):

@@ -15,6 +15,7 @@ from foltab.cli import bundled_samples_dir
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from foltab.syntax import Clause, InputError
+from foltab import tptp
 from foltab.tableaux import branch_walk
 from foltab.tptp import (
     ParseError,
@@ -35,6 +36,7 @@ from helpers import (
     reference_parse_formula,
     reference_parse_proof,
     reference_parse_tableau,
+    reference_tokenize,
 )
 
 # characters the damaged variants are made of: every token's first
@@ -180,6 +182,40 @@ def test_tableau_documents_agree_with_the_reference():
         doc = format_tableau(to_cut_normal_form(ground_deduction(to_tree(parse_proof(text)))))
         for t in [doc] + damaged(doc, rng, 4):
             assert_agree(parse_tableau, reference_parse_tableau, t, key=tableau_rows)
+
+
+def _tokens_or_error(tokens, text):
+    try:
+        return tokens(text)
+    except ParseError as e:
+        return (e.message, e.line, e.col)
+
+
+def test_tokens_and_their_positions_agree_with_the_reference_tokenizer():
+    """`_tokenize` reads the token texts with one `findall`, and a second
+    scan of the text gives the line and column of a token only when an
+    error needs them: texts, positions and the errors for unexpected
+    characters agree with the reference tokenizer."""
+
+    def fast(text):
+        toks = tptp._tokenize(text)
+        # the end token comes twice
+        assert toks[-2:] == ["", ""]
+        return [(t, *tptp._token_position(text, i)) for i, t in enumerate(toks[:-1])]
+
+    def reference(text):
+        return [(t.text, t.line, t.col) for t in reference_tokenize(text)]
+
+    rng = random.Random(17)
+    pieces = list(_NOISE) + ["_x", "$foo", "$true", "é", "\x85", "% note\n", "# note\n", "p(X)", "<=>", "->"]
+    texts = ["", " ", "_x", "$foo", "é", "\x85", "% only a comment", "# c\n\n", "p(a) % c", "! [X] : p(X)\n"]
+    texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 12))) for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        want = _tokens_or_error(reference, text)
+        assert _tokens_or_error(fast, text) == want, repr(text)
+        errors += isinstance(want, tuple)
+    assert 500 < errors < len(texts) - 500
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from foltab.tableaux import (
     StructureError,
     Tableau,
     assign_sides,
-    branch_of,
     branch_walk,
     is_closed,
     is_hyper,
@@ -32,6 +31,7 @@ from foltab.tableaux import (
     simplify_below,
 )
 from helpers import (
+    branch_of,
     proof_family,
     random_ground_clauses,
     reference_compute_targets,
