@@ -10,7 +10,6 @@ from .interpolation import (
     extract_ipol,
     hornify,
     interpolate,
-    lift,
     synthesize_definition,
     unfreeze,
     verify_interpolant,
@@ -53,9 +52,6 @@ from .syntax import (
     Term,
     Var,
     free_vars,
-    polarity_vars,
-    smax,
-    unify,
     vocabulary,
 )
 from .tableaux import (

@@ -232,7 +232,6 @@ def _load_tableau_or_proof(path: str, max_nodes: int) -> Tableau:
 
 def cmd_hyper(args) -> int:
     tab = _load_tableau_or_proof(args.proof, args.max_nodes)
-    size_before = tab.inner_size()
     t0 = time.perf_counter()
     out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
     elapsed_ms = (time.perf_counter() - t0) * 1000
@@ -241,7 +240,7 @@ def cmd_hyper(args) -> int:
         pass  # the JSON report is the whole stdout; use --out for the tableau
     else:
         _write_or_print(doc, args.out)
-    size_after = out.inner_size()
+    size_before, size_after = trace.input_size, trace.output_size
     ratio = size_after / size_before if size_before else float("nan")
     if args.json:
         print(
@@ -389,11 +388,10 @@ def cmd_stats(args) -> int:
         name = path.name
         try:
             tab = _import_proof(_read(path), args.max_nodes)
-            s3 = tab.inner_size()
             t0 = time.perf_counter()
-            out, trace = hyper_convert(tab, max_nodes=args.max_nodes)
+            _, trace = hyper_convert(tab, max_nodes=args.max_nodes)
             t2 = (time.perf_counter() - t0) * 1000
-            s4 = out.inner_size()
+            s3, s4 = trace.input_size, trace.output_size
             rows.append(
                 {
                     "proof": name,
@@ -548,8 +546,7 @@ def exit_code_of(e: Exception) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     # the parser's formula levels, the formula printer (tptp._fmt), the
     # __eq__, __repr__ and __str__ of terms and formulas and the __hash__ of
-    # formulas recurse on nesting; a term's hash recurses only down to the
-    # subterms hashed before it, and the parser hashes its terms bottom up
+    # formulas recurse on nesting; a term's hash is iterative
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output

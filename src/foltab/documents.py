@@ -8,7 +8,7 @@ import re
 from typing import Optional
 
 from .tableaux import Node, Tableau, branch_walk
-from .tptp import ParseError, _Parser, format_literal
+from .tptp import ParseError, _Parser
 
 _HEADER = "tableau"
 
@@ -22,7 +22,7 @@ def format_tableau(tab: Tableau) -> str:
     depth_of = {tab.root: 0}
     for n, depth, target in branch_walk(tab.root):
         depth_of[n] = depth
-        parts = ["  " * depth + format_literal(n.literal)]
+        parts = ["  " * depth + str(n.literal)]
         if n.side is not None:
             parts.append(f"[{n.side}]")
         if target is not None:
@@ -82,13 +82,3 @@ def parse_tableau(text: str) -> Tableau:
             raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
     return Tableau(root)
 
-
-def tableau_equal(a: Tableau, b: Tableau) -> bool:
-    """Structural equality: shape, literals and sides.  Targets follow from
-    these, so their depths agree as well."""
-
-    def row(n: Node) -> tuple:
-        return n.literal, n.side, len(n.children)
-
-    # equal child counts at every node so far keep the two walks in step
-    return all(row(x) == row(y) for x, y in zip(a.nodes(), b.nodes()))

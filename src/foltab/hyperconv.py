@@ -274,7 +274,7 @@ def hyper_convert(
     trace = ConversionTrace(input_size=tab.inner_size())
     work = tab.copy()
     root = work.root
-    spl, tru, _ = simplify_below(root, root.children, {})
+    spl, tru = simplify_below(root, root.children, {})
     trace.regular_splices += spl
     trace.leaf_truncations += tru
     index = _Index(root)

@@ -171,19 +171,6 @@ def truth_simplify(f: Formula) -> Formula:
 # Ground interpolant extraction
 
 
-def side_path_literals(node: Node, side: str) -> list[Literal]:
-    """Literals with the given side on the path from the root to node,
-    node included."""
-    out = []
-    n: Optional[Node] = node
-    while n is not None:
-        if n.literal is not None and n.side == side:
-            out.append(n.literal)
-        n = n.parent
-    out.reverse()
-    return out
-
-
 def ipol_map(tab: Tableau) -> dict[Node, Formula]:
     """Truth-value-simplified interpolant value for every node of a
     leaf-closed, ground, two-sided tableau."""
@@ -249,13 +236,6 @@ def lift_parts(
     )
     matrix = map_formula_terms(h_grd, lambda t: map_term(t, variables.get))
     return LiftResult(prefix, matrix, tuple(ordered))
-
-
-def lift(
-    h_grd: Formula, ctx: InterpolationContext, namer: Optional[FreshNamer] = None
-) -> Formula:
-    lifted = lift_parts(h_grd, ctx, namer)
-    return wrap_prefix(lifted.prefix, lifted.matrix)
 
 
 def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
@@ -392,7 +372,6 @@ def interpolate(
         t0 = time.perf_counter()
         tab, s1, s2 = ground_tableau(result.tableau, namer, ground_policy)
         timings["ground"] = (time.perf_counter() - t0) * 1000
-        report.size_before = tab.inner_size()
 
         do_hyper = use_hyper if use_hyper is not None else bool(require)
         if do_hyper:
@@ -402,7 +381,9 @@ def interpolate(
             report.hyper_applied = True
             report.rounds = trace.total_rounds
             report.trace = trace
-        report.size_after = tab.inner_size()
+            report.size_before, report.size_after = trace.input_size, trace.output_size
+        else:
+            report.size_before = report.size_after = tab.inner_size()
     report.proved = True
 
     ctx = InterpolationContext(
@@ -426,7 +407,8 @@ def interpolate(
         lifted = lift_parts(h_grd, ctx, namer)
         report.lifted_terms = lifted.terms
         matrix = lifted.matrix
-        if "horn" in require:
+        # a matrix that is not Horn-like fails the requirement check below
+        if "horn" in require and is_horn_like(matrix):
             matrix = hornify(matrix, max_clauses)
         h = unfreeze(wrap_prefix(lifted.prefix, matrix), pmap)
         timings["extract"] = (time.perf_counter() - t0) * 1000

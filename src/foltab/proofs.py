@@ -34,7 +34,7 @@ from .syntax import (
     subterms,
 )
 from .tableaux import Node, ResourceLimitError, Tableau, is_closed, shared
-from .tptp import _LOWER, _UPPER, ParseError, _Parser, format_clause, format_term
+from .tptp import _LOWER, _UPPER, ParseError, _Parser
 
 
 class ProofError(Exception):
@@ -66,9 +66,6 @@ class ProofDocument:
     @property
     def root(self) -> ProofRecord:
         return self.records[-1]
-
-    def input_clauses(self) -> list[Clause]:
-        return [r.clause for r in self.records if r.rule == "input"]
 
     def by_id(self) -> dict[str, ProofRecord]:
         return {r.step_id: r for r in self.records}
@@ -193,15 +190,13 @@ def format_proof(doc: ProofDocument) -> str:
     lines = []
     for r in doc.records:
         if r.rule == "input":
-            lines.append(f"{r.step_id} input {format_clause(r.clause)}")
+            lines.append(f"{r.step_id} input {r.clause}")
         else:
-            head = f"{r.step_id} resolve({r.refs[0]}, {r.refs[1]}, {format_clause(Clause((r.atom,)))})"
+            head = f"{r.step_id} resolve({r.refs[0]}, {r.refs[1]}, {r.atom})"
             if r.bindings:
-                binds = ", ".join(
-                    f"{v} -> {format_term(t)}" for v, t in sorted(r.bindings.items())
-                )
+                binds = ", ".join(f"{v} -> {t}" for v, t in sorted(r.bindings.items()))
                 head += " {" + binds + "}"
-            lines.append(f"{head} {format_clause(r.clause)}")
+            lines.append(f"{head} {r.clause}")
     return "\n".join(lines) + "\n"
 
 
@@ -258,8 +253,8 @@ def _replay_validate(doc: ProofDocument) -> None:
             # printed in literal_key order, whatever the hash seed
             recomputed = Clause(tuple(sorted(got, key=literal_key)))
             raise ProofError(
-                f"declared resolvent {format_clause(r.clause)} does not match "
-                f"recomputed {format_clause(recomputed)}",
+                f"declared resolvent {r.clause} does not match "
+                f"recomputed {recomputed}",
                 r.line,
             )
 

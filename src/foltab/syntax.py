@@ -8,7 +8,6 @@ clausification, grounding and interpolation all use it:
 - `apply_term` applies a substitution once, simultaneously;
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
 - `bind`, `unify_args` and `undo` extend a binding store and take it back;
-- `unify` returns an idempotent most general unifier;
 - `subterms` walks terms and `map_term` rebuilds them, outside in, in the
   one rebuild loop under `apply_term` and `resolve` too; literals are
   rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
@@ -27,23 +26,21 @@ store, has failed to find it in its term.  Bindings made by `bind` are
 recorded on a trail, and `undo` removes them back to a mark, latest first.
 
 Beside the term kernel, two formula walks carry the shape of formulas;
-free variables, polarities, vocabulary, signatures, substitution and
-renaming are all written on them:
+free variables, vocabulary, symbols, substitution and predicate renaming
+are all written on them:
 
 - `occurrences` reads: each literal and quantifier occurrence in
   pre-order, with its polarity and the names bound above it;
 - `map_formula` rebuilds, bottom up, and calls its `binder` at each
   quantifier in pre-order (so fresh names are picked outside in).
 
-Renaming bound variables (`rename_bound`, and `formula_subst` at free
-occurrences) applies its substitution once, with `apply_term`.  A new name
-may be the old name of a variable bound further out; following bindings
-in chains, as `apply_literal` does, would rename it a second time.
+`formula_subst` applies its substitution once, with `apply_term`: the
+substitution is simultaneous, and following bindings in chains, as
+`apply_literal` does, would apply it a second time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -149,10 +146,6 @@ def subterms(*terms: Term) -> Iterator[Term]:
         yield t
         if t.__class__ is App and t.args:
             stack.extend(reversed(t.args))
-
-
-def term_vars(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if s.__class__ is Var}
 
 
 def term_functions(t: Term) -> set[str]:
@@ -332,17 +325,6 @@ def unify_args(
     return True
 
 
-def unify(t1: Term, t2: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
-    """Most general unifier with occurs check, or None.
-
-    The returned substitution is idempotent.
-    """
-    store: Subst = dict(subst) if subst else {}
-    if not unify_args((t1,), (t2,), store, []):
-        return None
-    return {v: resolve(t, store) for v, t in store.items()}
-
-
 def match_term(pattern: Term, target: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
     """One-way matching: substitution s with pattern*s == target, or None."""
     sigma: Subst = dict(subst) if subst else {}
@@ -404,6 +386,8 @@ class Literal(Formula):
         return self if self.positive else self.complement()
 
     def __str__(self) -> str:
+        if self.predicate == "=" and len(self.args) == 2:
+            return f"{self.args[0]} {'=' if self.positive else '!='} {self.args[1]}"
         body = self.predicate if not self.args else f"{self.predicate}({','.join(str(a) for a in self.args)})"
         return body if self.positive else "~" + body
 
@@ -634,21 +618,6 @@ def free_vars(f: Formula) -> set[str]:
     return out
 
 
-def polarity_vars(f: Formula) -> tuple[set[str], set[str]]:
-    """Free variables with an occurrence in an atom of positive resp.
-    negative polarity.  Occurrences under <=> count for both."""
-    pos: set[str] = set()
-    neg: set[str] = set()
-    for g, pol, bound in occurrences(f):
-        if g.__class__ is Literal:
-            vs = {s.name for s in subterms(*g.args) if s.__class__ is Var} - bound
-            if pol & POS:
-                pos |= vs
-            if pol & NEG:
-                neg |= vs
-    return pos, neg
-
-
 def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     """Function symbols (constants included) and (predicate, polarity) pairs."""
     funcs: set[str] = set()
@@ -679,18 +648,13 @@ def formula_symbols(f: Formula) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Maximal occurrences of terms from a set (or classifier) in an NNF
+# Maximal occurrences of member terms in an NNF
 
 
-def smax_by(
-    member: Callable[[Term], bool], f: Formula, sign: str = "all"
-) -> list[Term]:
+def smax_by(member: Callable[[Term], bool], f: Formula) -> list[Term]:
     """Terms t with member(t) that occur in f at a position not inside
-    another member term, in order of first occurrence; with sign
-    'positive'/'negative' only occurrences in literals of that sign count.
-    f must be quantifier-free NNF."""
-    if sign not in ("all", "positive", "negative"):
-        raise InputError(f"bad sign filter: {sign}")
+    another member term, in order of first occurrence.  f must be
+    quantifier-free NNF."""
     out: dict[Term, None] = {}
     todo: list = [f]
     while todo:
@@ -699,8 +663,7 @@ def smax_by(
         if cls is And or cls is Or:
             todo.extend(reversed(g.parts))
         elif cls is Literal:
-            if sign == "all" or g.positive == (sign == "positive"):
-                todo.extend(reversed(g.args))
+            todo.extend(reversed(g.args))
         elif cls is App or cls is Var:
             if member(g):
                 out[g] = None
@@ -709,14 +672,6 @@ def smax_by(
         elif cls is not Top and cls is not Bottom:
             raise InputError("smax expects a quantifier-free NNF")
     return list(out)
-
-
-def smax(terms: Iterable[Term], f: Formula, sign: str = "all") -> set[Term]:
-    tset = set(terms)
-    for t in tset:
-        if not (isinstance(t, Var) or is_ground(t)):
-            raise InputError(f"smax members must be ground or variables: {t}")
-    return set(smax_by(lambda t: t in tset, f, sign))
 
 
 def clause_vars(c: Clause) -> set[str]:
@@ -748,39 +703,10 @@ def formula_subst(f: Formula, subst: Subst) -> Formula:
     )
 
 
-def rename_bound(f: Formula, pick: Callable[[str], str]) -> Formula:
-    """f with the variable v of each quantifier renamed to pick(v), and the
-    occurrences it binds renamed with it.  pick is called in pre-order.
-
-    A literal is renamed by one simultaneous substitution: a new name is
-    never renamed again, even when it is the old name of a variable bound
-    further out.  In ! [X] : ! [X] : ! [X_2] : p(X, X_2), renaming the
-    binders to X, X_2, X_2_2 gives p(X_2, X_2_2), not p(X_2_2, X_2_2)."""
-
-    def binder(v: str, env: Subst) -> tuple[str, Subst]:
-        w = pick(v)
-        return w, {**env, v: Var(w)}
-
-    return map_formula(
-        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, {}
-    )
-
-
 def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
     return map_formula(
         f, lambda l, _: Literal(l.positive, mapping.get(l.predicate, l.predicate), l.args)
     )
-
-
-def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Equality up to renaming of bound variables: on both sides the bound
-    variables are renamed #1, #2, ... in pre-order before comparing."""
-
-    def numbered(h: Formula) -> Formula:
-        count = itertools.count(1)
-        return rename_bound(h, lambda _: f"#{next(count)}")
-
-    return numbered(f) == numbered(g)
 
 
 # ---------------------------------------------------------------------------
@@ -817,19 +743,6 @@ class Signature:
         for t in subterms(*l.args):
             if t.__class__ is App:
                 self.add_function(t.functor, len(t.args))
-
-    def extend_with_formula(self, f: Formula) -> None:
-        for g, _, _ in occurrences(f):
-            if g.__class__ is Literal:
-                self.extend_with_literal(g)
-
-    @classmethod
-    def of(cls, formulas: Iterable[Formula]) -> "Signature":
-        sig = cls.empty()
-        for f in formulas:
-            sig.extend_with_formula(f)
-        return sig
-
 
 class FreshNamer:
     """Deterministic generator of names not colliding with a reserved set."""

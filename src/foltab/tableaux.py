@@ -78,12 +78,6 @@ class Node:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def ancestors(self) -> Iterator["Node"]:
-        n = self.parent
-        while n is not None:
-            yield n
-            n = n.parent
-
     def pre_order(self) -> Iterator["Node"]:
         stack = [self]
         while stack:
@@ -146,10 +140,6 @@ def clause_at(node: Node) -> tuple[Literal, ...]:
     return tuple(c.literal for c in node.children)
 
 
-def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
-    return [clause_at(n) for n in tab.nodes() if n.children]
-
-
 # ---------------------------------------------------------------------------
 # The branch walk: closedness, targets, regularity, simplification
 
@@ -202,22 +192,6 @@ def is_closed(tab: Tableau) -> bool:
     return closed
 
 
-def is_leaf_closing(tab: Tableau) -> bool:
-    return all(target is None for n, _, target in branch_walk(tab.root) if n.children)
-
-
-def is_leaf_closed(tab: Tableau) -> bool:
-    """Closed, with exactly the leaves closing."""
-    return bool(tab.root.children) and all(
-        (target is None) == bool(n.children) for n, _, target in branch_walk(tab.root)
-    )
-
-
-def is_regular(tab: Tableau) -> bool:
-    on: Branch = {}
-    return all(len(on[n.literal]) == 1 for n, _, _ in branch_walk(tab.root, on))
-
-
 # ---------------------------------------------------------------------------
 # Simplification to regular, leaf-closing form
 
@@ -253,11 +227,10 @@ def close_leaf(n: Node, dropped: Optional[list[Node]]) -> None:
     n.children = []
 
 
-def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int, int]:
+def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int]:
     """Make `children` the children of `top` and the tree below `top`
     regular and leaf-closing, in place, as the whole-tree walk makes it on
-    reaching `top`, whose branch is `on`.  Returns (splices, truncations,
-    nodes kept below `top`).
+    reaching `top`, whose branch is `on`.  Returns (splices, truncations).
 
     Regularity: a node repeating a literal of its branch causes the edges of
     its parent to be replaced by its own edges.  Leaf-closing: an inner
@@ -266,16 +239,14 @@ def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, in
     earlier in the walk, since both only shorten ancestor chains.  The walk
     visits only the nodes it keeps."""
     top.children = children
-    splices = truncations = kept = 0
+    splices = truncations = 0
     for n, _, target in chain([(top, 0, None)], branch_walk(top, on)):
-        if n is not top:
-            kept += 1
         if target is not None and n.children:
             close_leaf(n, None)
             truncations += 1
             continue
         splices += clean_children(n, on, None)
-    return splices, truncations, kept
+    return splices, truncations
 
 
 def simplify(tab: Tableau) -> Tableau:
@@ -397,14 +368,6 @@ def is_hyper(tab: Tableau) -> bool:
         if n.literal.positive == n.is_leaf:
             return False
     return True
-
-
-def atomic_cut_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
-    out = []
-    for inst in tableau_clauses(tab):
-        if len(inst) == 2 and inst[0] == inst[1].complement():
-            out.append(inst)
-    return out
 
 
 # ---------------------------------------------------------------------------

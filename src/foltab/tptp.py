@@ -383,24 +383,13 @@ _PREC_AND = 3
 _PREC_UNIT = 4
 
 
-def format_term(t: Term) -> str:
-    return str(t)
-
-
-def format_literal(l: Literal) -> str:
-    if l.predicate == "=" and len(l.args) == 2:
-        op = "=" if l.positive else "!="
-        return f"{l.args[0]} {op} {l.args[1]}"
-    return str(l)
-
-
 def format_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
 def _fmt(f: Formula, min_prec: int) -> str:
     if isinstance(f, Literal):
-        return format_literal(f)
+        return str(f)
     if isinstance(f, Top):
         return "$true"
     if isinstance(f, Bottom):
@@ -437,10 +426,3 @@ def _fmt_unit(f: Formula) -> str:
 
 def _wrap(body: str, prec: int, min_prec: int) -> str:
     return body if prec >= min_prec else f"({body})"
-
-
-def format_clause(c: Clause) -> str:
-    if not c.literals:
-        return "$true" if c.conjunctive else "$false"
-    sep = " & " if c.conjunctive else " | "
-    return sep.join(format_literal(l) for l in c.literals)

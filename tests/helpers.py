@@ -7,9 +7,10 @@ recursive formula walkers as oracles for the walks on `occurrences` and
 `map_formula`, the recursive passes of the clausal normal form, the
 fragment deciders and lifting as oracles for their iterative versions,
 the front end with a token object per token as an
-oracle for the parsers and proof import, and the recursive tableau walkers
+oracle for the parsers and proof import, the recursive tableau walkers
 with an ancestor scan per target as an oracle for `branch_walk` and the
-walkers on it."""
+walkers on it, and checkers of the tableaux, unifiers and formulas the
+pipeline makes."""
 
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ from foltab.syntax import (
     clause as mk_clause,
     is_ground,
     literal_key,
+    map_formula,
+    map_literal_terms,
     mk_and,
     mk_or,
     ordered_vars,
@@ -74,15 +77,18 @@ from foltab.normalize import (
     PrenexNormalForm,
 )
 from foltab.tableaux import (
+    Branch,
     Node,
     ProveResult,
     ResourceLimitError,
     StructureError,
     Tableau,
+    branch_walk,
+    clause_at,
     is_hyper,
     simplify,
 )
-from foltab.tptp import FofRecord, ParseError, format_clause, format_literal
+from foltab.tptp import FofRecord, ParseError
 
 # ---------------------------------------------------------------------------
 # Finite models
@@ -178,7 +184,7 @@ def all_models(sig: Signature, size: int = 2):
 
 def formulas_equivalent(f: Formula, g: Formula, rng: random.Random, samples: int = 30) -> bool:
     """Semantic equivalence sampled over random two-element models."""
-    sig = Signature.of([f, g])
+    sig = reference_signature_of([f, g])
     from foltab.syntax import free_vars
 
     fv = sorted(free_vars(f) | free_vars(g))
@@ -440,6 +446,74 @@ def gen_vx_instance(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# Checkers for the properties the pipeline's tableaux, unifiers and
+# formulas must have.  The tableau checkers run on `branch_walk`, so they
+# take branches deeper than the recursion limit.
+
+
+def ancestors(node: Node):
+    """The nodes above `node`, nearest first, the root included."""
+    n = node.parent
+    while n is not None:
+        yield n
+        n = n.parent
+
+
+def is_leaf_closing(tab: Tableau) -> bool:
+    return all(target is None for n, _, target in branch_walk(tab.root) if n.children)
+
+
+def is_leaf_closed(tab: Tableau) -> bool:
+    """Closed, with exactly the leaves closing."""
+    return bool(tab.root.children) and all(
+        (target is None) == bool(n.children) for n, _, target in branch_walk(tab.root)
+    )
+
+
+def is_regular(tab: Tableau) -> bool:
+    on: Branch = {}
+    return all(len(on[n.literal]) == 1 for n, _, _ in branch_walk(tab.root, on))
+
+
+def side_path_literals(node: Node, side: str) -> list[Literal]:
+    """Literals with the given side on the path from the root to node,
+    node included."""
+    path = [n for n in (node, *ancestors(node)) if n.literal is not None and n.side == side]
+    return [n.literal for n in reversed(path)]
+
+
+def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
+    return [clause_at(n) for n in tab.nodes() if n.children]
+
+
+def atomic_cut_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
+    return [c for c in tableau_clauses(tab) if len(c) == 2 and c[0] == c[1].complement()]
+
+
+def unify(t1: Term, t2: Term) -> Optional[Subst]:
+    """The prover's most general unifier of t1 and t2 (`unify_args`),
+    resolved in full so that it is idempotent, or None."""
+    store: Subst = {}
+    if not unify_args((t1,), (t2,), store, []):
+        return None
+    return {v: resolve(t, store) for v, t in store.items()}
+
+
+def rename_bound(f: Formula, pick) -> Formula:
+    """f with the variable v of each quantifier renamed to pick(v), and the
+    occurrences it binds renamed with it, on `map_formula`.  pick is called
+    in pre-order."""
+
+    def binder(v: str, env: Subst) -> tuple[str, Subst]:
+        w = pick(v)
+        return w, {**env, v: Var(w)}
+
+    return map_formula(
+        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, {}
+    )
+
+
+# ---------------------------------------------------------------------------
 # Reference tableau walkers: each recursed on its own, and each target came
 # from a scan of the node's ancestors.  An oracle for `branch_walk` and the
 # walkers on it in tableaux.py, hyperconv.py, documents.py and
@@ -452,7 +526,7 @@ def reference_closing_target(node: Node) -> Optional[Node]:
     if node.literal is None:
         return None
     comp = node.literal.complement()
-    for anc in node.ancestors():
+    for anc in ancestors(node):
         if anc.literal == comp:
             return anc
     return None
@@ -585,7 +659,7 @@ def reference_format_tableau(tab: Tableau) -> str:
 
     def emit(n: Node) -> None:
         for c in n.children:
-            parts = ["  " * depths[c] + format_literal(c.literal)]
+            parts = ["  " * depths[c] + str(c.literal)]
             if c.side is not None:
                 parts.append(f"[{c.side}]")
             if targets[c] is not None:
@@ -834,7 +908,7 @@ def reference_prove(
     def regular(children: list[Node]) -> bool:
         for ch in children:
             lit = apply_literal(ch.literal, binding)
-            for anc in ch.ancestors():
+            for anc in ancestors(ch):
                 if anc.literal is not None and apply_literal(anc.literal, binding) == lit:
                     return False
         return True
@@ -844,7 +918,7 @@ def reference_prove(
             return True
         goal, rest = goals[0], goals[1:]
         # reduction: close against an ancestor
-        for anc in goal.ancestors():
+        for anc in ancestors(goal):
             if anc.literal is None:
                 continue
             tick()
@@ -854,7 +928,7 @@ def reference_prove(
             undo(binding, trail, mark)
         # extension: attach a clause instance containing a closing literal
         # the depth of the goal's children: the goal's ancestors count the root
-        if sum(1 for _ in goal.ancestors()) + 1 > limit:
+        if sum(1 for _ in ancestors(goal)) + 1 > limit:
             cutoff[0] = True
             return False
         for c in cls:
@@ -1705,9 +1779,7 @@ def reference_parse_formula(text: str) -> Formula:
 
 def reference_parse_fof_file(text: str) -> list[FofRecord]:
     records = ReferenceParser(text).fof_records()
-    sig = Signature.empty()
-    for r in records:
-        sig.extend_with_formula(r.formula)
+    reference_signature_of(r.formula for r in records)  # raises on a clash
     return records
 
 
@@ -1882,8 +1954,8 @@ def _reference_replay_validate(doc: ProofDocument) -> None:
             raise ProofError(str(e), r.line) from None
         if got != reference_normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):
             raise ProofError(
-                f"declared resolvent {format_clause(r.clause)} does not match "
-                f"recomputed {format_clause(Clause(got))}",
+                f"declared resolvent {r.clause} does not match "
+                f"recomputed {Clause(got)}",
                 r.line,
             )
 

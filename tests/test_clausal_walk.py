@@ -5,14 +5,18 @@ formulas, with a clause limit low enough that distribution errors are
 compared too; formulas nested deeper than the default recursion limit;
 duplicate removal in truth-value simplification; and a look at the source
 that no function of these modules, the term kernel, the prover, proof
-import, hyper conversion or tableau documents calls itself."""
+import, hyper conversion or tableau documents calls itself, and that every
+function in src has a caller in the program or is documented library
+API."""
 
 import ast
 import copy
 import inspect
 import random
+import re
 import time
 from operator import is_
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +123,79 @@ def test_no_function_recurses():
     assert self_calls("class T:\n    def f(self):\n        return f(self)\n") == []
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def referenced_names(source):
+    """The names `source` refers to: variables, attributes and imported
+    names.  A reference inside a definition to that definition's own name
+    does not count."""
+    out = set()
+    todo = [(ast.parse(source), frozenset())]
+    while todo:
+        node, own = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            name = None
+        if name is not None and name not in own:
+            out.add(name)
+        todo.extend((c, own) for c in ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled(source, callers, allowed=frozenset()):
+    """The top-level functions and classes of `source`, and the methods of
+    its classes but the dunder ones, that no source in `callers` refers
+    to, leaving out the names in `allowed`."""
+    seen = set().union(*map(referenced_names, callers)) | allowed
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in seen:
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, ast.FunctionDef)
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+                and m.name not in seen
+            )
+    return out
+
+
+def library_names():
+    """The names in backticks in README's Library section."""
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return frozenset(re.findall(r"`(\w+)`", section))
+
+
+def test_every_src_function_has_a_caller():
+    src = sorted((REPO / "src" / "foltab").glob("*.py"))
+    # the package's re-exports in __init__.py call nothing
+    callers = [p.read_text() for p in src if p.name != "__init__.py"]
+    for d in ("perfbench", "scripts"):
+        callers += [p.read_text() for p in sorted((REPO / d).glob("*.py"))]
+    allowed = library_names()
+    assert "simplify" in allowed
+    for p in src:
+        assert uncalled(p.read_text(), callers, allowed) == [], p.name
+    # the check flags a function that calls only itself, and a method no one
+    # calls; it passes a dunder method, an imported name and an allowed name
+    assert uncalled("def f(n):\n    return f(n - 1)\n", ["def g():\n    pass\n"]) == ["f"]
+    source = "class T:\n    def __eq__(self, o):\n        return True\n    def m(self):\n        pass\n"
+    assert uncalled(source, ["T()"]) == ["T.m"]
+    assert uncalled(source, ["from .t import T\nT().m()"]) == []
+    assert uncalled("def simplify():\n    pass\n", [], allowed) == []
+
+
 def formulas(seed, n=3000):
     """Formulas of every connective, sentences biased toward prenex shapes,
     and quantifier-free NNFs, in turn."""
@@ -196,14 +273,13 @@ def member(t):
 
 def test_maximal_terms_agree_with_the_reference():
     for _, f in formulas(74):
-        for sign in ("all", "positive", "negative"):
-            got = outcome(smax_by, member, f, sign)
-            want = outcome(reference_smax_by, member, f, sign)
-            if got[0] == "ok" and want[0] == "ok":
-                # in order of first occurrence, each term once
-                assert len(got[1]) == len(want[1]) and set(got[1]) == want[1], f
-            else:
-                assert got == want, f
+        got = outcome(smax_by, member, f)
+        want = outcome(reference_smax_by, member, f)
+        if got[0] == "ok" and want[0] == "ok":
+            # in order of first occurrence, each term once
+            assert len(got[1]) == len(want[1]) and set(got[1]) == want[1], f
+        else:
+            assert got == want, f
 
 
 def test_lifting_agrees_with_the_reference():
@@ -337,4 +413,3 @@ def test_deep_formulas_under_the_default_recursion_limit(default_recursion_limit
     assert [str(c) for c in cnf(hornify(conjunction)).matrix] == units
     constants = [App(f"c{i}") for i in range(3)]
     assert smax_by(lambda t: t.__class__ is App, conjunction) == constants
-    assert smax_by(lambda t: t.__class__ is App, disjunction, "positive") == [App("c2")]

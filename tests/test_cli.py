@@ -125,6 +125,34 @@ def test_interpolate_requirement_failure_exit_code(tmp_path, capsys):
     assert main(["interpolate", "--f", f, "--g", g, "--require", "u-rr"]) == 2
 
 
+def test_interpolate_require_horn_on_a_non_horn_interpolant_exits_2(tmp_path, capsys):
+    # the only interpolant is p | q, which is not Horn-like, so hornify
+    # does not apply and the requirement check reports the miss
+    f = write(tmp_path, "f.p", "fof(a, axiom, p | q).\n")
+    g = write(tmp_path, "g.p", "fof(a, axiom, p | q).\n")
+    assert main(["interpolate", "--f", f, "--g", g, "--require", "horn"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "p | q"
+    assert "% require horn: fail" in lines
+    assert captured.err == ""
+
+
+def test_define_require_horn_on_a_non_horn_definition_exits_2(tmp_path, capsys):
+    kb = write(
+        tmp_path,
+        "kb.p",
+        "fof(k, axiom, ! [X] : (p(X) <=> (q(X) | r(X)))).\nfof(q, conjecture, p(X)).\n",
+    )
+    assert main(["define", "--input", kb, "--targets", "q,r", "--require", "horn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "q(X) | r(X)",
+        "% requirement failure: interpolant misses requested properties: horn",
+    ]
+    assert captured.err == ""
+
+
 def test_hyper_on_tableau_document(tmp_path, capsys):
     doc = write(tmp_path, "input.tab", CONVERSION_INPUT)
     out = str(tmp_path / "hyper.tab")
@@ -253,6 +281,16 @@ def test_check_outputs(tmp_path, capsys, prop, out):
     f = write(tmp_path, "f.p", NOT_RANGE_RESTRICTED)
     assert main(["check", "--input", f, "--property", prop]) == 2
     assert capsys.readouterr().out == out
+
+
+def test_check_witness_prints_equality_in_input_syntax(tmp_path, capsys):
+    f = write(tmp_path, "f.p", "fof(a, axiom, ! [X,Y] : (X = Y | p(X))).\n")
+    assert main(["check", "--input", f, "--property", "u-rr"]) == 2
+    assert capsys.readouterr().out == (
+        "u-rr: no\n"
+        "witness: clause (X = Y | p(X)) offends X [universal-not-in-negative]\n"
+        "witness: clause (X = Y | p(X)) offends Y [universal-not-in-negative]\n"
+    )
 
 
 @pytest.mark.parametrize("prop", ["u-rr", "vgt-rr", "horn", "horn-like", "prop4"])

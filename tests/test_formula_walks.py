@@ -20,42 +20,33 @@ from foltab.syntax import (
     Exists,
     ForAll,
     Iff,
-    InputError,
     Literal,
     Not,
     Or,
-    Signature,
     Var,
-    alpha_equal,
     formula_subst,
     formula_symbols,
     free_vars,
     map_formula_terms,
     occurrences,
-    polarity_vars,
-    rename_bound,
     rename_predicates,
     vocabulary,
 )
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     random_formula,
+    rename_bound,
     random_term,
-    reference_alpha_equal,
     reference_cnf,
     reference_formula_subst,
     reference_formula_symbols,
     reference_free_vars,
-    reference_polarity_vars,
     reference_rename_predicates,
-    reference_signature_of,
     reference_standardize,
     reference_vocabulary,
 )
 
 SAMPLES = 2000
-NAMES = ("X", "Y", "Z", "X_2", "p", "q", "r", "s", "a", "b", "f")
-SYMBOLS = ("p", "q", "r", "s", "a", "b", "f")
 
 
 def lit(name, *args, positive=True):
@@ -85,7 +76,6 @@ def samples(seed):
 def test_readers_agree_with_the_recursive_walkers():
     for _, f in samples(11):
         assert free_vars(f) == reference_free_vars(f)
-        assert polarity_vars(f) == reference_polarity_vars(f)
         assert vocabulary(f) == reference_vocabulary(f)
         assert formula_symbols(f) == reference_formula_symbols(f)
 
@@ -105,43 +95,6 @@ def test_maps_agree_with_the_recursive_walkers():
         assert cnf_outcome(cnf, g) == cnf_outcome(reference_cnf, g)
         mapping = {p: rng.choice(("p", "q", "t", "p_p")) for p in "pqrs" if rng.random() < 0.5}
         assert rename_predicates(f, mapping) == reference_rename_predicates(f, mapping)
-
-
-def test_alpha_equal_agrees_with_the_recursive_walker():
-    equal = 0
-    for rng, f in samples(13):
-        # a correct renaming, a merge of two variables that may capture,
-        # an unrelated formula
-        variants = (
-            reference_standardize(f, {n for n in NAMES if rng.random() < 0.5}),
-            renamed(f, {"Y": "X"}),
-            random_formula(rng, depth=rng.randint(1, 5)),
-        )
-        for g in variants:
-            got = alpha_equal(f, g)
-            assert got == reference_alpha_equal(f, g)
-            equal += got
-    assert SAMPLES < equal < 3 * SAMPLES
-
-
-def signature_or_error(of, formulas):
-    try:
-        sig = of(formulas)
-    except InputError as e:
-        return "error", str(e)
-    return sig.functions, sig.predicates
-
-
-def test_signature_and_its_first_error_agree_with_the_recursive_walker():
-    errors = 0
-    for rng, f in samples(14):
-        # renaming symbols onto one another makes arity and kind clashes
-        names = {n: rng.choice(SYMBOLS) for n in SYMBOLS if rng.random() < 0.3}
-        formulas = [f, renamed(f, names)]
-        got = signature_or_error(Signature.of, formulas)
-        assert got == signature_or_error(reference_signature_of, formulas)
-        errors += got[0] == "error"
-    assert 0 < errors < SAMPLES
 
 
 def test_renaming_is_one_shot():
@@ -193,7 +146,6 @@ def test_iff_chain_is_read_once():
     assert len(list(occurrences(f))) == 41
     preds = {(f"p{i}", sign) for i in range(41) for sign in "+-"}
     assert vocabulary(f) == (frozenset(), frozenset(preds))
-    assert polarity_vars(Iff(f, lit("q", Var("X")))) == ({"X"}, {"X"})
 
 
 DEPTH = 5000
@@ -214,10 +166,8 @@ def test_deep_negation_chain(default_recursion_limit):
     with pytest.raises(RecursionError):
         reference_free_vars(f)
     assert free_vars(f) == {"X"}
-    assert polarity_vars(f) == ({"X"}, set())
     assert vocabulary(f) == (frozenset({"c"}), frozenset({("p", "+")}))
     assert formula_symbols(f) == {"X", "p", "c"}
-    assert Signature.of([f]).predicates == {"p": 2}
     assert peel(formula_subst(f, {"X": App("a")}), Not) == lit("p", App("a"), App("c"))
     assert peel(rename_predicates(f, {"p": "q"}), Not) == lit("q", x, App("c"))
     assert peel(map_formula_terms(f, lambda t: App("b")), Not) == lit("p", App("b"), App("b"))
@@ -235,9 +185,7 @@ def test_deep_quantifier_chain(default_recursion_limit):
     with pytest.raises(RecursionError):
         reference_free_vars(f)
     assert free_vars(f) == {"Y"}
-    assert polarity_vars(f) == ({"Y"}, set())
     assert formula_symbols(f) == {"X", "Y", "p"}
-    assert Signature.of([f]).predicates == {"p": 2}
     assert peel(formula_subst(f, {"Y": App("a")}), ForAll) == lit("p", x, App("a"))
     count = iter(range(DEPTH))
     renamed = rename_bound(f, lambda v: f"V{next(count)}")

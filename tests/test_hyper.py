@@ -4,7 +4,7 @@ from typing import Optional
 import pytest
 
 from foltab import hyperconv
-from foltab.documents import format_tableau, parse_tableau, tableau_equal
+from foltab.documents import format_tableau, parse_tableau
 from foltab.hyperconv import (
     OMEGA,
     MeasureViolation,
@@ -16,21 +16,22 @@ from foltab.tableaux import (
     Node,
     ResourceLimitError,
     Tableau,
-    atomic_cut_clauses,
     is_hyper,
-    is_leaf_closed,
-    is_regular,
     match_clause,
     prove,
     simplify,
-    tableau_clauses,
 )
 from foltab.proofs import ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from helpers import (
+    atomic_cut_clauses,
+    is_leaf_closed,
+    is_regular,
     node_measure,
     proof_family,
     random_ground_clauses,
     reference_hyper_convert,
+    reference_tableau_equal,
+    tableau_clauses,
     tt_satisfiable,
 )
 
@@ -109,7 +110,7 @@ def test_conversion_idempotent():
     once, _ = hyper_convert(tab)
     twice, trace = hyper_convert(once)
     assert trace.total_rounds == 0
-    assert tableau_equal(once, twice)
+    assert reference_tableau_equal(once, twice)
 
 
 def test_resource_limit():

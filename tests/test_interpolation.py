@@ -3,12 +3,13 @@ import pytest
 from foltab.interpolation import (
     InterpolationContext,
     NotProvedError,
+    RequirementError,
     entails,
     extract_ipol,
     hornify,
     interpolate,
     ipol_map,
-    lift,
+    lift_parts,
     synthesize_definition,
     unfreeze,
     verify_interpolant,
@@ -24,13 +25,12 @@ from foltab.syntax import (
     Or,
     TOP,
     Var,
-    alpha_equal,
     free_vars,
 )
+from foltab.normalize import wrap_prefix
 from foltab.tableaux import Node, StructureError, Tableau
 from foltab.tptp import format_formula, parse_formula
-from helpers import all_models, eval_formula
-from foltab.syntax import Signature
+from helpers import all_models, eval_formula, reference_alpha_equal, reference_signature_of
 
 a = App("a")
 
@@ -98,9 +98,14 @@ def _ctx(f_functions=(), g_functions=(), shared=()):
     )
 
 
+def lift(h_grd, ctx):
+    lifted = lift_parts(h_grd, ctx)
+    return wrap_prefix(lifted.prefix, lifted.matrix)
+
+
 def test_lift_single_universal():
     h = lift(lit("q", a), _ctx(g_functions={"a"}))
-    assert alpha_equal(h, ForAll("V", lit("q", Var("V"))))
+    assert reference_alpha_equal(h, ForAll("V", lit("q", Var("V"))))
 
 
 def test_lift_prefix_orders_subterms_first():
@@ -129,7 +134,7 @@ def test_interpolate_universal_chain():
     f = parse_formula("(! [X] : p(X)) & (! [X] : (p(X) => q(X)))")
     g = parse_formula("(! [X] : (q(X) => r(X))) => r(a)")
     h, report = interpolate(f, g)
-    assert alpha_equal(h, ForAll("V", lit("q", Var("V"))))
+    assert reference_alpha_equal(h, ForAll("V", lit("q", Var("V"))))
     assert report.ground_interpolant == lit("q", a)
     assert verify_interpolant(f, g, h).passed
 
@@ -237,6 +242,14 @@ def test_hornify_rejects_non_horn_like():
         hornify(Or((lit("a"), lit("b"))))
 
 
+def test_interpolate_require_horn_on_a_non_horn_interpolant_raises_requirement_error():
+    f = parse_formula("p | q")
+    with pytest.raises(RequirementError) as e:
+        interpolate(f, f, require={"horn"})
+    assert e.value.interpolant == Or((lit("p"), lit("q")))
+    assert e.value.report.require_results == {"horn": False}
+
+
 # --- definability ---------------------------------------------------------
 
 
@@ -252,7 +265,7 @@ def test_definition_through_biconditional():
     query = parse_formula("p(X)")
     r, _ = synthesize_definition(kb, query, {"q"})
     # K |= (Q <=> R) checked by enumerating all two-element models
-    sig = Signature.of([kb, query, r])
+    sig = reference_signature_of([kb, query, r])
     equiv = ForAll("X", parse_formula("p(X) <=> q(X)"))
     for model in all_models(sig, 2):
         if not eval_formula(kb, model, {}):

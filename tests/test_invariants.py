@@ -11,7 +11,6 @@ from foltab.interpolation import (
     InterpolationContext,
     interpolate,
     ipol_map,
-    side_path_literals,
     synthesize_definition,
 )
 from foltab.normalize import cnf, dnf
@@ -28,10 +27,18 @@ from foltab.syntax import (
     smax_by,
 )
 from foltab.tableaux import Tableau, clause_at, is_hyper
-from helpers import gen_urr_instance, gen_vx_instance, random_nnf
+from helpers import (
+    gen_urr_instance,
+    gen_vx_instance,
+    random_nnf,
+    reference_smax_by,
+    side_path_literals,
+)
 
 
 def _vmax(ctx: InterpolationContext, f: Formula, sign: str = "all") -> set[Term]:
+    """The maximal V-terms of f; with a sign, only those in literals of
+    that sign, as the recursive scan in helpers.py filters them."""
     def v_member(t: Term) -> bool:
         # side-owned terms and the shared placeholder constants
         return (
@@ -40,7 +47,7 @@ def _vmax(ctx: InterpolationContext, f: Formula, sign: str = "all") -> set[Term]
             or (isinstance(t, App) and not t.args and t.functor in ctx.shared_constants)
         )
 
-    return smax_by(v_member, f, sign)
+    return reference_smax_by(v_member, f, sign)
 
 
 def _check_inv_c(tab: Tableau, ctx: InterpolationContext) -> None:
@@ -198,7 +205,7 @@ def test_term_level_clause_preservation():
             for m in part_cnfs:
                 for c in m:
                     cf = clause_formula(c)
-                    if t in smax_by(member, cf) and t not in smax_by(member, cf, "negative"):
+                    if t in smax_by(member, cf) and t not in reference_smax_by(member, cf, "negative"):
                         ok = False
                         break
                 if not ok:
@@ -211,4 +218,4 @@ def test_term_level_clause_preservation():
             cf = clause_formula(c)
             for t in smax_by(member, cf):
                 if t in s:
-                    assert t in smax_by(member, cf, "negative")
+                    assert t in reference_smax_by(member, cf, "negative")

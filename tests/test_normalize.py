@@ -38,6 +38,7 @@ from helpers import (
     random_formula,
     random_nnf,
     random_prenex_nnf,
+    reference_signature_of,
 )
 
 x, y = Var("X"), Var("Y")
@@ -72,7 +73,7 @@ def test_nnf_negated_implication_matches_truth_table():
     f = Not(Implies(p(), q()))
     g = cnf(f).formula()
     assert g == And((p(), q(positive=False)))
-    sig = Signature.of([f])
+    sig = reference_signature_of([f])
     for model in all_models(sig, 1):
         assert eval_formula(f, model, {}) == eval_formula(g, model, {})
 
@@ -319,8 +320,8 @@ def test_skolemization_preserves_finite_satisfiability():
             sentence = ForAll(v, sentence) if rng.random() < 0.5 else Exists(v, sentence)
         res = skolemize_clausify(sentence)
         clausal = And(tuple(_universal_closure(c) for c in res.clauses)) if res.clauses else TOP
-        sig_orig = Signature.of([sentence])
-        sig_clausal = Signature.of([clausal])
+        sig_orig = reference_signature_of([sentence])
+        sig_clausal = reference_signature_of([clausal])
         if len(sig_clausal.functions) > 2 or len(sig_clausal.predicates) > 2:
             continue
         sat_orig = any(eval_formula(sentence, m, {}) for m in all_models(sig_orig, 2))

@@ -19,7 +19,6 @@ from foltab import tptp
 from foltab.tableaux import branch_walk
 from foltab.tptp import (
     ParseError,
-    format_clause,
     format_formula,
     parse_clause_file,
     parse_fof_file,
@@ -142,7 +141,7 @@ def test_clause_files_agree_with_the_reference():
         lines = []
         for _ in range(rng.randint(1, 6)):
             lits = [random_literal(rng, ("X", "Y")) for _ in range(rng.randint(1, 3))]
-            lines.append(format_clause(Clause(tuple(lits))))
+            lines.append(str(Clause(tuple(lits))))
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# note", "% note", "", "false", "$false"]))
         text = "\n".join(lines) + "\n"
         for t in [text] + damaged(text, rng):

@@ -13,15 +13,8 @@ from foltab.proofs import (
     to_tree,
 )
 from foltab.syntax import App, Clause, Literal, Var
-from foltab.tableaux import (
-    atomic_cut_clauses,
-    is_closed,
-    is_hyper,
-    is_leaf_closing,
-    match_clause,
-    simplify,
-    tableau_clauses,
-)
+from foltab.tableaux import is_closed, is_hyper, match_clause, simplify
+from helpers import atomic_cut_clauses, is_leaf_closing, tableau_clauses
 
 TWO_STEP = """# two-step refutation
 s1 input p
@@ -250,7 +243,7 @@ def test_cut_normal_form_single_step():
 def test_cut_normal_form_inner_clauses_are_cuts_or_inputs():
     doc = parse_proof(TWO_STEP)
     tab = to_cut_normal_form(ground_deduction(to_tree(doc)))
-    inputs = doc.input_clauses()
+    inputs = [r.clause for r in doc.records if r.rule == "input"]
     for inst in tableau_clauses(tab):
         is_cut = len(inst) == 2 and inst[0] == inst[1].complement()
         is_input = any(match_clause(inst, c) is not None for c in inputs)
@@ -270,7 +263,7 @@ def test_import_then_hyper_matches_direct_conversion():
     assert trace.regular_splices >= 1
     assert is_hyper(out)
     # the hyper tableau refutes exactly the imported clause set
-    inputs = doc.input_clauses()
+    inputs = [r.clause for r in doc.records if r.rule == "input"]
     for inst in tableau_clauses(out):
         assert any(match_clause(inst, c) is not None for c in inputs)
 

@@ -6,7 +6,7 @@ import random
 
 from foltab.interpolation import interpolate
 from foltab.normalize import cnf, dnf
-from foltab.syntax import Signature, free_vars
+from foltab.syntax import free_vars
 from foltab.tptp import parse_formula
 from helpers import (
     eval_formula,
@@ -16,6 +16,7 @@ from helpers import (
     random_model,
     random_prenex_nnf,
     random_formula,
+    reference_signature_of,
 )
 
 
@@ -24,7 +25,7 @@ def _holds_in(f, model, env):
 
 
 def _check_interpolant_semantically(f, g, h, rng, samples=40):
-    sig = Signature.of([f, g, h])
+    sig = reference_signature_of([f, g, h])
     fv = sorted(free_vars(f) | free_vars(g) | free_vars(h))
     for _ in range(samples):
         model = random_model(rng, sig, 2)
@@ -66,7 +67,7 @@ def test_dual_is_semantic_negation():
     for _ in range(150):
         f = random_prenex_nnf(rng)
         d = dnf(f).formula()
-        sig = Signature.of([f])
+        sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
             model = random_model(rng, sig, 2)
@@ -79,7 +80,7 @@ def test_nnf_is_equivalent():
     for _ in range(150):
         f = random_formula(rng, depth=3)
         g = cnf(f).formula()
-        sig = Signature.of([f])
+        sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
             model = random_model(rng, sig, 2)
@@ -97,7 +98,7 @@ def test_hornify_is_equivalent_conjunction_of_horn_clauses():
         assert is_horn_like(f)
         g = hornify(f)
         assert is_horn(g)
-        sig = Signature.of([f])
+        sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(10):
             model = random_model(rng, sig, 2)
@@ -112,7 +113,7 @@ def test_negation_of_dual_composes():
     for _ in range(60):
         f = random_prenex_nnf(rng)
         d = dnf(f).formula()
-        sig = Signature.of([f])
+        sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(8):
             model = random_model(rng, sig, 2)

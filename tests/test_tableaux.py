@@ -14,16 +14,20 @@ from foltab.tableaux import (
     ground_tableau,
     is_closed,
     is_hyper,
-    is_leaf_closed,
-    is_leaf_closing,
-    is_regular,
     match_clause,
     prove,
     simplify,
-    tableau_clauses,
 )
 from foltab.tptp import parse_clause_file
-from helpers import random_ground_clauses, reference_prove, tt_satisfiable
+from helpers import (
+    is_leaf_closed,
+    is_leaf_closing,
+    is_regular,
+    random_ground_clauses,
+    reference_prove,
+    tableau_clauses,
+    tt_satisfiable,
+)
 
 x = Var("X")
 a = App("a")
