@@ -32,7 +32,7 @@ from .proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_for
 from .restriction import RestrictionReport, check_vx_preconditions, is_horn_like, prop4_check
 from .syntax import And, FreshNamer, InputError, Not, Signature, formula_symbols, free_vars, mk_and
 from .tableaux import ResourceLimitError, StructureError, Tableau, prove
-from .tptp import ParseError, format_formula, parse_clause_file, parse_fof_file, split_problem
+from .tptp import ParseError, content_lines, format_formula, parse_clause_file, parse_fof_file, split_problem
 
 EXIT_OK = 0
 EXIT_NOT_PROVED = 1
@@ -211,20 +211,15 @@ def cmd_interpolate(args) -> int:
 
 
 def _import_proof(text: str, max_nodes: int) -> Tableau:
-    """The cut-normal-form tableau of a resolution proof document; the
-    expansion of shared steps into a tree stops at `max_nodes`."""
+    """The cut-normal-form tableau of a resolution proof document, whose
+    tree expansion must have at most `max_nodes` steps."""
     tree = to_tree(parse_proof(text), max_nodes=max_nodes)
     return to_cut_normal_form(ground_deduction(tree))
 
 
 def _load_tableau_or_proof(path: str, max_nodes: int) -> Tableau:
     text = _read(path)
-    first = ""
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#") and not stripped.startswith("%"):
-            first = stripped
-            break
+    _, first, _ = next(content_lines(text), (1, "", ""))
     if first == "tableau":
         return parse_tableau(text)
     return _import_proof(text, max_nodes)

@@ -8,7 +8,7 @@ import re
 from typing import Optional
 
 from .tableaux import Node, Tableau, branch_walk
-from .tptp import ParseError, _Parser
+from .tptp import ParseError, _Parser, content_lines
 
 _HEADER = "tableau"
 
@@ -36,21 +36,16 @@ def parse_tableau(text: str) -> Tableau:
     ancestor at the declared depth; it is checked after the last line and
     then dropped, since a target is always the nearest complementary
     ancestor."""
-    lines = text.splitlines()
-    body: list[tuple[int, str]] = []
-    for i, raw in enumerate(lines, start=1):
-        if not raw.strip() or raw.lstrip().startswith("#") or raw.lstrip().startswith("%"):
-            continue
-        body.append((i, raw))
-    if not body or body[0][1].strip() != _HEADER:
-        line = body[0][0] if body else 1
-        raise ParseError(f"expected {_HEADER!r} header", line, 1)
+    body = content_lines(text)
+    line_no, first, _ = next(body, (1, "", ""))
+    if first != _HEADER:
+        raise ParseError(f"expected {_HEADER!r} header", line_no, 1)
     root = Node()
     stack: list[Node] = [root]  # stack[d] = most recent node at depth d
     # (node, the node on its branch at its declared target depth, depth, line)
     targets: list[tuple[Node, Optional[Node], int, int]] = []
     p = _Parser()
-    for line_no, raw in body[1:]:
+    for line_no, _, raw in body:
         m = _LINE_RE.match(raw)
         if m is None or not m.group("lit").strip():
             raise ParseError("malformed tableau line", line_no, 1)

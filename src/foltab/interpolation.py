@@ -35,7 +35,6 @@ from .syntax import (
     App,
     BOTTOM,
     Bottom,
-    Clause,
     ForAll,
     Formula,
     FreshNamer,
@@ -91,18 +90,15 @@ class RequirementError(Exception):
 
 @dataclass
 class InterpolationContext:
-    """The data threaded through one interpolation run: both inputs, their
-    clausal forms, the placeholder constants for shared free variables, and
-    the two function-symbol sides that drive term classification."""
+    """The data threaded through one interpolation run: both inputs, the
+    placeholder constants for shared free variables, and the two
+    function-symbol sides that drive term classification."""
 
     f: Formula
     g: Formula
-    f_clauses: tuple[Clause, ...]
-    g_clauses: tuple[Clause, ...]
     shared_constants: frozenset[str]
     f_functions: frozenset[str]
     g_functions: frozenset[str]
-    placeholder_map: dict[str, str] = field(default_factory=dict)
 
     def e_member(self, t: Term) -> bool:
         """F-side terms: outermost function symbol belongs to the F side."""
@@ -272,8 +268,6 @@ def hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
 class InterpolationReport:
     proved: bool = False
     shortcut: Optional[str] = None
-    prove_status: str = ""
-    prove_inferences: int = 0
     tableau: Optional[Tableau] = None
     context: Optional[InterpolationContext] = None
     ground_interpolant: Optional[Formula] = None
@@ -364,8 +358,6 @@ def interpolate(
             max_inferences=max_inferences,
         )
         timings["prove"] = (time.perf_counter() - t0) * 1000
-        report.prove_status = result.status
-        report.prove_inferences = result.inferences
         if not result.proved:
             raise NotProvedError(result)
 
@@ -389,12 +381,9 @@ def interpolate(
     ctx = InterpolationContext(
         f,
         g,
-        fres.clauses,
-        gres.clauses,
         shared,
         frozenset(fres.skolem_functions | (fun_f - fun_g) | s1),
         frozenset(gres.skolem_functions | (fun_g - fun_f) | s2),
-        pmap,
     )
     report.context = ctx
 

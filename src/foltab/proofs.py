@@ -9,8 +9,11 @@ Document format, one record per line (blank lines and #/% comments allowed):
 The resolved atom occurs positively in the first parent and negatively in
 the second.  Variables are rigid across the whole document; bindings
 recorded at resolve steps therefore apply document-wide.  The last record is
-the root of the proof.  Step ids may be referenced more than once; tree
-expansion duplicates the shared subproofs.
+the root of the proof.  Step ids may be referenced more than once: a parsed
+proof links each resolve step to its parent steps, so a step used twice is
+one object and the deduction stays a DAG.  The size of its tree expansion
+is counted before anything is built, and only the cut normal form expands
+it, into the tableau.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .syntax import (
     subterms,
 )
 from .tableaux import Node, ResourceLimitError, Tableau, is_closed, shared
-from .tptp import _LOWER, _UPPER, ParseError, _Parser
+from .tptp import _LOWER, _UPPER, ParseError, _Parser, content_lines
 
 
 class ProofError(Exception):
@@ -48,52 +51,47 @@ class ProofError(Exception):
 # Documents
 
 
-@dataclass
-class ProofRecord:
-    step_id: str
-    rule: str  # input | resolve
-    refs: tuple[str, ...]
-    atom: Optional[Literal]
-    bindings: dict[str, Term]
-    clause: Clause
-    line: int
-
-
-@dataclass
-class ProofDocument:
-    records: list[ProofRecord]
-
-    @property
-    def root(self) -> ProofRecord:
-        return self.records[-1]
-
-    def by_id(self) -> dict[str, ProofRecord]:
-        return {r.step_id: r for r in self.records}
-
-
-@dataclass
+@dataclass(eq=False)
 class DeductionStep:
-    """Tree node of a binary-resolution deduction (inputs at the leaves)."""
+    """A step of a binary-resolution deduction: an input clause, or the
+    resolvent on `atom` of its `left` and `right` parent steps.  A step that
+    several steps use is shared, so equality is identity, and the repr
+    leaves the parents out: walking them would expand the DAG."""
 
     kind: str  # input | resolve
     clause: Clause
     atom: Optional[Literal] = None
-    left: Optional["DeductionStep"] = None
-    right: Optional["DeductionStep"] = None
+    left: Optional["DeductionStep"] = field(default=None, repr=False)
+    right: Optional["DeductionStep"] = field(default=None, repr=False)
     bindings: dict[str, Term] = field(default_factory=dict)
     step_id: str = ""
+    line: Optional[int] = None
 
     def steps(self):
-        """The steps of the tree in pre-order: a step, then its left and its
-        right subtree."""
+        """Each step once, in the pre-order of the tree: a step, then its
+        left and its right subtree.  A step met again is skipped with its
+        subtree, whose steps have all come already."""
+        seen = set()
         stack = [self]
         while stack:
             step = stack.pop()
+            if step in seen:
+                continue
+            seen.add(step)
             yield step
             if step.right is not None:
                 stack.append(step.right)
             if step.left is not None:
                 stack.append(step.left)
+
+
+@dataclass
+class ProofDocument:
+    records: list[DeductionStep]  # in document order: parents come first
+
+    @property
+    def root(self) -> DeductionStep:
+        return self.records[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +102,35 @@ _PARAMOD_NAMES = {"paramod", "paramodulation", "para", "pm"}
 
 
 def parse_proof(text: str) -> ProofDocument:
-    records: list[ProofRecord] = []
-    ids: set[str] = set()
+    steps: dict[str, DeductionStep] = {}
     p = _Parser()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("%"):
-            continue
+    for line_no, stripped, _ in content_lines(text):
         try:
             p.load(stripped)
-            record = _parse_record(p, line_no, ids)
+            step = _parse_record(p, line_no, steps)
         except ParseError as e:
             raise ProofError(e.message, line_no) from None
-        records.append(record)
-        ids.add(record.step_id)
-    if not records:
+        steps[step.step_id] = step
+    if not steps:
         raise ProofError("empty proof document")
-    doc = ProofDocument(records)
+    doc = ProofDocument(list(steps.values()))
     _replay_validate(doc)
     return doc
 
 
-def _parse_record(p: _Parser, line_no: int, known_ids: set[str]) -> ProofRecord:
-    """The record whose text `p` has just loaded."""
+def _parse_record(p: _Parser, line_no: int, known: dict[str, DeductionStep]) -> DeductionStep:
+    """The step whose text `p` has just loaded; `known` has the steps of
+    the records before it by id."""
     id_at = p.i
     step_id = p.take()
     if step_id[:1] not in _LOWER and step_id[:1] not in _UPPER:
         raise p.error("expected a step id", id_at)
-    if step_id in known_ids:
+    if step_id in known:
         raise p.error(f"duplicate step id {step_id!r}", id_at)
     rule_at = p.i
     rule = p.take()
     if rule == "input":
-        return ProofRecord(step_id, "input", (), None, {}, _parse_clause_tokens(p), line_no)
+        return DeductionStep("input", _parse_clause_tokens(p), step_id=step_id, line=line_no)
     if rule == "resolve":
         p.expect("(")
         ref1 = p.take()
@@ -165,10 +159,10 @@ def _parse_record(p: _Parser, line_no: int, known_ids: set[str]) -> ProofRecord:
                 p.i += 1
             p.expect("}")
         for ref in (ref1, ref2):
-            if ref not in known_ids:
+            if ref not in known:
                 raise p.error(f"dangling step reference {ref!r}", id_at)
         clause = _parse_clause_tokens(p)
-        return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
+        return DeductionStep("resolve", clause, atom, known[ref1], known[ref2], bindings, step_id, line_no)
     if rule in _PARAMOD_NAMES:
         raise p.error(
             "paramodulation steps are not supported; add equality axioms "
@@ -189,10 +183,10 @@ def _parse_clause_tokens(p: _Parser) -> Clause:
 def format_proof(doc: ProofDocument) -> str:
     lines = []
     for r in doc.records:
-        if r.rule == "input":
+        if r.kind == "input":
             lines.append(f"{r.step_id} input {r.clause}")
         else:
-            head = f"{r.step_id} resolve({r.refs[0]}, {r.refs[1]}, {r.atom})"
+            head = f"{r.step_id} resolve({r.left.step_id}, {r.right.step_id}, {r.atom})"
             if r.bindings:
                 binds = ", ".join(f"{v} -> {t}" for v, t in sorted(r.bindings.items()))
                 head += " {" + binds + "}"
@@ -237,14 +231,13 @@ def _add_bindings(store: Subst, bindings: Subst, line: Optional[int] = None) -> 
 def _replay_validate(doc: ProofDocument) -> None:
     # variables are rigid across the document, so bindings accumulate in
     # record order and each step is checked under everything seen so far
-    table = doc.by_id()
     store: Subst = {}
     for r in doc.records:
         _add_bindings(store, r.bindings, r.line)
-        if r.rule != "resolve":
+        if r.kind != "resolve":
             continue
-        left = {apply_literal(l, store) for l in table[r.refs[0]].clause.literals}
-        right = {apply_literal(l, store) for l in table[r.refs[1]].clause.literals}
+        left = {apply_literal(l, store) for l in r.left.clause.literals}
+        right = {apply_literal(l, store) for l in r.right.clause.literals}
         try:
             got = _resolvent(left, right, apply_literal(r.atom, store))
         except ValueError as e:
@@ -260,31 +253,22 @@ def _replay_validate(doc: ProofDocument) -> None:
 
 
 # ---------------------------------------------------------------------------
-# DAG to tree expansion
+# The bound on the tree expansion
 
 
 def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
-    table = doc.by_id()
-    count = 0
-    tree: Optional[DeductionStep] = None
-    stack = [(doc.root.step_id, None, "")]  # (step id, parent, side), pre-order
-    while stack:
-        step_id, parent, side = stack.pop()
-        count += 1
-        if count > max_nodes:
-            raise ResourceLimitError(f"proof tree expansion exceeded {max_nodes} nodes")
-        r = table[step_id]
-        if r.rule == "input":
-            step = DeductionStep("input", r.clause, step_id=step_id)
-        else:
-            step = DeductionStep("resolve", r.clause, atom=r.atom, bindings=r.bindings, step_id=step_id)
-            stack.append((r.refs[1], step, "right"))
-            stack.append((r.refs[0], step, "left"))
-        if parent is None:
-            tree = step
-        else:
-            setattr(parent, side, step)
-    return tree
+    """The root step, once the tree expansion of the deduction is known to
+    have at most `max_nodes` steps.  The size is counted, not built: in
+    document order, a step's expansion is one step more than its parents',
+    which come earlier.  Sizes stop at `max_nodes + 1`, which is too many
+    already."""
+    size: dict[DeductionStep, int] = {}
+    for step in doc.records:
+        n = 1 if step.kind == "input" else 1 + size[step.left] + size[step.right]
+        size[step] = min(n, max_nodes + 1)
+    if size[doc.root] > max_nodes:
+        raise ResourceLimitError(f"proof tree expansion exceeded {max_nodes} nodes")
+    return doc.root
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +277,19 @@ def to_tree(doc: ProofDocument, max_nodes: int = 10_000_000) -> DeductionStep:
 
 def ground_deduction(tree: DeductionStep) -> DeductionStep:
     """Apply all recorded bindings and map residual variables to fresh
-    constants; every resolve step is revalidated as a ground step."""
+    constants; every resolve step is revalidated as a ground step.  Each
+    distinct step is grounded and checked once, and the result shares a
+    step wherever `tree` does."""
     steps = list(tree.steps())
     store: Subst = {}
     for step in steps:
         _add_bindings(store, step.bindings)
-    # each literal object is resolved once: the steps of a subproof that the
-    # tree repeats share the literals of their records
+    # the ground literal of each literal object, for the rebuild
     ground: dict[int, Literal] = {}
     originals: list[Literal] = []
     terms: list[Term] = []
     for step in steps:
         for l in step.clause.literals + ((step.atom,) if step.atom else ()):
-            if id(l) in ground:
-                continue
             originals.append(l)
             l_s = apply_literal(l, store)
             terms.extend(l_s.args)
@@ -323,20 +306,17 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
         for key, l in ground.items():
             ground[key] = apply_literal(l, fresh)
 
-    # rebuild in post-order (left subtree, right subtree, step), which fixes
-    # the step an error names; it is the reverse of a pre-order that visits
-    # the right subtree first
-    order = []
-    stack = [tree]
+    # rebuild in post-order (left subtree, right subtree, step), each step
+    # once, which fixes the step an error names
+    done: dict[DeductionStep, DeductionStep] = {}
+    stack = [(tree, False)]  # (step, whether its parents are done)
     while stack:
-        step = stack.pop()
-        order.append(step)
-        if step.left is not None:
-            stack.append(step.left)
-        if step.right is not None:
-            stack.append(step.right)
-    done: dict[int, DeductionStep] = {}
-    for step in reversed(order):
+        step, ready = stack.pop()
+        if step in done:
+            continue
+        if step.kind != "input" and not ready:
+            stack += [(step, True), (step.right, False), (step.left, False)]
+            continue
         cl = mk_clause(ground[id(l)] for l in step.clause.literals)
         if step.kind == "input":
             out = DeductionStep("input", cl, step_id=step.step_id)
@@ -345,8 +325,8 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
                 "resolve",
                 cl,
                 atom=ground[id(step.atom)],
-                left=done[id(step.left)],
-                right=done[id(step.right)],
+                left=done[step.left],
+                right=done[step.right],
                 step_id=step.step_id,
             )
             try:
@@ -357,8 +337,8 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
                 raise ProofError(
                     f"step {step.step_id} is not a valid ground resolution step after grounding"
                 )
-        done[id(step)] = out
-    return done[id(tree)]
+        done[step] = out
+    return done[tree]
 
 
 def is_ground_deduction(tree: DeductionStep) -> bool:

@@ -111,15 +111,9 @@ class Tableau:
         next(it)
         return it
 
-    def size(self) -> int:
-        return sum(1 for _ in self.nodes())
-
     def inner_size(self) -> int:
         """Number of inner nodes (nodes with children, root included)."""
         return sum(1 for n in self.nodes() if n.children)
-
-    def is_ground(self) -> bool:
-        return all(is_ground(a) for n in self.non_root_nodes() for a in n.literal.args)
 
     def copy(self) -> "Tableau":
         root, _ = self.root.copy_subtree()

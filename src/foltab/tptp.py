@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .syntax import (
     And,
@@ -348,17 +348,25 @@ def split_problem(records: list[FofRecord]) -> tuple[list[Formula], list[Formula
 
 
 # ---------------------------------------------------------------------------
-# Clause syntax: one clause per nonblank, non-comment line
+# Line documents: clause files, proof documents and tableau documents
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """The line number, the stripped text and the text as written of each
+    line of a line document but the blank ones and those whose first
+    non-blank character starts a comment, `#` or `%`."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and stripped[0] not in "#%":
+            yield i, stripped, raw
 
 
 def parse_clause_file(text: str) -> list[Clause]:
+    """One clause per content line."""
     out = []
     sig = Signature.empty()
     p = _Parser()
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("%"):
-            continue
+    for i, stripped, raw in content_lines(text):
         if stripped in ("$false", "false"):
             out.append(Clause(()))
             continue

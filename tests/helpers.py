@@ -68,7 +68,7 @@ from foltab.syntax import (
     undo,
     unify_args,
 )
-from foltab.proofs import DeductionStep, ProofDocument, ProofError, ProofRecord, _add_bindings
+from foltab.proofs import DeductionStep, ProofDocument, ProofError, _add_bindings
 from foltab.interpolation import simp_and, simp_or
 from foltab.normalize import (
     DEFAULT_CLAUSE_LIMIT,
@@ -480,6 +480,14 @@ def side_path_literals(node: Node, side: str) -> list[Literal]:
     node included."""
     path = [n for n in (node, *ancestors(node)) if n.literal is not None and n.side == side]
     return [n.literal for n in reversed(path)]
+
+
+def tableau_size(tab: Tableau) -> int:
+    return sum(1 for _ in tab.nodes())
+
+
+def is_ground_tableau(tab: Tableau) -> bool:
+    return all(is_ground(a) for n in tab.non_root_nodes() for a in n.literal.args)
 
 
 def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
@@ -1577,6 +1585,23 @@ def proof_family(family: str, k: int) -> str:
     return getattr(_gen_samples(), family)(k)
 
 
+def doubling_dag_proof(levels: int) -> str:
+    """A proof whose step s_k uses s_(k-1) twice, so that its tree
+    expansion doubles with every level."""
+    lines = ["s0 input p0"]
+    for k in range(1, levels + 1):
+        j = k - 1
+        lines += [
+            f"c{k} input ~p{j} | q{k}",
+            f"d{k} input ~p{j} | ~q{k} | p{k}",
+            f"t{k} resolve(s{j}, c{k}, p{j}) q{k}",
+            f"u{k} resolve(s{j}, d{k}, p{j}) ~q{k} | p{k}",
+            f"s{k} resolve(t{k}, u{k}, q{k}) p{k}",
+        ]
+    lines += [f"n input ~p{levels}", f"r resolve(s{levels}, n, p{levels}) false"]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Reference front end: the tokenizer and recursive-descent parser that made
 # one `_ReferenceToken` dataclass per token and one parser per line, the
@@ -1838,35 +1863,34 @@ def reference_normalize_clause(c: Clause) -> tuple[Literal, ...]:
 
 
 def reference_parse_proof(text: str) -> ProofDocument:
-    records: list[ProofRecord] = []
-    ids: set[str] = set()
+    steps: dict[str, DeductionStep] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
             continue
-        records.append(_reference_parse_record(stripped, line_no, ids))
-        ids.add(records[-1].step_id)
-    if not records:
+        step = _reference_parse_record(stripped, line_no, steps)
+        steps[step.step_id] = step
+    if not steps:
         raise ProofError("empty proof document")
-    doc = ProofDocument(records)
+    doc = ProofDocument(list(steps.values()))
     _reference_replay_validate(doc)
     return doc
 
 
-def _reference_parse_record(text: str, line_no: int, known_ids: set[str]) -> ProofRecord:
+def _reference_parse_record(text: str, line_no: int, known: dict[str, DeductionStep]) -> DeductionStep:
     try:
         p = ReferenceParser(text)
         tid = p.next()
         if tid.kind not in ("lower", "upper"):
             raise ParseError("expected a step id", tid.line, tid.col)
         step_id = tid.text
-        if step_id in known_ids:
+        if step_id in known:
             raise ParseError(f"duplicate step id {step_id!r}", tid.line, tid.col)
         rule_tok = p.next()
         rule = rule_tok.text
         if rule == "input":
             clause = _reference_parse_clause_tokens(p)
-            return ProofRecord(step_id, "input", (), None, {}, clause, line_no)
+            return DeductionStep("input", clause, step_id=step_id, line=line_no)
         if rule == "resolve":
             p.expect("(")
             ref1 = p.next().text
@@ -1895,10 +1919,12 @@ def _reference_parse_record(text: str, line_no: int, known_ids: set[str]) -> Pro
                     break
                 p.expect("}")
             for ref in (ref1, ref2):
-                if ref not in known_ids:
+                if ref not in known:
                     raise ParseError(f"dangling step reference {ref!r}", tid.line, tid.col)
             clause = _reference_parse_clause_tokens(p)
-            return ProofRecord(step_id, "resolve", (ref1, ref2), atom, bindings, clause, line_no)
+            return DeductionStep(
+                "resolve", clause, atom, known[ref1], known[ref2], bindings, step_id, line_no
+            )
         if rule in {"paramod", "paramodulation", "para", "pm"}:
             raise ParseError(
                 "paramodulation steps are not supported; add equality axioms "
@@ -1940,16 +1966,13 @@ def _reference_resolvent(left: Clause, right: Clause, atom: Literal, store: Subs
 
 
 def _reference_replay_validate(doc: ProofDocument) -> None:
-    table = doc.by_id()
     store: Subst = {}
     for r in doc.records:
         _add_bindings(store, r.bindings, r.line)
-        if r.rule != "resolve":
+        if r.kind != "resolve":
             continue
-        left = table[r.refs[0]].clause
-        right = table[r.refs[1]].clause
         try:
-            got = _reference_resolvent(left, right, r.atom, store)
+            got = _reference_resolvent(r.left.clause, r.right.clause, r.atom, store)
         except ValueError as e:
             raise ProofError(str(e), r.line) from None
         if got != reference_normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):

@@ -127,10 +127,11 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def referenced_names(source):
-    """The names `source` refers to: variables, attributes and imported
-    names.  A reference inside a definition to that definition's own name
-    does not count."""
-    out = set()
+    """The names `source` refers to (variables, attributes and imported
+    names), and those of them that it refers to as attributes (`x.m`).  A
+    reference inside a definition to that definition's own name does not
+    count."""
+    names, attributes = set(), set()
     todo = [(ast.parse(source), frozenset())]
     while todo:
         node, own = todo.pop()
@@ -140,24 +141,31 @@ def referenced_names(source):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
+            if name not in own:
+                attributes.add(name)
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
         else:
             name = None
         if name is not None and name not in own:
-            out.add(name)
+            names.add(name)
         todo.extend((c, own) for c in ast.iter_child_nodes(node))
-    return out
+    return names, attributes
 
 
 def uncalled(source, callers, allowed=frozenset()):
     """The top-level functions and classes of `source`, and the methods of
     its classes but the dunder ones, that no source in `callers` refers
-    to, leaving out the names in `allowed`."""
-    seen = set().union(*map(referenced_names, callers)) | allowed
+    to, leaving out the names in `allowed`.  A method counts as referred
+    to only through an attribute."""
+    names, attributes = set(allowed), set(allowed)
+    for caller in callers:
+        n, a = referenced_names(caller)
+        names |= n
+        attributes |= a
     out = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in seen:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names:
             out.append(node.name)
         if isinstance(node, ast.ClassDef):
             out.extend(
@@ -165,7 +173,7 @@ def uncalled(source, callers, allowed=frozenset()):
                 for m in node.body
                 if isinstance(m, ast.FunctionDef)
                 and not (m.name.startswith("__") and m.name.endswith("__"))
-                and m.name not in seen
+                and m.name not in attributes
             )
     return out
 
@@ -187,11 +195,13 @@ def test_every_src_function_has_a_caller():
     assert "simplify" in allowed
     for p in src:
         assert uncalled(p.read_text(), callers, allowed) == [], p.name
-    # the check flags a function that calls only itself, and a method no one
-    # calls; it passes a dunder method, an imported name and an allowed name
+    # the check flags a function that calls only itself, a method no one
+    # calls and a method whose name only a bare name matches; it passes a
+    # dunder method, an imported name and an allowed name
     assert uncalled("def f(n):\n    return f(n - 1)\n", ["def g():\n    pass\n"]) == ["f"]
     source = "class T:\n    def __eq__(self, o):\n        return True\n    def m(self):\n        pass\n"
     assert uncalled(source, ["T()"]) == ["T.m"]
+    assert uncalled(source, ["from .t import m\nT()\nm()"]) == ["T.m"]
     assert uncalled(source, ["from .t import T\nT().m()"]) == []
     assert uncalled("def simplify():\n    pass\n", [], allowed) == []
 
@@ -292,7 +302,7 @@ def test_lifting_agrees_with_the_reference():
         k = rng.randint(0, 3)
         j = rng.randint(k, 3)
         ctx = InterpolationContext(
-            TOP, TOP, (), (), frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j])
+            TOP, TOP, frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j])
         )
         got = lift_parts(h, ctx)
         assert (got.prefix, got.matrix, got.terms) == reference_lift_parts(h, ctx), h

@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 
 from foltab.cli import bundled_samples_dir, main
+
+from helpers import doubling_dag_proof
 
 EX2_F = """fof(a1, axiom, ! [X] : p(X)).
 fof(a2, axiom, ! [X] : (p(X) => q(X))).
@@ -136,6 +139,51 @@ def test_interpolate_require_horn_on_a_non_horn_interpolant_exits_2(tmp_path, ca
     assert lines[0] == "p | q"
     assert "% require horn: fail" in lines
     assert captured.err == ""
+
+
+def test_interpolate_ground_side_picks_the_side_of_the_fresh_constant(tmp_path, capsys):
+    # the proof's one variable grounds to a fresh constant; lifted as an F
+    # term it is bound existentially, as a G term universally
+    f = write(tmp_path, "f.p", "fof(f, axiom, ! [X] : r(X)).\n")
+    g = write(tmp_path, "g.p", "fof(g, axiom, ? [X] : r(X)).\n")
+    assert main(["interpolate", "--f", f, "--g", g]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "? [V1] : r(V1)"
+    assert main(["interpolate", "--f", f, "--g", g, "--ground-side", "g"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "! [V1] : r(V1)"
+    for side in ("f", "g", "alternate"):
+        for tie in ("f", "g"):
+            args = ["--ground-side", side, "--side-tie", tie, "--verify"]
+            assert main(["interpolate", "--f", f, "--g", g, *args]) == 0, args
+            assert "fail" not in capsys.readouterr().out
+
+
+def test_interpolate_side_tie_labels_a_clause_of_both_sides(tmp_path, capsys):
+    # ~p | q is a clause of F and of ~G: labelled F, the interpolant is q,
+    # labelled G, it is p
+    f = write(tmp_path, "f.p", "fof(f, axiom, p & (~p | q)).\n")
+    g = write(tmp_path, "g.p", "fof(g, axiom, q | ~(~p | q)).\n")
+    for tie, want in (("f", "q"), ("g", "p")):
+        assert main(["interpolate", "--f", f, "--g", g, "--side-tie", tie, "--verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == want
+        assert "% verify f-entails-h: pass" in lines and "% verify h-entails-g: pass" in lines
+    assert main(["interpolate", "--f", f, "--g", g]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "q"
+
+
+def test_interpolate_timings_list_the_stages_that_ran(tmp_path, capsys):
+    f = write(tmp_path, "f.p", "fof(f, axiom, ! [X] : r(X)).\n")
+    g = write(tmp_path, "g.p", "fof(g, axiom, ? [X] : r(X)).\n")
+    for args, stages in (
+        (["--verify"], ["clausify", "extract", "ground", "prove", "verify"]),
+        (["--require", "horn"], ["clausify", "extract", "ground", "hyper", "prove"]),
+    ):
+        assert main(["interpolate", "--f", f, "--g", g, "--timings", *args]) == 0
+        times = [l for l in capsys.readouterr().out.splitlines() if l.startswith("% time ")]
+        assert [l.split()[2] for l in times] == [f"{s}:" for s in stages]
+        assert all(re.fullmatch(r"% time \w+: \d+\.\d ms", l) for l in times), times
+    assert main(["interpolate", "--f", f, "--g", g]) == 0
+    assert "% time" not in capsys.readouterr().out
 
 
 def test_define_require_horn_on_a_non_horn_definition_exits_2(tmp_path, capsys):
@@ -350,23 +398,6 @@ def test_import_command(tmp_path, capsys):
     assert main(["import", "--proof", write(tmp_path, "bad.proof", "s1 inut p\n")]) == 3
 
 
-def doubling_dag_proof(levels: int) -> str:
-    """A proof whose step s_k uses s_(k-1) twice, so that its tree
-    expansion doubles with every level."""
-    lines = ["s0 input p0"]
-    for k in range(1, levels + 1):
-        j = k - 1
-        lines += [
-            f"c{k} input ~p{j} | q{k}",
-            f"d{k} input ~p{j} | ~q{k} | p{k}",
-            f"t{k} resolve(s{j}, c{k}, p{j}) q{k}",
-            f"u{k} resolve(s{j}, d{k}, p{j}) ~q{k} | p{k}",
-            f"s{k} resolve(t{k}, u{k}, q{k}) p{k}",
-        ]
-    lines += [f"n input ~p{levels}", f"r resolve(s{levels}, n, p{levels}) false"]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("command", ["import", "hyper", "stats"])
 def test_max_nodes_bounds_proof_expansion(tmp_path, capsys, command):
     doc = write(tmp_path, "dag.proof", doubling_dag_proof(12))
@@ -379,6 +410,16 @@ def test_max_nodes_bounds_proof_expansion(tmp_path, capsys, command):
         assert message in captured.out  # in the row of the failed file
     else:
         assert captured.err == f"error: {message}\n"
+
+
+def test_default_max_nodes_stops_a_deep_dag_before_building_it(tmp_path, monkeypatch, capsys):
+    # the expansion has more than 2^40 steps; it is counted, never built
+    monkeypatch.delenv("FOLTAB_MAX_NODES", raising=False)
+    doc = write(tmp_path, "dag.proof", doubling_dag_proof(40))
+    assert main(["import", "--proof", doc]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: proof tree expansion exceeded 10000000 nodes\n"
 
 
 def test_doubling_dag_proof_converts(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_extract_requires_ground():
 
 def _ctx(f_functions=(), g_functions=(), shared=()):
     return InterpolationContext(
-        TOP, TOP, (), (), frozenset(shared), frozenset(f_functions), frozenset(g_functions)
+        TOP, TOP, frozenset(shared), frozenset(f_functions), frozenset(g_functions)
     )
 
 

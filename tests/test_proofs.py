@@ -1,5 +1,6 @@
 import pytest
 
+import foltab.proofs
 from foltab.documents import format_tableau
 from foltab.hyperconv import hyper_convert
 from foltab.proofs import (
@@ -13,8 +14,8 @@ from foltab.proofs import (
     to_tree,
 )
 from foltab.syntax import App, Clause, Literal, Var
-from foltab.tableaux import is_closed, is_hyper, match_clause, simplify
-from helpers import atomic_cut_clauses, is_leaf_closing, tableau_clauses
+from foltab.tableaux import ResourceLimitError, is_closed, is_hyper, match_clause, simplify
+from helpers import atomic_cut_clauses, doubling_dag_proof, is_leaf_closing, tableau_clauses
 
 TWO_STEP = """# two-step refutation
 s1 input p
@@ -243,7 +244,7 @@ def test_cut_normal_form_single_step():
 def test_cut_normal_form_inner_clauses_are_cuts_or_inputs():
     doc = parse_proof(TWO_STEP)
     tab = to_cut_normal_form(ground_deduction(to_tree(doc)))
-    inputs = [r.clause for r in doc.records if r.rule == "input"]
+    inputs = [r.clause for r in doc.records if r.kind == "input"]
     for inst in tableau_clauses(tab):
         is_cut = len(inst) == 2 and inst[0] == inst[1].complement()
         is_input = any(match_clause(inst, c) is not None for c in inputs)
@@ -263,7 +264,7 @@ def test_import_then_hyper_matches_direct_conversion():
     assert trace.regular_splices >= 1
     assert is_hyper(out)
     # the hyper tableau refutes exactly the imported clause set
-    inputs = [r.clause for r in doc.records if r.rule == "input"]
+    inputs = [r.clause for r in doc.records if r.kind == "input"]
     for inst in tableau_clauses(out):
         assert any(match_clause(inst, c) is not None for c in inputs)
 
@@ -280,3 +281,53 @@ def test_shared_subproof_expands_with_multiplicity():
     doc = parse_proof(text)
     tree = to_tree(doc)
     assert tree.clause == Clause(())
+
+
+def test_parsed_steps_link_their_parents():
+    doc = parse_proof(TWO_STEP)
+    s1, s2, s3, s4, s5 = doc.records
+    assert (s4.left, s4.right, s5.left, s5.right) == (s1, s2, s4, s3)
+    assert s1.left is s1.right is None and [s.line for s in doc.records] == [2, 3, 4, 5, 6]
+    # the repr leaves the parents out
+    assert "left" not in repr(s5) and "s4" not in repr(s5)
+
+
+def test_to_tree_counts_the_expansion_and_returns_the_root():
+    doc = parse_proof(doubling_dag_proof(3))
+    assert to_tree(doc) is doc.root
+    # s_k expands to 1 + 2 (1 + s_(k-1) + 1) steps, so s3 to 43, and r to
+    # 1 + s3 + 1 = 45
+    assert to_tree(doc, max_nodes=45) is doc.root
+    with pytest.raises(ResourceLimitError, match="^proof tree expansion exceeded 44 nodes$"):
+        to_tree(doc, max_nodes=44)
+
+
+def test_steps_yields_each_step_once_in_pre_order():
+    doc = parse_proof(doubling_dag_proof(2))
+    order = [s.step_id for s in doc.root.steps()]
+    assert order == ["r", "s2", "t2", "s1", "t1", "s0", "c1", "u1", "d1", "c2", "u2", "d2", "n"]
+
+
+def test_grounding_checks_each_step_once(monkeypatch):
+    calls = []
+
+    def counted(left, right, atom):
+        calls.append(atom)
+        return resolvent(left, right, atom)
+
+    resolvent = foltab.proofs._resolvent
+    monkeypatch.setattr(foltab.proofs, "_resolvent", counted)
+    doc = parse_proof(doubling_dag_proof(12))
+    calls.clear()  # replay checks each record once as well
+    ground_deduction(to_tree(doc))
+    # 3 resolve steps a level and the root
+    assert len(calls) == 37
+
+
+def test_grounding_keeps_a_shared_step_shared():
+    tree = ground_deduction(to_tree(parse_proof(doubling_dag_proof(2))))
+    s1 = tree.left.left.left
+    u2 = tree.left.right
+    assert s1.step_id == u2.left.step_id == "s1"
+    assert s1 is u2.left
+    assert len(list(tree.steps())) == 13

@@ -48,6 +48,7 @@ from helpers import (
     reference_is_regular,
     reference_simplify_in_place,
     reference_tableau_equal,
+    tableau_size,
     tt_satisfiable,
 )
 
@@ -335,7 +336,7 @@ def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     nodes[DEPTH // 2].literal = p(1, False)
     assert not is_regular(irregular) and not is_leaf_closing(irregular)
     assert simplify_below(irregular.root, irregular.root.children, {}) == (1, 1)
-    assert irregular.size() == DEPTH // 2 and is_leaf_closed(irregular)
+    assert tableau_size(irregular) == DEPTH // 2 and is_leaf_closed(irregular)
 
 
 def test_hyper_conversion_of_a_5000_deep_branch(low_recursion_limit):
