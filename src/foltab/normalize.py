@@ -114,7 +114,11 @@ def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
     clause lists of the parts of a conjunction are concatenated, those of a
     disjunction distributed left to right.  Only duplicate clauses are
     removed; tautologies are kept."""
-    used = free_vars(f)  # which also rejects what is not a formula
+    return _cnf(f, max_clauses, free_vars(f))  # which also rejects what is not a formula
+
+
+def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
+    """cnf(f), with `used` the free variables of f, which it takes over."""
     suffix: dict[str, int] = {}  # the last suffix taken for each name
 
     def pick(name: str) -> str:
@@ -229,11 +233,12 @@ def skolemize_clausify(
     f must be a sentence.  Skolem names come from `namer`, so two calls
     sharing one namer never collide.
     """
-    if free_vars(f):
+    used = free_vars(f)
+    if used:
         raise InputError("skolemize_clausify expects a sentence")
     if namer is None:
         namer = FreshNamer(formula_symbols(f))
-    p = cnf(f, max_clauses)
+    p = _cnf(f, max_clauses, used)
     sub: Subst = {}
     skolems: list[str] = []
     universals: list[str] = []

@@ -303,16 +303,22 @@ def unify_args(
     Pairs are solved left to right, outside in.  The left side is bound
     when it is a variable, else the right side when it is one; so of two
     variables the right one survives.  After a failure the store may hold
-    some of the new bindings: undo to a mark taken before the call."""
+    some of the new bindings: undo to a mark taken before the call.
+
+    Terms are compared by identity and variables by name, never with the
+    generated `==`, which recurses on term depth; equal applications that
+    are distinct objects are decomposed, which binds nothing."""
     stack = list(zip(xs, ys))
     stack.reverse()
     while stack:
         a, b = stack.pop()
         a = walk(a, store)
         b = walk(b, store)
-        if a == b:
+        if a is b:
             continue
         if isinstance(a, Var):
+            if isinstance(b, Var) and a.name == b.name:
+                continue
             if not bind(store, trail, a.name, b):
                 return False
         elif isinstance(b, Var):

@@ -14,13 +14,13 @@ literal's stack, so the walk is linear in the size of the tree.
 
 Tableaux are built single-threaded.  `simplify_below` works in place on
 the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
-leave their input as it is, and `prove` runs it on its own search tree.
+leave their input as it is, and a proof found by `prove` runs it on its
+own search tree when its tableau is first read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -369,12 +369,33 @@ def is_hyper(tab: Tableau) -> bool:
 # regularity pruning.  Deterministic for fixed inputs and limits.
 
 
-@dataclass
 class ProveResult:
-    status: str  # proved | saturated | depth_limit | timeout | inference_limit
-    tableau: Optional[Tableau] = None
-    inferences: int = 0
-    depth: int = 0
+    """What `prove` found; `tableau` is the proof, None unless proved.
+
+    A proof found by `prove` is finished on the first read of `tableau`:
+    its search tree gets the bindings that close it, one literal object per
+    atom and sign, and simplification.  Every read gives that one object,
+    and a caller that reads only the status pays for none of it."""
+
+    __slots__ = ("status", "inferences", "depth", "_tableau", "_binding")
+
+    def __init__(self, status: str, tableau: Optional[Tableau] = None, inferences=0, depth=0):
+        self.status = status  # proved | saturated | depth_limit | timeout | inference_limit
+        self._tableau = tableau
+        self.inferences = inferences
+        self.depth = depth
+        self._binding: Optional[Subst] = None  # set by `prove`, until finished
+
+    @property
+    def tableau(self) -> Optional[Tableau]:
+        if self._binding is not None:
+            root = self._tableau.root
+            atoms: dict[Literal, Literal] = {}
+            for n in self._tableau.non_root_nodes():
+                n.literal = shared(apply_literal(n.literal, self._binding), atoms)
+            simplify_below(root, root.children, {})
+            self._binding = None
+        return self._tableau
 
     @property
     def proved(self) -> bool:
@@ -415,7 +436,14 @@ def prove(
     search stopped by `max_inferences` reports `max_inferences + 1`
     inferences; the deadline is checked whenever the count reaches a
     multiple of 256.  When `timeout` or `max_inferences` stops the search,
-    `depth` is the deepening limit it had reached."""
+    `depth` is the deepening limit it had reached.
+
+    Deepening limit 1 is counted in closed form, not searched: a start
+    clause's goals have no ancestor but the root and an extension needs
+    depth 2, so no clause closes there, no inference is counted and each
+    clause is copied once (with n clauses, the first copy of limit 2 is
+    copy n + 1).  A proof's tableau is finished on the first read of
+    `ProveResult.tableau`."""
     cls = tuple(clauses)
     if not cls:
         raise InputError("prove expects a nonempty clause list")
@@ -554,21 +582,20 @@ def prove(
                 stack.pop()
         return False
 
+    copies = len(templates)  # limit 1, in closed form
     limit = 0
     try:
-        for limit in range(1, max_depth + 1):
+        for limit in range(2, max_depth + 1):
             cutoff = False
             for template in templates:
                 root = Node()
                 # a start clause is always regular: its only ancestor is the root
                 root.set_children([Node(l) for l in instantiate(template)])
                 if solve(root.children, limit):
-                    tab = Tableau(root)
-                    atoms: dict[Literal, Literal] = {}
-                    for n in tab.non_root_nodes():
-                        n.literal = shared(apply_literal(n.literal, binding), atoms)
-                    simplify_below(root, root.children, {})
-                    return ProveResult("proved", tab, inferences, limit)
+                    # the abandoned choice points never undo their bindings
+                    result = ProveResult("proved", Tableau(root), inferences, limit)
+                    result._binding = binding
+                    return result
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)
     except _Deadline:

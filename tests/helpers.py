@@ -418,12 +418,6 @@ def gen_horn_instance(rng: random.Random):
     return gen_urr_instance(rng, horn_only=True)
 
 
-def gen_sentence_pair(rng: random.Random):
-    """(F, G) sentences with F and ~G both U-range-restricted."""
-    f, g = gen_urr_instance(rng)
-    return f, g
-
-
 def gen_vx_instance(rng: random.Random):
     """(K, Q, targets) for definability: K is a biconditional chain, Q a
     query atom over the chain, targets a predicate from the chain."""

@@ -7,7 +7,7 @@ duplicate removal in truth-value simplification; and a look at the source
 that no function of these modules, the term kernel, the prover, proof
 import, hyper conversion or tableau documents calls itself, and that every
 function in src has a caller in the program or is documented library
-API."""
+API, and every test helper a caller in the tests."""
 
 import ast
 import copy
@@ -204,6 +204,43 @@ def test_every_src_function_has_a_caller():
     assert uncalled(source, ["from .t import m\nT()\nm()"]) == ["T.m"]
     assert uncalled(source, ["from .t import T\nT().m()"]) == []
     assert uncalled("def simplify():\n    pass\n", [], allowed) == []
+
+
+def unused_helpers(source, callers):
+    """The top-level functions and classes of `source` that no source in
+    `callers` refers to, directly or through the definitions of `source`
+    that are used; the statements of `source` outside a definition count
+    as callers too."""
+    definitions, names = {}, set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        else:
+            names |= referenced_names(ast.unparse(node))[0]
+    for caller in callers:
+        names |= referenced_names(caller)[0]
+    todo = [name for name in definitions if name in names]
+    used = set(todo)
+    while todo:
+        for name in referenced_names(ast.unparse(definitions[todo.pop()]))[0]:
+            if name in definitions and name not in used:
+                used.add(name)
+                todo.append(name)
+    return [name for name in definitions if name not in used]
+
+
+def test_every_test_helper_has_a_caller():
+    tests = sorted((REPO / "tests").glob("*.py"))
+    callers = [p.read_text() for p in tests if p.name != "helpers.py"]
+    assert unused_helpers((REPO / "tests" / "helpers.py").read_text(), callers) == []
+    # the check flags a helper that only an unused helper calls and one
+    # that calls only itself; it passes what a used helper or a statement
+    # outside a definition refers to
+    source = "def a():\n    return b()\n\ndef b():\n    return c()\n\ndef c():\n    pass\n"
+    assert unused_helpers(source, ["c()"]) == ["a", "b"]
+    assert unused_helpers(source, ["a()"]) == []
+    assert unused_helpers(source + "C = b\n", []) == ["a"]
+    assert unused_helpers("def f(n):\n    return f(n - 1)\n", ["g()"]) == ["f"]
 
 
 def formulas(seed, n=3000):

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+import foltab.tableaux
 from foltab.documents import format_tableau
-from foltab.syntax import App, Clause, InputError, Literal, Var
+from foltab.syntax import App, Clause, InputError, Literal, Var, unify_args
 from foltab.tableaux import (
     Node,
     StructureError,
@@ -201,6 +202,23 @@ def test_prove_on_a_5000_deep_term_built_with_app(default_recursion_limit):
     assert r.status == "proved" and r.inferences == 1
     assert is_closed(r.tableau) and is_leaf_closed(r.tableau)
     assert all(n.literal.args[0] is deep for n in r.tableau.non_root_nodes())
+
+
+def test_prove_unifies_equal_5000_deep_terms_made_apart(default_recursion_limit):
+    # equal terms that are distinct objects are decomposed by the unifier,
+    # never compared with the generated ==, which recurses on depth
+    t1, t2 = a, App("a")
+    for _ in range(5000):
+        t1, t2 = App("f", (t1,)), App("f", (t2,))
+    store, trail = {}, []
+    assert unify_args((t1,), (t2,), store, trail) and store == {} and trail == []
+    r = prove([Clause((lit("p", t1),)), Clause((lit("p", t2, positive=False),))])
+    assert r.status == "proved" and r.inferences == 1
+    # a variable meets a variable of the same name unbound, as == let it
+    fx, fx2 = App("f", (x,)), App("f", (Var("X"),))
+    assert unify_args((x, fx), (Var("X"), fx2), store, trail) and store == {}
+    assert unify_args((x, fx), (App("b"), fx2), store, trail)
+    assert store == {"X": App("b")} and trail == ["X"]
 
 
 def test_first_hash_of_an_application_is_the_hash_of_its_fields():
@@ -557,6 +575,33 @@ def test_prove_matches_reference_on_first_order_sets():
         query = Clause((lit("p", x, Var(f"X_{k}"), positive=False),))
         assert_as_reference([query, fact], 6)
         assert_as_reference([fact, query], 6)
+
+
+def test_prove_matches_reference_at_the_shallowest_limits(monkeypatch):
+    rng = random.Random(707)
+    sets = [random_ground_clauses(rng, max_atoms=7, max_clauses=12) for _ in range(60)]
+    sets += [random_fo_clauses(rng) for _ in range(60)]
+    for clauses in sets:
+        assert_as_reference(clauses, 1)
+        assert_as_reference(clauses, 2)
+        assert_as_reference(clauses, 12, 0)
+    # limit 1 is counted in closed form: nothing is searched, so no node is
+    # built, and the limit is hit with no inference
+    built = []
+
+    class CountedNode(Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(foltab.tableaux, "Node", CountedNode)
+    for clauses in sets:
+        r = prove(clauses, max_depth=1)
+        assert (r.status, r.depth, r.inferences) == ("depth_limit", 1, 0)
+    assert built == []
+    assert prove(sets[0], max_depth=2).depth == 2 and built
 
 
 def test_prove_matches_reference_on_chains():
