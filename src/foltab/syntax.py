@@ -7,7 +7,11 @@ clausification, grounding and interpolation all use it:
 
 - `apply_term` applies a substitution once, simultaneously;
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
-- `bind`, `unify_args` and `undo` extend a binding store and take it back;
+- `unify_copies` extends a copy store, the prover's bindings of variables
+  of numbered clause copies, and `undo` takes bindings back;
+  `occurs_copy` and `equal_copies` read terms in their copies through it,
+  and `resolve_copy` builds the terms they stand for, each distinct term
+  once;
 - `subterms` walks terms and `map_term` rebuilds them, outside in, in the
   one rebuild loop under `apply_term` and `resolve` too; literals are
   rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
@@ -15,15 +19,18 @@ clausification, grounding and interpolation all use it:
 
 Every application carries a ground flag, set when it is made from the
 flags of its arguments.  `is_ground` reads it, and `apply_term`,
-`resolve`, `apply_literal`, `occurs` and `ordered_vars` pass over a ground
-subterm without visiting it, so a ground term or literal comes back as
-the same object at no cost in its size.
+`resolve`, `apply_literal`, `occurs`, the copy functions and
+`ordered_vars` pass over a ground subterm without visiting it, so a
+ground term or literal comes back as the same object at no cost in its
+size, and a ground term is the same in every copy.
 
 A binding store maps variable names to terms.  It is triangular: a bound
 term may contain bound variables, and reading it follows them.  It is
 acyclic: a variable is bound only after the occurs check, through the
-store, has failed to find it in its term.  Bindings made by `bind` are
-recorded on a trail, and `undo` removes them back to a mark, latest first.
+store, has failed to find it in its term.  A copy store is the same with
+(variable, copy) pairs for variables and (term, copy) pairs for terms.
+Bindings made by `unify_copies` are recorded on a trail, and `undo`
+removes them back to a mark, latest first.
 
 Beside the term kernel, two formula walks carry the shape of formulas;
 free variables, vocabulary, symbols, substitution and predicate renaming
@@ -42,6 +49,7 @@ substitution is simultaneous, and following bindings in chains, as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -279,56 +287,176 @@ def apply_literal(l: Literal, store: Subst) -> Literal:
     return map_literal_terms(l, lambda t: resolve(t, store)) if store else l
 
 
-def bind(store: Subst, trail: list[str], name: str, t: Term) -> bool:
-    """Bind the unbound variable `name` to t and record it on `trail`,
-    unless the occurs check fails."""
-    if occurs(name, t, store):
-        return False
-    store[name] = t
-    trail.append(name)
-    return True
-
-
-def undo(store: Subst, trail: list[str], mark: int) -> None:
+def undo(store: dict, trail: list, mark: int) -> None:
     """Remove the bindings recorded on `trail` after position `mark`."""
     while len(trail) > mark:
         del store[trail.pop()]
 
 
-def unify_args(
-    xs: Iterable[Term], ys: Iterable[Term], store: Subst, trail: list[str]
+# Terms in numbered clause copies: the term t in copy k stands for t with
+# each variable v renamed into copy k, and that variable is the pair
+# (v, k).  A ground term is the same in every copy, so its copy number is
+# never read.  Unification, the occurs check and equality build nothing;
+# `resolve_copy` builds the term a copy stands for, once the store is
+# final.
+
+CopyStore = dict[tuple[str, int], tuple[Term, int]]
+
+
+def occurs_copy(name: str, k: int, t: Term, kt: int, store: CopyStore) -> bool:
+    """Whether variable (name, k) occurs in t in copy kt under `store`."""
+    get = store.get
+    stack = [(t, kt)]
+    while stack:
+        t, kt = stack.pop()
+        while t.__class__ is Var:
+            got = get((t.name, kt))
+            if got is None:
+                break
+            t, kt = got
+        if t.__class__ is Var:
+            if kt == k and t.name == name:
+                return True
+        elif not t._ground:
+            stack.extend([(a, kt) for a in t.args])
+    return False
+
+
+def unify_copies(
+    xs: tuple[Term, ...], kx: int, ys: tuple[Term, ...], ky: int, store: CopyStore, trail: list
 ) -> bool:
-    """Extend `store` to a unifier of each pair xs[i], ys[i], or fail.
+    """Extend `store` to a unifier of each pair xs[i] in copy kx, ys[i] in
+    copy ky, or fail; each binding made is recorded on `trail`.
 
     Pairs are solved left to right, outside in.  The left side is bound
     when it is a variable, else the right side when it is one; so of two
     variables the right one survives.  After a failure the store may hold
     some of the new bindings: undo to a mark taken before the call.
 
-    Terms are compared by identity and variables by name, never with the
-    generated `==`, which recurses on term depth; equal applications that
-    are distinct objects are decomposed, which binds nothing."""
-    stack = list(zip(xs, ys))
-    stack.reverse()
-    while stack:
-        a, b = stack.pop()
-        a = walk(a, store)
-        b = walk(b, store)
-        if a is b:
+    Terms are compared by identity, a ground one in any copies, and
+    variables by name and copy, never with the generated `==`, which
+    recurses on term depth; equal applications that are distinct objects
+    are decomposed, which binds nothing."""
+    get = store.get
+    todo = list(zip(xs, repeat(kx), ys, repeat(ky)))
+    todo.reverse()
+    while todo:
+        a, ka, b, kb = todo.pop()
+        while a.__class__ is Var:
+            got = get((a.name, ka))
+            if got is None:
+                break
+            a, ka = got
+        while b.__class__ is Var:
+            got = get((b.name, kb))
+            if got is None:
+                break
+            b, kb = got
+        if a is b and (ka == kb or a._ground):
             continue
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a.name == b.name:
+        if a.__class__ is Var:
+            if b.__class__ is Var and ka == kb and a.name == b.name:
                 continue
-            if not bind(store, trail, a.name, b):
+            if not b._ground and occurs_copy(a.name, ka, b, kb, store):
                 return False
-        elif isinstance(b, Var):
-            if not bind(store, trail, b.name, a):
+            key = (a.name, ka)
+            store[key] = (b, kb)
+            trail.append(key)
+        elif b.__class__ is Var:
+            if not a._ground and occurs_copy(b.name, kb, a, ka, store):
+                return False
+            key = (b.name, kb)
+            store[key] = (a, ka)
+            trail.append(key)
+        elif a.functor != b.functor or len(a.args) != len(b.args):
+            return False
+        elif a.args:
+            todo.extend(zip(reversed(a.args), repeat(ka), reversed(b.args), repeat(kb)))
+    return True
+
+
+def equal_copies(
+    xs: tuple[Term, ...], kx: int, ys: tuple[Term, ...], ky: int, store: CopyStore
+) -> bool:
+    """Whether xs in copy kx and ys in copy ky, of one length, stand for
+    equal terms under `store`, compared as `unify_copies` compares them."""
+    get = store.get
+    todo = list(zip(xs, repeat(kx), ys, repeat(ky)))
+    while todo:
+        a, ka, b, kb = todo.pop()
+        while a.__class__ is Var:
+            got = get((a.name, ka))
+            if got is None:
+                break
+            a, ka = got
+        while b.__class__ is Var:
+            got = get((b.name, kb))
+            if got is None:
+                break
+            b, kb = got
+        if a is b and (ka == kb or a._ground):
+            continue
+        if a.__class__ is Var or b.__class__ is Var:
+            if a.__class__ is not b.__class__ or ka != kb or a.name != b.name:
                 return False
         elif a.functor != b.functor or len(a.args) != len(b.args):
             return False
         else:
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
+            todo.extend(zip(a.args, repeat(ka), b.args, repeat(kb)))
     return True
+
+
+def resolve_copy(
+    t: Term, k: int, store: CopyStore, table: dict, var: Callable[[str, int], Term]
+) -> Term:
+    """The term that t in copy k stands for under `store`, in full: a bound
+    variable is replaced by its binding, read in the binding's copy, and
+    an unbound variable v of copy j by var(v, j).
+
+    `table` is the term table of one result and is kept across calls: a
+    variable by name and copy, an application by functor and arguments.
+    Each distinct term is made once, so equal terms come out as one object;
+    a term of the input is kept when no equal one came first.  A term
+    already read in a copy is found by identity, so reading it again
+    visits none of its subterms."""
+    get = store.get
+    out: list[Term] = []
+    todo: list = [(t, k)]
+    while todo:
+        s, ks = todo.pop()
+        if s is _REBUILD:
+            s, ks = todo.pop()
+            n = len(out) - len(s.args)
+            args = tuple(out[n:])
+            del out[n:]
+            key = (s.functor, args)
+            r = table.get(key)
+            if r is None:
+                r = table[key] = s if all(map(is_, args, s.args)) else App(s.functor, args)
+            table[id(s), ks] = r
+            out.append(r)
+            continue
+        while s.__class__ is Var:
+            got = get((s.name, ks))
+            if got is None:
+                break
+            s, ks = got
+        if s._ground:
+            ks = 0
+        r = table.get((id(s), ks))
+        if r is not None:
+            out.append(r)
+        elif s.__class__ is Var:
+            key = (s.name, ks)
+            r = table.get(key)
+            if r is None:
+                r = table[key] = var(s.name, ks)
+            out.append(r)
+        else:
+            todo.append((s, ks))
+            todo.append((_REBUILD, 0))
+            todo.extend([(a, ks) for a in reversed(s.args)])
+    return out[0]
 
 
 def match_term(pattern: Term, target: Term, subst: Optional[Subst] = None) -> Optional[Subst]:

@@ -16,6 +16,12 @@ Tableaux are built single-threaded.  `simplify_below` works in place on
 the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
 leave their input as it is, and a proof found by `prove` runs it on its
 own search tree when its tableau is first read.
+
+`prove` shares clause structure: a clause instance is the clause's own
+literals and a copy number, kept beside the node the instance hangs from,
+and the bindings are keyed by variable and copy (`syntax.unify_copies`).
+The search renames nothing; the literals of a proof, with the variable v
+of copy k named `v_k`, are built when its tableau is first read.
 """
 
 from __future__ import annotations
@@ -27,20 +33,22 @@ from typing import Iterable, Iterator, Optional
 from .syntax import (
     App,
     Clause,
+    CopyStore,
     FreshNamer,
     InputError,
     Literal,
     Subst,
     Var,
     apply_literal,
-    apply_term,
+    equal_copies,
     is_ground,
     map_literal_terms,
     match_term,
     ordered_vars,
+    resolve_copy,
     term_functions,
     undo,
-    unify_args,
+    unify_copies,
 )
 
 
@@ -373,33 +381,50 @@ class ProveResult:
     """What `prove` found; `tableau` is the proof, None unless proved.
 
     A proof found by `prove` is finished on the first read of `tableau`:
-    its search tree gets the bindings that close it, one literal object per
-    atom and sign, and simplification.  Every read gives that one object,
+    the search tree holds each clause's own literals, and the copy number of
+    each clause instance beside it.  Finishing reads every literal in its
+    copy through the bindings that close the proof, names a variable v of
+    copy k `v_k`, makes each distinct term once, shares one literal object
+    per atom and sign, and simplifies.  Every read gives that one object,
     and a caller that reads only the status pays for none of it."""
 
-    __slots__ = ("status", "inferences", "depth", "_tableau", "_binding")
+    __slots__ = ("status", "inferences", "depth", "_tableau", "_binding", "_copy_of")
 
     def __init__(self, status: str, tableau: Optional[Tableau] = None, inferences=0, depth=0):
         self.status = status  # proved | saturated | depth_limit | timeout | inference_limit
         self._tableau = tableau
         self.inferences = inferences
         self.depth = depth
-        self._binding: Optional[Subst] = None  # set by `prove`, until finished
+        # set by `prove`, until finished: the bindings, and the copy number
+        # of the clause instance below each inner node
+        self._binding: Optional[CopyStore] = None
+        self._copy_of: Optional[dict[Node, int]] = None
 
     @property
     def tableau(self) -> Optional[Tableau]:
         if self._binding is not None:
+            binding, copy_of = self._binding, self._copy_of
             root = self._tableau.root
+            table: dict = {}
             atoms: dict[Literal, Literal] = {}
             for n in self._tableau.non_root_nodes():
-                n.literal = shared(apply_literal(n.literal, self._binding), atoms)
+                k = copy_of[n.parent]
+                n.literal = shared(
+                    map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var)),
+                    atoms,
+                )
             simplify_below(root, root.children, {})
-            self._binding = None
+            self._binding = self._copy_of = None
         return self._tableau
 
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+
+def _copy_var(name: str, k: int) -> Var:
+    """Variable `name` of clause copy k, as a proof names it."""
+    return Var(f"{name}_{k}")
 
 
 class _Deadline(Exception):
@@ -408,11 +433,6 @@ class _Deadline(Exception):
 
 class _InferenceCap(Exception):
     pass
-
-
-# a clause as the prover copies it: its literals, for each whether it is
-# ground, and its variable names, none when it is ground
-_Template = tuple[tuple[Literal, ...], tuple[bool, ...], list[str]]
 
 
 def prove(
@@ -430,19 +450,22 @@ def prove(
     and one per extension candidate (each literal of the opposite sign in
     the clause set, in clause order), including the candidates whose
     predicate or arity rules them out and which are therefore never
-    renamed.  Clause copies are numbered the same way: the k-th candidate
-    counted is the copy whose variables are renamed `X_k`, so the variable
+    unified.  Clause copies are numbered the same way: the k-th candidate
+    counted is copy k, whose variables a proof names `X_k`, so the variable
     names of a proof do not depend on which candidates were skipped.  A
-    search stopped by `max_inferences` reports `max_inferences + 1`
-    inferences; the deadline is checked whenever the count reaches a
-    multiple of 256.  When `timeout` or `max_inferences` stops the search,
-    `depth` is the deepening limit it had reached.
+    copy is a number, not a renamed clause: the search keeps each clause's
+    own literals with the copy number of their instance and binds
+    variables by (name, copy), and nothing is renamed before the proof is
+    read.  A search stopped by `max_inferences` reports
+    `max_inferences + 1` inferences; the deadline is checked whenever the
+    count reaches a multiple of 256.  When `timeout` or `max_inferences`
+    stops the search, `depth` is the deepening limit it had reached.
 
     Deepening limit 1 is counted in closed form, not searched: a start
     clause's goals have no ancestor but the root and an extension needs
     depth 2, so no clause closes there, no inference is counted and each
-    clause is copied once (with n clauses, the first copy of limit 2 is
-    copy n + 1).  A proof's tableau is finished on the first read of
+    clause takes one copy number (with n clauses, the first copy of limit 2
+    is copy n + 1).  A proof's tableau is finished on the first read of
     `ProveResult.tableau`."""
     cls = tuple(clauses)
     if not cls:
@@ -452,17 +475,18 @@ def prove(
             raise InputError("prove cannot represent the empty clause; refutation is trivial")
 
     deadline = time.monotonic() + timeout if timeout is not None else None
-    binding: Subst = {}
-    trail: list[str] = []
+    binding: CopyStore = {}
+    trail: list[tuple[str, int]] = []
+    # the copy number of the clause instance attached below each inner node
+    # of the search tree, the root included
+    copy_of: dict[Node, int] = {}
     inferences = 0
     copies = 0
     cutoff = False
 
-    # ground literals are the same in every copy
-    templates: list[_Template] = []
-    for c in cls:
-        ground = tuple(all(map(is_ground, l.args)) for l in c.literals)
-        templates.append((c.literals, ground, ordered_vars(a for l in c.literals for a in l.args)))
+    # a clause as the search reads it: its literals and, for each, whether
+    # it is ground, the same in every copy
+    templates = [(c.literals, tuple(all(map(is_ground, l.args)) for l in c.literals)) for c in cls]
     # candidates[s][(predicate, arity)]: the extension candidates of a goal
     # of sign s, as (ordinal, template, literal index), where the ordinal
     # numbers the literals of sign not s in clause order; total[s] counts them
@@ -491,27 +515,22 @@ def prove(
             raise _InferenceCap
         inferences = end
 
-    def instantiate(template: _Template) -> tuple[Literal, ...]:
-        """The next copy of a clause: its variables X renamed X_k."""
-        nonlocal copies
-        copies += 1
-        lits, ground, names = template
-        if not names:
-            return lits
-        ren: Subst = {v: Var(f"{v}_{copies}") for v in names}
-        return tuple(
-            l if g else map_literal_terms(l, lambda t: apply_term(t, ren))
-            for l, g in zip(lits, ground)
-        )
-
-    def regular(children: list[Node], path: list[Literal]) -> bool:
-        """No child equals a literal of `path`, the literals from the goal
-        up; only literals of a child's sign and predicate are resolved."""
-        for ch in children:
+    def regular(children: list[Node], k: int, ground: tuple[bool, ...], path: list[Node]) -> bool:
+        """No child, of copy k, equals the literal of a node of `path`, the
+        nodes from the goal up, under the bindings; only literals of a
+        child's sign, predicate and arity are compared.  A ground literal
+        equals its own object in every copy."""
+        for ch, g in zip(children, ground):
             lit = ch.literal
-            same = [l for l in path if l.predicate == lit.predicate and l.positive == lit.positive]
-            if same and apply_literal(lit, binding) in [apply_literal(l, binding) for l in same]:
-                return False
+            for n in path:
+                l = n.literal
+                if l is not lit and (
+                    l.predicate != lit.predicate or l.positive != lit.positive or len(l.args) != len(lit.args)
+                ):
+                    continue
+                kl = copy_of[n.parent]
+                if (l is lit and (g or kl == k)) or equal_copies(lit.args, k, l.args, kl, binding):
+                    return False
         return True
 
     def closings(goals: list[Node], limit: int) -> Iterator[list[Node]]:
@@ -521,24 +540,27 @@ def prove(
         nonlocal copies, cutoff
         goal, rest = goals[0], goals[1:]
         g = goal.literal
+        kg = copy_of[goal.parent]
         # reduction: close against an ancestor, nearest first; an ancestor of
         # the wrong sign, predicate or arity is counted but not tried
-        path = [g]  # the literals from the goal up
+        path = [goal]  # the nodes from the goal up
         untried = 0
-        anc = goal.parent
-        while anc.literal is not None:
-            l = anc.literal
-            path.append(l)
-            anc = anc.parent
+        n = goal.parent
+        while n.literal is not None:
+            l = n.literal
+            path.append(n)
+            up = n.parent
             if l.predicate != g.predicate or l.positive == g.positive or len(l.args) != len(g.args):
                 untried += 1
+                n = up
                 continue
             tick(untried + 1)
             untried = 0
             mark = len(trail)
-            if unify_args(g.args, l.args, binding, trail):
+            if not g.args or unify_copies(g.args, kg, l.args, copy_of[up], binding, trail):
                 yield rest
             undo(binding, trail, mark)
+            n = up
         if untried:
             tick(untried)
         # extension: attach a clause instance containing a closing literal
@@ -547,22 +569,26 @@ def prove(
             cutoff = True
             return
         counted = 0  # candidates counted so far, by ordinal
-        for ordinal, template, idx in candidates[g.positive].get((g.predicate, len(g.args)), ()):
+        for ordinal, (lits, ground), idx in candidates[g.positive].get((g.predicate, len(g.args)), ()):
             # the candidates skipped before this one are counted and numbered
             tick(ordinal - counted + 1)
-            copies += ordinal - counted
+            copies += ordinal - counted + 1
             counted = ordinal + 1
+            k = copies
             mark = len(trail)
-            lits = instantiate(template)
-            if unify_args(g.args, lits[idx].args, binding, trail):
+            if not g.args or unify_copies(g.args, kg, lits[idx].args, k, binding, trail):
                 children = [Node(l) for l in lits]
                 for ch in children:
                     ch.parent = goal
                 goal.children = children
-                if regular(children, path):
+                copy_of[goal] = k
+                if regular(children, k, ground, path):
                     yield children[:idx] + children[idx + 1:] + rest
                 goal.children = []
             undo(binding, trail, mark)
+        # the goal is a leaf again, and the numbers kept beside the search
+        # tree keep no node of an abandoned branch alive
+        copy_of.pop(goal, None)
         skipped = total[g.positive] - counted
         if skipped:
             tick(skipped)
@@ -587,15 +613,19 @@ def prove(
     try:
         for limit in range(2, max_depth + 1):
             cutoff = False
-            for template in templates:
+            for lits, _ in templates:
+                copies += 1
                 root = Node()
                 # a start clause is always regular: its only ancestor is the root
-                root.set_children([Node(l) for l in instantiate(template)])
+                root.set_children([Node(l) for l in lits])
+                copy_of[root] = copies
                 if solve(root.children, limit):
                     # the abandoned choice points never undo their bindings
+                    # or take back their copy numbers
                     result = ProveResult("proved", Tableau(root), inferences, limit)
-                    result._binding = binding
+                    result._binding, result._copy_of = binding, copy_of
                     return result
+                del copy_of[root]
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)
     except _Deadline:

@@ -62,11 +62,12 @@ from foltab.syntax import (
     map_literal_terms,
     mk_and,
     mk_or,
+    occurs,
     ordered_vars,
     resolve,
     term_functions,
     undo,
-    unify_args,
+    walk,
 )
 from foltab.proofs import DeductionStep, ProofDocument, ProofError, _add_bindings
 from foltab.interpolation import simp_and, simp_or
@@ -492,9 +493,58 @@ def atomic_cut_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
     return [c for c in tableau_clauses(tab) if len(c) == 2 and c[0] == c[1].complement()]
 
 
+def bind(store: Subst, trail: list[str], name: str, t: Term) -> bool:
+    """Bind the unbound variable `name` to t and record it on `trail`,
+    unless the occurs check fails."""
+    if occurs(name, t, store):
+        return False
+    store[name] = t
+    trail.append(name)
+    return True
+
+
+def unify_args(
+    xs: Iterable[Term], ys: Iterable[Term], store: Subst, trail: list[str]
+) -> bool:
+    """Extend the name-keyed binding store `store` to a unifier of each
+    pair xs[i], ys[i], or fail: the unifier the prover ran on renamed clause
+    copies before it read clauses in their copies (`syntax.unify_copies`),
+    and the one `reference_prove` still runs.
+
+    Pairs are solved left to right, outside in.  The left side is bound
+    when it is a variable, else the right side when it is one; so of two
+    variables the right one survives.  After a failure the store may hold
+    some of the new bindings: undo to a mark taken before the call.
+
+    Terms are compared by identity and variables by name, never with the
+    generated `==`, which recurses on term depth; equal applications that
+    are distinct objects are decomposed, which binds nothing."""
+    stack = list(zip(xs, ys))
+    stack.reverse()
+    while stack:
+        a, b = stack.pop()
+        a = walk(a, store)
+        b = walk(b, store)
+        if a is b:
+            continue
+        if isinstance(a, Var):
+            if isinstance(b, Var) and a.name == b.name:
+                continue
+            if not bind(store, trail, a.name, b):
+                return False
+        elif isinstance(b, Var):
+            if not bind(store, trail, b.name, a):
+                return False
+        elif a.functor != b.functor or len(a.args) != len(b.args):
+            return False
+        else:
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+    return True
+
+
 def unify(t1: Term, t2: Term) -> Optional[Subst]:
-    """The prover's most general unifier of t1 and t2 (`unify_args`),
-    resolved in full so that it is idempotent, or None."""
+    """The most general unifier of t1 and t2 (`unify_args`), resolved in
+    full so that it is idempotent, or None."""
     store: Subst = {}
     if not unify_args((t1,), (t2,), store, []):
         return None

@@ -21,28 +21,31 @@ from foltab.syntax import (
     Var,
     apply_literal,
     apply_term,
-    bind,
+    equal_copies,
     free_vars,
     is_ground,
     match_term,
     occurs,
     ordered_vars,
     resolve,
+    resolve_copy,
     smax_by,
     subterms,
     term_depth,
     undo,
-    unify_args,
+    unify_copies,
     vocabulary,
 )
 from foltab.tableaux import prove
 from helpers import (
+    bind,
     random_formula,
     random_nnf,
     random_term,
     reference_polarity_vars,
     reference_term_vars,
     unify,
+    unify_args,
 )
 
 x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -246,6 +249,100 @@ def test_unify_binds_left_variable_so_the_right_one_survives():
     assert unify_args((App("f", (x, x)),), (App("f", (y, z)),), store, trail)
     assert [resolve(v, store) for v in (x, y, z)] == [z, z, z]
     assert trail == ["X", "Y"]
+
+
+def renamed(t, k):
+    """t with each variable v renamed v_k, as copy k of a clause reads it."""
+    return apply_term(t, {v: Var(f"{v}_{k}") for v in ordered_vars([t])})
+
+
+def copy_var(v, k):
+    return Var(f"{v}_{k}")
+
+
+def _copy_term(depth):
+    names = st.sampled_from(["X", "Y", "Z"])
+    leaf = st.one_of(names.map(Var), st.sampled_from([App("a"), App("b")]))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            sub.map(lambda t: App("f", (t,))),
+            st.tuples(sub, sub).map(lambda ts: App("g", ts)),
+        ),
+        max_leaves=depth,
+    )
+
+
+# an equation: two argument tuples of one length, each in a copy 1-3; the
+# right side is sometimes the left one, so two instances of one clause
+# meet, and sometimes the left one under f, so a variable meets a term
+# that contains it in its own copy or another
+_equation = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(_copy_term(6), min_size=n, max_size=n),
+        st.integers(1, 3),
+        st.one_of(st.sampled_from(["same", "under f"]), st.lists(_copy_term(6), min_size=n, max_size=n)),
+        st.integers(1, 3),
+    )
+)
+
+
+@given(st.lists(_equation, min_size=1, max_size=4))
+def test_unify_copies_agrees_with_unify_args_on_renamed_copies(equations):
+    # one store across the equations, so later ones meet earlier bindings;
+    # bindings, trail order and resolved terms agree under (v, k) <-> v_k
+    store, trail, names, name_trail = {}, [], {}, []
+    for xs, kx, ys, ky in equations:
+        if ys == "same":
+            ys = xs
+        elif ys == "under f":
+            ys = [App("f", (t,)) for t in xs]
+        mark, name_mark = len(trail), len(name_trail)
+        got = unify_copies(tuple(xs), kx, tuple(ys), ky, store, trail)
+        want = unify_args(
+            [renamed(t, kx) for t in xs], [renamed(t, ky) for t in ys], names, name_trail
+        )
+        assert got == want
+        if not got:
+            undo(store, trail, mark)
+            undo(names, name_trail, name_mark)
+        assert [f"{v}_{k}" for v, k in trail] == name_trail
+        assert {f"{v}_{k}": renamed(t, kt) for (v, k), t, kt in ((key, *b) for key, b in store.items())} == names
+        table = {}
+        for t, k in [(t, kx) for t in xs] + [(t, ky) for t in ys]:
+            assert resolve_copy(t, k, store, table, copy_var) == resolve(renamed(t, k), names)
+            assert equal_copies((t,), k, (t,), k, store)
+        if got:
+            assert equal_copies(tuple(xs), kx, tuple(ys), ky, store)
+
+
+def test_unify_copies_on_5000_deep_terms(default_recursion_limit):
+    # two copies of f^5000(X): the left variable is bound to the right one
+    deep = nest("f", 5000, x)
+    store, trail = {}, []
+    assert unify_copies((deep,), 1, (deep,), 2, store, trail)
+    assert store == {("X", 1): (x, 2)} and trail == [("X", 1)]
+    assert equal_copies((deep,), 1, (deep,), 2, store)
+    assert not equal_copies((deep,), 1, (nest("f", 5000, a),), 1, store)
+    # a variable inside its own copy's term fails the occurs check
+    assert not unify_copies((x,), 1, (deep,), 1, {}, [])
+    assert not unify_copies((x,), 1, (deep,), 2, store, [])
+    # the same term in another copy binds the variable to the ground term
+    ground, deep_a = nest("f", 5000, a), nest("f", 5000, App("a"))
+    store, trail = {}, []
+    assert unify_copies((deep, ground), 1, (ground, deep_a), 2, store, trail)
+    assert store == {("X", 1): (a, 2)} and trail == [("X", 1)]
+    # the resolver makes each distinct term once: the three equal terms
+    # come out as one object, the first one made, and the named copy
+    # agrees with the name-keyed kernel
+    table = {}
+    left = resolve_copy(deep, 1, store, table, copy_var)
+    assert left is not ground and left.args[0].args[0] is not ground.args[0].args[0]
+    assert resolve_copy(deep_a, 2, store, table, copy_var) is left
+    assert resolve_copy(ground, 7, store, table, copy_var) is left
+    names = {}
+    assert unify_args((renamed(deep, 1), ground), (ground, deep_a), names, [])
+    assert names == {"X_1": a}
 
 
 def test_ordered_vars_first_occurrence_outside_in():

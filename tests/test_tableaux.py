@@ -5,7 +5,7 @@ import pytest
 
 import foltab.tableaux
 from foltab.documents import format_tableau
-from foltab.syntax import App, Clause, InputError, Literal, Var, unify_args
+from foltab.syntax import App, Clause, InputError, Literal, Var
 from foltab.tableaux import (
     Node,
     StructureError,
@@ -30,6 +30,7 @@ from helpers import (
     tableau_clauses,
     tableau_size,
     tt_satisfiable,
+    unify_args,
 )
 
 x = Var("X")
@@ -602,6 +603,75 @@ def test_prove_matches_reference_at_the_shallowest_limits(monkeypatch):
         assert (r.status, r.depth, r.inferences) == ("depth_limit", 1, 0)
     assert built == []
     assert prove(sets[0], max_depth=2).depth == 2 and built
+
+
+def random_fo_function_clauses(rng):
+    """Clauses over p/1 and q/2 whose arguments nest f/1 and g/2 over X, Y,
+    Z, a and b up to depth 2; a clause's literals share variables."""
+
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.45:
+            return Var(rng.choice("XYZ")) if rng.random() < 0.6 else App(rng.choice("ab"))
+        if roll < 0.75:
+            return App("f", (term(depth - 1),))
+        return App("g", (term(depth - 1), term(depth - 1)))
+
+    out = []
+    for _ in range(rng.randint(2, 6)):
+        lits = []
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            pred, arity = rng.choice((("p", 1), ("q", 2)))
+            lits.append(Literal(rng.random() < 0.5, pred, tuple(term(2) for _ in range(arity))))
+        out.append(Clause(tuple(dict.fromkeys(lits))))
+    return out
+
+
+def test_prove_matches_reference_on_clause_sets_with_function_symbols():
+    # shared variables under nested function symbols, so unification meets
+    # bound chains, two copies of one clause and occurs-check failures
+    rng = random.Random(1717)
+    statuses, residual = set(), 0
+    for _ in range(70):
+        clauses = random_fo_function_clauses(rng)
+        for max_depth in range(2, 7):
+            status, _, _, doc = assert_as_reference(clauses, max_depth, rng.choice((20, 60, 150, 400)))
+            statuses.add(status)
+            residual += doc is not None and re.search(r"\b[XYZ]_\d+\b", doc) is not None
+    assert statuses == {"proved", "saturated", "depth_limit", "inference_limit"} and residual >= 20
+
+
+def test_proof_search_builds_no_clause_copy(monkeypatch):
+    # copies are numbered, not built: neither a variable nor a literal is
+    # made until the tableau of a proof is first read
+    made, rebuilt = [], []
+    map_literal_terms = foltab.tableaux.map_literal_terms
+    monkeypatch.setattr(foltab.tableaux, "Var", lambda name: made.append(name) or Var(name))
+    monkeypatch.setattr(
+        foltab.tableaux, "map_literal_terms", lambda *args: rebuilt.append(args) or map_literal_terms(*args)
+    )
+    clauses = parse_clause_file("p(X, f(Y)) | q(Y)\n~p(a, Z) | q(Z)\n~q(f(X))\n~q(W) | r(W, V)\n~r(b, U)\n")
+    r = prove(clauses)
+    assert r.proved and r.inferences > 10
+    assert made == [] and rebuilt == []
+    doc = format_tableau(r.tableau)
+    assert made and rebuilt
+    assert doc == format_tableau(reference_prove(clauses).tableau)
+    made.clear()
+    assert format_tableau(r.tableau) == doc and made == []
+
+
+def test_reading_a_proof_of_equal_5000_deep_terms_made_apart(default_recursion_limit):
+    # finishing makes each distinct term once, so the two literals share
+    # one term and one atom, which a dict then finds by identity
+    t1, t2 = a, App("a")
+    for _ in range(5000):
+        t1, t2 = App("f", (t1,)), App("f", (t2,))
+    r = prove([Clause((lit("p", t1),)), Clause((lit("p", t2, positive=False),))])
+    first, second = [n.literal for n in r.tableau.non_root_nodes()]
+    assert first.args[0] is second.args[0] is t1
+    assert second is first.complement()
+    assert is_closed(r.tableau)
 
 
 def test_prove_matches_reference_on_chains():
