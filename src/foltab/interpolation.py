@@ -5,8 +5,14 @@ clausify both sides, prove, ground the proof, optionally hyper-convert it,
 assign side labels, extract the ground interpolant, lift side-specific
 ground terms to quantified variables, and restore the placeholders.  With
 the hyper conversion in the loop the interpolant inherits range-restriction
-and Horn properties from suitable inputs; a verification harness rechecks
-every claim.
+and Horn properties from suitable inputs.
+
+With `verify`, `verify_interpolant` rechecks every claim: the Craig
+conditions and the required properties on the interpolant itself, and the
+two entailments from the run's certificate (`certificate.Certificate`),
+without proof search and without clausifying again.  `entails`, which
+proves an entailment with the prover, remains for an interpolant that
+comes without a certificate, as in `foltab verify`.
 """
 
 from __future__ import annotations
@@ -15,12 +21,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .certificate import Certificate, check_certificate
 from .hyperconv import ConversionTrace, hyper_convert
 from .normalize import (
     DEFAULT_CLAUSE_LIMIT,
     cnf,
     freeze_free_vars,
     skolemize_clausify,
+    unfreeze,
     wrap_prefix,
 )
 from .restriction import (
@@ -234,12 +242,6 @@ def lift_parts(
     return LiftResult(prefix, matrix, tuple(ordered))
 
 
-def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
-    """Replace placeholder constants with their original variables."""
-    variables = {App(c): Var(v) for c, v in mapping.items()}
-    return map_formula_terms(h, lambda t: map_term(t, variables.get))
-
-
 # ---------------------------------------------------------------------------
 # Horn-like to Horn
 
@@ -387,6 +389,7 @@ def interpolate(
     )
     report.context = ctx
 
+    lifted = matrix = None
     if report.shortcut is None:
         t0 = time.perf_counter()
         tab = assign_sides(tab, fres.clauses, gres.clauses, side_tie)
@@ -405,11 +408,11 @@ def interpolate(
 
     if verify:
         t0 = time.perf_counter()
-        report.verification = verify_interpolant(
-            f, g, h, require, max_depth=max_depth * 4,
-            timeout=None if timeout is None else timeout * 4,
-            max_inferences=None if max_inferences is None else max_inferences * 4,
+        certificate = Certificate(
+            fres.clauses, gres.clauses, pmap, report.shortcut,
+            report.tableau, report.ground_interpolant, lifted, matrix,
         )
+        report.verification = verify_interpolant(f, g, h, require, certificate=certificate)
         timings["verify"] = (time.perf_counter() - t0) * 1000
     _check_requirements(h, report)
     return h, report
@@ -479,42 +482,35 @@ def entails(
     max_inferences: Optional[int] = None,
 ) -> str:
     """'pass' when a |= b was proved, 'fail' when refutation-impossible was
-    established, 'inconclusive' on resource exhaustion."""
-    statuses = [
-        _entails_single(a, part, max_depth, timeout, max_inferences)
-        for part in _universal_conjuncts(b)
-    ]
-    if any(s == "fail" for s in statuses):
-        return "fail"
-    if any(s == "inconclusive" for s in statuses):
-        return "inconclusive"
-    return "pass"
+    established, 'inconclusive' on resource exhaustion.
 
-
-def _entails_single(
-    a: Formula,
-    b: Formula,
-    max_depth: int,
-    timeout: Optional[float],
-    max_inferences: Optional[int],
-) -> str:
+    The free variables of both sides are frozen and a is clausified once;
+    each universal conjunct of b is then refuted on its own against the
+    clauses of a, and the first one found satisfiable fails the whole."""
     namer = FreshNamer(formula_symbols(a) | formula_symbols(b))
     a_c, b_c, _, _ = freeze_free_vars(a, b, namer)
     ares = skolemize_clausify(a_c, namer)
-    bres = skolemize_clausify(Not(b_c), namer)
-    if ares.has_empty_clause() or bres.has_empty_clause():
+    if ares.has_empty_clause():
         return "pass"
-    result = prove(
-        ares.clauses + bres.clauses,
-        max_depth=max_depth,
-        timeout=timeout,
-        max_inferences=max_inferences,
-    )
-    if result.proved:
-        return "pass"
-    if result.status == "saturated":
-        return "fail"
-    return "inconclusive"
+    verdict = "pass"
+    for part in _universal_conjuncts(b_c):
+        bres = skolemize_clausify(Not(part), namer)
+        if bres.has_empty_clause():
+            continue
+        clauses = ares.clauses + bres.clauses
+        if not clauses:  # a is valid and the part unsatisfiable
+            return "fail"
+        result = prove(
+            clauses,
+            max_depth=max_depth,
+            timeout=timeout,
+            max_inferences=max_inferences,
+        )
+        if result.status == "saturated":
+            return "fail"
+        if not result.proved:
+            verdict = "inconclusive"
+    return verdict
 
 
 def craig_conditions(f: Formula, g: Formula, h: Formula) -> tuple[bool, bool]:
@@ -535,14 +531,24 @@ def verify_interpolant(
     max_depth: int = 30,
     timeout: Optional[float] = None,
     max_inferences: Optional[int] = None,
+    certificate: Optional[Certificate] = None,
 ) -> VerificationReport:
+    """The Craig conditions, F |= h, h |= G and the required properties of
+    h.  The entailments are read from the `certificate` of the run that
+    made h when there is one, without proof search, and proved with
+    `entails` under the limits given otherwise."""
     required = requirements(required)
     voc_ok, var_ok = craig_conditions(f, g, h)
+    if certificate is None:
+        f_h = entails(f, h, max_depth, timeout, max_inferences)
+        h_g = entails(h, g, max_depth, timeout, max_inferences)
+    else:
+        f_h, h_g = check_certificate(certificate, h)
     rep = VerificationReport(
         vocabulary_ok=voc_ok,
         variables_ok=var_ok,
-        f_entails_h=entails(f, h, max_depth, timeout, max_inferences),
-        h_entails_g=entails(h, g, max_depth, timeout, max_inferences),
+        f_entails_h=f_h,
+        h_entails_g=h_g,
     )
     for r in sorted(required):
         rep.properties[r] = PROPERTY_CHECKS[r](h).verdict

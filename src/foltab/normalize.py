@@ -38,13 +38,12 @@ from .syntax import (
     apply_literal,
     apply_term,
     clause,
-    clause_formula,
     formula_subst,
     formula_symbols,
     free_vars,
+    map_formula_terms,
     map_literal_terms,
-    mk_and,
-    mk_or,
+    map_term,
 )
 
 DEFAULT_CLAUSE_LIMIT = 100_000
@@ -81,14 +80,6 @@ class PrenexNormalForm:
             tuple(c.complemented() for c in self.matrix),
             "dnf" if self.kind == "cnf" else "cnf",
         )
-
-    def matrix_formula(self) -> Formula:
-        if self.kind == "cnf":
-            return mk_and(clause_formula(c) for c in self.matrix)
-        return mk_or(clause_formula(c) for c in self.matrix)
-
-    def formula(self) -> Formula:
-        return wrap_prefix(self.prefix, self.matrix_formula())
 
 
 def wrap_prefix(prefix: Iterable[tuple[str, str]], matrix: Formula) -> Formula:
@@ -207,6 +198,12 @@ def freeze_free_vars(
         sub[v] = App(c)
     shared = frozenset(c for c, v in mapping.items() if v in fv_f and v in fv_g)
     return formula_subst(f, sub), formula_subst(g, sub), shared, mapping
+
+
+def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
+    """Replace placeholder constants with their original variables."""
+    variables = {App(c): Var(v) for c, v in mapping.items()}
+    return map_formula_terms(h, lambda t: map_term(t, variables.get))
 
 
 # ---------------------------------------------------------------------------

@@ -782,6 +782,48 @@ def formula_symbols(f: Formula) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Equality without recursion
+
+
+def formula_equal(a: Formula, b: Formula) -> bool:
+    """a == b, on an explicit stack: the generated __eq__ of formulas and
+    terms recurses on their depth.  Literals and terms of different cached
+    hashes differ, and an object equals itself without a look inside."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is Var:
+            if x.name != y.name:
+                return False
+        elif cls is App or cls is Literal:
+            if hash(x) != hash(y) or len(x.args) != len(y.args):
+                return False
+            if cls is App and x.functor != y.functor:
+                return False
+            if cls is Literal and (x.positive != y.positive or x.predicate != y.predicate):
+                return False
+            todo.extend(zip(x.args, y.args))
+        elif cls is And or cls is Or:
+            if len(x.parts) != len(y.parts):
+                return False
+            todo.extend(zip(x.parts, y.parts))
+        elif cls is Not:
+            todo.append((x.body, y.body))
+        elif cls is Implies or cls is Iff:
+            todo.extend(((x.lhs, y.lhs), (x.rhs, y.rhs)))
+        elif cls is ForAll or cls is Exists:
+            if x.var != y.var:
+                return False
+            todo.append((x.body, y.body))
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Maximal occurrences of member terms in an NNF
 
 

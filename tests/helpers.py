@@ -9,8 +9,9 @@ fragment deciders and lifting as oracles for their iterative versions,
 the front end with a token object per token as an
 oracle for the parsers and proof import, the recursive tableau walkers
 with an ancestor scan per target as an oracle for `branch_walk` and the
-walkers on it, and checkers of the tableaux, unifiers and formulas the
-pipeline makes."""
+walkers on it, `entails` clausifying both sides per conjunct as an oracle
+for the one that clausifies once, and checkers of the tableaux, unifiers
+and formulas the pipeline makes."""
 
 from __future__ import annotations
 
@@ -56,6 +57,8 @@ from foltab.syntax import (
     apply_literal,
     apply_term,
     clause as mk_clause,
+    clause_formula,
+    formula_symbols,
     is_ground,
     literal_key,
     map_formula,
@@ -70,12 +73,15 @@ from foltab.syntax import (
     walk,
 )
 from foltab.proofs import DeductionStep, ProofDocument, ProofError, _add_bindings
-from foltab.interpolation import simp_and, simp_or
+from foltab.interpolation import _universal_conjuncts, simp_and, simp_or
 from foltab.normalize import (
     DEFAULT_CLAUSE_LIMIT,
     ClausificationResult,
     ClauseLimitError,
     PrenexNormalForm,
+    freeze_free_vars,
+    skolemize_clausify,
+    wrap_prefix,
 )
 from foltab.tableaux import (
     Branch,
@@ -87,6 +93,7 @@ from foltab.tableaux import (
     branch_walk,
     clause_at,
     is_hyper,
+    prove,
     simplify,
 )
 from foltab.tptp import FofRecord, ParseError
@@ -1612,6 +1619,54 @@ def reference_lift_parts(h_grd: Formula, ctx, namer: Optional[FreshNamer] = None
         return g
 
     return prefix, rebuild(h_grd), tuple(ordered)
+
+
+def pnf_formula(p: PrenexNormalForm) -> Formula:
+    """The formula a prenex normal form stands for: its clauses, joined by
+    & in a CNF and by | in a DNF, under its prefix."""
+    join = mk_and if p.kind == "cnf" else mk_or
+    return wrap_prefix(p.prefix, join(clause_formula(c) for c in p.matrix))
+
+
+def reference_entails(
+    a: Formula,
+    b: Formula,
+    max_depth: int = 30,
+    timeout: Optional[float] = None,
+    max_inferences: Optional[int] = None,
+) -> str:
+    """`entails` as it was before it froze and clausified a once per call:
+    each universal conjunct of b is frozen and clausified together with a
+    again, and every conjunct is tried."""
+    statuses = [
+        _reference_entails_single(a, part, max_depth, timeout, max_inferences)
+        for part in _universal_conjuncts(b)
+    ]
+    if any(s == "fail" for s in statuses):
+        return "fail"
+    if any(s == "inconclusive" for s in statuses):
+        return "inconclusive"
+    return "pass"
+
+
+def _reference_entails_single(a, b, max_depth, timeout, max_inferences) -> str:
+    namer = FreshNamer(formula_symbols(a) | formula_symbols(b))
+    a_c, b_c, _, _ = freeze_free_vars(a, b, namer)
+    ares = skolemize_clausify(a_c, namer)
+    bres = skolemize_clausify(Not(b_c), namer)
+    if ares.has_empty_clause() or bres.has_empty_clause():
+        return "pass"
+    result = prove(
+        ares.clauses + bres.clauses,
+        max_depth=max_depth,
+        timeout=timeout,
+        max_inferences=max_inferences,
+    )
+    if result.proved:
+        return "pass"
+    if result.status == "saturated":
+        return "fail"
+    return "inconclusive"
 
 
 @functools.cache

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from foltab.documents import format_tableau, parse_tableau
 from foltab.hyperconv import OMEGA, hyper_convert
 from foltab.interpolation import (
+    entails,
     interpolate,
     ipol_map,
     synthesize_definition,
@@ -47,6 +48,7 @@ from helpers import (
     gen_horn_instance,
     gen_urr_instance,
     gen_vx_instance,
+    pnf_formula,
     random_formula,
     random_ground_clauses,
     random_nnf,
@@ -182,6 +184,7 @@ def test_c06_u_range_restriction_suite():
             h, report = interpolate(f, g, require={"u-rr"}, verify=True)
             assert report.require_results["u-rr"]
             assert report.verification.passed
+            assert entails(f, h) == entails(h, g) == "pass"
             if report.trace is not None:
                 _collected_traces.append(report.trace)
 
@@ -197,6 +200,7 @@ def test_c07_vgt_range_restriction_suites():
             h, report = interpolate(f, g, require={"vgt-rr"}, verify=True)
             assert report.require_results["vgt-rr"]
             assert report.verification.passed
+            assert entails(f, h) == entails(h, g) == "pass"
             if report.trace is not None:
                 _collected_traces.append(report.trace)
         rng = random.Random(703)
@@ -210,6 +214,7 @@ def test_c07_vgt_range_restriction_suites():
             assert check_vx_preconditions(report.context.f, report.context.g).verdict
             assert report.require_results["vgt-rr"]
             assert report.verification.passed
+            assert entails(report.context.f, h) == entails(h, report.context.g) == "pass"
             assert is_vgt_range_restricted(h).verdict
             assert free_vars(h) <= free_vars(query)
             if report.trace is not None:
@@ -229,6 +234,7 @@ def test_c08_horn_interpolant_suite():
             assert report.require_results["horn"]
             assert report.require_results["u-rr"]
             assert report.verification.passed
+            assert entails(f, h) == entails(h, g) == "pass"
             if report.trace is not None:
                 _collected_traces.append(report.trace)
 
@@ -258,8 +264,8 @@ def test_c10_prover_oracle_equivalence():
 def _prop1(rng):
     f = random_formula(rng, depth=4)
     for pnf in (cnf(f), dnf(f)):
-        assert free_vars(pnf.formula()) <= free_vars(f)
-        fns, prs = vocabulary(pnf.formula())
+        assert free_vars(pnf_formula(pnf)) <= free_vars(f)
+        fns, prs = vocabulary(pnf_formula(pnf))
         fns0, prs0 = vocabulary(f)
         assert fns <= fns0 and prs <= prs0
 

@@ -11,6 +11,7 @@ API, and every test helper a caller in the tests."""
 
 import ast
 import copy
+import functools
 import inspect
 import random
 import re
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import foltab.certificate
 import foltab.documents
 import foltab.hyperconv
 import foltab.interpolation
@@ -110,6 +112,7 @@ def test_no_function_recurses():
         foltab.normalize,
         foltab.restriction,
         foltab.interpolation,
+        foltab.certificate,
         foltab.tableaux,
         foltab.hyperconv,
         foltab.proofs,
@@ -126,12 +129,12 @@ def test_no_function_recurses():
 REPO = Path(__file__).resolve().parent.parent
 
 
+@functools.cache
 def referenced_names(source):
-    """The names `source` refers to (variables, attributes and imported
-    names), and those of them that it refers to as attributes (`x.m`).  A
-    reference inside a definition to that definition's own name does not
-    count."""
-    names, attributes = set(), set()
+    """The names `source` refers to: variables, attributes and imported
+    names.  A reference inside a definition to that definition's own name
+    does not count."""
+    names = set()
     todo = [(ast.parse(source), frozenset())]
     while todo:
         node, own = todo.pop()
@@ -141,8 +144,6 @@ def referenced_names(source):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-            if name not in own:
-                attributes.add(name)
         elif isinstance(node, ast.alias):
             name = node.name.rpartition(".")[2]
         else:
@@ -150,19 +151,190 @@ def referenced_names(source):
         if name is not None and name not in own:
             names.add(name)
         todo.extend((c, own) for c in ast.iter_child_nodes(node))
-    return names, attributes
+    return names
+
+
+# the types of the objects that literals and displays make
+BUILTIN_TYPES = frozenset({"bytes", "dict", "float", "frozenset", "int", "list", "set", "str", "tuple"})
+_DISPLAYS = (
+    ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set, ast.Dict,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def class_of(expr, bound, classes):
+    """The class of the object `expr` gives, when it shows: a class named
+    in `classes`, "builtin", or None.  `classes` maps each class name to
+    itself and each function name to the class its return annotation
+    names (None when it names none)."""
+    if isinstance(expr, ast.Call):
+        func = expr.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return "builtin" if name in BUILTIN_TYPES else classes.get(name)
+    if isinstance(expr, _DISPLAYS):
+        return "builtin"
+    if isinstance(expr, ast.Name):
+        if expr.id in bound:
+            return bound[expr.id]
+        if classes.get(expr.id) == expr.id:
+            return expr.id
+    return None
+
+
+def scope_bindings(scope, owner, bound, classes):
+    """`bound` updated with the names `scope` binds, each to the class of
+    the object every binding of it gives: the first parameter of a method
+    is of its class `owner`, an annotated one of the class named, and a
+    name assigned only calls of one class or displays is of that class.
+    Any other binding, or two that disagree, leaves the class unknown."""
+    seen: dict[str, set] = {}
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        for i, a in enumerate(p for p in params if p is not None):
+            note = a.annotation
+            if i == 0 and owner is not None:
+                cls = owner
+            elif isinstance(note, ast.Name) and classes.get(note.id) == note.id:
+                cls = note.id
+            else:
+                cls = None
+            seen.setdefault(a.arg, set()).add(cls)
+    body = scope.body if isinstance(scope.body, list) else [scope.body]
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            if not isinstance(node, ast.Lambda):
+                seen.setdefault(node.name, set()).add(None)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            seen.setdefault(node.id, set()).add(None)
+        elif isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets):
+            for t in node.targets:
+                seen.setdefault(t.id, set()).add(class_of(node.value, {}, classes))
+            todo.append(node.value)
+            continue
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            note = node.annotation
+            cls = note.id if isinstance(note, ast.Name) and classes.get(note.id) == note.id else None
+            seen.setdefault(node.target.id, set()).add(cls)
+            if node.value is not None:
+                todo.append(node.value)
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+    out = dict(bound)
+    for name, found in seen.items():
+        out[name] = found.pop() if len(found) == 1 else None
+    return out
+
+
+@functools.cache
+def attribute_reads(source, classes):
+    """Each attribute read of `source` as (name, the class of the object it
+    is read from, or None when that does not show); `classes` holds the
+    items of class_of's map."""
+    classes = dict(classes)
+    reads = set()
+    tree = ast.parse(source)
+    # (node, names bound around it with their classes, the class whose
+    # body holds the node)
+    todo = [(tree, scope_bindings(tree, None, {}, classes), None)]
+    while todo:
+        node, bound, owner = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo.extend((c, bound, node.name) for c in node.body)
+            todo.extend((c, bound, None) for c in (*node.bases, *node.decorator_list))
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inner = scope_bindings(node, owner if not isinstance(node, ast.Lambda) else None, bound, classes)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            todo.extend((c, inner, None) for c in body)
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, class_of(node.value, bound, classes)))
+        todo.extend((c, bound, None) for c in ast.iter_child_nodes(node))
+    return reads
+
+
+def class_attributes(node):
+    """The attributes a class declares: its methods, the names its body
+    binds (fields among them) and those its methods set on their first
+    parameter."""
+    out = set()
+    for m in node.body:
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(m.name)
+            params = [*m.args.posonlyargs, *m.args.args]
+            if params:
+                out.update(
+                    n.attr
+                    for n in ast.walk(m)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == params[0].arg
+                )
+        elif isinstance(m, (ast.Assign, ast.AnnAssign)):
+            for t in m.targets if isinstance(m, ast.Assign) else [m.target]:
+                if isinstance(t, ast.Name):
+                    out.add(t.id)
+    return out
 
 
 def uncalled(source, callers, allowed=frozenset()):
     """The top-level functions and classes of `source`, and the methods of
     its classes but the dunder ones, that no source in `callers` refers
-    to, leaving out the names in `allowed`.  A method counts as referred
-    to only through an attribute."""
-    names, attributes = set(allowed), set(allowed)
+    to, leaving out the names in `allowed` and the methods it names as
+    `Class.method`.
+
+    A method counts as referred to only through an attribute read from an
+    object that may be of its class.  The object's class shows for `self`
+    in a method, a class's own name, a call of a class, a name bound to
+    one of these, a literal and a display; a read from an object of
+    another class does not count.  A read from an object whose class does
+    not show counts, unless another class of `source` or `callers`
+    declares an attribute of the method's name: such a name alone does not
+    tell the classes apart, and `allowed` must name the method."""
+    names = set(allowed)
+    bases: dict[str, set] = {}
+    declared: dict[str, set] = {}  # attribute name -> the classes declaring it
+    returns: dict[str, set] = {}  # function name -> the classes it is annotated to return
+    for text in (source, *callers):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    b.id for b in node.bases if isinstance(b, ast.Name)
+                )
+                for a in class_attributes(node):
+                    declared.setdefault(a, set()).add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                note = node.returns
+                returns.setdefault(node.name, set()).add(note.id if isinstance(note, ast.Name) else None)
+    classes = {f: c.pop() if len(c) == 1 and c <= bases.keys() else None for f, c in returns.items()}
+    classes.update((c, c) for c in bases)
+    classes = frozenset(classes.items())
+    reads = set()
     for caller in callers:
-        n, a = referenced_names(caller)
-        names |= n
-        attributes |= a
+        names |= referenced_names(caller)
+        reads |= attribute_reads(caller, classes)
+
+    def may_be(cls, target, name):
+        """Whether an object of class `cls` (None: unknown) that `name` is
+        read from may be of class `target`."""
+        if cls is None:
+            return declared.get(name, set()) <= {target}
+        todo, seen = [cls], set()
+        while todo:
+            c = todo.pop()
+            if c == target:
+                return True
+            if c not in seen:
+                seen.add(c)
+                todo.extend(bases.get(c, ()))
+        return False
+
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names:
@@ -173,7 +345,9 @@ def uncalled(source, callers, allowed=frozenset()):
                 for m in node.body
                 if isinstance(m, ast.FunctionDef)
                 and not (m.name.startswith("__") and m.name.endswith("__"))
-                and m.name not in attributes
+                and m.name not in allowed
+                and f"{node.name}.{m.name}" not in allowed
+                and not any(a == m.name and may_be(c, node.name, a) for a, c in reads)
             )
     return out
 
@@ -204,6 +378,27 @@ def test_every_src_function_has_a_caller():
     assert uncalled(source, ["from .t import m\nT()\nm()"]) == ["T.m"]
     assert uncalled(source, ["from .t import T\nT().m()"]) == []
     assert uncalled("def simplify():\n    pass\n", [], allowed) == []
+    # it flags a method whose name is read only from objects of other
+    # classes, of builtin types, or of a class that does not show when
+    # another class declares an attribute of that name, unless `allowed`
+    # names the method
+    source = "class T:\n    def size(self):\n        return 0\n"
+    runner = (
+        "class Runner:\n    def __init__(self):\n        self.size = 0\n\n"
+        "def main(outcome):\n    runner = Runner()\n    runner.size += outcome.size\n"
+        "    return T(), runner.size, [].size, 'x'.size, dict().size\n"
+    )
+    assert uncalled(source, [runner]) == ["T.size"]
+    assert uncalled(source, [runner], {"T.size"}) == []
+    # it passes the read from an object whose class shows to be T: an
+    # annotated parameter, a call of T or of a function annotated to return
+    # one, and a name bound to such a call
+    for read in ("def f(t: T):\n    return t.size()\n", "T().size()\n",
+                 "def make() -> T:\n    pass\n\nt = make()\nt.size()\n"):
+        assert uncalled(source, [runner, read]) == [], read
+    # and the read from an object whose class does not show, when no other
+    # class declares the name
+    assert uncalled(source, ["def f(x):\n    return T, x.size\n"]) == []
 
 
 def unused_helpers(source, callers):
@@ -216,13 +411,13 @@ def unused_helpers(source, callers):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             definitions[node.name] = node
         else:
-            names |= referenced_names(ast.unparse(node))[0]
+            names |= referenced_names(ast.unparse(node))
     for caller in callers:
-        names |= referenced_names(caller)[0]
+        names |= referenced_names(caller)
     todo = [name for name in definitions if name in names]
     used = set(todo)
     while todo:
-        for name in referenced_names(ast.unparse(definitions[todo.pop()]))[0]:
+        for name in referenced_names(ast.unparse(definitions[todo.pop()])):
             if name in definitions and name not in used:
                 used.add(name)
                 todo.append(name)

@@ -358,6 +358,16 @@ def test_verify_command(tmp_path, capsys):
     assert main(["verify", "--f", f, "--g", g, "--h", bad]) == 2
 
 
+def test_verify_command_on_clause_free_inputs(tmp_path, capsys):
+    # F = $true and H = $false clausify to no clause at all: the empty
+    # clause set is satisfiable, so F |= H fails (exit 2, not a usage error)
+    t = write(tmp_path, "t.p", "fof(t, axiom, $true).\n")
+    f = write(tmp_path, "f.p", "fof(f, axiom, $false).\n")
+    assert main(["verify", "--f", t, "--g", f, "--h", f]) == 2
+    out = capsys.readouterr().out
+    assert "f-entails-h: fail" in out and "h-entails-g: pass" in out
+
+
 def test_verify_command_with_require(tmp_path, capsys):
     f = write(tmp_path, "f.p", EX2_F)
     g = write(tmp_path, "g.p", EX2_G)

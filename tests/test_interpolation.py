@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from foltab.interpolation import (
@@ -30,7 +33,17 @@ from foltab.syntax import (
 from foltab.normalize import wrap_prefix
 from foltab.tableaux import Node, StructureError, Tableau
 from foltab.tptp import format_formula, parse_formula
-from helpers import all_models, eval_formula, reference_alpha_equal, reference_signature_of
+from helpers import (
+    all_models,
+    eval_formula,
+    gen_horn_instance,
+    gen_urr_instance,
+    random_formula,
+    random_sentence,
+    reference_alpha_equal,
+    reference_entails,
+    reference_signature_of,
+)
 
 a = App("a")
 
@@ -338,6 +351,43 @@ def test_verify_bottom_for_unsatisfiable_f():
 def test_entails_statuses():
     assert entails(parse_formula("p & q"), parse_formula("p")) == "pass"
     assert entails(parse_formula("p"), parse_formula("q")) == "fail"
+    assert entails(TOP, BOTTOM) == "fail"
+
+
+def test_entails_agrees_with_the_reference():
+    # random pairs, with free variables and universally quantified
+    # conjunctions on the right, under limits that leave some undecided
+    rng = random.Random(1803)
+    limits = {"max_depth": 6, "max_inferences": 3000}
+    seen = Counter()
+    for i in range(400):
+        gen = random_sentence if i % 2 else random_formula
+        a, b = gen(rng, rng.randint(1, 3)), gen(rng, rng.randint(1, 3))
+        if i % 4 == 3:
+            b = And((a, b)) if rng.random() < 0.5 else Or((b, a))
+        got = entails(a, b, **limits)
+        assert got == reference(a, b, limits), (a, b)
+        seen[got] += 1
+    assert min(seen[v] for v in ("pass", "fail", "inconclusive")) >= 20, seen
+    # the acceptance corpus: both entailments of an interpolant, and the
+    # converse of the input entailment
+    rng = random.Random(1804)
+    for i in range(40):
+        f, g = (gen_urr_instance if i % 2 else gen_horn_instance)(rng)
+        h, _ = interpolate(f, g, require={"u-rr"})
+        for a, b in ((f, h), (h, g), (g, f)):
+            assert entails(a, b, **limits) == reference(a, b, limits), (a, b)
+
+
+def reference(a, b, limits):
+    """reference_entails, which gives the empty clause set of a valid a and
+    an unsatisfiable b to the prover, and fails there with an InputError;
+    entails reads the set as satisfiable."""
+    try:
+        return reference_entails(a, b, **limits)
+    except InputError as e:
+        assert str(e) == "prove expects a nonempty clause list"
+        return "fail"
 
 
 # --- lifting prefix order on pipeline outputs ------------------------------

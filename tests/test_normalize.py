@@ -35,6 +35,7 @@ from helpers import (
     all_models,
     eval_formula,
     formulas_equivalent,
+    pnf_formula,
     random_formula,
     random_nnf,
     random_prenex_nnf,
@@ -71,7 +72,7 @@ def test_nnf_quantifier_negation():
 
 def test_nnf_negated_implication_matches_truth_table():
     f = Not(Implies(p(), q()))
-    g = cnf(f).formula()
+    g = pnf_formula(cnf(f))
     assert g == And((p(), q(positive=False)))
     sig = reference_signature_of([f])
     for model in all_models(sig, 1):
@@ -84,7 +85,7 @@ def test_nnf_preserves_polarities():
     rng = random.Random(5)
     for _ in range(200):
         f = random_formula(rng, depth=3, allow_consts=False)
-        assert vocabulary(cnf(f).formula()) == vocabulary(f)
+        assert vocabulary(pnf_formula(cnf(f))) == vocabulary(f)
 
 
 # --- dual --------------------------------------------------------------
@@ -93,13 +94,13 @@ def test_nnf_preserves_polarities():
 def test_dual_example():
     f = ForAll("X", Or((p(x), q(positive=False))))
     expected = Exists("X", And((p(x, positive=False), q())))
-    assert cnf(f).dual().formula() == expected
-    assert dnf(Not(f)).formula() == expected
+    assert pnf_formula(cnf(f).dual()) == expected
+    assert pnf_formula(dnf(Not(f))) == expected
 
 
 def test_dual_truth_constants():
-    assert cnf(TOP).dual().formula() == BOTTOM
-    assert dnf(Not(TOP)).formula() == BOTTOM
+    assert pnf_formula(cnf(TOP).dual()) == BOTTOM
+    assert pnf_formula(dnf(Not(TOP))) == BOTTOM
 
 
 def test_dual_involution_on_random_prenex_nnf():
@@ -146,8 +147,8 @@ def test_prop1_vocabulary_never_grows():
     for _ in range(200):
         f = random_formula(rng, depth=4)
         for pnf in (cnf(f), dnf(f)):
-            assert free_vars(pnf.formula()) <= free_vars(f)
-            fns, prs = vocabulary(pnf.formula())
+            assert free_vars(pnf_formula(pnf)) <= free_vars(f)
+            fns, prs = vocabulary(pnf_formula(pnf))
             fns0, prs0 = vocabulary(f)
             assert fns <= fns0
             assert prs <= prs0
@@ -217,7 +218,7 @@ def test_cnf_equivalent_to_input_on_finite_models():
     rng = random.Random(43)
     for _ in range(120):
         f = random_formula(rng, depth=3)
-        g = cnf(f).formula()
+        g = pnf_formula(cnf(f))
         assert formulas_equivalent(f, g, rng, samples=20)
 
 

@@ -1,6 +1,7 @@
-"""Model-theoretic cross-checks: the pipeline's own verification reuses the
-prover, so these tests recheck the central semantic claims against the
-independent finite-model evaluator instead."""
+"""Model-theoretic cross-checks: the pipeline's own verification trusts its
+clausifier and the lifting lemma, and `entails` reuses the prover, so these
+tests recheck the central semantic claims against the independent
+finite-model evaluator instead."""
 
 import random
 
@@ -12,6 +13,7 @@ from helpers import (
     eval_formula,
     gen_horn_instance,
     gen_urr_instance,
+    pnf_formula,
     random_horn_like,
     random_model,
     random_prenex_nnf,
@@ -66,7 +68,7 @@ def test_dual_is_semantic_negation():
     rng = random.Random(131)
     for _ in range(150):
         f = random_prenex_nnf(rng)
-        d = dnf(f).formula()
+        d = pnf_formula(dnf(f))
         sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
@@ -79,7 +81,7 @@ def test_nnf_is_equivalent():
     rng = random.Random(137)
     for _ in range(150):
         f = random_formula(rng, depth=3)
-        g = cnf(f).formula()
+        g = pnf_formula(cnf(f))
         sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(12):
@@ -112,7 +114,7 @@ def test_negation_of_dual_composes():
     rng = random.Random(139)
     for _ in range(60):
         f = random_prenex_nnf(rng)
-        d = dnf(f).formula()
+        d = pnf_formula(dnf(f))
         sig = reference_signature_of([f])
         fv = sorted(free_vars(f))
         for _ in range(8):
