@@ -22,7 +22,8 @@ proof search and without clausifying again:
 
 A run that took a shortcut has the empty clause among the clauses of F
 (H is $false) or of ~G (H is $true).  The check trusts the clausifier,
-that the clause sets stand for F and ~G, and the lifting lemma (Wernhard,
+that the clause sets stand for F and ~G and the shared symbols for what F
+and G have in common, and the lifting lemma (Wernhard,
 Craig Interpolation with Clausal First-Order Tableaux, JAR 2021), which
 turns (b) and (c) into F |= H and H |= G.  Each inference is checked again
 on its own, as in Sutcliffe's semantic derivation verification (IJAIT
@@ -54,6 +55,10 @@ from .tableaux import Tableau, branch_walk, match_clause
 if TYPE_CHECKING:
     from .interpolation import LiftResult
 
+# the function symbols, the (predicate, polarity) pairs and the free
+# variables that F and G have in common
+SharedSymbols = tuple[frozenset[str], frozenset[tuple[str, str]], frozenset[str]]
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -64,6 +69,7 @@ class Certificate:
     f_clauses: tuple[Clause, ...]
     g_clauses: tuple[Clause, ...]  # the clauses of ~G
     placeholders: dict[str, str]  # placeholder constant -> free variable
+    shared_symbols: SharedSymbols  # for the Craig conditions, which read only H
     shortcut: Optional[str] = None  # f-unsatisfiable | g-valid
     tableau: Optional[Tableau] = None  # side-labeled, closed and ground
     ground_interpolant: Optional[Formula] = None

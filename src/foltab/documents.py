@@ -57,7 +57,7 @@ def parse_tableau(text: str) -> Tableau:
             raise ParseError(f"bad nesting depth {depth}", line_no, 1)
         try:
             p.load(m.group("lit"))
-            lit = p.literal()
+            lit = p.table_literal()
             p.at_end("trailing input after literal")
         except ParseError as e:
             raise ParseError(e.message, line_no, m.start("lit") + e.col) from None

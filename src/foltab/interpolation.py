@@ -7,12 +7,13 @@ ground terms to quantified variables, and restore the placeholders.  With
 the hyper conversion in the loop the interpolant inherits range-restriction
 and Horn properties from suitable inputs.
 
-With `verify`, `verify_interpolant` rechecks every claim: the Craig
-conditions and the required properties on the interpolant itself, and the
-two entailments from the run's certificate (`certificate.Certificate`),
-without proof search and without clausifying again.  `entails`, which
-proves an entailment with the prover, remains for an interpolant that
-comes without a certificate, as in `foltab verify`.
+With `verify`, `verify_interpolant` rechecks every claim: the required
+properties on the interpolant itself, and the Craig conditions and the two
+entailments from the run's certificate (`certificate.Certificate`),
+without proof search, without clausifying again and without reading F and
+G again.  `entails`, which proves an entailment with the prover, remains
+for an interpolant that comes without a certificate, as in `foltab
+verify`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .certificate import Certificate, check_certificate
+from .certificate import Certificate, SharedSymbols, check_certificate
 from .hyperconv import ConversionTrace, hyper_convert
 from .normalize import (
     DEFAULT_CLAUSE_LIMIT,
@@ -343,8 +344,8 @@ def interpolate(
     gres = skolemize_clausify(Not(g_c), namer, max_clauses)
     timings["clausify"] = (time.perf_counter() - t0) * 1000
 
-    fun_f = vocabulary(f_c)[0]
-    fun_g = vocabulary(g_c)[0]
+    fun_f, pred_f = vocabulary(f_c)
+    fun_g, pred_g = vocabulary(g_c)
 
     s1 = s2 = frozenset()
     if fres.has_empty_clause() or gres.has_empty_clause():
@@ -408,8 +409,16 @@ def interpolate(
 
     if verify:
         t0 = time.perf_counter()
+        # what F and G share, read off their frozen forms: a placeholder
+        # constant is fresh, so the shared ones stand for exactly the free
+        # variables of both and no other function symbol is one
+        common = (
+            (fun_f & fun_g).difference(pmap),
+            pred_f & pred_g,
+            frozenset(pmap[c] for c in shared),
+        )
         certificate = Certificate(
-            fres.clauses, gres.clauses, pmap, report.shortcut,
+            fres.clauses, gres.clauses, pmap, common, report.shortcut,
             report.tableau, report.ground_interpolant, lifted, matrix,
         )
         report.verification = verify_interpolant(f, g, h, require, certificate=certificate)
@@ -513,14 +522,20 @@ def entails(
     return verdict
 
 
-def craig_conditions(f: Formula, g: Formula, h: Formula) -> tuple[bool, bool]:
-    """Vocabulary (with predicate polarities) and free-variable inclusion."""
+def shared_symbols(f: Formula, g: Formula) -> SharedSymbols:
+    """The function symbols, the (predicate, polarity) pairs and the free
+    variables that f and g have in common."""
     fun_f, pred_f = vocabulary(f)
     fun_g, pred_g = vocabulary(g)
+    return fun_f & fun_g, pred_f & pred_g, frozenset(free_vars(f) & free_vars(g))
+
+
+def craig_conditions(h: Formula, common: SharedSymbols) -> tuple[bool, bool]:
+    """Vocabulary (with predicate polarities) and free-variable inclusion
+    of h in the `common` symbols of F and G."""
+    functions, predicates, variables = common
     fun_h, pred_h = vocabulary(h)
-    voc_ok = fun_h <= (fun_f & fun_g) and pred_h <= (pred_f & pred_g)
-    var_ok = free_vars(h) <= (free_vars(f) & free_vars(g))
-    return voc_ok, var_ok
+    return fun_h <= functions and pred_h <= predicates, free_vars(h) <= variables
 
 
 def verify_interpolant(
@@ -536,9 +551,12 @@ def verify_interpolant(
     """The Craig conditions, F |= h, h |= G and the required properties of
     h.  The entailments are read from the `certificate` of the run that
     made h when there is one, without proof search, and proved with
-    `entails` under the limits given otherwise."""
+    `entails` under the limits given otherwise; the certificate also holds
+    the symbols F and G have in common, so that only h is read for the
+    Craig conditions."""
     required = requirements(required)
-    voc_ok, var_ok = craig_conditions(f, g, h)
+    common = shared_symbols(f, g) if certificate is None else certificate.shared_symbols
+    voc_ok, var_ok = craig_conditions(h, common)
     if certificate is None:
         f_h = entails(f, h, max_depth, timeout, max_inferences)
         h_g = entails(h, g, max_depth, timeout, max_inferences)

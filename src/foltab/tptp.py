@@ -99,19 +99,21 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent over the tokens of one text at a time;
     `load` moves it to the next text, so that a file of many records needs
-    one parser.  Every literal it parses is kept in `literals`, in text
-    order.
+    one parser.  Every literal that `atom` makes is kept in `literals`, in
+    text order, until the next `load`.
 
     `terms` is the parser's term table, kept across `load` calls: a
     variable or a constant by its name, any other application by its
     functor and arguments.  Each distinct term of the texts is made once,
     so equal terms of one document are one object, found by identity in
-    sets and dicts."""
+    sets and dicts.  `literal_table` does the same for the literals of
+    clauses and tableau lines (see `table_literal`)."""
 
-    __slots__ = ("text", "toks", "i", "literals", "terms")
+    __slots__ = ("text", "toks", "i", "literals", "terms", "literal_table")
 
     def __init__(self, text: str = ""):
         self.terms: dict = {}
+        self.literal_table: dict[tuple[str, ...], Literal] = {}
         self.load(text)
 
     def load(self, text: str) -> None:
@@ -288,12 +290,44 @@ class _Parser:
             inner = self.atom()
         return inner.complement() if negated else inner
 
+    def table_literal(self) -> Literal:
+        """A literal as `literal` reads it, taken from the literal table
+        when its tokens after the leading `~` run up to the next `|` or to
+        the end of the text and are a key there; the parser then jumps to
+        that separator.  A literal read anew is entered in the table only
+        when it ends at that separator, so text that does not parse is
+        read, and its error raised, as `literal` would.  The table holds
+        the literal without the leading `~`, whose complement object is
+        made once: `~p(a)` is the complement of the object read for
+        `p(a)`."""
+        toks = self.toks
+        i = self.i
+        negated = False
+        while toks[i] == "~":
+            i += 1
+            negated = not negated
+        end = len(toks) - 2  # the first of the two end tokens
+        try:
+            stop = toks.index("|", i, end)
+        except ValueError:
+            stop = end
+        key = tuple(toks[i:stop])
+        lit = self.literal_table.get(key)
+        if lit is None:
+            self.i = i
+            lit = self.literal()
+            if self.i == stop:
+                self.literal_table[key] = lit
+        else:
+            self.i = stop
+        return lit.complement() if negated else lit
+
     def clause(self) -> Clause:
         """`l1 | ... | ln` up to the end of the text."""
-        lits = [self.literal()]
+        lits = [self.table_literal()]
         while self.toks[self.i] == "|":
             self.i += 1
-            lits.append(self.literal())
+            lits.append(self.table_literal())
         self.at_end("trailing input after clause")
         return mk_clause(lits)
 
@@ -375,7 +409,9 @@ def parse_clause_file(text: str) -> list[Clause]:
             c = p.clause()
         except ParseError as e:
             raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
-        for l in c.literals:
+        # the literals read anew: one taken from the table was checked on
+        # the line that entered it
+        for l in p.literals:
             sig.extend_with_literal(l)
         out.append(c)
     return out

@@ -127,6 +127,38 @@ def test_equal_terms_of_one_document_are_one_object():
     n1, n2, n3, n4 = tab.non_root_nodes()
     assert n1.literal.args[0] is n2.literal.args[0] is n3.literal.args[0] is n4.literal.args[0]
 
+    # equal literals of a clause file are one object too, repeated across
+    # lines or within one, and a negated literal is the complement object
+    # of the positive one
+    c1, c2, c3 = parse_clause_file("p(f(a), X) | ~q(X)\nq(X) | p(f(a), X)\n~p(f(a), X) | ~q(X) | r\n")
+    p_fa, not_q = c1.literals
+    q, p_again = c2.literals
+    assert p_again is p_fa and q is not_q.complement()
+    assert c3.literals[0] is p_fa.complement() and c3.literals[1] is not_q
+    # every file is read on its own table
+    (other,) = parse_clause_file("p(f(a), X) | ~q(X)\n")
+    assert other.literals == c1.literals
+    assert all(a is not b for a, b in zip(other.literals, c1.literals))
+
+    # a proof document: input clauses and resolvents
+    doc = parse_proof(
+        "s1 input p(a) | q(a)\n"
+        "s2 input ~p(a) | q(a)\n"
+        "r1 resolve(s1, s2, p(a)) q(a)\n"
+    )
+    s1, s2, r1 = doc.records
+    assert s2.clause.literals[0] is s1.clause.literals[0].complement()
+    assert r1.clause.literals[0] is s1.clause.literals[1] is s2.clause.literals[1]
+    (d1,) = parse_proof("s1 input p(a) | q(a)\n").records
+    assert d1.clause.literals[0] is not s1.clause.literals[0]
+
+    # a tableau document: the lines' literals, complements included
+    text = "tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~p(f(a))\n    p(f(a)) -> 1\n"
+    n1, n2, n3, n4 = parse_tableau(text).non_root_nodes()
+    assert n1.literal is n4.literal and n2.literal is n3.literal is n1.literal.complement()
+    m1 = next(parse_tableau(text).non_root_nodes())
+    assert m1.literal == n1.literal and m1.literal is not n1.literal
+
 
 def test_tableau_document_round_trip():
     doc = """tableau

@@ -14,7 +14,7 @@ import pytest
 from foltab.cli import bundled_samples_dir
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
-from foltab.syntax import Clause, InputError
+from foltab.syntax import App, Clause, InputError, Literal
 from foltab import tptp
 from foltab.tableaux import branch_walk
 from foltab.tptp import (
@@ -191,6 +191,82 @@ def test_tableau_documents_agree_with_the_reference():
     for text in sample_proofs():
         doc = format_tableau(to_cut_normal_form(ground_deduction(to_tree(parse_proof(text)))))
         for t in [doc] + damaged(doc, rng, 4):
+            assert_agree(parse_tableau, reference_parse_tableau, t, key=tableau_rows)
+
+
+# a line's literals: a clause file's line, a proof record's clause (after
+# `input ` or after a `resolve(..)` whose atom has no parentheses) or a
+# tableau line's literal, before its side and target
+_LINE_LITERALS = re.compile(
+    r"^(?: *\S+ input | *\S+ resolve\([^()]*\) | *)(?P<lits>\S.*?)(?:\s+\[[FG]\])?(?:\s+->\s+\d+)?$",
+    re.M,
+)
+
+
+def repeated_literal_spans(text: str) -> list[tuple[int, int]]:
+    """The start and end offsets of every literal of `text` whose text
+    occurs earlier in it: the literals a parser can take from its table."""
+    seen = set()
+    out = []
+    for m in _LINE_LITERALS.finditer(text):
+        at = m.start("lits")
+        for lit in m["lits"].split(" | "):
+            if lit in seen:
+                out.append((at, at + len(lit)))
+            seen.add(lit)
+            at += len(lit) + 3
+    return out
+
+
+def damaged_repeats(text: str, rng: random.Random, n: int = 6) -> list[str]:
+    """Variants of `text` with a character replaced, inserted or deleted
+    inside a repeated literal, or with a stray token after one, before the
+    next `|` (`p q | p`)."""
+    spans = repeated_literal_spans(text)
+    out = []
+    for _ in range(n):
+        start, end = rng.choice(spans)
+        pos = rng.randrange(start, end)
+        noise = rng.choice(_NOISE)
+        out.append(text[:pos] + noise + text[pos + 1:])
+        out.append(text[:pos] + noise + text[pos:])
+        out.append(text[:pos] + text[pos + 1:])
+        out.append(text[:end] + " " + rng.choice(["q", "p(a)", "X", "~p", "("]) + text[end:])
+    return out
+
+
+def test_documents_with_repeated_literals_agree_with_the_reference():
+    """Clause files, proof documents and tableau documents whose literals
+    repeat, intact, damaged inside a repeated literal, with a stray token
+    after one, and with an arity clash first seen on a later line."""
+    rng = random.Random(67)
+    for _ in range(40):
+        pool = [random_literal(rng, ("X", "Y")) for _ in range(rng.randint(1, 4))]
+        lines = []
+        for _ in range(rng.randint(2, 6)):
+            lits = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            lines.append(" | ".join(str(l if rng.random() < 0.7 else l.complement()) for l in lits))
+        text = "\n".join(lines) + "\n"
+        if not repeated_literal_spans(text):
+            continue
+        # a symbol of the pool with another arity, or as a function
+        lit = rng.choice(pool)
+        clash = rng.choice([
+            Literal(True, lit.predicate, lit.args + (App("a"),)),
+            Literal(True, "r", (App(lit.predicate), App("a"))),
+        ])
+        clashing = text + f"{rng.choice(pool)} | {clash}\n"
+        for t in [text, clashing] + damaged_repeats(text, rng) + damaged_repeats(clashing, rng, 2):
+            assert_agree(parse_clause_file, reference_parse_clause_file, t)
+
+    proofs = [proof_family("wide", k) for k in (3, 12)] + [proof_family("chain", 8)]
+    for text in proofs:
+        for t in [text] + damaged_repeats(text, rng, 12):
+            assert_agree(parse_proof, reference_parse_proof, t, key=proof_rows)
+
+    for text in proofs[:2] + sample_proofs()[:6]:
+        doc = format_tableau(to_cut_normal_form(ground_deduction(to_tree(parse_proof(text)))))
+        for t in [doc] + damaged_repeats(doc, rng, 8):
             assert_agree(parse_tableau, reference_parse_tableau, t, key=tableau_rows)
 
 
