@@ -134,15 +134,14 @@ def cmd_prove(args) -> int:
 
 
 def _report_lines(report, timings: bool) -> list[str]:
-    lines = []
-    lines.append(f"% proved: {'yes' if report.proved else 'no'}")
+    lines = ["% proved: yes"]
     if report.shortcut:
         lines.append(f"% shortcut: {report.shortcut}")
     if report.size_before is not None:
         lines.append(f"% tableau-inner-nodes: {report.size_before}")
-    if report.hyper_applied:
+    if report.trace is not None:
         ratio = report.size_ratio
-        lines.append(f"% hyper-rounds: {report.rounds}")
+        lines.append(f"% hyper-rounds: {report.trace.total_rounds}")
         lines.append(f"% hyper-inner-nodes: {report.size_after}")
         if ratio is not None:
             lines.append(f"% hyper-size-ratio: {ratio:.2f}")
@@ -178,7 +177,7 @@ def cmd_interpolate(args) -> int:
             f,
             g,
             require=_requirements(args),
-            use_hyper=True if args.hyper else None,
+            use_hyper=args.hyper,
             side_tie=args.side_tie.upper(),
             ground_policy=args.ground_side.upper() if args.ground_side != "alternate" else "alternate",
             max_depth=args.max_depth,

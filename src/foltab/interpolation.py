@@ -25,7 +25,6 @@ from typing import Iterable, Optional
 from .certificate import Certificate, SharedSymbols, check_certificate
 from .hyperconv import ConversionTrace, hyper_convert
 from .normalize import (
-    DEFAULT_CLAUSE_LIMIT,
     cnf,
     freeze_free_vars,
     skolemize_clausify,
@@ -247,7 +246,7 @@ def lift_parts(
 # Horn-like to Horn
 
 
-def hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
+def hornify(f: Formula) -> Formula:
     """Convert a Horn-like quantifier-free NNF into an equivalent
     conjunction of Horn clauses (truth-value simplification followed by
     distribution)."""
@@ -256,7 +255,7 @@ def hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
     g = truth_simplify(f)
     if isinstance(g, (Top, Bottom, Literal)):
         return g
-    clauses = cnf(g, max_clauses).matrix
+    clauses = cnf(g).matrix
     for c in clauses:
         if sum(1 for l in c.literals if l.positive) > 1:
             raise AssertionError("distribution of a Horn-like NNF produced a non-Horn clause")
@@ -269,14 +268,11 @@ def hornify(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Formula:
 
 @dataclass
 class InterpolationReport:
-    proved: bool = False
     shortcut: Optional[str] = None
     tableau: Optional[Tableau] = None
     context: Optional[InterpolationContext] = None
     ground_interpolant: Optional[Formula] = None
     interpolant: Optional[Formula] = None
-    hyper_applied: bool = False
-    rounds: int = 0
     size_before: Optional[int] = None
     size_after: Optional[int] = None
     trace: Optional[ConversionTrace] = None
@@ -317,21 +313,20 @@ def interpolate(
     f: Formula,
     g: Formula,
     require: Iterable[str] = (),
-    use_hyper: Optional[bool] = None,
+    use_hyper: bool = False,
     side_tie: str = "F",
     ground_policy: str = "F",
     max_depth: int = 30,
     timeout: Optional[float] = None,
     max_inferences: Optional[int] = None,
-    max_clauses: int = DEFAULT_CLAUSE_LIMIT,
     verify: bool = False,
 ) -> tuple[Formula, InterpolationReport]:
     """Construct a Craig-Lyndon interpolant of f and g (requires f |= g).
 
     `require` may list 'u-rr', 'vgt-rr' and 'horn'; requesting any of them
     switches the hyper proof transformation on, which is what makes the
-    structural guarantees hold.  Failing a requested property raises
-    RequirementError.
+    structural guarantees hold; `use_hyper` switches it on without them.
+    Failing a requested property raises RequirementError.
     """
     require = requirements(require)
     report = InterpolationReport(require=require)
@@ -340,8 +335,8 @@ def interpolate(
 
     t0 = time.perf_counter()
     f_c, g_c, shared, pmap = freeze_free_vars(f, g, namer)
-    fres = skolemize_clausify(f_c, namer, max_clauses)
-    gres = skolemize_clausify(Not(g_c), namer, max_clauses)
+    fres = skolemize_clausify(f_c, namer)
+    gres = skolemize_clausify(Not(g_c), namer)
     timings["clausify"] = (time.perf_counter() - t0) * 1000
 
     fun_f, pred_f = vocabulary(f_c)
@@ -368,18 +363,14 @@ def interpolate(
         tab, s1, s2 = ground_tableau(result.tableau, namer, ground_policy)
         timings["ground"] = (time.perf_counter() - t0) * 1000
 
-        do_hyper = use_hyper if use_hyper is not None else bool(require)
-        if do_hyper:
+        if use_hyper or require:
             t0 = time.perf_counter()
             tab, trace = hyper_convert(tab)
             timings["hyper"] = (time.perf_counter() - t0) * 1000
-            report.hyper_applied = True
-            report.rounds = trace.total_rounds
             report.trace = trace
             report.size_before, report.size_after = trace.input_size, trace.output_size
         else:
             report.size_before = report.size_after = tab.inner_size()
-    report.proved = True
 
     ctx = InterpolationContext(
         f,
@@ -402,7 +393,7 @@ def interpolate(
         matrix = lifted.matrix
         # a matrix that is not Horn-like fails the requirement check below
         if "horn" in require and is_horn_like(matrix):
-            matrix = hornify(matrix, max_clauses)
+            matrix = hornify(matrix)
         h = unfreeze(wrap_prefix(lifted.prefix, matrix), pmap)
         timings["extract"] = (time.perf_counter() - t0) * 1000
     report.interpolant = h
@@ -545,7 +536,6 @@ def verify_interpolant(
     required: Iterable[str] = (),
     max_depth: int = 30,
     timeout: Optional[float] = None,
-    max_inferences: Optional[int] = None,
     certificate: Optional[Certificate] = None,
 ) -> VerificationReport:
     """The Craig conditions, F |= h, h |= G and the required properties of
@@ -558,8 +548,8 @@ def verify_interpolant(
     common = shared_symbols(f, g) if certificate is None else certificate.shared_symbols
     voc_ok, var_ok = craig_conditions(h, common)
     if certificate is None:
-        f_h = entails(f, h, max_depth, timeout, max_inferences)
-        h_g = entails(h, g, max_depth, timeout, max_inferences)
+        f_h = entails(f, h, max_depth, timeout)
+        h_g = entails(h, g, max_depth, timeout)
     else:
         f_h, h_g = check_certificate(certificate, h)
     rep = VerificationReport(

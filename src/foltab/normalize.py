@@ -220,11 +220,7 @@ class ClausificationResult:
         return any(not c.literals for c in self.clauses)
 
 
-def skolemize_clausify(
-    f: Formula,
-    namer: Optional[FreshNamer] = None,
-    max_clauses: int = DEFAULT_CLAUSE_LIMIT,
-) -> ClausificationResult:
+def skolemize_clausify(f: Formula, namer: Optional[FreshNamer] = None) -> ClausificationResult:
     """Prenex CNF with existential variables replaced by Skolem terms.
 
     f must be a sentence.  Skolem names come from `namer`, so two calls
@@ -235,7 +231,7 @@ def skolemize_clausify(
         raise InputError("skolemize_clausify expects a sentence")
     if namer is None:
         namer = FreshNamer(formula_symbols(f))
-    p = _cnf(f, max_clauses, used)
+    p = _cnf(f, DEFAULT_CLAUSE_LIMIT, used)
     sub: Subst = {}
     skolems: list[str] = []
     universals: list[str] = []

@@ -284,12 +284,16 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
     store: Subst = {}
     for step in steps:
         _add_bindings(store, step.bindings)
-    # the ground literal of each literal object, for the rebuild
+    # the ground literal of each literal object, for the rebuild; the
+    # parser shares a literal object among its occurrences, and a repeat
+    # adds no variable to the first-occurrence order
     ground: dict[int, Literal] = {}
     originals: list[Literal] = []
     terms: list[Term] = []
     for step in steps:
         for l in step.clause.literals + ((step.atom,) if step.atom else ()):
+            if id(l) in ground:
+                continue
             originals.append(l)
             l_s = apply_literal(l, store)
             terms.extend(l_s.args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .normalize import DEFAULT_CLAUSE_LIMIT, PrenexNormalForm, cnf, dnf
+from .normalize import PrenexNormalForm, cnf, dnf
 from .syntax import (
     And,
     Bottom,
@@ -57,23 +57,19 @@ def _universal_witnesses(p: PrenexNormalForm) -> list[Witness]:
     return witnesses
 
 
-def is_u_range_restricted(
-    f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT
-) -> RestrictionReport:
+def is_u_range_restricted(f: Formula) -> RestrictionReport:
     """Every universally quantified variable of the prenex CNF occurs in a
     negative literal of each clause containing it."""
-    witnesses = _universal_witnesses(cnf(f, max_clauses))
+    witnesses = _universal_witnesses(cnf(f))
     return RestrictionReport(not witnesses, tuple(witnesses))
 
 
-def is_vgt_range_restricted(
-    f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT
-) -> RestrictionReport:
+def is_vgt_range_restricted(f: Formula) -> RestrictionReport:
     """The CNF condition on universal variables plus the DNF conditions:
     existential variables and all free variables must occur in positive
     literals of each conjunctive clause."""
-    pc = cnf(f, max_clauses)
-    pd = dnf(f, max_clauses)
+    pc = cnf(f)
+    pd = dnf(f)
     if pc.prefix != pd.prefix:
         raise AssertionError("cnf and dnf produced different prefixes")
     existentials = pc.existentials
@@ -143,7 +139,6 @@ def check_vx_preconditions(
     f: Formula,
     g: Formula,
     query_vars: Optional[frozenset[str]] = None,
-    max_clauses: int = DEFAULT_CLAUSE_LIMIT,
 ) -> RestrictionReport:
     """Preconditions for range-restricted interpolation with free query
     variables X: f and ~g both pass the universal-variable restriction,
@@ -159,10 +154,10 @@ def check_vx_preconditions(
         raise InputError("query variable set must equal var(F) = var(G)")
 
     witnesses: list[Witness] = []
-    witnesses.extend(is_u_range_restricted(f, max_clauses).witnesses)
-    neg_g = cnf(Not(g), max_clauses)
+    witnesses.extend(is_u_range_restricted(f).witnesses)
+    neg_g = cnf(Not(g))
     witnesses.extend(_universal_witnesses(neg_g))
-    pf = cnf(f, max_clauses)
+    pf = cnf(f)
     for c in pf.matrix:
         if c.literals and all(not l.positive for l in c.literals):
             witnesses.append(Witness(c, str(c), "all-negative-clause-in-f"))
@@ -209,17 +204,17 @@ class Prop4Report:
         )
 
 
-def prop4_check(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> Prop4Report:
+def prop4_check(f: Formula) -> Prop4Report:
     """Cross-check the relations between the two range-restriction notions
     on a sentence; used as a self-test and exposed on the CLI."""
     if free_vars(f):
         raise InputError("prop4_check expects a sentence")
-    p = cnf(f, max_clauses)
+    p = cnf(f)
     quants = {q for q, _ in p.prefix}
     return Prop4Report(
-        vgt=is_vgt_range_restricted(f, max_clauses).verdict,
-        u_self=is_u_range_restricted(f, max_clauses).verdict,
-        u_negation=is_u_range_restricted(Not(f), max_clauses).verdict,
+        vgt=is_vgt_range_restricted(f).verdict,
+        u_self=is_u_range_restricted(f).verdict,
+        u_negation=is_u_range_restricted(Not(f)).verdict,
         universal="exists" not in quants,
         existential="forall" not in quants,
     )

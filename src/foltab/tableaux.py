@@ -14,19 +14,20 @@ literal's stack, so the walk is linear in the size of the tree.
 
 Tableaux are built single-threaded.  `simplify_below` works in place on
 the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
-leave their input as it is, and a proof found by `prove` runs it on its
-own search tree when its tableau is first read.
+leave their input as it is, and `prove` runs it on the search tree of the
+proof it found.
 
 `prove` shares clause structure: a clause instance is the clause's own
 literals and a copy number, kept beside the node the instance hangs from,
 and the bindings are keyed by variable and copy (`syntax.unify_copies`).
 The search renames nothing; the literals of a proof, with the variable v
-of copy k named `v_k`, are built when its tableau is first read.
+of copy k named `v_k`, are built once the search has found it.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -97,7 +98,9 @@ class Node:
         """Fresh copy; returns the copy and a map id(original) -> copy."""
         top = Node(self.literal, self.side)
         mapping = {id(self): top}
-        for n, _, _ in branch_walk(self):
+        below = self.pre_order()
+        next(below)
+        for n in below:
             c = mapping[id(n)] = Node(n.literal, n.side)
             c.parent = mapping[id(n.parent)]
             c.parent.children.append(c)
@@ -377,49 +380,38 @@ def is_hyper(tab: Tableau) -> bool:
 # regularity pruning.  Deterministic for fixed inputs and limits.
 
 
+@dataclass
 class ProveResult:
-    """What `prove` found; `tableau` is the proof, None unless proved.
+    """What `prove` found; `tableau` is the proof, None unless proved."""
 
-    A proof found by `prove` is finished on the first read of `tableau`:
-    the search tree holds each clause's own literals, and the copy number of
-    each clause instance beside it.  Finishing reads every literal in its
-    copy through the bindings that close the proof, names a variable v of
-    copy k `v_k`, makes each distinct term once, shares one literal object
-    per atom and sign, and simplifies.  Every read gives that one object,
-    and a caller that reads only the status pays for none of it."""
-
-    __slots__ = ("status", "inferences", "depth", "_tableau", "_binding", "_copy_of")
-
-    def __init__(self, status: str, tableau: Optional[Tableau] = None, inferences=0, depth=0):
-        self.status = status  # proved | saturated | depth_limit | timeout | inference_limit
-        self._tableau = tableau
-        self.inferences = inferences
-        self.depth = depth
-        # set by `prove`, until finished: the bindings, and the copy number
-        # of the clause instance below each inner node
-        self._binding: Optional[CopyStore] = None
-        self._copy_of: Optional[dict[Node, int]] = None
-
-    @property
-    def tableau(self) -> Optional[Tableau]:
-        if self._binding is not None:
-            binding, copy_of = self._binding, self._copy_of
-            root = self._tableau.root
-            table: dict = {}
-            atoms: dict[Literal, Literal] = {}
-            for n in self._tableau.non_root_nodes():
-                k = copy_of[n.parent]
-                n.literal = shared(
-                    map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var)),
-                    atoms,
-                )
-            simplify_below(root, root.children, {})
-            self._binding = self._copy_of = None
-        return self._tableau
+    status: str  # proved | saturated | depth_limit | timeout | inference_limit
+    tableau: Optional[Tableau]
+    inferences: int
+    depth: int
 
     @property
     def proved(self) -> bool:
         return self.status == "proved"
+
+
+def finish_proof(root: Node, binding: CopyStore, copy_of: dict[Node, int]) -> Tableau:
+    """The proof the search closed below `root`, whose tree holds each
+    clause's own literals and, in `copy_of`, the copy number of each clause
+    instance: every literal is read in its copy through the bindings, a
+    variable v of copy k is named `v_k`, each distinct term is made once,
+    one literal object is shared per atom and sign, and the tree is
+    simplified in place."""
+    table: dict = {}
+    atoms: dict[Literal, Literal] = {}
+    tab = Tableau(root)
+    for n in tab.non_root_nodes():
+        k = copy_of[n.parent]
+        n.literal = shared(
+            map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var)),
+            atoms,
+        )
+    simplify_below(root, root.children, {})
+    return tab
 
 
 def _copy_var(name: str, k: int) -> Var:
@@ -455,8 +447,8 @@ def prove(
     names of a proof do not depend on which candidates were skipped.  A
     copy is a number, not a renamed clause: the search keeps each clause's
     own literals with the copy number of their instance and binds
-    variables by (name, copy), and nothing is renamed before the proof is
-    read.  A search stopped by `max_inferences` reports
+    variables by (name, copy), and nothing is renamed before a proof is
+    found.  A search stopped by `max_inferences` reports
     `max_inferences + 1` inferences; the deadline is checked whenever the
     count reaches a multiple of 256.  When `timeout` or `max_inferences`
     stops the search, `depth` is the deepening limit it had reached.
@@ -465,8 +457,8 @@ def prove(
     clause's goals have no ancestor but the root and an extension needs
     depth 2, so no clause closes there, no inference is counted and each
     clause takes one copy number (with n clauses, the first copy of limit 2
-    is copy n + 1).  A proof's tableau is finished on the first read of
-    `ProveResult.tableau`."""
+    is copy n + 1).  A proof is finished (`finish_proof`) before it is
+    returned."""
     cls = tuple(clauses)
     if not cls:
         raise InputError("prove expects a nonempty clause list")
@@ -622,9 +614,7 @@ def prove(
                 if solve(root.children, limit):
                     # the abandoned choice points never undo their bindings
                     # or take back their copy numbers
-                    result = ProveResult("proved", Tableau(root), inferences, limit)
-                    result._binding, result._copy_of = binding, copy_of
-                    return result
+                    return ProveResult("proved", finish_proof(root, binding, copy_of), inferences, limit)
                 del copy_of[root]
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)

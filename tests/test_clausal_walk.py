@@ -457,12 +457,14 @@ def closed(f):
     return f
 
 
-def clausified(clausify, f):
-    res = clausify(f, None, LIMIT)
+def clausified(clausify, f, *limit):
+    res = clausify(f, None, *limit)
     return res.clauses, res.skolem_functions, res.universal_vars
 
 
-def test_normal_forms_agree_with_the_reference():
+def test_normal_forms_agree_with_the_reference(monkeypatch):
+    # skolemize_clausify distributes under the module's clause limit
+    monkeypatch.setattr(foltab.normalize, "DEFAULT_CLAUSE_LIMIT", LIMIT)
     errors = 0
     for _, f in formulas(71):
         got = outcome(cnf, f, LIMIT)
@@ -470,7 +472,7 @@ def test_normal_forms_agree_with_the_reference():
         assert outcome(dnf, f, LIMIT) == outcome(reference_dnf, f, LIMIT), f
         g = closed(f)
         assert outcome(clausified, skolemize_clausify, g) == outcome(
-            clausified, reference_skolemize_clausify, g
+            clausified, reference_skolemize_clausify, g, LIMIT
         ), g
         errors += got[0] != "ok"
     assert 100 < errors < 1000
@@ -502,7 +504,8 @@ def test_horn_deciders_and_hornify_agree_with_the_reference():
         assert is_horn(f) == reference_is_horn(f), f
         assert is_horn_like(f) == reference_is_horn_like(f), f
         assert truth_simplify(f) == reference_truth_simplify(f), f
-        got = outcome(hornify, f, LIMIT)
+        # no case reaches a clause limit of 40
+        got = outcome(hornify, f)
         assert got == outcome(reference_hornify, f, LIMIT), f
         hornified += got[0] == "ok"
     assert hornified > 1000

@@ -152,31 +152,6 @@ def test_interpolate_universal_chain():
     assert verify_interpolant(f, g, h).passed
 
 
-def test_verification_builds_no_proof_tableau(monkeypatch):
-    # verification reads only the status of its proofs, and a proof's
-    # tableau is finished (and simplified) only when it is read
-    import foltab.interpolation
-    import foltab.tableaux
-
-    f = parse_formula("(! [X] : p(X)) & (! [X] : (p(X) => q(X)))")
-    g = parse_formula("(! [X] : (q(X) => r(X))) => r(a)")
-    h, _ = interpolate(f, g)
-    simplified, results = [], []
-    simplify_below = foltab.tableaux.simplify_below
-    prove = foltab.interpolation.prove
-    monkeypatch.setattr(
-        foltab.tableaux, "simplify_below", lambda *args: simplified.append(args) or simplify_below(*args)
-    )
-    monkeypatch.setattr(
-        foltab.interpolation, "prove", lambda *args, **kw: results.append(prove(*args, **kw)) or results[-1]
-    )
-    assert verify_interpolant(f, g, h).passed
-    assert results and all(r.proved for r in results) and simplified == []
-    # the first read finishes the tableau, and every read gives that object
-    tab = results[0].tableau
-    assert results[0].tableau is tab and len(simplified) == 1
-
-
 @pytest.mark.parametrize("verify", [True, False])
 def test_interpolate_checks_each_required_property_once(monkeypatch, verify):
     import foltab.interpolation

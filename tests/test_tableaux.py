@@ -643,22 +643,23 @@ def test_prove_matches_reference_on_clause_sets_with_function_symbols():
 
 def test_proof_search_builds_no_clause_copy(monkeypatch):
     # copies are numbered, not built: neither a variable nor a literal is
-    # made until the tableau of a proof is first read
-    made, rebuilt = [], []
+    # made until the search has ended with a proof, which `finish_proof`
+    # then reads once
+    events = []
     map_literal_terms = foltab.tableaux.map_literal_terms
-    monkeypatch.setattr(foltab.tableaux, "Var", lambda name: made.append(name) or Var(name))
+    finish_proof = foltab.tableaux.finish_proof
+    monkeypatch.setattr(foltab.tableaux, "Var", lambda name: events.append("var") or Var(name))
     monkeypatch.setattr(
-        foltab.tableaux, "map_literal_terms", lambda *args: rebuilt.append(args) or map_literal_terms(*args)
+        foltab.tableaux, "map_literal_terms", lambda *args: events.append("rebuild") or map_literal_terms(*args)
     )
+    monkeypatch.setattr(foltab.tableaux, "finish_proof", lambda *args: events.append("found") or finish_proof(*args))
     clauses = parse_clause_file("p(X, f(Y)) | q(Y)\n~p(a, Z) | q(Z)\n~q(f(X))\n~q(W) | r(W, V)\n~r(b, U)\n")
     r = prove(clauses)
     assert r.proved and r.inferences > 10
-    assert made == [] and rebuilt == []
-    doc = format_tableau(r.tableau)
-    assert made and rebuilt
-    assert doc == format_tableau(reference_prove(clauses).tableau)
-    made.clear()
-    assert format_tableau(r.tableau) == doc and made == []
+    assert events[0] == "found" and "found" not in events[1:] and {"var", "rebuild"} <= set(events)
+    assert format_tableau(r.tableau) == format_tableau(reference_prove(clauses).tableau)
+    # a result is a plain record: its four fields and no other state
+    assert list(vars(r)) == ["status", "tableau", "inferences", "depth"]
 
 
 def test_reading_a_proof_of_equal_5000_deep_terms_made_apart(default_recursion_limit):
