@@ -50,7 +50,7 @@ from .syntax import (
     map_formula_terms,
     subterms,
 )
-from .tableaux import Tableau, branch_walk, match_clause
+from .tableaux import Tableau, branch_walk, by_shape, match_clause, shape
 
 if TYPE_CHECKING:
     from .interpolation import LiftResult
@@ -134,9 +134,10 @@ def _tableau_instances(
     """The clause instances of the F side and of the G side of `tab`, in
     pre-order, when every literal is ground, every inner node's children
     carry one side and are an instance of a clause of it, and every leaf
-    closes; None otherwise."""
+    closes; None otherwise.  An instance is matched only against the
+    clauses of its shape."""
     instances: dict[str, list[tuple[Literal, ...]]] = {"F": [], "G": []}
-    clauses = {"F": f_clauses, "G": g_clauses}
+    clauses = {"F": by_shape(f_clauses), "G": by_shape(g_clauses)}
     root = tab.root
     if not root.children:
         return None
@@ -151,7 +152,7 @@ def _tableau_instances(
             side not in clauses
             or any(c.side != side for c in n.children)
             or not all(is_ground(a) for l in inst for a in l.args)
-            or not any(match_clause(inst, c) is not None for c in clauses[side])
+            or not any(match_clause(inst, c) is not None for c in clauses[side].get(shape(inst), ()))
         ):
             return None
         instances[side].append(inst)

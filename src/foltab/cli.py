@@ -30,7 +30,7 @@ from .interpolation import (
 from .normalize import ClauseLimitError, equality_axioms, freeze_free_vars, skolemize_clausify
 from .proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from .restriction import RestrictionReport, check_vx_preconditions, is_horn_like, prop4_check
-from .syntax import And, FreshNamer, InputError, Not, Signature, formula_symbols, free_vars, mk_and
+from .syntax import And, FreshNamer, InputError, Not, Signature, free_vars, mk_and, read_symbols
 from .tableaux import ResourceLimitError, StructureError, Tableau, prove
 from .tptp import ParseError, content_lines, format_formula, parse_clause_file, parse_fof_file, split_problem
 
@@ -100,8 +100,9 @@ def cmd_prove(args) -> int:
             print("error: no formulas in input", file=sys.stderr)
             return EXIT_PARSE
         formula = ax if cj is None else (And((ax, Not(cj))) if ax is not None else Not(cj))
-        namer = FreshNamer(formula_symbols(formula))
-        frozen, _, _, _ = freeze_free_vars(formula, formula, namer)
+        symbols = read_symbols(formula)
+        namer = FreshNamer(symbols.names)
+        frozen, _, _, _ = freeze_free_vars(formula, formula, namer, (symbols.free, symbols.free))
         clauses = list(skolemize_clausify(frozen, namer).clauses)
     if args.equality_axioms:
         sig = Signature.empty()

@@ -27,6 +27,7 @@ from .hyperconv import ConversionTrace, hyper_convert
 from .normalize import (
     cnf,
     freeze_free_vars,
+    frozen_vocabulary,
     skolemize_clausify,
     unfreeze,
     wrap_prefix,
@@ -56,16 +57,15 @@ from .syntax import (
     Var,
     clause_formula,
     formula_symbols,
-    free_vars,
     is_ground,
     map_formula_terms,
     map_term,
     mk_and,
     mk_or,
+    read_symbols,
     rename_predicates,
     smax_by,
     term_depth,
-    vocabulary,
 )
 from .tableaux import (
     Node,
@@ -331,16 +331,17 @@ def interpolate(
     require = requirements(require)
     report = InterpolationReport(require=require)
     timings = report.timings_ms
-    namer = FreshNamer(formula_symbols(f) | formula_symbols(g))
+    sf, sg = read_symbols(f), read_symbols(g)
+    namer = FreshNamer(sf.names | sg.names)
 
     t0 = time.perf_counter()
-    f_c, g_c, shared, pmap = freeze_free_vars(f, g, namer)
+    f_c, g_c, shared, pmap = freeze_free_vars(f, g, namer, (sf.free, sg.free))
     fres = skolemize_clausify(f_c, namer)
     gres = skolemize_clausify(Not(g_c), namer)
     timings["clausify"] = (time.perf_counter() - t0) * 1000
 
-    fun_f, pred_f = vocabulary(f_c)
-    fun_g, pred_g = vocabulary(g_c)
+    fun_f, pred_f = frozen_vocabulary(sf, pmap)
+    fun_g, pred_g = frozen_vocabulary(sg, pmap)
 
     s1 = s2 = frozenset()
     if fres.has_empty_clause() or gres.has_empty_clause():
@@ -487,8 +488,9 @@ def entails(
     The free variables of both sides are frozen and a is clausified once;
     each universal conjunct of b is then refuted on its own against the
     clauses of a, and the first one found satisfiable fails the whole."""
-    namer = FreshNamer(formula_symbols(a) | formula_symbols(b))
-    a_c, b_c, _, _ = freeze_free_vars(a, b, namer)
+    sa, sb = read_symbols(a), read_symbols(b)
+    namer = FreshNamer(sa.names | sb.names)
+    a_c, b_c, _, _ = freeze_free_vars(a, b, namer, (sa.free, sb.free))
     ares = skolemize_clausify(a_c, namer)
     if ares.has_empty_clause():
         return "pass"
@@ -516,17 +518,16 @@ def entails(
 def shared_symbols(f: Formula, g: Formula) -> SharedSymbols:
     """The function symbols, the (predicate, polarity) pairs and the free
     variables that f and g have in common."""
-    fun_f, pred_f = vocabulary(f)
-    fun_g, pred_g = vocabulary(g)
-    return fun_f & fun_g, pred_f & pred_g, frozenset(free_vars(f) & free_vars(g))
+    sf, sg = read_symbols(f), read_symbols(g)
+    return sf.functions & sg.functions, sf.predicates & sg.predicates, sf.free & sg.free
 
 
 def craig_conditions(h: Formula, common: SharedSymbols) -> tuple[bool, bool]:
     """Vocabulary (with predicate polarities) and free-variable inclusion
     of h in the `common` symbols of F and G."""
     functions, predicates, variables = common
-    fun_h, pred_h = vocabulary(h)
-    return fun_h <= functions and pred_h <= predicates, free_vars(h) <= variables
+    s = read_symbols(h)
+    return s.functions <= functions and s.predicates <= predicates, s.free <= variables
 
 
 def verify_interpolant(
@@ -579,8 +580,9 @@ def synthesize_definition(
     targets = frozenset(targets)
     if not targets:
         raise InputError("target predicate set must not be empty")
-    preds = {p for p, _ in vocabulary(kb)[1]} | {p for p, _ in vocabulary(query)[1]}
-    namer = FreshNamer(formula_symbols(kb) | formula_symbols(query))
+    skb, sq = read_symbols(kb), read_symbols(query)
+    preds = {p for p, _ in skb.predicates | sq.predicates}
+    namer = FreshNamer(skb.names | sq.names)
     mapping = {p: namer.fresh(f"{p}_p") for p in sorted(preds - targets)}
     kb_primed = rename_predicates(kb, mapping)
     query_primed = rename_predicates(query, mapping)

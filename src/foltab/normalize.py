@@ -14,7 +14,7 @@ and duality contracts hold structurally, not just up to equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .syntax import (
     And,
@@ -24,6 +24,7 @@ from .syntax import (
     Exists,
     ForAll,
     Formula,
+    FormulaSymbols,
     FreshNamer,
     Iff,
     Implies,
@@ -135,6 +136,9 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
             del done[k:]
             if pos:
                 joined = [c for cs in parts for c in cs]
+            elif max_clauses >= 1 and all(len(cs) == 1 for cs in parts):
+                # what distribution gives, in one step
+                joined = [clause(l for cs in parts for l in cs[0].literals)]
             else:
                 joined = [Clause(())]
                 for cs in parts:
@@ -165,7 +169,8 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
         else:
             w = pick(g.var)
             prefix.append(("forall" if (cls is ForAll) == pos else "exists", w))
-            todo.append((g.body, pos, {**env, g.var: Var(w)}))
+            # a name kept was unused, so no entry of env is for it
+            todo.append((g.body, pos, env if w == g.var else {**env, g.var: Var(w)}))
     return PrenexNormalForm(tuple(prefix), tuple(done[0]), "cnf")
 
 
@@ -179,17 +184,21 @@ def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
 
 
 def freeze_free_vars(
-    f: Formula, g: Formula, namer: Optional[FreshNamer] = None
+    f: Formula,
+    g: Formula,
+    namer: Optional[FreshNamer] = None,
+    free: Optional[tuple[AbstractSet[str], AbstractSet[str]]] = None,
 ) -> tuple[Formula, Formula, frozenset[str], dict[str, str]]:
     """Replace free variables with dedicated fresh constants.
 
-    Returns (f_c, g_c, shared, mapping) where mapping is constant -> variable
-    and shared holds the constants standing for variables free in both f and g.
+    `free` holds the free variables of f and of g when the caller has read
+    them already.  Returns (f_c, g_c, shared, mapping) where mapping is
+    constant -> variable and shared holds the constants standing for
+    variables free in both f and g.
     """
     if namer is None:
         namer = FreshNamer(formula_symbols(f) | formula_symbols(g))
-    fv_f = free_vars(f)
-    fv_g = free_vars(g)
+    fv_f, fv_g = (free_vars(f), free_vars(g)) if free is None else free
     mapping: dict[str, str] = {}
     sub: Subst = {}
     for v in sorted(fv_f | fv_g):
@@ -198,6 +207,16 @@ def freeze_free_vars(
         sub[v] = App(c)
     shared = frozenset(c for c, v in mapping.items() if v in fv_f and v in fv_g)
     return formula_subst(f, sub), formula_subst(g, sub), shared, mapping
+
+
+def frozen_vocabulary(
+    symbols: FormulaSymbols, mapping: dict[str, str]
+) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+    """The vocabulary of a formula with `symbols` once `freeze_free_vars`
+    has replaced its free variables as `mapping` says: its own, and the
+    placeholder constants of its free variables."""
+    free = symbols.free
+    return symbols.functions.union(c for c, v in mapping.items() if v in free), symbols.predicates
 
 
 def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:

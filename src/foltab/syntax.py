@@ -38,6 +38,9 @@ are all written on them:
 
 - `occurrences` reads: each literal and quantifier occurrence in
   pre-order, with its polarity and the names bound above it;
+  `read_symbols` reads a formula's names, free variables, functions and
+  signed predicates from it in one walk, and `vocabulary` and
+  `formula_symbols` are views of that walk;
 - `map_formula` rebuilds, bottom up, and calls its `binder` at each
   quantifier in pre-order (so fresh names are picked outside in).
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class InputError(ValueError):
@@ -752,33 +755,51 @@ def free_vars(f: Formula) -> set[str]:
     return out
 
 
-def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
-    """Function symbols (constants included) and (predicate, polarity) pairs."""
+class FormulaSymbols(NamedTuple):
+    """What one walk of a formula reads off it."""
+
+    names: frozenset[str]  # functions, predicates and variables, bound ones included
+    free: frozenset[str]  # the free variables
+    functions: frozenset[str]  # function symbols, constants included
+    predicates: frozenset[tuple[str, str]]  # (predicate, polarity) pairs
+
+
+def read_symbols(f: Formula) -> FormulaSymbols:
+    """The symbol names, free variables, function symbols and signed
+    predicates of f, from one `occurrences` walk."""
+    names: set[str] = set()
+    free: set[str] = set()
     funcs: set[str] = set()
     preds: set[tuple[str, str]] = set()
-    for g, pol, _ in occurrences(f):
+    for g, pol, bound in occurrences(f):
         if g.__class__ is Literal:
+            names.add(g.predicate)
             if pol & POS:
                 preds.add((g.predicate, "+"))
             if pol & NEG:
                 preds.add((g.predicate, "-"))
             for s in subterms(*g.args):
-                if s.__class__ is App:
+                if s.__class__ is Var:
+                    names.add(s.name)
+                    if s.name not in bound:
+                        free.add(s.name)
+                else:
+                    names.add(s.functor)
                     funcs.add(s.functor)
-    return frozenset(funcs), frozenset(preds)
-
-
-def formula_symbols(f: Formula) -> set[str]:
-    """All symbol names occurring in f: functions, predicates and variables."""
-    out: set[str] = set()
-    for g, _, _ in occurrences(f):
-        if g.__class__ is Literal:
-            out.add(g.predicate)
-            for s in subterms(*g.args):
-                out.add(s.name if s.__class__ is Var else s.functor)
         else:
-            out.add(g.var)
-    return out
+            names.add(g.var)
+    return FormulaSymbols(frozenset(names), frozenset(free), frozenset(funcs), frozenset(preds))
+
+
+def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+    """Function symbols (constants included) and (predicate, polarity) pairs."""
+    s = read_symbols(f)
+    return s.functions, s.predicates
+
+
+def formula_symbols(f: Formula) -> frozenset[str]:
+    """All symbol names occurring in f: functions, predicates and variables."""
+    return read_symbols(f).names
 
 
 # ---------------------------------------------------------------------------

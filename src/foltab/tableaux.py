@@ -15,7 +15,8 @@ literal's stack, so the walk is linear in the size of the tree.
 Tableaux are built single-threaded.  `simplify_below` works in place on
 the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
 leave their input as it is, and `prove` runs it on the search tree of the
-proof it found.
+proof it found.  `ground_tableau` and `assign_sides` work in place too, on
+the tableau their caller owns.
 
 `prove` shares clause structure: a clause instance is the clause's own
 literals and a copy number, kept beside the node the instance hangs from,
@@ -284,25 +285,42 @@ def match_clause(
     return sigma
 
 
+def shape(literals: Iterable[Literal]) -> tuple:
+    """The (sign, predicate, arity) of each literal, in order: an instance
+    of a clause has the clause's shape."""
+    return tuple((l.positive, l.predicate, len(l.args)) for l in literals)
+
+
+def by_shape(clauses: Iterable[Clause]) -> dict[tuple, list[Clause]]:
+    """The clauses of each shape, in their order."""
+    out: dict[tuple, list[Clause]] = {}
+    for c in clauses:
+        out.setdefault(shape(c.literals), []).append(c)
+    return out
+
+
 def assign_sides(
     tab: Tableau,
     f_clauses: Iterable[Clause],
     g_clauses: Iterable[Clause],
     tie: str = "F",
 ) -> Tableau:
-    """Attach F/G side labels: a clause instance of f_clauses gets side F,
-    of g_clauses side G; instances of both follow the tie policy."""
+    """Attach F/G side labels to the nodes of tab, in place, and return
+    tab: a clause instance of f_clauses gets side F, of g_clauses side G;
+    instances of both follow the tie policy.  An instance is matched only
+    against the clauses of its shape, the only ones `match_clause` does not
+    reject."""
     if tie not in ("F", "G"):
         raise InputError(f"bad tie policy: {tie}")
-    fcs = tuple(f_clauses)
-    gcs = tuple(g_clauses)
-    out = tab.copy()
-    for n in out.nodes():
+    fcs = by_shape(f_clauses)
+    gcs = by_shape(g_clauses)
+    for n in tab.nodes():
         if not n.children:
             continue
         inst = clause_at(n)
-        in_f = any(match_clause(inst, c) is not None for c in fcs)
-        in_g = any(match_clause(inst, c) is not None for c in gcs)
+        key = shape(inst)
+        in_f = any(match_clause(inst, c) is not None for c in fcs.get(key, ()))
+        in_g = any(match_clause(inst, c) is not None for c in gcs.get(key, ()))
         if in_f and in_g:
             side = tie
         elif in_f:
@@ -315,7 +333,7 @@ def assign_sides(
             )
         for c in n.children:
             c.side = side
-    return out
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +345,11 @@ def ground_tableau(
     namer: Optional[FreshNamer] = None,
     policy: str = "F",
 ) -> tuple[Tableau, frozenset[str], frozenset[str]]:
-    """Instantiate remaining variables with dedicated fresh constants.
+    """Instantiate remaining variables with dedicated fresh constants, in
+    place.
 
     policy 'F' puts every fresh constant on the F side, 'G' on the G side,
-    'alternate' round-robins.  Returns (tableau, fresh_F, fresh_G)."""
+    'alternate' round-robins.  Returns (tab, fresh_F, fresh_G)."""
     if policy not in ("F", "G", "alternate"):
         raise InputError(f"bad grounding policy: {policy}")
     if namer is None:
@@ -355,11 +374,10 @@ def ground_tableau(
             s1.append(name)
         else:
             s2.append(name)
-    out = tab.copy()
     atoms: dict[Literal, Literal] = {}
-    for n in out.non_root_nodes():
+    for n in tab.non_root_nodes():
         n.literal = shared(apply_literal(n.literal, sub), atoms)
-    return out, frozenset(s1), frozenset(s2)
+    return tab, frozenset(s1), frozenset(s2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +525,12 @@ def prove(
             raise _InferenceCap
         inferences = end
 
-    def regular(children: list[Node], k: int, ground: tuple[bool, ...], path: list[Node]) -> bool:
-        """No child, of copy k, equals the literal of a node of `path`, the
-        nodes from the goal up, under the bindings; only literals of a
-        child's sign, predicate and arity are compared.  A ground literal
-        equals its own object in every copy."""
-        for ch, g in zip(children, ground):
-            lit = ch.literal
+    def regular(lits: tuple[Literal, ...], k: int, ground: tuple[bool, ...], path: list[Node]) -> bool:
+        """No literal of `lits`, of copy k, equals the literal of a node of
+        `path`, the nodes from the goal up, under the bindings; only
+        literals of the same sign, predicate and arity are compared.  A
+        ground literal equals its own object in every copy."""
+        for lit, g in zip(lits, ground):
             for n in path:
                 l = n.literal
                 if l is not lit and (
@@ -568,14 +585,15 @@ def prove(
             counted = ordinal + 1
             k = copies
             mark = len(trail)
-            if not g.args or unify_copies(g.args, kg, lits[idx].args, k, binding, trail):
+            if (
+                not g.args or unify_copies(g.args, kg, lits[idx].args, k, binding, trail)
+            ) and regular(lits, k, ground, path):
                 children = [Node(l) for l in lits]
                 for ch in children:
                     ch.parent = goal
                 goal.children = children
                 copy_of[goal] = k
-                if regular(children, k, ground, path):
-                    yield children[:idx] + children[idx + 1:] + rest
+                yield children[:idx] + children[idx + 1:] + rest
                 goal.children = []
             undo(binding, trail, mark)
         # the goal is a leaf again, and the numbers kept beside the search

@@ -10,7 +10,8 @@ the front end with a token object per token as an
 oracle for the parsers and proof import, the recursive tableau walkers
 with an ancestor scan per target as an oracle for `branch_walk` and the
 walkers on it, `entails` clausifying both sides per conjunct as an oracle
-for the one that clausifies once, and checkers of the tableaux, unifiers
+for the one that clausifies once, side assignment matching every clause as
+an oracle for the one that matches by shape, and checkers of the tableaux, unifiers
 and formulas the pipeline makes."""
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from foltab.tableaux import (
     branch_walk,
     clause_at,
     is_hyper,
+    match_clause,
     prove,
     simplify,
 )
@@ -709,6 +711,40 @@ def reference_copy_subtree(node: Node) -> tuple[Node, dict[int, Node]]:
 
 def reference_copy(tab: Tableau) -> Tableau:
     return Tableau(reference_copy_subtree(tab.root)[0])
+
+
+def reference_assign_sides(
+    tab: Tableau,
+    f_clauses: Iterable[Clause],
+    g_clauses: Iterable[Clause],
+    tie: str = "F",
+) -> Tableau:
+    """Side labels on a copy of tab, each clause instance matched against
+    every clause of both sides."""
+    if tie not in ("F", "G"):
+        raise InputError(f"bad tie policy: {tie}")
+    fcs = tuple(f_clauses)
+    gcs = tuple(g_clauses)
+    out = tab.copy()
+    for n in out.nodes():
+        if not n.children:
+            continue
+        inst = clause_at(n)
+        in_f = any(match_clause(inst, c) is not None for c in fcs)
+        in_g = any(match_clause(inst, c) is not None for c in gcs)
+        if in_f and in_g:
+            side = tie
+        elif in_f:
+            side = "F"
+        elif in_g:
+            side = "G"
+        else:
+            raise StructureError(
+                f"tableau clause is an instance of neither side: {' | '.join(map(str, inst))}"
+            )
+        for c in n.children:
+            c.side = side
+    return out
 
 
 def reference_format_tableau(tab: Tableau) -> str:

@@ -60,6 +60,7 @@ from foltab.syntax import (
     mk_or,
     smax_by,
 )
+from foltab.tptp import parse_formula
 from helpers import (
     random_formula,
     random_horn_like,
@@ -493,6 +494,32 @@ def test_empty_connectives():
     for f in (Or(()), And(()), Not(Or(())), Not(And(()))):
         assert cnf(f) == reference_cnf(f)
     assert cnf(Or(())).matrix == (Clause(()),) and cnf(And(())).matrix == ()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # sibling quantifiers over one name
+        "(! [X] : p(X)) & (? [X] : q(X))",
+        # a nested quantifier that shadows its parent's name
+        "! [X] : (p(X) | ? [X] : (q(X) & ! [Y] : r(X, Y)))",
+        # bound names equal to free variables
+        "p(X) & (! [X] : r(X, Y)) & ? [Y] : q(Y)",
+        # <=>, whose sides are read twice, each time picking bound names
+        "(! [X] : p(X)) <=> (? [X] : (q(X) | r(X, a)))",
+        # disjunctions of single clauses, joined in one step, with a repeat
+        "p(X) | ~q(X) | (p(X) | r(X, X))",
+        # a part with no clause and a part with two take the general join
+        "p(a) | $true | q(b)",
+        "p(a) | (q(a) & r(a)) | p(a)",
+    ],
+)
+def test_cnf_cases_agree_with_the_reference(text):
+    f = parse_formula(text)
+    assert cnf(f) == reference_cnf(f)
+    assert dnf(f) == reference_dnf(f)
+    g = closed(f)
+    assert clausified(skolemize_clausify, g) == clausified(reference_skolemize_clausify, g)
 
 
 def test_horn_deciders_and_hornify_agree_with_the_reference():

@@ -8,8 +8,9 @@ import re
 
 import pytest
 
-from foltab.interpolation import unfreeze
-from foltab.normalize import ClauseLimitError, cnf
+import foltab.syntax
+from foltab.interpolation import interpolate, unfreeze
+from foltab.normalize import ClauseLimitError, cnf, freeze_free_vars, frozen_vocabulary
 from foltab.syntax import (
     BOTH,
     Clause,
@@ -19,6 +20,7 @@ from foltab.syntax import (
     App,
     Exists,
     ForAll,
+    FreshNamer,
     Iff,
     Literal,
     Not,
@@ -29,11 +31,13 @@ from foltab.syntax import (
     free_vars,
     map_formula_terms,
     occurrences,
+    read_symbols,
     rename_predicates,
     vocabulary,
 )
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
+    gen_urr_instance,
     random_formula,
     rename_bound,
     random_term,
@@ -78,6 +82,49 @@ def test_readers_agree_with_the_recursive_walkers():
         assert free_vars(f) == reference_free_vars(f)
         assert vocabulary(f) == reference_vocabulary(f)
         assert formula_symbols(f) == reference_formula_symbols(f)
+        s = read_symbols(f)
+        assert s.names == reference_formula_symbols(f)
+        assert s.free == reference_free_vars(f)
+        assert (s.functions, s.predicates) == reference_vocabulary(f)
+
+
+def frozen_pair(f, g):
+    """f and g with their free variables frozen, the placeholder map, and
+    the symbols of f and g."""
+    sf, sg = read_symbols(f), read_symbols(g)
+    f_c, g_c, _, mapping = freeze_free_vars(f, g, FreshNamer(sf.names | sg.names), (sf.free, sg.free))
+    return f_c, g_c, mapping, sf, sg
+
+
+def test_frozen_vocabulary_is_read_off_the_walk():
+    # p(X) & ! [X] : q(X): X is free and bound, and only the free
+    # occurrence becomes a placeholder constant
+    x = Var("X")
+    f = And((lit("p", x), ForAll("X", lit("q", x))))
+    g = Or((lit("q", App("a")), Exists("Y", lit("r", x, Var("Y")))))
+    f_c, g_c, mapping, sf, sg = frozen_pair(f, g)
+    assert frozen_vocabulary(sf, mapping) == vocabulary(f_c) == (
+        frozenset({"c_x_1"}),
+        frozenset({("p", "+"), ("q", "+")}),
+    )
+    assert frozen_vocabulary(sg, mapping) == vocabulary(g_c)
+    for rng, f in samples(13):
+        g = random_formula(rng, depth=rng.randint(1, 4))
+        f_c, g_c, mapping, sf, sg = frozen_pair(f, g)
+        assert frozen_vocabulary(sf, mapping) == vocabulary(f_c)
+        assert frozen_vocabulary(sg, mapping) == vocabulary(g_c)
+
+
+def test_interpolate_walks_each_input_once(monkeypatch):
+    walks = []
+    occurrences = foltab.syntax.occurrences
+    monkeypatch.setattr(foltab.syntax, "occurrences", lambda f: walks.append(f) or occurrences(f))
+    f, g = gen_urr_instance(random.Random(5))
+    interpolate(f, g, require=("u-rr",))
+    # F and G once each, the sentence check of each clausification, and the
+    # cnf of the u-rr check
+    assert len(walks) == 5
+    assert walks[:2] == [f, g]
 
 
 def test_maps_agree_with_the_recursive_walkers():

@@ -26,6 +26,7 @@ from helpers import (
     is_leaf_closing,
     is_regular,
     random_ground_clauses,
+    reference_assign_sides,
     reference_prove,
     tableau_clauses,
     tableau_size,
@@ -355,10 +356,12 @@ def test_ground_tableau_distinct_variables_distinct_constants():
 
 
 def test_ground_tableau_policies():
+    # grounding works in place, so each call gets a tableau of its own
     t = chain(lit("p", x, Var("Y")))
-    _, s1, s2 = ground_tableau(t, policy="G")
+    out, s1, s2 = ground_tableau(t, policy="G")
+    assert out is t and is_ground_tableau(t)
     assert not s1 and len(s2) == 2
-    _, s1, s2 = ground_tableau(t, policy="alternate")
+    _, s1, s2 = ground_tableau(chain(lit("p", x, Var("Y"))), policy="alternate")
     assert len(s1) == 1 and len(s2) == 1
 
 
@@ -422,10 +425,81 @@ def test_assign_sides_tie_prefers_f():
     assert all(n.side == "G" for n in out_g.non_root_nodes())
 
 
+def random_clauses(rng):
+    """A few clauses over p/1, q/1, r/2 and s/0, so that many share a
+    shape and some are instances of others."""
+    terms = (x, Var("Y"), a, App("b"), App("f", (x,)), App("f", (a,)))
+    preds = (("p", 1), ("q", 1), ("r", 2), ("s", 0))
+    out = []
+    for _ in range(rng.randint(2, 7)):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            name, arity = rng.choice(preds)
+            lits.append(lit(name, *(rng.choice(terms) for _ in range(arity)), positive=rng.random() < 0.5))
+        c = Clause(tuple(dict.fromkeys(lits)))
+        if c not in out:
+            out.append(c)
+    return out
+
+
+def sides_or_error(assign, tab, f_clauses, g_clauses, tie):
+    try:
+        out = assign(tab, f_clauses, g_clauses, tie)
+    except StructureError as e:
+        return str(e)
+    return [n.side for n in out.non_root_nodes()]
+
+
+def test_side_assignment_by_shape_agrees_with_the_full_scan(monkeypatch):
+    # assign_sides matches an instance only against clauses of its shape
+    shapes = []
+
+    def signs(literals):
+        return [(l.positive, l.predicate, len(l.args)) for l in literals]
+
+    def match(instance, general):
+        shapes.append(signs(instance) == signs(general.literals))
+        return match_clause(instance, general)
+
+    monkeypatch.setattr(foltab.tableaux, "match_clause", match)
+    rng = random.Random(21)
+    proofs = ties = aliens = 0
+    while proofs < 150:
+        clauses = random_clauses(rng)
+        result = prove(clauses, max_depth=8, max_inferences=3000)
+        if not result.proved:
+            continue
+        proofs += 1
+        tab = result.tableau
+        if rng.random() < 0.7:  # as interpolate labels it
+            ground_tableau(tab)
+        # F and G share clauses[i:j]; one split in four leaves them out
+        i, j = sorted(rng.randint(0, len(clauses)) for _ in range(2))
+        if rng.random() < 0.25:
+            f_clauses, g_clauses = clauses[:i], clauses[j:]
+        else:
+            f_clauses, g_clauses = clauses[:j], clauses[i:]
+        got = {}
+        for tie in ("F", "G"):
+            expected = sides_or_error(reference_assign_sides, tab, f_clauses, g_clauses, tie)
+            got[tie] = sides_or_error(assign_sides, tab, f_clauses, g_clauses, tie)
+            assert got[tie] == expected
+        ties += got["F"] != got["G"]
+        aliens += isinstance(got["F"], str)
+    assert ties > 20 and aliens > 5
+    assert shapes and all(shapes)
+
+
 def test_assign_sides_rejects_alien_clause():
     t = chain(lit("weird"))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^tableau clause is an instance of neither side: weird$"):
         assign_sides(t, [Clause((lit("p"),))], [Clause((lit("q"),))])
+    # an instance of no clause of its shape is rejected with the same message
+    t = build([(lit("p", App("b")), []), (lit("q", x, positive=False), [])])
+    with pytest.raises(
+        StructureError, match=r"^tableau clause is an instance of neither side: p\(b\) \| ~q\(X\)$"
+    ):
+        assign_sides(t, [Clause((lit("p", a), lit("q", x, positive=False)))], [Clause((lit("q"),))])
 
 
 def test_simplify_idempotent_and_introduces_no_literals():
