@@ -50,7 +50,7 @@ from .syntax import (
     map_formula_terms,
     subterms,
 )
-from .tableaux import Tableau, branch_walk, by_shape, match_clause, shape
+from .tableaux import Tableau, branch_walk, match_clause
 
 if TYPE_CHECKING:
     from .interpolation import LiftResult
@@ -134,10 +134,11 @@ def _tableau_instances(
     """The clause instances of the F side and of the G side of `tab`, in
     pre-order, when every literal is ground, every inner node's children
     carry one side and are an instance of a clause of it, and every leaf
-    closes; None otherwise.  An instance is matched only against the
-    clauses of its shape."""
+    closes; None otherwise.  An instance is matched against every clause
+    of its side: `match_clause` rejects a clause of another shape at its
+    first check, which costs less than grouping the clauses by shape."""
     instances: dict[str, list[tuple[Literal, ...]]] = {"F": [], "G": []}
-    clauses = {"F": by_shape(f_clauses), "G": by_shape(g_clauses)}
+    clauses = {"F": f_clauses, "G": g_clauses}
     root = tab.root
     if not root.children:
         return None
@@ -152,7 +153,7 @@ def _tableau_instances(
             side not in clauses
             or any(c.side != side for c in n.children)
             or not all(is_ground(a) for l in inst for a in l.args)
-            or not any(match_clause(inst, c) is not None for c in clauses[side].get(shape(inst), ()))
+            or not any(match_clause(inst, c) is not None for c in clauses[side])
         ):
             return None
         instances[side].append(inst)
@@ -283,21 +284,21 @@ def _satisfiable(clauses: list[tuple[int, ...]]) -> bool:
         conflict = False
         while todo:
             c = todo.pop()
-            free = None
+            unit = None  # the one literal of c not yet false
             for l in c:
                 if l in true:
                     break
                 if -l not in true:
-                    if free is not None:
+                    if unit is not None:
                         break
-                    free = l
+                    unit = l
             else:
-                if free is None:
+                if unit is None:
                     conflict = True
                     break
-                true.add(free)
-                trail.append(free)
-                todo.extend(watch.get(free, ()))
+                true.add(unit)
+                trail.append(unit)
+                todo.extend(watch.get(unit, ()))
         if conflict:
             while choices:
                 mark, l, flipped = choices.pop()

@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+from .syntax import Signature
 from .tableaux import Node, Tableau, branch_walk
 from .tptp import ParseError, _Parser, content_lines
 
@@ -44,6 +45,7 @@ def parse_tableau(text: str) -> Tableau:
     stack: list[Node] = [root]  # stack[d] = most recent node at depth d
     # (node, the node on its branch at its declared target depth, depth, line)
     targets: list[tuple[Node, Optional[Node], int, int]] = []
+    sig = Signature.empty()
     p = _Parser()
     for line_no, _, raw in body:
         m = _LINE_RE.match(raw)
@@ -61,6 +63,9 @@ def parse_tableau(text: str) -> Tableau:
             p.at_end("trailing input after literal")
         except ParseError as e:
             raise ParseError(e.message, line_no, m.start("lit") + e.col) from None
+        # arities are checked as in a clause file
+        for l in p.literals:
+            sig.extend_with_literal(l)
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         del stack[depth:]

@@ -46,6 +46,7 @@ from .syntax import (
     Bottom,
     ForAll,
     Formula,
+    FormulaSymbols,
     FreshNamer,
     InputError,
     Literal,
@@ -56,7 +57,6 @@ from .syntax import (
     Top,
     Var,
     clause_formula,
-    formula_symbols,
     is_ground,
     map_formula_terms,
     map_term,
@@ -217,18 +217,13 @@ class LiftResult:
     terms: tuple[Term, ...]  # the replaced terms, in prefix order
 
 
-def lift_parts(
-    h_grd: Formula, ctx: InterpolationContext, namer: Optional[FreshNamer] = None
-) -> LiftResult:
+def lift_parts(h_grd: Formula, ctx: InterpolationContext, namer: FreshNamer) -> LiftResult:
     """Quantifier prefix and matrix of the lifted interpolant.
 
-    Maximal occurrences of side-owned ground terms become fresh variables:
-    existential for F-side terms, universal for G-side terms.  Subterms are
-    quantified before their superterms (stable order: depth, then first
-    occurrence)."""
-    if namer is None:
-        namer = FreshNamer(formula_symbols(h_grd))
-
+    Maximal occurrences of side-owned ground terms become fresh variables,
+    named by the run's `namer`: existential for F-side terms, universal for
+    G-side terms.  Subterms are quantified before their superterms (stable
+    order: depth, then first occurrence)."""
     # a stable sort keeps the order of first occurrence within each depth
     ordered = sorted(
         smax_by(lambda t: ctx.e_member(t) or ctx.u_member(t), h_grd), key=term_depth
@@ -340,8 +335,8 @@ def interpolate(
     gres = skolemize_clausify(Not(g_c), namer)
     timings["clausify"] = (time.perf_counter() - t0) * 1000
 
-    fun_f, pred_f = frozen_vocabulary(sf, pmap)
-    fun_g, pred_g = frozen_vocabulary(sg, pmap)
+    fun_f = frozen_vocabulary(sf, pmap)
+    fun_g = frozen_vocabulary(sg, pmap)
 
     s1 = s2 = frozenset()
     if fres.has_empty_clause() or gres.has_empty_clause():
@@ -401,16 +396,8 @@ def interpolate(
 
     if verify:
         t0 = time.perf_counter()
-        # what F and G share, read off their frozen forms: a placeholder
-        # constant is fresh, so the shared ones stand for exactly the free
-        # variables of both and no other function symbol is one
-        common = (
-            (fun_f & fun_g).difference(pmap),
-            pred_f & pred_g,
-            frozenset(pmap[c] for c in shared),
-        )
         certificate = Certificate(
-            fres.clauses, gres.clauses, pmap, common, report.shortcut,
+            fres.clauses, gres.clauses, pmap, shared_symbols(sf, sg), report.shortcut,
             report.tableau, report.ground_interpolant, lifted, matrix,
         )
         report.verification = verify_interpolant(f, g, h, require, certificate=certificate)
@@ -515,10 +502,9 @@ def entails(
     return verdict
 
 
-def shared_symbols(f: Formula, g: Formula) -> SharedSymbols:
+def shared_symbols(sf: FormulaSymbols, sg: FormulaSymbols) -> SharedSymbols:
     """The function symbols, the (predicate, polarity) pairs and the free
-    variables that f and g have in common."""
-    sf, sg = read_symbols(f), read_symbols(g)
+    variables that the formulas read as `sf` and `sg` have in common."""
     return sf.functions & sg.functions, sf.predicates & sg.predicates, sf.free & sg.free
 
 
@@ -546,13 +532,14 @@ def verify_interpolant(
     the symbols F and G have in common, so that only h is read for the
     Craig conditions."""
     required = requirements(required)
-    common = shared_symbols(f, g) if certificate is None else certificate.shared_symbols
-    voc_ok, var_ok = craig_conditions(h, common)
     if certificate is None:
+        common = shared_symbols(read_symbols(f), read_symbols(g))
         f_h = entails(f, h, max_depth, timeout)
         h_g = entails(h, g, max_depth, timeout)
     else:
+        common = certificate.shared_symbols
         f_h, h_g = check_certificate(certificate, h)
+    voc_ok, var_ok = craig_conditions(h, common)
     rep = VerificationReport(
         vocabulary_ok=voc_ok,
         variables_ok=var_ok,

@@ -14,7 +14,7 @@ and duality contracts hold structurally, not just up to equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable
 
 from .syntax import (
     And,
@@ -40,7 +40,6 @@ from .syntax import (
     apply_term,
     clause,
     formula_subst,
-    formula_symbols,
     free_vars,
     map_formula_terms,
     map_literal_terms,
@@ -186,19 +185,17 @@ def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
 def freeze_free_vars(
     f: Formula,
     g: Formula,
-    namer: Optional[FreshNamer] = None,
-    free: Optional[tuple[AbstractSet[str], AbstractSet[str]]] = None,
+    namer: FreshNamer,
+    free: tuple[AbstractSet[str], AbstractSet[str]],
 ) -> tuple[Formula, Formula, frozenset[str], dict[str, str]]:
-    """Replace free variables with dedicated fresh constants.
+    """Replace free variables with dedicated fresh constants from the run's
+    `namer`.
 
-    `free` holds the free variables of f and of g when the caller has read
-    them already.  Returns (f_c, g_c, shared, mapping) where mapping is
-    constant -> variable and shared holds the constants standing for
-    variables free in both f and g.
+    `free` holds the free variables of f and of g.  Returns (f_c, g_c,
+    shared, mapping) where mapping is constant -> variable and shared holds
+    the constants standing for variables free in both f and g.
     """
-    if namer is None:
-        namer = FreshNamer(formula_symbols(f) | formula_symbols(g))
-    fv_f, fv_g = (free_vars(f), free_vars(g)) if free is None else free
+    fv_f, fv_g = free
     mapping: dict[str, str] = {}
     sub: Subst = {}
     for v in sorted(fv_f | fv_g):
@@ -209,14 +206,12 @@ def freeze_free_vars(
     return formula_subst(f, sub), formula_subst(g, sub), shared, mapping
 
 
-def frozen_vocabulary(
-    symbols: FormulaSymbols, mapping: dict[str, str]
-) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
-    """The vocabulary of a formula with `symbols` once `freeze_free_vars`
-    has replaced its free variables as `mapping` says: its own, and the
-    placeholder constants of its free variables."""
+def frozen_vocabulary(symbols: FormulaSymbols, mapping: dict[str, str]) -> frozenset[str]:
+    """The function symbols of a formula with `symbols` once
+    `freeze_free_vars` has replaced its free variables as `mapping` says:
+    its own, and the placeholder constants of its free variables."""
     free = symbols.free
-    return symbols.functions.union(c for c, v in mapping.items() if v in free), symbols.predicates
+    return symbols.functions.union(c for c, v in mapping.items() if v in free)
 
 
 def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
@@ -239,17 +234,15 @@ class ClausificationResult:
         return any(not c.literals for c in self.clauses)
 
 
-def skolemize_clausify(f: Formula, namer: Optional[FreshNamer] = None) -> ClausificationResult:
+def skolemize_clausify(f: Formula, namer: FreshNamer) -> ClausificationResult:
     """Prenex CNF with existential variables replaced by Skolem terms.
 
-    f must be a sentence.  Skolem names come from `namer`, so two calls
-    sharing one namer never collide.
+    f must be a sentence.  Skolem names come from the run's `namer`, so two
+    calls sharing it never collide.
     """
     used = free_vars(f)
     if used:
         raise InputError("skolemize_clausify expects a sentence")
-    if namer is None:
-        namer = FreshNamer(formula_symbols(f))
     p = _cnf(f, DEFAULT_CLAUSE_LIMIT, used)
     sub: Subst = {}
     skolems: list[str] = []

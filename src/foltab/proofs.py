@@ -26,6 +26,7 @@ from .syntax import (
     Clause,
     FreshNamer,
     Literal,
+    Signature,
     Subst,
     Term,
     apply_literal,
@@ -103,6 +104,7 @@ _PARAMOD_NAMES = {"paramod", "paramodulation", "para", "pm"}
 
 def parse_proof(text: str) -> ProofDocument:
     steps: dict[str, DeductionStep] = {}
+    sig = Signature.empty()
     p = _Parser()
     for line_no, stripped, _ in content_lines(text):
         try:
@@ -110,6 +112,10 @@ def parse_proof(text: str) -> ProofDocument:
             step = _parse_record(p, line_no, steps)
         except ParseError as e:
             raise ProofError(e.message, line_no) from None
+        # arities are checked as in a clause file, and the binding terms too
+        for l in p.literals:
+            sig.extend_with_literal(l)
+        sig.extend_with_terms(step.bindings.values())
         steps[step.step_id] = step
     if not steps:
         raise ProofError("empty proof document")

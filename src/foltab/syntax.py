@@ -39,8 +39,8 @@ are all written on them:
 - `occurrences` reads: each literal and quantifier occurrence in
   pre-order, with its polarity and the names bound above it;
   `read_symbols` reads a formula's names, free variables, functions and
-  signed predicates from it in one walk, and `vocabulary` and
-  `formula_symbols` are views of that walk;
+  signed predicates from it in one walk, and `vocabulary` is a view of
+  that walk;
 - `map_formula` rebuilds, bottom up, and calls its `binder` at each
   quantifier in pre-order (so fresh names are picked outside in).
 
@@ -157,10 +157,6 @@ def subterms(*terms: Term) -> Iterator[Term]:
         yield t
         if t.__class__ is App and t.args:
             stack.extend(reversed(t.args))
-
-
-def term_functions(t: Term) -> set[str]:
-    return {s.functor for s in subterms(t) if s.__class__ is App}
 
 
 def term_depth(t: Term) -> int:
@@ -462,9 +458,10 @@ def resolve_copy(
     return out[0]
 
 
-def match_term(pattern: Term, target: Term, subst: Optional[Subst] = None) -> Optional[Subst]:
-    """One-way matching: substitution s with pattern*s == target, or None."""
-    sigma: Subst = dict(subst) if subst else {}
+def match_term(pattern: Term, target: Term, sigma: Subst) -> bool:
+    """One-way matching: extend `sigma`, in place, so that pattern*sigma ==
+    target, and say whether that worked; on failure sigma may keep part of
+    the extension."""
     stack = [(pattern, target)]
     while stack:
         p, t = stack.pop()
@@ -473,12 +470,12 @@ def match_term(pattern: Term, target: Term, subst: Optional[Subst] = None) -> Op
             if bound is None:
                 sigma[p.name] = t
             elif bound != t:
-                return None
+                return False
         else:
             if not isinstance(t, App) or p.functor != t.functor or len(p.args) != len(t.args):
-                return None
+                return False
             stack.extend(zip(p.args, t.args))
-    return sigma
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +794,6 @@ def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     return s.functions, s.predicates
 
 
-def formula_symbols(f: Formula) -> frozenset[str]:
-    """All symbol names occurring in f: functions, predicates and variables."""
-    return read_symbols(f).names
-
-
 # ---------------------------------------------------------------------------
 # Equality without recursion
 
@@ -914,6 +906,8 @@ def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
 class Signature:
     functions: dict[str, int]
     predicates: dict[str, int]
+    # the application objects checked, by identity, each kept alive here
+    checked: dict[int, "App"] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def empty(cls) -> "Signature":
@@ -937,9 +931,21 @@ class Signature:
 
     def extend_with_literal(self, l: Literal) -> None:
         self.add_predicate(l.predicate, len(l.args))
-        for t in subterms(*l.args):
-            if t.__class__ is App:
+        self.extend_with_terms(l.args)
+
+    def extend_with_terms(self, terms: Iterable[Term]) -> None:
+        """Add the function symbols of `terms`, in pre-order.  An application
+        object checked before is skipped with its subterms, which were
+        checked with it; the parser shares equal terms, so each term of a
+        document is checked once."""
+        checked = self.checked
+        stack = list(terms)[::-1]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is App and id(t) not in checked:
+                checked[id(t)] = t
                 self.add_function(t.functor, len(t.args))
+                stack.extend(reversed(t.args))
 
 class FreshNamer:
     """Deterministic generator of names not colliding with a reserved set."""

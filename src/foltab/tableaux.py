@@ -48,7 +48,6 @@ from .syntax import (
     match_term,
     ordered_vars,
     resolve_copy,
-    term_functions,
     undo,
     unify_copies,
 )
@@ -278,10 +277,8 @@ def match_clause(
         if g.positive != i.positive or g.predicate != i.predicate or len(g.args) != len(i.args):
             return None
         for ga, ia in zip(g.args, i.args):
-            got = match_term(ga, ia, sigma)
-            if got is None:
+            if not match_term(ga, ia, sigma):
                 return None
-            sigma = got
     return sigma
 
 
@@ -342,24 +339,16 @@ def assign_sides(
 
 def ground_tableau(
     tab: Tableau,
-    namer: Optional[FreshNamer] = None,
+    namer: FreshNamer,
     policy: str = "F",
 ) -> tuple[Tableau, frozenset[str], frozenset[str]]:
-    """Instantiate remaining variables with dedicated fresh constants, in
-    place.
+    """Instantiate remaining variables with dedicated fresh constants from
+    the run's `namer`, in place.
 
     policy 'F' puts every fresh constant on the F side, 'G' on the G side,
     'alternate' round-robins.  Returns (tab, fresh_F, fresh_G)."""
     if policy not in ("F", "G", "alternate"):
         raise InputError(f"bad grounding policy: {policy}")
-    if namer is None:
-        reserved: set[str] = set()
-        for n in tab.non_root_nodes():
-            if n.literal is not None:
-                reserved.add(n.literal.predicate)
-                for a in n.literal.args:
-                    reserved |= term_functions(a)
-        namer = FreshNamer(reserved)
     # first-occurrence order over the pre-order walk keeps this deterministic
     ordered = ordered_vars(
         a for n in tab.non_root_nodes() if n.literal is not None for a in n.literal.args

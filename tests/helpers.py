@@ -59,7 +59,6 @@ from foltab.syntax import (
     apply_term,
     clause as mk_clause,
     clause_formula,
-    formula_symbols,
     is_ground,
     literal_key,
     map_formula,
@@ -68,8 +67,8 @@ from foltab.syntax import (
     mk_or,
     occurs,
     ordered_vars,
+    read_symbols,
     resolve,
-    term_functions,
     undo,
     walk,
 )
@@ -99,6 +98,13 @@ from foltab.tableaux import (
     simplify,
 )
 from foltab.tptp import FofRecord, ParseError
+
+
+def namer_for(*formulas: Formula) -> FreshNamer:
+    """The namer a run on `formulas` starts with: it avoids every name
+    they use."""
+    return FreshNamer(frozenset().union(*(read_symbols(f).names for f in formulas)))
+
 
 # ---------------------------------------------------------------------------
 # Finite models
@@ -1686,8 +1692,9 @@ def reference_entails(
 
 
 def _reference_entails_single(a, b, max_depth, timeout, max_inferences) -> str:
-    namer = FreshNamer(formula_symbols(a) | formula_symbols(b))
-    a_c, b_c, _, _ = freeze_free_vars(a, b, namer)
+    sa, sb = read_symbols(a), read_symbols(b)
+    namer = FreshNamer(sa.names | sb.names)
+    a_c, b_c, _, _ = freeze_free_vars(a, b, namer, (sa.free, sb.free))
     ares = skolemize_clausify(a_c, namer)
     bres = skolemize_clausify(Not(b_c), namer)
     if ares.has_empty_clause() or bres.has_empty_clause():
@@ -1976,6 +1983,26 @@ def reference_parse_literal(p: ReferenceParser) -> Literal:
     return f.complement() if negated else f
 
 
+def reference_extend_signature(
+    sig: Signature, literals: Iterable[Literal], terms: Iterable[Term] = ()
+) -> None:
+    """Add the predicates and function symbols of `literals`, then the
+    function symbols of `terms`, to sig, walking every term in full."""
+
+    def extend_with_term(t: Term) -> None:
+        if isinstance(t, App):
+            sig.add_function(t.functor, len(t.args))
+            for a in t.args:
+                extend_with_term(a)
+
+    for l in literals:
+        sig.add_predicate(l.predicate, len(l.args))
+        for a in l.args:
+            extend_with_term(a)
+    for t in terms:
+        extend_with_term(t)
+
+
 def reference_parse_clause_file(text: str) -> list[Clause]:
     out = []
     sig = Signature.empty()
@@ -1987,8 +2014,7 @@ def reference_parse_clause_file(text: str) -> list[Clause]:
             c = reference_parse_clause(stripped, i)
         except ParseError as e:
             raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
-        for l in c.literals:
-            sig.extend_with_literal(l)
+        reference_extend_signature(sig, c.literals)
         out.append(c)
     return out
 
@@ -1999,11 +2025,15 @@ def reference_normalize_clause(c: Clause) -> tuple[Literal, ...]:
 
 def reference_parse_proof(text: str) -> ProofDocument:
     steps: dict[str, DeductionStep] = {}
+    sig = Signature.empty()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
             continue
         step = _reference_parse_record(stripped, line_no, steps)
+        # each record's atom and clause, then its binding terms
+        atom = (step.atom,) if step.atom is not None else ()
+        reference_extend_signature(sig, atom + step.clause.literals, step.bindings.values())
         steps[step.step_id] = step
     if not steps:
         raise ProofError("empty proof document")
@@ -2137,7 +2167,7 @@ def reference_ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] 
         for l in lits:
             symbols.add(l.predicate)
             for a in l.args:
-                symbols |= term_functions(a)
+                symbols |= reference_term_functions(a)
                 terms.append(resolve(a, store))
     if namer is None:
         namer = FreshNamer(symbols)
@@ -2188,6 +2218,7 @@ def reference_parse_tableau(text: str) -> Tableau:
     stack: list[Node] = [root]
     depths = {root: 0}
     targets: list[tuple[Node, int, int]] = []
+    sig = Signature.empty()
     for line_no, raw in body[1:]:
         m = _REFERENCE_LINE_RE.match(raw)
         if m is None or not m.group("lit").strip():
@@ -2199,6 +2230,7 @@ def reference_parse_tableau(text: str) -> Tableau:
         if depth < 1 or depth > len(stack):
             raise ParseError(f"bad nesting depth {depth}", line_no, 1)
         lit = _reference_parse_single_literal(m.group("lit"), line_no, m.start("lit"))
+        reference_extend_signature(sig, (lit,))
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         depths[node] = depth

@@ -62,6 +62,7 @@ from foltab.syntax import (
 )
 from foltab.tptp import parse_formula
 from helpers import (
+    namer_for,
     random_formula,
     random_horn_like,
     random_nnf,
@@ -459,7 +460,7 @@ def closed(f):
 
 
 def clausified(clausify, f, *limit):
-    res = clausify(f, None, *limit)
+    res = clausify(f, namer_for(f), *limit)
     return res.clauses, res.skolem_functions, res.universal_vars
 
 
@@ -566,7 +567,7 @@ def test_lifting_agrees_with_the_reference():
         ctx = InterpolationContext(
             TOP, TOP, frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j])
         )
-        got = lift_parts(h, ctx)
+        got = lift_parts(h, ctx, namer_for(h))
         assert (got.prefix, got.matrix, got.terms) == reference_lift_parts(h, ctx), h
         lifted += len(got.terms) > 1
     assert lifted > 500
@@ -670,9 +671,9 @@ def test_deep_formulas_under_the_default_recursion_limit(default_recursion_limit
     assert clause_strings(dnf(implication)) == ((), [f"~{l}" for l in units] + ["p0(c2)"])
 
     for f in (negations, quantifiers):
-        res = skolemize_clausify(f)
+        res = skolemize_clausify(f, namer_for(f))
         assert res.skolem_functions == frozenset() and len(res.clauses) == 1
-    assert [str(c) for c in skolemize_clausify(implication).clauses] == [rule]
+    assert [str(c) for c in skolemize_clausify(implication, namer_for(implication)).clauses] == [rule]
     assert not is_u_range_restricted(negations)
     assert is_u_range_restricted(conjunction)
 

@@ -408,6 +408,34 @@ def test_import_command(tmp_path, capsys):
     assert main(["import", "--proof", write(tmp_path, "bad.proof", "s1 inut p\n")]) == 3
 
 
+ARITY_CLASH_PROOF = """1 input p(a)
+2 input ~p(a) | q(p)
+3 resolve(1, 2, p(a)) q(p)
+4 input ~q(p)
+5 resolve(3, 4, q(p)) false
+"""
+
+ARITY_CLASH_TABLEAU = """tableau
+  p(a,b)
+    ~p(a,b) -> 1
+    p(a)
+      ~p(a) -> 2
+"""
+
+
+def test_documents_with_an_arity_clash_exit_as_clause_files_do(tmp_path, capsys):
+    for command, text, clauses, message in [
+        ("import", ARITY_CLASH_PROOF, "p(a)\n~p(a) | q(p)\n", "both function and predicate: p"),
+        ("hyper", ARITY_CLASH_TABLEAU, "p(a,b)\np(a)\n", "arity clash for predicate p: 2 vs 1"),
+    ]:
+        clause_file = write(tmp_path, "clash.cls", clauses)
+        assert main(["prove", "--input", clause_file, "--format", "clauses"]) == 3
+        expected = capsys.readouterr().err
+        assert expected.startswith("error: ") and expected.endswith(f"{message}\n")
+        assert main([command, "--proof", write(tmp_path, "clash.doc", text)]) == 3
+        assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("command", ["import", "hyper", "stats"])
 def test_max_nodes_bounds_proof_expansion(tmp_path, capsys, command):
     doc = write(tmp_path, "dag.proof", doubling_dag_proof(12))

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import foltab.syntax
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import parse_proof
-from foltab.syntax import App, Clause, Literal, Var, occurrences
+from foltab.syntax import App, Clause, InputError, Literal, Var, occurrences
 from foltab.tableaux import Node, Tableau, prove
 from foltab.tptp import (
     ParseError,
@@ -197,6 +198,36 @@ def test_tableau_document_rejects_bad_nesting():
 def test_tableau_document_rejects_noncomplementary_target():
     with pytest.raises(ParseError):
         parse_tableau("tableau\n  p\n    q -> 1\n")
+
+
+def test_tableau_document_checks_arities_as_a_clause_file_does():
+    with pytest.raises(InputError) as clause_file:
+        parse_clause_file("p(a,b)\n~p(a,b) | p(a)\n")
+    with pytest.raises(InputError) as e:
+        parse_tableau("tableau\n  p(a,b)\n    ~p(a,b) -> 1\n    p(a)\n      ~p(a) -> 2\n")
+    assert str(e.value) == str(clause_file.value) == "arity clash for predicate p: 2 vs 1"
+    with pytest.raises(InputError, match="symbol used as both function and predicate: p"):
+        parse_tableau("tableau\n  q(p)\n    p\n")
+    with pytest.raises(InputError, match="arity clash for function f: 1 vs 2"):
+        parse_tableau("tableau\n  q(f(a))\n    r(f(a), f(a, b))\n")
+
+
+def test_each_shared_term_is_checked_once(monkeypatch):
+    # the parser makes f(g(a)) once, so its three symbols are checked once;
+    # a new term around it is still checked in full
+    checked = []
+    add_function = foltab.syntax.Signature.add_function
+    monkeypatch.setattr(
+        foltab.syntax.Signature,
+        "add_function",
+        lambda sig, name, arity: checked.append(name) or add_function(sig, name, arity),
+    )
+    parse_clause_file("p(f(g(a))) | q(f(g(a)))\nr(f(g(a)))\n")
+    assert checked == ["f", "g", "a"]
+    checked.clear()
+    with pytest.raises(InputError, match="arity clash for function g: 1 vs 2"):
+        parse_clause_file("p(f(g(a)))\nq(h(f(g(a)), g(a, a)))\n")
+    assert checked == ["f", "g", "a", "h", "g"]
 
 
 def test_tableau_document_requires_header():

@@ -1,5 +1,8 @@
+import inspect
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,14 +33,15 @@ from foltab.syntax import (
     Var,
     free_vars,
 )
-from foltab.normalize import wrap_prefix
-from foltab.tableaux import Node, StructureError, Tableau
+from foltab.normalize import freeze_free_vars, skolemize_clausify, wrap_prefix
+from foltab.tableaux import Node, StructureError, Tableau, ground_tableau
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     all_models,
     eval_formula,
     gen_horn_instance,
     gen_urr_instance,
+    namer_for,
     random_formula,
     random_sentence,
     reference_alpha_equal,
@@ -111,8 +115,16 @@ def _ctx(f_functions=(), g_functions=(), shared=()):
     )
 
 
+def test_stages_take_the_run_namer():
+    # every fresh name of a run comes from its one namer: no stage that
+    # makes names may fall back on a namer of its own
+    for stage in (freeze_free_vars, skolemize_clausify, ground_tableau, lift_parts):
+        assert inspect.signature(stage).parameters["namer"].default is inspect.Parameter.empty
+    assert inspect.signature(freeze_free_vars).parameters["free"].default is inspect.Parameter.empty
+
+
 def lift(h_grd, ctx):
-    lifted = lift_parts(h_grd, ctx)
+    lifted = lift_parts(h_grd, ctx, namer_for(h_grd))
     return wrap_prefix(lifted.prefix, lifted.matrix)
 
 
@@ -391,3 +403,12 @@ def test_lifting_prefix_subterm_order_on_pipeline_runs():
                 if i != j and ti != tj and ti in set(subterms(tj)):
                     assert i < j
     assert nontrivial >= 2
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    promised = [line.split("# ", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == promised == ["! [V1] : q(V1)", "True"]

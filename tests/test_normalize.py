@@ -19,6 +19,7 @@ from foltab.syntax import (
     Exists,
     ForAll,
     Formula,
+    FreshNamer,
     Implies,
     InputError,
     Literal,
@@ -31,10 +32,12 @@ from foltab.syntax import (
     free_vars,
     vocabulary,
 )
+from foltab.tableaux import prove
 from helpers import (
     all_models,
     eval_formula,
     formulas_equivalent,
+    namer_for,
     pnf_formula,
     random_formula,
     random_nnf,
@@ -234,9 +237,14 @@ def test_cnf_clause_limit():
 # --- freeze ------------------------------------------------------------
 
 
+def freeze(f, g):
+    """`freeze_free_vars` as a run calls it."""
+    return freeze_free_vars(f, g, namer_for(f, g), (free_vars(f), free_vars(g)))
+
+
 def test_freeze_shared_variable():
     f, g = p(x), q(x)
-    f_c, g_c, shared, mapping = freeze_free_vars(f, g)
+    f_c, g_c, shared, mapping = freeze(f, g)
     assert len(shared) == 1
     c = next(iter(shared))
     assert f_c == p(App(c))
@@ -246,7 +254,7 @@ def test_freeze_shared_variable():
 
 def test_freeze_sentences_untouched():
     f, g = ForAll("X", p(x)), q(a)
-    f_c, g_c, shared, _ = freeze_free_vars(f, g)
+    f_c, g_c, shared, _ = freeze(f, g)
     assert (f_c, g_c) == (f, g)
     assert shared == frozenset()
 
@@ -254,7 +262,7 @@ def test_freeze_sentences_untouched():
 def test_freeze_only_shared_in_c():
     f = p(x, y)
     g = q(y)
-    _, _, shared, mapping = freeze_free_vars(f, g)
+    _, _, shared, mapping = freeze(f, g)
     assert {mapping[c] for c in shared} == {"Y"}
     assert set(mapping.values()) == {"X", "Y"}
 
@@ -283,7 +291,7 @@ def _canon_clauses(clauses):
 
 def test_clausify_universal_pair():
     f = And((ForAll("X", p(x)), ForAll("X", Or((p(x, positive=False), q(x))))))
-    res = skolemize_clausify(f)
+    res = skolemize_clausify(f, namer_for(f))
     assert res.skolem_functions == frozenset()
     assert _canon_clauses(res.clauses) == _canon_clauses(
         [Clause((p(x),)), Clause((p(x, positive=False), q(x)))]
@@ -292,7 +300,7 @@ def test_clausify_universal_pair():
 
 def test_clausify_negated_implication():
     g = Implies(ForAll("X", Or((q(x, positive=False), lit("r", x)))), lit("r", a))
-    res = skolemize_clausify(Not(g))
+    res = skolemize_clausify(Not(g), namer_for(g))
     assert res.skolem_functions == frozenset()
     assert _canon_clauses(res.clauses) == _canon_clauses(
         [Clause((q(x, positive=False), lit("r", x))), Clause((lit("r", a, positive=False),))]
@@ -300,15 +308,26 @@ def test_clausify_negated_implication():
 
 
 def test_clausify_skolem_constant():
-    res = skolemize_clausify(Exists("X", p(x)))
+    f = Exists("X", p(x))
+    res = skolemize_clausify(f, namer_for(f))
     assert len(res.skolem_functions) == 1
     sk = next(iter(res.skolem_functions))
     assert res.clauses == (Clause((p(App(sk)),)),)
 
 
+def test_clausifications_sharing_the_run_namer_never_collide():
+    # each side alone would name its Skolem constant sk1, and the union of
+    # p(sk1) and ~p(sk1) would be refuted although the pair is satisfiable
+    f, g = Exists("X", p(x)), Exists("Y", p(y, positive=False))
+    namer = namer_for(f, g)
+    fres, gres = skolemize_clausify(f, namer), skolemize_clausify(g, namer)
+    assert fres.skolem_functions == {"sk1"} and gres.skolem_functions == {"sk2"}
+    assert prove(fres.clauses + gres.clauses).status == "saturated"
+
+
 def test_clausify_rejects_open_formula():
     with pytest.raises(InputError):
-        skolemize_clausify(p(x))
+        skolemize_clausify(p(x), FreshNamer())
 
 
 def test_skolemization_preserves_finite_satisfiability():
@@ -319,7 +338,7 @@ def test_skolemization_preserves_finite_satisfiability():
         sentence = f
         for v in sorted(free_vars(f)):
             sentence = ForAll(v, sentence) if rng.random() < 0.5 else Exists(v, sentence)
-        res = skolemize_clausify(sentence)
+        res = skolemize_clausify(sentence, namer_for(sentence))
         clausal = And(tuple(_universal_closure(c) for c in res.clauses)) if res.clauses else TOP
         sig_orig = reference_signature_of([sentence])
         sig_clausal = reference_signature_of([clausal])

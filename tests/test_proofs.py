@@ -13,8 +13,9 @@ from foltab.proofs import (
     to_cut_normal_form,
     to_tree,
 )
-from foltab.syntax import App, Clause, Literal, Var
+from foltab.syntax import App, Clause, InputError, Literal, Var
 from foltab.tableaux import ResourceLimitError, is_closed, is_hyper, match_clause, simplify
+from foltab.tptp import parse_clause_file
 from helpers import atomic_cut_clauses, doubling_dag_proof, is_leaf_closing, tableau_clauses
 
 TWO_STEP = """# two-step refutation
@@ -91,6 +92,28 @@ def test_parse_bad_resolvent_lists_the_recomputed_clause_in_literal_order():
     assert str(e.value) == (
         "declared resolvent r does not match recomputed q(a) | r | s(a) | s(b) at line 3"
     )
+
+
+def test_parse_checks_arities_as_a_clause_file_does():
+    # a function symbol used as a predicate, as in a clause file
+    clash = (
+        "1 input p(a)\n2 input ~p(a) | q(p)\n3 resolve(1, 2, p(a)) q(p)\n"
+        "4 input ~q(p)\n5 resolve(3, 4, q(p)) false\n"
+    )
+    with pytest.raises(InputError) as clause_file:
+        parse_clause_file("p(a)\n~p(a) | q(p)\n")
+    with pytest.raises(InputError) as e:
+        parse_proof(clash)
+    assert str(e.value) == str(clause_file.value) == "symbol used as both function and predicate: p"
+    with pytest.raises(InputError, match="arity clash for predicate p: 1 vs 2"):
+        parse_proof("s1 input p(a)\ns2 input ~p(a, b)\n")
+    # the resolved atom and the terms of bindings are checked too
+    with pytest.raises(InputError, match="arity clash for predicate p: 1 vs 0"):
+        parse_proof("s1 input p(a)\ns2 input ~p(a)\ns3 resolve(s1, s2, p) false\n")
+    with pytest.raises(InputError, match="arity clash for function f: 1 vs 2"):
+        parse_proof(
+            "s1 input p(f(X))\ns2 input ~p(f(a))\ns3 resolve(s1, s2, p(f(X))) {X -> f(a, b)} false\n"
+        )
 
 
 def test_parse_unknown_rule():

@@ -396,6 +396,13 @@ def _ground_substitutions(vars_):
         yield dict(zip(vars_, values))
 
 
+def test_match_term_extends_its_substitution_in_place():
+    sigma = {}
+    assert match_term(App("f", (x,)), App("f", (a,)), sigma) and sigma == {"X": a}
+    assert not match_term(x, b, sigma)  # X is bound to a already
+    assert match_term(App("g", (x, y)), App("g", (a, b)), sigma) and sigma == {"X": a, "Y": b}
+
+
 def test_unify_is_mgu_against_enumeration():
     rng = random.Random(7)
     for _ in range(300):
@@ -415,14 +422,7 @@ def test_unify_is_mgu_against_enumeration():
         # every ground unifier factors through it
         for s in ground_unifiers:
             tau = {}
-            ok = True
-            for v in vars_:
-                got = match_term(apply_term(Var(v), mgu), apply_term(Var(v), s), tau)
-                if got is None:
-                    ok = False
-                    break
-                tau = got
-            assert ok
+            assert all(match_term(apply_term(Var(v), mgu), apply_term(Var(v), s), tau) for v in vars_)
 
 
 def test_signature_arity_clash():

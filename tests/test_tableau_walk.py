@@ -14,7 +14,7 @@ from foltab.documents import format_tableau, parse_tableau
 from foltab.hyperconv import hyper_convert
 from foltab.interpolation import ipol_map
 from foltab.proofs import ground_deduction, parse_proof, to_cut_normal_form, to_tree
-from foltab.syntax import App, Literal
+from foltab.syntax import App, InputError, Literal, Signature
 from foltab.tableaux import (
     Node,
     StructureError,
@@ -39,6 +39,7 @@ from helpers import (
     reference_copy,
     reference_copy_subtree,
     reference_depths,
+    reference_extend_signature,
     reference_format_tableau,
     reference_hyper_convert,
     reference_ipol_map,
@@ -188,12 +189,28 @@ def test_copies_agree_with_the_reference(tableaux):
 
 
 def test_documents_agree_with_the_reference_and_leave_targets_alone(tableaux):
+    clashes = 0
     for tab in tableaux:
         before = rows(tab.root)
         doc = format_tableau(tab)
         assert rows(tab.root) == before
         assert doc == reference_format_tableau(reference_copy(tab))
+        try:
+            reference_extend_signature(Signature.empty(), (n.literal for n in tab.non_root_nodes()))
+        except InputError as clash:
+            # a predicate of two arities is rejected, as in a clause file;
+            # the tree with each predicate named with its arity reads back
+            clashes += 1
+            with pytest.raises(InputError) as e:
+                parse_tableau(doc)
+            assert str(e.value) == str(clash)
+            tab = tab.copy()
+            for n in tab.non_root_nodes():
+                l = n.literal
+                n.literal = Literal(l.positive, f"{l.predicate}{len(l.args)}", l.args)
+            doc = format_tableau(tab)
         assert reference_tableau_equal(parse_tableau(doc), tab)
+    assert 0 < clashes < len(tableaux)
 
 
 def test_a_moved_subtree_reads_the_depths_and_targets_of_its_new_position():

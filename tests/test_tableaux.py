@@ -5,7 +5,7 @@ import pytest
 
 import foltab.tableaux
 from foltab.documents import format_tableau
-from foltab.syntax import App, Clause, InputError, Literal, Var
+from foltab.syntax import App, Clause, FreshNamer, InputError, Literal, Var
 from foltab.tableaux import (
     Node,
     StructureError,
@@ -242,7 +242,7 @@ def test_prove_shares_one_literal_per_atom_and_sign():
     # grounding shares the literals it makes in the same way
     tab = build([(lit("q", x), [(lit("p", x), []), (lit("p", x, positive=False), [])]),
                  (lit("q", x, positive=False), [])])
-    grounded, _, _ = ground_tableau(tab)
+    grounded, _, _ = ground_tableau(tab, FreshNamer())
     q, p, not_p, not_q = grounded.non_root_nodes()
     assert not_p.literal is p.literal.complement() and not_q.literal is q.literal.complement()
 
@@ -328,7 +328,7 @@ def test_prove_matches_truth_table_oracle():
 
 def test_ground_tableau_fresh_constants():
     t = chain(lit("p", x), lit("p", x, positive=False))
-    out, s1, s2 = ground_tableau(t)
+    out, s1, s2 = ground_tableau(t, FreshNamer())
     assert is_ground_tableau(out)
     assert len(s1) == 1 and not s2
     g = next(iter(s1))
@@ -342,14 +342,14 @@ def test_ground_tableau_fresh_constants():
 
 def test_ground_tableau_identity_when_ground():
     t = chain(lit("p", a), lit("p", a, positive=False))
-    out, s1, s2 = ground_tableau(t)
+    out, s1, s2 = ground_tableau(t, FreshNamer())
     assert not s1 and not s2
     assert [n.literal for n in out.non_root_nodes()] == [n.literal for n in t.non_root_nodes()]
 
 
 def test_ground_tableau_distinct_variables_distinct_constants():
     t = chain(lit("p", x, Var("Y")))
-    out, s1, s2 = ground_tableau(t)
+    out, s1, s2 = ground_tableau(t, FreshNamer())
     args = out.root.children[0].literal.args
     assert args[0] != args[1]
     assert len(s1) == 2
@@ -358,10 +358,10 @@ def test_ground_tableau_distinct_variables_distinct_constants():
 def test_ground_tableau_policies():
     # grounding works in place, so each call gets a tableau of its own
     t = chain(lit("p", x, Var("Y")))
-    out, s1, s2 = ground_tableau(t, policy="G")
+    out, s1, s2 = ground_tableau(t, FreshNamer(), policy="G")
     assert out is t and is_ground_tableau(t)
     assert not s1 and len(s2) == 2
-    _, s1, s2 = ground_tableau(chain(lit("p", x, Var("Y"))), policy="alternate")
+    _, s1, s2 = ground_tableau(chain(lit("p", x, Var("Y"))), FreshNamer(), policy="alternate")
     assert len(s1) == 1 and len(s2) == 1
 
 
@@ -472,7 +472,7 @@ def test_side_assignment_by_shape_agrees_with_the_full_scan(monkeypatch):
         proofs += 1
         tab = result.tableau
         if rng.random() < 0.7:  # as interpolate labels it
-            ground_tableau(tab)
+            ground_tableau(tab, FreshNamer())
         # F and G share clauses[i:j]; one split in four leaves them out
         i, j = sorted(rng.randint(0, len(clauses)) for _ in range(2))
         if rng.random() < 0.25:
