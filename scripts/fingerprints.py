@@ -41,12 +41,13 @@ SAMPLES = ROOT / "src" / "foltab" / "samples"
 def _report_text(report) -> str:
     trace = report.trace
     v = report.verification
+    cert = report.certificate
     fields = [
-        ("shortcut", report.shortcut),
+        ("shortcut", cert.shortcut),
         ("sizes", (report.size_before, report.size_after)),
         ("rounds", None if trace is None else [measure_string(r.measure) for r in trace.rounds]),
-        ("lifted", [str(t) for t in report.lifted_terms]),
-        ("ground", None if report.ground_interpolant is None else format_formula(report.ground_interpolant)),
+        ("lifted", [] if cert.lifted is None else [str(t) for t in cert.lifted.terms]),
+        ("ground", format_formula(cert.ground_interpolant)),
         ("require", sorted(report.require_results.items())),
         ("verify", None if v is None else (
             v.vocabulary_ok, v.variables_ok, v.f_entails_h, v.h_entails_g, sorted(v.properties.items())

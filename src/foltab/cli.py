@@ -136,8 +136,8 @@ def cmd_prove(args) -> int:
 
 def _report_lines(report, timings: bool) -> list[str]:
     lines = ["% proved: yes"]
-    if report.shortcut:
-        lines.append(f"% shortcut: {report.shortcut}")
+    if report.certificate.shortcut:
+        lines.append(f"% shortcut: {report.certificate.shortcut}")
     if report.size_before is not None:
         lines.append(f"% tableau-inner-nodes: {report.size_before}")
     if report.trace is not None:
@@ -190,7 +190,7 @@ def cmd_interpolate(args) -> int:
         print(f"% not proved: {e.result.status}")
         return EXIT_NOT_PROVED
     except RequirementError as e:
-        print(format_formula(e.interpolant))
+        print(format_formula(e.report.interpolant))
         for line in _report_lines(e.report, args.timings):
             print(line)
         print(f"% requirement failure: {e}")
@@ -341,7 +341,7 @@ def cmd_define(args) -> int:
         print(f"% not definable within limits: {e.result.status}")
         return EXIT_NOT_PROVED
     except RequirementError as e:
-        print(format_formula(e.interpolant))
+        print(format_formula(e.report.interpolant))
         print(f"% requirement failure: {e}")
         return EXIT_FAIL
     text = format_formula(r)

@@ -64,8 +64,7 @@ def parse_tableau(text: str) -> Tableau:
         except ParseError as e:
             raise ParseError(e.message, line_no, m.start("lit") + e.col) from None
         # arities are checked as in a clause file
-        for l in p.literals:
-            sig.extend_with_literal(l)
+        sig.extend_with_line(line_no, p.literals)
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         del stack[depth:]

@@ -7,13 +7,14 @@ ground terms to quantified variables, and restore the placeholders.  With
 the hyper conversion in the loop the interpolant inherits range-restriction
 and Horn properties from suitable inputs.
 
-With `verify`, `verify_interpolant` rechecks every claim: the required
-properties on the interpolant itself, and the Craig conditions and the two
-entailments from the run's certificate (`certificate.Certificate`),
-without proof search, without clausifying again and without reading F and
-G again.  `entails`, which proves an entailment with the prover, remains
-for an interpolant that comes without a certificate, as in `foltab
-verify`.
+Every run keeps what it derived in its certificate
+(`certificate.Certificate`), which the report holds.  With `verify`,
+`verify_interpolant` rechecks every claim: the required properties on the
+interpolant itself, and the Craig conditions and the two entailments from
+that certificate, without proof search, without clausifying again and
+without reading F and G again.  `entails`, which proves an entailment
+with the prover, remains for an interpolant that comes without a
+certificate, as in `foltab verify`.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class NotProvedError(Exception):
 
 
 class RequirementError(Exception):
-    def __init__(self, message: str, interpolant: Formula, report: "InterpolationReport"):
-        self.interpolant = interpolant
+    def __init__(self, message: str, report: "InterpolationReport"):
         self.report = report
         super().__init__(message)
 
@@ -98,12 +98,10 @@ class RequirementError(Exception):
 
 @dataclass
 class InterpolationContext:
-    """The data threaded through one interpolation run: both inputs, the
-    placeholder constants for shared free variables, and the two
-    function-symbol sides that drive term classification."""
+    """The term classes of one interpolation run: the placeholder constants
+    for shared free variables, and the two function-symbol sides that
+    drive term classification."""
 
-    f: Formula
-    g: Formula
     shared_constants: frozenset[str]
     f_functions: frozenset[str]
     g_functions: frozenset[str]
@@ -263,16 +261,15 @@ def hornify(f: Formula) -> Formula:
 
 @dataclass
 class InterpolationReport:
-    shortcut: Optional[str] = None
-    tableau: Optional[Tableau] = None
+    """One run: its certificate, which no other field copies, its term
+    classes, its interpolant, the hyper conversion and the verdicts."""
+
+    certificate: Optional[Certificate] = None
     context: Optional[InterpolationContext] = None
-    ground_interpolant: Optional[Formula] = None
     interpolant: Optional[Formula] = None
     size_before: Optional[int] = None
     size_after: Optional[int] = None
     trace: Optional[ConversionTrace] = None
-    lifted_terms: tuple[Term, ...] = ()
-    require: frozenset[str] = frozenset()
     require_results: dict[str, bool] = field(default_factory=dict)
     verification: Optional["VerificationReport"] = None
     timings_ms: dict[str, float] = field(default_factory=dict)
@@ -324,7 +321,7 @@ def interpolate(
     Failing a requested property raises RequirementError.
     """
     require = requirements(require)
-    report = InterpolationReport(require=require)
+    report = InterpolationReport()
     timings = report.timings_ms
     sf, sg = read_symbols(f), read_symbols(g)
     namer = FreshNamer(sf.names | sg.names)
@@ -339,10 +336,11 @@ def interpolate(
     fun_g = frozen_vocabulary(sg, pmap)
 
     s1 = s2 = frozenset()
+    shortcut = tab = lifted = matrix = None
     if fres.has_empty_clause() or gres.has_empty_clause():
         h: Formula = BOTTOM if fres.has_empty_clause() else TOP
-        report.shortcut = "f-unsatisfiable" if isinstance(h, Bottom) else "g-valid"
-        report.ground_interpolant = h
+        shortcut = "f-unsatisfiable" if isinstance(h, Bottom) else "g-valid"
+        h_grd = h
     else:
         t0 = time.perf_counter()
         result = prove(
@@ -369,23 +367,17 @@ def interpolate(
             report.size_before = report.size_after = tab.inner_size()
 
     ctx = InterpolationContext(
-        f,
-        g,
         shared,
         frozenset(fres.skolem_functions | (fun_f - fun_g) | s1),
         frozenset(gres.skolem_functions | (fun_g - fun_f) | s2),
     )
     report.context = ctx
 
-    lifted = matrix = None
-    if report.shortcut is None:
+    if shortcut is None:
         t0 = time.perf_counter()
         tab = assign_sides(tab, fres.clauses, gres.clauses, side_tie)
-        report.tableau = tab
         h_grd = extract_ipol(tab)
-        report.ground_interpolant = h_grd
         lifted = lift_parts(h_grd, ctx, namer)
-        report.lifted_terms = lifted.terms
         matrix = lifted.matrix
         # a matrix that is not Horn-like fails the requirement check below
         if "horn" in require and is_horn_like(matrix):
@@ -393,30 +385,28 @@ def interpolate(
         h = unfreeze(wrap_prefix(lifted.prefix, matrix), pmap)
         timings["extract"] = (time.perf_counter() - t0) * 1000
     report.interpolant = h
+    report.certificate = Certificate(
+        fres.clauses, gres.clauses, pmap, shared_symbols(sf, sg), shortcut,
+        tab, h_grd, lifted, matrix,
+    )
 
     if verify:
         t0 = time.perf_counter()
-        certificate = Certificate(
-            fres.clauses, gres.clauses, pmap, shared_symbols(sf, sg), report.shortcut,
-            report.tableau, report.ground_interpolant, lifted, matrix,
-        )
-        report.verification = verify_interpolant(f, g, h, require, certificate=certificate)
+        report.verification = verify_interpolant(f, g, h, require, certificate=report.certificate)
         timings["verify"] = (time.perf_counter() - t0) * 1000
-    _check_requirements(h, report)
+    _check_requirements(h, require, report)
     return h, report
 
 
-def _check_requirements(h: Formula, report: InterpolationReport) -> None:
+def _check_requirements(h: Formula, require: frozenset[str], report: InterpolationReport) -> None:
     if report.verification is not None:  # it has checked the same properties
         report.require_results.update(report.verification.properties)
-    for r in sorted(report.require - report.require_results.keys()):
+    for r in sorted(require - report.require_results.keys()):
         report.require_results[r] = PROPERTY_CHECKS[r](h).verdict
     failed = [r for r, ok in report.require_results.items() if not ok]
     if failed:
         raise RequirementError(
-            f"interpolant misses requested properties: {', '.join(failed)}",
-            h,
-            report,
+            f"interpolant misses requested properties: {', '.join(failed)}", report
         )
 
 

@@ -113,9 +113,7 @@ def parse_proof(text: str) -> ProofDocument:
         except ParseError as e:
             raise ProofError(e.message, line_no) from None
         # arities are checked as in a clause file, and the binding terms too
-        for l in p.literals:
-            sig.extend_with_literal(l)
-        sig.extend_with_terms(step.bindings.values())
+        sig.extend_with_line(line_no, p.literals, step.bindings.values())
         steps[step.step_id] = step
     if not steps:
         raise ProofError("empty proof document")

@@ -933,6 +933,16 @@ class Signature:
         self.add_predicate(l.predicate, len(l.args))
         self.extend_with_terms(l.args)
 
+    def extend_with_line(self, line: int, literals: Iterable[Literal], terms: Iterable[Term] = ()) -> None:
+        """Add the symbols of the literals, then of the terms, of line `line`
+        of a document; a clash names the line."""
+        try:
+            for l in literals:
+                self.extend_with_literal(l)
+            self.extend_with_terms(terms)
+        except InputError as e:
+            raise InputError(f"{e} at line {line}") from None
+
     def extend_with_terms(self, terms: Iterable[Term]) -> None:
         """Add the function symbols of `terms`, in pre-order.  An application
         object checked before is skipped with its subterms, which were

@@ -411,8 +411,7 @@ def parse_clause_file(text: str) -> list[Clause]:
             raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
         # the literals read anew: one taken from the table was checked on
         # the line that entered it
-        for l in p.literals:
-            sig.extend_with_literal(l)
+        sig.extend_with_line(i, p.literals)
         out.append(c)
     return out
 

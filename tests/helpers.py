@@ -455,6 +455,16 @@ def gen_vx_instance(rng: random.Random):
     return kb, query, frozenset([target])
 
 
+def definition_sides(kb: Formula, query: Formula, targets: frozenset[str]) -> tuple[Formula, Formula]:
+    """F and G of the definability problem: kb & query against ~kb' | query',
+    where ' renames every non-target predicate to a fresh one."""
+    namer = namer_for(kb, query)
+    preds = {p for p, _ in read_symbols(And((kb, query))).predicates}
+    mapping = {p: namer.fresh(f"{p}_p") for p in sorted(preds - targets)}
+    primed = [reference_rename_predicates(x, mapping) for x in (kb, query)]
+    return And((kb, query)), Or((Not(primed[0]), primed[1]))
+
+
 # ---------------------------------------------------------------------------
 # Checkers for the properties the pipeline's tableaux, unifiers and
 # formulas must have.  The tableau checkers run on `branch_walk`, so they
@@ -1984,10 +1994,17 @@ def reference_parse_literal(p: ReferenceParser) -> Literal:
 
 
 def reference_extend_signature(
-    sig: Signature, literals: Iterable[Literal], terms: Iterable[Term] = ()
+    sig: Signature, literals: Iterable[Literal], terms: Iterable[Term] = (), line: Optional[int] = None
 ) -> None:
     """Add the predicates and function symbols of `literals`, then the
-    function symbols of `terms`, to sig, walking every term in full."""
+    function symbols of `terms`, to sig, walking every term in full; a
+    clash names `line` when one is given."""
+    if line is not None:
+        try:
+            reference_extend_signature(sig, literals, terms)
+        except InputError as e:
+            raise InputError(f"{e} at line {line}") from None
+        return
 
     def extend_with_term(t: Term) -> None:
         if isinstance(t, App):
@@ -2014,7 +2031,7 @@ def reference_parse_clause_file(text: str) -> list[Clause]:
             c = reference_parse_clause(stripped, i)
         except ParseError as e:
             raise ParseError(e.message, i, len(raw) - len(raw.lstrip()) + e.col) from None
-        reference_extend_signature(sig, c.literals)
+        reference_extend_signature(sig, c.literals, line=i)
         out.append(c)
     return out
 
@@ -2033,7 +2050,7 @@ def reference_parse_proof(text: str) -> ProofDocument:
         step = _reference_parse_record(stripped, line_no, steps)
         # each record's atom and clause, then its binding terms
         atom = (step.atom,) if step.atom is not None else ()
-        reference_extend_signature(sig, atom + step.clause.literals, step.bindings.values())
+        reference_extend_signature(sig, atom + step.clause.literals, step.bindings.values(), line_no)
         steps[step.step_id] = step
     if not steps:
         raise ProofError("empty proof document")
@@ -2230,7 +2247,7 @@ def reference_parse_tableau(text: str) -> Tableau:
         if depth < 1 or depth > len(stack):
             raise ParseError(f"bad nesting depth {depth}", line_no, 1)
         lit = _reference_parse_single_literal(m.group("lit"), line_no, m.start("lit"))
-        reference_extend_signature(sig, (lit,))
+        reference_extend_signature(sig, (lit,), line=line_no)
         node = Node(lit, m.group("side"))
         stack[depth - 1].add(node)
         depths[node] = depth

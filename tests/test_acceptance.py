@@ -45,6 +45,7 @@ from foltab.tableaux import Node, Tableau, prove
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     atomic_cut_clauses,
+    definition_sides,
     gen_horn_instance,
     gen_urr_instance,
     gen_vx_instance,
@@ -211,10 +212,11 @@ def test_c07_vgt_range_restriction_suites():
             h, report = synthesize_definition(
                 kb, query, targets, require={"vgt-rr"}, verify=True
             )
-            assert check_vx_preconditions(report.context.f, report.context.g).verdict
+            f, g = definition_sides(kb, query, targets)
+            assert check_vx_preconditions(f, g).verdict
             assert report.require_results["vgt-rr"]
             assert report.verification.passed
-            assert entails(report.context.f, h) == entails(h, report.context.g) == "pass"
+            assert entails(f, h) == entails(h, g) == "pass"
             assert is_vgt_range_restricted(h).verdict
             assert free_vars(h) <= free_vars(query)
             if report.trace is not None:
@@ -229,7 +231,7 @@ def test_c08_horn_interpolant_suite():
             assert is_horn(f)
             assert is_u_range_restricted(f).verdict
             h, report = interpolate(f, g, require={"horn", "u-rr"}, verify=True)
-            assert is_horn_like(report.ground_interpolant)
+            assert is_horn_like(report.certificate.ground_interpolant)
             assert is_horn(h)
             assert report.require_results["horn"]
             assert report.require_results["u-rr"]

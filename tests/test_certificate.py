@@ -5,18 +5,25 @@ truth tables."""
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import foltab.interpolation as interpolation
-from foltab.certificate import _Letters, _satisfiable, check_certificate
-from foltab.interpolation import LiftResult, hornify, interpolate, verify_interpolant
+from foltab.certificate import Certificate, _Letters, _satisfiable, check_certificate
+from foltab.interpolation import (
+    InterpolationReport,
+    LiftResult,
+    hornify,
+    interpolate,
+    synthesize_definition,
+    verify_interpolant,
+)
 from foltab.normalize import unfreeze, wrap_prefix
 from foltab.restriction import is_horn_like
 from foltab.syntax import And, BOTTOM, Literal, TOP, map_formula, mk_and
 from foltab.tptp import parse_formula
-from helpers import random_ground_clauses, random_nnf, tt_satisfiable
+from helpers import gen_vx_instance, random_ground_clauses, random_nnf, tt_satisfiable
 
 # (F, G, required properties) of the runs whose certificates are mutated
 RUNS = {
@@ -45,20 +52,10 @@ TABLEAU_RUNS = ("skolem-of-g", "skolem-of-f", "conjunction", "nested", "grounded
 def certified():
     """F, G, h and the certificate of each run, which passes its own check."""
     out = {}
-    real = interpolation.verify_interpolant
-    with pytest.MonkeyPatch.context() as m:
-        for name, (f, g, require) in RUNS.items():
-            seen = []
-
-            def spy(*args, certificate=None, **kwargs):
-                seen.append(certificate)
-                return real(*args, certificate=certificate, **kwargs)
-
-            m.setattr(interpolation, "verify_interpolant", spy)
-            h, report = interpolate(parse_formula(f), parse_formula(g), require=require, verify=True)
-            assert report.verification.passed
-            (cert,) = seen
-            out[name] = (f, g, h, cert)
+    for name, (f, g, require) in RUNS.items():
+        h, report = interpolate(parse_formula(f), parse_formula(g), require=require, verify=True)
+        assert report.verification.passed
+        out[name] = (f, g, h, report.certificate)
     return out
 
 
@@ -250,7 +247,34 @@ def test_interpolate_proves_once_and_verifies_without_proving(monkeypatch, name)
     monkeypatch.setattr(interpolation, "prove", counted)
     _, report = interpolate(parse_formula(f), parse_formula(g), require=require, verify=True)
     assert report.verification.passed
-    assert len(calls) == (0 if report.shortcut else 1)
+    assert len(calls) == (0 if report.certificate.shortcut else 1)
+
+
+# --- the record of every run -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_every_run_keeps_a_certificate_that_passes(name):
+    # without verify the run still keeps its certificate, and nothing checks it
+    f, g, require = RUNS[name]
+    h, report = interpolate(parse_formula(f), parse_formula(g), require=require)
+    assert report.verification is None
+    assert check_certificate(report.certificate, h) == ("pass", "pass")
+
+
+def test_definition_runs_keep_a_certificate_that_passes():
+    rng = random.Random(2301)
+    for _ in range(10):
+        kb, query, targets = gen_vx_instance(rng)
+        h, report = synthesize_definition(kb, query, targets, require={"vgt-rr"})
+        assert report.verification is None and report.certificate.tableau is not None
+        assert check_certificate(report.certificate, h) == ("pass", "pass")
+
+
+def test_the_report_holds_no_copy_of_the_certificate():
+    names = {f.name for f in fields(InterpolationReport)}
+    assert not names & {f.name for f in fields(Certificate)}
+    assert "certificate" in names
 
 
 # --- the propositional core --------------------------------------------------

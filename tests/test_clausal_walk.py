@@ -564,9 +564,7 @@ def test_lifting_agrees_with_the_reference():
         rng.shuffle(symbols)
         k = rng.randint(0, 3)
         j = rng.randint(k, 3)
-        ctx = InterpolationContext(
-            TOP, TOP, frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j])
-        )
+        ctx = InterpolationContext(frozenset(), frozenset(symbols[:k]), frozenset(symbols[k:j]))
         got = lift_parts(h, ctx, namer_for(h))
         assert (got.prefix, got.matrix, got.terms) == reference_lift_parts(h, ctx), h
         lifted += len(got.terms) > 1

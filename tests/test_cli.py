@@ -92,6 +92,18 @@ def test_interpolate_deterministic_output(tmp_path, capsys):
     assert first == second
 
 
+def test_interpolate_hyper_without_requirements(tmp_path, capsys):
+    f = write(tmp_path, "f.p", EX2_F)
+    g = write(tmp_path, "g.p", EX2_G)
+    assert main(["interpolate", "--f", f, "--g", g]) == 0
+    assert "% hyper-" not in capsys.readouterr().out
+    assert main(["interpolate", "--f", f, "--g", g, "--hyper"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "! [V1] : q(V1)"
+    assert "% hyper-rounds: 1" in lines and "% hyper-inner-nodes: 4" in lines
+    assert not any(l.startswith("% require") for l in lines)
+
+
 def test_interpolate_not_proved(tmp_path, capsys):
     f = write(tmp_path, "f.p", "fof(a, axiom, p).\n")
     g = write(tmp_path, "g.p", "fof(a, axiom, q).\n")
@@ -425,13 +437,14 @@ ARITY_CLASH_TABLEAU = """tableau
 
 def test_documents_with_an_arity_clash_exit_as_clause_files_do(tmp_path, capsys):
     for command, text, clauses, message in [
-        ("import", ARITY_CLASH_PROOF, "p(a)\n~p(a) | q(p)\n", "both function and predicate: p"),
-        ("hyper", ARITY_CLASH_TABLEAU, "p(a,b)\np(a)\n", "arity clash for predicate p: 2 vs 1"),
+        ("import", ARITY_CLASH_PROOF, "p(a)\n~p(a) | q(p)\n", "symbol used as both function and predicate: p at line 2"),
+        # the clause file's clash on the tableau's line, past a comment and a blank line
+        ("hyper", ARITY_CLASH_TABLEAU, "p(a,b)\n% c\n\np(a)\n", "arity clash for predicate p: 2 vs 1 at line 4"),
     ]:
         clause_file = write(tmp_path, "clash.cls", clauses)
         assert main(["prove", "--input", clause_file, "--format", "clauses"]) == 3
         expected = capsys.readouterr().err
-        assert expected.startswith("error: ") and expected.endswith(f"{message}\n")
+        assert expected == f"error: {message}\n"
         assert main([command, "--proof", write(tmp_path, "clash.doc", text)]) == 3
         assert capsys.readouterr().err == expected
 

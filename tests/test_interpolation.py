@@ -34,7 +34,8 @@ from foltab.syntax import (
     free_vars,
 )
 from foltab.normalize import freeze_free_vars, skolemize_clausify, wrap_prefix
-from foltab.tableaux import Node, StructureError, Tableau, ground_tableau
+from foltab.certificate import check_certificate
+from foltab.tableaux import Node, StructureError, Tableau, ground_tableau, is_hyper
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     all_models,
@@ -110,9 +111,7 @@ def test_extract_requires_ground():
 
 
 def _ctx(f_functions=(), g_functions=(), shared=()):
-    return InterpolationContext(
-        TOP, TOP, frozenset(shared), frozenset(f_functions), frozenset(g_functions)
-    )
+    return InterpolationContext(frozenset(shared), frozenset(f_functions), frozenset(g_functions))
 
 
 def test_stages_take_the_run_namer():
@@ -160,7 +159,7 @@ def test_interpolate_universal_chain():
     g = parse_formula("(! [X] : (q(X) => r(X))) => r(a)")
     h, report = interpolate(f, g)
     assert reference_alpha_equal(h, ForAll("V", lit("q", Var("V"))))
-    assert report.ground_interpolant == lit("q", a)
+    assert report.certificate.ground_interpolant == lit("q", a)
     assert verify_interpolant(f, g, h).passed
 
 
@@ -178,6 +177,17 @@ def test_interpolate_checks_each_required_property_once(monkeypatch, verify):
     assert report.require_results == {"horn": True}
     if verify:
         assert report.verification.properties == {"horn": True}
+
+
+def test_use_hyper_converts_without_requirements():
+    f = parse_formula("p3(b) & (! [X] : (~p4(X) | p2(a)))")
+    g = parse_formula("! [X] : (~p4(X) | p2(a))")
+    _, plain = interpolate(f, g)
+    assert plain.trace is None and not is_hyper(plain.certificate.tableau)
+    h, report = interpolate(f, g, use_hyper=True)
+    assert report.trace.total_rounds >= 1 and is_hyper(report.certificate.tableau)
+    assert report.require_results == {}
+    assert check_certificate(report.certificate, h) == ("pass", "pass")
 
 
 def test_interpolate_function_lifting():
@@ -201,7 +211,7 @@ def test_interpolate_shortcut_on_empty_clause_in_f():
     g = parse_formula("q")
     h, report = interpolate(f, g)
     assert isinstance(h, Bottom)
-    assert report.shortcut == "f-unsatisfiable"
+    assert report.certificate.shortcut == "f-unsatisfiable"
 
 
 def test_interpolate_shortcut_on_valid_g():
@@ -209,7 +219,7 @@ def test_interpolate_shortcut_on_valid_g():
     g = parse_formula("$true")
     h, report = interpolate(f, g)
     assert h == TOP
-    assert report.shortcut == "g-valid"
+    assert report.certificate.shortcut == "g-valid"
 
 
 def test_interpolate_top_for_tautological_g():
@@ -271,7 +281,7 @@ def test_interpolate_require_horn_on_a_non_horn_interpolant_raises_requirement_e
     f = parse_formula("p | q")
     with pytest.raises(RequirementError) as e:
         interpolate(f, f, require={"horn"})
-    assert e.value.interpolant == Or((lit("p"), lit("q")))
+    assert e.value.report.interpolant == Or((lit("p"), lit("q")))
     assert e.value.report.require_results == {"horn": False}
 
 
@@ -394,7 +404,7 @@ def test_lifting_prefix_subterm_order_on_pipeline_runs():
     nontrivial = 0
     for ftext, gtext in cases:
         h, report = interpolate(parse_formula(ftext), parse_formula(gtext))
-        terms = report.lifted_terms
+        terms = report.certificate.lifted.terms
         if len(terms) > 1:
             nontrivial += 1
         # whenever t_i is a proper subterm of t_j, it is quantified earlier

@@ -28,6 +28,7 @@ from foltab.syntax import (
 )
 from foltab.tableaux import Tableau, clause_at, is_hyper
 from helpers import (
+    definition_sides,
     gen_urr_instance,
     gen_vx_instance,
     random_nnf,
@@ -119,7 +120,7 @@ def _urr_corpus(count=40, seed=83):
     for _ in range(count):
         f, g = gen_urr_instance(rng)
         _, report = interpolate(f, g, require={"u-rr"})
-        out.append(report)
+        out.append((f, g, report))
     return out
 
 
@@ -129,7 +130,7 @@ def _vx_corpus(count=30, seed=89):
     for _ in range(count):
         kb, query, targets = gen_vx_instance(rng)
         _, report = synthesize_definition(kb, query, targets, require={"vgt-rr"})
-        out.append(report)
+        out.append((*definition_sides(kb, query, targets), report))
     return out
 
 
@@ -144,36 +145,37 @@ def vx_corpus():
 
 
 def test_inv_c_on_urr_corpus(urr_corpus):
-    for report in urr_corpus:
-        assert is_u_range_restricted(report.context.f).verdict
-        assert is_hyper(report.tableau)
-        _check_inv_c(report.tableau, report.context)
+    for f, _, report in urr_corpus:
+        tab = report.certificate.tableau
+        assert is_u_range_restricted(f).verdict
+        assert is_hyper(tab)
+        _check_inv_c(tab, report.context)
 
 
 def test_inv_c_and_d_and_x_on_vx_corpus(vx_corpus):
-    for report in vx_corpus:
-        ctx = report.context
-        assert check_vx_preconditions(ctx.f, ctx.g).verdict
-        assert is_hyper(report.tableau)
-        _check_inv_c(report.tableau, ctx)
-        _check_inv_d(report.tableau, ctx)
-        _check_inv_x(report.tableau, ctx)
+    for f, g, report in vx_corpus:
+        ctx, tab = report.context, report.certificate.tableau
+        assert check_vx_preconditions(f, g).verdict
+        assert is_hyper(tab)
+        _check_inv_c(tab, ctx)
+        _check_inv_d(tab, ctx)
+        _check_inv_x(tab, ctx)
 
 
 def test_above_negative_clause_lemma(urr_corpus, vx_corpus):
-    for report in urr_corpus + vx_corpus:
-        _check_above_negative_clause(report.tableau)
+    for _, _, report in urr_corpus + vx_corpus:
+        _check_above_negative_clause(report.certificate.tableau)
 
 
 def test_measure_traces_strictly_decrease(urr_corpus, vx_corpus):
-    for report in urr_corpus + vx_corpus:
+    for _, _, report in urr_corpus + vx_corpus:
         ms = [r.measure for r in report.trace.rounds]
         assert all(b < a for a, b in zip(ms, ms[1:]))
 
 
 def test_ground_tableaux_stay_ground(urr_corpus):
-    for report in urr_corpus:
-        for n in report.tableau.non_root_nodes():
+    for _, _, report in urr_corpus:
+        for n in report.certificate.tableau.non_root_nodes():
             assert all(is_ground(a) for a in n.literal.args)
 
 

@@ -104,13 +104,14 @@ def test_parse_checks_arities_as_a_clause_file_does():
         parse_clause_file("p(a)\n~p(a) | q(p)\n")
     with pytest.raises(InputError) as e:
         parse_proof(clash)
-    assert str(e.value) == str(clause_file.value) == "symbol used as both function and predicate: p"
-    with pytest.raises(InputError, match="arity clash for predicate p: 1 vs 2"):
+    assert str(e.value) == str(clause_file.value) == "symbol used as both function and predicate: p at line 2"
+    with pytest.raises(InputError, match=r"^arity clash for predicate p: 1 vs 2 at line 2$"):
         parse_proof("s1 input p(a)\ns2 input ~p(a, b)\n")
-    # the resolved atom and the terms of bindings are checked too
-    with pytest.raises(InputError, match="arity clash for predicate p: 1 vs 0"):
-        parse_proof("s1 input p(a)\ns2 input ~p(a)\ns3 resolve(s1, s2, p) false\n")
-    with pytest.raises(InputError, match="arity clash for function f: 1 vs 2"):
+    # the resolved atom and the terms of bindings are checked too, and the
+    # line counts comments
+    with pytest.raises(InputError, match=r"^arity clash for predicate p: 1 vs 0 at line 4$"):
+        parse_proof("s1 input p(a)\ns2 input ~p(a)\n% note\ns3 resolve(s1, s2, p) false\n")
+    with pytest.raises(InputError, match=r"^arity clash for function f: 1 vs 2 at line 3$"):
         parse_proof(
             "s1 input p(f(X))\ns2 input ~p(f(a))\ns3 resolve(s1, s2, p(f(X))) {X -> f(a, b)} false\n"
         )

@@ -195,8 +195,11 @@ def test_documents_agree_with_the_reference_and_leave_targets_alone(tableaux):
         doc = format_tableau(tab)
         assert rows(tab.root) == before
         assert doc == reference_format_tableau(reference_copy(tab))
+        sig = Signature.empty()
         try:
-            reference_extend_signature(Signature.empty(), (n.literal for n in tab.non_root_nodes()))
+            # the document has a line per node, in pre-order, below its header
+            for line, n in enumerate(tab.non_root_nodes(), start=2):
+                reference_extend_signature(sig, (n.literal,), line=line)
         except InputError as clash:
             # a predicate of two arities is rejected, as in a clause file;
             # the tree with each predicate named with its arity reads back

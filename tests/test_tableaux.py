@@ -736,6 +736,27 @@ def test_proof_search_builds_no_clause_copy(monkeypatch):
     assert list(vars(r)) == ["status", "tableau", "inferences", "depth"]
 
 
+def test_a_goal_that_reduces_on_a_later_try_is_a_leaf_of_the_proof():
+    # ~s(X) closes first with s(a), and ~t(a) then fails to reduce against
+    # t(b), extends with t(Y) | ~u(Y) and fails below it; ~s(X) then closes
+    # with s(b), and ~t(b) reduces.  The children of that failed extension
+    # must be gone from ~t(b): the proof keeps no copy number for them.
+    # The chain c1 .. c4 makes the first clause the only start of a proof
+    # at depth 5, the depth that extension needs
+    clauses = parse_clause_file(
+        "h | ~c1\n~h | t(b)\n~t(b) | m\n~m | ~s(X) | ~t(X)\ns(a)\ns(b)\nt(Y) | ~u(Y)\n"
+        "c1 | ~c2\nc2 | ~c3\nc3 | ~c4\nc4\n"
+    )
+    r = prove(clauses)
+    assert (r.status, r.depth) == ("proved", 5)
+    assert format_tableau(r.tableau) == (
+        "tableau\n  h\n    ~h -> 1\n    t(b)\n      ~t(b) -> 2\n      m\n        ~m -> 3\n"
+        "        ~s(b)\n          s(b) -> 4\n        ~t(b) -> 2\n  ~c1\n    c1 -> 1\n    ~c2\n"
+        "      c2 -> 2\n      ~c3\n        c3 -> 3\n        ~c4\n          c4 -> 4\n"
+    )
+    assert format_tableau(r.tableau) == format_tableau(reference_prove(clauses).tableau)
+
+
 def test_reading_a_proof_of_equal_5000_deep_terms_made_apart(default_recursion_limit):
     # finishing makes each distinct term once, so the two literals share
     # one term and one atom, which a dict then finds by identity
