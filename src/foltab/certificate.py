@@ -32,7 +32,6 @@ on its own, as in Sutcliffe's semantic derivation verification (IJAIT
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .normalize import unfreeze, wrap_prefix
@@ -60,21 +59,32 @@ if TYPE_CHECKING:
 SharedSymbols = tuple[frozenset[str], frozenset[tuple[str, str]], frozenset[str]]
 
 
-@dataclass(frozen=True)
 class Certificate:
     """What one `interpolate` run derived, enough to check its interpolant
     without proof search.  A run that took a shortcut has no tableau, no
     lifting and no matrix."""
 
-    f_clauses: tuple[Clause, ...]
-    g_clauses: tuple[Clause, ...]  # the clauses of ~G
-    placeholders: dict[str, str]  # placeholder constant -> free variable
-    shared_symbols: SharedSymbols  # for the Craig conditions, which read only H
-    shortcut: Optional[str] = None  # f-unsatisfiable | g-valid
-    tableau: Optional[Tableau] = None  # side-labeled, closed and ground
-    ground_interpolant: Optional[Formula] = None
-    lifted: Optional["LiftResult"] = None
-    matrix: Optional[Formula] = None  # the final matrix: lifted.matrix, or its hornified form
+    def __init__(
+        self,
+        f_clauses: tuple[Clause, ...],
+        g_clauses: tuple[Clause, ...],
+        placeholders: dict[str, str],
+        shared_symbols: SharedSymbols,
+        shortcut: Optional[str] = None,
+        tableau: Optional[Tableau] = None,
+        ground_interpolant: Optional[Formula] = None,
+        lifted: Optional[LiftResult] = None,
+        matrix: Optional[Formula] = None,
+    ):
+        self.f_clauses = f_clauses
+        self.g_clauses = g_clauses  # the clauses of ~G
+        self.placeholders = placeholders  # placeholder constant -> free variable
+        self.shared_symbols = shared_symbols  # for the Craig conditions, which read only H
+        self.shortcut = shortcut  # f-unsatisfiable | g-valid
+        self.tableau = tableau  # side-labeled, closed and ground
+        self.ground_interpolant = ground_interpolant
+        self.lifted = lifted
+        self.matrix = matrix  # the final matrix: lifted.matrix, or its hornified form
 
 
 def check_certificate(cert: Certificate, h: Formula) -> tuple[str, str]:

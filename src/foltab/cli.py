@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from statistics import median
 from typing import Optional
 
 from .documents import format_tableau, parse_tableau
@@ -406,7 +405,7 @@ def cmd_stats(args) -> int:
         vals = [r[key] for r in rows if r.get(key) is not None]
         if vals:
             summary[key] = {
-                "median": round(median(vals), 2),
+                "median": round(_median(vals), 2),
                 "min": round(min(vals), 2),
                 "max": round(max(vals), 2),
             }
@@ -430,6 +429,15 @@ def cmd_stats(args) -> int:
     if failed:
         print(f"error: {failed} of {len(rows)} proof files failed", file=sys.stderr)
     return exit_code
+
+
+def _median(values: list[float]) -> float:
+    """The middle value of `values`, or the mean of the two middle values,
+    as statistics.median gives it; importing `statistics` would pull in
+    `fractions`, `decimal` and `random` on every CLI call."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ graft points, and at the nodes the repair drops or turns into leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
@@ -59,20 +58,27 @@ class MeasureViolation(Exception):
     """The termination measure failed to decrease; indicates a bug."""
 
 
-@dataclass
 class ConversionRound:
-    selected_path: tuple[int, ...]
-    measure: tuple
-    size_after: int
+    def __init__(self, selected_path: tuple[int, ...], measure: tuple, size_after: int):
+        self.selected_path = selected_path
+        self.measure = measure
+        self.size_after = size_after
 
 
-@dataclass
 class ConversionTrace:
-    rounds: list[ConversionRound] = field(default_factory=list)
-    regular_splices: int = 0
-    leaf_truncations: int = 0
-    input_size: int = 0
-    output_size: int = 0
+    def __init__(
+        self,
+        rounds: Optional[list[ConversionRound]] = None,
+        regular_splices: int = 0,
+        leaf_truncations: int = 0,
+        input_size: int = 0,
+        output_size: int = 0,
+    ):
+        self.rounds = [] if rounds is None else rounds
+        self.regular_splices = regular_splices
+        self.leaf_truncations = leaf_truncations
+        self.input_size = input_size
+        self.output_size = output_size
 
     @property
     def total_rounds(self) -> int:

@@ -20,7 +20,6 @@ certificate, as in `foltab verify`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .certificate import Certificate, SharedSymbols, check_certificate
@@ -96,15 +95,20 @@ class RequirementError(Exception):
 # Interpolation context
 
 
-@dataclass
 class InterpolationContext:
     """The term classes of one interpolation run: the placeholder constants
     for shared free variables, and the two function-symbol sides that
     drive term classification."""
 
-    shared_constants: frozenset[str]
-    f_functions: frozenset[str]
-    g_functions: frozenset[str]
+    def __init__(
+        self,
+        shared_constants: frozenset[str],
+        f_functions: frozenset[str],
+        g_functions: frozenset[str],
+    ):
+        self.shared_constants = shared_constants
+        self.f_functions = f_functions
+        self.g_functions = g_functions
 
     def e_member(self, t: Term) -> bool:
         """F-side terms: outermost function symbol belongs to the F side."""
@@ -208,11 +212,13 @@ def extract_ipol(tab: Tableau) -> Formula:
 # Interpolant lifting
 
 
-@dataclass(frozen=True)
 class LiftResult:
-    prefix: tuple[tuple[str, str], ...]
-    matrix: Formula
-    terms: tuple[Term, ...]  # the replaced terms, in prefix order
+    def __init__(
+        self, prefix: tuple[tuple[str, str], ...], matrix: Formula, terms: tuple[Term, ...]
+    ):
+        self.prefix = prefix
+        self.matrix = matrix
+        self.terms = terms  # the replaced terms, in prefix order
 
 
 def lift_parts(h_grd: Formula, ctx: InterpolationContext, namer: FreshNamer) -> LiftResult:
@@ -259,20 +265,31 @@ def hornify(f: Formula) -> Formula:
 # The end-to-end pipeline
 
 
-@dataclass
 class InterpolationReport:
     """One run: its certificate, which no other field copies, its term
     classes, its interpolant, the hyper conversion and the verdicts."""
 
-    certificate: Optional[Certificate] = None
-    context: Optional[InterpolationContext] = None
-    interpolant: Optional[Formula] = None
-    size_before: Optional[int] = None
-    size_after: Optional[int] = None
-    trace: Optional[ConversionTrace] = None
-    require_results: dict[str, bool] = field(default_factory=dict)
-    verification: Optional["VerificationReport"] = None
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        certificate: Optional[Certificate] = None,
+        context: Optional[InterpolationContext] = None,
+        interpolant: Optional[Formula] = None,
+        size_before: Optional[int] = None,
+        size_after: Optional[int] = None,
+        trace: Optional[ConversionTrace] = None,
+        require_results: Optional[dict[str, bool]] = None,
+        verification: Optional[VerificationReport] = None,
+        timings_ms: Optional[dict[str, float]] = None,
+    ):
+        self.certificate = certificate
+        self.context = context
+        self.interpolant = interpolant
+        self.size_before = size_before
+        self.size_after = size_after
+        self.trace = trace
+        self.require_results = {} if require_results is None else require_results
+        self.verification = verification
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     @property
     def size_ratio(self) -> Optional[float]:
@@ -414,13 +431,20 @@ def _check_requirements(h: Formula, require: frozenset[str], report: Interpolati
 # Verification harness
 
 
-@dataclass
 class VerificationReport:
-    vocabulary_ok: bool
-    variables_ok: bool
-    f_entails_h: str  # pass | fail | inconclusive
-    h_entails_g: str
-    properties: dict[str, bool] = field(default_factory=dict)
+    def __init__(
+        self,
+        vocabulary_ok: bool,
+        variables_ok: bool,
+        f_entails_h: str,
+        h_entails_g: str,
+        properties: Optional[dict[str, bool]] = None,
+    ):
+        self.vocabulary_ok = vocabulary_ok
+        self.variables_ok = variables_ok
+        self.f_entails_h = f_entails_h  # pass | fail | inconclusive
+        self.h_entails_g = h_entails_g
+        self.properties = {} if properties is None else properties
 
     @property
     def passed(self) -> bool:

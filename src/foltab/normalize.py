@@ -13,7 +13,6 @@ and duality contracts hold structurally, not just up to equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable
 
 from .syntax import (
@@ -57,11 +56,22 @@ class ClauseLimitError(Exception):
 # The cnf/dnf functionals
 
 
-@dataclass(frozen=True)
 class PrenexNormalForm:
-    prefix: tuple[tuple[str, str], ...]
-    matrix: tuple[Clause, ...]
-    kind: str  # 'cnf' | 'dnf'
+    def __init__(self, prefix: tuple[tuple[str, str], ...], matrix: tuple[Clause, ...], kind: str):
+        self.prefix = prefix
+        self.matrix = matrix
+        self.kind = kind  # 'cnf' | 'dnf'
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prefix, self.matrix, self.kind) == (other.prefix, other.matrix, other.kind)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"PrenexNormalForm(prefix={self.prefix!r}, matrix={self.matrix!r},"
+            f" kind={self.kind!r})"
+        )
 
     @property
     def universals(self) -> frozenset[str]:
@@ -224,11 +234,16 @@ def unfreeze(h: Formula, mapping: dict[str, str]) -> Formula:
 # Skolemization and clausification
 
 
-@dataclass(frozen=True)
 class ClausificationResult:
-    clauses: tuple[Clause, ...]
-    skolem_functions: frozenset[str]
-    universal_vars: frozenset[str]
+    def __init__(
+        self,
+        clauses: tuple[Clause, ...],
+        skolem_functions: frozenset[str],
+        universal_vars: frozenset[str],
+    ):
+        self.clauses = clauses
+        self.skolem_functions = skolem_functions
+        self.universal_vars = universal_vars
 
     def has_empty_clause(self) -> bool:
         return any(not c.literals for c in self.clauses)

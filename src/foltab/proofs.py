@@ -18,7 +18,6 @@ it, into the tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
@@ -52,21 +51,37 @@ class ProofError(Exception):
 # Documents
 
 
-@dataclass(eq=False)
 class DeductionStep:
     """A step of a binary-resolution deduction: an input clause, or the
     resolvent on `atom` of its `left` and `right` parent steps.  A step that
-    several steps use is shared, so equality is identity, and the repr
-    leaves the parents out: walking them would expand the DAG."""
+    several steps use is shared, so equality is identity."""
 
-    kind: str  # input | resolve
-    clause: Clause
-    atom: Optional[Literal] = None
-    left: Optional["DeductionStep"] = field(default=None, repr=False)
-    right: Optional["DeductionStep"] = field(default=None, repr=False)
-    bindings: dict[str, Term] = field(default_factory=dict)
-    step_id: str = ""
-    line: Optional[int] = None
+    def __init__(
+        self,
+        kind: str,
+        clause: Clause,
+        atom: Optional[Literal] = None,
+        left: Optional[DeductionStep] = None,
+        right: Optional[DeductionStep] = None,
+        bindings: Optional[dict[str, Term]] = None,
+        step_id: str = "",
+        line: Optional[int] = None,
+    ):
+        self.kind = kind  # input | resolve
+        self.clause = clause
+        self.atom = atom
+        self.left = left
+        self.right = right
+        self.bindings = {} if bindings is None else bindings
+        self.step_id = step_id
+        self.line = line
+
+    def __repr__(self) -> str:
+        # the parents are left out: walking them would expand the DAG
+        return (
+            f"DeductionStep(kind={self.kind!r}, clause={self.clause!r}, atom={self.atom!r},"
+            f" bindings={self.bindings!r}, step_id={self.step_id!r}, line={self.line!r})"
+        )
 
     def steps(self):
         """Each step once, in the pre-order of the tree: a step, then its
@@ -86,9 +101,9 @@ class DeductionStep:
                 stack.append(step.left)
 
 
-@dataclass
 class ProofDocument:
-    records: list[DeductionStep]  # in document order: parents come first
+    def __init__(self, records: list[DeductionStep]):
+        self.records = records  # in document order: parents come first
 
     @property
     def root(self) -> DeductionStep:

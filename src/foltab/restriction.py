@@ -7,7 +7,6 @@ and item.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .normalize import PrenexNormalForm, cnf, dnf
@@ -29,17 +28,17 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
 class Witness:
-    clause: Clause
-    offender: str
-    condition: str
+    def __init__(self, clause: Clause, offender: str, condition: str):
+        self.clause = clause
+        self.offender = offender
+        self.condition = condition
 
 
-@dataclass(frozen=True)
 class RestrictionReport:
-    verdict: bool
-    witnesses: tuple[Witness, ...] = ()
+    def __init__(self, verdict: bool, witnesses: tuple[Witness, ...] = ()):
+        self.verdict = verdict
+        self.witnesses = witnesses
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -171,13 +170,15 @@ def check_vx_preconditions(
     return RestrictionReport(not witnesses, tuple(witnesses))
 
 
-@dataclass(frozen=True)
 class Prop4Report:
-    vgt: bool
-    u_self: bool
-    u_negation: bool
-    universal: bool
-    existential: bool
+    def __init__(
+        self, vgt: bool, u_self: bool, u_negation: bool, universal: bool, existential: bool
+    ):
+        self.vgt = vgt
+        self.u_self = u_self
+        self.u_negation = u_negation
+        self.universal = universal
+        self.existential = existential
 
     @property
     def biconditional_ok(self) -> bool:

@@ -51,7 +51,6 @@ substitution is simultaneous, and following bindings in chains, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -72,51 +71,75 @@ _ground_of = attrgetter("_ground")
 # `_hash` slot, so that hashing a deep term or literal is O(1) after the
 # first time.  The slot is left unset by __init__ to keep construction (the
 # prover builds far more terms than it hashes) cheap; the value is the hash
-# of the field tuple, as the generated __hash__ would give.  An App hashed
-# for the first time hashes its unhashed subterms first, bottom up on an
-# explicit stack, so the tuple hash only reads cached values and hashing
-# never recurses on term depth.  The parser hashes each application when it
-# enters it in its term table, after its arguments.
+# of the tuple of the compared fields.  An App hashed for the first time
+# hashes its unhashed subterms first, bottom up on an explicit stack, so
+# the tuple hash only reads cached values and hashing never recurses on
+# term depth.  The parser hashes each application when it enters it in
+# its term table, after its arguments.
 #
 # An App knows whether it is ground: __init__ sets `_ground` from the
 # arguments' flags, in O(arity), since every subterm is made before the
 # terms above it.  A variable's flag is the class attribute False.
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+class _Value:
+    """Base of the immutable values: assigning or deleting an attribute
+    raises AttributeError.  Fields are set by object.__setattr__, and
+    cached slots the same way."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Value):
+    __slots__ = ("name", "_hash")
     _ground = False
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash((self.name,))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def __reduce__(self):
         return Var, (self.name,)
 
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class App(_Value):
     """Function application; constants are 0-ary applications."""
 
-    functor: str
-    args: tuple["Term", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _ground: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("functor", "args", "_hash", "_ground")
 
     def __init__(self, functor: str, args: tuple["Term", ...] = ()):
         _set(self, "functor", functor)
         _set(self, "args", args)
         _set(self, "_ground", all(map(_ground_of, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.functor, self.args) == (other.functor, other.args)
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
@@ -137,6 +160,9 @@ class App:
 
     def __reduce__(self):
         return App, (self.functor, self.args)
+
+    def __repr__(self) -> str:
+        return f"App(functor={self.functor!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if not self.args:
@@ -333,9 +359,9 @@ def unify_copies(
     some of the new bindings: undo to a mark taken before the call.
 
     Terms are compared by identity, a ground one in any copies, and
-    variables by name and copy, never with the generated `==`, which
-    recurses on term depth; equal applications that are distinct objects
-    are decomposed, which binds nothing."""
+    variables by name and copy, never with `==`, which recurses on term
+    depth; equal applications that are distinct objects are decomposed,
+    which binds nothing."""
     get = store.get
     todo = list(zip(xs, repeat(kx), ys, repeat(ky)))
     todo.reverse()
@@ -482,28 +508,47 @@ def match_term(pattern: Term, target: Term, sigma: Subst) -> bool:
 # Formulas.  Literals are formula leaves; truth constants are separate leaves.
 
 
-class Formula:
+class Formula(_Value):
+    """Base of the formula classes.  Each compares, hashes and prints its
+    fields as a tuple, in order: equal when of one class with equal
+    fields."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Literal(Formula):
-    positive: bool
-    predicate: str
-    args: tuple[Term, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _complement: "Literal" = field(init=False, repr=False, compare=False)
+    __slots__ = ("positive", "predicate", "args", "_hash", "_complement")
+
+    def __init__(self, positive: bool, predicate: str, args: tuple[Term, ...] = ()):
+        _set(self, "positive", positive)
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.positive, self.predicate, self.args) == (
+                other.positive,
+                other.predicate,
+                other.args,
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash((self.positive, self.predicate, self.args))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
             return h
 
     def __reduce__(self):
         return Literal, (self.positive, self.predicate, self.args)
+
+    def __repr__(self) -> str:
+        return (
+            f"Literal(positive={self.positive!r}, predicate={self.predicate!r},"
+            f" args={self.args!r})"
+        )
 
     def complement(self) -> "Literal":
         """The literal of opposite sign, made once per literal object; the
@@ -512,8 +557,8 @@ class Literal(Formula):
             return self._complement
         except AttributeError:
             c = Literal(not self.positive, self.predicate, self.args)
-            object.__setattr__(self, "_complement", c)
-            object.__setattr__(c, "_complement", self)
+            _set(self, "_complement", c)
+            _set(c, "_complement", self)
             return c
 
     def atom(self) -> "Literal":
@@ -526,14 +571,31 @@ class Literal(Formula):
         return body if self.positive else "~" + body
 
 
-@dataclass(frozen=True)
-class Top(Formula):
+# The classes below keep no slots of their own: their fields live in the
+# instance dict, which copy and pickle restore without calling __setattr__.
+# Classes of the same fields share their methods, which print the class's
+# own name.
+
+
+class _Truth(Formula):
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}()"
+
+
+class Top(_Truth):
     def __str__(self) -> str:
         return "$true"
 
 
-@dataclass(frozen=True)
-class Bottom(Formula):
+class Bottom(_Truth):
     def __str__(self) -> str:
         return "$false"
 
@@ -542,43 +604,94 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    parts: tuple[Formula, ...]
+class _Junction(Formula):
+    def __init__(self, parts: tuple[Formula, ...]):
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(parts={self.parts!r})"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    parts: tuple[Formula, ...]
+class And(_Junction):
+    pass
 
 
-@dataclass(frozen=True)
+class Or(_Junction):
+    pass
+
+
 class Not(Formula):
-    body: Formula
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+    def __repr__(self) -> str:
+        return f"Not(body={self.body!r})"
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+class _Connective(Formula):
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    lhs: Formula
-    rhs: Formula
+class Implies(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class ForAll(Formula):
-    var: str
-    body: Formula
+class Iff(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class _Quantifier(Formula):
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(var={self.var!r}, body={self.body!r})"
+
+
+class ForAll(_Quantifier):
+    pass
+
+
+class Exists(_Quantifier):
+    pass
 
 
 def mk_and(parts: Iterable[Formula]) -> Formula:
@@ -603,14 +716,25 @@ def mk_or(parts: Iterable[Formula]) -> Formula:
 # Clauses
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Value):
     """Disjunction of literals; with conjunctive=True, a conjunction
     (as used in DNF matrices).  The empty disjunctive clause is false,
     the empty conjunctive clause is true."""
 
-    literals: tuple[Literal, ...]
-    conjunctive: bool = False
+    def __init__(self, literals: tuple[Literal, ...], conjunctive: bool = False):
+        _set(self, "literals", literals)
+        _set(self, "conjunctive", conjunctive)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.literals, self.conjunctive) == (other.literals, other.conjunctive)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.literals, self.conjunctive))
+
+    def __repr__(self) -> str:
+        return f"Clause(literals={self.literals!r}, conjunctive={self.conjunctive!r})"
 
     def complemented(self) -> "Clause":
         return Clause(tuple(l.complement() for l in self.literals), not self.conjunctive)
@@ -799,8 +923,8 @@ def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
 
 
 def formula_equal(a: Formula, b: Formula) -> bool:
-    """a == b, on an explicit stack: the generated __eq__ of formulas and
-    terms recurses on their depth.  Literals and terms of different cached
+    """a == b, on an explicit stack: the __eq__ of formulas and terms
+    recurses on their depth.  Literals and terms of different cached
     hashes differ, and an object equals itself without a look inside."""
     todo = [(a, b)]
     while todo:
@@ -902,12 +1026,12 @@ def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
 # Signatures and fresh names
 
 
-@dataclass
 class Signature:
-    functions: dict[str, int]
-    predicates: dict[str, int]
-    # the application objects checked, by identity, each kept alive here
-    checked: dict[int, "App"] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, functions: dict[str, int], predicates: dict[str, int]):
+        self.functions = functions
+        self.predicates = predicates
+        # the application objects checked, by identity, each kept alive here
+        self.checked: dict[int, App] = {}
 
     @classmethod
     def empty(cls) -> "Signature":

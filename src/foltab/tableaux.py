@@ -28,7 +28,6 @@ of copy k named `v_k`, are built once the search has found it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -387,14 +386,14 @@ def is_hyper(tab: Tableau) -> bool:
 # regularity pruning.  Deterministic for fixed inputs and limits.
 
 
-@dataclass
 class ProveResult:
     """What `prove` found; `tableau` is the proof, None unless proved."""
 
-    status: str  # proved | saturated | depth_limit | timeout | inference_limit
-    tableau: Optional[Tableau]
-    inferences: int
-    depth: int
+    def __init__(self, status: str, tableau: Optional[Tableau], inferences: int, depth: int):
+        self.status = status  # proved | saturated | depth_limit | timeout | inference_limit
+        self.tableau = tableau
+        self.inferences = inferences
+        self.depth = depth
 
     @property
     def proved(self) -> bool:

@@ -9,7 +9,6 @@ everything else with a lowercase letter or digit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .syntax import (
@@ -349,11 +348,19 @@ class _Parser:
         return out
 
 
-@dataclass(frozen=True)
 class FofRecord:
-    name: str
-    role: str
-    formula: Formula
+    def __init__(self, name: str, role: str, formula: Formula):
+        self.name = name
+        self.role = role
+        self.formula = formula
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.role, self.formula) == (other.name, other.role, other.formula)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FofRecord(name={self.name!r}, role={self.role!r}, formula={self.formula!r})"
 
 
 def parse_formula(text: str) -> Formula:

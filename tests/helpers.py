@@ -11,8 +11,9 @@ oracle for the parsers and proof import, the recursive tableau walkers
 with an ancestor scan per target as an oracle for `branch_walk` and the
 walkers on it, `entails` clausifying both sides per conjunct as an oracle
 for the one that clausifies once, side assignment matching every clause as
-an oracle for the one that matches by shape, and checkers of the tableaux, unifiers
-and formulas the pipeline makes."""
+an oracle for the one that matches by shape, dataclass twins of the value
+classes as oracles for their hand-written methods, and checkers of the
+tableaux, unifiers and formulas the pipeline makes."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import itertools
 import random
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -2275,3 +2276,179 @@ def _reference_parse_single_literal(text: str, line_no: int, offset: int) -> Lit
         return lit
     except ParseError as e:
         raise ParseError(e.message, line_no, offset + e.col) from None
+
+
+# ---------------------------------------------------------------------------
+# Dataclass twins of the value classes: `Var`, `App`, `Literal`, the
+# formula classes and `Clause` as the generated dataclasses they were, with
+# their field lists, compare and repr flags, and cached hashes.  Each twin
+# prints under the name of the value class it mirrors, since the generated
+# __repr__ reads the class's __qualname__ (which also means pickle cannot
+# find a twin by name: the tests pickle only values); `to_twin` rebuilds a
+# value out of twins, so that the hand-written methods can be checked
+# against the generated ones.
+
+
+def _twin(cls):
+    cls.__qualname__ = cls.__name__.removeprefix("Twin")
+    return cls
+
+
+@_twin
+@dataclass(frozen=True, slots=True)
+class TwinVar:
+    name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _ground = False
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.name,))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return TwinVar, (self.name,)
+
+
+@_twin
+@dataclass(frozen=True, slots=True)
+class TwinApp:
+    functor: str
+    args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _ground: bool = field(init=False, repr=False, compare=False)
+
+    def __init__(self, functor: str, args: tuple = ()):
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_ground", all(a._ground for a in args))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.functor, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return TwinApp, (self.functor, self.args)
+
+
+class _TwinFormula:
+    __slots__ = ()
+
+
+@_twin
+@dataclass(frozen=True, slots=True)
+class TwinLiteral(_TwinFormula):
+    positive: bool
+    predicate: str
+    args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _complement: object = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.positive, self.predicate, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return TwinLiteral, (self.positive, self.predicate, self.args)
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinTop(_TwinFormula):
+    pass
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinBottom(_TwinFormula):
+    pass
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinAnd(_TwinFormula):
+    parts: tuple
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinOr(_TwinFormula):
+    parts: tuple
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinNot(_TwinFormula):
+    body: object
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinImplies(_TwinFormula):
+    lhs: object
+    rhs: object
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinIff(_TwinFormula):
+    lhs: object
+    rhs: object
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinForAll(_TwinFormula):
+    var: str
+    body: object
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinExists(_TwinFormula):
+    var: str
+    body: object
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinClause:
+    literals: tuple
+    conjunctive: bool = False
+
+
+def to_twin(x):
+    """The value x rebuilt out of twins, field by field."""
+    cls = x.__class__
+    if cls is Var:
+        return TwinVar(x.name)
+    if cls is App:
+        return TwinApp(x.functor, tuple(map(to_twin, x.args)))
+    if cls is Literal:
+        return TwinLiteral(x.positive, x.predicate, tuple(map(to_twin, x.args)))
+    if cls is Clause:
+        return TwinClause(tuple(map(to_twin, x.literals)), x.conjunctive)
+    if cls is Top:
+        return TwinTop()
+    if cls is Bottom:
+        return TwinBottom()
+    if cls is And or cls is Or:
+        return (TwinAnd if cls is And else TwinOr)(tuple(map(to_twin, x.parts)))
+    if cls is Not:
+        return TwinNot(to_twin(x.body))
+    if cls is Implies or cls is Iff:
+        return (TwinImplies if cls is Implies else TwinIff)(to_twin(x.lhs), to_twin(x.rhs))
+    if cls is ForAll or cls is Exists:
+        return (TwinForAll if cls is ForAll else TwinExists)(x.var, to_twin(x.body))
+    raise TypeError(f"not a value: {x!r}")

@@ -1,9 +1,11 @@
 import json
+import random
 import re
+import statistics
 
 import pytest
 
-from foltab.cli import bundled_samples_dir, main
+from foltab.cli import _median, bundled_samples_dir, main
 
 from helpers import doubling_dag_proof
 
@@ -527,6 +529,18 @@ def test_stats_on_bundled_samples(capsys):
         assert {"S3", "S4", "ratio", "T2"} <= set(row)
     small_enough = sum(1 for r in rows if r["S4"] <= r["S3"])
     assert small_enough / len(rows) >= 0.8
+    for key in ("S3", "S4", "ratio", "T2"):
+        vals = [r[key] for r in rows]
+        assert data["summary"][key]["median"] == round(statistics.median(vals), 2)
+
+
+def test_stats_median_is_that_of_statistics():
+    rng = random.Random(2405)
+    for n in range(1, 40):
+        ints = [rng.randint(0, 9) for _ in range(n)]
+        floats = [round(rng.uniform(0, 5), rng.randint(0, 3)) for _ in range(n)]
+        for vals in (ints, floats, ints + floats):
+            assert _median(vals) == statistics.median(vals)
 
 
 def test_stats_table_output(capsys):

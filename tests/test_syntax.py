@@ -445,7 +445,7 @@ def test_kernel_hashes_are_cached_values_of_the_field_tuple():
     assert t1 == t2 and hash(t1) == hash(t2)
     assert l1 == l2 and hash(l1) == hash(l2)
     assert l1 != l1.complement() and hash(l1) != hash(l1.complement())
-    # the value is that of the generated dataclass hash, computed once
+    # the value is the hash of the compared fields, computed once
     assert hash(x) == hash(("X",))
     assert hash(t1) == hash((t1.functor, t1.args))
     assert hash(l1) == hash((l1.positive, l1.predicate, l1.args))
