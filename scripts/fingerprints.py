@@ -135,8 +135,6 @@ def main(argv=None) -> int:
     mode.add_argument("--write", metavar="FILE", help="write the fingerprints to FILE")
     mode.add_argument("--check", metavar="FILE", help="compare the fingerprints with FILE")
     args = parser.parse_args(argv)
-    # as foltab.cli.main does: tree walkers recurse along long branches
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     got = fingerprints()
     if args.write:
         Path(args.write).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")

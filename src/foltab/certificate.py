@@ -44,7 +44,6 @@ from .syntax import (
     Literal,
     Top,
     apply_term,
-    formula_equal,
     is_ground,
     map_formula_terms,
     subterms,
@@ -109,8 +108,8 @@ def check_certificate(cert: Certificate, h: Formula) -> tuple[str, str]:
         and len(back) == len(lifted.prefix) == len(lifted.terms)
         and all(t.__class__ is App for t in lifted.terms)
         and _lifted_order_ok(lifted.terms)
-        and formula_equal(map_formula_terms(lifted.matrix, lambda t: apply_term(t, back)), h_grd)
-        and formula_equal(h, unfreeze(wrap_prefix(lifted.prefix, cert.matrix), cert.placeholders))
+        and map_formula_terms(lifted.matrix, lambda t: apply_term(t, back)) == h_grd
+        and h == unfreeze(wrap_prefix(lifted.prefix, cert.matrix), cert.placeholders)
     )
     if not both:
         return "fail", "fail"

@@ -9,7 +9,6 @@ verification failure, 3 parse/usage error, 4 resource limit.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -237,6 +236,7 @@ def cmd_hyper(args) -> int:
     size_before, size_after = trace.input_size, trace.output_size
     ratio = size_after / size_before if size_before else float("nan")
     if args.json:
+        import json  # only here and in `stats --json`: most calls print no JSON
         print(
             json.dumps(
                 {
@@ -410,6 +410,7 @@ def cmd_stats(args) -> int:
                 "max": round(max(vals), 2),
             }
     if args.json:
+        import json
         print(json.dumps({"rows": rows, "summary": summary}, indent=2))
     else:
         header = f"{'proof':<28}{'S3':>8}{'S4':>8}{'ratio':>8}{'T2':>8}"
@@ -547,10 +548,6 @@ def exit_code_of(e: Exception) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # the parser's formula levels, the formula printer (tptp._fmt), the
-    # __eq__, __repr__ and __str__ of terms and formulas and the __hash__ of
-    # formulas recurse on nesting; a term's hash is iterative
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
     # every error that ends a command gets its exit code here; commands
     # catch only the errors after which they still print partial output
     try:

@@ -99,9 +99,13 @@ def wrap_prefix(prefix: Iterable[tuple[str, str]], matrix: Formula) -> Formula:
     return out
 
 
-# (n, conjunctive, _JOIN) on cnf's stack joins the clause lists of the last
-# n subformulas read
+# On cnf's stack, (n, conjunctive, _JOIN) joins the clause lists of the
+# last n subformulas read; ((g, renaming), positive, _PART) reads a part of
+# a <=>, and ((key, renaming), n, _KEEP) keeps the clause list just read
+# for it when the prefix still has n entries.
 _JOIN = object()
+_PART = object()
+_KEEP = object()
 
 
 def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
@@ -114,7 +118,13 @@ def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
     literals it binds are renamed by one simultaneous substitution.  The
     clause lists of the parts of a conjunction are concatenated, those of a
     disjunction distributed left to right.  Only duplicate clauses are
-    removed; tautologies are kept."""
+    removed; tautologies are kept.
+
+    Each part of a <=> is read at both polarities, so n nested <=> would
+    read their innermost parts 2^n times.  A part read again at the same
+    polarity and renaming takes the clause list of its first reading
+    instead, when that reading added nothing to the prefix; a part with a
+    quantifier below it is read again, for its fresh names."""
     return _cnf(f, max_clauses, free_vars(f))  # which also rejects what is not a formula
 
 
@@ -133,13 +143,30 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
         return name
 
     prefix: list[tuple[str, str]] = []
-    done: list[list[Clause]] = []  # the clause lists of subformulas read
+    # the clause lists of subformulas read, each clause as its literals
+    done: list[list[tuple[Literal, ...]]] = []
+    # the clause list of each part of a <=> read without a quantifier, by
+    # the ids of the part and the renaming and the polarity; the entry
+    # keeps the renaming alive, so that no other one takes its id
+    kept: dict[tuple[int, bool, int], tuple[dict, list]] = {}
     # (g, positive, renaming) reads g at that polarity
     todo: list[tuple] = [(f, True, {})]
     while todo:
         g, pos, env = todo.pop()
         cls = g.__class__
-        if env is _JOIN:
+        if env is _PART:
+            g, env = g
+            key = (id(g), pos, id(env))
+            got = kept.get(key)
+            if got is not None:
+                done.append(got[1])
+            else:
+                todo.append(((key, env), len(prefix), _KEEP))
+                todo.append((g, pos, env))
+        elif env is _KEEP:
+            if len(prefix) == pos:
+                kept[g[0]] = (g[1], done[-1])
+        elif env is _JOIN:
             k = len(done) - g
             parts = done[k:]
             del done[k:]
@@ -147,21 +174,27 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
                 joined = [c for cs in parts for c in cs]
             elif max_clauses >= 1 and all(len(cs) == 1 for cs in parts):
                 # what distribution gives, in one step
-                joined = [clause(l for cs in parts for l in cs[0].literals)]
+                joined = [tuple(dict.fromkeys([l for cs in parts for l in cs[0]]))]
             else:
-                joined = [Clause(())]
+                # every clause is free of duplicates: a clause of the
+                # product is a, then the literals of c that a lacks
+                joined = [()]
                 for cs in parts:
                     if len(joined) * len(cs) > max_clauses:
                         raise ClauseLimitError(f"distribution exceeds {max_clauses} clauses")
-                    joined = [clause(a.literals + c.literals) for a in joined for c in cs]
+                    product = []
+                    for a in joined:
+                        has = set(a)
+                        product.extend([a + tuple([l for l in c if l not in has]) for c in cs])
+                    joined = product
             done.append(list(dict.fromkeys(joined)))
         elif cls is Literal:
             l = g if pos else g.complement()
             if env:
                 l = map_literal_terms(l, lambda t: apply_term(t, env))
-            done.append([Clause((l,))])
+            done.append([(l,)])
         elif cls is Top or cls is Bottom:
-            done.append([] if (cls is Top) == pos else [Clause(())])
+            done.append([] if (cls is Top) == pos else [()])
         elif cls is Not:
             todo.append((g.body, not pos, env))
         elif cls is And or cls is Or:
@@ -172,15 +205,18 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
             todo.append((g.rhs, pos, env))
             todo.append((g.lhs, not pos, env))
         elif cls is Iff:
+            # (lhs => rhs) & (rhs => lhs)
             todo.append((2, pos, _JOIN))
-            todo.append((Implies(g.rhs, g.lhs), pos, env))
-            todo.append((Implies(g.lhs, g.rhs), pos, env))
+            for lhs, rhs in ((g.rhs, g.lhs), (g.lhs, g.rhs)):
+                todo.append((2, not pos, _JOIN))
+                todo.append(((rhs, env), pos, _PART))
+                todo.append(((lhs, env), not pos, _PART))
         else:
             w = pick(g.var)
             prefix.append(("forall" if (cls is ForAll) == pos else "exists", w))
             # a name kept was unused, so no entry of env is for it
             todo.append((g.body, pos, env if w == g.var else {**env, g.var: Var(w)}))
-    return PrenexNormalForm(tuple(prefix), tuple(done[0]), "cnf")
+    return PrenexNormalForm(tuple(prefix), tuple([Clause(ls) for ls in done[0]]), "cnf")
 
 
 def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:

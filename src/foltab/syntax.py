@@ -67,15 +67,20 @@ _set = object.__setattr__
 _ground_of = attrgetter("_ground")
 
 
-# Var, App and Literal compute their hash on first use and keep it in the
-# `_hash` slot, so that hashing a deep term or literal is O(1) after the
-# first time.  The slot is left unset by __init__ to keep construction (the
-# prover builds far more terms than it hashes) cheap; the value is the hash
-# of the tuple of the compared fields.  An App hashed for the first time
-# hashes its unhashed subterms first, bottom up on an explicit stack, so
-# the tuple hash only reads cached values and hashing never recurses on
-# term depth.  The parser hashes each application when it enters it in
-# its term table, after its arguments.
+# Every value class names its compared fields in `_fields`, and `_Value`
+# reads them for the whole value protocol: values are equal when of one
+# class with equal fields, hash as the tuple of their fields, print as the
+# dataclasses they once were (`Var(name='X')`), and copy and pickle
+# through their constructor, so a cached hash never moves to a process of
+# another hash seed.  Each walks nested values on an explicit stack.
+#
+# A value computes its hash on first use and keeps it in the `_hash` slot,
+# so that hashing a deep value is O(1) after the first time.  The slot is
+# left unset by __init__ to keep construction (the prover builds far more
+# terms than it hashes) cheap.  A value hashed for the first time hashes
+# its unhashed parts first, bottom up, so the tuple hash only reads cached
+# values.  The parser hashes each application when it enters it in its
+# term table, after its arguments.
 #
 # An App knows whether it is ground: __init__ sets `_ground` from the
 # arguments' flags, in O(arity), since every subterm is made before the
@@ -87,7 +92,17 @@ class _Value:
     raises AttributeError.  Fields are set by object.__setattr__, and
     cached slots the same way."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+    # the fields of a value as a tuple, read in one call; a class that
+    # names its fields gets its own
+    _values = staticmethod(lambda v: ())
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields:
+            get = attrgetter(*fields)
+            cls._values = staticmethod(get if len(fields) > 1 else lambda v: (get(v),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,32 +110,96 @@ class _Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is other:
+            return True
+        # values of different cached hashes differ; an unset hash is None
+        h = getattr(self, "_hash", None)
+        if h is not None and h != getattr(other, "_hash", h):
+            return False
+        # the fields of x and y, of one class, then the pairs of distinct
+        # parts still to compare
+        x, y = self, other
+        todo = []
+        while True:
+            for a, b in zip(x._values(x), y._values(y)):
+                if a is b:
+                    continue
+                if a.__class__ is tuple:
+                    if len(a) != len(b):
+                        return False
+                    for pair in zip(a, b):
+                        if pair[0] is not pair[1]:
+                            todo.append(pair)
+                elif isinstance(a, _Value):
+                    todo.append((a, b))
+                elif a != b:
+                    return False
+            if not todo:
+                return True
+            x, y = todo.pop()
+            if x.__class__ is not y.__class__:
+                return False
+
+    def __hash__(self) -> int:
+        h = getattr(self, "_hash", None)
+        if h is not None:
+            return h
+        stack = [self]
+        while stack:
+            v = stack[-1]
+            fields = v._values(v)
+            depth = len(stack)
+            for x in fields:
+                if x.__class__ is tuple:
+                    for p in x:
+                        if not hasattr(p, "_hash"):
+                            stack.append(p)
+                elif isinstance(x, _Value) and not hasattr(x, "_hash"):
+                    stack.append(x)
+            if len(stack) == depth:  # every part is hashed
+                stack.pop()
+                _set(v, "_hash", hash(fields))
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        # a string to print as it is, or a value to print
+        todo: list = [self]
+        while todo:
+            v = todo.pop()
+            if v.__class__ is str:
+                out.append(v)
+                continue
+            pieces: list = [f"{v.__class__.__name__}("]
+            for k, (name, x) in enumerate(zip(v._fields, v._values(v))):
+                pieces.append(f"{', ' if k else ''}{name}=")
+                if x.__class__ is tuple:
+                    pieces.append("(")
+                    for j, p in enumerate(x):
+                        if j:
+                            pieces.append(", ")
+                        pieces.append(p)
+                    pieces.append(",)" if len(x) == 1 else ")")
+                else:
+                    pieces.append(x if isinstance(x, _Value) else repr(x))
+            pieces.append(")")
+            todo.extend(reversed(pieces))
+        return "".join(out)
+
 
 class Var(_Value):
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
+    _fields = ("name",)
     _ground = False
 
     def __init__(self, name: str):
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name,) == (other.name,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.name,))
-            _set(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        return Var, (self.name,)
-
-    def __repr__(self) -> str:
-        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -129,48 +208,50 @@ class Var(_Value):
 class App(_Value):
     """Function application; constants are 0-ary applications."""
 
-    __slots__ = ("functor", "args", "_hash", "_ground")
+    __slots__ = ("functor", "args", "_ground")
+    _fields = ("functor", "args")
 
     def __init__(self, functor: str, args: tuple["Term", ...] = ()):
         _set(self, "functor", functor)
         _set(self, "args", args)
         _set(self, "_ground", all(map(_ground_of, args)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.functor, self.args) == (other.functor, other.args)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        stack = [self]
-        while stack:
-            t = stack[-1]
-            depth = len(stack)
-            for a in t.args:
-                if a.__class__ is App and not hasattr(a, "_hash"):
-                    stack.append(a)
-            if len(stack) == depth:  # every argument is hashed
-                stack.pop()
-                _set(t, "_hash", hash((t.functor, t.args)))
-        return self._hash
-
-    def __reduce__(self):
-        return App, (self.functor, self.args)
-
-    def __repr__(self) -> str:
-        return f"App(functor={self.functor!r}, args={self.args!r})"
-
     def __str__(self) -> str:
-        if not self.args:
-            return self.functor
-        return f"{self.functor}({','.join(str(a) for a in self.args)})"
+        return terms_text((self,))
 
 
 Term = Union[Var, App]
+
+
+def terms_text(terms: tuple[Term, ...], sep: str = ",") -> str:
+    """The terms printed and joined by `sep`, on an explicit stack: the one
+    term printer, under the __str__ of applications, literals and
+    clauses."""
+    out: list[str] = []
+    # a string to print as it is, or a term to print
+    todo: list = []
+    for t in reversed(terms):
+        todo.append(t)
+        todo.append(sep)
+    if todo:
+        todo.pop()
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is str:
+            out.append(t)
+        elif cls is Var:
+            out.append(t.name)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            out.append(t.functor + "(")
+            todo.append(")")
+            for a in reversed(t.args):
+                todo.append(a)
+                todo.append(",")
+            todo.pop()
+    return "".join(out)
 
 
 def subterms(*terms: Term) -> Iterator[Term]:
@@ -509,46 +590,19 @@ def match_term(pattern: Term, target: Term, sigma: Subst) -> bool:
 
 
 class Formula(_Value):
-    """Base of the formula classes.  Each compares, hashes and prints its
-    fields as a tuple, in order: equal when of one class with equal
-    fields."""
+    """Base of the formula classes."""
 
     __slots__ = ()
 
 
 class Literal(Formula):
-    __slots__ = ("positive", "predicate", "args", "_hash", "_complement")
+    __slots__ = ("positive", "predicate", "args", "_complement")
+    _fields = ("positive", "predicate", "args")
 
     def __init__(self, positive: bool, predicate: str, args: tuple[Term, ...] = ()):
         _set(self, "positive", positive)
         _set(self, "predicate", predicate)
         _set(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.positive, self.predicate, self.args) == (
-                other.positive,
-                other.predicate,
-                other.args,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.positive, self.predicate, self.args))
-            _set(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        return Literal, (self.positive, self.predicate, self.args)
-
-    def __repr__(self) -> str:
-        return (
-            f"Literal(positive={self.positive!r}, predicate={self.predicate!r},"
-            f" args={self.args!r})"
-        )
 
     def complement(self) -> "Literal":
         """The literal of opposite sign, made once per literal object; the
@@ -566,36 +620,29 @@ class Literal(Formula):
 
     def __str__(self) -> str:
         if self.predicate == "=" and len(self.args) == 2:
-            return f"{self.args[0]} {'=' if self.positive else '!='} {self.args[1]}"
-        body = self.predicate if not self.args else f"{self.predicate}({','.join(str(a) for a in self.args)})"
+            return terms_text(self.args, " = " if self.positive else " != ")
+        body = f"{self.predicate}({terms_text(self.args)})" if self.args else self.predicate
         return body if self.positive else "~" + body
 
 
-# The classes below keep no slots of their own: their fields live in the
-# instance dict, which copy and pickle restore without calling __setattr__.
-# Classes of the same fields share their methods, which print the class's
-# own name.
+# Classes of the same fields share a base that sets them; each prints its
+# own class name.
 
 
 class _Truth(Formula):
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}()"
+    __slots__ = ()
 
 
 class Top(_Truth):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "$true"
 
 
 class Bottom(_Truth):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "$false"
 
@@ -605,93 +652,61 @@ BOTTOM = Bottom()
 
 
 class _Junction(Formula):
+    __slots__ = ("parts",)
+    _fields = ("parts",)
+
     def __init__(self, parts: tuple[Formula, ...]):
         _set(self, "parts", parts)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) == (other.parts,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(parts={self.parts!r})"
-
 
 class And(_Junction):
-    pass
+    __slots__ = ()
 
 
 class Or(_Junction):
-    pass
+    __slots__ = ()
 
 
 class Not(Formula):
+    __slots__ = ("body",)
+    _fields = ("body",)
+
     def __init__(self, body: Formula):
         _set(self, "body", body)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.body,) == (other.body,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
-    def __repr__(self) -> str:
-        return f"Not(body={self.body!r})"
-
 
 class _Connective(Formula):
+    __slots__ = ("lhs", "rhs")
+    _fields = ("lhs", "rhs")
+
     def __init__(self, lhs: Formula, rhs: Formula):
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lhs, self.rhs))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
-
 
 class Implies(_Connective):
-    pass
+    __slots__ = ()
 
 
 class Iff(_Connective):
-    pass
+    __slots__ = ()
 
 
 class _Quantifier(Formula):
+    __slots__ = ("var", "body")
+    _fields = ("var", "body")
+
     def __init__(self, var: str, body: Formula):
         _set(self, "var", var)
         _set(self, "body", body)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.var, self.body) == (other.var, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.body))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(var={self.var!r}, body={self.body!r})"
-
 
 class ForAll(_Quantifier):
-    pass
+    __slots__ = ()
 
 
 class Exists(_Quantifier):
-    pass
+    __slots__ = ()
 
 
 def mk_and(parts: Iterable[Formula]) -> Formula:
@@ -721,20 +736,12 @@ class Clause(_Value):
     (as used in DNF matrices).  The empty disjunctive clause is false,
     the empty conjunctive clause is true."""
 
+    __slots__ = ("literals", "conjunctive")
+    _fields = ("literals", "conjunctive")
+
     def __init__(self, literals: tuple[Literal, ...], conjunctive: bool = False):
         _set(self, "literals", literals)
         _set(self, "conjunctive", conjunctive)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.literals, self.conjunctive) == (other.literals, other.conjunctive)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.literals, self.conjunctive))
-
-    def __repr__(self) -> str:
-        return f"Clause(literals={self.literals!r}, conjunctive={self.conjunctive!r})"
 
     def complemented(self) -> "Clause":
         return Clause(tuple(l.complement() for l in self.literals), not self.conjunctive)
@@ -743,7 +750,7 @@ class Clause(_Value):
         if not self.literals:
             return "$true" if self.conjunctive else "$false"
         sep = " & " if self.conjunctive else " | "
-        return sep.join(str(l) for l in self.literals)
+        return sep.join(map(Literal.__str__, self.literals))
 
 
 def clause(literals: Iterable[Literal], conjunctive: bool = False) -> Clause:
@@ -916,48 +923,6 @@ def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
     """Function symbols (constants included) and (predicate, polarity) pairs."""
     s = read_symbols(f)
     return s.functions, s.predicates
-
-
-# ---------------------------------------------------------------------------
-# Equality without recursion
-
-
-def formula_equal(a: Formula, b: Formula) -> bool:
-    """a == b, on an explicit stack: the __eq__ of formulas and terms
-    recurses on their depth.  Literals and terms of different cached
-    hashes differ, and an object equals itself without a look inside."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        cls = x.__class__
-        if cls is not y.__class__:
-            return False
-        if cls is Var:
-            if x.name != y.name:
-                return False
-        elif cls is App or cls is Literal:
-            if hash(x) != hash(y) or len(x.args) != len(y.args):
-                return False
-            if cls is App and x.functor != y.functor:
-                return False
-            if cls is Literal and (x.positive != y.positive or x.predicate != y.predicate):
-                return False
-            todo.extend(zip(x.args, y.args))
-        elif cls is And or cls is Or:
-            if len(x.parts) != len(y.parts):
-                return False
-            todo.extend(zip(x.parts, y.parts))
-        elif cls is Not:
-            todo.append((x.body, y.body))
-        elif cls is Implies or cls is Iff:
-            todo.extend(((x.lhs, y.lhs), (x.rhs, y.rhs)))
-        elif cls is ForAll or cls is Exists:
-            if x.var != y.var:
-                return False
-            todo.append((x.body, y.body))
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -95,18 +95,39 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
+# The binary connectives, loosest first: a connective's precedence is its
+# place here.  `|` and `&` join n-ary nodes, `=>` is right associative, and
+# `<=>` joins two implications.
+_CONNECTIVES = (("<=>", Iff), ("=>", Implies), ("|", Or), ("&", And))
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND = range(4)
+_BINARY = {text: (prec, cls) for prec, (text, cls) in enumerate(_CONNECTIVES)}
+
+# the formula parser's mark for an open parenthesis, and its prefix `~`
+_PAREN = object()
+_NOT = (Not, ())
+
+
+def _join(operator: list, rhs: Formula) -> Formula:
+    """The formula of an open operator [precedence, class, parts] of the
+    formula parser, closed after its last part `rhs`."""
+    prec, cls, parts = operator
+    return cls((*parts, rhs)) if prec >= _PREC_OR else cls(parts[0], rhs)
+
+
 class _Parser:
-    """Recursive descent over the tokens of one text at a time;
-    `load` moves it to the next text, so that a file of many records needs
-    one parser.  Every literal that `atom` makes is kept in `literals`, in
-    text order, until the next `load`.
+    """A parser over the tokens of one text at a time, on explicit stacks
+    (formulas, terms and parenthesized literals alike); `load` moves it to
+    the next text, so that a file of many records needs one parser.  Every
+    literal that `atom` makes is kept in `literals`, in text order, until
+    the next `load`.
 
     `terms` is the parser's term table, kept across `load` calls: a
     variable or a constant by its name, any other application by its
     functor and arguments.  Each distinct term of the texts is made once,
     so equal terms of one document are one object, found by identity in
     sets and dicts.  `literal_table` does the same for the literals of
-    clauses and tableau lines (see `table_literal`)."""
+    clauses and tableau lines (see `table_literal`) and for the
+    propositional atoms of formulas."""
 
     __slots__ = ("text", "toks", "i", "literals", "terms", "literal_table")
 
@@ -144,65 +165,75 @@ class _Parser:
     # formulas ------------------------------------------------------------
 
     def formula(self) -> Formula:
-        lhs = self.implication()
-        if self.toks[self.i] == "<=>":
-            self.i += 1
-            return Iff(lhs, self.implication())
-        return lhs
+        """A formula, by precedence climbing on one explicit stack (Pratt,
+        Top Down Operator Precedence, POPL 1973).  A unit is an atom,
+        `$true`, `$false`, `~` or a quantifier over a unit, or a formula
+        in parentheses; a token that cannot continue the formula ends it,
+        for the caller to read.
 
-    def implication(self) -> Formula:
-        lhs = self.disjunction()
-        if self.toks[self.i] == "=>":
-            self.i += 1
-            return Implies(lhs, self.implication())
-        return lhs
-
-    def disjunction(self) -> Formula:
-        parts = [self.conjunction()]
-        while self.toks[self.i] == "|":
-            self.i += 1
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def conjunction(self) -> Formula:
-        parts = [self.unit()]
-        while self.toks[self.i] == "&":
-            self.i += 1
-            parts.append(self.unit())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def unit(self) -> Formula:
-        text = self.toks[self.i]
-        if text == "~":
-            self.i += 1
-            body = self.unit()
-            # negated atoms are literals, not Not nodes
-            if body.__class__ is Literal:
-                return body.complement()
-            return Not(body)
-        if text == "!" or text == "?":
-            self.i += 1
-            self.expect("[")
-            names = [self.variable_name()]
-            while self.toks[self.i] == ",":
+        The stack holds the prefixes of the units still open, as (`Not`,
+        ()) or (quantifier class, names), the open parentheses, and above
+        each parenthesis and at the bottom the operators of that level
+        still open, as [precedence, class, parts], in rising precedence."""
+        toks = self.toks
+        stack: list = []
+        while True:
+            # read the prefixes of a unit up to its atom or constant
+            text = toks[self.i]
+            if text == "~":
                 self.i += 1
-                names.append(self.variable_name())
-            self.expect("]")
-            self.expect(":")
-            body = self.unit()
-            ctor = ForAll if text == "!" else Exists
-            for name in reversed(names):
-                body = ctor(name, body)
-            return body
-        if text == "(":
-            self.i += 1
-            f = self.formula()
-            self.expect(")")
-            return f
-        if text == "$true" or text == "$false":
-            self.i += 1
-            return TOP if text == "$true" else BOTTOM
-        return self.atom()
+                stack.append(_NOT)
+                continue
+            if text == "!" or text == "?":
+                self.i += 1
+                self.expect("[")
+                names = [self.variable_name()]
+                while toks[self.i] == ",":
+                    self.i += 1
+                    names.append(self.variable_name())
+                self.expect("]")
+                self.expect(":")
+                stack.append((ForAll if text == "!" else Exists, names))
+                continue
+            if text == "(":
+                self.i += 1
+                stack.append(_PAREN)
+                continue
+            if text == "$true" or text == "$false":
+                self.i += 1
+                f = TOP if text == "$true" else BOTTOM
+            else:
+                f = self.atom()
+            while True:
+                # f is a whole unit: apply the prefixes around it
+                while stack and stack[-1].__class__ is tuple:
+                    ctor, names = stack.pop()
+                    if ctor is Not:
+                        # negated atoms are literals, not Not nodes
+                        f = f.complement() if f.__class__ is Literal else Not(f)
+                    for name in reversed(names):
+                        f = ctor(name, f)
+                prec, cls = _BINARY.get(toks[self.i], (-1, None))
+                # close the operators that bind tighter than the next one
+                while stack and stack[-1].__class__ is list and stack[-1][0] > prec:
+                    f = _join(stack.pop(), f)
+                if prec == _PREC_IFF and stack and stack[-1].__class__ is list:
+                    # a second `<=>` ends the level
+                    prec = -1
+                    f = _join(stack.pop(), f)
+                if prec >= 0:
+                    self.i += 1
+                    top = stack[-1] if stack else None
+                    if prec >= _PREC_OR and top.__class__ is list and top[0] == prec:
+                        top[2].append(f)
+                    else:
+                        stack.append([prec, cls, [f]])
+                    break
+                # the formula of this level ends here
+                if not stack:
+                    return f
+                self.expect(")")
+                stack.pop()
 
     def variable_name(self) -> str:
         text = self.take()
@@ -213,9 +244,13 @@ class _Parser:
     def atom(self) -> Literal:
         text = self.toks[self.i]
         if text[:1] in _LOWER and self.toks[self.i + 1] not in ("(", "=", "!="):
-            # a propositional atom: no term to build first
+            # a propositional atom: no term to build first, and one object
+            # per name in the literal table, under the key `table_literal`
+            # gives it
             self.i += 1
-            lit = Literal(True, text)
+            lit = self.literal_table.get((text,))
+            if lit is None:
+                lit = self.literal_table[(text,)] = Literal(True, text)
         else:
             first = self.term()
             nxt = self.toks[self.i]
@@ -278,15 +313,16 @@ class _Parser:
     def literal(self) -> Literal:
         """A literal: an atom under any number of `~` and parentheses."""
         negated = False
-        while self.toks[self.i] == "~":
+        parens = 0
+        while self.toks[self.i] in ("~", "("):
+            if self.toks[self.i] == "~":
+                negated = not negated
+            else:
+                parens += 1
             self.i += 1
-            negated = not negated
-        if self.toks[self.i] == "(":
-            self.i += 1
-            inner = self.literal()
+        inner = self.atom()
+        for _ in range(parens):
             self.expect(")")
-        else:
-            inner = self.atom()
         return inner.complement() if negated else inner
 
     def table_literal(self) -> Literal:
@@ -426,53 +462,51 @@ def parse_clause_file(text: str) -> list[Clause]:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_IFF = 0
-_PREC_IMP = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNIT = 4
+# the precedence a unit's position needs (the body of `~` or of a
+# quantifier): every connective is parenthesized there, and so is an
+# equation
+_UNIT = _PREC_AND + 2
+_INFIX = {cls: (prec, f" {text} ") for prec, (text, cls) in enumerate(_CONNECTIVES)}
 
 
 def format_formula(f: Formula) -> str:
-    return _fmt(f, 0)
-
-
-def _fmt(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Literal):
-        return str(f)
-    if isinstance(f, Top):
-        return "$true"
-    if isinstance(f, Bottom):
-        return "$false"
-    if isinstance(f, Not):
-        return "~" + _fmt_unit(f.body)
-    if isinstance(f, (ForAll, Exists)):
-        q = "!" if isinstance(f, ForAll) else "?"
-        return f"{q} [{f.var}] : {_fmt_unit(f.body)}"
-    if isinstance(f, And):
-        body = " & ".join(_fmt(p, _PREC_AND + 1) for p in f.parts)
-        return _wrap(body, _PREC_AND, min_prec)
-    if isinstance(f, Or):
-        body = " | ".join(_fmt(p, _PREC_OR + 1) for p in f.parts)
-        return _wrap(body, _PREC_OR, min_prec)
-    if isinstance(f, Implies):
-        body = f"{_fmt(f.lhs, _PREC_IMP + 1)} => {_fmt(f.rhs, _PREC_IMP)}"
-        return _wrap(body, _PREC_IMP, min_prec)
-    if isinstance(f, Iff):
-        body = f"{_fmt(f.lhs, _PREC_IFF + 1)} <=> {_fmt(f.rhs, _PREC_IFF + 1)}"
-        return _wrap(body, _PREC_IFF, min_prec)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _fmt_unit(f: Formula) -> str:
-    if isinstance(f, (Literal, Top, Bottom, Not, ForAll, Exists)):
-        out = _fmt(f, _PREC_UNIT)
-        # infix equality still needs parentheses in unit position
-        if isinstance(f, Literal) and f.predicate == "=" and len(f.args) == 2:
-            return f"({out})"
-        return out
-    return f"({_fmt(f, 0)})"
-
-
-def _wrap(body: str, prec: int, min_prec: int) -> str:
-    return body if prec >= min_prec else f"({body})"
+    """f in the syntax `parse_formula` reads, printed on an explicit stack."""
+    out: list[str] = []
+    # a string to print as it is, or (formula, the precedence its position needs)
+    todo: list = [(f, _PREC_IFF)]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        g, need = item
+        cls = g.__class__
+        if cls is Literal:
+            text = str(g)
+            equation = g.predicate == "=" and len(g.args) == 2
+            out.append(f"({text})" if equation and need == _UNIT else text)
+        elif cls is Top or cls is Bottom:
+            out.append(str(g))
+        elif cls is Not:
+            out.append("~")
+            todo.append((g.body, _UNIT))
+        elif cls is ForAll or cls is Exists:
+            out.append(f"{'!' if cls is ForAll else '?'} [{g.var}] : ")
+            todo.append((g.body, _UNIT))
+        elif cls in _INFIX:
+            prec, sep = _INFIX[cls]
+            if cls is And or cls is Or:
+                parts = [(p, prec + 1) for p in g.parts]
+            else:
+                # `=>` groups to the right, `<=>` not at all
+                parts = [(g.lhs, prec + 1), (g.rhs, prec if cls is Implies else prec + 1)]
+            if prec < need:
+                out.append("(")
+                todo.append(")")
+            for k in range(len(parts) - 1, -1, -1):
+                todo.append(parts[k])
+                if k:
+                    todo.append(sep)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)

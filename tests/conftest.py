@@ -5,7 +5,8 @@ import pytest
 
 @pytest.fixture
 def default_recursion_limit():
-    # the CLI raises the limit for the whole process; test at the default
+    # nothing in foltab raises the limit, but a test or a plugin may have:
+    # test at the interpreter's default
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield

@@ -12,7 +12,8 @@ with an ancestor scan per target as an oracle for `branch_walk` and the
 walkers on it, `entails` clausifying both sides per conjunct as an oracle
 for the one that clausifies once, side assignment matching every clause as
 an oracle for the one that matches by shape, dataclass twins of the value
-classes as oracles for their hand-written methods, and checkers of the
+classes as oracles for their hand-written methods, the recursive printers
+as oracles for the printers on explicit stacks, and checkers of the
 tableaux, unifiers and formulas the pipeline makes."""
 
 from __future__ import annotations
@@ -2276,6 +2277,86 @@ def _reference_parse_single_literal(text: str, line_no: int, offset: int) -> Lit
         return lit
     except ParseError as e:
         raise ParseError(e.message, line_no, offset + e.col) from None
+
+
+# ---------------------------------------------------------------------------
+# Reference printers: the recursive formula printer of `tptp` (`_fmt`,
+# `_fmt_unit`, `_wrap`) and the recursive __str__ of terms, literals and
+# clauses, as oracles for the printers on explicit stacks.
+
+_REF_PREC_IFF = 0
+_REF_PREC_IMP = 1
+_REF_PREC_OR = 2
+_REF_PREC_AND = 3
+_REF_PREC_UNIT = 4
+
+
+def reference_term_str(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.functor
+    return f"{t.functor}({','.join(reference_term_str(a) for a in t.args)})"
+
+
+def reference_literal_str(l: Literal) -> str:
+    if l.predicate == "=" and len(l.args) == 2:
+        left, right = map(reference_term_str, l.args)
+        return f"{left} {'=' if l.positive else '!='} {right}"
+    body = l.predicate if not l.args else f"{l.predicate}({','.join(reference_term_str(a) for a in l.args)})"
+    return body if l.positive else "~" + body
+
+
+def reference_clause_str(c: Clause) -> str:
+    if not c.literals:
+        return "$true" if c.conjunctive else "$false"
+    sep = " & " if c.conjunctive else " | "
+    return sep.join(reference_literal_str(l) for l in c.literals)
+
+
+def reference_format_formula(f: Formula) -> str:
+    return _reference_fmt(f, 0)
+
+
+def _reference_fmt(f: Formula, min_prec: int) -> str:
+    if isinstance(f, Literal):
+        return reference_literal_str(f)
+    if isinstance(f, Top):
+        return "$true"
+    if isinstance(f, Bottom):
+        return "$false"
+    if isinstance(f, Not):
+        return "~" + _reference_fmt_unit(f.body)
+    if isinstance(f, (ForAll, Exists)):
+        q = "!" if isinstance(f, ForAll) else "?"
+        return f"{q} [{f.var}] : {_reference_fmt_unit(f.body)}"
+    if isinstance(f, And):
+        body = " & ".join(_reference_fmt(p, _REF_PREC_AND + 1) for p in f.parts)
+        return _reference_wrap(body, _REF_PREC_AND, min_prec)
+    if isinstance(f, Or):
+        body = " | ".join(_reference_fmt(p, _REF_PREC_OR + 1) for p in f.parts)
+        return _reference_wrap(body, _REF_PREC_OR, min_prec)
+    if isinstance(f, Implies):
+        body = f"{_reference_fmt(f.lhs, _REF_PREC_IMP + 1)} => {_reference_fmt(f.rhs, _REF_PREC_IMP)}"
+        return _reference_wrap(body, _REF_PREC_IMP, min_prec)
+    if isinstance(f, Iff):
+        body = f"{_reference_fmt(f.lhs, _REF_PREC_IFF + 1)} <=> {_reference_fmt(f.rhs, _REF_PREC_IFF + 1)}"
+        return _reference_wrap(body, _REF_PREC_IFF, min_prec)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_fmt_unit(f: Formula) -> str:
+    if isinstance(f, (Literal, Top, Bottom, Not, ForAll, Exists)):
+        out = _reference_fmt(f, _REF_PREC_UNIT)
+        # infix equality still needs parentheses in unit position
+        if isinstance(f, Literal) and f.predicate == "=" and len(f.args) == 2:
+            return f"({out})"
+        return out
+    return f"({_reference_fmt(f, 0)})"
+
+
+def _reference_wrap(body: str, prec: int, min_prec: int) -> str:
+    return body if prec >= min_prec else f"({body})"
 
 
 # ---------------------------------------------------------------------------

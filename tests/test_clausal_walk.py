@@ -30,6 +30,7 @@ import foltab.proofs
 import foltab.restriction
 import foltab.syntax
 import foltab.tableaux
+import foltab.tptp
 from foltab.interpolation import (
     InterpolationContext,
     hornify,
@@ -47,7 +48,9 @@ from foltab.syntax import (
     Bottom,
     App,
     Clause,
+    Exists,
     ForAll,
+    Iff,
     Implies,
     InputError,
     Literal,
@@ -119,6 +122,7 @@ def test_no_function_recurses():
         foltab.hyperconv,
         foltab.proofs,
         foltab.documents,
+        foltab.tptp,
     )
     for module in modules:
         assert self_calls(inspect.getsource(module)) == [], module.__name__
@@ -521,6 +525,30 @@ def test_cnf_cases_agree_with_the_reference(text):
     assert dnf(f) == reference_dnf(f)
     g = closed(f)
     assert clausified(skolemize_clausify, g) == clausified(reference_skolemize_clausify, g)
+
+
+def iff_chains(depth):
+    """Chains of `depth` nested <=>: on the left, on the right, with a
+    quantified part (read again, for its names) and under a quantifier
+    (read in a renaming)."""
+    p, q = Literal(True, "p"), Literal(True, "q", (Var("X"),))
+    left, right, quantified = p, p, p
+    for i in range(depth):
+        left = Iff(left, q)
+        right = Iff(Literal(i % 2 == 0, "r"), right)
+        quantified = Iff(quantified, ForAll("X", q) if i % 3 == 0 else q)
+    return [left, right, quantified, ForAll("X", Exists("X", left))]
+
+
+def test_cnf_of_iff_chains_agrees_with_the_reference():
+    # each part of a <=> is read once per polarity and renaming unless a
+    # quantifier lies below it; the reference reads it 2^depth times
+    for depth in range(1, 8):
+        for f in iff_chains(depth):
+            assert outcome(cnf, f) == outcome(reference_cnf, f), (depth, f)
+            assert outcome(dnf, f) == outcome(reference_dnf, f), (depth, f)
+    f = iff_chains(12)[0]
+    assert cnf(f) == reference_cnf(f)
 
 
 def test_horn_deciders_and_hornify_agree_with_the_reference():

@@ -2,9 +2,13 @@ import json
 import random
 import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from foltab import cli
 from foltab.cli import _median, bundled_samples_dir, main
 
 from helpers import doubling_dag_proof
@@ -256,17 +260,65 @@ def test_hyper_rejects_a_target_depth_too_long_to_read(tmp_path, capsys):
     assert main(["hyper", "--proof", doc]) == 0
 
 
-def test_deeply_nested_input_is_a_resource_error(tmp_path, capsys):
-    formula = "p"
-    for _ in range(4_000):
-        formula = f"({formula} | q)"
-    f = write(tmp_path, "f.p", f"fof(f, axiom, {formula}).\n")
-    g = write(tmp_path, "g.p", "fof(g, axiom, q).\n")
-    assert main(["interpolate", "--f", f, "--g", g]) == 4
+DEPTH = 5_000
+
+
+def nested(op: str) -> str:
+    """`p` under DEPTH binary connectives `op`, each in parentheses with `q`."""
+    text = "p"
+    for _ in range(DEPTH):
+        text = f"({text} {op} q)"
+    return text
+
+
+DEEP_TERM = "p(" + "f(" * DEPTH + "a" + ")" * (DEPTH + 1)
+
+# the robustness probes: the formula and the exit code of `check`; every
+# one interpolates with F = G
+PROBES = {
+    "negation": ("~(" * DEPTH + "p" + ")" * DEPTH, 0),
+    "conjunction": (nested("&"), 0),
+    "disjunction": (nested("|"), 0),
+    "implication": (nested("=>"), 0),
+    "equivalence": (nested("<=>"), 0),
+    "term": (DEEP_TERM, 0),
+    # X1 ... X4999 occur in no literal: not u-rr
+    "quantifiers": ("".join(f"! [X{i}] : " for i in range(DEPTH)) + "p(X0)", 2),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "interpolate"])
+@pytest.mark.parametrize("probe", list(PROBES))
+def test_deeply_nested_input_at_the_default_recursion_limit(
+    default_recursion_limit, tmp_path, capsys, probe, command
+):
+    text, check_code = PROBES[probe]
+    f = write(tmp_path, "f.p", f"fof(f, axiom, {text}).\n")
+    if command == "check":
+        assert main(["check", "--input", f, "--property", "u-rr"]) == check_code
+    else:
+        assert main(["interpolate", "--f", f, "--g", f]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ""
+    if command == "check":
+        assert captured.out.startswith(f"u-rr: {'yes' if check_code == 0 else 'no'}\n")
+    elif probe == "term":
+        assert captured.out.splitlines()[0] == DEEP_TERM
+
+
+def test_a_recursion_error_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    # the backstop: no command recurses on its input, but an error of the
+    # interpreter's recursion limit still ends with exit 4 and one line
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_check", deep)
+    f = write(tmp_path, "f.p", "fof(f, axiom, p).\n")
+    assert main(["check", "--input", f, "--property", "u-rr"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: input nested too deeply (recursion limit exceeded)\n"
+    assert "Traceback" not in captured.out
 
 
 def test_hyper_resource_limit(tmp_path, capsys):
@@ -673,3 +725,11 @@ def test_stats_gives_an_unreadable_file_its_row(tmp_path, capsys):
 def test_truncated_proof_record_is_a_parse_error(tmp_path, capsys):
     doc = write(tmp_path, "cut.proof", "s1 input p\ns2 resolve(s1,\n")
     assert error_exit(capsys, ["import", "--proof", doc]) == 3
+
+
+def test_importing_the_cli_loads_no_json():
+    # `hyper --json` and `stats --json` import it when they print
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = f"import sys; sys.path.insert(0, {str(src)!r}); import foltab.cli; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", check], check=True, capture_output=True, text=True)
+    assert out.stdout == "False\n"

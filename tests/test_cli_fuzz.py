@@ -10,9 +10,7 @@ the search (with equality axioms above all) running until the timeout."""
 import contextlib
 import io
 import re
-import sys
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from foltab.cli import main
@@ -102,16 +100,6 @@ COMMANDS = (
 )
 
 
-@pytest.fixture(scope="module")
-def recursion_limit():
-    # the command line raises the limit for the whole process; raise it
-    # first, so that it stays as it is while hypothesis runs an example
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20_000))
-    yield
-    sys.setrecursionlimit(old)
-
-
 @settings(
     max_examples=600,
     deadline=None,
@@ -120,7 +108,7 @@ def recursion_limit():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.data())
-def test_every_command_exits_by_the_contract_on_hostile_input(recursion_limit, tmp_path_factory, data):
+def test_every_command_exits_by_the_contract_on_hostile_input(tmp_path_factory, data):
     command, valid = data.draw(st.sampled_from(COMMANDS))
     texts = data.draw(st.lists(contents(valid), min_size=3, max_size=3))
     d = tmp_path_factory.mktemp("fuzz")

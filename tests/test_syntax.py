@@ -143,8 +143,7 @@ def nest(functor, depth, inner):
 
 
 def test_term_rebuilds_of_a_5000_deep_term(default_recursion_limit):
-    # equality, hashing and str of such terms still recurse: the results
-    # are read with subterms and term_depth
+    # the results are read with subterms and term_depth
     deep = nest("f", 5000, x)
 
     def leaf(t):

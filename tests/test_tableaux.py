@@ -208,7 +208,7 @@ def test_prove_on_a_5000_deep_term_built_with_app(default_recursion_limit):
 
 def test_prove_unifies_equal_5000_deep_terms_made_apart(default_recursion_limit):
     # equal terms that are distinct objects are decomposed by the unifier,
-    # never compared with the generated ==, which recurses on depth
+    # never compared with ==, which would walk them to the bottom
     t1, t2 = a, App("a")
     for _ in range(5000):
         t1, t2 = App("f", (t1,)), App("f", (t2,))
