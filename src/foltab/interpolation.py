@@ -125,22 +125,16 @@ class InterpolationContext:
 
 def _simp(parts: Iterable[Formula], cls: type, unit: type, zero: Formula) -> list[Formula]:
     """The parts of a `cls` flattened, without `unit`s and duplicates (the
-    first occurrence wins); [zero] if one is `zero`.  Only literals are
-    hashed: the hash of any other formula walks all of it."""
-    out: dict[object, Formula] = {}
-    others: list[Formula] = []
+    first occurrence wins); [zero] if one is `zero`."""
+    out: dict[Formula, None] = {}
     for p in parts:
         if p.__class__ is zero.__class__:
             return [zero]
         if p.__class__ is unit:
             continue
         for q in p.parts if p.__class__ is cls else (p,):
-            if q.__class__ is Literal:
-                out.setdefault(q, q)
-            elif q not in others:
-                others.append(q)
-                out[id(q)] = q
-    return list(out.values())
+            out.setdefault(q)
+    return list(out)
 
 
 def simp_or(parts: Iterable[Formula]) -> Formula:

@@ -182,9 +182,11 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
                 for cs in parts:
                     if len(joined) * len(cs) > max_clauses:
                         raise ClauseLimitError(f"distribution exceeds {max_clauses} clauses")
+                    # equal literals are one object, so a short clause is
+                    # searched by identity without hashing its literals
                     product = []
                     for a in joined:
-                        has = set(a)
+                        has = a if len(a) < 8 else set(a)
                         product.extend([a + tuple([l for l in c if l not in has]) for c in cs])
                     joined = product
             done.append(list(dict.fromkeys(joined)))

@@ -36,7 +36,7 @@ from .syntax import (
     ordered_vars,
     subterms,
 )
-from .tableaux import Node, ResourceLimitError, Tableau, is_closed, shared
+from .tableaux import Node, ResourceLimitError, Tableau, is_closed
 from .tptp import _LOWER, _UPPER, ParseError, _Parser, content_lines
 
 
@@ -303,31 +303,26 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
     store: Subst = {}
     for step in steps:
         _add_bindings(store, step.bindings)
-    # the ground literal of each literal object, for the rebuild; the
-    # parser shares a literal object among its occurrences, and a repeat
-    # adds no variable to the first-occurrence order
-    ground: dict[int, Literal] = {}
-    originals: list[Literal] = []
+    # the ground literal of each literal, for the rebuild; a repeat adds
+    # no variable to the first-occurrence order
+    ground: dict[Literal, Literal] = {}
     terms: list[Term] = []
     for step in steps:
         for l in step.clause.literals + ((step.atom,) if step.atom else ()):
-            if id(l) in ground:
-                continue
-            originals.append(l)
-            l_s = apply_literal(l, store)
-            terms.extend(l_s.args)
-            ground[id(l)] = l_s
+            if l not in ground:
+                l_s = ground[l] = apply_literal(l, store)
+                terms.extend(l_s.args)
     residual = ordered_vars(terms)
     if residual:
         # fresh constants avoid every symbol of the document as written
-        symbols = {l.predicate for l in originals}
+        symbols = {l.predicate for l in ground}
         symbols.update(
-            t.functor for t in subterms(*(a for l in originals for a in l.args)) if t.__class__ is App
+            t.functor for t in subterms(*(a for l in ground for a in l.args)) if t.__class__ is App
         )
         namer = FreshNamer(symbols)
         fresh = {v: App(namer.fresh("g")) for v in residual}
-        for key, l in ground.items():
-            ground[key] = apply_literal(l, fresh)
+        for l, l_s in ground.items():
+            ground[l] = apply_literal(l_s, fresh)
 
     # rebuild in post-order (left subtree, right subtree, step), each step
     # once, which fixes the step an error names
@@ -340,14 +335,14 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
         if step.kind != "input" and not ready:
             stack += [(step, True), (step.right, False), (step.left, False)]
             continue
-        cl = mk_clause(ground[id(l)] for l in step.clause.literals)
+        cl = mk_clause(ground[l] for l in step.clause.literals)
         if step.kind == "input":
             out = DeductionStep("input", cl, step_id=step.step_id)
         else:
             out = DeductionStep(
                 "resolve",
                 cl,
-                atom=ground[id(step.atom)],
+                atom=ground[step.atom],
                 left=done[step.left],
                 right=done[step.right],
                 step_id=step.step_id,
@@ -384,7 +379,6 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
     if tree.kind == "input":
         raise ProofError("trivial refutation by an input empty clause cannot be represented")
 
-    atoms: dict[Literal, Literal] = {}
     root = Node()
     stack = [(root, tree)]  # (node, the step to attach below it), pre-order
     while stack:
@@ -393,11 +387,10 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
             if not step.clause.literals:
                 raise ProofError("input step with empty clause inside a refutation")
             for l in step.clause.literals:
-                node.add(Node(shared(l, atoms)))
+                node.add(Node(l))
             continue
-        atom = shared(step.atom, atoms)
-        neg = Node(atom.complement())
-        pos = Node(atom)
+        neg = Node(step.atom.complement())
+        pos = Node(step.atom)
         node.add(neg)
         node.add(pos)
         stack.append((pos, step.right))

@@ -1,17 +1,24 @@
 """First-order syntax: terms, literals, clauses, formulas, and the
 vocabulary / occurrence / unification machinery everything else builds on.
 
-Terms, literals and formulas are immutable values.  The term kernel is the
-one place that substitutes and unifies; the prover, proof import,
-clausification, grounding and interpolation all use it:
+Terms, literals and formulas are immutable values.  Variables,
+applications and literals are hash-consed: while one of them is alive, a
+value of the same class and fields is that object, wherever it is made
+(the parsers, the prover, grounding, copies or unpickling).  So equal
+terms and literals are one object, their `==` is identity, and sets and
+dicts find them by identity.  Formulas and clauses are made anew each
+time, and their `==` walks them down to their literals.
+
+The term kernel is the one place that substitutes and unifies; the
+prover, proof import, clausification, grounding and interpolation all use
+it:
 
 - `apply_term` applies a substitution once, simultaneously;
 - `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
 - `unify_copies` extends a copy store, the prover's bindings of variables
   of numbered clause copies, and `undo` takes bindings back;
   `occurs_copy` and `equal_copies` read terms in their copies through it,
-  and `resolve_copy` builds the terms they stand for, each distinct term
-  once;
+  and `resolve_copy` builds the terms they stand for;
 - `subterms` walks terms and `map_term` rebuilds them, outside in, in the
   one rebuild loop under `apply_term` and `resolve` too; literals are
   rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
@@ -51,9 +58,11 @@ substitution is simultaneous, and following bindings in chains, as
 
 from __future__ import annotations
 
+from _thread import RLock
 from itertools import repeat
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from weakref import WeakValueDictionary
 
 
 class InputError(ValueError):
@@ -64,27 +73,45 @@ class InputError(ValueError):
 # Terms
 
 _set = object.__setattr__
+_new = object.__new__
 _ground_of = attrgetter("_ground")
 
-
 # Every value class names its compared fields in `_fields`, and `_Value`
-# reads them for the whole value protocol: values are equal when of one
-# class with equal fields, hash as the tuple of their fields, print as the
-# dataclasses they once were (`Var(name='X')`), and copy and pickle
-# through their constructor, so a cached hash never moves to a process of
-# another hash seed.  Each walks nested values on an explicit stack.
+# reads them for the whole value protocol: values hash as the tuple of
+# their fields, print as the dataclasses they once were (`Var(name='X')`),
+# and pickle through their constructor, so a hash never moves to a process
+# of another hash seed.  A value is its own copy and deep copy.  Every
+# value computes its hash when it is made, from the hashes of its fields,
+# which are made before it; `hash` reads the `_hash` slot.
 #
-# A value computes its hash on first use and keeps it in the `_hash` slot,
-# so that hashing a deep value is O(1) after the first time.  The slot is
-# left unset by __init__ to keep construction (the prover builds far more
-# terms than it hashes) cheap.  A value hashed for the first time hashes
-# its unhashed parts first, bottom up, so the tuple hash only reads cached
-# values.  The parser hashes each application when it enters it in its
-# term table, after its arguments.
+# Var, App and Literal are shared.  Their __new__ looks a key up in
+# `_table`, the one process-wide weak table, and makes a value only when no
+# live value has that key: a variable's name; an application's functor, or
+# a literal's sign and predicate, followed by the ids of the arguments.
+# The arguments are shared already and the value keeps them alive, so an
+# id stands for one argument as long as the entry lasts; a value that
+# nothing else holds leaves the table.  The three key shapes (a string, a
+# tuple starting with a string, one starting with a bool) never meet.
+# Equal shared values are thus one object, and their == is identity.
+# Formulas and clauses are not shared: their == walks their parts on an
+# explicit stack and stops at shared ones, which are equal only when
+# identical.
 #
-# An App knows whether it is ground: __init__ sets `_ground` from the
+# An App knows whether it is ground: __new__ sets `_ground` from the
 # arguments' flags, in O(arity), since every subterm is made before the
 # terms above it.  A variable's flag is the class attribute False.
+
+# the one live shared value of each key
+_table: WeakValueDictionary = WeakValueDictionary()
+_find = _table.get
+_entering = RLock()
+
+
+def _enter(key, v):
+    """The value entered under `key`: v, unless another thread entered one
+    first.  The lock keeps the check and the entry together."""
+    with _entering:
+        return _table.setdefault(key, v)
 
 
 class _Value:
@@ -97,6 +124,7 @@ class _Value:
     # the fields of a value as a tuple, read in one call; a class that
     # names its fields gets its own
     _values = staticmethod(lambda v: ())
+    _shared = False
 
     def __init_subclass__(cls):
         fields = cls.__dict__.get("_fields")
@@ -113,12 +141,6 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self is other:
-            return True
-        # values of different cached hashes differ; an unset hash is None
-        h = getattr(self, "_hash", None)
-        if h is not None and h != getattr(other, "_hash", h):
-            return False
         # the fields of x and y, of one class, then the pairs of distinct
         # parts still to compare
         x, y = self, other
@@ -140,32 +162,20 @@ class _Value:
             if not todo:
                 return True
             x, y = todo.pop()
-            if x.__class__ is not y.__class__:
+            if x.__class__ is not y.__class__ or x._shared:
                 return False
 
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is not None:
-            return h
-        stack = [self]
-        while stack:
-            v = stack[-1]
-            fields = v._values(v)
-            depth = len(stack)
-            for x in fields:
-                if x.__class__ is tuple:
-                    for p in x:
-                        if not hasattr(p, "_hash"):
-                            stack.append(p)
-                elif isinstance(x, _Value) and not hasattr(x, "_hash"):
-                    stack.append(x)
-            if len(stack) == depth:  # every part is hashed
-                stack.pop()
-                _set(v, "_hash", hash(fields))
         return self._hash
 
     def __reduce__(self):
         return self.__class__, self._values(self)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -193,28 +203,50 @@ class _Value:
         return "".join(out)
 
 
-class Var(_Value):
-    __slots__ = ("name",)
+class _Shared:
+    """The == and hash of the shared classes: one object per value."""
+
+    __slots__ = ()
+    _shared = True
+    __eq__ = object.__eq__
+    __hash__ = _Value.__hash__
+
+
+class Var(_Shared, _Value):
+    __slots__ = ("name", "__weakref__")
     _fields = ("name",)
     _ground = False
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    def __new__(cls, name: str):
+        v = _find(name)
+        if v is None:
+            v = _new(cls)
+            _set(v, "name", name)
+            _set(v, "_hash", hash((name,)))
+            v = _enter(name, v)
+        return v
 
     def __str__(self) -> str:
         return self.name
 
 
-class App(_Value):
+class App(_Shared, _Value):
     """Function application; constants are 0-ary applications."""
 
-    __slots__ = ("functor", "args", "_ground")
+    __slots__ = ("functor", "args", "_ground", "__weakref__")
     _fields = ("functor", "args")
 
-    def __init__(self, functor: str, args: tuple["Term", ...] = ()):
-        _set(self, "functor", functor)
-        _set(self, "args", args)
-        _set(self, "_ground", all(map(_ground_of, args)))
+    def __new__(cls, functor: str, args: tuple["Term", ...] = ()):
+        key = (functor, *map(id, args))
+        t = _find(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "functor", functor)
+            _set(t, "args", args)
+            _set(t, "_ground", all(map(_ground_of, args)))
+            _set(t, "_hash", hash((functor, args)))
+            t = _enter(key, t)
+        return t
 
     def __str__(self) -> str:
         return terms_text((self,))
@@ -440,9 +472,8 @@ def unify_copies(
     some of the new bindings: undo to a mark taken before the call.
 
     Terms are compared by identity, a ground one in any copies, and
-    variables by name and copy, never with `==`, which recurses on term
-    depth; equal applications that are distinct objects are decomposed,
-    which binds nothing."""
+    variables by name and copy; one application in two copies is
+    decomposed."""
     get = store.get
     todo = list(zip(xs, repeat(kx), ys, repeat(ky)))
     todo.reverse()
@@ -517,14 +548,13 @@ def resolve_copy(
 ) -> Term:
     """The term that t in copy k stands for under `store`, in full: a bound
     variable is replaced by its binding, read in the binding's copy, and
-    an unbound variable v of copy j by var(v, j).
+    an unbound variable v of copy j by var(v, j); a ground term stands for
+    itself.
 
-    `table` is the term table of one result and is kept across calls: a
-    variable by name and copy, an application by functor and arguments.
-    Each distinct term is made once, so equal terms come out as one object;
-    a term of the input is kept when no equal one came first.  A term
-    already read in a copy is found by identity, so reading it again
-    visits none of its subterms."""
+    `table` is kept across calls: it maps the id of each term read, with
+    its copy, to the result, so reading a term again in a copy visits none
+    of its subterms.  The terms read must outlive it; the store and the
+    clauses hold them."""
     get = store.get
     out: list[Term] = []
     todo: list = [(t, k)]
@@ -535,11 +565,7 @@ def resolve_copy(
             n = len(out) - len(s.args)
             args = tuple(out[n:])
             del out[n:]
-            key = (s.functor, args)
-            r = table.get(key)
-            if r is None:
-                r = table[key] = s if all(map(is_, args, s.args)) else App(s.functor, args)
-            table[id(s), ks] = r
+            r = table[id(s), ks] = s if all(map(is_, args, s.args)) else App(s.functor, args)
             out.append(r)
             continue
         while s.__class__ is Var:
@@ -547,16 +573,11 @@ def resolve_copy(
             if got is None:
                 break
             s, ks = got
-        if s._ground:
-            ks = 0
-        r = table.get((id(s), ks))
+        r = s if s._ground else table.get((id(s), ks))
         if r is not None:
             out.append(r)
         elif s.__class__ is Var:
-            key = (s.name, ks)
-            r = table.get(key)
-            if r is None:
-                r = table[key] = var(s.name, ks)
+            r = table[id(s), ks] = var(s.name, ks)
             out.append(r)
         else:
             todo.append((s, ks))
@@ -595,18 +616,25 @@ class Formula(_Value):
     __slots__ = ()
 
 
-class Literal(Formula):
-    __slots__ = ("positive", "predicate", "args", "_complement")
+class Literal(_Shared, Formula):
+    __slots__ = ("positive", "predicate", "args", "_complement", "__weakref__")
     _fields = ("positive", "predicate", "args")
 
-    def __init__(self, positive: bool, predicate: str, args: tuple[Term, ...] = ()):
-        _set(self, "positive", positive)
-        _set(self, "predicate", predicate)
-        _set(self, "args", args)
+    def __new__(cls, positive: bool, predicate: str, args: tuple[Term, ...] = ()):
+        key = (positive, predicate, *map(id, args))
+        l = _find(key)
+        if l is None:
+            l = _new(cls)
+            _set(l, "positive", positive)
+            _set(l, "predicate", predicate)
+            _set(l, "args", args)
+            _set(l, "_hash", hash((positive, predicate, args)))
+            l = _enter(key, l)
+        return l
 
     def complement(self) -> "Literal":
-        """The literal of opposite sign, made once per literal object; the
-        complement of the complement is this object."""
+        """The literal of opposite sign, looked up once and then read from
+        a slot; the complement of the complement is this object."""
         try:
             return self._complement
         except AttributeError:
@@ -631,6 +659,9 @@ class Literal(Formula):
 
 class _Truth(Formula):
     __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", hash(()))
 
 
 class Top(_Truth):
@@ -657,6 +688,7 @@ class _Junction(Formula):
 
     def __init__(self, parts: tuple[Formula, ...]):
         _set(self, "parts", parts)
+        _set(self, "_hash", hash((parts,)))
 
 
 class And(_Junction):
@@ -673,6 +705,7 @@ class Not(Formula):
 
     def __init__(self, body: Formula):
         _set(self, "body", body)
+        _set(self, "_hash", hash((body,)))
 
 
 class _Connective(Formula):
@@ -682,6 +715,7 @@ class _Connective(Formula):
     def __init__(self, lhs: Formula, rhs: Formula):
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((lhs, rhs)))
 
 
 class Implies(_Connective):
@@ -699,6 +733,7 @@ class _Quantifier(Formula):
     def __init__(self, var: str, body: Formula):
         _set(self, "var", var)
         _set(self, "body", body)
+        _set(self, "_hash", hash((var, body)))
 
 
 class ForAll(_Quantifier):
@@ -742,6 +777,7 @@ class Clause(_Value):
     def __init__(self, literals: tuple[Literal, ...], conjunctive: bool = False):
         _set(self, "literals", literals)
         _set(self, "conjunctive", conjunctive)
+        _set(self, "_hash", hash((literals, conjunctive)))
 
     def complemented(self) -> "Clause":
         return Clause(tuple(l.complement() for l in self.literals), not self.conjunctive)
@@ -995,8 +1031,7 @@ class Signature:
     def __init__(self, functions: dict[str, int], predicates: dict[str, int]):
         self.functions = functions
         self.predicates = predicates
-        # the application objects checked, by identity, each kept alive here
-        self.checked: dict[int, App] = {}
+        self.checked: set[App] = set()  # the applications checked
 
     @classmethod
     def empty(cls) -> "Signature":
@@ -1034,15 +1069,14 @@ class Signature:
 
     def extend_with_terms(self, terms: Iterable[Term]) -> None:
         """Add the function symbols of `terms`, in pre-order.  An application
-        object checked before is skipped with its subterms, which were
-        checked with it; the parser shares equal terms, so each term of a
-        document is checked once."""
+        checked before is skipped with its subterms, which were checked with
+        it, so each distinct term is checked once."""
         checked = self.checked
         stack = list(terms)[::-1]
         while stack:
             t = stack.pop()
-            if t.__class__ is App and id(t) not in checked:
-                checked[id(t)] = t
+            if t.__class__ is App and t not in checked:
+                checked.add(t)
                 self.add_function(t.functor, len(t.args))
                 stack.extend(reversed(t.args))
 

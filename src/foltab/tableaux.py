@@ -130,15 +130,6 @@ class Tableau:
         return Tableau(root)
 
 
-def shared(l: Literal, atoms: dict[Literal, Literal]) -> Literal:
-    """The object for l's atom and sign, from `atoms`, which maps each atom
-    of one tableau to itself: a negative literal is its atom's complement,
-    so the walks find equal literals of the tableau by identity."""
-    atom = l.atom()
-    atom = atoms.setdefault(atom, atom)
-    return atom if l.positive else atom.complement()
-
-
 def clause_at(node: Node) -> tuple[Literal, ...]:
     """The clause attached below `node`: its children's literals in order."""
     return tuple(c.literal for c in node.children)
@@ -362,9 +353,8 @@ def ground_tableau(
             s1.append(name)
         else:
             s2.append(name)
-    atoms: dict[Literal, Literal] = {}
     for n in tab.non_root_nodes():
-        n.literal = shared(apply_literal(n.literal, sub), atoms)
+        n.literal = apply_literal(n.literal, sub)
     return tab, frozenset(s1), frozenset(s2)
 
 
@@ -404,18 +394,13 @@ def finish_proof(root: Node, binding: CopyStore, copy_of: dict[Node, int]) -> Ta
     """The proof the search closed below `root`, whose tree holds each
     clause's own literals and, in `copy_of`, the copy number of each clause
     instance: every literal is read in its copy through the bindings, a
-    variable v of copy k is named `v_k`, each distinct term is made once,
-    one literal object is shared per atom and sign, and the tree is
-    simplified in place."""
+    variable v of copy k is named `v_k`, and the tree is simplified in
+    place."""
     table: dict = {}
-    atoms: dict[Literal, Literal] = {}
     tab = Tableau(root)
     for n in tab.non_root_nodes():
         k = copy_of[n.parent]
-        n.literal = shared(
-            map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var)),
-            atoms,
-        )
+        n.literal = map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var))
     simplify_below(root, root.children, {})
     return tab
 

@@ -121,18 +121,15 @@ class _Parser:
     literal that `atom` makes is kept in `literals`, in text order, until
     the next `load`.
 
-    `terms` is the parser's term table, kept across `load` calls: a
-    variable or a constant by its name, any other application by its
-    functor and arguments.  Each distinct term of the texts is made once,
-    so equal terms of one document are one object, found by identity in
-    sets and dicts.  `literal_table` does the same for the literals of
-    clauses and tableau lines (see `table_literal`) and for the
-    propositional atoms of formulas."""
+    Terms and literals are shared values (see `syntax`), so the parser
+    simply constructs them.  `literal_table`, kept across `load` calls,
+    maps the tokens of each literal of a clause or a tableau line to the
+    literal read from them, so that `table_literal` reads a repeated
+    literal without parsing it again."""
 
-    __slots__ = ("text", "toks", "i", "literals", "terms", "literal_table")
+    __slots__ = ("text", "toks", "i", "literals", "literal_table")
 
     def __init__(self, text: str = ""):
-        self.terms: dict = {}
         self.literal_table: dict[tuple[str, ...], Literal] = {}
         self.load(text)
 
@@ -244,13 +241,9 @@ class _Parser:
     def atom(self) -> Literal:
         text = self.toks[self.i]
         if text[:1] in _LOWER and self.toks[self.i + 1] not in ("(", "=", "!="):
-            # a propositional atom: no term to build first, and one object
-            # per name in the literal table, under the key `table_literal`
-            # gives it
+            # a propositional atom: no term to build first
             self.i += 1
-            lit = self.literal_table.get((text,))
-            if lit is None:
-                lit = self.literal_table[(text,)] = Literal(True, text)
+            lit = Literal(True, text)
         else:
             first = self.term()
             nxt = self.toks[self.i]
@@ -265,12 +258,9 @@ class _Parser:
         return lit
 
     def term(self) -> Term:
-        """One term, on an explicit stack of the applications still open.
-        A term is taken from the table, or made and entered there once its
-        arguments are; an application is hashed when it is entered, so
-        hashing it never recurses."""
+        """One term, on an explicit stack of the applications still open;
+        an application is made once its arguments are."""
         toks = self.toks
-        table = self.terms
         i = self.i
         open_apps: list[tuple[str, list[Term]]] = []
         while True:
@@ -283,11 +273,7 @@ class _Parser:
                 continue
             if first not in _UPPER and first not in _LOWER:
                 raise self.error(f"expected a term, found {text!r}", i - 1)
-            # a variable's name starts with an uppercase letter and a
-            # constant's never does, so the table keys both by name
-            t = table.get(text)
-            if t is None:
-                t = table[text] = Var(text) if first in _UPPER else App(text)
+            t = Var(text) if first in _UPPER else App(text)
             # t is complete: add it to the innermost open application and
             # close every application that ends after it
             while open_apps:
@@ -299,11 +285,7 @@ class _Parser:
                 if found != ")":
                     raise self.error(f"expected ')', found {found!r}", i - 1)
                 functor, args = open_apps.pop()
-                key = (functor, tuple(args))
-                t = table.get(key)
-                if t is None:
-                    t = table[key] = App(functor, key[1])
-                    hash(t)
+                t = App(functor, tuple(args))
             else:
                 self.i = i
                 return t
@@ -329,12 +311,11 @@ class _Parser:
         """A literal as `literal` reads it, taken from the literal table
         when its tokens after the leading `~` run up to the next `|` or to
         the end of the text and are a key there; the parser then jumps to
-        that separator.  A literal read anew is entered in the table only
-        when it ends at that separator, so text that does not parse is
-        read, and its error raised, as `literal` would.  The table holds
-        the literal without the leading `~`, whose complement object is
-        made once: `~p(a)` is the complement of the object read for
-        `p(a)`."""
+        that separator without parsing the tokens again.  A literal read
+        anew is entered in the table only when it ends at that separator,
+        so text that does not parse is read, and its error raised, as
+        `literal` would.  The table holds the literal without the leading
+        `~`: `~p(a)` is the complement of the literal read for `p(a)`."""
         toks = self.toks
         i = self.i
         negated = False

@@ -100,9 +100,10 @@ def test_equal_terms_of_one_document_are_one_object():
     fa, x = c1.literals[0].args
     assert c2.literals[0].args[0] is fa and c2.literals[0].args[1].args == (x, fa)
     assert c2.literals[0].args[1].args[1] is fa and c1.literals[1].args[0] is x
-    # every file is parsed on its own table
+    # terms are shared values: another file reads the same object while
+    # the first one is held
     (other,) = parse_clause_file("r(f(a))\n")
-    assert other.literals[0].args[0] == fa and other.literals[0].args[0] is not fa
+    assert other.literals[0].args[0] is fa
 
     records = parse_fof_file(
         "fof(a1, axiom, ! [X] : (p(f(a)) => q(X, f(a)))).\n"
@@ -136,10 +137,10 @@ def test_equal_terms_of_one_document_are_one_object():
     q, p_again = c2.literals
     assert p_again is p_fa and q is not_q.complement()
     assert c3.literals[0] is p_fa.complement() and c3.literals[1] is not_q
-    # every file is read on its own table
+    # and so are literals, across files
     (other,) = parse_clause_file("p(f(a), X) | ~q(X)\n")
     assert other.literals == c1.literals
-    assert all(a is not b for a, b in zip(other.literals, c1.literals))
+    assert all(a is b for a, b in zip(other.literals, c1.literals))
 
     # a proof document: input clauses and resolvents
     doc = parse_proof(
@@ -151,14 +152,14 @@ def test_equal_terms_of_one_document_are_one_object():
     assert s2.clause.literals[0] is s1.clause.literals[0].complement()
     assert r1.clause.literals[0] is s1.clause.literals[1] is s2.clause.literals[1]
     (d1,) = parse_proof("s1 input p(a) | q(a)\n").records
-    assert d1.clause.literals[0] is not s1.clause.literals[0]
+    assert d1.clause.literals[0] is s1.clause.literals[0]
 
     # a tableau document: the lines' literals, complements included
     text = "tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~p(f(a))\n    p(f(a)) -> 1\n"
     n1, n2, n3, n4 = parse_tableau(text).non_root_nodes()
     assert n1.literal is n4.literal and n2.literal is n3.literal is n1.literal.complement()
     m1 = next(parse_tableau(text).non_root_nodes())
-    assert m1.literal == n1.literal and m1.literal is not n1.literal
+    assert m1.literal is n1.literal
 
 
 def test_tableau_document_round_trip():

@@ -1,10 +1,12 @@
 """The value protocol and the printers on explicit stacks: the formula
 printer and the term, literal and clause __str__ agree with the recursive
 printers they replace (`helpers.reference_*`); ==, hash, repr and str
-work at the default recursion limit on values 5,000 deep; and a pickled
-value, hashed before, hashes in a process of another hash seed as a value
-made there does."""
+work at the default recursion limit on values 5,000 deep, and so do
+copies and deep copies, which are the value itself; and a pickled
+value hashes in a process of another hash seed as a value made there
+does, with its literals the ones made there."""
 
+import copy
 import pickle
 import random
 import subprocess
@@ -104,7 +106,7 @@ sys.path.insert(0, sys.argv[1])
 from foltab.tptp import parse_formula
 loaded = pickle.loads(sys.stdin.buffer.read())
 fresh = parse_formula(sys.argv[2])
-print(hasattr(loaded, "_hash"), loaded == fresh, hash(loaded) == hash(fresh))
+print(loaded.body.parts[0] is fresh.body.parts[0], loaded == fresh, hash(loaded) == hash(fresh))
 """
 
 
@@ -121,4 +123,18 @@ def test_a_pickled_value_hashes_anew_under_another_hash_seed():
             check=True,
             env={"PYTHONHASHSEED": seed},
         ).stdout
-        assert out.split() == [b"False", b"True", b"True"], seed
+        assert out.split() == [b"True", b"True", b"True"], seed
+
+
+def test_deep_copies_of_5000_deep_values(default_recursion_limit):
+    t = App("a")
+    for _ in range(DEPTH):
+        t = App("f", (t,))
+    f = Literal(True, "p", (t,))
+    for _ in range(DEPTH):
+        f = Not(f)
+    c = Clause((Literal(False, "p", (t,)),))
+    # values are immutable: a copy, deep or not, is the value itself
+    for v in (t, f, c):
+        assert copy.copy(v) is v and copy.deepcopy(v) is v
+    assert copy.deepcopy([t, f, c]) == [t, f, c]

@@ -1,18 +1,25 @@
 """The value classes are plain classes whose methods are written out: they
 agree with the dataclasses they were (the twins in `helpers`) on repr,
 equality, hash, copies and frozen fields, and importing foltab loads no
-`dataclasses`."""
+`dataclasses`.  Var, App and Literal are shared: one object per value
+while it is held, made anew by nothing (documents, proofs, grounding,
+copies, unpickling), and gone from the table once nothing holds it."""
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import foltab.syntax
+from foltab.documents import format_tableau, parse_tableau
+from foltab.interpolation import interpolate
 from foltab.syntax import (
     BOTTOM,
     TOP,
@@ -28,6 +35,9 @@ from foltab.syntax import (
     Or,
     Var,
 )
+from foltab.syntax import FreshNamer
+from foltab.tableaux import ground_tableau, prove
+from foltab.tptp import parse_clause_file, parse_formula
 from helpers import (
     random_formula,
     random_literal,
@@ -114,9 +124,11 @@ def test_equality_is_that_of_the_generated_methods_across_classes():
         for w, tw in zip(right, twins_right):
             assert (v == w) == (tv == tw)
             assert (v != w) == (tv != tw)
-    # the pools were built apart: equal values that are distinct objects
+    # the pools were built apart: Var, App and Literal are one object, and
+    # formulas and clauses are equal distinct objects (but TOP, BOTTOM)
     assert all(v == w for v, w in zip(left, right))
-    assert sum(v is not w for v, w in zip(left, right)) == len(left) - 2  # all but TOP, BOTTOM
+    for v, w in zip(left, right):
+        assert (v is w) == (v.__class__ in (Var, App, Literal) or v is TOP or v is BOTTOM)
 
 
 @pytest.mark.parametrize(
@@ -147,3 +159,99 @@ def test_fields_cannot_be_assigned_or_deleted():
         with pytest.raises(AttributeError):
             v.extra = None
         assert repr(v) == repr(twin)
+
+
+def test_proofs_and_grounding_give_the_shared_values():
+    # the literals of a proof and of its grounding are the objects that
+    # reading the printed tableau gives, node by node
+    clauses = parse_clause_file("p(X) | q(f(X))\n~p(a)\n~q(Y)\n")
+    tab = prove(clauses).tableau
+    for ground in (False, True):
+        if ground:
+            ground_tableau(tab, FreshNamer())
+        again = parse_tableau(format_tableau(tab))
+        pairs = list(zip(tab.non_root_nodes(), again.non_root_nodes()))
+        assert pairs and all(m.literal is n.literal for m, n in pairs)
+
+
+def test_a_value_nothing_holds_leaves_the_table():
+    gc.collect()
+    before = len(foltab.syntax._table)
+    l = Literal(True, "held_here", (App("h", (Var("Held"),)),))
+    # a complement pair is a reference cycle, which only the collector frees
+    l.complement()
+    assert len(foltab.syntax._table) == before + 4
+    assert Literal(True, "held_here", (App("h", (Var("Held"),)),)) is l
+    del l
+    gc.collect()
+    assert len(foltab.syntax._table) == before and "Held" not in foltab.syntax._table
+
+
+PICKLE_THERE = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from foltab.tptp import parse_formula
+l = parse_formula("~p(f(X, a))")
+sys.stdout.buffer.write(pickle.dumps((l, l.args[0], hash(l))))
+"""
+
+
+def test_an_unpickled_value_is_the_shared_one_with_its_hash():
+    t = App("f", (Var("X"), App("a")))
+    l = Literal(False, "p", (t,))
+    assert pickle.loads(pickle.dumps(l)) is l
+    # pickled where the hash seed differs, read back here
+    hashes = set()
+    for seed in ("0", "1"):
+        data = subprocess.run(
+            [sys.executable, "-c", PICKLE_THERE, str(SRC)],
+            capture_output=True,
+            check=True,
+            env={"PYTHONHASHSEED": seed},
+        ).stdout
+        got_l, got_t, hash_there = pickle.loads(data)
+        assert got_l is l and got_t is t
+        assert hash(got_l) == hash(l) == hash((False, "p", (t,)))
+        hashes.add(hash_there)
+    assert len(hashes) == 2
+
+
+def test_the_table_does_not_grow_over_repeated_interpolate_runs():
+    f = parse_formula("(! [X] : (p(X) => q(f(X)))) & p(a) & (! [Y] : ? [Z] : r(Y, Z))")
+    g = parse_formula("(? [Y] : q(Y)) | s(b)")
+    sizes = []
+    for _ in range(3):
+        h, report = interpolate(f, g, require=("u-rr",), verify=True)
+        assert report.verification.passed and h.var in foltab.syntax._table
+        name = h.var
+        del h, report
+        gc.collect()
+        sizes.append(len(foltab.syntax._table))
+        # the interpolant's variable left with the interpolant
+        assert name not in foltab.syntax._table
+    assert sizes[0] == sizes[1] == sizes[2]
+
+
+def test_threads_making_one_value_get_one_object():
+    # four threads make the same new literals at once, switching threads
+    # as often as the interpreter allows: each value is made once
+    results = [[] for _ in range(4)]
+
+    def make(out):
+        for i in range(3000):
+            out.append(Literal(True, "race", (App(f"c{i}", (App("d"),)),)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 3000 for out in results)
+    for made in zip(*results):
+        assert all(v is made[0] for v in made)
