@@ -182,13 +182,9 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
                 for cs in parts:
                     if len(joined) * len(cs) > max_clauses:
                         raise ClauseLimitError(f"distribution exceeds {max_clauses} clauses")
-                    # equal literals are one object, so a short clause is
-                    # searched by identity without hashing its literals
-                    product = []
-                    for a in joined:
-                        has = a if len(a) < 8 else set(a)
-                        product.extend([a + tuple([l for l in c if l not in has]) for c in cs])
-                    joined = product
+                    # equal literals are one object, so `not in a` compares
+                    # by identity and hashes no literal
+                    joined = [a + tuple([l for l in c if l not in a]) for a in joined for c in cs]
             done.append(list(dict.fromkeys(joined)))
         elif cls is Literal:
             l = g if pos else g.complement()
