@@ -156,7 +156,8 @@ def _parse_record(p: _Parser, line_no: int, known: dict[str, DeductionStep]) -> 
         p.expect(",")
         ref2 = p.take()
         p.expect(",")
-        atom = p.literal()
+        # the atom's tokens run up to the `)` of `resolve(`
+        atom = p.table_literal(p.closing(p.i))
         if not atom.positive:
             raise p.error("resolved atom must be positive", rule_at)
         p.expect(")")

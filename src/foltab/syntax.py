@@ -79,8 +79,9 @@ _ground_of = attrgetter("_ground")
 # Every value class names its compared fields in `_fields`, and `_Value`
 # reads them for the whole value protocol: values hash as the tuple of
 # their fields, print as the dataclasses they once were (`Var(name='X')`),
-# and pickle through their constructor, so a hash never moves to a process
-# of another hash seed.  A value is its own copy and deep copy.  Every
+# and pickle as the flat list of their distinct parts (`_parts`), read back
+# through the constructors, so a hash never moves to a process of another
+# hash seed.  A value is its own copy and deep copy.  Every
 # value computes its hash when it is made, from the hashes of its fields,
 # which are made before it; `hash` reads the `_hash` slot.
 #
@@ -169,7 +170,7 @@ class _Value:
         return self._hash
 
     def __reduce__(self):
-        return self.__class__, self._values(self)
+        return _from_parts, (_parts(self),)
 
     def __copy__(self):
         return self
@@ -201,6 +202,53 @@ class _Value:
             pieces.append(")")
             todo.extend(reversed(pieces))
         return "".join(out)
+
+
+def _parts(v: _Value) -> list[tuple]:
+    """The distinct parts of `v`, in post-order on an explicit stack, so `v`
+    comes last: each as its class followed by its fields, where a part, or
+    a tuple of parts, is written as its index, or a tuple of indices, in
+    the list.  A value pickles as this flat list, so that pickling a deep
+    value does not recurse."""
+    index: dict[int, int] = {}
+    out: list[tuple] = []
+    stack = [v]
+    while stack:
+        w = stack[-1]
+        if id(w) in index:
+            stack.pop()
+            continue
+        fields = w._values(w)
+        pending = [
+            p for f in fields for p in (f if f.__class__ is tuple else (f,))
+            if isinstance(p, _Value) and id(p) not in index
+        ]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        index[id(w)] = len(out)
+        out.append((w.__class__, *[
+            tuple([index[id(p)] for p in f]) if f.__class__ is tuple
+            else index[id(f)] if isinstance(f, _Value)
+            else f
+            for f in fields
+        ]))
+    return out
+
+
+def _from_parts(parts: list[tuple]) -> _Value:
+    """The value that `_parts` wrote, made part by part through the
+    constructors, so a shared value is the live object of its key."""
+    made: list[_Value] = []
+    for cls, *fields in parts:
+        made.append(cls(*[
+            tuple([made[k] for k in f]) if f.__class__ is tuple
+            else made[f] if f.__class__ is int
+            else f
+            for f in fields
+        ]))
+    return made[-1]
 
 
 class _Shared:

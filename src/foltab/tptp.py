@@ -9,6 +9,7 @@ everything else with a lowercase letter or digit.
 from __future__ import annotations
 
 import re
+from itertools import accumulate, repeat
 from typing import Iterator, Optional
 
 from .syntax import (
@@ -102,6 +103,9 @@ _CONNECTIVES = (("<=>", Iff), ("=>", Implies), ("|", Or), ("&", And))
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND = range(4)
 _BINARY = {text: (prec, cls) for prec, (text, cls) in enumerate(_CONNECTIVES)}
 
+# the change in parenthesis depth at a token
+_PAREN_STEP = {"(": 1, ")": -1}
+
 # the formula parser's mark for an open parenthesis, and its prefix `~`
 _PAREN = object()
 _NOT = (Not, ())
@@ -118,24 +122,35 @@ class _Parser:
     """A parser over the tokens of one text at a time, on explicit stacks
     (formulas, terms and parenthesized literals alike); `load` moves it to
     the next text, so that a file of many records needs one parser.  Every
-    literal that `atom` makes is kept in `literals`, in text order, until
-    the next `load`.
+    literal read anew is kept in `literals`, in text order, until the next
+    `load`.
 
-    Terms and literals are shared values (see `syntax`), so the parser
-    simply constructs them.  `literal_table`, kept across `load` calls,
-    maps the tokens of each literal of a clause or a tableau line to the
-    literal read from them, so that `table_literal` reads a repeated
-    literal without parsing it again."""
+    Terms and literals are shared values (see `syntax`), so reading a
+    repeated one again only finds the object it already is.  Two tables,
+    kept across `load` calls, spare that work: `literal_table` maps the
+    tokens of each literal of a clause or a tableau line, of each resolved
+    atom of a proof record and of each atom of a formula to the literal
+    read from them, and `term_table` maps the tokens of each application at
+    the top two levels of a term to the term.  A repeated literal or term
+    is then one slice and one dict lookup, whatever its size; looking up
+    every level instead would slice the tokens of a deep term once per
+    level.  A span is entered only after it has been read whole, so text
+    that does not parse is read, and its error raised, as without the
+    tables.  `closing` finds where a span ends by one `list.index` into
+    `depths`, the parenthesis depth after each token, made at most once per
+    `load`."""
 
-    __slots__ = ("text", "toks", "i", "literals", "literal_table")
+    __slots__ = ("text", "toks", "depths", "i", "literals", "literal_table", "term_table")
 
     def __init__(self, text: str = ""):
         self.literal_table: dict[tuple[str, ...], Literal] = {}
+        self.term_table: dict[tuple[str, ...], App] = {}
         self.load(text)
 
     def load(self, text: str) -> None:
         self.text = text
         self.toks = _tokenize(text)
+        self.depths: Optional[list[int]] = None
         self.i = 0
         self.literals: list[Literal] = []
 
@@ -158,6 +173,22 @@ class _Parser:
     def at_end(self, msg: str) -> None:
         if self.toks[self.i]:
             raise self.error(msg)
+
+    def closing(self, i: int) -> Optional[int]:
+        """The index of the `)` that closes the innermost parenthesis open
+        before token i, or None if the text never closes it."""
+        toks = self.toks
+        if toks[i + 1] == ")" and toks[i] != "(" and toks[i] != ")":
+            # one token in between, as in `f(a)`: most texts then need no
+            # depths at all
+            return i + 1
+        depths = self.depths
+        if depths is None:
+            depths = self.depths = list(accumulate(map(_PAREN_STEP.get, toks, repeat(0))))
+        try:
+            return depths.index(depths[i - 1] - 1, i)
+        except ValueError:
+            return None
 
     # formulas ------------------------------------------------------------
 
@@ -200,7 +231,7 @@ class _Parser:
                 self.i += 1
                 f = TOP if text == "$true" else BOTTOM
             else:
-                f = self.atom()
+                f = self.table_atom()
             while True:
                 # f is a whole unit: apply the prefixes around it
                 while stack and stack[-1].__class__ is tuple:
@@ -238,42 +269,84 @@ class _Parser:
             raise self.error(f"expected a variable, found {text!r}", self.i - 1)
         return text
 
+    def table_atom(self) -> Literal:
+        """An atom as `atom` reads it, read by `table_literal` when it is an
+        application not followed by `=` or `!=`, so not the left side of an
+        equation: a repeated one is then taken from the literal table."""
+        toks = self.toks
+        i = self.i
+        if toks[i][:1] in _LOWER and toks[i + 1] == "(":
+            end = self.closing(i + 2)
+            if end is not None and toks[end + 1] != "=" and toks[end + 1] != "!=":
+                return self.table_literal(end + 1)
+        return self.atom()
+
     def atom(self) -> Literal:
-        text = self.toks[self.i]
-        if text[:1] in _LOWER and self.toks[self.i + 1] not in ("(", "=", "!="):
+        """A predicate applied to its arguments, a propositional atom or an
+        equation; a predicate's arguments are read without making an
+        application of the predicate, which only an equation's left side
+        needs."""
+        toks = self.toks
+        text = toks[self.i]
+        nxt = toks[self.i + 1] if text[:1] in _LOWER else None
+        if nxt == "(":
+            self.i += 2
+            args = [self.term()]
+            while (found := self.take()) == ",":
+                args.append(self.term())
+            if found != ")":
+                raise self.error(f"expected ')', found {found!r}", self.i - 1)
+            nxt = toks[self.i]
+            if nxt == "=" or nxt == "!=":
+                self.i += 1
+                lit = Literal(nxt == "=", "=", (App(text, tuple(args)), self.term()))
+            else:
+                lit = Literal(True, text, tuple(args))
+        elif nxt is not None and nxt != "=" and nxt != "!=":
             # a propositional atom: no term to build first
             self.i += 1
             lit = Literal(True, text)
         else:
             first = self.term()
-            nxt = self.toks[self.i]
-            if nxt == "=" or nxt == "!=":
-                self.i += 1
-                lit = Literal(nxt == "=", "=", (first, self.term()))
-            elif first.__class__ is Var:
+            nxt = toks[self.i]
+            if nxt != "=" and nxt != "!=":
                 raise self.error("a variable is not a formula")
-            else:
-                lit = Literal(True, first.functor, first.args)
+            self.i += 1
+            lit = Literal(nxt == "=", "=", (first, self.term()))
         self.literals.append(lit)
         return lit
 
     def term(self) -> Term:
         """One term, on an explicit stack of the applications still open;
-        an application is made once its arguments are."""
+        an application is made once its arguments are.  An application at
+        the top two levels is taken from the term table when its tokens
+        are a key there, and one read anew there is entered when it
+        closes."""
         toks = self.toks
+        table = self.term_table
         i = self.i
-        open_apps: list[tuple[str, list[Term]]] = []
+        # (functor, arguments read so far, key or None) of each open application
+        open_apps: list[tuple[str, list[Term], Optional[tuple[str, ...]]]] = []
         while True:
             text = toks[i]
             i += 1
             first = text[:1]
             if first in _LOWER and toks[i] == "(":
-                i += 1
-                open_apps.append((text, []))
-                continue
-            if first not in _UPPER and first not in _LOWER:
+                t = key = None
+                if len(open_apps) < 2 and (end := self.closing(i + 1)) is not None:
+                    key = tuple(toks[i - 1 : end + 1])
+                    t = table.get(key)
+                if t is None:
+                    i += 1
+                    open_apps.append((text, [], key))
+                    continue
+                i = end + 1
+            elif first in _UPPER:
+                t = Var(text)
+            elif first in _LOWER:
+                t = App(text)
+            else:
                 raise self.error(f"expected a term, found {text!r}", i - 1)
-            t = Var(text) if first in _UPPER else App(text)
             # t is complete: add it to the innermost open application and
             # close every application that ends after it
             while open_apps:
@@ -284,8 +357,10 @@ class _Parser:
                     break
                 if found != ")":
                     raise self.error(f"expected ')', found {found!r}", i - 1)
-                functor, args = open_apps.pop()
+                functor, args, key = open_apps.pop()
                 t = App(functor, tuple(args))
+                if key is not None:
+                    table[key] = t
             else:
                 self.i = i
                 return t
@@ -307,26 +382,28 @@ class _Parser:
             self.expect(")")
         return inner.complement() if negated else inner
 
-    def table_literal(self) -> Literal:
+    def table_literal(self, stop: Optional[int] = None) -> Literal:
         """A literal as `literal` reads it, taken from the literal table
-        when its tokens after the leading `~` run up to the next `|` or to
-        the end of the text and are a key there; the parser then jumps to
-        that separator without parsing the tokens again.  A literal read
-        anew is entered in the table only when it ends at that separator,
-        so text that does not parse is read, and its error raised, as
-        `literal` would.  The table holds the literal without the leading
-        `~`: `~p(a)` is the complement of the literal read for `p(a)`."""
+        when its tokens after the leading `~` run up to `stop`, by default
+        the next `|` or the end of the text, and are a key there; the
+        parser then jumps to `stop` without parsing the tokens again.  A
+        literal read anew is entered in the table only when it ends at
+        `stop`, so text that does not parse is read, and its error raised,
+        as `literal` would.  The table holds the literal without the
+        leading `~`: `~p(a)` is the complement of the literal read for
+        `p(a)`."""
         toks = self.toks
         i = self.i
         negated = False
         while toks[i] == "~":
             i += 1
             negated = not negated
-        end = len(toks) - 2  # the first of the two end tokens
-        try:
-            stop = toks.index("|", i, end)
-        except ValueError:
-            stop = end
+        if stop is None:
+            end = len(toks) - 2  # the first of the two end tokens
+            try:
+                stop = toks.index("|", i, end)
+            except ValueError:
+                stop = end
         key = tuple(toks[i:stop])
         lit = self.literal_table.get(key)
         if lit is None:

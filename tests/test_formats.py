@@ -3,6 +3,7 @@ import random
 import pytest
 
 import foltab.syntax
+from foltab import tptp
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import parse_proof
 from foltab.syntax import App, Clause, InputError, Literal, Var, occurrences
@@ -15,6 +16,7 @@ from foltab.tptp import (
     parse_formula,
 )
 from helpers import (
+    proof_family,
     random_formula,
     random_ground_clauses,
     reference_alpha_equal,
@@ -230,6 +232,62 @@ def test_each_shared_term_is_checked_once(monkeypatch):
     with pytest.raises(InputError, match=r"^arity clash for function g: 1 vs 2 at line 2$"):
         parse_clause_file("p(f(g(a)))\nq(h(f(g(a)), g(a, a)))\n")
     assert checked == ["f", "g", "a", "h", "g"]
+
+
+def test_proof_import_makes_values_in_proportion_to_distinct_content(monkeypatch):
+    # a `fol_chain` record writes f^i(a) in its resolved atom, its binding
+    # and its clause: read through the literal and term tables, the parser
+    # makes a bounded number of values per record, where reading every
+    # token made f^i(a) anew three times
+    calls = [0]
+
+    def counted(make):
+        def wrapper(*args):
+            calls[0] += 1
+            return make(*args)
+
+        return wrapper
+
+    for name in ("App", "Var", "Literal"):
+        monkeypatch.setattr(tptp, name, counted(getattr(tptp, name)))
+    counts = []
+    for k in (20, 40, 80, 160):
+        calls[0] = 0
+        parse_proof(proof_family("fol_chain", k))
+        counts.append(calls[0])
+    assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
+    assert counts[-1] <= 10 * 160, counts
+
+
+class _KeyCounter(dict):
+    """A parser table that adds up the lengths of the keys looked up."""
+
+    total = 0
+
+    def get(self, key, default=None):
+        _KeyCounter.total += len(key)
+        return super().get(key, default)
+
+
+class _CountingParser(tptp._Parser):
+    def __init__(self, text: str = ""):
+        super().__init__(text)
+        self.literal_table = _KeyCounter()
+        self.term_table = _KeyCounter()
+
+
+def test_span_keys_grow_with_the_tokens_not_with_the_depth(monkeypatch, default_recursion_limit):
+    # the parser looks spans up at the top levels of a term only: the keys
+    # it builds for a 5,000-deep term add up to a few times its tokens,
+    # where a key per level would add up to their square
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    text = f"p({deep}) | q({deep})"
+    monkeypatch.setattr(tptp, "_Parser", _CountingParser)
+    tokens = len(tptp._tokenize(text))
+    for parse, show in ((parse_clause_file, lambda cs: str(cs[0])), (parse_formula, format_formula)):
+        _KeyCounter.total = 0
+        assert show(parse(text)) == text
+        assert 0 < _KeyCounter.total <= 4 * tokens, (parse.__name__, _KeyCounter.total, tokens)
 
 
 def test_tableau_document_requires_header():

@@ -4,7 +4,8 @@ printers they replace (`helpers.reference_*`); ==, hash, repr and str
 work at the default recursion limit on values 5,000 deep, and so do
 copies and deep copies, which are the value itself; and a pickled
 value hashes in a process of another hash seed as a value made there
-does, with its literals the ones made there."""
+does, with its literals the ones made there; pickling a 5,000-deep value
+does not recurse either."""
 
 import copy
 import pickle
@@ -138,3 +139,20 @@ def test_deep_copies_of_5000_deep_values(default_recursion_limit):
     for v in (t, f, c):
         assert copy.copy(v) is v and copy.deepcopy(v) is v
     assert copy.deepcopy([t, f, c]) == [t, f, c]
+
+
+def test_pickles_of_5000_deep_values(default_recursion_limit):
+    t = App("a")
+    for _ in range(DEPTH):
+        t = App("f", (t,))
+    l = Literal(False, "p", (t, App("f", (t,))))
+    f = l
+    for _ in range(DEPTH):
+        f = Not(f)
+    # a value pickles as the flat list of its distinct parts: a shared value
+    # reads back as the live object, and a formula as an equal one
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert pickle.loads(pickle.dumps(l)) is l
+    g = pickle.loads(pickle.dumps(f))
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert pickle.loads(pickle.dumps([f, t, l])) == [f, t, l]

@@ -29,6 +29,7 @@ from helpers import (
     proof_family,
     random_formula,
     random_literal,
+    random_term,
     reference_ground_deduction,
     reference_parse_clause_file,
     reference_parse_fof_file,
@@ -268,6 +269,78 @@ def test_documents_with_repeated_literals_agree_with_the_reference():
         doc = format_tableau(to_cut_normal_form(ground_deduction(to_tree(parse_proof(text)))))
         for t in [doc] + damaged_repeats(doc, rng, 8):
             assert_agree(parse_tableau, reference_parse_tableau, t, key=tableau_rows)
+
+
+def repeated_application_spans(text: str) -> list[tuple[int, int]]:
+    """The start and end offsets of every application `name(...)` of
+    `text`, atom or term, whose text occurs earlier in it: the resolved
+    atoms, bindings, arguments and formula atoms a parser can take from
+    its tables."""
+    seen = set()
+    out = []
+    for m in re.finditer(r"\b[a-z0-9][A-Za-z0-9_]*\(", text):
+        if m[0] in ("resolve(", "fof("):
+            continue
+        depth = 0
+        for end in range(m.end() - 1, len(text)):
+            depth += {"(": 1, ")": -1}.get(text[end], 0)
+            if depth == 0:
+                span = text[m.start(): end + 1]
+                if span in seen:
+                    out.append((m.start(), end + 1))
+                seen.add(span)
+                break
+    return out
+
+
+def damaged_repeated_applications(text: str, rng: random.Random, n: int = 6) -> list[str]:
+    """Variants of `text` with, in or after a repeated application, an
+    unbalanced `(` or `)`, a stray token, `= b` or `!= b` (an atom then
+    reads as the left side of an equation), or one more argument (an
+    arity clash)."""
+    spans = repeated_application_spans(text)
+    out = []
+    for _ in range(n):
+        start, end = rng.choice(spans)
+        pos = rng.randrange(start, end + 1)
+        out.append(text[:pos] + rng.choice("()") + text[pos:])
+        out.append(text[:end] + " " + rng.choice(["q", "a", "X", "f(a)", ",", "("]) + text[end:])
+        out.append(text[:end] + rng.choice([" = b", " != b"]) + text[end:])
+        out.append(text[: end - 1] + ", a" + text[end - 1:])
+    return out
+
+
+def formula_with_repeated_subterms(rng: random.Random) -> str:
+    """A formula whose atoms draw their arguments from two terms, so that
+    atoms and subterms repeat."""
+    terms = [str(App("f", (random_term(rng, ("X", "Y"), depth=rng.randint(0, 3)),))) for _ in range(2)]
+
+    def atom() -> str:
+        t, u = rng.choice(terms), rng.choice(terms)
+        return rng.choice([f"p({t})", f"r({t},{u})", f"{t} = {u}", f"q(f({t}))"])
+
+    f = atom()
+    for _ in range(rng.randint(2, 5)):
+        f = rng.choice(["({} & {})", "({} | {})", "({} => {})", "(~{} <=> {})"]).format(f, atom())
+    return f"! [X, Y] : {f}"
+
+
+def test_repeated_atoms_and_terms_agree_with_the_reference():
+    """Proof documents whose resolved atoms, bindings and arguments repeat
+    earlier text, and formulas and fof files whose atoms and subterms
+    repeat: intact and damaged in or after a repeated application."""
+    rng = random.Random(68)
+    for text in [proof_family("fol_chain", k) for k in (3, 12)]:
+        for t in [text] + damaged_repeated_applications(text, rng, 30):
+            assert_agree(parse_proof, reference_parse_proof, t, key=proof_rows)
+    for _ in range(40):
+        formulas = [formula_with_repeated_subterms(rng) for _ in range(rng.randint(1, 3))]
+        assert repeated_application_spans(formulas[0])
+        for t in [formulas[0]] + damaged_repeated_applications(formulas[0], rng, 2):
+            assert_agree(parse_formula, reference_parse_formula, t)
+        text = "".join(f"fof(f{i}, axiom, {f}).\n" for i, f in enumerate(formulas))
+        for t in [text] + damaged_repeated_applications(text, rng, 3):
+            assert_agree(parse_fof_file, reference_parse_fof_file, t)
 
 
 def _tokens_or_error(tokens, text):
