@@ -128,17 +128,16 @@ class _Parser:
     Terms and literals are shared values (see `syntax`), so reading a
     repeated one again only finds the object it already is.  Two tables,
     kept across `load` calls, spare that work: `literal_table` maps the
-    tokens of each literal of a clause or a tableau line, of each resolved
-    atom of a proof record and of each atom of a formula to the literal
-    read from them, and `term_table` maps the tokens of each application at
-    the top two levels of a term to the term.  A repeated literal or term
-    is then one slice and one dict lookup, whatever its size; looking up
-    every level instead would slice the tokens of a deep term once per
-    level.  A span is entered only after it has been read whole, so text
-    that does not parse is read, and its error raised, as without the
-    tables.  `closing` finds where a span ends by one `list.index` into
-    `depths`, the parenthesis depth after each token, made at most once per
-    `load`."""
+    tokens of each literal of a clause or a tableau line and of each
+    resolved atom of a proof record to the literal read from them, and
+    `term_table` maps the tokens of each application at the top two levels
+    of a term to the term.  A repeated literal or term is then one slice
+    and one dict lookup, whatever its size; looking up every level instead
+    would slice the tokens of a deep term once per level.  A span is
+    entered only after it has been read whole, so text that does not parse
+    is read, and its error raised, as without the tables.  `closing` finds
+    where a span ends by one `list.index` into `depths`, the parenthesis
+    depth after each token, made at most once per `load`."""
 
     __slots__ = ("text", "toks", "depths", "i", "literals", "literal_table", "term_table")
 
@@ -231,7 +230,7 @@ class _Parser:
                 self.i += 1
                 f = TOP if text == "$true" else BOTTOM
             else:
-                f = self.table_atom()
+                f = self.atom()
             while True:
                 # f is a whole unit: apply the prefixes around it
                 while stack and stack[-1].__class__ is tuple:
@@ -268,18 +267,6 @@ class _Parser:
         if text[:1] not in _UPPER:
             raise self.error(f"expected a variable, found {text!r}", self.i - 1)
         return text
-
-    def table_atom(self) -> Literal:
-        """An atom as `atom` reads it, read by `table_literal` when it is an
-        application not followed by `=` or `!=`, so not the left side of an
-        equation: a repeated one is then taken from the literal table."""
-        toks = self.toks
-        i = self.i
-        if toks[i][:1] in _LOWER and toks[i + 1] == "(":
-            end = self.closing(i + 2)
-            if end is not None and toks[end + 1] != "=" and toks[end + 1] != "!=":
-                return self.table_literal(end + 1)
-        return self.atom()
 
     def atom(self) -> Literal:
         """A predicate applied to its arguments, a propositional atom or an

@@ -274,8 +274,8 @@ def test_documents_with_repeated_literals_agree_with_the_reference():
 def repeated_application_spans(text: str) -> list[tuple[int, int]]:
     """The start and end offsets of every application `name(...)` of
     `text`, atom or term, whose text occurs earlier in it: the resolved
-    atoms, bindings, arguments and formula atoms a parser can take from
-    its tables."""
+    atoms, bindings and arguments a parser can take from its tables, and
+    formula atoms, whose arguments it can."""
     seen = set()
     out = []
     for m in re.finditer(r"\b[a-z0-9][A-Za-z0-9_]*\(", text):
