@@ -35,7 +35,6 @@ from .syntax import (
     Subst,
     Top,
     Var,
-    apply_literal,
     apply_term,
     clause,
     formula_subst,
@@ -304,7 +303,10 @@ def skolemize_clausify(f: Formula, namer: FreshNamer) -> ClausificationResult:
             skolems.append(name)
             sub[v] = App(name, tuple(Var(u) for u in universals))
     if sub:
-        clauses = tuple(clause(apply_literal(l, sub) for l in c.literals) for c in p.matrix)
+        clauses = tuple(
+            clause(map_literal_terms(l, lambda t: apply_term(t, sub)) for l in c.literals)
+            for c in p.matrix
+        )
     else:
         clauses = p.matrix
     return ClausificationResult(clauses, frozenset(skolems), frozenset(universals))

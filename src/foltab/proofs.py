@@ -23,17 +23,19 @@ from typing import Optional
 from .syntax import (
     App,
     Clause,
+    CopyStore,
     FreshNamer,
     Literal,
     Signature,
     Subst,
     Term,
-    apply_literal,
+    Var,
     clause as mk_clause,
     is_ground,
     literal_key,
-    occurs,
-    ordered_vars,
+    map_literal_terms,
+    occurs_copy,
+    resolve_copy,
     subterms,
 )
 from .tableaux import Node, ResourceLimitError, Tableau, is_closed
@@ -234,35 +236,53 @@ def _resolvent(left: set[Literal], right: set[Literal], atom: Literal) -> set[Li
     return left | right
 
 
-def _add_bindings(store: Subst, bindings: Subst, line: Optional[int] = None) -> None:
-    """Add recorded bindings to the document's binding store.  The store
-    stays triangular: a variable keeps its first binding as written, and a
-    binding that would make a cycle is rejected."""
+def _add_bindings(store: CopyStore, bindings: Subst, line: Optional[int] = None) -> None:
+    """Add recorded bindings to the document's binding store, which binds
+    every variable as copy 0.  The store stays triangular: a variable keeps
+    its first binding as written, and a binding that would make a cycle is
+    rejected."""
     for v, t in bindings.items():
-        old = store.get(v)
+        old = store.get((v, 0))
         if old is None:
-            if occurs(v, t, store):
+            if occurs_copy(v, 0, t, 0, store):
                 raise ProofError(f"cyclic bindings through {v}", line)
-            store[v] = t
-        elif old != t:
-            raise ProofError(f"variable {v} bound to both {old} and {t}", line)
+            store[v, 0] = (t, 0)
+        elif old[0] is not t:
+            raise ProofError(f"variable {v} bound to both {old[0]} and {t}", line)
 
 
 def _replay_validate(doc: ProofDocument) -> None:
     # variables are rigid across the document, so bindings accumulate in
-    # record order and each step is checked under everything seen so far
-    store: Subst = {}
+    # record order and each step is checked under everything seen so far;
+    # a literal stands for itself until the first binding, and is read
+    # once until a record adds bindings
+    store: CopyStore = {}
+    read: dict[Literal, Literal] = {}
+    table: dict = {}
+
+    def term(t: Term) -> Term:
+        return resolve_copy(t, 0, store, table, lambda v, k: Var(v))
+
+    def apply(l: Literal) -> Literal:
+        got = read.get(l) if store else l
+        if got is None:
+            got = read[l] = map_literal_terms(l, term)
+        return got
+
     for r in doc.records:
-        _add_bindings(store, r.bindings, r.line)
+        if r.bindings:
+            _add_bindings(store, r.bindings, r.line)
+            read.clear()
+            table.clear()
         if r.kind != "resolve":
             continue
-        left = {apply_literal(l, store) for l in r.left.clause.literals}
-        right = {apply_literal(l, store) for l in r.right.clause.literals}
+        left = {apply(l) for l in r.left.clause.literals}
+        right = {apply(l) for l in r.right.clause.literals}
         try:
-            got = _resolvent(left, right, apply_literal(r.atom, store))
+            got = _resolvent(left, right, apply(r.atom))
         except ValueError as e:
             raise ProofError(str(e), r.line) from None
-        if got != {apply_literal(l, store) for l in r.clause.literals}:
+        if got != {apply(l) for l in r.clause.literals}:
             # printed in literal_key order, whatever the hash seed
             recomputed = Clause(tuple(sorted(got, key=literal_key)))
             raise ProofError(
@@ -301,29 +321,34 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
     distinct step is grounded and checked once, and the result shares a
     step wherever `tree` does."""
     steps = list(tree.steps())
-    store: Subst = {}
+    store: CopyStore = {}
     for step in steps:
         _add_bindings(store, step.bindings)
-    # the ground literal of each literal, for the rebuild; a repeat adds
-    # no variable to the first-occurrence order
-    ground: dict[Literal, Literal] = {}
-    terms: list[Term] = []
-    for step in steps:
-        for l in step.clause.literals + ((step.atom,) if step.atom else ()):
-            if l not in ground:
-                l_s = ground[l] = apply_literal(l, store)
-                terms.extend(l_s.args)
-    residual = ordered_vars(terms)
-    if residual:
-        # fresh constants avoid every symbol of the document as written
-        symbols = {l.predicate for l in ground}
-        symbols.update(
-            t.functor for t in subterms(*(a for l in ground for a in l.args)) if t.__class__ is App
-        )
-        namer = FreshNamer(symbols)
-        fresh = {v: App(namer.fresh("g")) for v in residual}
-        for l, l_s in ground.items():
-            ground[l] = apply_literal(l_s, fresh)
+    # the distinct literals in step order, each mapped to its ground literal
+    ground = dict.fromkeys(
+        l for step in steps for l in step.clause.literals + ((step.atom,) if step.atom else ())
+    )
+    namer: Optional[FreshNamer] = None
+    table: dict = {}
+
+    def fresh(v: str, k: int) -> App:
+        # a residual variable, named the first time the resolver meets it;
+        # fresh constants avoid every symbol of the steps as written, in
+        # their literals and binding terms
+        nonlocal namer
+        if namer is None:
+            terms = [a for l in ground for a in l.args]
+            terms += [t for step in steps for t in step.bindings.values()]
+            symbols = {l.predicate for l in ground}
+            symbols.update(t.functor for t in subterms(*terms) if t.__class__ is App)
+            namer = FreshNamer(symbols)
+        return App(namer.fresh("g"))
+
+    def term(t: Term) -> Term:
+        return resolve_copy(t, 0, store, table, fresh)
+
+    for l in ground:
+        ground[l] = map_literal_terms(l, term)
 
     # rebuild in post-order (left subtree, right subtree, step), each step
     # once, which fixes the step an error names

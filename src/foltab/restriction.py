@@ -152,11 +152,10 @@ def check_vx_preconditions(
     if query_vars is not None and xs != xs_f:
         raise InputError("query variable set must equal var(F) = var(G)")
 
-    witnesses: list[Witness] = []
-    witnesses.extend(is_u_range_restricted(f).witnesses)
-    neg_g = cnf(Not(g))
-    witnesses.extend(_universal_witnesses(neg_g))
     pf = cnf(f)
+    neg_g = cnf(Not(g))
+    witnesses = _universal_witnesses(pf)
+    witnesses.extend(_universal_witnesses(neg_g))
     for c in pf.matrix:
         if c.literals and all(not l.positive for l in c.literals):
             witnesses.append(Witness(c, str(c), "all-negative-clause-in-f"))

@@ -14,30 +14,29 @@ prover, proof import, clausification, grounding and interpolation all use
 it:
 
 - `apply_term` applies a substitution once, simultaneously;
-- `walk`, `occurs`, `resolve` and `apply_literal` read a binding store;
-- `unify_copies` extends a copy store, the prover's bindings of variables
-  of numbered clause copies, and `undo` takes bindings back;
-  `occurs_copy` and `equal_copies` read terms in their copies through it,
-  and `resolve_copy` builds the terms they stand for;
+- the copy store is the one binding store: `unify_copies` extends it
+  with bindings of variables of numbered clause copies, and `undo` takes
+  bindings back; `occurs_copy` and `equal_copies` read terms in their
+  copies through it, and `resolve_copy` builds the terms they stand for.
+  The prover binds its clause copies there, and proof import binds the
+  variables of a document as copy 0: they are rigid, so one copy serves
+  every record;
 - `subterms` walks terms and `map_term` rebuilds them, outside in, in the
-  one rebuild loop under `apply_term` and `resolve` too; literals are
-  rebuilt only by `map_literal_terms`.  `is_ground` and `ordered_vars`
-  inspect terms.
+  rebuild loop under `apply_term` too; literals are rebuilt only by
+  `map_literal_terms`.  `is_ground` and `ordered_vars` inspect terms.
 
 Every application carries a ground flag, set when it is made from the
-flags of its arguments.  `is_ground` reads it, and `apply_term`,
-`resolve`, `apply_literal`, `occurs`, the copy functions and
-`ordered_vars` pass over a ground subterm without visiting it, so a
-ground term or literal comes back as the same object at no cost in its
-size, and a ground term is the same in every copy.
+flags of its arguments.  `is_ground` reads it, and `apply_term`, the copy
+functions and `ordered_vars` pass over a ground subterm without visiting
+it, so a ground term or literal comes back as the same object at no cost
+in its size, and a ground term is the same in every copy.
 
-A binding store maps variable names to terms.  It is triangular: a bound
-term may contain bound variables, and reading it follows them.  It is
-acyclic: a variable is bound only after the occurs check, through the
-store, has failed to find it in its term.  A copy store is the same with
-(variable, copy) pairs for variables and (term, copy) pairs for terms.
-Bindings made by `unify_copies` are recorded on a trail, and `undo`
-removes them back to a mark, latest first.
+A copy store maps (variable, copy) pairs to (term, copy) pairs.  It is
+triangular: a bound term may contain bound variables, and reading it
+follows them.  It is acyclic: a variable is bound only after the occurs
+check, through the store, has failed to find it in its term.  Bindings
+made by `unify_copies` are recorded on a trail, and `undo` removes them
+back to a mark, latest first.
 
 Beside the term kernel, two formula walks carry the shape of formulas;
 free variables, vocabulary, symbols, substitution and predicate renaming
@@ -53,7 +52,7 @@ are all written on them:
 
 `formula_subst` applies its substitution once, with `apply_term`: the
 substitution is simultaneous, and following bindings in chains, as
-`apply_literal` does, would apply it a second time.
+`resolve_copy` does, would apply it a second time.
 """
 
 from __future__ import annotations
@@ -374,19 +373,19 @@ def ordered_vars(terms: Iterable[Term]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# The term kernel: substitutions, binding stores, unification
+# The term kernel: substitutions, the copy store, unification
 
 Subst = dict[str, Term]
 
 _REBUILD = object()
 
 
-def _rebuild(t: Term, get: Callable, by_name: bool, again: bool) -> Term:
+def _rebuild(t: Term, get: Callable, by_name: bool) -> Term:
     """t with each outermost subterm s that has a replacement r replaced by
-    r, or with `again` by r rebuilt in turn.  The replacement is get(s), or
-    with `by_name` get(s.name) for a variable and none for an application;
-    then a ground subterm cannot change and is not visited.  Subterms are
-    read outside in, left to right; unchanged ones are shared."""
+    r.  The replacement is get(s), or with `by_name` get(s.name) for a
+    variable and none for an application; then a ground subterm cannot
+    change and is not visited.  Subterms are read outside in, left to
+    right; unchanged ones are shared."""
     out: list[Term] = []
     # a term to visit, or _REBUILD above an application to rebuild from `out`
     todo: list = [t]
@@ -409,7 +408,7 @@ def _rebuild(t: Term, get: Callable, by_name: bool, again: bool) -> Term:
         else:
             r = None
         if r is not None:
-            (todo if again else out).append(r)
+            out.append(r)
         elif s.__class__ is App and s.args:
             todo.append(s)
             todo.append(_REBUILD)
@@ -423,39 +422,12 @@ def map_term(t: Term, fn: Callable[[Term], Optional[Term]]) -> Term:
     """t with each outermost subterm s for which fn(s) is not None replaced
     by fn(s); fn is called outside in, left to right.  Unchanged subterms
     are shared with t."""
-    return _rebuild(t, fn, False, False)
+    return _rebuild(t, fn, False)
 
 
 def apply_term(t: Term, subst: Subst) -> Term:
     """Apply a substitution once (no chain walking)."""
-    return _rebuild(t, subst.get, True, False)
-
-
-def walk(t: Term, store: Subst) -> Term:
-    """Follow variable bindings in `store` until an unbound variable or an
-    application."""
-    while isinstance(t, Var) and t.name in store:
-        t = store[t.name]
-    return t
-
-
-def occurs(name: str, t: Term, store: Subst) -> bool:
-    """Whether variable `name` occurs in t under `store`, bindings followed."""
-    stack = [t]
-    while stack:
-        t = walk(stack.pop(), store)
-        if isinstance(t, Var):
-            if t.name == name:
-                return True
-        elif not t._ground:
-            stack.extend(t.args)
-    return False
-
-
-def resolve(t: Term, store: Subst) -> Term:
-    """t with `store` applied in full: every bound variable is replaced by
-    its binding, resolved in turn.  Unchanged subterms are shared."""
-    return _rebuild(t, store.get, True, True)
+    return _rebuild(t, subst.get, True)
 
 
 def map_literal_terms(l: Literal, fn: Callable[[Term], Term]) -> Literal:
@@ -465,12 +437,6 @@ def map_literal_terms(l: Literal, fn: Callable[[Term], Term]) -> Literal:
     if all(map(is_, args, l.args)):
         return l
     return Literal(l.positive, l.predicate, args)
-
-
-def apply_literal(l: Literal, store: Subst) -> Literal:
-    """l with `store` applied in full to its arguments; for an idempotent
-    substitution this is the same as applying it once."""
-    return map_literal_terms(l, lambda t: resolve(t, store)) if store else l
 
 
 def undo(store: dict, trail: list, mark: int) -> None:
@@ -1041,7 +1007,11 @@ def clause_vars(c: Clause) -> set[str]:
 
 
 def clause_sign_vars(c: Clause, positive: bool) -> set[str]:
-    return clause_vars(Clause(tuple(l for l in c.literals if l.positive == positive)))
+    return {
+        s.name
+        for l in c.literals if l.positive == positive
+        for s in subterms(*l.args) if s.__class__ is Var
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .syntax import (
     Literal,
     Subst,
     Var,
-    apply_literal,
+    apply_term,
     equal_copies,
     is_ground,
     map_literal_terms,
@@ -353,8 +353,9 @@ def ground_tableau(
             s1.append(name)
         else:
             s2.append(name)
-    for n in tab.non_root_nodes():
-        n.literal = apply_literal(n.literal, sub)
+    if sub:
+        for n in tab.non_root_nodes():
+            n.literal = map_literal_terms(n.literal, lambda t: apply_term(t, sub))
     return tab, frozenset(s1), frozenset(s2)
 
 

@@ -13,8 +13,9 @@ walkers on it, `entails` clausifying both sides per conjunct as an oracle
 for the one that clausifies once, side assignment matching every clause as
 an oracle for the one that matches by shape, dataclass twins of the value
 classes as oracles for their hand-written methods, the recursive printers
-as oracles for the printers on explicit stacks, and checkers of the
-tableaux, unifiers and formulas the pipeline makes."""
+as oracles for the printers on explicit stacks, the name-keyed binding
+store as an oracle for the copy store read at one copy, and checkers of
+the tableaux, unifiers and formulas the pipeline makes."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import random
 import re
 import time
 from dataclasses import dataclass, field
+from operator import is_
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -57,7 +59,6 @@ from foltab.syntax import (
     Term,
     Top,
     Var,
-    apply_literal,
     apply_term,
     clause as mk_clause,
     clause_formula,
@@ -67,14 +68,11 @@ from foltab.syntax import (
     map_literal_terms,
     mk_and,
     mk_or,
-    occurs,
     ordered_vars,
     read_symbols,
-    resolve,
     undo,
-    walk,
 )
-from foltab.proofs import DeductionStep, ProofDocument, ProofError, _add_bindings
+from foltab.proofs import DeductionStep, ProofDocument, ProofError
 from foltab.interpolation import _universal_conjuncts, simp_and, simp_or
 from foltab.normalize import (
     DEFAULT_CLAUSE_LIMIT,
@@ -520,10 +518,97 @@ def atomic_cut_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
     return [c for c in tableau_clauses(tab) if len(c) == 2 and c[0] == c[1].complement()]
 
 
+# ---------------------------------------------------------------------------
+# The name-keyed binding store of the term kernel before proof import moved
+# to the copy store: `walk`, `occurs`, `resolve` (the rebuild loop in its
+# chain-following mode), `apply_literal` and the proof documents'
+# `_add_bindings`, copied as they were.  An oracle for `resolve_copy` and
+# `occurs_copy` at one copy, and the store that `unify_args`,
+# `reference_prove` and the reference proof import run on.
+
+_REFERENCE_REBUILD = object()
+
+
+def reference_walk(t: Term, store: Subst) -> Term:
+    """Follow variable bindings in `store` until an unbound variable or an
+    application."""
+    while isinstance(t, Var) and t.name in store:
+        t = store[t.name]
+    return t
+
+
+def reference_occurs(name: str, t: Term, store: Subst) -> bool:
+    """Whether variable `name` occurs in t under `store`, bindings followed."""
+    stack = [t]
+    while stack:
+        t = reference_walk(stack.pop(), store)
+        if isinstance(t, Var):
+            if t.name == name:
+                return True
+        elif not t._ground:
+            stack.extend(t.args)
+    return False
+
+
+def reference_resolve(t: Term, store: Subst) -> Term:
+    """t with `store` applied in full: every bound variable is replaced by
+    its binding, resolved in turn.  Unchanged subterms are shared; a
+    ground subterm cannot change and is not visited."""
+    out: list[Term] = []
+    # a term to visit, or _REFERENCE_REBUILD above an application to
+    # rebuild from `out`
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is _REFERENCE_REBUILD:
+            s = todo.pop()
+            k = len(out) - len(s.args)
+            args = tuple(out[k:])
+            del out[k:]
+            out.append(s if all(map(is_, args, s.args)) else App(s.functor, args))
+            continue
+        if s.__class__ is Var:
+            r = store.get(s.name)
+        elif s._ground:
+            out.append(s)
+            continue
+        else:
+            r = None
+        if r is not None:
+            todo.append(r)
+        elif s.__class__ is App and s.args:
+            todo.append(s)
+            todo.append(_REFERENCE_REBUILD)
+            todo.extend(reversed(s.args))
+        else:
+            out.append(s)
+    return out[0]
+
+
+def reference_apply_literal(l: Literal, store: Subst) -> Literal:
+    """l with `store` applied in full to its arguments; for an idempotent
+    substitution this is the same as applying it once."""
+    return map_literal_terms(l, lambda t: reference_resolve(t, store)) if store else l
+
+
+def reference_add_bindings(store: Subst, bindings: Subst, line: Optional[int] = None) -> None:
+    """Add recorded bindings to the document's binding store.  The store
+    stays triangular: a variable keeps its first binding as written, and a
+    binding that would make a cycle is rejected."""
+    for v, t in bindings.items():
+        old = store.get(v)
+        if old is None:
+            if reference_occurs(v, t, store):
+                raise ProofError(f"cyclic bindings through {v}", line)
+            store[v] = t
+        elif old != t:
+            raise ProofError(f"variable {v} bound to both {old} and {t}", line)
+
+
 def bind(store: Subst, trail: list[str], name: str, t: Term) -> bool:
     """Bind the unbound variable `name` to t and record it on `trail`,
     unless the occurs check fails."""
-    if occurs(name, t, store):
+    if reference_occurs(name, t, store):
         return False
     store[name] = t
     trail.append(name)
@@ -550,8 +635,8 @@ def unify_args(
     stack.reverse()
     while stack:
         a, b = stack.pop()
-        a = walk(a, store)
-        b = walk(b, store)
+        a = reference_walk(a, store)
+        b = reference_walk(b, store)
         if a is b:
             continue
         if isinstance(a, Var):
@@ -575,7 +660,7 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
     store: Subst = {}
     if not unify_args((t1,), (t2,), store, []):
         return None
-    return {v: resolve(t, store) for v, t in store.items()}
+    return {v: reference_resolve(t, store) for v, t in store.items()}
 
 
 def rename_bound(f: Formula, pick) -> Formula:
@@ -1020,9 +1105,9 @@ def reference_prove(
 
     def regular(children: list[Node]) -> bool:
         for ch in children:
-            lit = apply_literal(ch.literal, binding)
+            lit = reference_apply_literal(ch.literal, binding)
             for anc in ancestors(ch):
-                if anc.literal is not None and apply_literal(anc.literal, binding) == lit:
+                if anc.literal is not None and reference_apply_literal(anc.literal, binding) == lit:
                     return False
         return True
 
@@ -1072,7 +1157,7 @@ def reference_prove(
                 if regular(children) and solve(children, limit):
                     for n in root.pre_order():
                         if n.literal is not None:
-                            n.literal = apply_literal(n.literal, binding)
+                            n.literal = reference_apply_literal(n.literal, binding)
                     tab = simplify(Tableau(root))
                     return ProveResult("proved", tab, counters["inf"], limit)
             if not cutoff[0]:
@@ -1510,7 +1595,7 @@ def reference_skolemize_clausify(
             skolems.append(name)
             sub[v] = App(name, tuple(Var(u) for u in universals))
     if sub:
-        clauses = tuple(mk_clause(apply_literal(l, sub) for l in c.literals) for c in p.matrix)
+        clauses = tuple(mk_clause(reference_apply_literal(l, sub) for l in c.literals) for c in p.matrix)
     else:
         clauses = p.matrix
     return ClausificationResult(clauses, frozenset(skolems), frozenset(universals))
@@ -2137,10 +2222,10 @@ def _reference_parse_clause_tokens(p: ReferenceParser) -> Clause:
 
 
 def _reference_resolvent(left: Clause, right: Clause, atom: Literal, store: Subst) -> tuple:
-    atom_s = apply_literal(atom, store)
+    atom_s = reference_apply_literal(atom, store)
     comp_s = atom_s.complement()
-    left_s = [apply_literal(l, store) for l in left.literals]
-    right_s = [apply_literal(l, store) for l in right.literals]
+    left_s = [reference_apply_literal(l, store) for l in left.literals]
+    right_s = [reference_apply_literal(l, store) for l in right.literals]
     if atom_s not in left_s:
         raise ValueError(f"resolved atom {atom_s} not in first parent")
     if comp_s not in right_s:
@@ -2152,14 +2237,14 @@ def _reference_resolvent(left: Clause, right: Clause, atom: Literal, store: Subs
 def _reference_replay_validate(doc: ProofDocument) -> None:
     store: Subst = {}
     for r in doc.records:
-        _add_bindings(store, r.bindings, r.line)
+        reference_add_bindings(store, r.bindings, r.line)
         if r.kind != "resolve":
             continue
         try:
             got = _reference_resolvent(r.left.clause, r.right.clause, r.atom, store)
         except ValueError as e:
             raise ProofError(str(e), r.line) from None
-        if got != reference_normalize_clause(mk_clause(apply_literal(l, store) for l in r.clause.literals)):
+        if got != reference_normalize_clause(mk_clause(reference_apply_literal(l, store) for l in r.clause.literals)):
             raise ProofError(
                 f"declared resolvent {r.clause} does not match "
                 f"recomputed {Clause(got)}",
@@ -2178,7 +2263,7 @@ def _reference_steps(step: DeductionStep):
 def reference_ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] = None) -> DeductionStep:
     store: Subst = {}
     for step in _reference_steps(tree):
-        _add_bindings(store, step.bindings)
+        reference_add_bindings(store, step.bindings)
     symbols: set[str] = set()
     terms: list[Term] = []
     for step in _reference_steps(tree):
@@ -2187,20 +2272,23 @@ def reference_ground_deduction(tree: DeductionStep, namer: Optional[FreshNamer] 
             symbols.add(l.predicate)
             for a in l.args:
                 symbols |= reference_term_functions(a)
-                terms.append(resolve(a, store))
+                terms.append(reference_resolve(a, store))
+        # fresh constants avoid the symbols of the binding terms too
+        for t in step.bindings.values():
+            symbols |= reference_term_functions(t)
     if namer is None:
         namer = FreshNamer(symbols)
     for v in ordered_vars(terms):
         store[v] = App(namer.fresh("g"))
 
     def rebuild(step: DeductionStep) -> DeductionStep:
-        cl = mk_clause(apply_literal(l, store) for l in step.clause.literals)
+        cl = mk_clause(reference_apply_literal(l, store) for l in step.clause.literals)
         if step.kind == "input":
             return DeductionStep("input", cl, step_id=step.step_id)
         out = DeductionStep(
             "resolve",
             cl,
-            atom=apply_literal(step.atom, store),
+            atom=reference_apply_literal(step.atom, store),
             left=rebuild(step.left),
             right=rebuild(step.right),
             step_id=step.step_id,

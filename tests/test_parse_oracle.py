@@ -171,11 +171,97 @@ def test_proofs_agree_with_the_reference():
         assert_agree(parse_proof, reference_parse_proof, t, key=proof_rows)
 
 
+# hand-made documents for the binding store, each with what importing it
+# gives: None for a proof that imports, else the start of the error
+HAND_MADE_PROOFS = [
+    # a chain of bindings, X -> f(Y) -> f(Z) -> f(a), over two records
+    (
+        "s1 input p(X) | q(Y)\n"
+        "s2 input ~p(f(Z))\n"
+        "s3 resolve(s1, s2, p(X)) {X -> f(Y), Y -> Z} q(Z)\n"
+        "s4 input ~q(a)\n"
+        "s5 resolve(s3, s4, q(Z)) {Z -> a} false\n",
+        None,
+    ),
+    # a residual variable inside a binding, and a variable bound to it
+    (
+        "s1 input p(X)\n"
+        "s2 input ~p(f(Y)) | q(Y)\n"
+        "s3 resolve(s1, s2, p(X)) {X -> f(Y)} q(Y)\n"
+        "s4 input ~q(W)\n"
+        "s5 resolve(s3, s4, q(Y)) {W -> Y} false\n",
+        None,
+    ),
+    # a cycle within one record and a cycle through an earlier record
+    (
+        "s1 input p(X) | q(Y)\n"
+        "s2 input ~p(X)\n"
+        "s3 resolve(s1, s2, p(X)) {X -> g(Y), Y -> h(a, X)} q(Y)\n",
+        "cyclic bindings through Y at line 3",
+    ),
+    (
+        "s1 input p(X) | q(Y)\n"
+        "s2 input ~p(f(Y))\n"
+        "s3 resolve(s1, s2, p(X)) {X -> f(Y)} q(Y)\n"
+        "s4 input ~q(X)\n"
+        "s5 resolve(s3, s4, q(Y)) {Y -> X} false\n",
+        "cyclic bindings through Y at line 5",
+    ),
+    # a variable bound to two terms, the second reached through a chain
+    (
+        "s1 input p(X) | q(Y)\n"
+        "s2 input ~p(Y)\n"
+        "s3 resolve(s1, s2, p(X)) {X -> Y, Y -> a} q(a)\n"
+        "s4 input ~q(a)\n"
+        "s5 resolve(s3, s4, q(a)) {Y -> f(a)} false\n",
+        "variable Y bound to both a and f(a) at line 5",
+    ),
+    # a binding on a record the root does not reach: replay reads it,
+    # grounding does not
+    (
+        "s1 input p(X) | q\n"
+        "s2 input ~p(a)\n"
+        "u1 resolve(s1, s2, p(X)) {X -> a} q\n"
+        "s3 input ~p(X)\n"
+        "r1 resolve(s1, s3, p(X)) q\n"
+        "s4 input ~q\n"
+        "r2 resolve(r1, s4, q) false\n",
+        None,
+    ),
+    # a constant written only in a binding, with the name the first fresh
+    # constant would take
+    (
+        "s1 input p(X) | p(Y)\n"
+        "s2 input ~p(X)\n"
+        "s3 input ~p(Y)\n"
+        "r1 resolve(s1, s2, p(X)) {X -> g1} p(Y)\n"
+        "r2 resolve(r1, s3, p(Y)) $false\n",
+        None,
+    ),
+]
+
+
+def import_tableau(ground, text):
+    """The cut normal form of the proof `text`, grounded by `ground`."""
+    return format_tableau(to_cut_normal_form(ground(to_tree(parse_proof(text)))))
+
+
+def test_hand_made_proofs_import_as_written():
+    for text, error in HAND_MADE_PROOFS:
+        got = outcome(lambda t: import_tableau(ground_deduction, t), text)
+        if error is None:
+            assert got[0] == "ok", (text, got)
+        else:
+            assert got[0] == "ProofError" and got[1].startswith(error), (text, got)
+
+
 def test_proof_import_agrees_with_the_reference():
     rng = random.Random(65)
     texts = sample_proofs() + [proof_family(f, 6) for f in ("chain", "wide", "fol_chain")]
+    texts += [text for text, _ in HAND_MADE_PROOFS]
     for text in texts:
         for t in [text] + damaged(text, rng, 10) + renamed(text, rng, 10):
+            assert_agree(parse_proof, reference_parse_proof, t, key=proof_rows)
             try:
                 doc = parse_proof(t)
             except (ProofError, InputError):

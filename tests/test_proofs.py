@@ -217,6 +217,21 @@ def test_ground_deduction_names_residual_variables_in_order_of_occurrence():
     assert tree.left.atom == lit("p", App("f", (App("g1"), App("g2"))))
 
 
+def test_fresh_constants_avoid_the_constants_of_binding_terms():
+    # g1 is written only in a binding; naming Y g1 as well would collapse
+    # r1's first parent to p(g1) and the step to an invalid one
+    text = (
+        "s1 input p(X) | p(Y)\n"
+        "s2 input ~p(X)\n"
+        "s3 input ~p(Y)\n"
+        "r1 resolve(s1, s2, p(X)) {X -> g1} p(Y)\n"
+        "r2 resolve(r1, s3, p(Y)) $false\n"
+    )
+    tree = ground_deduction(to_tree(parse_proof(text)))
+    assert tree.left.clause == Clause((lit("p", App("g2")),))
+    assert tree.left.atom == lit("p", App("g1"))
+
+
 def test_ground_deduction_rejects_a_step_broken_by_a_later_binding():
     # s3 is valid as replayed, before X is bound; under X -> a its first
     # parent collapses to p(a) and the resolvent to the empty clause

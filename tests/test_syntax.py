@@ -19,15 +19,14 @@ from foltab.syntax import (
     Or,
     Signature,
     Var,
-    apply_literal,
     apply_term,
     equal_copies,
     free_vars,
     is_ground,
+    map_literal_terms,
     match_term,
-    occurs,
+    occurs_copy,
     ordered_vars,
-    resolve,
     resolve_copy,
     smax_by,
     subterms,
@@ -42,7 +41,10 @@ from helpers import (
     random_formula,
     random_nnf,
     random_term,
+    reference_apply_literal,
+    reference_occurs,
     reference_polarity_vars,
+    reference_resolve,
     reference_term_vars,
     unify,
     unify_args,
@@ -128,12 +130,63 @@ def test_bind_then_undo_to_a_mark_restores_the_store():
     assert store == before and trail == ["X"]
 
 
+def at_0(names):
+    """A name-keyed binding store as a copy store: every variable and
+    every bound term in copy 0, as proof import binds a document's rigid
+    variables."""
+    return {(v, 0): (t, 0) for v, t in names.items()}
+
+
+def itself(v, k):
+    return Var(v)
+
+
+def resolve0(t, names):
+    """t under `names` in full, read by the copy store's resolver at copy 0."""
+    return resolve_copy(t, 0, at_0(names), {}, itself)
+
+
+def resolve0_literal(l, names):
+    store, table = at_0(names), {}
+    return map_literal_terms(l, lambda t: resolve_copy(t, 0, store, table, itself))
+
+
+def occurs0(name, t, names):
+    return occurs_copy(name, 0, t, 0, at_0(names))
+
+
 def test_resolve_follows_chains():
     fa = App("f", (a,))
     store = {"X": y, "Y": fa}
-    assert resolve(x, store) == fa
-    assert resolve(App("g", (x, z)), store) == App("g", (fa, z))
-    assert resolve(fa, store) is fa
+    assert resolve0(x, store) == fa
+    assert resolve0(App("g", (x, z)), store) == App("g", (fa, z))
+    assert resolve0(fa, store) is fa
+
+
+def _random_store(rng):
+    """A triangular, acyclic name-keyed store over X, Y, Z, U, V: each
+    binding is kept only when the occurs check through the store so far
+    fails, as a proof document's bindings are added."""
+    store = {}
+    for v in rng.sample(["X", "Y", "Z", "U", "V"], rng.randint(0, 5)):
+        t = random_term(rng, ("X", "Y", "Z", "U", "V"), depth=rng.randint(0, 3))
+        if not reference_occurs(v, t, store):
+            store[v] = t
+    return store
+
+
+def test_resolve_copy_at_copy_0_agrees_with_the_name_keyed_resolver():
+    # the name-keyed store proof import ran on before it bound its
+    # variables as copy 0 of a copy store
+    rng = random.Random(28)
+    for _ in range(500):
+        store = _random_store(rng)
+        t = random_term(rng, ("X", "Y", "Z", "U", "V"), depth=rng.randint(0, 4))
+        assert resolve0(t, store) is reference_resolve(t, store)
+        l = Literal(rng.random() < 0.5, "p", (t, x))
+        assert resolve0_literal(l, store) is reference_apply_literal(l, store)
+        for v in ("X", "Y", "Z", "U", "V"):
+            assert occurs0(v, t, store) == reference_occurs(v, t, store)
 
 
 def nest(functor, depth, inner):
@@ -151,18 +204,19 @@ def test_term_rebuilds_of_a_5000_deep_term(default_recursion_limit):
 
     got = apply_term(deep, {"X": y, "Y": z})
     assert term_depth(got) == 5001 and leaf(got) is y
-    got = resolve(deep, {"X": y, "Y": App("g", (a,))})
+    got = resolve0(deep, {"X": y, "Y": App("g", (a,))})
     assert term_depth(got) == 5002 and leaf(got) is a
     # a binding chain as deep as the term: X_i is bound to f(X_{i+1})
     chain = {f"X{i}": App("f", (Var(f"X{i + 1}"),)) for i in range(5000)}
-    got = resolve(Var("X0"), chain)
+    got = resolve0(Var("X0"), chain)
     assert term_depth(got) == 5001 and leaf(got) == Var("X5000")
-    l = apply_literal(Literal(False, "p", (deep, a)), {"X": b})
+    assert occurs0("X5000", Var("X0"), chain) and not occurs0("Y", Var("X0"), chain)
+    l = resolve0_literal(Literal(False, "p", (deep, a)), {"X": b})
     assert l.args[1] is a and term_depth(l.args[0]) == 5001 and leaf(l.args[0]) is b
     # unchanged subterms are shared, and an unchanged literal is returned
-    assert apply_term(deep, {"Y": a}) is deep and resolve(deep, {"Y": a}) is deep
+    assert apply_term(deep, {"Y": a}) is deep and resolve0(deep, {"Y": a}) is deep
     lit = Literal(True, "p", (deep,))
-    assert apply_literal(lit, {"Y": a}) is lit
+    assert resolve0_literal(lit, {"Y": a}) is lit
 
     def outcome(t):
         # the prover copies p(t) at each extension step of ~p(Y) | p(g(Y)),
@@ -192,12 +246,12 @@ def test_the_kernel_does_not_read_inside_a_ground_term():
     inner = App("g", CountedArgs((a, b)))
     t = App("f", (inner, App("h", CountedArgs((inner,)))))
     CountedArgs.reads = 0
-    assert resolve(t, {"X": a}) is t and apply_term(t, {"X": a}) is t
-    assert apply_literal(Literal(True, "p", (t, x)), {"X": b}).args == (t, b)
-    assert not occurs("X", t, {}) and ordered_vars([t, y]) == ["Y"]
+    assert resolve0(t, {"X": a}) is t and apply_term(t, {"X": a}) is t
+    assert resolve0_literal(Literal(True, "p", (t, x)), {"X": b}).args == (t, b)
+    assert not occurs0("X", t, {}) and ordered_vars([t, y]) == ["Y"]
     assert CountedArgs.reads == 0
     # arguments that hold a variable are read
-    assert resolve(App("k", CountedArgs((x,))), {"X": a}) == App("k", (a,))
+    assert resolve0(App("k", CountedArgs((x,))), {"X": a}) == App("k", (a,))
     assert CountedArgs.reads > 0
 
 
@@ -205,13 +259,13 @@ def test_ground_terms_and_literals_come_back_by_identity():
     ground = App("f", (App("g", (a, b)), nest("h", 50, a)))
     store = {"X": a, "Y": App("f", (x,)), "Z": y}
     assert apply_term(ground, store) is ground
-    assert resolve(ground, store) is ground
+    assert resolve0(ground, store) is ground
     l = Literal(False, "p", (ground, b))
-    assert apply_literal(l, store) is l
+    assert resolve0_literal(l, store) is l
     # a rebuilt term keeps its ground arguments as they are
-    got = resolve(App("k", (ground, z)), store)
+    got = resolve0(App("k", (ground, z)), store)
     assert got == App("k", (ground, App("f", (a,)))) and got.args[0] is ground
-    got = apply_literal(Literal(True, "q", (x, ground)), store)
+    got = resolve0_literal(Literal(True, "q", (x, ground)), store)
     assert got.args == (a, ground) and got.args[1] is ground
 
 
@@ -224,7 +278,7 @@ def test_ground_flag_is_set_from_the_arguments():
         t = random_term(rng, ("X", "Y"), depth=rng.randint(0, 4))
         assert is_ground(t) == reference(t)
         # rebuilt terms get their flag from their new arguments
-        g = resolve(t, {"X": a, "Y": App("f", (b,))})
+        g = resolve0(t, {"X": a, "Y": App("f", (b,))})
         assert is_ground(g) and g._ground
         assert is_ground(apply_term(t, {"X": y})) == reference(t)
     assert not is_ground(x) and is_ground(a) and not is_ground(nest("f", 5000, x))
@@ -235,18 +289,29 @@ def test_ground_flag_is_set_from_the_arguments():
 
 
 def test_occurs_check_fails_through_a_chain():
-    store = {"Y": App("f", (z,)), "Z": x}
-    assert occurs("X", y, store)
+    names = {"Y": App("f", (z,)), "Z": x}
+    assert occurs0("X", y, names)
+    store, trail = at_0(names), []
+    assert not unify_copies((x,), 0, (App("g", (y,)),), 0, store, trail)
+    assert not unify_copies((x,), 0, (y,), 0, store, trail)
+    assert ("X", 0) not in store and trail == []
+    # the name-keyed oracle agrees
     trail = []
-    assert not bind(store, trail, "X", App("g", (y,)))
-    assert not unify_args((x,), (y,), store, trail)
-    assert "X" not in store and trail == []
+    assert not bind(names, trail, "X", App("g", (y,)))
+    assert not unify_args((x,), (y,), names, trail)
+    assert "X" not in names and trail == []
 
 
 def test_unify_binds_left_variable_so_the_right_one_survives():
     store, trail = {}, []
-    assert unify_args((App("f", (x, x)),), (App("f", (y, z)),), store, trail)
-    assert [resolve(v, store) for v in (x, y, z)] == [z, z, z]
+    assert unify_copies((App("f", (x, x)),), 0, (App("f", (y, z)),), 0, store, trail)
+    table = {}
+    assert [resolve_copy(v, 0, store, table, itself) for v in (x, y, z)] == [z, z, z]
+    assert trail == [("X", 0), ("Y", 0)]
+    # the name-keyed oracle agrees
+    names, trail = {}, []
+    assert unify_args((App("f", (x, x)),), (App("f", (y, z)),), names, trail)
+    assert [reference_resolve(v, names) for v in (x, y, z)] == [z, z, z]
     assert trail == ["X", "Y"]
 
 
@@ -309,7 +374,7 @@ def test_unify_copies_agrees_with_unify_args_on_renamed_copies(equations):
         assert {f"{v}_{k}": renamed(t, kt) for (v, k), t, kt in ((key, *b) for key, b in store.items())} == names
         table = {}
         for t, k in [(t, kx) for t in xs] + [(t, ky) for t in ys]:
-            assert resolve_copy(t, k, store, table, copy_var) == resolve(renamed(t, k), names)
+            assert resolve_copy(t, k, store, table, copy_var) == reference_resolve(renamed(t, k), names)
             assert equal_copies((t,), k, (t,), k, store)
         if got:
             assert equal_copies(tuple(xs), kx, tuple(ys), ky, store)
