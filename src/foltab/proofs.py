@@ -348,7 +348,8 @@ def ground_deduction(tree: DeductionStep) -> DeductionStep:
         return resolve_copy(t, 0, store, table, fresh)
 
     for l in ground:
-        ground[l] = map_literal_terms(l, term)
+        # a literal whose arguments are all ground is its own ground literal
+        ground[l] = l if all(map(is_ground, l.args)) else map_literal_terms(l, term)
 
     # rebuild in post-order (left subtree, right subtree, step), each step
     # once, which fixes the step an error names

@@ -14,15 +14,17 @@ literal's stack, so the walk is linear in the size of the tree.
 
 Tableaux are built single-threaded.  `simplify_below` works in place on
 the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
-leave their input as it is, and `prove` runs it on the search tree of the
+leave their input as it is, and `prove` runs it on the nodes of the
 proof it found.  `ground_tableau` and `assign_sides` work in place too, on
 the tableau their caller owns.
 
-`prove` shares clause structure: a clause instance is the clause's own
-literals and a copy number, kept beside the node the instance hangs from,
-and the bindings are keyed by variable and copy (`syntax.unify_copies`).
-The search renames nothing; the literals of a proof, with the variable v
-of copy k named `v_k`, are built once the search has found it.
+`prove` shares clause structure and makes no node while it searches: a
+literal of a clause instance is a branch cell holding the clause's own
+literal, the copy number of the instance, a functor key and the cells
+above and below it, and the bindings are keyed by variable and copy
+(`syntax.unify_copies`).  The search renames nothing; the nodes of a
+proof, whose literals name the variable v of copy k `v_k`, are made once
+the search has found it.
 """
 
 from __future__ import annotations
@@ -391,19 +393,23 @@ class ProveResult:
         return self.status == "proved"
 
 
-def finish_proof(root: Node, binding: CopyStore, copy_of: dict[Node, int]) -> Tableau:
-    """The proof the search closed below `root`, whose tree holds each
-    clause's own literals and, in `copy_of`, the copy number of each clause
-    instance: every literal is read in its copy through the bindings, a
-    variable v of copy k is named `v_k`, and the tree is simplified in
-    place."""
+def finish_proof(start: list, binding: CopyStore) -> Tableau:
+    """The proof the search closed from the branch cells `start` of its
+    start clause: the nodes are made here, once, each literal read in its
+    copy through the bindings, with a variable v of copy k named `v_k`, and
+    the tree is simplified in place."""
     table: dict = {}
-    tab = Tableau(root)
-    for n in tab.non_root_nodes():
-        k = copy_of[n.parent]
-        n.literal = map_literal_terms(n.literal, lambda t: resolve_copy(t, k, binding, table, _copy_var))
+    root = Node()
+    todo = [(root, start)]
+    while todo:
+        parent, cells = todo.pop()
+        for lit, k, _, _, children in cells:
+            n = Node(map_literal_terms(lit, lambda t: resolve_copy(t, k, binding, table, _copy_var)))
+            parent.add(n)
+            if children:
+                todo.append((n, children))
     simplify_below(root, root.children, {})
-    return tab
+    return Tableau(root)
 
 
 def _copy_var(name: str, k: int) -> Var:
@@ -445,6 +451,14 @@ def prove(
     count reaches a multiple of 256.  When `timeout` or `max_inferences`
     stops the search, `depth` is the deepening limit it had reached.
 
+    The search makes no node.  A literal of a clause instance on the
+    search tree is a branch cell, `[literal, copy, key, parent cell,
+    children cells or None]`, where the key numbers the literal's sign,
+    predicate and arity; a reduction and the regularity check compare
+    keys, not names.  The open goals are a cons list `(cell, rest)`, so an
+    extension adds the cells of its other literals in front of the goals
+    left.  `finish_proof` makes the nodes of the proof found.
+
     Deepening limit 1 is counted in closed form, not searched: a start
     clause's goals have no ancestor but the root and an extension needs
     depth 2, so no clause closes there, no inference is counted and each
@@ -461,25 +475,35 @@ def prove(
     deadline = time.monotonic() + timeout if timeout is not None else None
     binding: CopyStore = {}
     trail: list[tuple[str, int]] = []
-    # the copy number of the clause instance attached below each inner node
-    # of the search tree, the root included
-    copy_of: dict[Node, int] = {}
     inferences = 0
     copies = 0
     cutoff = False
 
-    # a clause as the search reads it: its literals and, for each, whether
-    # it is ground, the same in every copy
-    templates = [(c.literals, tuple(all(map(is_ground, l.args)) for l in c.literals)) for c in cls]
-    # candidates[s][(predicate, arity)]: the extension candidates of a goal
-    # of sign s, as (ordinal, template, literal index), where the ordinal
-    # numbers the literals of sign not s in clause order; total[s] counts them
-    candidates: dict[bool, dict[tuple[str, int], list]] = {True: {}, False: {}}
-    total = {True: 0, False: 0}
+    # functor keys: twice the number of the literal's (predicate, arity),
+    # numbered in clause order, plus 1 when it is positive, so that the key
+    # of the complement is key ^ 1
+    numbers: dict[tuple[str, int], int] = {}
+    # a clause as the search reads it: its literals, whether each is ground
+    # (the same in every copy) and their keys
+    templates = []
+    for c in cls:
+        ground = []
+        keys = []
+        for l in c.literals:
+            args = l.args
+            ground.append(all(map(is_ground, args)))
+            keys.append(2 * numbers.setdefault((l.predicate, len(args)), len(numbers)) + l.positive)
+        templates.append((c.literals, ground, keys))
+    # candidates[key]: the extension candidates of a goal with that key, as
+    # (ordinal, template, literal index), where the ordinal numbers the
+    # literals of the opposite sign in clause order; total[s] counts them
+    # for a goal of sign bit s
+    candidates: list[list] = [[] for _ in range(2 * len(numbers))]
+    total = [0, 0]
     for t in templates:
-        for idx, l in enumerate(t[0]):
-            s = not l.positive
-            candidates[s].setdefault((l.predicate, len(l.args)), []).append((total[s], t, idx))
+        for idx, key in enumerate(t[2]):
+            s = 1 - (key & 1)
+            candidates[key ^ 1].append((total[s], t, idx))
             total[s] += 1
 
     def tick(n: int) -> None:
@@ -499,51 +523,48 @@ def prove(
             raise _InferenceCap
         inferences = end
 
-    def regular(lits: tuple[Literal, ...], k: int, ground: tuple[bool, ...], path: list[Node]) -> bool:
-        """No literal of `lits`, of copy k, equals the literal of a node of
-        `path`, the nodes from the goal up, under the bindings; only
-        literals of the same sign, predicate and arity are compared.  A
-        ground literal equals its own object in every copy."""
-        for lit, g in zip(lits, ground):
-            for n in path:
-                l = n.literal
-                if l is not lit and (
-                    l.predicate != lit.predicate or l.positive != lit.positive or len(l.args) != len(lit.args)
-                ):
+    def regular(lits: tuple[Literal, ...], k: int, ground: list[bool], keys: list[int], path: list) -> bool:
+        """No literal of `lits`, of copy k, equals the literal of a cell of
+        `path`, the cells from the goal up, under the bindings; only
+        literals of the same key are compared.  A ground literal equals its
+        own object in every copy."""
+        for lit, g, key in zip(lits, ground, keys):
+            for cell in path:
+                if cell[2] != key:
                     continue
-                kl = copy_of[n.parent]
+                l, kl = cell[0], cell[1]
                 if (l is lit and (g or kl == k)) or equal_copies(lit.args, k, l.args, kl, binding):
                     return False
         return True
 
-    def closings(goals: list[Node], limit: int) -> Iterator[list[Node]]:
+    def closings(goals: tuple, limit: int) -> Iterator[Optional[tuple]]:
         """A choice point: the goals left after each way of closing the
-        first of `goals`, in search order.  The bindings and children of a
-        way hold while the caller works on the goals it yields."""
+        first of `goals`, in search order, None when none is left.  The
+        bindings and children of a way hold while the caller works on the
+        goals it yields."""
         nonlocal copies, cutoff
-        goal, rest = goals[0], goals[1:]
-        g = goal.literal
-        kg = copy_of[goal.parent]
+        goal, rest = goals
+        g, kg, key = goal[0], goal[1], goal[2]
+        args = g.args
         # reduction: close against an ancestor, nearest first; an ancestor of
-        # the wrong sign, predicate or arity is counted but not tried
-        path = [goal]  # the nodes from the goal up
+        # another key than the complement's is counted but not tried
+        closing = key ^ 1
+        path = [goal]  # the cells from the goal up
         untried = 0
-        n = goal.parent
-        while n.literal is not None:
-            l = n.literal
-            path.append(n)
-            up = n.parent
-            if l.predicate != g.predicate or l.positive == g.positive or len(l.args) != len(g.args):
+        cell = goal[3]
+        while cell is not None:
+            path.append(cell)
+            if cell[2] != closing:
                 untried += 1
-                n = up
+                cell = cell[3]
                 continue
             tick(untried + 1)
             untried = 0
             mark = len(trail)
-            if not g.args or unify_copies(g.args, kg, l.args, copy_of[up], binding, trail):
+            if not args or unify_copies(args, kg, cell[0].args, cell[1], binding, trail):
                 yield rest
             undo(binding, trail, mark)
-            n = up
+            cell = cell[3]
         if untried:
             tick(untried)
         # extension: attach a clause instance containing a closing literal
@@ -552,7 +573,7 @@ def prove(
             cutoff = True
             return
         counted = 0  # candidates counted so far, by ordinal
-        for ordinal, (lits, ground), idx in candidates[g.positive].get((g.predicate, len(g.args)), ()):
+        for ordinal, (lits, ground, keys), idx in candidates[key]:
             # the candidates skipped before this one are counted and numbered
             tick(ordinal - counted + 1)
             copies += ordinal - counted + 1
@@ -560,31 +581,30 @@ def prove(
             k = copies
             mark = len(trail)
             if (
-                not g.args or unify_copies(g.args, kg, lits[idx].args, k, binding, trail)
-            ) and regular(lits, k, ground, path):
-                children = [Node(l) for l in lits]
-                for ch in children:
-                    ch.parent = goal
-                goal.children = children
-                copy_of[goal] = k
-                yield children[:idx] + children[idx + 1:] + rest
-                goal.children = []
+                not args or unify_copies(args, kg, lits[idx].args, k, binding, trail)
+            ) and regular(lits, k, ground, keys, path):
+                cells = [[l, k, kl, goal, None] for l, kl in zip(lits, keys)]
+                goal[4] = cells
+                closed = cells[idx]
+                left = rest
+                for cell in reversed(cells):
+                    if cell is not closed:
+                        left = (cell, left)
+                yield left
+                goal[4] = None
             undo(binding, trail, mark)
-        # the goal is a leaf again, and the numbers kept beside the search
-        # tree keep no node of an abandoned branch alive
-        copy_of.pop(goal, None)
-        skipped = total[g.positive] - counted
+        skipped = total[key & 1] - counted
         if skipped:
             tick(skipped)
             copies += skipped
 
-    def solve(goals: list[Node], limit: int) -> bool:
+    def solve(goals: tuple, limit: int) -> bool:
         """Whether every goal closes, searching depth first on a stack of
         choice points; a proof found keeps its bindings and children."""
         stack = [closings(goals, limit)]
         while stack:
             for rest in stack[-1]:
-                if not rest:
+                if rest is None:
                     return True
                 stack.append(closings(rest, limit))
                 break
@@ -597,17 +617,17 @@ def prove(
     try:
         for limit in range(2, max_depth + 1):
             cutoff = False
-            for lits, _ in templates:
+            for lits, _, keys in templates:
                 copies += 1
-                root = Node()
                 # a start clause is always regular: its only ancestor is the root
-                root.set_children([Node(l) for l in lits])
-                copy_of[root] = copies
-                if solve(root.children, limit):
+                start = [[l, copies, key, None, None] for l, key in zip(lits, keys)]
+                goals = None
+                for cell in reversed(start):
+                    goals = (cell, goals)
+                if solve(goals, limit):
                     # the abandoned choice points never undo their bindings
-                    # or take back their copy numbers
-                    return ProveResult("proved", finish_proof(root, binding, copy_of), inferences, limit)
-                del copy_of[root]
+                    # or clear their children
+                    return ProveResult("proved", finish_proof(start, binding), inferences, limit)
             if not cutoff:
                 return ProveResult("saturated", None, inferences, limit)
     except _Deadline:

@@ -180,7 +180,7 @@ def test_ground_deduction_identity_on_ground_proof():
     assert grounded.clause == tree.clause
 
 
-def test_ground_deduction_propagates_binding():
+def test_ground_deduction_propagates_binding(monkeypatch):
     text = (
         "s1 input p(X)\n"
         "s2 input ~p(a) | q(X)\n"
@@ -188,7 +188,16 @@ def test_ground_deduction_propagates_binding():
         "s4 input ~q(a)\n"
         "s5 resolve(s3, s4, q(a)) false\n"
     )
-    tree = ground_deduction(to_tree(parse_proof(text)))
+    tree = to_tree(parse_proof(text))
+    # a ground literal is its own ground literal: only p(X) and q(X) are read
+    # through the bindings
+    rebuilt = []
+    map_literal_terms = foltab.proofs.map_literal_terms
+    monkeypatch.setattr(
+        foltab.proofs, "map_literal_terms", lambda l, fn: rebuilt.append(l) or map_literal_terms(l, fn)
+    )
+    tree = ground_deduction(tree)
+    assert rebuilt == [lit("p", Var("X")), lit("q", Var("X"))]
     leaves = [s for s in tree.steps() if s.kind == "input"]
     assert Clause((lit("p", App("a")),)) in [s.clause for s in leaves]
 

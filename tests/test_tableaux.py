@@ -715,13 +715,51 @@ def test_prove_matches_reference_on_clause_sets_with_function_symbols():
     assert statuses == {"proved", "saturated", "depth_limit", "inference_limit"} and residual >= 20
 
 
+def random_colliding_clauses(rng):
+    """Clauses in which p occurs at arity 0, 1 and 2, each with both signs,
+    next to q/1; built with `Literal` directly, since the parser rejects a
+    predicate used at two arities."""
+    terms = [Var("X"), Var("Y"), App("a"), App("b")]
+    out = []
+    for _ in range(rng.randint(2, 7)):
+        lits = []
+        for _ in range(rng.randint(1, 3)):
+            pred, arity = rng.choice((("p", 0), ("p", 1), ("p", 2), ("q", 1)))
+            lits.append(Literal(rng.random() < 0.5, pred, tuple(rng.choice(terms) for _ in range(arity))))
+        out.append(Clause(tuple(dict.fromkeys(lits))))
+    return out
+
+
+def test_prove_tells_functors_apart_by_sign_predicate_and_arity():
+    # the search compares functor keys, not names: a key that dropped the
+    # sign or the arity would reduce or extend where the reference does not
+    rng = random.Random(2929)
+    statuses, mixed = set(), 0
+    for _ in range(80):
+        clauses = random_colliding_clauses(rng)
+        functors = {(l.positive, len(l.args)) for c in clauses for l in c.literals if l.predicate == "p"}
+        mixed += len({arity for _, arity in functors}) == 3 and len(functors) >= 5
+        for max_depth in (2, 3, 5):
+            statuses.add(assert_as_reference(clauses, max_depth, rng.choice((5, 40, 300)))[0])
+    assert statuses == {"proved", "saturated", "depth_limit", "inference_limit"} and mixed >= 10
+
+
 def test_proof_search_builds_no_clause_copy(monkeypatch):
-    # copies are numbered, not built: neither a variable nor a literal is
-    # made until the search has ended with a proof, which `finish_proof`
-    # then reads once
+    # copies are numbered, not built, and the search keeps branch cells, not
+    # nodes: neither a node, a variable nor a literal is made until the
+    # search has ended with a proof, which `finish_proof` then reads once
     events = []
     map_literal_terms = foltab.tableaux.map_literal_terms
     finish_proof = foltab.tableaux.finish_proof
+
+    class RecordedNode(Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            events.append("node")
+            super().__init__(*args)
+
+    monkeypatch.setattr(foltab.tableaux, "Node", RecordedNode)
     monkeypatch.setattr(foltab.tableaux, "Var", lambda name: events.append("var") or Var(name))
     monkeypatch.setattr(
         foltab.tableaux, "map_literal_terms", lambda *args: events.append("rebuild") or map_literal_terms(*args)
@@ -730,7 +768,7 @@ def test_proof_search_builds_no_clause_copy(monkeypatch):
     clauses = parse_clause_file("p(X, f(Y)) | q(Y)\n~p(a, Z) | q(Z)\n~q(f(X))\n~q(W) | r(W, V)\n~r(b, U)\n")
     r = prove(clauses)
     assert r.proved and r.inferences > 10
-    assert events[0] == "found" and "found" not in events[1:] and {"var", "rebuild"} <= set(events)
+    assert events[0] == "found" and "found" not in events[1:] and {"node", "var", "rebuild"} <= set(events)
     assert format_tableau(r.tableau) == format_tableau(reference_prove(clauses).tableau)
     # a result is a plain record: its four fields and no other state
     assert list(vars(r)) == ["status", "tableau", "inferences", "depth"]
