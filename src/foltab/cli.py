@@ -100,8 +100,8 @@ def cmd_prove(args) -> int:
         formula = ax if cj is None else (And((ax, Not(cj))) if ax is not None else Not(cj))
         symbols = read_symbols(formula)
         namer = FreshNamer(symbols.names)
-        frozen, _, _, _ = freeze_free_vars(formula, formula, namer, (symbols.free, symbols.free))
-        clauses = list(skolemize_clausify(frozen, namer).clauses)
+        frozen, _, _ = freeze_free_vars(namer, (symbols.free, symbols.free))
+        clauses = list(skolemize_clausify(formula, namer, frozen).clauses)
     if args.equality_axioms:
         sig = Signature.empty()
         for c in clauses:

@@ -1,11 +1,12 @@
 """Craig-Lyndon interpolation from two-sided clausal tableaux.
 
 The pipeline: freeze free variables to placeholder constants, Skolemize and
-clausify both sides, prove, ground the proof, optionally hyper-convert it,
-assign side labels, extract the ground interpolant, lift side-specific
-ground terms to quantified variables, and restore the placeholders.  With
-the hyper conversion in the loop the interpolant inherits range-restriction
-and Horn properties from suitable inputs.
+clausify both sides (one walk per side does all three), prove, ground the
+proof, optionally hyper-convert it, assign side labels, extract the ground
+interpolant, lift side-specific ground terms to quantified variables, and
+restore the placeholders.  With the hyper conversion in the loop the
+interpolant inherits range-restriction and Horn properties from suitable
+inputs.
 
 Every run keeps what it derived in its certificate
 (`certificate.Certificate`), which the report holds.  With `verify`,
@@ -338,9 +339,9 @@ def interpolate(
     namer = FreshNamer(sf.names | sg.names)
 
     t0 = time.perf_counter()
-    f_c, g_c, shared, pmap = freeze_free_vars(f, g, namer, (sf.free, sg.free))
-    fres = skolemize_clausify(f_c, namer)
-    gres = skolemize_clausify(Not(g_c), namer)
+    frozen, shared, pmap = freeze_free_vars(namer, (sf.free, sg.free))
+    fres = skolemize_clausify(f, namer, frozen)
+    gres = skolemize_clausify(Not(g), namer, frozen)
     timings["clausify"] = (time.perf_counter() - t0) * 1000
 
     fun_f = frozen_vocabulary(sf, pmap)
@@ -393,7 +394,9 @@ def interpolate(
         # a matrix that is not Horn-like fails the requirement check below
         if "horn" in require and is_horn_like(matrix):
             matrix = hornify(matrix)
-        h = unfreeze(wrap_prefix(lifted.prefix, matrix), pmap)
+        h = wrap_prefix(lifted.prefix, matrix)
+        if pmap:  # else there is no placeholder to restore
+            h = unfreeze(h, pmap)
         timings["extract"] = (time.perf_counter() - t0) * 1000
     report.interpolant = h
     report.certificate = Certificate(
@@ -485,13 +488,13 @@ def entails(
     clauses of a, and the first one found satisfiable fails the whole."""
     sa, sb = read_symbols(a), read_symbols(b)
     namer = FreshNamer(sa.names | sb.names)
-    a_c, b_c, _, _ = freeze_free_vars(a, b, namer, (sa.free, sb.free))
-    ares = skolemize_clausify(a_c, namer)
+    frozen, _, _ = freeze_free_vars(namer, (sa.free, sb.free))
+    ares = skolemize_clausify(a, namer, frozen)
     if ares.has_empty_clause():
         return "pass"
     verdict = "pass"
-    for part in _universal_conjuncts(b_c):
-        bres = skolemize_clausify(Not(part), namer)
+    for part in _universal_conjuncts(b):
+        bres = skolemize_clausify(Not(part), namer, frozen)
         if bres.has_empty_clause():
             continue
         clauses = ares.clauses + bres.clauses

@@ -6,6 +6,13 @@ pushes negation to the atoms, renames bound variables apart and pulls them
 into the prefix in pre-order, and distributes the matrix into clauses as
 each conjunction or disjunction is finished, with no intermediate formula.
 
+skolemize_clausify() is the same walk with two more duties, so a run
+freezes, Skolemizes and clausifies a side in one pass over it: the
+placeholder substitution that `freeze_free_vars` draws is the walk's
+initial renaming, and each existential, met in pre-order, is bound to its
+Skolem term instead of a variable.  No frozen or Skolemized formula or
+clause is ever built.
+
 cnf() and dnf() are deterministic and dual-symmetric by construction:
 dnf(F) is defined as the dual of cnf(~F), so the clause-level containment
 and duality contracts hold structurally, not just up to equivalence.
@@ -13,7 +20,7 @@ and duality contracts hold structurally, not just up to equivalence.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Optional
 
 from .syntax import (
     And,
@@ -36,8 +43,6 @@ from .syntax import (
     Top,
     Var,
     apply_term,
-    clause,
-    formula_subst,
     free_vars,
     map_formula_terms,
     map_literal_terms,
@@ -117,18 +122,28 @@ def cnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
     literals it binds are renamed by one simultaneous substitution.  The
     clause lists of the parts of a conjunction are concatenated, those of a
     disjunction distributed left to right.  Only duplicate clauses are
-    removed; tautologies are kept.
+    removed; tautologies are kept.  cnf does not Skolemize.
 
     Each part of a <=> is read at both polarities, so n nested <=> would
     read their innermost parts 2^n times.  A part read again at the same
     polarity and renaming takes the clause list of its first reading
     instead, when that reading added nothing to the prefix; a part with a
     quantifier below it is read again, for its fresh names."""
-    return _cnf(f, max_clauses, free_vars(f))  # which also rejects what is not a formula
+    prefix, matrix, _ = _cnf(f, max_clauses, free_vars(f), {})
+    return PrenexNormalForm(prefix, matrix, "cnf")
 
 
-def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
-    """cnf(f), with `used` the free variables of f, which it takes over."""
+def _cnf(f: Formula, max_clauses: int, used: set[str], env: Subst, namer: Optional[FreshNamer] = None):
+    """The prefix and matrix of cnf(f) read from the renaming `env`, which
+    maps free variables of f to terms, and the Skolem names drawn.  `used`
+    holds the variable names the result may already contain, and the walk
+    takes it over.
+
+    With a `namer`, each existential of the prefix is Skolemized as it is
+    met: a variable bound by it stands for a term sk(X1, ..., Xn) with sk
+    drawn from the namer and X1, ..., Xn every universal earlier in the
+    prefix, those of sibling parts included.  Its bound name is still
+    picked, so the names bound after it are those of cnf."""
     suffix: dict[str, int] = {}  # the last suffix taken for each name
 
     def pick(name: str) -> str:
@@ -142,6 +157,10 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
         return name
 
     prefix: list[tuple[str, str]] = []
+    # the variables of the prefix, which with a namer are its universals:
+    # the arguments of the next Skolem term
+    universals: list[Var] = []
+    skolems: list[str] = []
     # the clause lists of subformulas read, each clause as its literals
     done: list[list[tuple[Literal, ...]]] = []
     # the clause list of each part of a <=> read without a quantifier, by
@@ -149,7 +168,7 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
     # keeps the renaming alive, so that no other one takes its id
     kept: dict[tuple[int, bool, int], tuple[dict, list]] = {}
     # (g, positive, renaming) reads g at that polarity
-    todo: list[tuple] = [(f, True, {})]
+    todo: list[tuple] = [(f, True, env)]
     while todo:
         g, pos, env = todo.pop()
         cls = g.__class__
@@ -184,7 +203,8 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
                     # equal literals are one object, so `not in a` compares
                     # by identity and hashes no literal
                     joined = [a + tuple([l for l in c if l not in a]) for a in joined for c in cs]
-            done.append(list(dict.fromkeys(joined)))
+            # a list of at most one clause has no duplicate to remove
+            done.append(joined if len(joined) < 2 else list(dict.fromkeys(joined)))
         elif cls is Literal:
             l = g if pos else g.complement()
             if env:
@@ -208,12 +228,27 @@ def _cnf(f: Formula, max_clauses: int, used: set[str]) -> PrenexNormalForm:
                 todo.append((2, not pos, _JOIN))
                 todo.append(((rhs, env), pos, _PART))
                 todo.append(((lhs, env), not pos, _PART))
+        elif cls is ForAll or cls is Exists:
+            v = g.var
+            w = pick(v)
+            universal = (cls is ForAll) == pos
+            prefix.append(("forall" if universal else "exists", w))
+            if universal or namer is None:
+                t = Var(w)
+                universals.append(t)
+                # a name kept was unused, so it has an entry in env only
+                # as a frozen variable, which the binding shadows
+                if w == v and v not in env:
+                    todo.append((g.body, pos, env))
+                    continue
+            else:
+                name = namer.fresh("sk")
+                skolems.append(name)
+                t = App(name, tuple(universals))
+            todo.append((g.body, pos, {**env, v: t}))
         else:
-            w = pick(g.var)
-            prefix.append(("forall" if (cls is ForAll) == pos else "exists", w))
-            # a name kept was unused, so no entry of env is for it
-            todo.append((g.body, pos, env if w == g.var else {**env, g.var: Var(w)}))
-    return PrenexNormalForm(tuple(prefix), tuple([Clause(ls) for ls in done[0]]), "cnf")
+            raise TypeError(f"not a formula: {g!r}")
+    return tuple(prefix), tuple([Clause(ls) for ls in done[0]]), skolems
 
 
 def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm:
@@ -226,32 +261,32 @@ def dnf(f: Formula, max_clauses: int = DEFAULT_CLAUSE_LIMIT) -> PrenexNormalForm
 
 
 def freeze_free_vars(
-    f: Formula,
-    g: Formula,
     namer: FreshNamer,
     free: tuple[AbstractSet[str], AbstractSet[str]],
-) -> tuple[Formula, Formula, frozenset[str], dict[str, str]]:
-    """Replace free variables with dedicated fresh constants from the run's
-    `namer`.
+) -> tuple[Subst, frozenset[str], dict[str, str]]:
+    """Draw a dedicated fresh constant from the run's `namer` for each free
+    variable of f and g, in sorted order.
 
-    `free` holds the free variables of f and of g.  Returns (f_c, g_c,
-    shared, mapping) where mapping is constant -> variable and shared holds
-    the constants standing for variables free in both f and g.
+    `free` holds the free variables of f and of g, as `read_symbols` gives
+    them.  Returns (frozen, shared, mapping): frozen maps each variable to
+    its placeholder constant, mapping is constant -> variable, and shared
+    holds the constants standing for variables free in both f and g.  No
+    formula is rebuilt: `skolemize_clausify` applies `frozen` as it walks.
     """
     fv_f, fv_g = free
     mapping: dict[str, str] = {}
-    sub: Subst = {}
+    frozen: Subst = {}
     for v in sorted(fv_f | fv_g):
         c = namer.fresh(f"c_{v.lower()}_" if v.lower() != v else f"c_{v}_")
         mapping[c] = v
-        sub[v] = App(c)
+        frozen[v] = App(c)
     shared = frozenset(c for c, v in mapping.items() if v in fv_f and v in fv_g)
-    return formula_subst(f, sub), formula_subst(g, sub), shared, mapping
+    return frozen, shared, mapping
 
 
 def frozen_vocabulary(symbols: FormulaSymbols, mapping: dict[str, str]) -> frozenset[str]:
-    """The function symbols of a formula with `symbols` once
-    `freeze_free_vars` has replaced its free variables as `mapping` says:
+    """The function symbols of a formula with `symbols` once its free
+    variables stand for the placeholder constants that `mapping` names:
     its own, and the placeholder constants of its free variables."""
     free = symbols.free
     return symbols.functions.union(c for c, v in mapping.items() if v in free)
@@ -282,34 +317,24 @@ class ClausificationResult:
         return any(not c.literals for c in self.clauses)
 
 
-def skolemize_clausify(f: Formula, namer: FreshNamer) -> ClausificationResult:
-    """Prenex CNF with existential variables replaced by Skolem terms.
+def skolemize_clausify(f: Formula, namer: FreshNamer, frozen: Optional[Subst] = None) -> ClausificationResult:
+    """Prenex CNF with existential variables replaced by Skolem terms, in
+    one walk of f.
 
-    f must be a sentence.  Skolem names come from the run's `namer`, so two
-    calls sharing it never collide.
+    Without `frozen`, f must be a sentence.  With it, f is read with its
+    free variables replaced as `frozen` says, which must cover them all;
+    `freeze_free_vars` draws it, and the caller, who has read the free
+    variables, vouches for that, so f is not walked to check it.  Skolem
+    names come from the run's `namer`, so two calls sharing it never
+    collide.
     """
-    used = free_vars(f)
-    if used:
-        raise InputError("skolemize_clausify expects a sentence")
-    p = _cnf(f, DEFAULT_CLAUSE_LIMIT, used)
-    sub: Subst = {}
-    skolems: list[str] = []
-    universals: list[str] = []
-    for q, v in p.prefix:
-        if q == "forall":
-            universals.append(v)
-        else:
-            name = namer.fresh("sk")
-            skolems.append(name)
-            sub[v] = App(name, tuple(Var(u) for u in universals))
-    if sub:
-        clauses = tuple(
-            clause(map_literal_terms(l, lambda t: apply_term(t, sub)) for l in c.literals)
-            for c in p.matrix
-        )
-    else:
-        clauses = p.matrix
-    return ClausificationResult(clauses, frozenset(skolems), frozenset(universals))
+    if frozen is None:
+        if free_vars(f):
+            raise InputError("skolemize_clausify expects a sentence")
+        frozen = {}
+    prefix, clauses, skolems = _cnf(f, DEFAULT_CLAUSE_LIMIT, set(), frozen, namer)
+    universals = frozenset(v for q, v in prefix if q == "forall")
+    return ClausificationResult(clauses, frozenset(skolems), universals)
 
 
 # ---------------------------------------------------------------------------

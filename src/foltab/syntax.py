@@ -39,8 +39,8 @@ made by `unify_copies` are recorded on a trail, and `undo` removes them
 back to a mark, latest first.
 
 Beside the term kernel, two formula walks carry the shape of formulas;
-free variables, vocabulary, symbols, substitution and predicate renaming
-are all written on them:
+free variables, vocabulary, symbols and predicate renaming are all written
+on them:
 
 - `occurrences` reads: each literal and quantifier occurrence in
   pre-order, with its polarity and the names bound above it;
@@ -50,9 +50,11 @@ are all written on them:
 - `map_formula` rebuilds, bottom up, and calls its `binder` at each
   quantifier in pre-order (so fresh names are picked outside in).
 
-`formula_subst` applies its substitution once, with `apply_term`: the
-substitution is simultaneous, and following bindings in chains, as
-`resolve_copy` does, would apply it a second time.
+No formula is substituted into here: clausification (`normalize`) applies
+the placeholders of free variables and the Skolem terms with `apply_term`
+as its one walk reaches each literal.  The substitution is simultaneous,
+and following bindings in chains, as `resolve_copy` does, would apply it a
+second time.
 """
 
 from __future__ import annotations
@@ -1020,19 +1022,6 @@ def clause_sign_vars(c: Clause, positive: bool) -> set[str]:
 
 def map_formula_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
     return map_formula(f, lambda l, _: map_literal_terms(l, fn))
-
-
-def formula_subst(f: Formula, subst: Subst) -> Formula:
-    """Apply a substitution to free variable occurrences (capture-aware)."""
-    if not subst:
-        return f
-
-    def binder(v: str, s: Subst) -> tuple[str, Subst]:
-        return v, ({u: t for u, t in s.items() if u != v} if v in s else s)
-
-    return map_formula(
-        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, subst
-    )
 
 
 def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:

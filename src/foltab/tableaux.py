@@ -404,7 +404,10 @@ def finish_proof(start: list, binding: CopyStore) -> Tableau:
     while todo:
         parent, cells = todo.pop()
         for lit, k, _, _, children in cells:
-            n = Node(map_literal_terms(lit, lambda t: resolve_copy(t, k, binding, table, _copy_var)))
+            # a literal whose arguments are all ground reads the same in every copy
+            if not all(map(is_ground, lit.args)):
+                lit = map_literal_terms(lit, lambda t: resolve_copy(t, k, binding, table, _copy_var))
+            n = Node(lit)
             parent.add(n)
             if children:
                 todo.append((n, children))

@@ -1791,9 +1791,9 @@ def reference_entails(
 def _reference_entails_single(a, b, max_depth, timeout, max_inferences) -> str:
     sa, sb = read_symbols(a), read_symbols(b)
     namer = FreshNamer(sa.names | sb.names)
-    a_c, b_c, _, _ = freeze_free_vars(a, b, namer, (sa.free, sb.free))
-    ares = skolemize_clausify(a_c, namer)
-    bres = skolemize_clausify(Not(b_c), namer)
+    frozen, _, _ = freeze_free_vars(namer, (sa.free, sb.free))
+    ares = skolemize_clausify(reference_formula_subst(a, frozen), namer)
+    bres = skolemize_clausify(Not(reference_formula_subst(b, frozen)), namer)
     if ares.has_empty_clause() or bres.has_empty_clause():
         return "pass"
     result = prove(

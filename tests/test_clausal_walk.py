@@ -39,7 +39,7 @@ from foltab.interpolation import (
     simp_or,
     truth_simplify,
 )
-from foltab.normalize import ClauseLimitError, cnf, dnf, skolemize_clausify
+from foltab.normalize import ClauseLimitError, cnf, dnf, freeze_free_vars, skolemize_clausify
 from foltab.restriction import is_horn, is_horn_like, is_u_range_restricted
 from foltab.syntax import (
     BOTTOM,
@@ -50,6 +50,7 @@ from foltab.syntax import (
     Clause,
     Exists,
     ForAll,
+    FreshNamer,
     Iff,
     Implies,
     InputError,
@@ -61,6 +62,7 @@ from foltab.syntax import (
     free_vars,
     mk_and,
     mk_or,
+    read_symbols,
     smax_by,
 )
 from foltab.tptp import parse_formula
@@ -72,6 +74,7 @@ from helpers import (
     random_sentence,
     reference_cnf,
     reference_dnf,
+    reference_formula_subst,
     reference_hornify,
     reference_is_horn,
     reference_is_horn_like,
@@ -525,6 +528,66 @@ def test_cnf_cases_agree_with_the_reference(text):
     assert dnf(f) == reference_dnf(f)
     g = closed(f)
     assert clausified(skolemize_clausify, g) == clausified(reference_skolemize_clausify, g)
+
+
+def frozen_run(clausify, f, g, *limit):
+    """Freeze f and g and clausify f and ~g as `interpolate` does, each side
+    through clausify(side, namer, frozen, *limit): per side the clauses,
+    Skolem functions and universals, then the namer's next names."""
+    sf, sg = read_symbols(f), read_symbols(g)
+    namer = FreshNamer(sf.names | sg.names)
+    frozen, _, _ = freeze_free_vars(namer, (sf.free, sg.free))
+    sides = []
+    for side in (f, Not(g)):
+        res = clausify(side, namer, frozen, *limit)
+        sides.append((res.clauses, res.skolem_functions, res.universal_vars))
+    return sides, [namer.fresh(base) for base in ("sk", "c_x_", "c_y_", "g")]
+
+
+def substituted_clausify(f, namer, frozen, *limit):
+    """Freezing as a formula rebuild, then the recursive clausification."""
+    return reference_skolemize_clausify(reference_formula_subst(f, frozen), namer, *limit)
+
+
+def test_frozen_clausification_agrees_with_the_reference(monkeypatch):
+    monkeypatch.setattr(foltab.normalize, "DEFAULT_CLAUSE_LIMIT", LIMIT)
+    frozen = 0
+    for (rng, f), (_, g) in zip(formulas(72, 1000), formulas(73, 1000)):
+        got = outcome(frozen_run, skolemize_clausify, f, g)
+        assert got == outcome(frozen_run, substituted_clausify, f, g, LIMIT), (f, g)
+        frozen += bool(free_vars(f) | free_vars(g))
+    assert frozen > 300
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text",
+    [
+        # a free variable also bound by ! and by ?
+        ("p(X) & (! [X] : q(X)) & ? [X] : r(X, X)", "q(X) | ? [X] : (p(X) & ! [X] : r(X, a))"),
+        # <=> with quantifiers below it, at both polarities
+        ("(! [X] : p(X, Y)) <=> (? [Z] : q(Z, Y))", "~((? [X] : q(X, Y)) <=> (! [X] : p(X, X)))"),
+        # existentials after the universals of a sibling conjunct
+        ("(! [X] : p(X, Y)) & ? [Z] : q(Z, Y)", "(? [X] : p(X, X)) | ! [Z] : ? [W] : r(Z, W, Y)"),
+    ],
+)
+def test_frozen_clausification_cases(f_text, g_text):
+    f, g = parse_formula(f_text), parse_formula(g_text)
+    got = frozen_run(skolemize_clausify, f, g)
+    assert got == frozen_run(substituted_clausify, f, g)
+
+
+def test_frozen_clausification_shadows_and_skolemizes_over_the_prefix():
+    x = Var("X")
+    # a bound X is not the frozen X
+    f = parse_formula("p(X) & ! [X] : q(X)")
+    res = skolemize_clausify(f, FreshNamer(), {"X": App("c")})
+    assert res.clauses == (Clause((Literal(True, "p", (App("c"),)),)), Clause((Literal(True, "q", (x,)),)))
+    # the Skolem term of Z takes X, the universal of a sibling conjunct,
+    # and the Z bound below it keeps its own name, Z_2
+    f = parse_formula("(! [X] : p(X)) & ? [Z] : (q(Z, Y) & ! [Z] : r(Z))")
+    res = skolemize_clausify(f, FreshNamer(), {"Y": App("c")})
+    assert [str(c) for c in res.clauses] == ["p(X)", "q(sk1(X),c)", "r(Z_2)"]
+    assert (res.skolem_functions, res.universal_vars) == ({"sk1"}, {"X", "Z_2"})
 
 
 def iff_chains(depth):

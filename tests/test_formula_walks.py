@@ -10,7 +10,14 @@ import pytest
 
 import foltab.syntax
 from foltab.interpolation import interpolate, unfreeze
-from foltab.normalize import ClauseLimitError, cnf, freeze_free_vars, frozen_vocabulary
+import foltab.normalize
+from foltab.normalize import (
+    ClauseLimitError,
+    cnf,
+    freeze_free_vars,
+    frozen_vocabulary,
+    skolemize_clausify,
+)
 from foltab.syntax import (
     BOTH,
     Clause,
@@ -26,7 +33,6 @@ from foltab.syntax import (
     Not,
     Or,
     Var,
-    formula_subst,
     free_vars,
     map_formula_terms,
     occurrences,
@@ -45,6 +51,7 @@ from helpers import (
     reference_formula_symbols,
     reference_free_vars,
     reference_rename_predicates,
+    reference_skolemize_clausify,
     reference_standardize,
     reference_vocabulary,
 )
@@ -87,11 +94,14 @@ def test_readers_agree_with_the_recursive_walkers():
 
 
 def frozen_pair(f, g):
-    """f and g with their free variables frozen, the placeholder map, and
-    the symbols of f and g."""
+    """f and g with their free variables frozen by the recursive
+    substitution, the placeholders, the placeholder map, the symbols of f
+    and g, and the run's namer."""
     sf, sg = read_symbols(f), read_symbols(g)
-    f_c, g_c, _, mapping = freeze_free_vars(f, g, FreshNamer(sf.names | sg.names), (sf.free, sg.free))
-    return f_c, g_c, mapping, sf, sg
+    namer = FreshNamer(sf.names | sg.names)
+    frozen, _, mapping = freeze_free_vars(namer, (sf.free, sg.free))
+    f_c, g_c = reference_formula_subst(f, frozen), reference_formula_subst(g, frozen)
+    return f_c, g_c, frozen, mapping, sf, sg, namer
 
 
 def test_frozen_vocabulary_is_read_off_the_walk():
@@ -100,12 +110,17 @@ def test_frozen_vocabulary_is_read_off_the_walk():
     x = Var("X")
     f = And((lit("p", x), ForAll("X", lit("q", x))))
     g = Or((lit("q", App("a")), Exists("Y", lit("r", x, Var("Y")))))
-    f_c, g_c, mapping, sf, sg = frozen_pair(f, g)
+    f_c, g_c, frozen, mapping, sf, sg, namer = frozen_pair(f, g)
     assert frozen_vocabulary(sf, mapping) == vocabulary(f_c)[0] == frozenset({"c_x_1"})
+    # the clausification of f freezes only the free occurrence too
+    assert skolemize_clausify(f, namer, frozen).clauses == (
+        Clause((lit("p", App("c_x_1")),)),
+        Clause((lit("q", x),)),
+    )
     assert frozen_vocabulary(sg, mapping) == vocabulary(g_c)[0]
     for rng, f in samples(13):
         g = random_formula(rng, depth=rng.randint(1, 4))
-        f_c, g_c, mapping, sf, sg = frozen_pair(f, g)
+        f_c, g_c, _, mapping, sf, sg, _ = frozen_pair(f, g)
         assert frozen_vocabulary(sf, mapping) == vocabulary(f_c)[0]
         assert frozen_vocabulary(sg, mapping) == vocabulary(g_c)[0]
 
@@ -116,20 +131,43 @@ def test_interpolate_walks_each_input_once(monkeypatch):
     monkeypatch.setattr(foltab.syntax, "occurrences", lambda f: walks.append(f) or occurrences(f))
     f, g = gen_urr_instance(random.Random(5))
     interpolate(f, g, require=("u-rr",))
-    # F and G once each, the sentence check of each clausification, and the
-    # cnf of the u-rr check
-    assert len(walks) == 5
+    # F and G once each, and the cnf of the u-rr check: clausification
+    # freezes and Skolemizes in its own walk, which checks no sentence
+    assert len(walks) == 3
     assert walks[:2] == [f, g]
 
 
-def test_maps_agree_with_the_recursive_walkers():
+def frozen_clausified(f, frozen):
+    """The clausification of f with its free variables replaced as
+    `frozen` says, and the next names of its namer; or the error."""
+    namer = FreshNamer(read_symbols(f).names)
+    try:
+        res = skolemize_clausify(f, namer, frozen)
+    except ClauseLimitError as e:
+        return str(e)
+    return res.clauses, res.skolem_functions, res.universal_vars, namer.fresh("sk")
+
+
+def recursive_frozen_clausified(f, frozen):
+    """The same, with the recursive substitution and clausification."""
+    namer = FreshNamer(read_symbols(f).names)
+    try:
+        res = reference_skolemize_clausify(reference_formula_subst(f, frozen), namer, 50)
+    except ClauseLimitError as e:
+        return str(e)
+    return res.clauses, res.skolem_functions, res.universal_vars, namer.fresh("sk")
+
+
+def test_maps_agree_with_the_recursive_walkers(monkeypatch):
+    monkeypatch.setattr(foltab.normalize, "DEFAULT_CLAUSE_LIMIT", 50)
     for rng, f in samples(12):
-        subst = {
-            v: random_term(rng, ("X", "Y", "Z"), 2)
+        # ground terms for the free variables, and for some bound names
+        frozen = {
+            v: random_term(rng, (), 2)
             for v in ("X", "Y", "Z")
-            if rng.random() < 0.6
+            if v in free_vars(f) or rng.random() < 0.6
         }
-        assert formula_subst(f, subst) == reference_formula_subst(f, subst)
+        assert frozen_clausified(f, frozen) == recursive_frozen_clausified(f, frozen)
         # bound names are renamed apart in cnf's prefix as standardize did,
         # also where a bound Y is named X_2, the name a second bound X gets
         assert cnf_outcome(cnf, f) == cnf_outcome(reference_cnf, f)
@@ -174,7 +212,8 @@ def test_occurrences_in_pre_order_with_polarity_and_bound_names():
 
 
 def test_walks_reject_what_is_not_a_formula():
-    for walk in (free_vars, vocabulary, lambda g: formula_subst(g, {"X": App("a")})):
+    frozen = {"X": App("a")}
+    for walk in (free_vars, vocabulary, lambda g: skolemize_clausify(g, FreshNamer(), frozen)):
         with pytest.raises(TypeError, match="not a formula"):
             walk(And((lit("p"), "p")))
 
@@ -210,7 +249,8 @@ def test_deep_negation_chain(default_recursion_limit):
     assert free_vars(f) == {"X"}
     assert vocabulary(f) == (frozenset({"c"}), frozenset({("p", "+")}))
     assert read_symbols(f).names == {"X", "p", "c"}
-    assert peel(formula_subst(f, {"X": App("a")}), Not) == lit("p", App("a"), App("c"))
+    frozen = skolemize_clausify(f, FreshNamer(), {"X": App("a")})
+    assert frozen.clauses == (Clause((lit("p", App("a"), App("c")),)),)
     assert peel(rename_predicates(f, {"p": "q"}), Not) == lit("q", x, App("c"))
     assert peel(map_formula_terms(f, lambda t: App("b")), Not) == lit("p", App("b"), App("b"))
     assert peel(unfreeze(f, {"c": "Y"}), Not) == lit("p", x, Var("Y"))
@@ -228,7 +268,10 @@ def test_deep_quantifier_chain(default_recursion_limit):
         reference_free_vars(f)
     assert free_vars(f) == {"Y"}
     assert read_symbols(f).names == {"X", "Y", "p"}
-    assert peel(formula_subst(f, {"Y": App("a")}), ForAll) == lit("p", x, App("a"))
+    # the innermost binder is the last of DEPTH renamed apart
+    frozen = skolemize_clausify(f, FreshNamer(), {"Y": App("a")})
+    assert frozen.clauses == (Clause((lit("p", Var(f"X_{DEPTH}"), App("a")),)),)
+    assert len(frozen.universal_vars) == DEPTH
     count = iter(range(DEPTH))
     renamed = rename_bound(f, lambda v: f"V{next(count)}")
     assert [g.var for g, _, _ in occurrences(renamed) if g.__class__ is ForAll][-1] == f"V{DEPTH - 1}"

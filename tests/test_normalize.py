@@ -238,31 +238,34 @@ def test_cnf_clause_limit():
 
 
 def freeze(f, g):
-    """`freeze_free_vars` as a run calls it."""
-    return freeze_free_vars(f, g, namer_for(f, g), (free_vars(f), free_vars(g)))
+    """`freeze_free_vars` as a run calls it, and its namer."""
+    namer = namer_for(f, g)
+    return freeze_free_vars(namer, (free_vars(f), free_vars(g))), namer
 
 
 def test_freeze_shared_variable():
     f, g = p(x), q(x)
-    f_c, g_c, shared, mapping = freeze(f, g)
+    (frozen, shared, mapping), namer = freeze(f, g)
     assert len(shared) == 1
     c = next(iter(shared))
-    assert f_c == p(App(c))
-    assert g_c == q(App(c))
+    assert frozen == {"X": App(c)}
     assert mapping[c] == "X"
+    # clausification applies the placeholders as it walks
+    assert skolemize_clausify(f, namer, frozen).clauses == (Clause((p(App(c)),)),)
+    assert skolemize_clausify(g, namer, frozen).clauses == (Clause((q(App(c)),)),)
 
 
 def test_freeze_sentences_untouched():
     f, g = ForAll("X", p(x)), q(a)
-    f_c, g_c, shared, _ = freeze(f, g)
-    assert (f_c, g_c) == (f, g)
+    (frozen, shared, mapping), _ = freeze(f, g)
+    assert frozen == {} and mapping == {}
     assert shared == frozenset()
 
 
 def test_freeze_only_shared_in_c():
     f = p(x, y)
     g = q(y)
-    _, _, shared, mapping = freeze(f, g)
+    (_, shared, mapping), _ = freeze(f, g)
     assert {mapping[c] for c in shared} == {"Y"}
     assert set(mapping.values()) == {"X", "Y"}
 
