@@ -148,10 +148,7 @@ def _tableau_instances(
     first check, which costs less than grouping the clauses by shape."""
     instances: dict[str, list[tuple[Literal, ...]]] = {"F": [], "G": []}
     clauses = {"F": f_clauses, "G": g_clauses}
-    root = tab.root
-    if not root.children:
-        return None
-    for n, _, target in [(root, 0, None), *branch_walk(root)]:
+    for n, _, target in branch_walk(tab.root):
         if not n.children:
             if target is None:
                 return None

@@ -103,7 +103,7 @@ def cmd_prove(args) -> int:
         frozen, _, _ = freeze_free_vars(namer, (symbols.free, symbols.free))
         clauses = list(skolemize_clausify(formula, namer, frozen).clauses)
     if args.equality_axioms:
-        sig = Signature.empty()
+        sig = Signature()
         for c in clauses:
             for l in c.literals:
                 sig.extend_with_literal(l)

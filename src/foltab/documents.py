@@ -20,8 +20,10 @@ _LINE_RE = re.compile(
 
 def format_tableau(tab: Tableau) -> str:
     lines = [_HEADER]
-    depth_of = {tab.root: 0}
-    for n, depth, target in branch_walk(tab.root):
+    depth_of = {}
+    walk = branch_walk(tab.root)
+    next(walk)  # the root has no line
+    for n, depth, target in walk:
         depth_of[n] = depth
         parts = ["  " * depth + str(n.literal)]
         if n.side is not None:
@@ -45,7 +47,7 @@ def parse_tableau(text: str) -> Tableau:
     stack: list[Node] = [root]  # stack[d] = most recent node at depth d
     # (node, the node on its branch at its declared target depth, depth, line)
     targets: list[tuple[Node, Optional[Node], int, int]] = []
-    sig = Signature.empty()
+    sig = Signature()
     p = _Parser()
     for line_no, _, raw in body:
         m = _LINE_RE.match(raw)

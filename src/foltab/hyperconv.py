@@ -46,7 +46,7 @@ from .tableaux import (
     close_leaf,
     is_closed,
     is_hyper,
-    simplify_below,
+    simplify_in_place,
 )
 
 OMEGA = float("inf")
@@ -66,19 +66,14 @@ class ConversionRound:
 
 
 class ConversionTrace:
-    def __init__(
-        self,
-        rounds: Optional[list[ConversionRound]] = None,
-        regular_splices: int = 0,
-        leaf_truncations: int = 0,
-        input_size: int = 0,
-        output_size: int = 0,
-    ):
-        self.rounds = [] if rounds is None else rounds
-        self.regular_splices = regular_splices
-        self.leaf_truncations = leaf_truncations
+    """What a conversion did, counted as it goes."""
+
+    def __init__(self, input_size: int):
+        self.rounds: list[ConversionRound] = []
+        self.regular_splices = 0
+        self.leaf_truncations = 0
         self.input_size = input_size
-        self.output_size = output_size
+        self.output_size = 0
 
     @property
     def total_rounds(self) -> int:
@@ -171,7 +166,7 @@ class _Index:
     def graft(self, segment: list[Node], clause: list[Node]) -> tuple[int, int]:
         """Give the leaf `m`, the first node of `segment`, the detached,
         filed nodes `clause` as its children and make the tree below `m`
-        regular and leaf-closing, as `simplify_below` would; returns
+        regular and leaf-closing, as `simplify_in_place` would; returns
         (splices, truncations).
 
         `segment` is the branch from `m` up to the node `nprime` the clause
@@ -277,14 +272,13 @@ def hyper_convert(
     it is."""
     if not is_closed(tab):
         raise StructureError("hyper conversion requires a closed tableau")
-    trace = ConversionTrace(input_size=tab.inner_size())
+    trace = ConversionTrace(tab.inner_size())
     work = tab.copy()
-    root = work.root
-    spl, tru = simplify_below(root, root.children, {})
+    spl, tru = simplify_in_place(work.root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
-    index = _Index(root)
-    pending = [root]
+    index = _Index(work.root)
+    pending = [work.root]
     prev: Optional[tuple] = None
     while True:
         sel = _select(pending)
@@ -332,7 +326,7 @@ def hyper_convert(
                 grafts.append(segment)
         for i, segment in enumerate(grafts, 1):
             if i < len(grafts):
-                clause = [c.copy_subtree()[0] for c in u]
+                clause = [c.copy_subtree() for c in u]
                 for c in clause:
                     index.enter(c)
             else:

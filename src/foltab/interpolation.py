@@ -184,7 +184,7 @@ def ipol_map(tab: Tableau) -> dict[Node, Formula]:
         raise StructureError("empty tableau")
     values: dict[Node, Formula] = {}
     # in reverse pre-order every node comes after its children
-    for n, _, t in reversed([(tab.root, 0, None), *branch_walk(tab.root)]):
+    for n, _, t in reversed(list(branch_walk(tab.root))):
         if n.children:
             parts = [values[c] for c in n.children]
             v = simp_or(parts) if n.children[0].side == "F" else simp_and(parts)
@@ -262,29 +262,19 @@ def hornify(f: Formula) -> Formula:
 
 class InterpolationReport:
     """One run: its certificate, which no other field copies, its term
-    classes, its interpolant, the hyper conversion and the verdicts."""
+    classes, its interpolant, the hyper conversion and the verdicts; the
+    run fills it in as it goes."""
 
-    def __init__(
-        self,
-        certificate: Optional[Certificate] = None,
-        context: Optional[InterpolationContext] = None,
-        interpolant: Optional[Formula] = None,
-        size_before: Optional[int] = None,
-        size_after: Optional[int] = None,
-        trace: Optional[ConversionTrace] = None,
-        require_results: Optional[dict[str, bool]] = None,
-        verification: Optional[VerificationReport] = None,
-        timings_ms: Optional[dict[str, float]] = None,
-    ):
-        self.certificate = certificate
-        self.context = context
-        self.interpolant = interpolant
-        self.size_before = size_before
-        self.size_after = size_after
-        self.trace = trace
-        self.require_results = {} if require_results is None else require_results
-        self.verification = verification
-        self.timings_ms = {} if timings_ms is None else timings_ms
+    def __init__(self):
+        self.certificate: Optional[Certificate] = None
+        self.context: Optional[InterpolationContext] = None
+        self.interpolant: Optional[Formula] = None
+        self.size_before: Optional[int] = None
+        self.size_after: Optional[int] = None
+        self.trace: Optional[ConversionTrace] = None
+        self.require_results: dict[str, bool] = {}
+        self.verification: Optional[VerificationReport] = None
+        self.timings_ms: dict[str, float] = {}
 
     @property
     def size_ratio(self) -> Optional[float]:
@@ -435,13 +425,12 @@ class VerificationReport:
         variables_ok: bool,
         f_entails_h: str,
         h_entails_g: str,
-        properties: Optional[dict[str, bool]] = None,
     ):
         self.vocabulary_ok = vocabulary_ok
         self.variables_ok = variables_ok
         self.f_entails_h = f_entails_h  # pass | fail | inconclusive
         self.h_entails_g = h_entails_g
-        self.properties = {} if properties is None else properties
+        self.properties: dict[str, bool] = {}  # the required properties' verdicts
 
     @property
     def passed(self) -> bool:

@@ -121,7 +121,7 @@ _PARAMOD_NAMES = {"paramod", "paramodulation", "para", "pm"}
 
 def parse_proof(text: str) -> ProofDocument:
     steps: dict[str, DeductionStep] = {}
-    sig = Signature.empty()
+    sig = Signature()
     p = _Parser()
     for line_no, stripped, _ in content_lines(text):
         try:

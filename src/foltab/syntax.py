@@ -47,8 +47,8 @@ on them:
   `read_symbols` reads a formula's names, free variables, functions and
   signed predicates from it in one walk, and `vocabulary` is a view of
   that walk;
-- `map_formula` rebuilds, bottom up, and calls its `binder` at each
-  quantifier in pre-order (so fresh names are picked outside in).
+- `map_formula` rebuilds, bottom up, replacing each literal; quantifiers
+  keep their variables.
 
 No formula is substituted into here: clausification (`normalize`) applies
 the placeholders of free variables and the Skolem terms with `apply_term`
@@ -805,9 +805,10 @@ class Clause(_Value):
         return sep.join(map(Literal.__str__, self.literals))
 
 
-def clause(literals: Iterable[Literal], conjunctive: bool = False) -> Clause:
-    """Build a clause, dropping duplicate literals (first occurrence wins)."""
-    return Clause(tuple(dict.fromkeys(literals)), conjunctive)
+def clause(literals: Iterable[Literal]) -> Clause:
+    """Build a disjunctive clause, dropping duplicate literals (first
+    occurrence wins)."""
+    return Clause(tuple(dict.fromkeys(literals)))
 
 
 def literal_key(l: Literal):
@@ -862,26 +863,18 @@ def occurrences(f: Formula) -> Iterator[tuple[Formula, int, frozenset[str]]]:
             raise TypeError(f"not a formula: {g!r}")
 
 
-def map_formula(
-    f: Formula,
-    literal: Callable[[Literal, object], Formula],
-    binder: Optional[Callable[[str, object], tuple[str, object]]] = None,
-    env: object = None,
-) -> Formula:
-    """f rebuilt bottom up, each literal l replaced by literal(l, env).
+def map_formula(f: Formula, literal: Callable[[Literal], Formula]) -> Formula:
+    """f rebuilt bottom up, each literal l replaced by literal(l).
 
-    `env` is passed down unchanged, except at a quantifier over v:
-    binder(v, env) returns (w, env'), and the quantifier is rebuilt over w
-    with env' for its body.  binder is called in pre-order, left to right;
-    without it, quantifiers keep their variable and env.  Subformulas that
-    come out unchanged are shared with f."""
+    The literals are read in pre-order, left to right, and quantifiers keep
+    their variables.  Subformulas that come out unchanged are shared with f."""
     out: list[Formula] = []
-    # (g, env, None) visits g; (g, _REBUILD, w) rebuilds g from `out`
-    todo: list[tuple[Formula, object, Optional[str]]] = [(f, env, None)]
+    # (g, False) visits g; (g, True) rebuilds g from `out`
+    todo: list[tuple[Formula, bool]] = [(f, False)]
     while todo:
-        g, e, w = todo.pop()
+        g, rebuild = todo.pop()
         cls = g.__class__
-        if e is _REBUILD:
+        if rebuild:
             if cls is And or cls is Or:
                 k = len(out) - len(g.parts)
                 parts = tuple(out[k:])
@@ -896,24 +889,20 @@ def map_formula(
                 out.append(g if lhs is g.lhs and rhs is g.rhs else cls(lhs, rhs))
             else:
                 body = out.pop()
-                out.append(g if body is g.body and w == g.var else cls(w, body))
+                out.append(g if body is g.body else cls(g.var, body))
         elif cls is Literal:
-            out.append(literal(g, e))
+            out.append(literal(g))
         elif cls is And or cls is Or:
-            todo.append((g, _REBUILD, None))
+            todo.append((g, True))
             for p in reversed(g.parts):
-                todo.append((p, e, None))
-        elif cls is Not:
-            todo.append((g, _REBUILD, None))
-            todo.append((g.body, e, None))
+                todo.append((p, False))
+        elif cls is Not or cls is ForAll or cls is Exists:
+            todo.append((g, True))
+            todo.append((g.body, False))
         elif cls is Implies or cls is Iff:
-            todo.append((g, _REBUILD, None))
-            todo.append((g.rhs, e, None))
-            todo.append((g.lhs, e, None))
-        elif cls is ForAll or cls is Exists:
-            w, inner = binder(g.var, e) if binder else (g.var, e)
-            todo.append((g, _REBUILD, w))
-            todo.append((g.body, inner, None))
+            todo.append((g, True))
+            todo.append((g.rhs, False))
+            todo.append((g.lhs, False))
         elif cls is Top or cls is Bottom:
             out.append(g)
         else:
@@ -1021,12 +1010,12 @@ def clause_sign_vars(c: Clause, positive: bool) -> set[str]:
 
 
 def map_formula_terms(f: Formula, fn: Callable[[Term], Term]) -> Formula:
-    return map_formula(f, lambda l, _: map_literal_terms(l, fn))
+    return map_formula(f, lambda l: map_literal_terms(l, fn))
 
 
 def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
     return map_formula(
-        f, lambda l, _: Literal(l.positive, mapping.get(l.predicate, l.predicate), l.args)
+        f, lambda l: Literal(l.positive, mapping.get(l.predicate, l.predicate), l.args)
     )
 
 
@@ -1035,14 +1024,10 @@ def rename_predicates(f: Formula, mapping: dict[str, str]) -> Formula:
 
 
 class Signature:
-    def __init__(self, functions: dict[str, int], predicates: dict[str, int]):
-        self.functions = functions
-        self.predicates = predicates
+    def __init__(self):
+        self.functions: dict[str, int] = {}
+        self.predicates: dict[str, int] = {}
         self.checked: set[App] = set()  # the applications checked
-
-    @classmethod
-    def empty(cls) -> "Signature":
-        return cls({}, {})
 
     def add_function(self, name: str, arity: int) -> None:
         if name in self.predicates:

@@ -12,11 +12,11 @@ on the current branch labeled with it.  A node's target is its nearest
 ancestor labeled with the complementary literal, the top of that
 literal's stack, so the walk is linear in the size of the tree.
 
-Tableaux are built single-threaded.  `simplify_below` works in place on
-the nodes it is given; `simplify` and `hyper_convert` run it on a copy and
-leave their input as it is, and `prove` runs it on the nodes of the
-proof it found.  `ground_tableau` and `assign_sides` work in place too, on
-the tableau their caller owns.
+Tableaux are built single-threaded.  `simplify_in_place` works in place
+on the whole tree below a root; `simplify` and `hyper_convert` run it on a
+copy and leave their input as it is, and `prove` runs it on the nodes of
+the proof it found.  `ground_tableau` and `assign_sides` work in place
+too, on the tableau their caller owns.
 
 `prove` shares clause structure and makes no node while it searches: a
 literal of a clause instance is a branch cell holding the clause's own
@@ -30,7 +30,6 @@ the search has found it.
 from __future__ import annotations
 
 import time
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .syntax import (
@@ -95,17 +94,17 @@ class Node:
             yield n
             stack.extend(reversed(n.children))
 
-    def copy_subtree(self) -> tuple["Node", dict[int, "Node"]]:
-        """Fresh copy; returns the copy and a map id(original) -> copy."""
+    def copy_subtree(self) -> "Node":
+        """A fresh copy of the subtree below this node, the node included."""
         top = Node(self.literal, self.side)
-        mapping = {id(self): top}
+        copies = {self: top}
         below = self.pre_order()
         next(below)
         for n in below:
-            c = mapping[id(n)] = Node(n.literal, n.side)
-            c.parent = mapping[id(n.parent)]
+            c = copies[n] = Node(n.literal, n.side)
+            c.parent = copies[n.parent]
             c.parent.children.append(c)
-        return top, mapping
+        return top
 
     def __repr__(self) -> str:
         return f"<Node {self.literal}>"
@@ -128,8 +127,7 @@ class Tableau:
         return sum(1 for n in self.nodes() if n.children)
 
     def copy(self) -> "Tableau":
-        root, _ = self.root.copy_subtree()
-        return Tableau(root)
+        return Tableau(self.root.copy_subtree())
 
 
 def clause_at(node: Node) -> tuple[Literal, ...]:
@@ -145,27 +143,28 @@ Branch = dict[Literal, list[Node]]
 
 
 def branch_walk(
-    start: Node, on: Optional[Branch] = None
+    root: Node, on: Optional[Branch] = None
 ) -> Iterator[tuple[Node, int, Optional[Node]]]:
-    """Each node below `start` in pre-order, with its depth below `start`
-    and its target, the nearest ancestor labeled with the complementary
-    literal.
+    """Each node of the tree `root` heads in pre-order, `root` first, with
+    its depth and its target, the nearest ancestor labeled with the
+    complementary literal; the root has depth 0 and no target.
 
-    `on` holds the branch down to `start` (empty when `start` is the
-    root); while the caller holds a node, it holds the
-    branch down to that node, the node included, and it is back as given
-    when the walk ends.  A node's children are read only after the caller
-    has seen the node, so the caller may replace or drop them first."""
+    `on`, empty when given, holds the branch: while the caller holds a
+    node, it holds the literals of the branch down to that node, the node
+    included, and it is empty again when the walk ends.  A node's children
+    are read only after the caller has seen the node, so the caller may
+    replace or drop them first."""
     if on is None:
         on = {}
-    # start and the nodes below it on the branch, each with an iterator
-    # over the children still to visit
-    stack = [(start, iter(start.children))]
+    yield root, 0, None
+    # the nodes of the branch, each with an iterator over the children
+    # still to visit
+    stack = [(root, iter(root.children))]
     while stack:
         n = next(stack[-1][1], None)
         if n is None:
             left = stack.pop()[0].literal
-            if stack:  # left a node below start
+            if stack:  # left a node below the root
                 nodes = on[left]
                 nodes.pop()
                 if not nodes:
@@ -179,7 +178,7 @@ def branch_walk(
 
 def is_closed(tab: Tableau) -> bool:
     """True iff every branch contains complementary literals."""
-    closed = bool(tab.root.children)
+    closed = True
     closing = 0  # depth of the highest node on the branch with a target, or 0
     for n, depth, target in branch_walk(tab.root):
         if not 0 < closing < depth:
@@ -224,10 +223,9 @@ def close_leaf(n: Node, dropped: Optional[list[Node]]) -> None:
     n.children = []
 
 
-def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, int]:
-    """Make `children` the children of `top` and the tree below `top`
-    regular and leaf-closing, in place, as the whole-tree walk makes it on
-    reaching `top`, whose branch is `on`.  Returns (splices, truncations).
+def simplify_in_place(root: Node) -> tuple[int, int]:
+    """Make the tree `root` heads regular and leaf-closing, in place.
+    Returns (splices, truncations).
 
     Regularity: a node repeating a literal of its branch causes the edges of
     its parent to be replaced by its own edges.  Leaf-closing: an inner
@@ -235,9 +233,9 @@ def simplify_below(top: Node, children: list[Node], on: Branch) -> tuple[int, in
     encounter in pre-order; neither operation can introduce a violation
     earlier in the walk, since both only shorten ancestor chains.  The walk
     visits only the nodes it keeps."""
-    top.children = children
+    on: Branch = {}
     splices = truncations = 0
-    for n, _, target in chain([(top, 0, None)], branch_walk(top, on)):
+    for n, _, target in branch_walk(root, on):
         if target is not None and n.children:
             close_leaf(n, None)
             truncations += 1
@@ -250,7 +248,7 @@ def simplify(tab: Tableau) -> Tableau:
     """Regular, leaf-closing copy of tab, for the same clausal formula;
     closed if tab is closed."""
     out = tab.copy()
-    simplify_below(out.root, out.root.children, {})
+    simplify_in_place(out.root)
     return out
 
 
@@ -411,7 +409,7 @@ def finish_proof(start: list, binding: CopyStore) -> Tableau:
             parent.add(n)
             if children:
                 todo.append((n, children))
-    simplify_below(root, root.children, {})
+    simplify_in_place(root)
     return Tableau(root)
 
 

@@ -456,7 +456,7 @@ def parse_fof_file(text: str) -> list[FofRecord]:
     records = p.fof_records()
     # global arity consistency is a hard input error; the parser's literals
     # come in the order `occurrences` would walk the records in
-    sig = Signature.empty()
+    sig = Signature()
     for l in p.literals:
         sig.extend_with_literal(l)
     return records
@@ -486,7 +486,7 @@ def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
 def parse_clause_file(text: str) -> list[Clause]:
     """One clause per content line."""
     out = []
-    sig = Signature.empty()
+    sig = Signature()
     p = _Parser()
     for i, stripped, raw in content_lines(text):
         if stripped in ("$false", "false"):

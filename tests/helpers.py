@@ -64,7 +64,6 @@ from foltab.syntax import (
     clause_formula,
     is_ground,
     literal_key,
-    map_formula,
     map_literal_terms,
     mk_and,
     mk_or,
@@ -484,15 +483,14 @@ def is_leaf_closing(tab: Tableau) -> bool:
 
 
 def is_leaf_closed(tab: Tableau) -> bool:
-    """Closed, with exactly the leaves closing."""
-    return bool(tab.root.children) and all(
-        (target is None) == bool(n.children) for n, _, target in branch_walk(tab.root)
-    )
+    """Closed, with exactly the leaves closing; the root, which has no
+    target, must have children."""
+    return all((target is None) == bool(n.children) for n, _, target in branch_walk(tab.root))
 
 
 def is_regular(tab: Tableau) -> bool:
     on: Branch = {}
-    return all(len(on[n.literal]) == 1 for n, _, _ in branch_walk(tab.root, on))
+    return all(depth == 0 or len(on[n.literal]) == 1 for n, depth, _ in branch_walk(tab.root, on))
 
 
 def side_path_literals(node: Node, side: str) -> list[Literal]:
@@ -663,20 +661,6 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
     return {v: reference_resolve(t, store) for v, t in store.items()}
 
 
-def rename_bound(f: Formula, pick) -> Formula:
-    """f with the variable v of each quantifier renamed to pick(v), and the
-    occurrences it binds renamed with it, on `map_formula`.  pick is called
-    in pre-order."""
-
-    def binder(v: str, env: Subst) -> tuple[str, Subst]:
-        w = pick(v)
-        return w, {**env, v: Var(w)}
-
-    return map_formula(
-        f, lambda l, s: map_literal_terms(l, lambda t: apply_term(t, s)), binder, {}
-    )
-
-
 # ---------------------------------------------------------------------------
 # Reference tableau walkers: each recursed on its own, and each target came
 # from a scan of the node's ancestors.  An oracle for `branch_walk` and the
@@ -753,24 +737,10 @@ def reference_is_regular(tab: Tableau) -> bool:
     return walk(tab.root, frozenset())
 
 
-def branch_of(node: Node) -> dict:
-    """The branch from the root down to `node`, `node` included, as
-    `branch_walk` takes it: each literal with its nodes, nearest last."""
-    on: dict = {}
-    n = node
-    while n.literal is not None:
-        on.setdefault(n.literal, []).insert(0, n)
-        n = n.parent
-    return on
-
-
-def reference_simplify_in_place(
-    root: Node, counts: Optional[dict[Literal, int]] = None
-) -> tuple[int, int]:
+def reference_simplify_in_place(root: Node) -> tuple[int, int]:
     splices = 0
     truncations = 0
-    if counts is None:
-        counts = {}
+    counts: dict[Literal, int] = {}
 
     def visit(n: Node) -> None:
         nonlocal splices, truncations
@@ -797,7 +767,8 @@ def reference_simplify_in_place(
 
 
 def reference_copy_subtree(node: Node) -> tuple[Node, dict[int, Node]]:
-    """Fresh copy; returns the copy and a map id(original) -> copy."""
+    """Fresh copy; returns the copy and a map id(original) -> copy, which
+    the reference hyper conversion reads."""
     mapping: dict[int, Node] = {}
 
     def go(n: Node) -> Node:
@@ -1426,7 +1397,7 @@ def reference_standardize(f: Formula, reserved: Iterable[str] = ()) -> Formula:
 
 
 def reference_signature_of(formulas: Iterable[Formula]) -> Signature:
-    sig = Signature.empty()
+    sig = Signature()
 
     def extend_with_term(t: Term) -> None:
         if isinstance(t, App):
@@ -2109,7 +2080,7 @@ def reference_extend_signature(
 
 def reference_parse_clause_file(text: str) -> list[Clause]:
     out = []
-    sig = Signature.empty()
+    sig = Signature()
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
@@ -2129,7 +2100,7 @@ def reference_normalize_clause(c: Clause) -> tuple[Literal, ...]:
 
 def reference_parse_proof(text: str) -> ProofDocument:
     steps: dict[str, DeductionStep] = {}
-    sig = Signature.empty()
+    sig = Signature()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#") or stripped.startswith("%"):
@@ -2325,7 +2296,7 @@ def reference_parse_tableau(text: str) -> Tableau:
     stack: list[Node] = [root]
     depths = {root: 0}
     targets: list[tuple[Node, int, int]] = []
-    sig = Signature.empty()
+    sig = Signature()
     for line_no, raw in body[1:]:
         m = _REFERENCE_LINE_RE.match(raw)
         if m is None or not m.group("lit").strip():

@@ -106,7 +106,7 @@ def relifted(cert, mutate):
 def flip_literal(n):
     def mutate(f):
         count = itertools.count()
-        return map_formula(f, lambda l, _: l.complement() if next(count) == n else l)
+        return map_formula(f, lambda l: l.complement() if next(count) == n else l)
 
     return mutate
 
@@ -307,7 +307,7 @@ def models(f):
 def literals_of(f):
     """The literal occurrences of f, in the order map_formula reads them."""
     out = []
-    map_formula(f, lambda l, _: out.append(l) or l)
+    map_formula(f, lambda l: out.append(l) or l)
     return out
 
 

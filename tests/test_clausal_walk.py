@@ -5,9 +5,10 @@ formulas, with a clause limit low enough that distribution errors are
 compared too; formulas nested deeper than the default recursion limit;
 duplicate removal in truth-value simplification; and a look at the source
 that no function of these modules, the term kernel, the prover, proof
-import, hyper conversion or tableau documents calls itself, and that every
+import, hyper conversion or tableau documents calls itself, that every
 function in src has a caller in the program or is documented library
-API, and every test helper a caller in the tests."""
+API, and so has every parameter with a default a call that passes it,
+and that every test helper has a caller in the tests."""
 
 import ast
 import copy
@@ -368,12 +369,19 @@ def library_names():
     return frozenset(re.findall(r"`(\w+)`", section))
 
 
-def test_every_src_function_has_a_caller():
+def program_sources():
+    """The modules of src, and the sources that count as their callers:
+    src but the package's re-exports in __init__.py, which call nothing,
+    perfbench/ and scripts/."""
     src = sorted((REPO / "src" / "foltab").glob("*.py"))
-    # the package's re-exports in __init__.py call nothing
     callers = [p.read_text() for p in src if p.name != "__init__.py"]
     for d in ("perfbench", "scripts"):
         callers += [p.read_text() for p in sorted((REPO / d).glob("*.py"))]
+    return src, callers
+
+
+def test_every_src_function_has_a_caller():
+    src, callers = program_sources()
     allowed = library_names()
     assert "simplify" in allowed
     for p in src:
@@ -408,6 +416,96 @@ def test_every_src_function_has_a_caller():
     # and the read from an object whose class does not show, when no other
     # class declares the name
     assert uncalled(source, ["def f(x):\n    return T, x.size\n"]) == []
+
+
+def call_arguments(callers):
+    """Per called name (a function's, a method's or a class's), what each
+    call in `callers` passes: (the number of positional arguments, the
+    keywords, None among them for `**options`); a call with `*args` or
+    `**options` passes every position."""
+    out = {}
+    for caller in callers:
+        for node in ast.walk(ast.parse(caller)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            every = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            out.setdefault(name, []).append((float("inf") if every else len(node.args), keywords))
+    return out
+
+
+def unpassed(source, callers, allowed=frozenset()):
+    """The parameters with a default of the top-level functions of `source`
+    and of the methods of its classes, as `name: parameter`, that no call
+    in `callers` passes, leaving out the functions and methods that
+    `allowed` names as uncalled does.  A method counts as called through
+    its name, and a constructor (`__init__`) through its class's name;
+    the other dunder methods are left out, since the interpreter calls
+    them."""
+    calls = call_arguments(callers)
+    functions = []  # (label, the name calls use, the definition, the positions its calls skip)
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if not isinstance(m, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                if m.name == "__init__":
+                    functions.append((f"{node.name}.__init__", node.name, m, 1))
+                elif not (m.name.startswith("__") and m.name.endswith("__")):
+                    functions.append((f"{node.name}.{m.name}", m.name, m, 0 if static else 1))
+    out = []
+    for label, name, fn, skip in functions:
+        if label in allowed or name in allowed:
+            continue
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        params = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+        params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        passed = calls.get(name, ())
+        out.extend(
+            f"{label}: {p}"
+            for i, p in params
+            if not any(
+                p in keys or None in keys or i is not None and i < npos for npos, keys in passed
+            )
+        )
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    src, callers = program_sources()
+    allowed = library_names()
+    assert "entails" in allowed
+    for p in src:
+        assert unpassed(p.read_text(), callers, allowed) == [], p.name
+    # the check flags a default that no call overrides, by position or by
+    # keyword; a call with *args passes every position, and one with
+    # **options every parameter
+    source = "def f(a, b=1, *, c=2):\n    pass\n"
+    assert unpassed(source, ["f(0)"]) == ["f: b", "f: c"]
+    assert unpassed(source, ["f(0, 1)", "f(0, c=3)"]) == []
+    assert unpassed(source, ["f(0, b=1)"]) == ["f: c"]
+    assert unpassed(source, ["f(*args)"]) == ["f: c"]
+    assert unpassed(source, ["f(0, **options)"]) == []
+    # a method's calls skip its first parameter, a static method's do not;
+    # a constructor is called through its class, another dunder method not
+    # at all; an allowed name is left out
+    source = (
+        "class T:\n    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0):\n        pass\n"
+        "    @staticmethod\n    def s(z=0):\n        pass\n"
+        "    def __eq__(self, o=None):\n        pass\n"
+    )
+    assert unpassed(source, ["T(1).m().s()"]) == ["T.m: y", "T.s: z"]
+    assert unpassed(source, ["T().m(1).s(1)"]) == ["T.__init__: x"]
+    assert unpassed(source, ["T().m(1).s(1)"], {"T"}) == []
+    assert unpassed("def simplify(x=0):\n    pass\n", [], {"simplify"}) == []
 
 
 def unused_helpers(source, callers):

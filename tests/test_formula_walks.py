@@ -44,7 +44,6 @@ from foltab.tptp import format_formula, parse_formula
 from helpers import (
     gen_urr_instance,
     random_formula,
-    rename_bound,
     random_term,
     reference_cnf,
     reference_formula_subst,
@@ -272,7 +271,7 @@ def test_deep_quantifier_chain(default_recursion_limit):
     frozen = skolemize_clausify(f, FreshNamer(), {"Y": App("a")})
     assert frozen.clauses == (Clause((lit("p", Var(f"X_{DEPTH}"), App("a")),)),)
     assert len(frozen.universal_vars) == DEPTH
-    count = iter(range(DEPTH))
-    renamed = rename_bound(f, lambda v: f"V{next(count)}")
-    assert [g.var for g, _, _ in occurrences(renamed) if g.__class__ is ForAll][-1] == f"V{DEPTH - 1}"
-    assert peel(renamed, ForAll) == lit("p", Var(f"V{DEPTH - 1}"), Var("Y"))
+    # map_formula rebuilds the chain with its binders as they are
+    renamed = rename_predicates(f, {"p": "q"})
+    assert [g.var for g, _, _ in occurrences(renamed) if g.__class__ is ForAll] == ["X"] * DEPTH
+    assert peel(renamed, ForAll) == lit("q", x, Var("Y"))

@@ -42,7 +42,7 @@ DEPTH = 5_000
 
 def with_equations(f):
     """f with each literal of two arguments made an equation."""
-    return map_formula(f, lambda l, _: Literal(l.positive, "=", l.args) if len(l.args) == 2 else l)
+    return map_formula(f, lambda l: Literal(l.positive, "=", l.args) if len(l.args) == 2 else l)
 
 
 def test_printers_agree_with_the_recursive_ones():

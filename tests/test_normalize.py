@@ -365,12 +365,12 @@ def _universal_closure(c):
 
 
 def test_equality_axioms_core_only():
-    axs = equality_axioms(Signature.empty())
+    axs = equality_axioms(Signature())
     assert len(axs) == 3
 
 
 def test_equality_axioms_predicate_substitutivity():
-    sig = Signature.empty()
+    sig = Signature()
     sig.add_predicate("p", 1)
     axs = equality_axioms(sig)
     expected = Clause(
@@ -384,7 +384,7 @@ def test_equality_axioms_predicate_substitutivity():
 
 
 def test_equality_axioms_function_substitutivity():
-    sig = Signature.empty()
+    sig = Signature()
     sig.add_function("f", 1)
     axs = equality_axioms(sig)
     expected = Clause(

@@ -97,9 +97,9 @@ def assert_agree(new, reference, text, key=lambda r: r):
 
 
 def tableau_rows(tab):
-    """Depth, literal, side and target depth of every node below the root in
-    pre-order, as the branch walk reads them."""
-    depth_of = {tab.root: 0}
+    """Depth, literal, side and target depth of every node in pre-order,
+    the root first, as the branch walk reads them."""
+    depth_of = {}
     out = []
     for n, depth, target in branch_walk(tab.root):
         depth_of[n] = depth

@@ -491,7 +491,7 @@ def test_unify_is_mgu_against_enumeration():
 
 
 def test_signature_arity_clash():
-    sig = Signature.empty()
+    sig = Signature()
     sig.add_function("f", 1)
     with pytest.raises(InputError):
         sig.add_function("f", 2)

@@ -6,7 +6,6 @@ a 5,000-deep branch under a recursion limit of 1,000."""
 
 import random
 import sys
-from collections import Counter
 
 import pytest
 
@@ -25,11 +24,10 @@ from foltab.tableaux import (
     is_hyper,
     prove,
     simplify,
-    simplify_below,
+    simplify_in_place,
 )
 from helpers import (
     ancestors,
-    branch_of,
     is_leaf_closed,
     is_leaf_closing,
     is_regular,
@@ -109,13 +107,12 @@ def corpus() -> list[Tableau]:
     return random_tableaux(11, 400) + prover_tableaux(12, 60) + family_tableaux()
 
 
-def rows(node: Node) -> list[tuple]:
+def rows(root: Node) -> list[tuple]:
     """Literal, side, depth, child count and target position of every node
-    in pre-order, `node` included, as the branch walk below `node` reads
-    them: depths count from `node`, whose own target is None."""
-    out = [(node.literal, node.side, 0, len(node.children), None)]
-    where = {node: 0}
-    for n, depth, target in branch_walk(node):
+    of the tree `root` heads, in pre-order, as the branch walk reads them."""
+    out = []
+    where = {}
+    for n, depth, target in branch_walk(root):
         where[n] = len(out)
         out.append((n.literal, n.side, depth, len(n.children), where.get(target)))
     return out
@@ -152,26 +149,14 @@ def test_targets_and_closedness_agree_with_the_reference(tableaux):
 
 
 def test_simplification_agrees_with_the_reference(tableaux):
-    rng = random.Random(13)
     changed = 0
     for tab in tableaux:
         mine, ref = tab.copy(), reference_copy(tab)
-        got = simplify_below(mine.root, mine.root.children, {})
+        got = simplify_in_place(mine.root)
         assert got == reference_simplify_in_place(ref.root)
         assert rows(mine.root) == reference_rows(ref)
         assert rows(simplify(tab).root) == rows(mine.root)
         changed += got != (0, 0)
-        # below an inner node, with the path down to it (the reference
-        # counts the literals on that path)
-        mine, ref = tab.copy(), reference_copy(tab)
-        inner = [i for i, n in enumerate(mine.nodes()) if n.children]
-        at = rng.choice(inner) if inner else 0
-        m, r = list(mine.nodes())[at], list(ref.nodes())[at]
-        counts = Counter(a.literal for a in [r, *ancestors(r)] if a.literal is not None)
-        assert simplify_below(m, m.children, branch_of(m)) == reference_simplify_in_place(
-            r, dict(counts) if r.literal else None
-        )
-        assert rows(mine.root) == reference_rows(ref)
     assert changed > 200
 
 
@@ -179,11 +164,13 @@ def test_copies_agree_with_the_reference(tableaux):
     rng = random.Random(14)
     for tab in tableaux:
         node = rng.choice(list(tab.nodes()))
-        copy, mapping = node.copy_subtree()
-        ref, ref_mapping = reference_copy_subtree(node)
-        assert rows(copy) == rows(ref) == rows(node)
-        assert mapping.keys() == ref_mapping.keys()
-        assert [rows(mapping[k]) for k in mapping] == [rows(ref_mapping[k]) for k in mapping]
+        copy = node.copy_subtree()
+        assert copy.parent is None and copy is not node
+        assert rows(copy) == rows(reference_copy_subtree(node)[0])
+        assert [(n.literal, n.side, len(n.children)) for n in copy.pre_order()] == [
+            (n.literal, n.side, len(n.children)) for n in node.pre_order()
+        ]
+        assert not set(copy.pre_order()) & set(node.pre_order())
         for n in copy.pre_order():
             assert all(c.parent is n for c in n.children)
 
@@ -195,7 +182,7 @@ def test_documents_agree_with_the_reference_and_leave_targets_alone(tableaux):
         doc = format_tableau(tab)
         assert rows(tab.root) == before
         assert doc == reference_format_tableau(reference_copy(tab))
-        sig = Signature.empty()
+        sig = Signature()
         try:
             # the document has a line per node, in pre-order, below its header
             for line, n in enumerate(tab.non_root_nodes(), start=2):
@@ -227,7 +214,7 @@ def test_a_moved_subtree_reads_the_depths_and_targets_of_its_new_position():
     assert all(c.parent is nprime for c in nprime.children)
     assert format_tableau(tab) == "tableau\n  p\n    ~p -> 1\n    r\n      ~q\n      ~r -> 2\n"
     assert [(str(n.literal), d) for n, d, _ in branch_walk(tab.root)] == [
-        ("p", 1), ("~p", 2), ("r", 2), ("~q", 3), ("~r", 3)
+        ("None", 0), ("p", 1), ("~p", 2), ("r", 2), ("~q", 3), ("~r", 3)
     ]
     assert rows(tab.root) == reference_rows(tab)
 
@@ -339,11 +326,13 @@ def low_recursion_limit():
 def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     tab = deep_chain()
     leaf = list(tab.nodes())[-1]
-    assert list(branch_walk(tab.root))[-1] == (leaf, DEPTH, tab.root.children[0])
+    walk = list(branch_walk(tab.root))
+    assert len(walk) == DEPTH + 1
+    assert walk[0] == (tab.root, 0, None)  # the root first, with no target
+    assert walk[-1] == (leaf, DEPTH, tab.root.children[0])
     assert is_closed(tab) and is_regular(tab) and is_leaf_closing(tab) and is_leaf_closed(tab)
-    copy, mapping = tab.root.copy_subtree()
-    assert len(mapping) == DEPTH + 1
-    assert [d for _, d, _ in branch_walk(copy)] == list(range(1, DEPTH + 1))
+    copy = tab.root.copy_subtree()
+    assert [d for _, d, _ in branch_walk(copy)] == list(range(DEPTH + 1))
     doc = format_tableau(tab)
     assert doc.count("\n") == DEPTH + 1
     assert doc.endswith("  " * DEPTH + "~p1 [F] -> 1\n")
@@ -355,7 +344,7 @@ def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     nodes[1000].literal = p(3)
     nodes[DEPTH // 2].literal = p(1, False)
     assert not is_regular(irregular) and not is_leaf_closing(irregular)
-    assert simplify_below(irregular.root, irregular.root.children, {}) == (1, 1)
+    assert simplify_in_place(irregular.root) == (1, 1)
     assert tableau_size(irregular) == DEPTH // 2 and is_leaf_closed(irregular)
 
 

@@ -75,8 +75,8 @@ def test_pre_order_on_wide_and_deep_trees():
     # deeper than the interpreter's default recursion limit
     deep = chain(*(lit(f"p{i}") for i in range(3000)))
     walk = list(branch_walk(deep.root))
-    assert [n for n, _, _ in walk] == list(deep.non_root_nodes())
-    assert [d for _, d, _ in walk] == list(range(1, 3001))
+    assert [n for n, _, _ in walk] == list(deep.nodes())
+    assert [d for _, d, _ in walk] == list(range(3001))
 
 
 def test_is_closed_unit_chain():
@@ -303,7 +303,7 @@ def test_prove_with_equality_axioms():
         Clause((lit("p", b_, positive=False),)),
     ]
     assert prove(clauses, max_depth=8).status == "saturated"
-    sig = Signature.empty()
+    sig = Signature()
     sig.add_function("a", 0)
     sig.add_function("b", 0)
     sig.add_predicate("p", 1)
