@@ -169,8 +169,8 @@ def main() -> int:
         doc = parse_proof(text)
         tree = ground_deduction(to_tree(doc))
         tab = to_cut_normal_form(tree)
-        out, trace = hyper_convert(tab)
-        s3, s4 = tab.inner_size(), out.inner_size()
+        _, trace = hyper_convert(tab)
+        s3, s4 = trace.input_size, trace.output_size
         if s4 <= s3:
             reduced += 1
         (OUT / name).write_text(format_proof(doc))

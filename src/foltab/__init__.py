@@ -55,14 +55,14 @@ from .syntax import (
     vocabulary,
 )
 from .tableaux import (
+    Node,
     ProveResult,
-    Tableau,
     assign_sides,
     ground_tableau,
     is_closed,
     is_hyper,
     prove,
-    simplify,
+    simplify_in_place,
 )
 
 __version__ = "0.1.0"

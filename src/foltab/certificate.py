@@ -48,7 +48,7 @@ from .syntax import (
     map_formula_terms,
     subterms,
 )
-from .tableaux import Tableau, branch_walk, match_clause
+from .tableaux import Node, branch_walk, match_clause
 
 if TYPE_CHECKING:
     from .interpolation import LiftResult
@@ -70,7 +70,7 @@ class Certificate:
         placeholders: dict[str, str],
         shared_symbols: SharedSymbols,
         shortcut: Optional[str] = None,
-        tableau: Optional[Tableau] = None,
+        tableau: Optional[Node] = None,
         ground_interpolant: Optional[Formula] = None,
         lifted: Optional[LiftResult] = None,
         matrix: Optional[Formula] = None,
@@ -80,7 +80,7 @@ class Certificate:
         self.placeholders = placeholders  # placeholder constant -> free variable
         self.shared_symbols = shared_symbols  # for the Craig conditions, which read only H
         self.shortcut = shortcut  # f-unsatisfiable | g-valid
-        self.tableau = tableau  # side-labeled, closed and ground
+        self.tableau = tableau  # the root of a side-labeled, closed, ground tableau
         self.ground_interpolant = ground_interpolant
         self.lifted = lifted
         self.matrix = matrix  # the final matrix: lifted.matrix, or its hornified form
@@ -138,17 +138,17 @@ def _verdict(ok: bool) -> str:
 
 
 def _tableau_instances(
-    tab: Tableau, f_clauses: tuple[Clause, ...], g_clauses: tuple[Clause, ...]
+    root: Node, f_clauses: tuple[Clause, ...], g_clauses: tuple[Clause, ...]
 ) -> Optional[tuple[list[tuple[Literal, ...]], list[tuple[Literal, ...]]]]:
-    """The clause instances of the F side and of the G side of `tab`, in
-    pre-order, when every literal is ground, every inner node's children
-    carry one side and are an instance of a clause of it, and every leaf
-    closes; None otherwise.  An instance is matched against every clause
+    """The clause instances of the F side and of the G side of the tableau
+    `root` heads, in pre-order, when every literal is ground, every inner
+    node's children carry one side and are an instance of a clause of it,
+    and every leaf closes; None otherwise.  An instance is matched against every clause
     of its side: `match_clause` rejects a clause of another shape at its
     first check, which costs less than grouping the clauses by shape."""
     instances: dict[str, list[tuple[Literal, ...]]] = {"F": [], "G": []}
     clauses = {"F": f_clauses, "G": g_clauses}
-    for n, _, target in branch_walk(tab.root):
+    for n, _, target in branch_walk(root):
         if not n.children:
             if target is None:
                 return None

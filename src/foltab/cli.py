@@ -29,7 +29,7 @@ from .normalize import ClauseLimitError, equality_axioms, freeze_free_vars, skol
 from .proofs import ProofError, ground_deduction, parse_proof, to_cut_normal_form, to_tree
 from .restriction import RestrictionReport, check_vx_preconditions, is_horn_like, prop4_check
 from .syntax import And, FreshNamer, InputError, Not, Signature, free_vars, mk_and, read_symbols
-from .tableaux import ResourceLimitError, StructureError, Tableau, prove
+from .tableaux import Node, ResourceLimitError, StructureError, prove
 from .tptp import ParseError, content_lines, format_formula, parse_clause_file, parse_fof_file, split_problem
 
 EXIT_OK = 0
@@ -109,6 +109,10 @@ def cmd_prove(args) -> int:
                 sig.extend_with_literal(l)
         clauses = clauses + equality_axioms(sig)
 
+    if not clauses and args.format != "clauses":
+        # formulas with no clause are satisfiable: the search saturates at once
+        print("% not proved: saturated")
+        return EXIT_NOT_PROVED
     if any(not c.literals for c in clauses):
         print("% input contains the empty clause; trivially unsatisfiable")
         return EXIT_OK
@@ -208,14 +212,14 @@ def cmd_interpolate(args) -> int:
 # hyper
 
 
-def _import_proof(text: str, max_nodes: int) -> Tableau:
-    """The cut-normal-form tableau of a resolution proof document, whose
-    tree expansion must have at most `max_nodes` steps."""
+def _import_proof(text: str, max_nodes: int) -> Node:
+    """The root of the cut-normal-form tableau of a resolution proof
+    document, whose tree expansion must have at most `max_nodes` steps."""
     tree = to_tree(parse_proof(text), max_nodes=max_nodes)
     return to_cut_normal_form(ground_deduction(tree))
 
 
-def _load_tableau_or_proof(path: str, max_nodes: int) -> Tableau:
+def _load_tableau_or_proof(path: str, max_nodes: int) -> Node:
     text = _read(path)
     _, first, _ = next(content_lines(text), (1, "", ""))
     if first == "tableau":

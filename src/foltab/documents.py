@@ -8,7 +8,7 @@ import re
 from typing import Optional
 
 from .syntax import Signature
-from .tableaux import Node, Tableau, branch_walk
+from .tableaux import Node, branch_walk
 from .tptp import ParseError, _Parser, content_lines
 
 _HEADER = "tableau"
@@ -18,10 +18,10 @@ _LINE_RE = re.compile(
 )
 
 
-def format_tableau(tab: Tableau) -> str:
+def format_tableau(root: Node) -> str:
     lines = [_HEADER]
     depth_of = {}
-    walk = branch_walk(tab.root)
+    walk = branch_walk(root)
     next(walk)  # the root has no line
     for n, depth, target in walk:
         depth_of[n] = depth
@@ -34,8 +34,8 @@ def format_tableau(tab: Tableau) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tableau(text: str) -> Tableau:
-    """The tableau of a document.  A declared target must be a complementary
+def parse_tableau(text: str) -> Node:
+    """The root of the tableau of a document.  A declared target must be a complementary
     ancestor at the declared depth; it is checked after the last line and
     then dropped, since a target is always the nearest complementary
     ancestor."""
@@ -81,5 +81,5 @@ def parse_tableau(text: str) -> Tableau:
             raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)
         if anc.literal != node.literal.complement():
             raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
-    return Tableau(root)
+    return root
 

@@ -41,7 +41,6 @@ from .tableaux import (
     Node,
     ResourceLimitError,
     StructureError,
-    Tableau,
     clean_children,
     close_leaf,
     is_closed,
@@ -264,21 +263,20 @@ def _negative_inner(tops: list[Node]) -> dict[Literal, int]:
 
 
 def hyper_convert(
-    tab: Tableau,
+    root: Node,
     max_nodes: int = DEFAULT_NODE_LIMIT,
-) -> tuple[Tableau, ConversionTrace]:
-    """Convert a closed tableau to a leaf-closed, regular, hyper tableau
-    whose clauses are clauses of the input tableau; the input is left as
-    it is."""
-    if not is_closed(tab):
+) -> tuple[Node, ConversionTrace]:
+    """Convert the closed tableau `root` heads, in place, to a leaf-closed,
+    regular, hyper tableau whose clauses are clauses of the input tableau;
+    returns `root` with the trace."""
+    if not is_closed(root):
         raise StructureError("hyper conversion requires a closed tableau")
-    trace = ConversionTrace(tab.inner_size())
-    work = tab.copy()
-    spl, tru = simplify_in_place(work.root)
+    trace = ConversionTrace(root.inner_size())
+    spl, tru = simplify_in_place(root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
-    index = _Index(work.root)
-    pending = [work.root]
+    index = _Index(root)
+    pending = [root]
     prev: Optional[tuple] = None
     while True:
         sel = _select(pending)
@@ -344,7 +342,7 @@ def hyper_convert(
             )
         trace.rounds.append(ConversionRound(path, measure, size))
         pending.append(nprime)
-    if not is_hyper(work):
+    if not is_hyper(root):
         raise StructureError("conversion finished on a non-hyper tableau")
-    trace.output_size = work.inner_size()
-    return work, trace
+    trace.output_size = root.inner_size()
+    return root, trace

@@ -72,7 +72,6 @@ from .tableaux import (
     Node,
     ProveResult,
     StructureError,
-    Tableau,
     assign_sides,
     branch_walk,
     ground_tableau,
@@ -172,19 +171,25 @@ def truth_simplify(f: Formula) -> Formula:
 # Ground interpolant extraction
 
 
-def ipol_map(tab: Tableau) -> dict[Node, Formula]:
-    """Truth-value-simplified interpolant value for every node of a
-    leaf-closed, ground, two-sided tableau."""
-    for n in tab.non_root_nodes():
+def ipol_map(root: Node) -> dict[Node, Formula]:
+    """Truth-value-simplified interpolant value for every node of the
+    leaf-closed, ground, two-sided tableau `root` heads.  The side labels
+    and groundness are checked on the walk down, the leaves on the way
+    back up."""
+    rows = branch_walk(root)
+    walk = [next(rows)]
+    for row in rows:
+        n = row[0]
         if n.side not in ("F", "G"):
             raise StructureError("interpolant extraction needs side labels on every node")
         if not all(is_ground(a) for a in n.literal.args):
             raise StructureError("interpolant extraction needs a ground tableau")
-    if not tab.root.children:
+        walk.append(row)
+    if not root.children:
         raise StructureError("empty tableau")
     values: dict[Node, Formula] = {}
     # in reverse pre-order every node comes after its children
-    for n, _, t in reversed(list(branch_walk(tab.root))):
+    for n, _, t in reversed(walk):
         if n.children:
             parts = [values[c] for c in n.children]
             v = simp_or(parts) if n.children[0].side == "F" else simp_and(parts)
@@ -198,9 +203,9 @@ def ipol_map(tab: Tableau) -> dict[Node, Formula]:
     return values
 
 
-def extract_ipol(tab: Tableau) -> Formula:
+def extract_ipol(root: Node) -> Formula:
     """Ground interpolant: the interpolant value at the root."""
-    return ipol_map(tab)[tab.root]
+    return ipol_map(root)[root]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .syntax import (
     resolve_copy,
     subterms,
 )
-from .tableaux import Node, ResourceLimitError, Tableau, is_closed
+from .tableaux import Node, ResourceLimitError, is_closed
 from .tptp import _LOWER, _UPPER, ParseError, _Parser, content_lines
 
 
@@ -396,9 +396,10 @@ def is_ground_deduction(tree: DeductionStep) -> bool:
 # Cut normal form
 
 
-def to_cut_normal_form(tree: DeductionStep) -> Tableau:
-    """Closed clausal ground tableau whose inner clauses are atomic cuts
-    for the resolution steps; input clauses sit just above the leaves."""
+def to_cut_normal_form(tree: DeductionStep) -> Node:
+    """The root of a closed clausal ground tableau whose inner clauses are
+    atomic cuts for the resolution steps; input clauses sit just above the
+    leaves."""
     if not is_ground_deduction(tree):
         raise ProofError("cut normal form requires a ground deduction; run grounding first")
     if tree.clause.literals:
@@ -422,7 +423,6 @@ def to_cut_normal_form(tree: DeductionStep) -> Tableau:
         node.add(pos)
         stack.append((pos, step.right))
         stack.append((neg, step.left))
-    tab = Tableau(root)
-    if not is_closed(tab):
+    if not is_closed(root):
         raise ProofError("translated tableau is not closed; invalid proof")
-    return tab
+    return root

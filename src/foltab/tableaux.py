@@ -12,11 +12,12 @@ on the current branch labeled with it.  A node's target is its nearest
 ancestor labeled with the complementary literal, the top of that
 literal's stack, so the walk is linear in the size of the tree.
 
-Tableaux are built single-threaded.  `simplify_in_place` works in place
-on the whole tree below a root; `simplify` and `hyper_convert` run it on a
-copy and leave their input as it is, and `prove` runs it on the nodes of
-the proof it found.  `ground_tableau` and `assign_sides` work in place
-too, on the tableau their caller owns.
+A tableau is given by its root node.  Tableaux are built
+single-threaded, and every stage that changes one changes it in place:
+`simplify_in_place` on the whole tree below a root, which `prove` runs on
+the nodes of the proof it found and `hyper_convert` on its input;
+`ground_tableau`, `assign_sides` and `hyper_convert` on the tableau their
+caller hands them.
 
 `prove` shares clause structure and makes no node while it searches: a
 literal of a clause instance is a branch cell holding the clause's own
@@ -30,6 +31,7 @@ the search has found it.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .syntax import (
@@ -62,7 +64,7 @@ class ResourceLimitError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Nodes and tableaux
+# Nodes
 
 
 class Node:
@@ -94,6 +96,11 @@ class Node:
             yield n
             stack.extend(reversed(n.children))
 
+    def inner_size(self) -> int:
+        """Number of inner nodes (nodes with children) below this node, the
+        node included."""
+        return sum(1 for n in self.pre_order() if n.children)
+
     def copy_subtree(self) -> "Node":
         """A fresh copy of the subtree below this node, the node included."""
         top = Node(self.literal, self.side)
@@ -108,26 +115,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"<Node {self.literal}>"
-
-
-class Tableau:
-    def __init__(self, root: Node):
-        self.root = root
-
-    def nodes(self) -> Iterator[Node]:
-        return self.root.pre_order()
-
-    def non_root_nodes(self) -> Iterator[Node]:
-        it = self.root.pre_order()
-        next(it)
-        return it
-
-    def inner_size(self) -> int:
-        """Number of inner nodes (nodes with children, root included)."""
-        return sum(1 for n in self.nodes() if n.children)
-
-    def copy(self) -> "Tableau":
-        return Tableau(self.root.copy_subtree())
 
 
 def clause_at(node: Node) -> tuple[Literal, ...]:
@@ -176,11 +163,12 @@ def branch_walk(
         stack.append((n, iter(n.children)))
 
 
-def is_closed(tab: Tableau) -> bool:
-    """True iff every branch contains complementary literals."""
+def is_closed(root: Node) -> bool:
+    """True iff every branch of the tableau `root` heads contains
+    complementary literals."""
     closed = True
     closing = 0  # depth of the highest node on the branch with a target, or 0
-    for n, depth, target in branch_walk(tab.root):
+    for n, depth, target in branch_walk(root):
         if not 0 < closing < depth:
             closing = 0 if target is None else depth
         if not closing and not n.children:
@@ -244,14 +232,6 @@ def simplify_in_place(root: Node) -> tuple[int, int]:
     return splices, truncations
 
 
-def simplify(tab: Tableau) -> Tableau:
-    """Regular, leaf-closing copy of tab, for the same clausal formula;
-    closed if tab is closed."""
-    out = tab.copy()
-    simplify_in_place(out.root)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Instance checks and side assignment
 
@@ -287,21 +267,21 @@ def by_shape(clauses: Iterable[Clause]) -> dict[tuple, list[Clause]]:
 
 
 def assign_sides(
-    tab: Tableau,
+    root: Node,
     f_clauses: Iterable[Clause],
     g_clauses: Iterable[Clause],
     tie: str = "F",
-) -> Tableau:
-    """Attach F/G side labels to the nodes of tab, in place, and return
-    tab: a clause instance of f_clauses gets side F, of g_clauses side G;
-    instances of both follow the tie policy.  An instance is matched only
-    against the clauses of its shape, the only ones `match_clause` does not
-    reject."""
+) -> Node:
+    """Attach F/G side labels to the nodes of the tableau `root` heads, in
+    place, and return `root`: a clause instance of f_clauses gets side F,
+    of g_clauses side G; instances of both follow the tie policy.  An
+    instance is matched only against the clauses of its shape, the only
+    ones `match_clause` does not reject."""
     if tie not in ("F", "G"):
         raise InputError(f"bad tie policy: {tie}")
     fcs = by_shape(f_clauses)
     gcs = by_shape(g_clauses)
-    for n in tab.nodes():
+    for n in root.pre_order():
         if not n.children:
             continue
         inst = clause_at(n)
@@ -320,7 +300,7 @@ def assign_sides(
             )
         for c in n.children:
             c.side = side
-    return tab
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +308,19 @@ def assign_sides(
 
 
 def ground_tableau(
-    tab: Tableau,
+    root: Node,
     namer: FreshNamer,
     policy: str = "F",
-) -> tuple[Tableau, frozenset[str], frozenset[str]]:
+) -> tuple[Node, frozenset[str], frozenset[str]]:
     """Instantiate remaining variables with dedicated fresh constants from
     the run's `namer`, in place.
 
     policy 'F' puts every fresh constant on the F side, 'G' on the G side,
-    'alternate' round-robins.  Returns (tab, fresh_F, fresh_G)."""
+    'alternate' round-robins.  Returns (root, fresh_F, fresh_G)."""
     if policy not in ("F", "G", "alternate"):
         raise InputError(f"bad grounding policy: {policy}")
     # first-occurrence order over the pre-order walk keeps this deterministic
-    ordered = ordered_vars(
-        a for n in tab.non_root_nodes() if n.literal is not None for a in n.literal.args
-    )
+    ordered = ordered_vars(a for n in islice(root.pre_order(), 1, None) for a in n.literal.args)
     sub: Subst = {}
     s1: list[str] = []
     s2: list[str] = []
@@ -354,19 +332,19 @@ def ground_tableau(
         else:
             s2.append(name)
     if sub:
-        for n in tab.non_root_nodes():
+        for n in islice(root.pre_order(), 1, None):
             n.literal = map_literal_terms(n.literal, lambda t: apply_term(t, sub))
-    return tab, frozenset(s1), frozenset(s2)
+    return root, frozenset(s1), frozenset(s2)
 
 
 # ---------------------------------------------------------------------------
 # The hyper predicate
 
 
-def is_hyper(tab: Tableau) -> bool:
+def is_hyper(root: Node) -> bool:
     """True iff the nodes labeled with a negative literal are exactly the
-    leaves."""
-    for n in tab.non_root_nodes():
+    leaves of the tableau `root` heads."""
+    for n in islice(root.pre_order(), 1, None):
         if n.literal.positive == n.is_leaf:
             return False
     return True
@@ -378,9 +356,10 @@ def is_hyper(tab: Tableau) -> bool:
 
 
 class ProveResult:
-    """What `prove` found; `tableau` is the proof, None unless proved."""
+    """What `prove` found; `tableau` is the root of the proof, None unless
+    proved."""
 
-    def __init__(self, status: str, tableau: Optional[Tableau], inferences: int, depth: int):
+    def __init__(self, status: str, tableau: Optional[Node], inferences: int, depth: int):
         self.status = status  # proved | saturated | depth_limit | timeout | inference_limit
         self.tableau = tableau
         self.inferences = inferences
@@ -391,11 +370,11 @@ class ProveResult:
         return self.status == "proved"
 
 
-def finish_proof(start: list, binding: CopyStore) -> Tableau:
-    """The proof the search closed from the branch cells `start` of its
-    start clause: the nodes are made here, once, each literal read in its
-    copy through the bindings, with a variable v of copy k named `v_k`, and
-    the tree is simplified in place."""
+def finish_proof(start: list, binding: CopyStore) -> Node:
+    """The root of the proof the search closed from the branch cells
+    `start` of its start clause: the nodes are made here, once, each
+    literal read in its copy through the bindings, with a variable v of
+    copy k named `v_k`, and the tree is simplified in place."""
     table: dict = {}
     root = Node()
     todo = [(root, start)]
@@ -410,7 +389,7 @@ def finish_proof(start: list, binding: CopyStore) -> Tableau:
             if children:
                 todo.append((n, children))
     simplify_in_place(root)
-    return Tableau(root)
+    return root
 
 
 def _copy_var(name: str, k: int) -> Var:

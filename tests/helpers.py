@@ -88,13 +88,12 @@ from foltab.tableaux import (
     ProveResult,
     ResourceLimitError,
     StructureError,
-    Tableau,
     branch_walk,
     clause_at,
     is_hyper,
     match_clause,
     prove,
-    simplify,
+    simplify_in_place,
 )
 from foltab.tptp import FofRecord, ParseError
 
@@ -470,6 +469,11 @@ def definition_sides(kb: Formula, query: Formula, targets: frozenset[str]) -> tu
 # take branches deeper than the recursion limit.
 
 
+def below(root: Node):
+    """The nodes of the tableau `root` heads but the root, in pre-order."""
+    return itertools.islice(root.pre_order(), 1, None)
+
+
 def ancestors(node: Node):
     """The nodes above `node`, nearest first, the root included."""
     n = node.parent
@@ -478,19 +482,19 @@ def ancestors(node: Node):
         n = n.parent
 
 
-def is_leaf_closing(tab: Tableau) -> bool:
-    return all(target is None for n, _, target in branch_walk(tab.root) if n.children)
+def is_leaf_closing(tab: Node) -> bool:
+    return all(target is None for n, _, target in branch_walk(tab) if n.children)
 
 
-def is_leaf_closed(tab: Tableau) -> bool:
+def is_leaf_closed(tab: Node) -> bool:
     """Closed, with exactly the leaves closing; the root, which has no
     target, must have children."""
-    return all((target is None) == bool(n.children) for n, _, target in branch_walk(tab.root))
+    return all((target is None) == bool(n.children) for n, _, target in branch_walk(tab))
 
 
-def is_regular(tab: Tableau) -> bool:
+def is_regular(tab: Node) -> bool:
     on: Branch = {}
-    return all(depth == 0 or len(on[n.literal]) == 1 for n, depth, _ in branch_walk(tab.root, on))
+    return all(depth == 0 or len(on[n.literal]) == 1 for n, depth, _ in branch_walk(tab, on))
 
 
 def side_path_literals(node: Node, side: str) -> list[Literal]:
@@ -500,19 +504,19 @@ def side_path_literals(node: Node, side: str) -> list[Literal]:
     return [n.literal for n in reversed(path)]
 
 
-def tableau_size(tab: Tableau) -> int:
-    return sum(1 for _ in tab.nodes())
+def tableau_size(tab: Node) -> int:
+    return sum(1 for _ in tab.pre_order())
 
 
-def is_ground_tableau(tab: Tableau) -> bool:
-    return all(is_ground(a) for n in tab.non_root_nodes() for a in n.literal.args)
+def is_ground_tableau(tab: Node) -> bool:
+    return all(is_ground(a) for n in below(tab) for a in n.literal.args)
 
 
-def tableau_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
-    return [clause_at(n) for n in tab.nodes() if n.children]
+def tableau_clauses(tab: Node) -> list[tuple[Literal, ...]]:
+    return [clause_at(n) for n in tab.pre_order() if n.children]
 
 
-def atomic_cut_clauses(tab: Tableau) -> list[tuple[Literal, ...]]:
+def atomic_cut_clauses(tab: Node) -> list[tuple[Literal, ...]]:
     return [c for c in tableau_clauses(tab) if len(c) == 2 and c[0] == c[1].complement()]
 
 
@@ -684,12 +688,12 @@ def reference_is_closing(node: Node) -> bool:
     return reference_closing_target(node) is not None
 
 
-def reference_compute_targets(tab: Tableau) -> dict[Node, Optional[Node]]:
+def reference_compute_targets(tab: Node) -> dict[Node, Optional[Node]]:
     """The target of every node below the root."""
-    return {n: reference_closing_target(n) for n in tab.non_root_nodes()}
+    return {n: reference_closing_target(n) for n in below(tab)}
 
 
-def reference_depths(tab: Tableau) -> dict[Node, int]:
+def reference_depths(tab: Node) -> dict[Node, int]:
     """The depth of every node, the root at depth 0."""
     depths: dict[Node, int] = {}
 
@@ -698,11 +702,11 @@ def reference_depths(tab: Tableau) -> dict[Node, int]:
         for c in n.children:
             go(c, depth + 1)
 
-    go(tab.root, 0)
+    go(tab, 0)
     return depths
 
 
-def reference_is_closed(tab: Tableau) -> bool:
+def reference_is_closed(tab: Node) -> bool:
     """True iff every branch contains complementary literals."""
     targets = reference_compute_targets(tab)
 
@@ -712,29 +716,29 @@ def reference_is_closed(tab: Tableau) -> bool:
             return here
         return all(closed(c, here) for c in n.children)
 
-    return closed(tab.root, False)
+    return closed(tab, False)
 
 
-def reference_is_leaf_closing(tab: Tableau) -> bool:
-    return all(not reference_is_closing(n) for n in tab.nodes() if n.children)
+def reference_is_leaf_closing(tab: Node) -> bool:
+    return all(not reference_is_closing(n) for n in tab.pre_order() if n.children)
 
 
-def reference_is_leaf_closed(tab: Tableau) -> bool:
+def reference_is_leaf_closed(tab: Node) -> bool:
     return (
         reference_is_closed(tab)
         and reference_is_leaf_closing(tab)
-        and all(reference_is_closing(n) for n in tab.nodes() if not n.children)
+        and all(reference_is_closing(n) for n in tab.pre_order() if not n.children)
     )
 
 
-def reference_is_regular(tab: Tableau) -> bool:
+def reference_is_regular(tab: Node) -> bool:
     def walk(n: Node, seen: frozenset[Literal]) -> bool:
         if n.literal is not None and n.literal in seen:
             return False
         seen2 = seen | ({n.literal} if n.literal is not None else frozenset())
         return all(walk(c, seen2) for c in n.children)
 
-    return walk(tab.root, frozenset())
+    return walk(tab, frozenset())
 
 
 def reference_simplify_in_place(root: Node) -> tuple[int, int]:
@@ -783,24 +787,24 @@ def reference_copy_subtree(node: Node) -> tuple[Node, dict[int, Node]]:
     return go(node), mapping
 
 
-def reference_copy(tab: Tableau) -> Tableau:
-    return Tableau(reference_copy_subtree(tab.root)[0])
+def reference_copy(tab: Node) -> Node:
+    return reference_copy_subtree(tab)[0]
 
 
 def reference_assign_sides(
-    tab: Tableau,
+    tab: Node,
     f_clauses: Iterable[Clause],
     g_clauses: Iterable[Clause],
     tie: str = "F",
-) -> Tableau:
+) -> Node:
     """Side labels on a copy of tab, each clause instance matched against
     every clause of both sides."""
     if tie not in ("F", "G"):
         raise InputError(f"bad tie policy: {tie}")
     fcs = tuple(f_clauses)
     gcs = tuple(g_clauses)
-    out = tab.copy()
-    for n in out.nodes():
+    out = tab.copy_subtree()
+    for n in out.pre_order():
         if not n.children:
             continue
         inst = clause_at(n)
@@ -821,7 +825,7 @@ def reference_assign_sides(
     return out
 
 
-def reference_format_tableau(tab: Tableau) -> str:
+def reference_format_tableau(tab: Node) -> str:
     targets = reference_compute_targets(tab)
     depths = reference_depths(tab)
     lines = ["tableau"]
@@ -836,11 +840,11 @@ def reference_format_tableau(tab: Tableau) -> str:
             lines.append(" ".join(parts))
             emit(c)
 
-    emit(tab.root)
+    emit(tab)
     return "\n".join(lines) + "\n"
 
 
-def reference_tableau_equal(a: Tableau, b: Tableau) -> bool:
+def reference_tableau_equal(a: Node, b: Node) -> bool:
     """Structural equality: shape, literals, sides, and target depths."""
     a_targets, a_depths = reference_compute_targets(a), reference_depths(a)
     b_targets, b_depths = reference_compute_targets(b), reference_depths(b)
@@ -856,13 +860,13 @@ def reference_tableau_equal(a: Tableau, b: Tableau) -> bool:
             return False
         return all(eq(c, d) for c, d in zip(x.children, y.children))
 
-    return eq(a.root, b.root)
+    return eq(a, b)
 
 
-def reference_ipol_map(tab: Tableau) -> dict[Node, Formula]:
+def reference_ipol_map(tab: Node) -> dict[Node, Formula]:
     """Truth-value-simplified interpolant value for every node of a
     leaf-closed, ground, two-sided tableau."""
-    for n in tab.non_root_nodes():
+    for n in below(tab):
         if n.side not in ("F", "G"):
             raise StructureError("interpolant extraction needs side labels on every node")
         if not all(is_ground(a) for a in n.literal.args):
@@ -890,9 +894,9 @@ def reference_ipol_map(tab: Tableau) -> dict[Node, Formula]:
         values[n] = v
         return v
 
-    if not tab.root.children:
+    if not tab.children:
         raise StructureError("empty tableau")
-    go(tab.root)
+    go(tab)
     return values
 
 
@@ -955,8 +959,7 @@ def reference_hyper_convert(
     if not reference_is_closed(tab):
         raise StructureError("hyper conversion requires a closed tableau")
     trace = ConversionTrace(input_size=tab.inner_size())
-    work = reference_copy(tab)
-    root = work.root
+    root = reference_copy(tab)
     spl, tru = reference_simplify_in_place(root)
     trace.regular_splices += spl
     trace.leaf_truncations += tru
@@ -994,10 +997,10 @@ def reference_hyper_convert(
         if size > max_nodes:
             raise ResourceLimitError(f"hyper conversion exceeded {max_nodes} nodes")
         trace.rounds.append(ConversionRound(path, measure, size))
-    if not is_hyper(work):
+    if not is_hyper(root):
         raise StructureError("conversion finished on a non-hyper tableau")
-    trace.output_size = work.inner_size()
-    return work, trace
+    trace.output_size = root.inner_size()
+    return root, trace
 
 
 # ---------------------------------------------------------------------------
@@ -1129,8 +1132,8 @@ def reference_prove(
                     for n in root.pre_order():
                         if n.literal is not None:
                             n.literal = reference_apply_literal(n.literal, binding)
-                    tab = simplify(Tableau(root))
-                    return ProveResult("proved", tab, counters["inf"], limit)
+                    simplify_in_place(root)
+                    return ProveResult("proved", root, counters["inf"], limit)
             if not cutoff[0]:
                 return ProveResult("saturated", None, counters["inf"], limit)
     except _Deadline:
@@ -2282,7 +2285,7 @@ _REFERENCE_LINE_RE = re.compile(
 )
 
 
-def reference_parse_tableau(text: str) -> Tableau:
+def reference_parse_tableau(text: str) -> Node:
     lines = text.splitlines()
     body: list[tuple[int, str]] = []
     for i, raw in enumerate(lines, start=1):
@@ -2324,7 +2327,7 @@ def reference_parse_tableau(text: str) -> Tableau:
             raise ParseError(f"no ancestor at depth {tdepth}", line_no, 1)
         if anc.literal != node.literal.complement():
             raise ParseError(f"target at depth {tdepth} is not complementary", line_no, 1)
-    return Tableau(root)
+    return root
 
 
 def _reference_parse_single_literal(text: str, line_no: int, offset: int) -> Literal:

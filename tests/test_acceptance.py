@@ -41,7 +41,7 @@ from foltab.syntax import (
     subterms,
     vocabulary,
 )
-from foltab.tableaux import Node, Tableau, prove
+from foltab.tableaux import Node, prove
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     atomic_cut_clauses,
@@ -120,7 +120,7 @@ def _annotated_two_sided_tableau():
     nq.add(np_)
     nq.add(q)
     np_.add(Node(lit("p"), "F"))
-    return Tableau(root), lit
+    return root, lit
 
 
 def test_c03_ground_extraction_annotations():

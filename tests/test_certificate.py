@@ -21,7 +21,7 @@ from foltab.normalize import unfreeze, wrap_prefix
 from foltab.restriction import is_horn_like
 from foltab.syntax import And, BOTTOM, Literal, TOP, map_formula, mk_and
 from foltab.tptp import parse_formula
-from helpers import gen_vx_instance, random_ground_clauses, random_nnf, tt_satisfiable
+from helpers import below, gen_vx_instance, random_ground_clauses, random_nnf, tt_satisfiable
 
 # (F, G, required properties) of the runs whose certificates are mutated
 RUNS = {
@@ -127,10 +127,10 @@ def test_certificates_of_real_runs_pass(runs):
 def test_wrongly_closed_leaf_fails(runs):
     for name in ("skolem-of-g", "conjunction"):
         f, g, h, cert = runs[name]
-        tab = cert.tableau.copy()
+        tab = cert.tableau.copy_subtree()
         # an inner node is never closed in a leaf-closing tableau; as a
         # leaf it closes against no ancestor
-        inner = next(n for n in tab.non_root_nodes() if n.children)
+        inner = next(n for n in below(tab) if n.children)
         inner.children = []
         assert verdicts(replace(cert, tableau=tab), h, f, g) == ("fail", "fail")
 
@@ -141,8 +141,8 @@ def test_clause_relabeled_to_the_other_side_fails(runs):
         for k in range(cert.tableau.inner_size()):
             # the whole clause, and its last literal alone
             for relabeled in (slice(None), slice(-1, None)):
-                tab = cert.tableau.copy()
-                n = [n for n in tab.nodes() if n.children][k]
+                tab = cert.tableau.copy_subtree()
+                n = [n for n in tab.pre_order() if n.children][k]
                 if relabeled.start == -1 and len(n.children) == 1:
                     continue
                 for c in n.children[relabeled]:
@@ -155,8 +155,8 @@ def test_non_ground_tableau_fails(runs):
     # the proof's variable left in, everywhere: F |= p(Z) |= G still holds
     # with Z free, but the tableau is not ground
     z = parse_formula("p(Z)")
-    tab = cert.tableau.copy()
-    (top,) = tab.root.children
+    tab = cert.tableau.copy_subtree()
+    (top,) = tab.children
     (leaf,) = top.children
     top.literal, leaf.literal = z, z.complement()
     mutant = replace(

@@ -59,6 +59,16 @@ def test_prove_exit_codes(tmp_path, capsys):
     assert main(["prove", "--input", bad]) == 3
 
 
+def test_prove_reports_saturation_on_formulas_with_no_clause(tmp_path, capsys):
+    for text in ("fof(a, axiom, $true).\n", "fof(c, conjecture, $false).\n"):
+        assert main(["prove", "--input", write(tmp_path, "t.p", text)]) == 1
+        assert capsys.readouterr().out == "% not proved: saturated\n"
+    # a clause file with no clause is an input error, as is a fof file
+    # with no formula
+    assert main(["prove", "--input", write(tmp_path, "e.cls", ""), "--format", "clauses"]) == 3
+    assert main(["prove", "--input", write(tmp_path, "e.p", "")]) == 3
+
+
 def test_prove_clause_format_and_out(tmp_path, capsys):
     clauses = write(tmp_path, "cs.cls", "p | q\n~p\n~q\n")
     out = str(tmp_path / "tab.txt")

@@ -7,7 +7,7 @@ from foltab import tptp
 from foltab.documents import format_tableau, parse_tableau
 from foltab.proofs import parse_proof
 from foltab.syntax import App, Clause, InputError, Literal, Var, occurrences
-from foltab.tableaux import Node, Tableau, prove
+from foltab.tableaux import Node, prove
 from foltab.tptp import (
     ParseError,
     format_formula,
@@ -16,6 +16,7 @@ from foltab.tptp import (
     parse_formula,
 )
 from helpers import (
+    below,
     proof_family,
     random_formula,
     random_ground_clauses,
@@ -128,7 +129,7 @@ def test_equal_terms_of_one_document_are_one_object():
 
     # a tableau document shares its terms as well
     tab = parse_tableau("tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~q(f(a))\n    q(f(a)) -> 1\n")
-    n1, n2, n3, n4 = tab.non_root_nodes()
+    n1, n2, n3, n4 = below(tab)
     assert n1.literal.args[0] is n2.literal.args[0] is n3.literal.args[0] is n4.literal.args[0]
 
     # equal literals of a clause file are one object too, repeated across
@@ -158,9 +159,9 @@ def test_equal_terms_of_one_document_are_one_object():
 
     # a tableau document: the lines' literals, complements included
     text = "tableau\n  p(f(a))\n    ~p(f(a)) -> 1\n  ~p(f(a))\n    p(f(a)) -> 1\n"
-    n1, n2, n3, n4 = parse_tableau(text).non_root_nodes()
+    n1, n2, n3, n4 = below(parse_tableau(text))
     assert n1.literal is n4.literal and n2.literal is n3.literal is n1.literal.complement()
-    m1 = next(parse_tableau(text).non_root_nodes())
+    m1 = next(below(parse_tableau(text)))
     assert m1.literal is n1.literal
 
 

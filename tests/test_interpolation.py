@@ -35,10 +35,11 @@ from foltab.syntax import (
 )
 from foltab.normalize import freeze_free_vars, skolemize_clausify, wrap_prefix
 from foltab.certificate import check_certificate
-from foltab.tableaux import Node, StructureError, Tableau, ground_tableau, is_hyper
+from foltab.tableaux import Node, StructureError, ground_tableau, is_hyper
 from foltab.tptp import format_formula, parse_formula
 from helpers import (
     all_models,
+    below,
     eval_formula,
     gen_horn_instance,
     gen_urr_instance,
@@ -73,7 +74,7 @@ def _fig_tableau():
     nq.add(q)
     p = Node(lit("p", a), "F")
     np_.add(p)
-    return Tableau(root)
+    return root
 
 
 def test_ipol_per_node_annotations():
@@ -89,12 +90,12 @@ def test_ipol_per_node_annotations():
     assert by_str["~q(a)"] == lit("q", a)
     assert by_str["r(a)"] == TOP
     assert by_str["~r(a)"] == lit("q", a)
-    assert values[tab.root] == lit("q", a)
+    assert values[tab] == lit("q", a)
 
 
 def test_extract_requires_sides():
     tab = _fig_tableau()
-    for n in tab.non_root_nodes():
+    for n in below(tab):
         n.side = None
     with pytest.raises(StructureError):
         extract_ipol(tab)
@@ -107,7 +108,22 @@ def test_extract_requires_ground():
     root.add(n1)
     n1.add(n2)
     with pytest.raises(StructureError):
-        extract_ipol(Tableau(root))
+        extract_ipol(root)
+
+
+def test_extract_reports_a_missing_side_before_an_open_leaf():
+    # q(a) has no side and p(a), last in pre-order, is an open leaf: the
+    # sides are checked on the walk down, the leaves on the way back up
+    root = Node()
+    q = Node(lit("q", a))
+    root.add(q)
+    q.add(Node(lit("q", a, positive=False), "F"))
+    root.add(Node(lit("p", a), "F"))
+    with pytest.raises(StructureError, match="^interpolant extraction needs side labels on every node$"):
+        ipol_map(root)
+    q.side = "F"
+    with pytest.raises(StructureError, match="^tableau is not leaf-closed: open leaf$"):
+        ipol_map(root)
 
 
 def _ctx(f_functions=(), g_functions=(), shared=()):

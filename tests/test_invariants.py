@@ -26,8 +26,9 @@ from foltab.syntax import (
     mk_and,
     smax_by,
 )
-from foltab.tableaux import Tableau, clause_at, is_hyper
+from foltab.tableaux import Node, clause_at, is_hyper
 from helpers import (
+    below,
     definition_sides,
     gen_urr_instance,
     gen_vx_instance,
@@ -51,9 +52,9 @@ def _vmax(ctx: InterpolationContext, f: Formula, sign: str = "all") -> set[Term]
     return reference_smax_by(v_member, f, sign)
 
 
-def _check_inv_c(tab: Tableau, ctx: InterpolationContext) -> None:
+def _check_inv_c(tab: Node, ctx: InterpolationContext) -> None:
     values = ipol_map(tab)
-    for node in tab.nodes():
+    for node in tab.pre_order():
         path_f = mk_and(side_path_literals(node, "F"))
         allowed_from_path = _vmax(ctx, path_f, "positive")
         for c in cnf(values[node]).matrix:
@@ -66,9 +67,9 @@ def _check_inv_c(tab: Tableau, ctx: InterpolationContext) -> None:
                     )
 
 
-def _check_inv_d(tab: Tableau, ctx: InterpolationContext) -> None:
+def _check_inv_d(tab: Node, ctx: InterpolationContext) -> None:
     values = ipol_map(tab)
-    for node in tab.nodes():
+    for node in tab.pre_order():
         path_g = mk_and(side_path_literals(node, "G"))
         allowed_from_path = _vmax(ctx, path_g, "positive")
         for d in dnf(values[node]).matrix:
@@ -81,10 +82,10 @@ def _check_inv_d(tab: Tableau, ctx: InterpolationContext) -> None:
                     )
 
 
-def _check_inv_x(tab: Tableau, ctx: InterpolationContext) -> None:
+def _check_inv_x(tab: Node, ctx: InterpolationContext) -> None:
     values = ipol_map(tab)
     shared_terms = {App(c) for c in ctx.shared_constants}
-    for node in tab.nodes():
+    for node in tab.pre_order():
         if not node.children:
             continue
         path_g = mk_and(side_path_literals(node, "G"))
@@ -98,7 +99,7 @@ def _check_inv_x(tab: Tableau, ctx: InterpolationContext) -> None:
                 )
 
 
-def _check_above_negative_clause(tab: Tableau) -> None:
+def _check_above_negative_clause(tab: Node) -> None:
     def has_negative_clause_below(n) -> bool:
         for m in n.pre_order():
             if m is n or not m.children:
@@ -107,7 +108,7 @@ def _check_above_negative_clause(tab: Tableau) -> None:
                 return True
         return False
 
-    for n in tab.nodes():
+    for n in tab.pre_order():
         if not n.children:
             continue
         own = clause_at(n)
@@ -175,7 +176,7 @@ def test_measure_traces_strictly_decrease(urr_corpus, vx_corpus):
 
 def test_ground_tableaux_stay_ground(urr_corpus):
     for _, _, report in urr_corpus:
-        for n in report.certificate.tableau.non_root_nodes():
+        for n in below(report.certificate.tableau):
             assert all(is_ground(a) for a in n.literal.args)
 
 

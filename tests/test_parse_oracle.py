@@ -101,7 +101,7 @@ def tableau_rows(tab):
     the root first, as the branch walk reads them."""
     depth_of = {}
     out = []
-    for n, depth, target in branch_walk(tab.root):
+    for n, depth, target in branch_walk(tab):
         depth_of[n] = depth
         out.append((depth, n.literal, n.side, depth_of[target] if target is not None else None))
     return out

@@ -14,7 +14,13 @@ from foltab.proofs import (
     to_tree,
 )
 from foltab.syntax import App, Clause, InputError, Literal, Var
-from foltab.tableaux import ResourceLimitError, is_closed, is_hyper, match_clause, simplify
+from foltab.tableaux import (
+    ResourceLimitError,
+    is_closed,
+    is_hyper,
+    match_clause,
+    simplify_in_place,
+)
 from foltab.tptp import parse_clause_file
 from helpers import atomic_cut_clauses, doubling_dag_proof, is_leaf_closing, tableau_clauses
 
@@ -284,9 +290,10 @@ def test_cut_normal_form_single_step():
     text = "s1 input p\ns2 input ~p\ns3 resolve(s1, s2, p) false\n"
     tab = to_cut_normal_form(ground_deduction(to_tree(parse_proof(text))))
     assert is_closed(tab)
-    root_clause = tuple(c.literal for c in tab.root.children)
+    root_clause = tuple(c.literal for c in tab.children)
     assert root_clause == (lit("p", positive=False), lit("p"))
-    assert is_leaf_closing(simplify(tab))
+    simplify_in_place(tab)
+    assert is_leaf_closing(tab)
 
 
 def test_cut_normal_form_inner_clauses_are_cuts_or_inputs():

@@ -17,17 +17,16 @@ from foltab.syntax import App, InputError, Literal, Signature
 from foltab.tableaux import (
     Node,
     StructureError,
-    Tableau,
     assign_sides,
     branch_walk,
     is_closed,
     is_hyper,
     prove,
-    simplify,
     simplify_in_place,
 )
 from helpers import (
     ancestors,
+    below,
     is_leaf_closed,
     is_leaf_closing,
     is_regular,
@@ -55,7 +54,7 @@ ATOMS = ("p", "q", "r")
 ARGS = ((), (App("a"),), (App("b"),))
 
 
-def random_tableau(rng: random.Random, size: int) -> Tableau:
+def random_tableau(rng: random.Random, size: int) -> Node:
     """A random tree over a small vocabulary, so that branches repeat and
     close often; parents are mostly recent nodes, so that branches are
     deep.  Siblings share a side, as in a side-assigned tableau.  Half of
@@ -75,15 +74,15 @@ def random_tableau(rng: random.Random, size: int) -> Tableau:
     if rng.random() < 0.5:
         for leaf in [n for n in nodes if n.literal is not None and not n.children]:
             add(leaf, rng.choice([leaf, *ancestors(leaf)][:-1]).literal.complement())
-    return Tableau(root)
+    return root
 
 
-def random_tableaux(seed: int, count: int) -> list[Tableau]:
+def random_tableaux(seed: int, count: int) -> list[Node]:
     rng = random.Random(seed)
     return [random_tableau(rng, rng.randint(0, 40)) for _ in range(count)]
 
 
-def prover_tableaux(seed: int, count: int) -> list[Tableau]:
+def prover_tableaux(seed: int, count: int) -> list[Node]:
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -93,17 +92,17 @@ def prover_tableaux(seed: int, count: int) -> list[Tableau]:
     return out
 
 
-def family_tableaux() -> list[Tableau]:
+def family_tableaux() -> list[Node]:
     out = []
     for family in ("chain", "wide", "fol_chain"):
         for k in (1, 2, 5, 9):
             doc = parse_proof(proof_family(family, k))
             tab = to_cut_normal_form(ground_deduction(to_tree(doc)))
-            out += [tab, hyper_convert(tab)[0]]
+            out += [tab, hyper_convert(tab.copy_subtree())[0]]
     return out
 
 
-def corpus() -> list[Tableau]:
+def corpus() -> list[Node]:
     return random_tableaux(11, 400) + prover_tableaux(12, 60) + family_tableaux()
 
 
@@ -118,10 +117,10 @@ def rows(root: Node) -> list[tuple]:
     return out
 
 
-def reference_rows(tab: Tableau) -> list[tuple]:
+def reference_rows(tab: Node) -> list[tuple]:
     """The rows of the whole tableau, from the reference walkers."""
     targets, depths = reference_compute_targets(tab), reference_depths(tab)
-    nodes = list(tab.nodes())
+    nodes = list(tab.pre_order())
     where = {n: i for i, n in enumerate(nodes)}
     return [
         (n.literal, n.side, depths[n], len(n.children), where.get(targets.get(n)))
@@ -137,8 +136,8 @@ def tableaux():
 def test_targets_and_closedness_agree_with_the_reference(tableaux):
     closed = 0
     for tab in tableaux:
-        mine, ref = tab.copy(), reference_copy(tab)
-        assert rows(mine.root) == reference_rows(ref)
+        mine, ref = tab.copy_subtree(), reference_copy(tab)
+        assert rows(mine) == reference_rows(ref)
         got = is_closed(mine)
         assert got == reference_is_closed(ref)
         closed += got
@@ -151,11 +150,10 @@ def test_targets_and_closedness_agree_with_the_reference(tableaux):
 def test_simplification_agrees_with_the_reference(tableaux):
     changed = 0
     for tab in tableaux:
-        mine, ref = tab.copy(), reference_copy(tab)
-        got = simplify_in_place(mine.root)
-        assert got == reference_simplify_in_place(ref.root)
-        assert rows(mine.root) == reference_rows(ref)
-        assert rows(simplify(tab).root) == rows(mine.root)
+        mine, ref = tab.copy_subtree(), reference_copy(tab)
+        got = simplify_in_place(mine)
+        assert got == reference_simplify_in_place(ref)
+        assert rows(mine) == reference_rows(ref)
         changed += got != (0, 0)
     assert changed > 200
 
@@ -163,7 +161,7 @@ def test_simplification_agrees_with_the_reference(tableaux):
 def test_copies_agree_with_the_reference(tableaux):
     rng = random.Random(14)
     for tab in tableaux:
-        node = rng.choice(list(tab.nodes()))
+        node = rng.choice(list(tab.pre_order()))
         copy = node.copy_subtree()
         assert copy.parent is None and copy is not node
         assert rows(copy) == rows(reference_copy_subtree(node)[0])
@@ -178,14 +176,14 @@ def test_copies_agree_with_the_reference(tableaux):
 def test_documents_agree_with_the_reference_and_leave_targets_alone(tableaux):
     clashes = 0
     for tab in tableaux:
-        before = rows(tab.root)
+        before = rows(tab)
         doc = format_tableau(tab)
-        assert rows(tab.root) == before
+        assert rows(tab) == before
         assert doc == reference_format_tableau(reference_copy(tab))
         sig = Signature()
         try:
             # the document has a line per node, in pre-order, below its header
-            for line, n in enumerate(tab.non_root_nodes(), start=2):
+            for line, n in enumerate(below(tab), start=2):
                 reference_extend_signature(sig, (n.literal,), line=line)
         except InputError as clash:
             # a predicate of two arities is rejected, as in a clause file;
@@ -194,8 +192,8 @@ def test_documents_agree_with_the_reference_and_leave_targets_alone(tableaux):
             with pytest.raises(InputError) as e:
                 parse_tableau(doc)
             assert str(e.value) == str(clash)
-            tab = tab.copy()
-            for n in tab.non_root_nodes():
+            tab = tab.copy_subtree()
+            for n in below(tab):
                 l = n.literal
                 n.literal = Literal(l.positive, f"{l.predicate}{len(l.args)}", l.args)
             doc = format_tableau(tab)
@@ -209,14 +207,14 @@ def test_a_moved_subtree_reads_the_depths_and_targets_of_its_new_position():
     tab = parse_tableau(
         "tableau\n  p\n    q\n      ~p -> 1\n      r\n        ~q -> 2\n        ~r -> 3\n"
     )
-    nprime = tab.root.children[0]
+    nprime = tab.children[0]
     nprime.set_children(nprime.children[0].children)
     assert all(c.parent is nprime for c in nprime.children)
     assert format_tableau(tab) == "tableau\n  p\n    ~p -> 1\n    r\n      ~q\n      ~r -> 2\n"
-    assert [(str(n.literal), d) for n, d, _ in branch_walk(tab.root)] == [
+    assert [(str(n.literal), d) for n, d, _ in branch_walk(tab)] == [
         ("None", 0), ("p", 1), ("~p", 2), ("r", 2), ("~q", 3), ("~r", 3)
     ]
-    assert rows(tab.root) == reference_rows(tab)
+    assert rows(tab) == reference_rows(tab)
 
 
 # the clause at the root has a sibling of ~a that also lies on the branch
@@ -251,7 +249,7 @@ def outcome(fn, tab):
         values = fn(tab)
     except StructureError as e:
         return str(e)
-    return [values[n] for n in tab.nodes()]
+    return [values[n] for n in tab.pre_order()]
 
 
 def test_interpolant_values_agree_with_the_reference(tableaux):
@@ -264,7 +262,8 @@ def test_interpolant_values_agree_with_the_reference(tableaux):
         cut = rng.randint(0, len(clauses))
         tab = prove(clauses, max_depth=12).tableau
         two_sided.append(assign_sides(tab, clauses[:cut], clauses[cut:]))
-        two_sided.append(assign_sides(hyper_convert(tab)[0], clauses[:cut], clauses[cut:]))
+        converted, _ = hyper_convert(tab.copy_subtree())
+        two_sided.append(assign_sides(converted, clauses[:cut], clauses[cut:]))
     extracted = 0
     for tab in two_sided + tableaux[:400]:
         got = outcome(ipol_map, tab)
@@ -283,16 +282,16 @@ def p(i: int, positive: bool = True) -> Literal:
     return Literal(positive, f"p{i}")
 
 
-def deep_chain() -> Tableau:
+def deep_chain() -> Node:
     """p1, ..., p4999 down one branch, closed by ~p1 at depth 5000."""
     root = n = Node()
     for lit in [p(i) for i in range(1, DEPTH)] + [p(1, False)]:
         n.add(Node(lit, "F"))
         n = n.children[0]
-    return Tableau(root)
+    return root
 
 
-def deep_refutation() -> Tableau:
+def deep_refutation() -> Node:
     """Clause ~a, a at the root; ~a leads down p1, ..., p4998, each closed
     by a leaf ~pi, to a leaf a; a is closed by ~a.  Not hyper: ~a is an
     inner node, and one round lifts the chain to the root."""
@@ -310,7 +309,7 @@ def deep_refutation() -> Tableau:
         n = n.children[1]
     n.add(Node(p(DEPTH - 2, False), "F"))
     n.add(Node(p(0), "F"))
-    return Tableau(root)
+    return root
 
 
 @pytest.fixture
@@ -325,39 +324,40 @@ def low_recursion_limit():
 
 def test_walkers_on_a_5000_deep_branch(low_recursion_limit):
     tab = deep_chain()
-    leaf = list(tab.nodes())[-1]
-    walk = list(branch_walk(tab.root))
+    leaf = list(tab.pre_order())[-1]
+    walk = list(branch_walk(tab))
     assert len(walk) == DEPTH + 1
-    assert walk[0] == (tab.root, 0, None)  # the root first, with no target
-    assert walk[-1] == (leaf, DEPTH, tab.root.children[0])
+    assert walk[0] == (tab, 0, None)  # the root first, with no target
+    assert walk[-1] == (leaf, DEPTH, tab.children[0])
     assert is_closed(tab) and is_regular(tab) and is_leaf_closing(tab) and is_leaf_closed(tab)
-    copy = tab.root.copy_subtree()
+    copy = tab.copy_subtree()
     assert [d for _, d, _ in branch_walk(copy)] == list(range(DEPTH + 1))
     doc = format_tableau(tab)
     assert doc.count("\n") == DEPTH + 1
     assert doc.endswith("  " * DEPTH + "~p1 [F] -> 1\n")
     assert format_tableau(parse_tableau(doc)) == doc
-    assert ipol_map(tab)[tab.root] == ipol_map(Tableau(copy))[copy]
+    assert ipol_map(tab)[tab] == ipol_map(copy)[copy]
     # p3 at depth 1,000 repeats p3, ~p1 at depth 2,500 closes an inner node
     irregular = deep_chain()
-    nodes = list(irregular.nodes())
+    nodes = list(irregular.pre_order())
     nodes[1000].literal = p(3)
     nodes[DEPTH // 2].literal = p(1, False)
     assert not is_regular(irregular) and not is_leaf_closing(irregular)
-    assert simplify_in_place(irregular.root) == (1, 1)
+    assert simplify_in_place(irregular) == (1, 1)
     assert tableau_size(irregular) == DEPTH // 2 and is_leaf_closed(irregular)
 
 
 def test_hyper_conversion_of_a_5000_deep_branch(low_recursion_limit):
     tab = deep_refutation()
     assert is_leaf_closed(tab) and is_regular(tab) and not is_hyper(tab)
+    before = tab.copy_subtree()
     out, trace = hyper_convert(tab)
     assert trace.total_rounds == 1 and trace.regular_splices == 1
     assert is_hyper(out) and is_regular(out) and is_leaf_closed(out)
     # the chain now starts at the root and ends in a, closed by ~a
-    nodes = list(out.nodes())
+    nodes = list(out.pre_order())
     assert nodes[1].literal == p(1)
     assert [n.literal for n in nodes[-2:]] == [p(0), p(0, False)]
-    assert list(branch_walk(out.root))[-1][:2] == (nodes[-1], DEPTH)
+    assert list(branch_walk(out))[-1][:2] == (nodes[-1], DEPTH)
     assert trace.output_size == out.inner_size() == DEPTH
-    assert ipol_map(out)[out.root] == ipol_map(tab)[tab.root]
+    assert ipol_map(out)[out] == ipol_map(before)[before]

@@ -9,7 +9,6 @@ from foltab.syntax import App, Clause, FreshNamer, InputError, Literal, Var
 from foltab.tableaux import (
     Node,
     StructureError,
-    Tableau,
     assign_sides,
     branch_walk,
     ground_tableau,
@@ -17,10 +16,11 @@ from foltab.tableaux import (
     is_hyper,
     match_clause,
     prove,
-    simplify,
+    simplify_in_place,
 )
 from foltab.tptp import parse_clause_file
 from helpers import (
+    below,
     is_ground_tableau,
     is_leaf_closed,
     is_leaf_closing,
@@ -29,7 +29,6 @@ from helpers import (
     reference_assign_sides,
     reference_prove,
     tableau_clauses,
-    tableau_size,
     tt_satisfiable,
     unify_args,
 )
@@ -50,7 +49,7 @@ def chain(*literals):
         n = Node(l)
         cur.add(n)
         cur = n
-    return Tableau(root)
+    return root
 
 
 def build(spec, side=None):
@@ -58,7 +57,7 @@ def build(spec, side=None):
     root = Node()
     for child in spec:
         _attach(root, child)
-    return Tableau(root)
+    return root
 
 
 def _attach(parent, spec):
@@ -71,11 +70,11 @@ def _attach(parent, spec):
 
 def test_pre_order_on_wide_and_deep_trees():
     tab = build([(lit("p"), [(lit("q"), []), (lit("r"), [(lit("s"), [])])]), (lit("t"), [])])
-    assert [str(n.literal) for n in tab.non_root_nodes()] == ["p", "q", "r", "s", "t"]
+    assert [str(n.literal) for n in below(tab)] == ["p", "q", "r", "s", "t"]
     # deeper than the interpreter's default recursion limit
     deep = chain(*(lit(f"p{i}") for i in range(3000)))
-    walk = list(branch_walk(deep.root))
-    assert [n for n, _, _ in walk] == list(deep.nodes())
+    walk = list(branch_walk(deep))
+    assert [n for n, _, _ in walk] == list(deep.pre_order())
     assert [d for _, d, _ in walk] == list(range(3001))
 
 
@@ -87,9 +86,9 @@ def test_is_closed_unit_chain():
 def test_targets_nearest_ancestor():
     t = chain(lit("p"), lit("q"), lit("p"), lit("p", positive=False))
     assert is_closed(t)
-    nearer_p = t.root.children[0].children[0].children[0]
+    nearer_p = t.children[0].children[0].children[0]
     leaf = nearer_p.children[0]
-    assert list(branch_walk(t.root))[-1] == (leaf, 4, nearer_p)  # the p at depth 3
+    assert list(branch_walk(t))[-1] == (leaf, 4, nearer_p)  # the p at depth 3
 
 
 def test_simplify_splices_repeated_literal():
@@ -107,10 +106,10 @@ def test_simplify_splices_repeated_literal():
             )
         ]
     )
-    out = simplify(t)
-    assert is_regular(out)
+    simplify_in_place(t)
+    assert is_regular(t)
     # the inner repeat of p collapsed q's children into q's parent position
-    lits = [n.literal for n in out.nodes() if n.literal is not None]
+    lits = [n.literal for n in below(t)]
     assert lits.count(lit("p")) == 1
 
 
@@ -128,26 +127,26 @@ def test_simplify_truncates_closing_inner_node():
             )
         ]
     )
-    out = simplify(t)
-    assert is_leaf_closing(out)
+    simplify_in_place(t)
+    assert is_leaf_closing(t)
     # the closing inner node ~p lost its children
-    node = out.root.children[0].children[0]
+    node = t.children[0].children[0]
     assert node.literal == lit("p", positive=False)
     assert node.is_leaf
 
 
 def test_simplify_fixpoint_on_clean_tableau():
     t = chain(lit("p"), lit("p", positive=False))
-    out = simplify(t)
-    assert [n.literal for n in out.nodes()] == [n.literal for n in t.nodes()]
-    assert tableau_size(simplify(out)) == tableau_size(out)
+    before = [n.literal for n in t.pre_order()]
+    assert simplify_in_place(t) == (0, 0)
+    assert [n.literal for n in t.pre_order()] == before
 
 
 def test_prove_unit_contradiction():
     res = prove([Clause((lit("p"),)), Clause((lit("p", positive=False),))])
     assert res.proved
     assert is_leaf_closed(res.tableau)
-    lits = [n.literal for n in res.tableau.non_root_nodes()]
+    lits = [n.literal for n in below(res.tableau)]
     assert lits == [lit("p"), lit("p", positive=False)]
 
 
@@ -168,7 +167,7 @@ def test_prove_instantiates_connection():
     clauses = [Clause((lit("p", x),)), Clause((lit("p", a, positive=False),))]
     res = prove(clauses)
     assert res.proved
-    lits = [n.literal for n in res.tableau.non_root_nodes()]
+    lits = [n.literal for n in below(res.tableau)]
     assert lits == [lit("p", a), lit("p", a, positive=False)]
 
 
@@ -188,7 +187,7 @@ def test_prove_on_a_5000_deep_parsed_term(default_recursion_limit):
     assert r.status == "proved" and r.inferences == 1
     assert is_closed(r.tableau) and is_leaf_closed(r.tableau)
     term = clauses[0].literals[0].args[0]
-    literals = [n.literal for n in r.tableau.non_root_nodes()]
+    literals = [n.literal for n in below(r.tableau)]
     assert len(literals) == 2 and all(l.args[0] is term for l in literals)
     # the two literals are one object per atom and sign
     assert literals[1] is literals[0].complement()
@@ -203,7 +202,7 @@ def test_prove_on_a_5000_deep_term_built_with_app(default_recursion_limit):
     r = prove([Clause((lit("p", deep),)), Clause((lit("p", x, positive=False),))])
     assert r.status == "proved" and r.inferences == 1
     assert is_closed(r.tableau) and is_leaf_closed(r.tableau)
-    assert all(n.literal.args[0] is deep for n in r.tableau.non_root_nodes())
+    assert all(n.literal.args[0] is deep for n in below(r.tableau))
 
 
 def test_prove_unifies_equal_5000_deep_terms_made_apart(default_recursion_limit):
@@ -236,14 +235,14 @@ def test_prove_shares_one_literal_per_atom_and_sign():
     r = prove(clauses)
     assert r.proved
     atoms = {}
-    for n in r.tableau.non_root_nodes():
+    for n in below(r.tableau):
         atom = atoms.setdefault(n.literal.atom(), n.literal.atom())
         assert n.literal is (atom if n.literal.positive else atom.complement())
     # grounding shares the literals it makes in the same way
     tab = build([(lit("q", x), [(lit("p", x), []), (lit("p", x, positive=False), [])]),
                  (lit("q", x, positive=False), [])])
     grounded, _, _ = ground_tableau(tab, FreshNamer())
-    q, p, not_p, not_q = grounded.non_root_nodes()
+    q, p, not_p, not_q = below(grounded)
     assert not_p.literal is p.literal.complement() and not_q.literal is q.literal.complement()
 
 
@@ -332,7 +331,7 @@ def test_ground_tableau_fresh_constants():
     assert is_ground_tableau(out)
     assert len(s1) == 1 and not s2
     g = next(iter(s1))
-    assert [n.literal for n in out.non_root_nodes()] == [
+    assert [n.literal for n in below(out)] == [
         lit("p", App(g)),
         lit("p", App(g), positive=False),
     ]
@@ -344,13 +343,13 @@ def test_ground_tableau_identity_when_ground():
     t = chain(lit("p", a), lit("p", a, positive=False))
     out, s1, s2 = ground_tableau(t, FreshNamer())
     assert not s1 and not s2
-    assert [n.literal for n in out.non_root_nodes()] == [n.literal for n in t.non_root_nodes()]
+    assert [n.literal for n in below(out)] == [n.literal for n in below(t)]
 
 
 def test_ground_tableau_distinct_variables_distinct_constants():
     t = chain(lit("p", x, Var("Y")))
     out, s1, s2 = ground_tableau(t, FreshNamer())
-    args = out.root.children[0].literal.args
+    args = out.children[0].literal.args
     assert args[0] != args[1]
     assert len(s1) == 2
 
@@ -405,7 +404,7 @@ def test_two_sided_example_is_closed():
 def test_assign_sides_on_example():
     t, fcs, gcs = _two_sided_example()
     out = assign_sides(t, fcs, gcs)
-    sides = {str(n.literal): n.side for n in out.non_root_nodes()}
+    sides = {str(n.literal): n.side for n in below(out)}
     assert sides == {
         "~r(a)": "G",
         "~q(a)": "G",
@@ -420,9 +419,9 @@ def test_assign_sides_tie_prefers_f():
     t = chain(lit("p"), lit("p", positive=False))
     both = [Clause((lit("p"),)), Clause((lit("p", positive=False),))]
     out = assign_sides(t, both, both)
-    assert all(n.side == "F" for n in out.non_root_nodes())
+    assert all(n.side == "F" for n in below(out))
     out_g = assign_sides(t, both, both, tie="G")
-    assert all(n.side == "G" for n in out_g.non_root_nodes())
+    assert all(n.side == "G" for n in below(out_g))
 
 
 def random_clauses(rng):
@@ -447,7 +446,7 @@ def sides_or_error(assign, tab, f_clauses, g_clauses, tie):
         out = assign(tab, f_clauses, g_clauses, tie)
     except StructureError as e:
         return str(e)
-    return [n.side for n in out.non_root_nodes()]
+    return [n.side for n in below(out)]
 
 
 def test_side_assignment_by_shape_agrees_with_the_full_scan(monkeypatch):
@@ -511,13 +510,12 @@ def test_simplify_idempotent_and_introduces_no_literals():
             continue
         res = prove(clauses, max_depth=10)
         tab = res.tableau
-        once = simplify(tab)
-        twice = simplify(once)
-        from foltab.documents import format_tableau
-
-        assert format_tableau(twice) == format_tableau(once)
-        input_literals = {n.literal for n in tab.non_root_nodes()}
-        assert {n.literal for n in once.non_root_nodes()} <= input_literals
+        input_literals = {n.literal for n in below(tab)}
+        simplify_in_place(tab)
+        once = format_tableau(tab)
+        assert simplify_in_place(tab) == (0, 0)
+        assert format_tableau(tab) == once
+        assert {n.literal for n in below(tab)} <= input_literals
         checked += 1
     assert checked >= 15
 
@@ -802,7 +800,7 @@ def test_reading_a_proof_of_equal_5000_deep_terms_made_apart(default_recursion_l
     for _ in range(5000):
         t1, t2 = App("f", (t1,)), App("f", (t2,))
     r = prove([Clause((lit("p", t1),)), Clause((lit("p", t2, positive=False),))])
-    first, second = [n.literal for n in r.tableau.non_root_nodes()]
+    first, second = [n.literal for n in below(r.tableau)]
     assert first.args[0] is second.args[0] is t1
     assert second is first.complement()
     assert is_closed(r.tableau)

@@ -39,6 +39,7 @@ from foltab.syntax import FreshNamer
 from foltab.tableaux import ground_tableau, prove
 from foltab.tptp import parse_clause_file, parse_formula
 from helpers import (
+    below,
     random_formula,
     random_literal,
     random_nnf,
@@ -170,7 +171,7 @@ def test_proofs_and_grounding_give_the_shared_values():
         if ground:
             ground_tableau(tab, FreshNamer())
         again = parse_tableau(format_tableau(tab))
-        pairs = list(zip(tab.non_root_nodes(), again.non_root_nodes()))
+        pairs = list(zip(below(tab), below(again)))
         assert pairs and all(m.literal is n.literal for m, n in pairs)
 
 
