@@ -349,9 +349,14 @@ def interpolate(
         shortcut = "f-unsatisfiable" if isinstance(h, Bottom) else "g-valid"
         h_grd = h
     else:
+        clauses = fres.clauses + gres.clauses
+        if not clauses:
+            # F & ~G has no clause, so it is satisfiable: the search would
+            # saturate at once
+            raise NotProvedError(ProveResult("saturated", None, 0, 0))
         t0 = time.perf_counter()
         result = prove(
-            fres.clauses + gres.clauses,
+            clauses,
             max_depth=max_depth,
             timeout=timeout,
             max_inferences=max_inferences,

@@ -34,9 +34,10 @@ in its size, and a ground term is the same in every copy.
 A copy store maps (variable, copy) pairs to (term, copy) pairs.  It is
 triangular: a bound term may contain bound variables, and reading it
 follows them.  It is acyclic: a variable is bound only after the occurs
-check, through the store, has failed to find it in its term.  Bindings
-made by `unify_copies` are recorded on a trail, and `undo` removes them
-back to a mark, latest first.
+check, through the store, has failed to find it in its term, or when no
+term it is bound to can reach it, as for a variable of a fresh clause
+copy (`unify_copies`).  Bindings made by `unify_copies` are recorded on a
+trail, and `undo` removes them back to a mark, latest first.
 
 Beside the term kernel, two formula walks carry the shape of formulas;
 free variables, vocabulary, symbols and predicate renaming are all written
@@ -78,13 +79,18 @@ _new = object.__new__
 _ground_of = attrgetter("_ground")
 
 # Every value class names its compared fields in `_fields`, and `_Value`
-# reads them for the whole value protocol: values hash as the tuple of
-# their fields, print as the dataclasses they once were (`Var(name='X')`),
-# and pickle as the flat list of their distinct parts (`_parts`), read back
-# through the constructors, so a hash never moves to a process of another
-# hash seed.  A value is its own copy and deep copy.  Every
-# value computes its hash when it is made, from the hashes of its fields,
-# which are made before it; `hash` reads the `_hash` slot.
+# reads them for the whole value protocol: values print as the dataclasses
+# they once were (`Var(name='X')`), and pickle as the flat list of their
+# distinct parts (`_parts`), read back through the constructors, so a hash
+# never moves to a process of another hash seed or another heap.  A value
+# is its own copy and deep copy.
+#
+# A shared value (below) hashes by identity, as its == compares, with
+# `object.__hash__`: nothing is computed when it is made.  A formula or a
+# clause computes its hash when it is made, as the hash of the tuple of
+# its fields, which are made before it; `hash` reads the `_hash` slot.  So
+# equal formulas built apart hash equal, and every hash holds for the
+# object's lifetime; none is stable across processes.
 #
 # Var, App and Literal are shared.  Their __new__ looks a key up in
 # `_table`, the one process-wide weak table, and makes a value only when no
@@ -94,7 +100,9 @@ _ground_of = attrgetter("_ground")
 # id stands for one argument as long as the entry lasts; a value that
 # nothing else holds leaves the table.  The three key shapes (a string, a
 # tuple starting with a string, one starting with a bool) never meet.
-# Equal shared values are thus one object, and their == is identity.
+# Equal shared values are thus one object, and their == and hash are those
+# of the object.  A set or dict of shared values iterates in an order that
+# follows their addresses, so no output may depend on that order.
 # Formulas and clauses are not shared: their == walks their parts on an
 # explicit stack and stops at shared ones, which are equal only when
 # identical.
@@ -253,12 +261,13 @@ def _from_parts(parts: list[tuple]) -> _Value:
 
 
 class _Shared:
-    """The == and hash of the shared classes: one object per value."""
+    """The == and hash of the shared classes: one object per value, so
+    both are those of the object, in C."""
 
     __slots__ = ()
     _shared = True
     __eq__ = object.__eq__
-    __hash__ = _Value.__hash__
+    __hash__ = object.__hash__
 
 
 class Var(_Shared, _Value):
@@ -271,7 +280,6 @@ class Var(_Shared, _Value):
         if v is None:
             v = _new(cls)
             _set(v, "name", name)
-            _set(v, "_hash", hash((name,)))
             v = _enter(name, v)
         return v
 
@@ -293,7 +301,6 @@ class App(_Shared, _Value):
             _set(t, "functor", functor)
             _set(t, "args", args)
             _set(t, "_ground", all(map(_ground_of, args)))
-            _set(t, "_hash", hash((functor, args)))
             t = _enter(key, t)
         return t
 
@@ -477,7 +484,8 @@ def occurs_copy(name: str, k: int, t: Term, kt: int, store: CopyStore) -> bool:
 
 
 def unify_copies(
-    xs: tuple[Term, ...], kx: int, ys: tuple[Term, ...], ky: int, store: CopyStore, trail: list
+    xs: tuple[Term, ...], kx: int, ys: tuple[Term, ...], ky: int, store: CopyStore, trail: list,
+    fresh: Optional[int] = None,
 ) -> bool:
     """Extend `store` to a unifier of each pair xs[i] in copy kx, ys[i] in
     copy ky, or fail; each binding made is recorded on `trail`.
@@ -489,7 +497,14 @@ def unify_copies(
 
     Terms are compared by identity, a ground one in any copies, and
     variables by name and copy; one application in two copies is
-    decomposed."""
+    decomposed.
+
+    `fresh` numbers a fresh clause copy: no binding of the store reaches
+    into it.  Until a binding into it is made, no term of another copy can
+    reach one of its variables, so binding such a variable to such a term
+    needs no occurs check.  The first binding of any variable to a
+    non-ground term of the fresh copy ends that for the rest of the call;
+    the check is then made as without `fresh`."""
     get = store.get
     todo = list(zip(xs, repeat(kx), ys, repeat(ky)))
     todo.reverse()
@@ -510,14 +525,20 @@ def unify_copies(
         if a.__class__ is Var:
             if b.__class__ is Var and ka == kb and a.name == b.name:
                 continue
-            if not b._ground and occurs_copy(a.name, ka, b, kb, store):
-                return False
+            if not b._ground:
+                if kb == fresh:
+                    fresh = None
+                if ka != fresh and occurs_copy(a.name, ka, b, kb, store):
+                    return False
             key = (a.name, ka)
             store[key] = (b, kb)
             trail.append(key)
         elif b.__class__ is Var:
-            if not a._ground and occurs_copy(b.name, kb, a, ka, store):
-                return False
+            if not a._ground:
+                if ka == fresh:
+                    fresh = None
+                if kb != fresh and occurs_copy(b.name, kb, a, ka, store):
+                    return False
             key = (b.name, kb)
             store[key] = (a, ka)
             trail.append(key)
@@ -644,7 +665,6 @@ class Literal(_Shared, Formula):
             _set(l, "positive", positive)
             _set(l, "predicate", predicate)
             _set(l, "args", args)
-            _set(l, "_hash", hash((positive, predicate, args)))
             l = _enter(key, l)
         return l
 

@@ -561,7 +561,7 @@ def prove(
             k = copies
             mark = len(trail)
             if (
-                not args or unify_copies(args, kg, lits[idx].args, k, binding, trail)
+                not args or unify_copies(args, kg, lits[idx].args, k, binding, trail, k)
             ) and regular(lits, k, ground, keys, path):
                 cells = [[l, k, kl, goal, None] for l, kl in zip(lits, keys)]
                 goal[4] = cells

@@ -126,6 +126,16 @@ def test_interpolate_not_proved(tmp_path, capsys):
     assert main(["interpolate", "--f", f, "--g", g]) == 1
 
 
+def test_interpolate_on_clause_free_sides_is_not_proved(tmp_path, capsys):
+    # F = $true and ~G = ~$false clausify to no clause at all: F does not
+    # entail G, which is "not proved" (exit 1), not an input error
+    f = write(tmp_path, "f.p", "fof(f, axiom, $true).\n")
+    g = write(tmp_path, "g.p", "fof(g, axiom, $false).\n")
+    assert main(["interpolate", "--f", f, "--g", g]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "% not proved: saturated\n" and captured.err == ""
+
+
 def test_interpolate_require_horn(tmp_path, capsys):
     # Example F is Horn but not U-range-restricted ({p(X)} is unguarded),
     # so only the Horn guarantee applies here

@@ -252,6 +252,14 @@ def test_interpolate_not_proved():
         interpolate(f, g)
 
 
+def test_interpolate_on_clause_free_sides_saturates():
+    # neither F nor ~G has a clause: F & ~G is satisfiable, and no proof is
+    # searched for
+    with pytest.raises(NotProvedError) as e:
+        interpolate(TOP, BOTTOM)
+    assert e.value.result.status == "saturated" and e.value.result.tableau is None
+
+
 def test_interpolate_free_variable_identity():
     f = parse_formula("p(X)")
     g = parse_formula("p(X)")
@@ -326,6 +334,14 @@ def test_definition_through_biconditional():
             assert eval_formula(query, model, env) == eval_formula(r, model, env)
     assert free_vars(r) == {"X"}
     assert {p for p, _ in __import__("foltab").vocabulary(r)[1]} <= {"q"}
+
+
+def test_definition_not_within_the_targets_saturates():
+    # p is not definable in q under a clause-free kb: F = kb & p and
+    # ~G = kb' & ~p_p1 share no predicate, so the search saturates
+    with pytest.raises(NotProvedError) as e:
+        synthesize_definition(TOP, parse_formula("p"), {"q"})
+    assert e.value.result.status == "saturated" and e.value.result.tableau is None
 
 
 def test_definition_requires_targets():

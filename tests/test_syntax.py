@@ -410,6 +410,96 @@ def test_unify_copies_on_5000_deep_terms(default_recursion_limit):
     assert names == {"X_1": a}
 
 
+def acyclic(store):
+    """Whether no bound variable of `store` reaches itself: a depth-first
+    walk over the bindings that visits each one once, so a cycle fails
+    here instead of sending a resolver round it for ever."""
+    done, on_path = set(), set()
+    for start in store:
+        if start in done:
+            continue
+        # (variable, its binding's variables still to visit)
+        stack = [(start, None)]
+        on_path.add(start)
+        while stack:
+            key, todo = stack[-1]
+            if todo is None:
+                t, kt = store[key]
+                todo = [(v, kt) for v in ordered_vars([t])]
+                stack[-1] = (key, todo)
+            if not todo:
+                stack.pop()
+                on_path.discard(key)
+                done.add(key)
+                continue
+            nxt = todo.pop()
+            if nxt in on_path:
+                return False
+            if nxt in store and nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, None))
+    return True
+
+
+def test_a_fresh_copy_skips_the_occurs_check_until_a_binding_reaches_it():
+    fx = App("f", (x,))
+    # a variable of the fresh copy 2 bound to a term of copy 1: no binding
+    # reaches copy 2, so the term cannot contain the variable
+    store, trail = {}, []
+    assert unify_copies((App("f", (y,)),), 1, (x,), 2, store, trail, 2)
+    assert store == {("X", 2): (App("f", (y,)), 1)} and acyclic(store)
+    # p(X, f(X)) in copy 1 against p(Y, Y) in the fresh copy 2: binding X_1
+    # to Y_2 reaches the fresh copy, so binding Y_2 to f(X)_1 is checked,
+    # and fails
+    for fresh in (None, 2):
+        store, trail = {}, []
+        assert not unify_copies((x, fx), 1, (y, y), 2, store, trail, fresh)
+        assert acyclic(store)
+    # p(Y, Y) in copy 1 against p(X, f(X)) in copy 2: X_2 meets f(X)_2
+    for fresh in (None, 2):
+        store, trail = {}, []
+        assert not unify_copies((y, y), 1, (x, fx), 2, store, trail, fresh)
+        assert acyclic(store)
+    # both sides in the fresh copy: the check is made
+    assert not unify_copies((x,), 2, (fx,), 2, {}, [], 2)
+    assert not unify_copies((fx,), 2, (x,), 2, {}, [], 2)
+
+
+def test_a_fresh_copy_unifies_as_without_it_on_random_terms():
+    # copy 2 is fresh: the store, made by unifying copies 0 and 1, holds
+    # no binding into it; with and without the fresh copy named, success,
+    # the store, the trail and every resolved term agree
+    rng = random.Random(3301)
+    names = ("X", "Y", "Z")
+    for _ in range(1200):
+        store, trail = {}, []
+        for _ in range(rng.randint(0, 2)):
+            mark = len(trail)
+            n = rng.randint(1, 2)
+            before = tuple(random_term(rng, names, rng.randint(0, 2)) for _ in range(2 * n))
+            k0, k1 = rng.randint(0, 1), rng.randint(0, 1)
+            if not unify_copies(before[:n], k0, before[n:], k1, store, trail):
+                undo(store, trail, mark)
+        n = rng.randint(1, 3)
+        xs = tuple(random_term(rng, names, rng.randint(0, 3)) for _ in range(n))
+        ys = tuple(random_term(rng, names, rng.randint(0, 3)) for _ in range(n))
+        if rng.random() < 0.3:
+            # a term under f meets itself, in its own copy or another
+            ys = tuple(App("f", (t,)) for t in xs)
+        kx = rng.choice((0, 1, 2))
+        runs = []
+        for fresh in (None, 2):
+            s, tr = dict(store), list(trail)
+            ok = unify_copies(xs, kx, ys, 2, s, tr, fresh)
+            assert acyclic(s)
+            table = {}
+            resolved = [resolve_copy(t, kx, s, table, copy_var) for t in xs]
+            resolved += [resolve_copy(t, 2, s, table, copy_var) for t in ys]
+            resolved += [resolve_copy(Var(v), k, s, table, copy_var) for v in names for k in (0, 1, 2)]
+            runs.append((ok, s, tr, resolved))
+        assert runs[0] == runs[1]
+
+
 def test_ordered_vars_first_occurrence_outside_in():
     terms = (App("f", (y, App("g", (x, y)))), z, x)
     assert ordered_vars(terms) == ["Y", "X", "Z"]
@@ -500,7 +590,7 @@ def test_signature_arity_clash():
         sig.add_function("p", 0)
 
 
-def test_kernel_hashes_are_cached_values_of_the_field_tuple():
+def test_kernel_hashes_are_those_of_the_shared_object():
     def build():
         t = App("f", (App("g", (Var("X"), App("a"))), Var("Y")))
         return t, Literal(False, "p", (t, App("b")))
@@ -510,11 +600,14 @@ def test_kernel_hashes_are_cached_values_of_the_field_tuple():
     assert t1 == t2 and hash(t1) == hash(t2)
     assert l1 == l2 and hash(l1) == hash(l2)
     assert l1 != l1.complement() and hash(l1) != hash(l1.complement())
-    # the value is the hash of the compared fields, computed once
-    assert hash(x) == hash(("X",))
-    assert hash(t1) == hash((t1.functor, t1.args))
-    assert hash(l1) == hash((l1.positive, l1.predicate, l1.args))
-    assert hash(l1) == hash(l1)
+    # a shared value hashes by identity, as its == compares, and its hash
+    # holds while it lives
+    for v in (x, t1, l1, l1.complement()):
+        assert hash(v) == object.__hash__(v) == hash(v)
+    assert Var.__hash__ is App.__hash__ is Literal.__hash__ is object.__hash__
+    # formulas and clauses built apart over the shared values hash equal
+    assert hash(Not(l1)) == hash(Not(build()[1]))
+    assert hash(Clause((l1, lit("q")))) == hash(Clause((build()[1], lit("q"))))
     assert repr(x) == "Var(name='X')"
     assert repr(App("f", (x,))) == "App(functor='f', args=(Var(name='X'),))"
     assert repr(lit("p", a)) == "Literal(positive=True, predicate='p', args=(App(functor='a', args=()),))"
